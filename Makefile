@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench-smoke lint trace-smoke faults-smoke check-smoke store-smoke obs-smoke stream-smoke proxy-smoke cdn-smoke
+.PHONY: test bench-smoke bench-digests lint trace-smoke faults-smoke check-smoke store-smoke obs-smoke stream-smoke proxy-smoke cdn-smoke
 
 # Tier-1 suite. tests/test_parallel.py runs 2- and 4-worker campaigns
 # against the serial baseline, so the parallel path is exercised on
@@ -42,6 +42,20 @@ bench-smoke:
 	      f\"tracing {tr:+.1f}%% cpu (gated estimate), fast path \" \
 	      f\"x{fp['cpu_speedup']:.2f} \" \
 	      f\"({fp['plt_identical']}/{fp['visits']} PLTs identical)\")"
+
+# Result-digest gate for the repo benchmark (benchmarks/harness): one
+# short untraced run of every workload BENCHMARK.json names, at the
+# pinned seed.  run.py exits non-zero on any failed check — a moved
+# pinned digest, workers=1 != workers=N, or a warm replay that differs
+# from its cold run — and the loop stops at the first failure.
+BENCH_WORKLOADS = $(shell $(PYTHON) -c "import json; \
+	print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))")
+
+bench-digests:
+	for w in $(BENCH_WORKLOADS); do \
+		$(PYTHON) benchmarks/harness/run.py --workload $$w --seed 11 \
+			--seconds 1 --setup-samples 1 --trace 0 || exit 1; \
+	done
 
 # Observability smoke: run a traced smoke campaign, then validate the
 # exported JSONL trace against the schema and check the manifest exists.

@@ -131,7 +131,10 @@ class Timer:
 
     def start(self, delay_ms: float) -> None:
         """Arm (or re-arm) the timer to fire ``delay_ms`` from now."""
-        self.stop()
+        # ``stop()`` inlined: transports re-arm on every send burst.
+        event = self._event
+        if event is not None:
+            event.cancel()
         self._event = self._loop.call_later(delay_ms, self._fire)
 
     def stop(self) -> None:

@@ -78,22 +78,26 @@ class Packet:
     sack: tuple[int, ...] = ()
     ack_delay_ms: float = 0.0
     size_bytes: int = field(default=0)
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = field(default_factory=_packet_ids.__next__)
     sent_at: float = -1.0
     retransmission: bool = False
     #: TCP models use this: position of the packet's payload in the
     #: connection-wide byte stream (the receiver reassembles in this
     #: order, which is what produces head-of-line blocking).
     conn_start: int = -1
+    #: Total stream bytes carried by this packet.  Computed once here
+    #: rather than re-summed on every read: ``chunks`` is never
+    #: reassigned after construction, and ``dataclasses.replace`` runs
+    #: ``__post_init__`` again, so the field cannot go stale.
+    payload_bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
+        payload = 0
+        for chunk in self.chunks:
+            payload += chunk.size
+        self.payload_bytes = payload
         if self.size_bytes <= 0:
-            self.size_bytes = HEADER_BYTES + self.payload_bytes
-
-    @property
-    def payload_bytes(self) -> int:
-        """Total stream bytes carried by this packet."""
-        return sum(chunk.size for chunk in self.chunks)
+            self.size_bytes = HEADER_BYTES + payload
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         chunks = ",".join(

@@ -40,6 +40,12 @@ from repro.transport.congestion import CongestionController, make_congestion_con
 from repro.transport.rtt import RttEstimator
 
 
+#: Hot-path aliases: reading a member off the Enum class goes through
+#: its metaclass and costs about ten module-global reads, per packet.
+_ACK = PacketKind.ACK
+_DATA = PacketKind.DATA
+
+
 class TransportError(RuntimeError):
     """Raised when a connection gives up (handshake/request retries exhausted)."""
 
@@ -522,7 +528,7 @@ class BaseConnection:
     # ------------------------------------------------------------------
 
     def _server_on_packet(self, pkt: Packet) -> None:
-        if pkt.kind is PacketKind.ACK:
+        if pkt.kind is _ACK:
             self._server_on_ack(pkt)
             return
         # A request data packet: ack it, then absorb new chunks.
@@ -552,145 +558,188 @@ class BaseConnection:
             self._send_queue.append(sstream.stream_id)
         self._try_send()
 
-    def _try_send(self) -> None:
+    def _try_send(self) -> bool:
         """Transmit as much as the congestion window allows.
 
         Retransmissions are sent first and are exempt from the window
         check (loss-recovery packets must not be starved by the very
         congestion event that caused them).
+
+        Returns whether any packet went out, in which case the PTO timer
+        has been armed once for the whole burst.  Arming per burst is
+        exact: no time passes and no RTT sample or backoff change
+        happens inside a burst, so a per-packet re-arm would compute the
+        same deadline every time, and each re-arm would cancel the
+        previous one.  The one surviving event is scheduled after every
+        delivery event of the burst, as the last per-packet arm was.
         """
         if self._fast_path_enabled and fastpath.advance(self):
-            return
+            return False
         sent_any = False
-        while self._retx_queue:
-            chunk, conn_start = self._retx_queue.popleft()
-            self._send_data_packet(chunk, conn_start, retransmission=True)
+        retx_queue = self._retx_queue
+        while retx_queue:
+            chunk, conn_start = retx_queue.popleft()
+            self._send_data_packet(chunk, conn_start, True)
             sent_any = True
-        mss = self.config.mss
-        while self._send_queue:
-            if self._bytes_in_flight + mss > self.cc.cwnd_bytes:
-                break
-            stream_id = self._send_queue[0]
-            sstream = self._server_streams[stream_id]
-            if sstream.send_remaining <= 0:
-                self._send_queue.popleft()
-                continue
-            # Weighted round-robin: a stream emits up to ``weight``
-            # chunks per turn (H2 stream weights / H3 priorities),
-            # then yields to the next stream.
-            fin = False
-            for _ in range(sstream.weight):
-                remaining = sstream.send_remaining
-                if remaining <= 0:
+        send_queue = self._send_queue
+        if send_queue:
+            mss = self.config.mss
+            # Sending never calls into the controller, so the window is
+            # fixed for the whole burst.
+            cwnd = self.cc.cwnd_bytes
+            streams = self._server_streams
+            while send_queue:
+                if self._bytes_in_flight + mss > cwnd:
                     break
-                if self._bytes_in_flight + mss > self.cc.cwnd_bytes:
-                    break
-                size = min(mss, remaining)
-                fin = sstream.next_offset + size >= sstream.response_bytes
-                chunk = StreamChunk(stream_id, sstream.next_offset, size, fin)
-                conn_start = self._conn_send_offset
-                self._conn_send_offset += size
-                sstream.next_offset += size
-                self._send_data_packet(chunk, conn_start, retransmission=False)
-                sent_any = True
-            self._send_queue.rotate(-1)
-            if fin:
-                # Drop the stream from the queue wherever it now is.
-                try:
-                    self._send_queue.remove(stream_id)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-        if sent_any and self._inflight and not self._pto_timer.armed:
+                stream_id = send_queue[0]
+                sstream = streams[stream_id]
+                # ``send_remaining`` without the property: a stream is
+                # queued only by ``_server_enqueue_response``, after its
+                # ``response_queued`` flag is set.
+                if sstream.response_bytes - sstream.next_offset <= 0:
+                    send_queue.popleft()
+                    continue
+                # Weighted round-robin: a stream emits up to ``weight``
+                # chunks per turn (H2 stream weights / H3 priorities),
+                # then yields to the next stream.
+                fin = False
+                for _ in range(sstream.weight):
+                    offset = sstream.next_offset
+                    remaining = sstream.response_bytes - offset
+                    if remaining <= 0:
+                        break
+                    if self._bytes_in_flight + mss > cwnd:
+                        break
+                    size = mss if mss < remaining else remaining
+                    fin = offset + size >= sstream.response_bytes
+                    chunk = StreamChunk(stream_id, offset, size, fin)
+                    conn_start = self._conn_send_offset
+                    self._conn_send_offset = conn_start + size
+                    sstream.next_offset = offset + size
+                    self._send_data_packet(chunk, conn_start, False)
+                    sent_any = True
+                send_queue.rotate(-1)
+                if fin:
+                    # Drop the stream from the queue wherever it now is.
+                    try:
+                        send_queue.remove(stream_id)
+                    except ValueError:  # pragma: no cover - defensive
+                        pass
+        if sent_any:
             self._arm_pto()
+        return sent_any
 
     def _send_data_packet(
         self, chunk: StreamChunk, conn_start: int, retransmission: bool
     ) -> None:
+        """Send one data packet; the caller arms the PTO after its burst.
+
+        Packet numbers come from one increasing counter and this is the
+        only place ``_inflight`` gains entries, so its keys are always
+        in ascending order (``_detect_losses`` and ``_on_pto`` rely on
+        it).
+        """
+        now = self.loop.now
         seq = next(self._next_pkt_seq)
         pkt = Packet(
-            PacketKind.DATA,
+            _DATA,
             seq=seq,
             chunks=(chunk,),
-            sent_at=self.loop.now,
+            sent_at=now,
             retransmission=retransmission,
             conn_start=conn_start,
         )
+        size = pkt.size_bytes
         self._largest_sent = seq
         if self._first_data_sent_at is None:
-            self._first_data_sent_at = self.loop.now
+            self._first_data_sent_at = now
         self._inflight[seq] = _Inflight(
-            seq, chunk, conn_start, pkt.size_bytes, self.loop.now, retransmission
+            seq, chunk, conn_start, size, now, retransmission
         )
-        self._bytes_in_flight += pkt.size_bytes
-        self.stats.data_packets_sent += 1
+        self._bytes_in_flight += size
+        stats = self.stats
+        stats.data_packets_sent += 1
         if retransmission:
-            self.stats.retransmissions += 1
+            stats.retransmissions += 1
         if self.tracer:
-            self.tracer.packet_sent(
-                self.loop.now, seq, pkt.size_bytes, "s2c", retransmission
-            )
+            self.tracer.packet_sent(now, seq, size, "s2c", retransmission)
         self.path.send_to_client(pkt, self._client_on_packet_from_server)
-        self._arm_pto()
 
     def _server_on_ack(self, pkt: Packet) -> None:
         # One ACK packet may cover several data packets (``sack`` lists
         # every newly-received packet number; ``ack_seq`` is the largest).
         acked = pkt.sack or (pkt.ack_seq,)
+        inflight = self._inflight
+        cc = self.cc
+        now = self.loop.now
+        tracer = self.tracer
+        self.stats.acks_received += len(acked)
         largest_info: _Inflight | None = None
         newly_acked = False
         for seq in acked:
-            self.stats.acks_received += 1
-            info = self._inflight.pop(seq, None)
+            info = inflight.pop(seq, None)
             if info is None:
                 continue  # duplicate or already declared lost
-            if self.tracer:
-                self.tracer.packet_acked(self.loop.now, seq)
+            if tracer:
+                tracer.packet_acked(now, seq)
             newly_acked = True
-            self._bytes_in_flight -= info.size_bytes
-            self.cc.on_ack(info.size_bytes, self.loop.now)
-            self._delivered_bytes += info.size_bytes
+            size = info.size_bytes
+            self._bytes_in_flight -= size
+            cc.on_ack(size, now)
+            self._delivered_bytes += size
             if largest_info is None or seq > largest_info.seq:
                 largest_info = info
         if not newly_acked:
             return
         # RTT from the largest newly-acked, never-retransmitted packet,
         # net of the receiver's deliberate ack delay (RFC 9002 §5.3).
+        rtt = self.rtt
         if largest_info is not None and not largest_info.retransmission:
-            sample = self.loop.now - largest_info.sent_at - pkt.ack_delay_ms
+            sample = now - largest_info.sent_at - pkt.ack_delay_ms
             if sample >= 0:
-                self.rtt.on_sample(sample)
-        rate_sampler = getattr(self.cc, "on_rate_sample", None)
-        if rate_sampler is not None and self.rtt.srtt_ms:
+                rtt.on_sample(sample)
+        rate_sampler = getattr(cc, "on_rate_sample", None)
+        if rate_sampler is not None and rtt.srtt_ms:
             assert self._first_data_sent_at is not None
-            elapsed = self.loop.now - self._first_data_sent_at
+            elapsed = now - self._first_data_sent_at
             if elapsed > 0:
-                rate_sampler(self._delivered_bytes / elapsed, self.rtt.srtt_ms)
-        self._largest_acked = max(self._largest_acked, pkt.ack_seq)
+                rate_sampler(self._delivered_bytes / elapsed, rtt.srtt_ms)
+        if pkt.ack_seq > self._largest_acked:
+            self._largest_acked = pkt.ack_seq
         self._pto_backoff = 1
-        if self.tracer:
+        if tracer:
             self._trace_metrics()
         if self.sampler:
             self.sampler.on_ack(self)
         self._detect_losses()
-        if self._inflight:
-            self._arm_pto()
-        else:
+        # The timer is stopped *before* the send attempt: an analytic
+        # walk started by ``_try_send`` looks at the next pending event.
+        # A burst re-arms it; an idle attempt leaves the (re-)arm to us.
+        if not inflight:
             self._pto_timer.stop()
-        self._try_send()
+        if not self._try_send() and inflight:
+            self._arm_pto()
 
     def _detect_losses(self) -> None:
-        """Packet-threshold loss detection (RFC 9002 §6.1.1)."""
-        threshold = self.config.packet_threshold
-        lost = [
-            seq
-            for seq in self._inflight
-            if seq <= self._largest_acked - threshold
-        ]
+        """Packet-threshold loss detection (RFC 9002 §6.1.1).
+
+        ``_inflight`` keys ascend (see ``_send_data_packet``), so the
+        packets at or below the threshold form a prefix of the dict: the
+        scan stops at the first key above it, and the lost packets come
+        out already in packet-number order.
+        """
+        cutoff = self._largest_acked - self.config.packet_threshold
+        inflight = self._inflight
+        lost = []
+        for seq in inflight:
+            if seq > cutoff:
+                break
+            lost.append(seq)
         if not lost:
             return
         newly_entered_recovery = False
-        for seq in sorted(lost):
-            info = self._inflight.pop(seq)
+        for seq in lost:
+            info = inflight.pop(seq)
             self._bytes_in_flight -= info.size_bytes
             self.stats.data_packets_lost += 1
             if self.tracer:
@@ -741,7 +790,8 @@ class BaseConnection:
         # loss probes.
         if self._pto_backoff > 2:
             self.cc.on_rto(self.loop.now)
-        oldest_seq = min(self._inflight)
+        # Keys ascend (see ``_send_data_packet``): the first is the oldest.
+        oldest_seq = next(iter(self._inflight))
         info = self._inflight.pop(oldest_seq)
         self._bytes_in_flight -= info.size_bytes
         self.stats.data_packets_lost += 1
@@ -753,8 +803,7 @@ class BaseConnection:
         self._retx_queue.append((info.chunk, info.conn_start))
         if oldest_seq > self._recovery_until_seq:
             self._recovery_until_seq = self._largest_sent
-        self._try_send()
-        if self._inflight:
+        if not self._try_send() and self._inflight:
             self._arm_pto()
 
     # ------------------------------------------------------------------
@@ -762,7 +811,7 @@ class BaseConnection:
     # ------------------------------------------------------------------
 
     def _client_on_packet_from_server(self, pkt: Packet) -> None:
-        if pkt.kind is PacketKind.ACK:
+        if pkt.kind is _ACK:
             self._client_on_request_ack(pkt)
             return
         # Receipt, not delivery, drives acking — this is what lets the
@@ -772,19 +821,20 @@ class BaseConnection:
         # detection is waiting on this ACK), with a max_ack_delay timer
         # backstop so tail packets are never acked late.
         seq = pkt.seq
+        now = self.loop.now
         if self.tracer:
-            self.tracer.packet_received(
-                self.loop.now, seq, pkt.size_bytes, pkt.retransmission
-            )
-        out_of_order = seq != self._ack_largest_received + 1
-        if seq > self._ack_largest_received:
+            self.tracer.packet_received(now, seq, pkt.size_bytes, pkt.retransmission)
+        largest = self._ack_largest_received
+        out_of_order = seq != largest + 1
+        if seq > largest:
             self._ack_largest_received = seq
-        self._ack_pending.append(seq)
-        self._ack_last_recv_at = self.loop.now
+        ack_pending = self._ack_pending
+        ack_pending.append(seq)
+        self._ack_last_recv_at = now
         if (
             out_of_order
             or pkt.retransmission
-            or len(self._ack_pending) >= self.config.ack_frequency
+            or len(ack_pending) >= self.config.ack_frequency
         ):
             self._flush_acks()
         elif not self._ack_timer.armed:

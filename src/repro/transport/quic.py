@@ -75,12 +75,13 @@ class QuicConnection(BaseConnection):
                 self.stats.hol_blocked_chunks += 1
             return
         self._deliver_chunk(chunk)
-        expected = chunk.end
-        buffer = self._stream_buffers.get(stream_id, {})
-        while expected in buffer:
-            queued = buffer.pop(expected)
-            self._deliver_chunk(queued)
-            expected = queued.end
+        expected = chunk.offset + chunk.size
+        buffer = self._stream_buffers.get(stream_id)
+        if buffer:
+            while expected in buffer:
+                queued = buffer.pop(expected)
+                self._deliver_chunk(queued)
+                expected = queued.offset + queued.size
         self._stream_rcv_next[stream_id] = expected
         if not buffer:
             started = self._stream_stall_started.pop(stream_id, None)

@@ -92,27 +92,31 @@ class TcpConnection(BaseConnection):
 
     def _on_data_packet_received(self, pkt: Packet) -> None:
         start = pkt.conn_start
-        if start < self._rcv_next:
+        rcv_next = self._rcv_next
+        if start < rcv_next:
             return  # duplicate of already-delivered data
-        if start > self._rcv_next:
+        reorder_buffer = self._reorder_buffer
+        if start > rcv_next:
             # Gap: buffer and wait for the retransmission.  Everything
             # in this buffer — any stream — is HoL-blocked.
-            if start not in self._reorder_buffer:
-                if not self._reorder_buffer:
+            if start not in reorder_buffer:
+                if not reorder_buffer:
                     # The connection just became HoL-blocked.
                     self._stall_started_at = self.loop.now
                     if self.tracer:
                         self.tracer.event(
                             self.loop.now, "transport:hol_stall_started",
-                            blocked_from=self._rcv_next,
+                            blocked_from=rcv_next,
                         )
-                self._reorder_buffer[start] = pkt
+                reorder_buffer[start] = pkt
                 self.stats.hol_blocked_chunks += len(pkt.chunks)
             return
         self._release_packet(pkt)
-        while self._rcv_next in self._reorder_buffer:
-            self._release_packet(self._reorder_buffer.pop(self._rcv_next))
-        if not self._reorder_buffer and self._stall_started_at is not None:
+        if not reorder_buffer:
+            return  # nothing was blocked, so no stall can end here
+        while self._rcv_next in reorder_buffer:
+            self._release_packet(reorder_buffer.pop(self._rcv_next))
+        if not reorder_buffer and self._stall_started_at is not None:
             duration = self.loop.now - self._stall_started_at
             self._stall_started_at = None
             self.stats.hol_stalls += 1
