@@ -47,11 +47,14 @@ bench-smoke:
 # short untraced run of every workload BENCHMARK.json names, at the
 # pinned seed.  run.py exits non-zero on any failed check — a moved
 # pinned digest, workers=1 != workers=N, or a warm replay that differs
-# from its cold run — and the loop stops at the first failure.
+# from its cold run — and the loop stops at the first failure.  An
+# empty workload list (BENCHMARK.json unreadable) fails the target
+# rather than passing with nothing checked.
 BENCH_WORKLOADS = $(shell $(PYTHON) -c "import json; \
 	print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))")
 
 bench-digests:
+	test -n "$(BENCH_WORKLOADS)" || { echo "bench-digests: no workloads read from BENCHMARK.json" >&2; exit 1; }
 	for w in $(BENCH_WORKLOADS); do \
 		$(PYTHON) benchmarks/harness/run.py --workload $$w --seed 11 \
 			--seconds 1 --setup-samples 1 --trace 0 || exit 1; \

@@ -54,7 +54,7 @@ class TestPacket:
 
     def test_uids_are_unique(self):
         a, b = data_packet(), data_packet()
-        assert a.uid != b.uid
+        assert b.uid > a.uid
 
 
 class TestLossModels:

@@ -189,11 +189,6 @@ class TestPayloadBytesField:
         assert pkt.payload_bytes == 1200
         assert pkt.size_bytes == HEADER_BYTES + 1200
 
-    def test_header_only_ack(self):
-        ack = Packet(PacketKind.ACK, ack_seq=7, sack=(5, 6, 7))
-        assert ack.payload_bytes == 0
-        assert ack.size_bytes == HEADER_BYTES
-
     def test_explicit_size_keeps_payload(self):
         pkt = Packet(PacketKind.DATA, chunks=(StreamChunk(1, 0, 900),), size_bytes=1500)
         assert pkt.size_bytes == 1500
@@ -211,11 +206,6 @@ class TestPayloadBytesField:
             dataclasses.replace(pkt, payload_bytes=1)
         field = {f.name: f for f in dataclasses.fields(Packet)}["payload_bytes"]
         assert field.init is False
-
-    def test_uids_are_unique_and_increasing(self):
-        a = Packet(PacketKind.ACK)
-        b = Packet(PacketKind.ACK)
-        assert b.uid > a.uid
 
     def test_tcp_reorder_buffer_bytes(self):
         loop = EventLoop()
