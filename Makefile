@@ -207,7 +207,7 @@ store-smoke:
 	print('store-smoke: warm run 100%% hits, output bit-identical')"
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "\
 	import repro.measurement.parallel as par; \
-	from repro.measurement import Campaign, CampaignConfig; \
+	from repro.measurement import CampaignConfig, CampaignPlan, execute; \
 	from repro.store import ResultStore; \
 	from repro.web.topsites import GeneratorConfig, cached_universe; \
 	uni = cached_universe(GeneratorConfig(n_sites=6), seed=7); \
@@ -216,11 +216,12 @@ store-smoke:
 	real = par.measure_visit_outcome; calls = {'n': 0}; \
 	exec('def flaky(*a, **k):\n calls[\"n\"] += 1\n if calls[\"n\"] > 2: raise KeyboardInterrupt\n return real(*a, **k)'); \
 	par.measure_visit_outcome = flaky; \
-	exec('try:\n Campaign(uni, config).run(pages, store=store, run_name=\"interrupted\")\nexcept KeyboardInterrupt:\n pass'); \
+	plan = CampaignPlan(uni, sim=config, pages=pages, store=store, run_name='interrupted'); \
+	exec('try:\n execute(plan)\nexcept KeyboardInterrupt:\n pass'); \
 	par.measure_visit_outcome = real; \
 	assert not store.run_info('interrupted').complete; \
 	assert store.run_info('interrupted').journaled == 2; \
-	r = Campaign(uni, config).run(pages, store=store, run_name='interrupted', resume=True); \
+	r = execute(CampaignPlan(uni, sim=config, pages=pages, store=store, run_name='interrupted', resume=True)); \
 	assert r.store_stats.resumed == 2 and r.store_stats.misses == 2, r.store_stats; \
 	assert store.run_info('interrupted').complete; store.close(); \
 	print('store-smoke: interrupt/resume recovered 2 journaled visits')"

@@ -18,7 +18,7 @@ from conftest import run_once
 from repro.browser.browser import H3_ENABLED
 from repro.core.groups import phase_reduction_distributions
 from repro.events import EventLoop
-from repro.measurement import Campaign, CampaignConfig, ConsecutiveVisitRunner
+from repro.measurement import CampaignConfig, CampaignPlan, ConsecutivePlan, execute
 from repro.netsim import NetemProfile, NetworkPath, PacketKind
 from repro.transport import QuicConnection, TcpConnection, TransportConfig
 from repro.web import GeneratorConfig, TopSitesGenerator
@@ -75,10 +75,13 @@ def test_ablation_zero_rtt_resumption(benchmark, small_universe):
     shrink the consecutive-visit PLT advantage."""
 
     def walk(tickets):
-        runner = ConsecutiveVisitRunner(
-            small_universe, seed=5, use_session_tickets=tickets
-        )
-        run = runner.run(list(small_universe.pages), H3_ENABLED)
+        run = execute(ConsecutivePlan(
+            small_universe,
+            pages=small_universe.pages,
+            modes=(H3_ENABLED,),
+            seed=5,
+            use_session_tickets=tickets,
+        ))
         return sum(run.resumed_connections()), sum(v.plt_ms for v in run.visits)
 
     def both():
@@ -101,7 +104,9 @@ def test_ablation_h3_compute_overhead(benchmark, small_universe):
             h3_overhead_range_ms=(h3_overhead, h3_overhead + 1e-6),
         )
         universe = TopSitesGenerator(config).generate(seed=5)
-        result = Campaign(universe, CampaignConfig(seed=5)).run(universe.pages[:15])
+        result = execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=5), pages=universe.pages[:15]
+        ))
         dists = phase_reduction_distributions(result)
         return dists["wait"].median
 

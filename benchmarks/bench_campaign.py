@@ -23,10 +23,10 @@ It measures, on one ≥32-page universe:
 * the analytic transport fast path (``TransportConfig.fast_path``) on
   vs off, with a PLT-identity audit of the paired visits,
 * DES substrate events/sec for **every** scheduler implementation
-  (binary heap, calendar queue, C kernel when built) on two shapes:
-  a chained-callback hot loop and a schedule/cancel timer churn — so
-  the calendar queue's and C core's advantages stay measured, not
-  assumed — plus a lossy 500 KB transfer on the default loop.
+  (pure-Python binary heap, C kernel when built) on two shapes: a
+  chained-callback hot loop and a schedule/cancel timer churn — so the
+  C core's advantage stays measured, not assumed — plus a lossy 500 KB
+  transfer on the default loop.
 
 Speedup expectations scale with *available cores* (recorded in the
 output): on a single-core container the pool cannot beat the serial
@@ -48,7 +48,7 @@ import time
 from collections import deque
 
 from repro.events import EventLoop
-from repro.events.loop import CalendarEventLoop, CEventLoop, HeapEventLoop
+from repro.events.loop import CEventLoop, HeapEventLoop
 from repro.measurement import CampaignConfig, CampaignPlan, execute
 from repro.netsim import NetemProfile, NetworkPath
 from repro.transport import QuicConnection, TransportConfig
@@ -208,10 +208,7 @@ def append_history(payload: dict, out_path: str) -> dict:
 
 
 def _kernel_impls() -> dict[str, type]:
-    impls: dict[str, type] = {
-        "heap": HeapEventLoop,
-        "calendar": CalendarEventLoop,
-    }
+    impls: dict[str, type] = {"heap": HeapEventLoop}
     if CEventLoop is not None:
         impls["c"] = CEventLoop
     return impls
@@ -237,8 +234,8 @@ def bench_kernel_churn(loop_cls, n_events: int = 200_000) -> float:
     """Schedule-then-cancel churn: the delayed-ack/PTO re-arm pattern.
 
     Every tick arms a fresh 7.5 ms timer and cancels the one armed two
-    ticks earlier, so nearly every timer dies before its bucket drains
-    — the shape the calendar queue's bulk purge is built for.
+    ticks earlier, so nearly every timer dies before it surfaces and
+    is discarded lazily at the head of the queue.
     """
     loop = loop_cls()
     timers: deque = deque()
@@ -677,10 +674,7 @@ def main(argv: list[str] | None = None) -> int:
             f"substrate transfer: {transfer['events']} events, "
             f"{transfer['events_per_sec']:,.0f} events/s"
         )
-        default_kernel = (
-            "c" if CEventLoop is not None and EventLoop is CEventLoop
-            else ("heap" if EventLoop is HeapEventLoop else "calendar")
-        )
+        default_kernel = "heap" if EventLoop is HeapEventLoop else "c"
         substrate = {
             "default_kernel": default_kernel,
             "kernels": kernels,

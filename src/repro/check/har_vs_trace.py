@@ -203,12 +203,14 @@ def validate_documents(documents: Iterable[dict]) -> tuple[int, list[str]]:
 
 def _self_run_documents(sites: int, pages: int, seed: int) -> list[dict]:
     """Run a small traced campaign and yield every visit document."""
-    from repro.measurement.campaign import Campaign, CampaignConfig
+    from repro.measurement import CampaignConfig, CampaignPlan, execute
     from repro.web.topsites import GeneratorConfig, cached_universe
 
     universe = cached_universe(GeneratorConfig(n_sites=sites), seed=seed)
     config = CampaignConfig(trace=True, collect_counters=True, seed=seed)
-    result = Campaign(universe, config).run(universe.pages[:pages])
+    result = execute(
+        CampaignPlan(universe, sim=config, pages=universe.pages[:pages])
+    )
     documents: list[dict] = []
     for paired in result.paired_visits:
         documents.append(paired.h2.to_dict())

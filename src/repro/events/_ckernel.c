@@ -1,7 +1,7 @@
 /* C core for the DES kernel: the optional accelerated scheduler.
  *
  * Compiled on demand by repro/events/_accel.py with the host
- * toolchain; when unavailable the pure-Python CalendarEventLoop takes
+ * toolchain; when unavailable the pure-Python HeapEventLoop takes
  * over with identical semantics.  The contract both sides implement:
  *
  *   - time is a double (milliseconds); events fire in (time, seq)
@@ -10,15 +10,13 @@
  *   - cancellation is lazy: cancel() marks the entry dead and fixes
  *     the live count; the corpse is discarded when it surfaces.
  *   - run/step/run_until/max_events semantics match
- *     repro.events.loop._LoopBase exactly (see its docstrings).
+ *     repro.events.loop.HeapEventLoop exactly (see its docstrings).
  *
- * Inside C the queue is an implicit binary heap of plain structs:
- * entry comparisons cost nanoseconds here, so the calendar layout the
- * Python fallback uses to dodge interpreter-priced comparisons buys
- * nothing — the win lives in keeping push/pop/dispatch out of
- * bytecode entirely.  Results are bit-identical across all three
- * schedulers because they realise the same total order over the same
- * IEEE doubles.
+ * Inside C the queue is an implicit binary heap of plain structs, the
+ * same structure as the Python fallback: the win lives in keeping
+ * push/pop/dispatch out of bytecode entirely.  Results are
+ * bit-identical across both schedulers because they realise the same
+ * total order over the same IEEE doubles.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -406,7 +404,7 @@ static int
 execute_event(LoopCoreObject *self, CEventObject *ev)
 {
     if (self->check != NULL) {
-        /* Mirror _LoopBase._execute: always call require so strict
+        /* Mirror HeapEventLoop._execute: always call require so strict
          * runs count this check, passing the verdict as a bool. */
         PyObject *cond = PyBool_FromLong(ev->time >= self->now);
         PyObject *cargs = Py_BuildValue(
@@ -696,7 +694,7 @@ static PyMethodDef core_methods[] = {
      "Schedule callback(*args) at absolute time time_ms."},
     {"run", (PyCFunction)(void (*)(void))core_run,
      METH_VARARGS | METH_KEYWORDS,
-     "Run events until the queue drains (see _LoopBase.run)."},
+     "Run events until the queue drains (see HeapEventLoop.run)."},
     {"run_until", (PyCFunction)(void (*)(void))core_run_until,
      METH_VARARGS | METH_KEYWORDS,
      "Run until predicate() becomes true or the queue drains."},

@@ -10,53 +10,32 @@ Design notes
   scheduled (FIFO).  This is achieved with a monotonically increasing
   sequence number used as a tie-breaker.
 * Events can be cancelled.  Cancellation is O(1): the entry is marked
-  dead and skipped (or purged in bulk) when its bucket drains.  This is
+  dead and skipped when it surfaces at the head of the queue.  This is
   the standard "lazy deletion" approach and is what retransmission
   timers rely on.
 
-Two scheduler implementations share one API:
+Two scheduler implementations share one API and one (time, seq) total
+order, so results are bit-identical on either:
 
-:class:`CalendarEventLoop` (the default ``EventLoop``)
-    A calendar queue (Brown 1988) crossed with a timer wheel: a ring of
-    fixed-width buckets covers the near future, a small binary heap of
-    plain tuples absorbs far-future deadlines (handshake backoff, PTO
-    towers), and the bucket under the cursor is drained through a
-    sorted run.  Push is O(1), pop is amortized O(1), and — crucially
-    for the delayed-ack/PTO churn the transports generate — an event
-    that is cancelled before its bucket drains is dropped during the
-    bulk purge-and-sort, never sifted through a heap.  Bucket geometry
-    (1 ms × 1024) is sized to the observed timer distribution: ack
-    timers (5 ms), RTTs (tens of ms) and PTOs (hundreds of ms) all land
-    inside the wheel horizon; only exponential-backoff tails spill to
-    the overflow heap.
+:class:`CEventLoop` (the default ``EventLoop`` when built)
+    A binary heap of plain C structs compiled from ``_ckernel.c`` on
+    first import; push, pop and dispatch run outside the interpreter.
 :class:`HeapEventLoop`
-    The original binary-heap loop, kept as the differential baseline:
-    the edge-case suite runs against both, and benches record both so
-    the calendar queue's advantage stays measured, not assumed.
+    The pure-Python binary heap: the fallback when the C kernel cannot
+    be built (or ``REPRO_NO_CKERNEL=1`` is set) and the differential
+    oracle the edge-case suite runs the C kernel against.
 
-Set ``REPRO_EVENT_LOOP=heap`` in the environment to make ``EventLoop``
-an alias for the heap implementation (an A/B lever for benches and
-bisection; results are bit-identical either way because both schedulers
-implement the same (time, seq) total order).
+``REPRO_EVENT_LOOP`` selects one explicitly: ``c`` (the C kernel,
+falling back to the heap when it is unavailable) or ``heap``.  Any
+other value raises at import.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from bisect import insort
 from time import perf_counter
 from typing import Any, Callable
-
-#: Calendar-queue geometry: bucket width in ms and ring size (a power
-#: of two).  The wheel horizon is ``_BUCKET_WIDTH_MS * _NUM_BUCKETS``
-#: (1024 ms): wide enough that delayed acks, RTT-scale deliveries and
-#: first-shot PTOs stay on the O(1) ring, narrow enough that one
-#: bucket rarely holds more than a handful of co-scheduled events.
-_BUCKET_WIDTH_MS = 1.0
-_NUM_BUCKETS = 1024
-_BUCKET_MASK = _NUM_BUCKETS - 1
-_INV_WIDTH = 1.0 / _BUCKET_WIDTH_MS
 
 
 class SimulationError(RuntimeError):
@@ -148,10 +127,24 @@ class Timer:
         self._callback()
 
 
-class _LoopBase:
-    """State and API shared by both scheduler implementations."""
+class HeapEventLoop:
+    """The pure-Python binary-heap scheduler (fallback and oracle).
+
+    Example
+    -------
+    >>> loop = HeapEventLoop()
+    >>> fired = []
+    >>> _ = loop.call_later(5.0, fired.append, "a")
+    >>> _ = loop.call_later(2.0, fired.append, "b")
+    >>> loop.run()
+    >>> fired
+    ['b', 'a']
+    >>> loop.now
+    5.0
+    """
 
     def __init__(self) -> None:
+        self._queue: list[ScheduledEvent] = []
         self._seq = 0
         self._now = 0.0
         self._processed = 0
@@ -159,11 +152,11 @@ class _LoopBase:
         # cancel and pop so __len__ is O(1).
         self._live = 0
         # Callback profiling: None (off, the default — the dispatch
-        # loops stay branch-only) or a dict mapping callback qualname
+        # loop stays branch-only) or a dict mapping callback qualname
         # to [count, total_seconds].
         self._profile: dict[str, list] | None = None
         # Invariant checking (strict mode): None keeps the dispatch
-        # loops branch-only; set_check() installs a CheckContext and
+        # loop branch-only; set_check() installs a CheckContext and
         # every pop verifies time monotonicity before advancing.
         self._check = None
 
@@ -255,23 +248,52 @@ class _LoopBase:
         else:
             self._profiled_call(event)
 
-    # -- implementation hooks ------------------------------------------
+    # -- scheduling ----------------------------------------------------
 
     def call_later(
         self, delay_ms: float, callback: Callable[..., None], *args: Any
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` to run ``delay_ms`` from now."""
-        raise NotImplementedError
+        if delay_ms < 0:
+            raise SimulationError(f"cannot schedule {delay_ms}ms in the past")
+        self._seq += 1
+        event = ScheduledEvent(self._now + delay_ms, self._seq, callback, args, self)
+        heapq.heappush(self._queue, event)
+        self._live += 1
+        return event
 
     def call_at(
         self, time_ms: float, callback: Callable[..., None], *args: Any
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at absolute time ``time_ms``."""
-        raise NotImplementedError
+        if time_ms < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time_ms}ms, already at {self._now}ms"
+            )
+        self._seq += 1
+        event = ScheduledEvent(time_ms, self._seq, callback, args, self)
+        heapq.heappush(self._queue, event)
+        self._live += 1
+        return event
+
+    # -- dequeueing ----------------------------------------------------
 
     def _peek(self) -> ScheduledEvent | None:
         """The next live event without executing it (purges dead ones)."""
-        raise NotImplementedError
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            if head.cancelled:
+                heapq.heappop(queue)
+                continue
+            return head
+        return None
+
+    def _take(self, event: ScheduledEvent) -> None:
+        """Remove the event returned by :meth:`_peek` from the queue."""
+        heapq.heappop(self._queue)
+        event._loop = None
+        self._live -= 1
 
     def next_event_time(self) -> float | None:
         """Time of the earliest pending live event, or ``None`` if empty.
@@ -295,10 +317,6 @@ class _LoopBase:
         self._take(event)
         self._execute(event)
         return True
-
-    def _take(self, event: ScheduledEvent) -> None:
-        """Remove the event returned by :meth:`_peek` from the queue."""
-        raise NotImplementedError
 
     def run(self, until_ms: float | None = None, max_events: int | None = None) -> None:
         """Run events until the queue drains.
@@ -344,291 +362,6 @@ class _LoopBase:
             executed += 1
 
 
-class CalendarEventLoop(_LoopBase):
-    """Calendar-queue scheduler: O(1) push/pop on the wheel.
-
-    Example
-    -------
-    >>> loop = CalendarEventLoop()
-    >>> fired = []
-    >>> _ = loop.call_later(5.0, fired.append, "a")
-    >>> _ = loop.call_later(2.0, fired.append, "b")
-    >>> loop.run()
-    >>> fired
-    ['b', 'a']
-    >>> loop.now
-    5.0
-
-    Internals
-    ---------
-    ``_wheel``
-        Ring of ``_NUM_BUCKETS`` unsorted lists; bucket ``i`` holds
-        events whose absolute bucket index ``int(t / width)`` equals the
-        cursor plus the ring offset.  Because pushes beyond the horizon
-        go to the overflow heap, each slot only ever holds one bucket
-        index's events — no per-rotation filtering.
-    ``_drain`` / ``_drain_pos``
-        The cursor bucket's events, purged of cancellations and sorted
-        by ``(time, seq)`` once per bucket; popping is an index bump.
-        Same-bucket pushes during the drain (the common ``call_later``
-        of a chained callback) are insorted behind the read position,
-        preserving the global order.
-    ``_far``
-        Binary heap of ``(time, seq, event)`` tuples for deadlines past
-        the wheel horizon.  Tuple comparison stays in C and the heap is
-        tiny (exponential-backoff tails only).
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._wheel: list[list] = [[] for _ in range(_NUM_BUCKETS)]
-        #: Events resident in wheel buckets (excluding the drain run).
-        self._wheel_count = 0
-        #: Absolute bucket index the drain run corresponds to; buckets
-        #: behind the cursor are empty and reachable only via clamped
-        #: insorts into the drain.
-        self._cursor = 0
-        self._drain: list[tuple] = []
-        self._drain_pos = 0
-        self._far: list[tuple] = []
-
-    # -- scheduling ----------------------------------------------------
-
-    def _push(self, event: ScheduledEvent) -> None:
-        time = event.time
-        index = int(time * _INV_WIDTH)
-        cursor = self._cursor
-        if index <= cursor:
-            # Due in (or before) the bucket being drained: insort into
-            # the drain run.  Entries at/behind the read position have
-            # times <= now <= time, so order is preserved.  The common
-            # case — a chained callback scheduling the next step — lands
-            # past the current tail, so try a plain append first.
-            drain = self._drain
-            entry = (time, event.seq, event)
-            if not drain or entry >= drain[-1]:
-                drain.append(entry)
-            else:
-                insort(drain, entry)
-        elif index - cursor < _NUM_BUCKETS:
-            self._wheel[index & _BUCKET_MASK].append(event)
-            self._wheel_count += 1
-        else:
-            heapq.heappush(self._far, (time, event.seq, event))
-        self._live += 1
-
-    def call_later(
-        self, delay_ms: float, callback: Callable[..., None], *args: Any
-    ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` to run ``delay_ms`` from now."""
-        if delay_ms < 0:
-            raise SimulationError(f"cannot schedule {delay_ms}ms in the past")
-        self._seq += 1
-        event = ScheduledEvent(self._now + delay_ms, self._seq, callback, args, self)
-        self._push(event)
-        return event
-
-    def call_at(
-        self, time_ms: float, callback: Callable[..., None], *args: Any
-    ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at absolute time ``time_ms``."""
-        if time_ms < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time_ms}ms, already at {self._now}ms"
-            )
-        self._seq += 1
-        event = ScheduledEvent(time_ms, self._seq, callback, args, self)
-        self._push(event)
-        return event
-
-    # -- dequeueing ----------------------------------------------------
-
-    def _prepare_drain(self) -> bool:
-        """Advance the cursor to the next non-empty bucket.
-
-        Returns ``True`` when the drain run holds at least one live
-        event.  Cancelled entries are purged in bulk here — the batched
-        timer-wheel discard that makes delayed-ack/PTO churn cheap.
-        """
-        while True:
-            drain = self._drain
-            pos = self._drain_pos
-            # Fast path: live entries remain in the current run.
-            while pos < len(drain):
-                if not drain[pos][2].cancelled:
-                    self._drain_pos = pos
-                    return True
-                pos += 1
-            drain.clear()
-            self._drain_pos = 0
-            # Current bucket exhausted: find the next bucket holding
-            # work, jumping straight to the overflow heap's head when
-            # the wheel is empty.
-            far = self._far
-            if self._wheel_count == 0:
-                if not far:
-                    return False
-                self._cursor = max(self._cursor + 1, int(far[0][0] * _INV_WIDTH))
-            else:
-                cursor = self._cursor
-                far_index = int(far[0][0] * _INV_WIDTH) if far else None
-                wheel = self._wheel
-                cursor += 1
-                while not wheel[cursor & _BUCKET_MASK]:
-                    if far_index is not None and far_index <= cursor:
-                        break
-                    cursor += 1
-                self._cursor = cursor
-            # Collect the bucket's entries plus any overflow deadlines
-            # that now fall inside it, purge cancellations, sort once.
-            bucket_end = (self._cursor + 1) * _BUCKET_WIDTH_MS
-            bucket = self._wheel[self._cursor & _BUCKET_MASK]
-            if bucket:
-                self._wheel_count -= len(bucket)
-                for event in bucket:
-                    if event.cancelled:
-                        continue
-                    drain.append((event.time, event.seq, event))
-                bucket.clear()
-            while far and far[0][0] < bucket_end:
-                entry = heapq.heappop(far)
-                if not entry[2].cancelled:
-                    drain.append(entry)
-            if drain:
-                drain.sort()
-                # Loop back to the fast path (entries may still have
-                # been cancelled between append and sort — they were
-                # not, but the scan is the same code either way).
-
-    def _peek(self) -> ScheduledEvent | None:
-        if not self._prepare_drain():
-            return None
-        return self._drain[self._drain_pos][2]
-
-    def _take(self, event: ScheduledEvent) -> None:
-        self._drain_pos += 1
-        event._loop = None
-        self._live -= 1
-
-    # Hand-specialized dispatch: run() and step() below duplicate the
-    # base-class logic with the drain access inlined, because this is
-    # the innermost loop of every simulation (tens of millions of
-    # events per campaign) and the _peek/_take indirection costs ~15%.
-
-    def step(self) -> bool:
-        drain = self._drain
-        pos = self._drain_pos
-        if pos < len(drain):
-            event = drain[pos][2]
-            if not event.cancelled:
-                self._drain_pos = pos + 1
-                event._loop = None
-                self._live -= 1
-                self._execute(event)
-                return True
-        if not self._prepare_drain():
-            return False
-        event = self._drain[self._drain_pos][2]
-        self._drain_pos += 1
-        event._loop = None
-        self._live -= 1
-        self._execute(event)
-        return True
-
-    def run(self, until_ms: float | None = None, max_events: int | None = None) -> None:
-        if until_ms is not None or max_events is not None or self._check is not None:
-            _LoopBase.run(self, until_ms, max_events)
-            return
-        # Unbounded, unchecked run: the campaign hot loop.
-        prepare = self._prepare_drain
-        profiled = self._profiled_call
-        while True:
-            drain = self._drain
-            pos = self._drain_pos
-            if pos >= len(drain):
-                if not prepare():
-                    return
-                drain = self._drain
-                pos = self._drain_pos
-            entry = drain[pos]
-            self._drain_pos = pos + 1
-            event = entry[2]
-            if event.cancelled:
-                continue
-            event._loop = None
-            self._live -= 1
-            self._now = entry[0]
-            self._processed += 1
-            if self._profile is None:
-                event.callback(*event.args)
-            else:
-                profiled(event)
-
-    run.__doc__ = _LoopBase.run.__doc__
-
-
-class HeapEventLoop(_LoopBase):
-    """The original binary-heap scheduler (differential baseline).
-
-    Example
-    -------
-    >>> loop = HeapEventLoop()
-    >>> fired = []
-    >>> _ = loop.call_later(5.0, fired.append, "a")
-    >>> _ = loop.call_later(2.0, fired.append, "b")
-    >>> loop.run()
-    >>> fired
-    ['b', 'a']
-    >>> loop.now
-    5.0
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._queue: list[ScheduledEvent] = []
-
-    def call_later(
-        self, delay_ms: float, callback: Callable[..., None], *args: Any
-    ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` to run ``delay_ms`` from now."""
-        if delay_ms < 0:
-            raise SimulationError(f"cannot schedule {delay_ms}ms in the past")
-        self._seq += 1
-        event = ScheduledEvent(self._now + delay_ms, self._seq, callback, args, self)
-        heapq.heappush(self._queue, event)
-        self._live += 1
-        return event
-
-    def call_at(
-        self, time_ms: float, callback: Callable[..., None], *args: Any
-    ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at absolute time ``time_ms``."""
-        if time_ms < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time_ms}ms, already at {self._now}ms"
-            )
-        self._seq += 1
-        event = ScheduledEvent(time_ms, self._seq, callback, args, self)
-        heapq.heappush(self._queue, event)
-        self._live += 1
-        return event
-
-    def _peek(self) -> ScheduledEvent | None:
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if head.cancelled:
-                heapq.heappop(queue)
-                continue
-            return head
-        return None
-
-    def _take(self, event: ScheduledEvent) -> None:
-        heapq.heappop(self._queue)
-        event._loop = None
-        self._live -= 1
-
-
 # -- optional C-accelerated scheduler ----------------------------------
 
 from repro.events import _accel
@@ -642,10 +375,10 @@ if _ckernel is not None:
         """C-accelerated scheduler (compiled from ``_ckernel.c``).
 
         Same API and same (time, seq) total order as the Python
-        schedulers — results are bit-identical — but push, pop and
+        scheduler — results are bit-identical — but push, pop and
         dispatch run outside the interpreter.  Only available when the
         host toolchain could build the extension; ``EventLoop`` falls
-        back to :class:`CalendarEventLoop` otherwise.
+        back to :class:`HeapEventLoop` otherwise.
 
         Example
         -------
@@ -679,21 +412,22 @@ else:  # pragma: no cover - exercised on hosts without a C toolchain
 
 
 def _select_event_loop():
-    """Honour ``REPRO_EVENT_LOOP`` (``c`` | ``calendar`` | ``heap``).
+    """Honour ``REPRO_EVENT_LOOP`` (``c`` | ``heap``).
 
-    The default is the fastest available implementation: the C kernel
-    when the toolchain could build it, the pure-Python calendar queue
-    otherwise.  Results are bit-identical across all three; the knob
-    exists for benches, bisection and differential tests.
+    The default (and ``c``) is the C kernel when the toolchain could
+    build it, the pure-Python heap otherwise.  Results are bit-identical
+    across both; the knob exists for benches, bisection and differential
+    tests.  Any other value raises instead of silently picking one.
     """
-    choice = os.environ.get("REPRO_EVENT_LOOP", "").lower()
-    if choice == "heap":
+    choice = os.environ.get("REPRO_EVENT_LOOP", "")
+    if choice.lower() not in ("", "c", "heap"):
+        raise ValueError(
+            f"REPRO_EVENT_LOOP={choice!r} is not a scheduler; "
+            "accepted values are 'c' and 'heap'"
+        )
+    if choice.lower() == "heap" or CEventLoop is None:
         return HeapEventLoop
-    if choice in ("calendar", "python"):
-        return CalendarEventLoop
-    if CEventLoop is not None:
-        return CEventLoop
-    return CalendarEventLoop
+    return CEventLoop
 
 
 #: The default scheduler; see :func:`_select_event_loop`.

@@ -11,19 +11,17 @@ page transitions.
 The single entry point for running measurements is
 :func:`~repro.measurement.executor.execute` with a plan
 (:class:`CampaignPlan`, :class:`MultiCampaignPlan` or
-:class:`ConsecutivePlan`); ``Campaign.run``/``run_campaigns``/
-``ConsecutiveVisitRunner.run*`` survive as deprecated facades.
+:class:`ConsecutivePlan`).
 """
 
 from repro.measurement.campaign import (
-    Campaign,
     CampaignConfig,
     CampaignResult,
     PairedVisit,
     SimConfig,
     TelemetryConfig,
 )
-from repro.measurement.consecutive import ConsecutiveRun, ConsecutiveVisitRunner
+from repro.measurement.consecutive import ConsecutiveRun
 from repro.measurement.executor import (
     CampaignPlan,
     ConsecutivePlan,
@@ -34,11 +32,9 @@ from repro.measurement.executor import (
 from repro.measurement.farm import ProbeNetProfile, ServerFarm
 from repro.measurement.outcome import VisitFailure, VisitOutcome
 from repro.measurement.parallel import (
-    ParallelCampaign,
     derive_seed,
     measure_paired_visit,
     measure_visit_outcome,
-    run_campaigns,
 )
 from repro.measurement.probe import Probe
 from repro.measurement.report import (
@@ -59,7 +55,6 @@ from repro.measurement.vantage import (
 )
 
 __all__ = [
-    "Campaign",
     "CampaignConfig",
     "CampaignPlan",
     "CampaignReport",
@@ -67,14 +62,12 @@ __all__ = [
     "CampaignSummary",
     "ConsecutivePlan",
     "ConsecutiveRun",
-    "ConsecutiveVisitRunner",
     "FixedGridHistogram",
     "ModeFold",
     "ModeSummary",
     "MultiCampaignPlan",
     "PageSource",
     "PairedVisit",
-    "ParallelCampaign",
     "Probe",
     "ProbeNetProfile",
     "ServerFarm",
@@ -90,6 +83,5 @@ __all__ = [
     "global_vantage_points",
     "measure_paired_visit",
     "measure_visit_outcome",
-    "run_campaigns",
     "summary_report",
 ]

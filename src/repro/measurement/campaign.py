@@ -1,10 +1,11 @@
-"""The measurement campaign: the paper's Section III-B protocol, end to end.
+"""Campaign configuration and results: the paper's Section III-B protocol.
 
-A :class:`Campaign` visits every target page from every probe, once per
+A campaign visits every target page from every probe, once per
 protocol mode (H2 baseline and H3-enabled), using the double-visit
 trick to warm edge caches, and collects one :class:`PairedVisit` per
-(probe, page).  The result object is what all Table II / Fig. 2–7
-analyses consume.
+(probe, page).  ``execute(CampaignPlan(...))`` from
+:mod:`repro.measurement.executor` runs it; the :class:`CampaignResult`
+it returns is what all Table II / Fig. 2–7 analyses consume.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.cdn.hierarchy import HierarchyConfig
 from repro.faults import FaultProfile
 from repro.measurement.outcome import VisitFailure
 from repro.measurement.summary import CampaignSummary
-from repro.measurement.vantage import VantagePoint, default_vantage_points
 from repro.netsim.proxy import ProxyConfig
 from repro.transport.config import TransportConfig
 from repro.web.page import Webpage
@@ -36,8 +36,8 @@ class SimConfig:
     which visits run: changing any of them changes the simulation (or
     the set of simulations), so two campaigns agree bit-for-bit iff
     their ``SimConfig``s agree.  Pair with a :class:`TelemetryConfig`
-    via :meth:`bundle` (or ``CampaignConfig.from_groups``) to obtain a
-    full campaign configuration.
+    via ``CampaignConfig.from_groups`` to obtain a full campaign
+    configuration.
     """
 
     #: Visits per page per mode; the last one is recorded (paper: 2).
@@ -68,10 +68,6 @@ class SimConfig:
     #: Compression/format negotiation (``None`` = encoding-oblivious
     #: serving, bit-identical to pre-compression builds).
     compression: "CompressionConfig | None" = None
-
-    def bundle(self, telemetry: "TelemetryConfig | None" = None) -> "CampaignConfig":
-        """Combine with a telemetry group into a full campaign config."""
-        return CampaignConfig.from_groups(self, telemetry)
 
 
 @dataclass(frozen=True)
@@ -104,7 +100,7 @@ class TelemetryConfig:
     progress: bool = False
 
 
-#: Flat CampaignConfig fields that belong to each group (the facade's
+#: Flat CampaignConfig fields that belong to each group (the
 #: decomposition map; store keys keep reading the flat names).
 SIM_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SimConfig))
 TELEMETRY_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(TelemetryConfig))
@@ -112,20 +108,12 @@ TELEMETRY_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(TelemetryConfig
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Campaign-level knobs — a facade over :class:`SimConfig` + :class:`TelemetryConfig`.
+    """Campaign-level knobs — the flat union of :class:`SimConfig` + :class:`TelemetryConfig`.
 
-    .. deprecated::
-        New code should compose the two frozen groups and pass them to
-        ``execute(CampaignPlan(...))``::
-
-            plan = CampaignPlan(universe, sim=SimConfig(loss_rate=0.01),
-                                telemetry=TelemetryConfig(collect_counters=True))
-
-        The flat dataclass stays fully functional — ``dataclasses.replace``
-        on flat fields, store keys (which read the flat attributes) and
-        manifests are unchanged — so existing configs keep working
-        verbatim.  Use :attr:`sim` / :attr:`telemetry` to decompose and
-        :meth:`from_groups` / :meth:`from_flat` to construct.
+    Store keys (and the config hash run manifests record) read the flat
+    field names, and ``dataclasses.replace`` works on them directly.
+    Use :attr:`sim` / :attr:`telemetry` to decompose and
+    :meth:`from_groups` to compose.
     """
 
     #: Visits per page per mode; the last one is recorded (paper: 2).
@@ -188,7 +176,7 @@ class CampaignConfig:
     #: Result-affecting: part of the store content key (schema v3).
     compression: "CompressionConfig | None" = None
 
-    # -- group facade --------------------------------------------------
+    # -- groups --------------------------------------------------------
 
     @property
     def sim(self) -> SimConfig:
@@ -213,11 +201,6 @@ class CampaignConfig:
         telemetry = telemetry or TelemetryConfig()
         knobs = {name: getattr(sim, name) for name in SIM_FIELDS}
         knobs.update({name: getattr(telemetry, name) for name in TELEMETRY_FIELDS})
-        return cls(**knobs)
-
-    @classmethod
-    def from_flat(cls, **knobs) -> "CampaignConfig":
-        """Shim for callers holding a flat knob dict (manifests, CLIs)."""
         return cls(**knobs)
 
 
@@ -367,77 +350,3 @@ class CampaignResult:
                         "mode": mode,
                         **span,
                     }
-
-
-class Campaign:
-    """Runs the full measurement over a universe."""
-
-    def __init__(
-        self,
-        universe: WebUniverse,
-        config: CampaignConfig | None = None,
-        vantage_points: tuple[VantagePoint, ...] | None = None,
-    ) -> None:
-        self.universe = universe
-        self.config = config or CampaignConfig()
-        vps = vantage_points if vantage_points is not None else default_vantage_points()
-        if self.config.max_vantage_points is not None:
-            vps = vps[: self.config.max_vantage_points]
-        self.vantage_points = vps
-
-    def run(
-        self,
-        pages: tuple[Webpage, ...] | None = None,
-        *,
-        workers: int = 1,
-        chunk_size: int | None = None,
-        start_method: str | None = None,
-        store=None,
-        run_name: str | None = None,
-        resume: bool = False,
-    ) -> CampaignResult:
-        """Measure ``pages`` (default: the whole universe) everywhere.
-
-        Every ``(vantage, probe, page)`` paired visit runs in its own
-        isolated simulation with a seed derived from that triple, each
-        page under H2 then H3 (separate browser instances), with edge
-        caches optionally pre-warmed.  ``workers > 1`` shards the visits
-        across a process pool; results are identical for any worker
-        count (see :mod:`repro.measurement.parallel`).
-
-        With a :class:`~repro.store.ResultStore` attached, visits whose
-        content-addressed key is already stored are replayed instead of
-        re-simulated (bit-identically), fresh visits are journaled as
-        they complete, and the finished visit list is recorded under
-        ``run_name``.  ``resume=True`` continues an interrupted run of
-        the same name, executing only the missing visits.
-
-        .. deprecated::
-            This is now a facade over the streaming executor; prefer
-            ``execute(CampaignPlan(universe, sim=..., telemetry=...))``
-            from :mod:`repro.measurement.executor`.
-        """
-        import warnings
-
-        from repro.measurement.executor import CampaignPlan, execute
-
-        warnings.warn(
-            "Campaign.run() is deprecated; use "
-            "execute(CampaignPlan(...)) from repro.measurement.executor",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return execute(
-            CampaignPlan(
-                universe=self.universe,
-                sim=self.config,
-                pages=pages,
-                vantage_points=self.vantage_points,
-                workers=workers,
-                chunk_size=chunk_size,
-                start_method=start_method,
-                store=store,
-                run_name=run_name,
-                resume=resume,
-            )
-        )

@@ -9,10 +9,6 @@ measurements:
 * ``execute(ConsecutivePlan)`` — ordered consecutive-visit walks
   (Fig. 8 / Table III).
 
-The legacy surfaces (``Campaign.run``, ``run_campaigns``,
-``ParallelCampaign``, ``ConsecutiveVisitRunner.run``) all delegate
-here with a ``DeprecationWarning``.
-
 Streaming
 =========
 
@@ -55,7 +51,6 @@ from dataclasses import dataclass, field
 from functools import singledispatch
 from typing import Hashable
 
-from repro.browser.browser import H2_ONLY, H3_ENABLED
 from repro.measurement import parallel as parallel_mod
 from repro.measurement.campaign import (
     CampaignConfig,
@@ -64,15 +59,15 @@ from repro.measurement.campaign import (
     SimConfig,
     TelemetryConfig,
 )
-from repro.measurement.consecutive import ConsecutiveRun, ConsecutiveVisitRunner
+from repro.measurement.consecutive import ConsecutivePlan, ConsecutiveRun, run_walk
 from repro.measurement.outcome import VisitFailure, VisitOutcome
 from repro.measurement.summary import CampaignSummary
 from repro.measurement.vantage import VantagePoint, default_vantage_points
 from repro.store.stats import StoreStats
 from repro.web.page import Webpage
 
-#: Cap on automatically chosen work-unit size.  The legacy default
-#: (``n_pages / (workers * 4)``) is unbounded in the page count, which
+#: Cap on automatically chosen work-unit size.  The base default
+#: (:func:`_default_chunk_size`) is unbounded in the page count, which
 #: would let a 100k-page campaign put thousands of visits in flight;
 #: explicit ``chunk_size`` values are honored as-is.
 MAX_AUTO_CHUNK = 64
@@ -97,7 +92,7 @@ class CampaignPlan:
     """Everything needed to run one campaign, declaratively.
 
     ``sim`` may be a composed :class:`SimConfig` (paired with
-    ``telemetry``) or a legacy flat :class:`CampaignConfig`.  Pages
+    ``telemetry``) or a flat :class:`CampaignConfig`.  Pages
     default to the whole universe; ``page_count`` selects the first N
     pages without materializing them (the lazy-universe path).
     """
@@ -146,23 +141,6 @@ class MultiCampaignPlan:
     summary_only: bool = False
     max_in_flight: int | None = None
     store_batch: int = DEFAULT_STORE_BATCH
-
-
-@dataclass(frozen=True)
-class ConsecutivePlan:
-    """An ordered consecutive-visit walk (tickets persist across pages)."""
-
-    universe: object
-    pages: tuple[Webpage, ...] = ()
-    modes: tuple[str, ...] = (H2_ONLY, H3_ENABLED)
-    net_profile: object | None = None
-    seed: int = 0
-    transport_config: object | None = None
-    use_session_tickets: bool = True
-    warm_edges_first: bool = True
-    strict: bool = False
-    store: object | None = None
-    run_name: str | None = None
 
 
 @singledispatch
@@ -214,18 +192,7 @@ def _execute_multi(plan: MultiCampaignPlan) -> dict:
 
 @execute.register
 def _execute_consecutive(plan: ConsecutivePlan):
-    runner = ConsecutiveVisitRunner(
-        plan.universe,
-        net_profile=plan.net_profile,
-        seed=plan.seed,
-        transport_config=plan.transport_config,
-        use_session_tickets=plan.use_session_tickets,
-        warm_edges_first=plan.warm_edges_first,
-        strict=plan.strict,
-        store=plan.store,
-        run_name=plan.run_name,
-    )
-    runs = tuple(runner._run_mode(plan.pages, mode) for mode in plan.modes)
+    runs = tuple(run_walk(plan, mode) for mode in plan.modes)
     return runs[0] if len(runs) == 1 else runs
 
 
@@ -346,6 +313,26 @@ class _StoreBatcher:
 # ----------------------------------------------------------------------
 
 
+def _format_run_key(key: Hashable) -> str:
+    """A stable, readable run-name suffix for one config key."""
+    if isinstance(key, tuple):
+        return "-".join(str(part) for part in key)
+    return str(key)
+
+
+def _run_name_for(run_prefix: str | None, key: Hashable, multi: bool) -> str | None:
+    if run_prefix is None:
+        return None
+    return f"{run_prefix}/{_format_run_key(key)}" if multi else run_prefix
+
+
+def _default_chunk_size(n_pages: int, workers: int) -> int:
+    """A few chunks per worker balances load against pool overhead."""
+    if workers <= 1:
+        return max(1, n_pages)
+    return max(1, -(-n_pages // (workers * 4)))
+
+
 class _KeyState:
     """Per-config accumulation state during one streaming run."""
 
@@ -409,7 +396,7 @@ def _stream_campaigns(
             state.stats = StoreStats()
             state.config_part = visit_config_part(config)
             state.config_hash = campaign_config_hash(config)
-            state.run_name = parallel_mod._run_name_for(
+            state.run_name = _run_name_for(
                 run_prefix, key, multi=len(configs) > 1
             )
             if state.run_name is not None:
@@ -455,7 +442,7 @@ def _stream_campaigns(
         per_chunk = chunk_size
     else:
         per_chunk = min(
-            parallel_mod._default_chunk_size(n_pages, workers), MAX_AUTO_CHUNK
+            _default_chunk_size(n_pages, workers), MAX_AUTO_CHUNK
         )
     per_chunk = max(1, per_chunk)
     pooled = workers > 1

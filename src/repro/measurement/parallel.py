@@ -17,31 +17,26 @@ exploits that:
   :class:`~repro.measurement.outcome.VisitOutcome` values rendered to
   compact dicts via their single ``to_dict``/``from_dict`` pair, never
   live simulation object graphs.
-* **Multiple campaigns** (e.g. every loss rate × repetition of the
-  Fig. 9 sweep) can share one pool: :func:`run_campaigns` takes a dict
-  of configs and every paired visit of every config becomes one more
-  independent shard.
 
-``workers <= 1`` falls back to an in-process loop over the same work
-units — no pool, no serialization round trip, identical results.
+The streaming executor (:mod:`repro.measurement.executor`) owns the
+pool and the ordering; this module holds what runs inside it.  It looks
+:func:`measure_visit_outcome` up on this module at call time, so tests
+and benchmarks can wrap it here.  ``workers <= 1`` calls the same
+function in-process — no pool, no serialization round trip, identical
+results.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable
 
 from repro.browser.browser import H2_ONLY, H3_ENABLED
 from repro.check.context import InvariantViolation
-from repro.measurement.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    PairedVisit,
-)
-from repro.measurement.outcome import VisitFailure, VisitOutcome
+from repro.measurement.campaign import CampaignConfig, PairedVisit
+from repro.measurement.outcome import VisitOutcome
 from repro.measurement.probe import Probe
-from repro.measurement.vantage import VantagePoint, default_vantage_points
+from repro.measurement.vantage import VantagePoint
 from repro.web.page import Webpage
 from repro.web.topsites import WebUniverse
 
@@ -209,176 +204,3 @@ def _run_unit(unit: _WorkUnit) -> list[dict]:
         ).to_dict()
         for page_index in page_indices
     ]
-
-
-def _chunked(indices: Sequence[int], chunk_size: int) -> Iterable[tuple[int, ...]]:
-    for start in range(0, len(indices), chunk_size):
-        yield tuple(indices[start : start + chunk_size])
-
-
-# ----------------------------------------------------------------------
-# Orchestration
-# ----------------------------------------------------------------------
-
-
-def _format_run_key(key: Hashable) -> str:
-    """A stable, readable run-name suffix for one config key."""
-    if isinstance(key, tuple):
-        return "-".join(str(part) for part in key)
-    return str(key)
-
-
-def _run_name_for(run_prefix: str | None, key: Hashable, multi: bool) -> str | None:
-    if run_prefix is None:
-        return None
-    return f"{run_prefix}/{_format_run_key(key)}" if multi else run_prefix
-
-
-def run_campaigns(
-    universe: WebUniverse,
-    configs: dict[Hashable, CampaignConfig],
-    pages: tuple[Webpage, ...] | None = None,
-    vantage_points: tuple[VantagePoint, ...] | None = None,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    start_method: str | None = None,
-    store=None,
-    run_prefix: str | None = None,
-    resume: bool = False,
-) -> dict[Hashable, CampaignResult]:
-    """Run one or more campaigns over shared worker processes.
-
-    Every ``(config, vantage, probe, page-chunk)`` becomes an
-    independent shard; results come back keyed like ``configs``, with
-    each campaign's paired visits in the canonical serial order
-    (vantage-major, then probe, then page).  With ``workers <= 1`` the
-    same units run in-process, in the same order, with the same derived
-    seeds — so worker count never changes a single result.
-
-    With a :class:`~repro.store.ResultStore` attached, every slot is
-    first looked up by its content-addressed key; only misses become
-    work units, and each fresh outcome is written (and journaled) as
-    soon as it crosses back from its worker — per visit when serial,
-    per batch when pooled — so an interrupted campaign resumes from its
-    last durable visit.  ``run_prefix`` names the runs (one per config;
-    multi-config dicts get ``prefix/<key>``); ``resume`` keeps a prior
-    interrupted journal under the same name alive so recovered visits
-    are counted as resumed.  Replayed results are bit-identical to
-    fresh execution, and ``store=None`` leaves behavior exactly as
-    before.
-
-    .. deprecated::
-        This delegates to the streaming executor; prefer
-        ``execute(MultiCampaignPlan(...))`` from
-        :mod:`repro.measurement.executor`.
-    """
-    import warnings
-
-    from repro.measurement.executor import MultiCampaignPlan, execute
-
-    warnings.warn(
-        "run_campaigns() is deprecated; use "
-        "execute(MultiCampaignPlan(...)) from repro.measurement.executor",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute(
-        MultiCampaignPlan(
-            universe=universe,
-            configs=configs,
-            pages=tuple(pages) if pages is not None else None,
-            vantage_points=vantage_points,
-            workers=workers,
-            chunk_size=chunk_size,
-            start_method=start_method,
-            store=store,
-            run_prefix=run_prefix,
-            resume=resume,
-        )
-    )
-
-
-def _merge_profiles(profiles) -> dict:
-    """Merge per-visit loop profiles into campaign totals.
-
-    Profiles are merged in canonical visit order and rendered sorted by
-    cumulative time, so the *structure* is deterministic for any worker
-    count even though the wall-clock values themselves are not.
-    Replayed visits carry no profile (stripped before store writes) and
-    contribute nothing.
-    """
-    merged: dict[str, list] = {}
-    for profile in profiles:
-        if not profile:
-            continue
-        for name, entry in profile.items():
-            slot = merged.get(name)
-            if slot is None:
-                merged[name] = [entry["count"], entry["total_ms"]]
-            else:
-                slot[0] += entry["count"]
-                slot[1] += entry["total_ms"]
-    return {
-        name: {"count": count, "total_ms": total_ms}
-        for name, (count, total_ms) in sorted(
-            merged.items(), key=lambda item: -item[1][1]
-        )
-    }
-
-
-def _default_chunk_size(n_pages: int, workers: int) -> int:
-    """A few chunks per worker balances load against pool overhead."""
-    if workers <= 1:
-        return max(1, n_pages)
-    return max(1, -(-n_pages // (workers * 4)))
-
-
-class ParallelCampaign:
-    """A :class:`~repro.measurement.campaign.Campaign` with a worker pool.
-
-    Thin convenience wrapper over :func:`run_campaigns` for the common
-    one-config case::
-
-        result = ParallelCampaign(universe, config, workers=4).run()
-    """
-
-    def __init__(
-        self,
-        universe: WebUniverse,
-        config: CampaignConfig | None = None,
-        vantage_points: tuple[VantagePoint, ...] | None = None,
-        workers: int = 1,
-        chunk_size: int | None = None,
-        start_method: str | None = None,
-    ) -> None:
-        self.universe = universe
-        self.config = config or CampaignConfig()
-        self.vantage_points = (
-            vantage_points if vantage_points is not None else default_vantage_points()
-        )
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.start_method = start_method
-
-    def run(self, pages: tuple[Webpage, ...] | None = None) -> CampaignResult:
-        import warnings
-
-        from repro.measurement.executor import CampaignPlan, execute
-
-        warnings.warn(
-            "ParallelCampaign is deprecated; use "
-            "execute(CampaignPlan(...)) from repro.measurement.executor",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return execute(
-            CampaignPlan(
-                universe=self.universe,
-                sim=self.config,
-                pages=pages,
-                vantage_points=self.vantage_points,
-                workers=self.workers,
-                chunk_size=self.chunk_size,
-                start_method=self.start_method,
-            )
-        )

@@ -15,7 +15,7 @@ This package makes measurement results durable and addressable:
   (``stats`` / ``verify`` / ``gc`` / ``diff``).
 
 The core guarantee mirrors :mod:`repro.obs` and :mod:`repro.check`:
-attaching a store is *observational*.  ``Campaign.run(store=...)``
+attaching a store is *observational*.  A plan run with ``store=...``
 executes cache misses exactly as a store-less run would and replays
 hits bit-identically, so results never depend on what the store
 happened to contain.

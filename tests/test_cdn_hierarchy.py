@@ -45,7 +45,7 @@ from repro.cdn.hierarchy import (
     hierarchy_preset,
 )
 from repro.cdn.provider import get_provider
-from repro.measurement import Campaign, CampaignConfig
+from repro.measurement import CampaignConfig, CampaignPlan, execute
 from repro.netsim import ProxyConfig
 from repro.store import ResultStore, campaign_config_hash, visit_config_part
 from repro.store.keys import _schema_for
@@ -368,7 +368,9 @@ class TestDormancy:
 
     def test_default_campaign_emits_no_economics_counters(self, universe):
         config = CampaignConfig(seed=5, collect_counters=True)
-        result = Campaign(universe, config).run(universe.pages[:2], workers=1)
+        result = execute(CampaignPlan(
+            universe, sim=config, pages=universe.pages[:2], workers=1
+        ))
         names = set(result.counter_totals().to_dict().get("counters", {}))
         assert not any(n.startswith("economics.") for n in names)
         assert not any(n.startswith("cache.") for n in names)
@@ -387,8 +389,12 @@ def hierarchy_config(**kwargs):
 class TestHierarchyCampaign:
     def test_workers_4_reproduces_serial(self, universe):
         pages = universe.pages[:3]
-        serial = Campaign(universe, hierarchy_config()).run(pages, workers=1)
-        parallel = Campaign(universe, hierarchy_config()).run(pages, workers=4)
+        serial = execute(CampaignPlan(
+            universe, sim=hierarchy_config(), pages=pages, workers=1
+        ))
+        parallel = execute(CampaignPlan(
+            universe, sim=hierarchy_config(), pages=pages, workers=4
+        ))
         assert result_fingerprint(serial) == result_fingerprint(parallel)
         assert (
             serial.counter_totals().to_dict() == parallel.counter_totals().to_dict()
@@ -396,30 +402,34 @@ class TestHierarchyCampaign:
 
     def test_strict_mode_green_and_invisible(self, universe):
         pages = universe.pages[:2]
-        plain = Campaign(universe, hierarchy_config()).run(pages, workers=1)
-        checked = Campaign(universe, hierarchy_config(strict=True)).run(
-            pages, workers=1
-        )
+        plain = execute(CampaignPlan(
+            universe, sim=hierarchy_config(), pages=pages, workers=1
+        ))
+        checked = execute(CampaignPlan(
+            universe, sim=hierarchy_config(strict=True), pages=pages, workers=1
+        ))
         assert result_fingerprint(plain) == result_fingerprint(checked)
 
     def test_warm_store_replay_all_hits(self, universe, tmp_path):
         pages = universe.pages[:2]
         with ResultStore(str(tmp_path / "st")) as store:
-            fresh = Campaign(universe, hierarchy_config()).run(
-                pages, store=store, run_name="a"
-            )
-            warm = Campaign(universe, hierarchy_config()).run(
-                pages, store=store, run_name="b"
-            )
+            fresh = execute(CampaignPlan(
+                universe, sim=hierarchy_config(), pages=pages, store=store,
+                run_name="a"
+            ))
+            warm = execute(CampaignPlan(
+                universe, sim=hierarchy_config(), pages=pages, store=store,
+                run_name="b"
+            ))
         assert fresh.store_stats.misses == len(pages)
         assert warm.store_stats.hits == len(pages)
         assert warm.store_stats.misses == 0
         assert result_fingerprint(warm) == result_fingerprint(fresh)
 
     def test_economics_counters_conserve(self, universe):
-        result = Campaign(universe, hierarchy_config()).run(
-            universe.pages[:3], workers=1
-        )
+        result = execute(CampaignPlan(
+            universe, sim=hierarchy_config(), pages=universe.pages[:3], workers=1
+        ))
         totals = result.counter_totals()
         ledger = EconomicsLedger.from_counters(totals.counter)
         assert ledger.requests > 0
@@ -429,9 +439,9 @@ class TestHierarchyCampaign:
     def test_tier_hit_counters_present(self, universe):
         # The double-visit protocol guarantees edge hits on the second
         # visit of every page.
-        result = Campaign(universe, hierarchy_config()).run(
-            universe.pages[:2], workers=1
-        )
+        result = execute(CampaignPlan(
+            universe, sim=hierarchy_config(), pages=universe.pages[:2], workers=1
+        ))
         assert result.counter_totals().counter("cache.hits.edge") > 0
 
 
@@ -445,7 +455,9 @@ class TestProxyCache:
 
     def test_tunnel_cache_hits_counted(self, universe):
         pages = universe.pages[:2]
-        result = Campaign(universe, self.proxied(cache_mb=64.0)).run(pages, workers=1)
+        result = execute(CampaignPlan(
+            universe, sim=self.proxied(cache_mb=64.0), pages=pages, workers=1
+        ))
         hits = sum(
             visit.pool_stats.proxy_cache_hits
             for pv in result.paired_visits
@@ -456,21 +468,28 @@ class TestProxyCache:
 
     def test_cache_off_records_nothing(self, universe):
         pages = universe.pages[:2]
-        result = Campaign(universe, self.proxied(cache_mb=0.0)).run(pages, workers=1)
+        result = execute(CampaignPlan(
+            universe, sim=self.proxied(cache_mb=0.0), pages=pages, workers=1
+        ))
         assert result.counter_totals().counter("pool.proxy_cache_hits") == 0
 
     def test_masque_relay_never_caches(self, universe):
         # End-to-end QUIC is opaque to the relay: cache_mb is ignored.
         pages = universe.pages[:2]
-        result = Campaign(universe, self.proxied(cache_mb=64.0, model="masque-relay")).run(
-            pages, workers=1
-        )
+        result = execute(CampaignPlan(
+            universe, sim=self.proxied(cache_mb=64.0, model="masque-relay"),
+            pages=pages, workers=1
+        ))
         assert result.counter_totals().counter("pool.proxy_cache_hits") == 0
 
     def test_proxy_cache_campaign_deterministic(self, universe):
         pages = universe.pages[:2]
-        serial = Campaign(universe, self.proxied(cache_mb=64.0)).run(pages, workers=1)
-        parallel = Campaign(universe, self.proxied(cache_mb=64.0)).run(pages, workers=2)
+        serial = execute(CampaignPlan(
+            universe, sim=self.proxied(cache_mb=64.0), pages=pages, workers=1
+        ))
+        parallel = execute(CampaignPlan(
+            universe, sim=self.proxied(cache_mb=64.0), pages=pages, workers=2
+        ))
         assert result_fingerprint(serial) == result_fingerprint(parallel)
 
 

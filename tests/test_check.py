@@ -31,8 +31,13 @@ from repro.check import (
 from repro.events import EventLoop, ScheduledEvent, Timer
 from repro.faults import FAULT_PROFILES
 from repro.http import PoolStats
-from repro.measurement.campaign import Campaign, CampaignConfig
-from repro.measurement.parallel import run_campaigns
+from repro.measurement import (
+    CampaignConfig,
+    CampaignPlan,
+    ConsecutivePlan,
+    MultiCampaignPlan,
+    execute,
+)
 from repro.transport.congestion import NewRenoController
 from repro.web.topsites import GeneratorConfig, cached_universe
 
@@ -208,8 +213,8 @@ class TestLoopMonotonicity:
     def test_corrupted_heap_fires(self):
         """An event stamped in the past (behind call_later's back) is
         caught at pop time.  White-box: injects directly into the heap
-        scheduler's queue (the other schedulers share the same check
-        via test_every_pop_is_checked below)."""
+        scheduler's queue (the C kernel shares the same check via
+        test_every_pop_is_checked below)."""
         import heapq
 
         from repro.events.loop import HeapEventLoop
@@ -222,21 +227,6 @@ class TestLoopMonotonicity:
         # Bypass the scheduling guards: push a past-dated event directly.
         rogue = ScheduledEvent(5.0, 10_000, lambda: None, (), loop)
         heapq.heappush(loop._queue, rogue)
-        loop._live += 1
-        with pytest.raises(InvariantViolation, match="loop:time_monotonic"):
-            loop.run()
-
-    def test_corrupted_calendar_fires(self):
-        """Same injection against the calendar queue's drain run."""
-        from repro.events.loop import CalendarEventLoop
-
-        loop = CalendarEventLoop()
-        loop.set_check(CheckContext())
-        loop.call_later(10.0, lambda: None)
-        loop.run()
-        assert loop.now == 10.0
-        rogue = ScheduledEvent(5.0, 10_000, lambda: None, (), loop)
-        loop._drain.append((rogue.time, rogue.seq, rogue))
         loop._live += 1
         with pytest.raises(InvariantViolation, match="loop:time_monotonic"):
             loop.run()
@@ -309,14 +299,18 @@ class TestLoopMonotonicity:
 class TestStrictCampaign:
     def test_strict_campaign_runs_clean(self, universe):
         config = CampaignConfig(strict=True, seed=3)
-        result = Campaign(universe, config).run(universe.pages[:4])
+        result = execute(CampaignPlan(universe, sim=config, pages=universe.pages[:4]))
         assert len(result.paired_visits) == 4
         assert not result.failures
 
     def test_strict_is_bit_identical_to_off(self, universe):
         pages = universe.pages[:4]
-        on = Campaign(universe, CampaignConfig(strict=True, seed=3)).run(pages)
-        off = Campaign(universe, CampaignConfig(strict=False, seed=3)).run(pages)
+        on = execute(CampaignPlan(
+            universe, sim=CampaignConfig(strict=True, seed=3), pages=pages
+        ))
+        off = execute(CampaignPlan(
+            universe, sim=CampaignConfig(strict=False, seed=3), pages=pages
+        ))
         assert fingerprint(on) == fingerprint(off)
 
     @pytest.mark.parametrize("profile", ["udp-blocked", "flaky-link",
@@ -325,25 +319,26 @@ class TestStrictCampaign:
         config = CampaignConfig(
             strict=True, seed=3, fault_profile=FAULT_PROFILES[profile]
         )
-        result = Campaign(universe, config).run(universe.pages[:3])
+        result = execute(CampaignPlan(universe, sim=config, pages=universe.pages[:3]))
         assert len(result.paired_visits) == 3
 
     def test_strict_does_not_perturb_faulted_results(self, universe):
         pages = universe.pages[:3]
         profile = FAULT_PROFILES["flaky-link"]
-        on = Campaign(
-            universe, CampaignConfig(strict=True, seed=3, fault_profile=profile)
-        ).run(pages)
-        off = Campaign(
-            universe, CampaignConfig(strict=False, seed=3, fault_profile=profile)
-        ).run(pages)
+        on = execute(CampaignPlan(
+            universe, sim=CampaignConfig(strict=True, seed=3, fault_profile=profile),
+            pages=pages
+        ))
+        off = execute(CampaignPlan(
+            universe, sim=CampaignConfig(strict=False, seed=3, fault_profile=profile),
+            pages=pages
+        ))
         assert fingerprint(on) == fingerprint(off)
 
     def test_strict_consecutive_runner(self, universe):
-        from repro.measurement.consecutive import ConsecutiveVisitRunner
-
-        runner = ConsecutiveVisitRunner(universe, seed=5, strict=True)
-        h2_run, h3_run = runner.run_both(list(universe.pages[:3]))
+        h2_run, h3_run = execute(ConsecutivePlan(
+            universe, pages=universe.pages[:3], seed=5, strict=True
+        ))
         assert len(h2_run.visits) == len(h3_run.visits) == 3
 
 
@@ -580,7 +575,7 @@ class TestDnsLatencyAttribution:
         whole span (failed attempts + backoff), or the entry's phases
         no longer sum to its total time."""
         config = CampaignConfig(seed=3, fault_profile=FAULT_PROFILES["dns-flaky"])
-        result = Campaign(universe, config).run(universe.pages[:4])
+        result = execute(CampaignPlan(universe, sim=config, pages=universe.pages[:4]))
         retried = 0
         for paired in result.paired_visits:
             for visit in (paired.h2, paired.h3):
@@ -639,17 +634,19 @@ class TestDeterminismUnderLoss:
             seed=3, loss_rate=0.01,
             fault_profile=FAULT_PROFILES["flaky-link"],
         )
-        serial = run_campaigns(universe, {"c": config}, pages=pages,
-                               workers=1)["c"]
-        parallel = run_campaigns(universe, {"c": config}, pages=pages,
-                                 workers=4)["c"]
+        serial = execute(MultiCampaignPlan(
+            universe, {"c": config}, pages=pages, workers=1
+        ))["c"]
+        parallel = execute(MultiCampaignPlan(
+            universe, {"c": config}, pages=pages, workers=4
+        ))["c"]
         assert fingerprint(serial) == fingerprint(parallel)
 
     def test_lossy_run_reproduces_exactly(self, universe):
         pages = universe.pages[:3]
         config = CampaignConfig(seed=5, loss_rate=0.01)
-        first = Campaign(universe, config).run(pages)
-        second = Campaign(universe, config).run(pages)
+        first = execute(CampaignPlan(universe, sim=config, pages=pages))
+        second = execute(CampaignPlan(universe, sim=config, pages=pages))
         assert fingerprint(first) == fingerprint(second)
 
 
@@ -662,7 +659,7 @@ class TestHarVsTrace:
     @pytest.fixture(scope="class")
     def documents(self, universe):
         config = CampaignConfig(trace=True, collect_counters=True, seed=7)
-        result = Campaign(universe, config).run(universe.pages[:3])
+        result = execute(CampaignPlan(universe, sim=config, pages=universe.pages[:3]))
         documents = []
         for paired in result.paired_visits:
             documents.append(paired.h2.to_dict())

@@ -224,13 +224,15 @@ class TestFig9:
         headline — H3's *reduction slope* growing with loss — is far
         too noisy at 8 pages, so it is asserted at scale by
         benchmarks/bench_fig9.py instead."""
-        from repro.measurement import Campaign, CampaignConfig
+        from repro.measurement import CampaignConfig, CampaignPlan, execute
 
         pages = study.universe.pages[:4]
-        clean = Campaign(study.universe, CampaignConfig(seed=3)).run(pages)
-        lossy = Campaign(
-            study.universe, CampaignConfig(seed=3, loss_rate=0.01)
-        ).run(pages)
+        clean = execute(CampaignPlan(
+            study.universe, sim=CampaignConfig(seed=3), pages=pages
+        ))
+        lossy = execute(CampaignPlan(
+            study.universe, sim=CampaignConfig(seed=3, loss_rate=0.01), pages=pages
+        ))
         for mode in ("h2-only", "h3-enabled"):
             clean_mean = sum(v.plt_ms for v in clean.visits(mode)) / len(pages)
             lossy_mean = sum(v.plt_ms for v in lossy.visits(mode)) / len(pages)

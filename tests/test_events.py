@@ -1,5 +1,9 @@
 """Unit tests for the discrete-event kernel."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.events import EventLoop, SimulationError, Timer
@@ -202,11 +206,10 @@ class TestTimer:
 # Differential edge cases: every scheduler implementation must agree.
 # ---------------------------------------------------------------------
 
-from repro.events.loop import CalendarEventLoop, CEventLoop, HeapEventLoop
+from repro.events.loop import CEventLoop, HeapEventLoop
 
 ALL_LOOPS = [
     pytest.param(HeapEventLoop, id="heap"),
-    pytest.param(CalendarEventLoop, id="calendar"),
     pytest.param(
         CEventLoop,
         id="c",
@@ -365,8 +368,8 @@ class TestSchedulerEdgeCases:
         assert len(loop) == 1
 
     def test_far_future_and_near_interleave(self, loop_cls):
-        # Deadlines past the calendar wheel's horizon (>1024 ms) must
-        # still interleave correctly with near-term events.
+        # Far-future deadlines must still interleave correctly with
+        # near-term events scheduled later.
         loop = loop_cls()
         fired = []
         loop.call_later(5000.0, fired.append, "far")
@@ -375,3 +378,36 @@ class TestSchedulerEdgeCases:
         loop.run()
         assert fired == ["near", "mid", "far"]
         assert loop.now == 5000.0
+
+
+# ---------------------------------------------------------------------
+# Scheduler selection via REPRO_EVENT_LOOP.
+# ---------------------------------------------------------------------
+
+
+def _selected_loop(value):
+    """Import ``repro.events`` in a fresh interpreter with the knob set."""
+    env = dict(os.environ, REPRO_EVENT_LOOP=value)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-c",
+         "from repro.events import EventLoop; print(EventLoop.__name__)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestEventLoopSelection:
+    def test_heap_is_selectable(self):
+        proc = _selected_loop("heap")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "HeapEventLoop"
+
+    @pytest.mark.parametrize("value", ["calendar", "python", "bogus"])
+    def test_unknown_value_raises_at_import(self, value):
+        proc = _selected_loop(value)
+        assert proc.returncode != 0
+        assert f"REPRO_EVENT_LOOP={value!r}" in proc.stderr
+        assert "'c' and 'heap'" in proc.stderr

@@ -10,11 +10,12 @@ from repro.browser import Browser, BrowserConfig
 from repro.browser.browser import H2_ONLY, H3_ENABLED
 from repro.events import EventLoop
 from repro.measurement import (
-    Campaign,
     CampaignConfig,
+    CampaignPlan,
     Probe,
     ProbeNetProfile,
     ServerFarm,
+    execute,
     global_vantage_points,
 )
 from repro.netsim import NetemProfile, NetworkPath
@@ -47,12 +48,12 @@ class TestGlobalVantagePoints:
         assert plt_from("singapore") > plt_from("utah")
 
     def test_campaign_over_global_vantage_points(self, universe):
-        campaign = Campaign(
+        result = execute(CampaignPlan(
             universe,
-            CampaignConfig(seed=4, max_vantage_points=None),
+            sim=CampaignConfig(seed=4, max_vantage_points=None),
+            pages=universe.pages[:1],
             vantage_points=global_vantage_points(),
-        )
-        result = campaign.run(universe.pages[:1])
+        ))
         assert len(result.paired_visits) == 6  # one probe per region
 
 
@@ -61,7 +62,7 @@ class TestCubicEndToEnd:
         config = CampaignConfig(
             seed=5, transport_config=TransportConfig(congestion_control="cubic")
         )
-        result = Campaign(universe, config).run(universe.pages[:2])
+        result = execute(CampaignPlan(universe, sim=config, pages=universe.pages[:2]))
         assert len(result.paired_visits) == 2
         for pv in result.paired_visits:
             assert pv.h2.plt_ms > 0 and pv.h3.plt_ms > 0

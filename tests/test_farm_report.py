@@ -13,7 +13,7 @@ import pytest
 
 from repro.cdn.edge import EdgeServer
 from repro.events import EventLoop
-from repro.measurement import Campaign, CampaignConfig, campaign_report
+from repro.measurement import CampaignConfig, CampaignPlan, campaign_report, execute
 from repro.measurement.farm import ProbeNetProfile, ServerFarm
 from repro.measurement.report import CampaignReport, ModeSummary
 from repro.analysis.bootstrap import ConfidenceInterval
@@ -116,7 +116,9 @@ class TestServerFarm:
 
     def test_campaign_reports_nonzero_traffic(self):
         universe = small_universe()
-        result = Campaign(universe, CampaignConfig(seed=3)).run(universe.pages[:2])
+        result = execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=3), pages=universe.pages[:2]
+        ))
         report = campaign_report(result)
         assert report.h2.bytes_transferred > 0
 

@@ -23,7 +23,7 @@ import pytest
 
 from repro.check import CheckContext
 from repro.events import EventLoop
-from repro.measurement import Campaign, CampaignConfig
+from repro.measurement import CampaignConfig, CampaignPlan, execute
 from repro.netsim import NetemProfile, NetworkPath
 from repro.obs.trace import ConnectionTracer
 from repro.store.keys import transport_part
@@ -325,13 +325,16 @@ class TestCampaignLevel:
     def test_campaign_runs_and_stays_close_to_packet_path(self):
         universe = cached_universe(GeneratorConfig(n_sites=4), seed=11)
         pages = universe.pages[:4]
-        slow = Campaign(universe, CampaignConfig(seed=3)).run(pages, workers=1)
-        fast = Campaign(
+        slow = execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=3), pages=pages, workers=1
+        ))
+        fast = execute(CampaignPlan(
             universe,
-            CampaignConfig(
+            sim=CampaignConfig(
                 seed=3, transport_config=TransportConfig(fast_path=True)
             ),
-        ).run(pages, workers=1)
+            pages=pages, workers=1
+        ))
         assert len(fast.paired_visits) == len(slow.paired_visits)
         for slow_pv, fast_pv in zip(slow.paired_visits, fast.paired_visits):
             for slow_v, fast_v in (

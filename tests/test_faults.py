@@ -26,9 +26,8 @@ from repro.faults import (
     stable_host_fraction,
     udp_blackhole_profile,
 )
-from repro.measurement.campaign import CampaignConfig
+from repro.measurement import CampaignConfig, MultiCampaignPlan, execute
 from repro.measurement.outcome import VisitOutcome
-from repro.measurement.parallel import run_campaigns
 from repro.web.topsites import GeneratorConfig, cached_universe
 
 
@@ -191,7 +190,7 @@ class TestDormancy:
                 fault_profile=FaultProfile(name="empty"),
             ),
         }
-        results = run_campaigns(universe, configs, pages=pages)
+        results = execute(MultiCampaignPlan(universe, configs, pages=pages))
         assert result_fingerprint(results["none"]) == result_fingerprint(
             results["empty"]
         )
@@ -208,8 +207,12 @@ class TestDeterminismUnderFaults:
             seed=3, collect_counters=True, trace=True,
             fault_profile=udp_blackhole_profile(1.0),
         )
-        serial = run_campaigns(universe, {"c": config}, pages=pages, workers=1)["c"]
-        parallel = run_campaigns(universe, {"c": config}, pages=pages, workers=3)["c"]
+        serial = execute(MultiCampaignPlan(
+            universe, {"c": config}, pages=pages, workers=1
+        ))["c"]
+        parallel = execute(MultiCampaignPlan(
+            universe, {"c": config}, pages=pages, workers=3
+        ))["c"]
         assert result_fingerprint(serial) == result_fingerprint(parallel)
         assert (
             serial.counter_totals().to_dict()
@@ -220,8 +223,8 @@ class TestDeterminismUnderFaults:
     def test_same_seed_same_profile_reproduces(self, universe):
         pages = universe.pages[:2]
         config = CampaignConfig(seed=9, fault_profile=FAULT_PROFILES["flaky-link"])
-        first = run_campaigns(universe, {"c": config}, pages=pages)["c"]
-        second = run_campaigns(universe, {"c": config}, pages=pages)["c"]
+        first = execute(MultiCampaignPlan(universe, {"c": config}, pages=pages))["c"]
+        second = execute(MultiCampaignPlan(universe, {"c": config}, pages=pages))["c"]
         assert result_fingerprint(first) == result_fingerprint(second)
 
 
@@ -234,9 +237,9 @@ class TestUdpBlockedFallback:
             seed=3, collect_counters=True,
             fault_profile=udp_blackhole_profile(1.0),
         )
-        return run_campaigns(
+        return execute(MultiCampaignPlan(
             universe, {"c": config}, pages=universe.pages[:4]
-        )["c"]
+        ))["c"]
 
     def test_every_visit_completes(self, faulted):
         assert len(faulted.paired_visits) == 4
@@ -265,11 +268,10 @@ class TestUdpBlockedFallback:
 
     def test_h2_lane_matches_fault_free_run(self, universe, faulted):
         """UDP blackholing must not perturb the pure-TCP H2 lane."""
-        clean = run_campaigns(
-            universe,
-            {"c": CampaignConfig(seed=3, collect_counters=True)},
-            pages=universe.pages[:4],
-        )["c"]
+        clean = execute(MultiCampaignPlan(
+            universe, {"c": CampaignConfig(seed=3, collect_counters=True)},
+            pages=universe.pages[:4]
+        ))["c"]
         for faulted_pv, clean_pv in zip(faulted.paired_visits, clean.paired_visits):
             assert faulted_pv.h2.to_dict() == clean_pv.h2.to_dict()
 

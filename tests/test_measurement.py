@@ -7,13 +7,14 @@ import pytest
 from repro.browser.browser import H2_ONLY, H3_ENABLED
 from repro.events import EventLoop
 from repro.measurement import (
-    Campaign,
     CampaignConfig,
-    ConsecutiveVisitRunner,
+    CampaignPlan,
+    ConsecutivePlan,
     Probe,
     ProbeNetProfile,
     ServerFarm,
     default_vantage_points,
+    execute,
 )
 from repro.web import GeneratorConfig, TopSitesGenerator
 
@@ -117,8 +118,9 @@ class TestProbe:
 class TestCampaign:
     @pytest.fixture(scope="class")
     def result(self, universe):
-        campaign = Campaign(universe, CampaignConfig(seed=3))
-        return campaign.run(universe.pages[:5])
+        return execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=3), pages=universe.pages[:5]
+        ))
 
     def test_one_paired_visit_per_page(self, result):
         assert len(result.paired_visits) == 5
@@ -145,7 +147,7 @@ class TestCampaign:
 
     def test_multiple_probes_multiply_visits(self, universe):
         config = CampaignConfig(probes_per_vantage=2, max_vantage_points=1, seed=3)
-        result = Campaign(universe, config).run(universe.pages[:2])
+        result = execute(CampaignPlan(universe, sim=config, pages=universe.pages[:2]))
         assert len(result.paired_visits) == 4
         assert {pv.probe_name for pv in result.paired_visits} == {"utah-0", "utah-1"}
 
@@ -157,8 +159,9 @@ class TestCampaign:
 
 class TestConsecutiveVisits:
     def test_resumption_accumulates_across_pages(self, universe):
-        runner = ConsecutiveVisitRunner(universe, seed=5)
-        run = runner.run(list(universe.pages), H3_ENABLED)
+        run = execute(ConsecutivePlan(
+            universe, pages=universe.pages, modes=(H3_ENABLED,), seed=5
+        ))
         resumed = run.resumed_connections()
         # The first page can resume nothing; later pages share giant
         # providers with earlier ones and must resume something.
@@ -166,28 +169,34 @@ class TestConsecutiveVisits:
         assert sum(resumed[1:]) > 0
 
     def test_tickets_disabled_kills_resumption(self, universe):
-        runner = ConsecutiveVisitRunner(universe, seed=5, use_session_tickets=False)
-        run = runner.run(list(universe.pages[:4]), H3_ENABLED)
+        run = execute(ConsecutivePlan(
+            universe, pages=universe.pages[:4], modes=(H3_ENABLED,), seed=5,
+            use_session_tickets=False,
+        ))
         assert sum(run.resumed_connections()) == 0
 
-    def test_run_both_modes(self, universe):
-        runner = ConsecutiveVisitRunner(universe, seed=5)
-        h2_run, h3_run = runner.run_both(list(universe.pages[:3]))
+    def test_both_modes_by_default(self, universe):
+        h2_run, h3_run = execute(ConsecutivePlan(
+            universe, pages=universe.pages[:3], seed=5
+        ))
         assert h2_run.mode == H2_ONLY
         assert h3_run.mode == H3_ENABLED
         assert len(h2_run.visits) == len(h3_run.visits) == 3
 
     def test_unknown_mode_rejected(self, universe):
-        runner = ConsecutiveVisitRunner(universe, seed=5)
+        plan = ConsecutivePlan(
+            universe, pages=universe.pages[:2], modes=("h9",), seed=5
+        )
         with pytest.raises(ValueError):
-            runner.run(list(universe.pages[:2]), "h9")
+            execute(plan)
 
     def test_consecutive_h3_beats_h2_more_with_shared_providers(self, universe):
         """Directional check for the Fig. 8 mechanism: on the pages
         after the first, H3's 0-RTT resumption should produce a PLT
         advantage over H2's 1-RTT resumption."""
-        runner = ConsecutiveVisitRunner(universe, seed=5)
-        h2_run, h3_run = runner.run_both(list(universe.pages[:6]))
+        h2_run, h3_run = execute(ConsecutivePlan(
+            universe, pages=universe.pages[:6], seed=5
+        ))
         later_reductions = [
             h2.plt_ms - h3.plt_ms
             for h2, h3 in zip(h2_run.visits[1:], h3_run.visits[1:])

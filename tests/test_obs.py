@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.events import EventLoop
-from repro.measurement import Campaign, CampaignConfig
+from repro.measurement import CampaignConfig, CampaignPlan, execute
 from repro.netsim import NetemProfile, NetworkPath
 from repro.obs import (
     EVENT_NAMES,
@@ -255,7 +255,9 @@ def traced_campaign_result():
     universe = small_universe()
     config = CampaignConfig(seed=3, loss_rate=0.02, collect_counters=True,
                             trace=True)
-    return Campaign(universe, config).run(universe.pages[:3], workers=1)
+    return execute(CampaignPlan(
+        universe, sim=config, pages=universe.pages[:3], workers=1
+    ))
 
 
 class TestCampaignCounters:
@@ -265,7 +267,9 @@ class TestCampaignCounters:
         pages = universe.pages[:3]
         totals = {}
         for workers in (1, 2, 4):
-            result = Campaign(universe, config).run(pages, workers=workers)
+            result = execute(CampaignPlan(
+                universe, sim=config, pages=pages, workers=workers
+            ))
             totals[workers] = result.counter_totals().to_dict()
         assert totals[1] == totals[2] == totals[4]
         # Key ordering is part of the determinism contract.
@@ -280,11 +284,13 @@ class TestCampaignCounters:
         with observability fully on and fully off."""
         universe = small_universe()
         pages = universe.pages[:2]
-        plain = Campaign(universe, CampaignConfig(seed=5)).run(pages, workers=1)
-        observed = Campaign(
-            universe,
-            CampaignConfig(seed=5, collect_counters=True, trace=True),
-        ).run(pages, workers=1)
+        plain = execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=5), pages=pages, workers=1
+        ))
+        observed = execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=5, collect_counters=True, trace=True),
+            pages=pages, workers=1
+        ))
         for pv_plain, pv_obs in zip(plain.paired_visits, observed.paired_visits):
             assert pv_plain.h2.har.to_dict() == pv_obs.h2.har.to_dict()
             assert pv_plain.h3.har.to_dict() == pv_obs.h3.har.to_dict()
@@ -293,9 +299,9 @@ class TestCampaignCounters:
 
     def test_plain_campaign_has_no_telemetry(self):
         universe = small_universe()
-        result = Campaign(universe, CampaignConfig(seed=5)).run(
-            universe.pages[:1], workers=1
-        )
+        result = execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=5), pages=universe.pages[:1], workers=1
+        ))
         visit = result.paired_visits[0].h2
         assert visit.counters is None
         assert visit.trace is None

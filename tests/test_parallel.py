@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from repro.browser.browser import PageVisit
 from repro.measurement import (
-    Campaign,
     CampaignConfig,
-    ParallelCampaign,
+    CampaignPlan,
+    MultiCampaignPlan,
     derive_seed,
-    run_campaigns,
+    execute,
 )
 from repro.web.topsites import GeneratorConfig, cached_universe
 
@@ -96,8 +96,8 @@ class TestDeterminism:
         """The acceptance criterion: workers=1 == workers=4, fully."""
         universe = small_universe()
         config = CampaignConfig(seed=3)
-        serial = Campaign(universe, config).run(workers=1)
-        parallel = Campaign(universe, config).run(workers=4)
+        serial = execute(CampaignPlan(universe, sim=config, workers=1))
+        parallel = execute(CampaignPlan(universe, sim=config, workers=4))
         assert [pv.plt_reduction_ms for pv in serial.paired_visits] == [
             pv.plt_reduction_ms for pv in parallel.paired_visits
         ]
@@ -107,11 +107,11 @@ class TestDeterminism:
         universe = small_universe()
         config = CampaignConfig(seed=5)
         pages = universe.pages[:4]
-        baseline = Campaign(universe, config).run(pages, workers=1)
+        baseline = execute(CampaignPlan(universe, sim=config, pages=pages, workers=1))
         for chunk_size in (1, 2, 3):
-            chunked = Campaign(universe, config).run(
-                pages, workers=2, chunk_size=chunk_size
-            )
+            chunked = execute(CampaignPlan(
+                universe, sim=config, pages=pages, workers=2, chunk_size=chunk_size
+            ))
             assert result_fingerprint(chunked) == result_fingerprint(baseline)
 
     def test_page_subset_matches_full_run_prefix_free(self):
@@ -120,8 +120,10 @@ class TestDeterminism:
         universe = small_universe()
         config = CampaignConfig(seed=11)
         pages = universe.pages[:3]
-        once = Campaign(universe, config).run(pages, workers=1)
-        again = Campaign(universe, config).run(pages, workers=2, chunk_size=1)
+        once = execute(CampaignPlan(universe, sim=config, pages=pages, workers=1))
+        again = execute(CampaignPlan(
+            universe, sim=config, pages=pages, workers=2, chunk_size=1
+        ))
         assert result_fingerprint(once) == result_fingerprint(again)
 
     @given(
@@ -133,10 +135,10 @@ class TestDeterminism:
         universe = small_universe()
         config = CampaignConfig(seed=seed, loss_rate=0.005)
         pages = universe.pages[:2]
-        serial = Campaign(universe, config).run(pages, workers=1)
-        parallel = Campaign(universe, config).run(
-            pages, workers=2, chunk_size=chunk_size
-        )
+        serial = execute(CampaignPlan(universe, sim=config, pages=pages, workers=1))
+        parallel = execute(CampaignPlan(
+            universe, sim=config, pages=pages, workers=2, chunk_size=chunk_size
+        ))
         assert result_fingerprint(serial) == result_fingerprint(parallel)
 
 
@@ -148,24 +150,26 @@ class TestRunCampaigns:
             ("loss", 0.01): CampaignConfig(seed=2, loss_rate=0.01),
         }
         pages = universe.pages[:3]
-        pooled = run_campaigns(universe, configs, pages=pages, workers=2)
+        pooled = execute(MultiCampaignPlan(universe, configs, pages=pages, workers=2))
         assert set(pooled) == set(configs)
         for key, config in configs.items():
-            solo = Campaign(universe, config).run(pages, workers=1)
+            solo = execute(CampaignPlan(universe, sim=config, pages=pages, workers=1))
             assert result_fingerprint(pooled[key]) == result_fingerprint(solo)
 
     def test_parallel_campaign_wrapper(self):
         universe = small_universe()
         config = CampaignConfig(seed=9)
         pages = universe.pages[:2]
-        wrapped = ParallelCampaign(universe, config, workers=2).run(pages)
-        direct = Campaign(universe, config).run(pages, workers=1)
+        wrapped = execute(CampaignPlan(universe, sim=config, workers=2, pages=pages))
+        direct = execute(CampaignPlan(universe, sim=config, pages=pages, workers=1))
         assert result_fingerprint(wrapped) == result_fingerprint(direct)
 
     def test_probe_names_cover_vantage_and_probe_grid(self):
         universe = small_universe()
         config = CampaignConfig(probes_per_vantage=2, max_vantage_points=2, seed=1)
-        result = Campaign(universe, config).run(universe.pages[:1], workers=1)
+        result = execute(CampaignPlan(
+            universe, sim=config, pages=universe.pages[:1], workers=1
+        ))
         names = {pv.probe_name for pv in result.paired_visits}
         assert names == {"utah-0", "utah-1", "wisconsin-0", "wisconsin-1"}
 
@@ -173,9 +177,9 @@ class TestRunCampaigns:
 class TestVisitSerialization:
     def test_page_visit_round_trip_is_lossless(self):
         universe = small_universe()
-        result = Campaign(universe, CampaignConfig(seed=4)).run(
-            universe.pages[:1], workers=1
-        )
+        result = execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=4), pages=universe.pages[:1], workers=1
+        ))
         for visit in (result.paired_visits[0].h2, result.paired_visits[0].h3):
             restored = PageVisit.from_dict(visit.to_dict())
             assert visit_fingerprint(restored) == visit_fingerprint(visit)

@@ -28,8 +28,12 @@ from repro.faults import (
     MIGRATION_KINDS,
     migration_profile,
 )
-from repro.measurement import Campaign, CampaignConfig
-from repro.measurement.parallel import run_campaigns
+from repro.measurement import (
+    CampaignConfig,
+    CampaignPlan,
+    MultiCampaignPlan,
+    execute,
+)
 from repro.netsim import NetemProfile, PROXY_MODELS, ProxyConfig, SegmentedPath
 from repro.scenario import Scenario
 from repro.store import ResultStore, paired_visit_key, visit_config_part
@@ -219,7 +223,9 @@ class TestMigrationCampaign:
             proxy=ProxyConfig(model="masque-relay"),
             fault_profile=migration_profile("nat_rebind"),
         )
-        return run_campaigns(universe, {"c": config}, pages=universe.pages[:4])["c"]
+        return execute(MultiCampaignPlan(
+            universe, {"c": config}, pages=universe.pages[:4]
+        ))["c"]
 
     @pytest.fixture(scope="class")
     def tunnel_result(self, universe):
@@ -228,7 +234,9 @@ class TestMigrationCampaign:
             proxy=ProxyConfig(model="connect-tunnel"),
             fault_profile=migration_profile("nat_rebind"),
         )
-        return run_campaigns(universe, {"c": config}, pages=universe.pages[:4])["c"]
+        return execute(MultiCampaignPlan(
+            universe, {"c": config}, pages=universe.pages[:4]
+        ))["c"]
 
     def test_relay_migrates_quic_and_reconnects_tcp(self, relay_result):
         counters = relay_result.counter_totals()
@@ -273,8 +281,12 @@ class TestProxiedDeterminism:
             proxy=ProxyConfig(model="masque-relay"),
             fault_profile=migration_profile("nat_rebind"),
         )
-        serial = run_campaigns(universe, {"c": config}, pages=pages, workers=1)["c"]
-        parallel = run_campaigns(universe, {"c": config}, pages=pages, workers=3)["c"]
+        serial = execute(MultiCampaignPlan(
+            universe, {"c": config}, pages=pages, workers=1
+        ))["c"]
+        parallel = execute(MultiCampaignPlan(
+            universe, {"c": config}, pages=pages, workers=3
+        ))["c"]
         assert result_fingerprint(serial) == result_fingerprint(parallel)
         assert (
             serial.counter_totals().to_dict()
@@ -285,8 +297,12 @@ class TestProxiedDeterminism:
     def test_workers_do_not_change_faultfree_proxied_results(self, universe):
         pages = universe.pages[:3]
         config = CampaignConfig(seed=3, proxy=ProxyConfig(model="connect-tunnel"))
-        serial = run_campaigns(universe, {"c": config}, pages=pages, workers=1)["c"]
-        parallel = run_campaigns(universe, {"c": config}, pages=pages, workers=2)["c"]
+        serial = execute(MultiCampaignPlan(
+            universe, {"c": config}, pages=pages, workers=1
+        ))["c"]
+        parallel = execute(MultiCampaignPlan(
+            universe, {"c": config}, pages=pages, workers=2
+        ))["c"]
         assert result_fingerprint(serial) == result_fingerprint(parallel)
 
     def test_warm_store_replay_with_proxy(self, universe, tmp_path):
@@ -297,8 +313,12 @@ class TestProxiedDeterminism:
             fault_profile=migration_profile("nat_rebind"),
         )
         with ResultStore(str(tmp_path / "st")) as store:
-            fresh = Campaign(universe, config).run(pages, store=store, run_name="a")
-            warm = Campaign(universe, config).run(pages, store=store, run_name="b")
+            fresh = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="a"
+            ))
+            warm = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="b"
+            ))
         assert fresh.store_stats.misses == len(pages)
         assert warm.store_stats.hits == len(pages)
         assert warm.store_stats.misses == 0
@@ -309,10 +329,12 @@ class TestProxiedDeterminism:
         direct = CampaignConfig(seed=3)
         proxied = CampaignConfig(seed=3, proxy=ProxyConfig(model="masque-relay"))
         with ResultStore(str(tmp_path / "st")) as store:
-            Campaign(universe, direct).run(pages, store=store, run_name="a")
-            second = Campaign(universe, proxied).run(
-                pages, store=store, run_name="b"
-            )
+            execute(CampaignPlan(
+                universe, sim=direct, pages=pages, store=store, run_name="a"
+            ))
+            second = execute(CampaignPlan(
+                universe, sim=proxied, pages=pages, store=store, run_name="b"
+            ))
         assert second.store_stats.hits == 0
         assert second.store_stats.misses == len(pages)
 

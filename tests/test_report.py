@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.measurement import Campaign, CampaignConfig, campaign_report
+from repro.measurement import CampaignConfig, CampaignPlan, campaign_report, execute
 from repro.measurement.campaign import CampaignResult
 from repro.web import GeneratorConfig, TopSitesGenerator
 
@@ -10,7 +10,9 @@ from repro.web import GeneratorConfig, TopSitesGenerator
 @pytest.fixture(scope="module")
 def result():
     universe = TopSitesGenerator(GeneratorConfig(n_sites=8)).generate(seed=19)
-    return Campaign(universe, CampaignConfig(seed=19)).run(universe.pages[:6])
+    return execute(CampaignPlan(
+        universe, sim=CampaignConfig(seed=19), pages=universe.pages[:6]
+    ))
 
 
 class TestCampaignReport:

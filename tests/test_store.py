@@ -20,8 +20,14 @@ import os
 
 import pytest
 
-from repro.measurement import Campaign, CampaignConfig, derive_seed
-from repro.measurement.consecutive import ConsecutiveRun, ConsecutiveVisitRunner
+from repro.measurement import (
+    CampaignConfig,
+    CampaignPlan,
+    ConsecutivePlan,
+    ConsecutiveRun,
+    derive_seed,
+    execute,
+)
 from repro.measurement.report import campaign_report
 from repro.store import (
     ResultStore,
@@ -79,6 +85,30 @@ class TestKeys:
         universe = small_universe()
         config = CampaignConfig(seed=3)
         assert visit_key_for(universe, config) == visit_key_for(universe, config)
+
+    def test_keys_are_pinned_across_commits(self, tmp_path):
+        """Exact key hex for a fixed 3-page seed-2 plan.
+
+        Stability within one process says nothing about stored results
+        surviving a refactor: changing the key material orphans every
+        entry in every existing store.  These literals must only change
+        together with ``STORE_SCHEMA_VERSION``.
+        """
+        universe = small_universe()
+        pages = universe.pages[:3]
+        with ResultStore(str(tmp_path / "st")) as store:
+            execute(CampaignPlan(
+                universe, sim=CampaignConfig(seed=2), pages=pages, store=store,
+                run_name="paired",
+            ))
+            execute(ConsecutivePlan(
+                universe, pages=pages, seed=2, store=store, run_name="walk"
+            ))
+            assert store.run_keys("paired")[0] == "93288f9e90e57a7999222cc12d561dee"
+            assert store.journal_keys("walk") == [
+                "b911d37e648870b0aad1d50df0418228",  # h2-only
+                "468e2a73d90fc1822c5212962ac78852",  # h3-enabled
+            ]
 
     def test_key_covers_visit_shaping_knobs(self):
         universe = small_universe()
@@ -219,12 +249,12 @@ class TestReplayDeterminism:
         config = CampaignConfig(seed=3)
         pages = universe.pages[:3]
         with ResultStore(str(tmp_path / "st")) as store:
-            fresh = Campaign(universe, config).run(
-                pages, store=store, run_name="a"
-            )
-            warm = Campaign(universe, config).run(
-                pages, store=store, run_name="b"
-            )
+            fresh = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="a"
+            ))
+            warm = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="b"
+            ))
         assert fresh.store_stats.misses == len(pages)
         assert warm.store_stats.hits == len(pages)
         assert warm.store_stats.misses == 0
@@ -234,12 +264,13 @@ class TestReplayDeterminism:
         universe = small_universe()
         config = CampaignConfig(seed=5)
         pages = universe.pages[:3]
-        baseline = Campaign(universe, config).run(pages, workers=1)
+        baseline = execute(CampaignPlan(universe, sim=config, pages=pages, workers=1))
         with ResultStore(str(tmp_path / "st")) as store:
             for workers in (1, 2, 4):
-                run = Campaign(universe, config).run(
-                    pages, store=store, run_name=f"w{workers}", workers=workers
-                )
+                run = execute(CampaignPlan(
+                    universe, sim=config, pages=pages, store=store,
+                    run_name=f"w{workers}", workers=workers
+                ))
                 assert result_fingerprint(run) == result_fingerprint(baseline)
 
     def test_strict_mode_replay_identical(self, tmp_path):
@@ -247,17 +278,23 @@ class TestReplayDeterminism:
         config = CampaignConfig(seed=7, strict=True)
         pages = universe.pages[:2]
         with ResultStore(str(tmp_path / "st")) as store:
-            fresh = Campaign(universe, config).run(pages, store=store, run_name="s")
-            warm = Campaign(universe, config).run(pages, store=store, run_name="s2")
+            fresh = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="s"
+            ))
+            warm = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="s2"
+            ))
         assert result_fingerprint(warm) == result_fingerprint(fresh)
 
     def test_store_off_is_bit_identical_to_store_on(self, tmp_path):
         universe = small_universe()
         config = CampaignConfig(seed=9)
         pages = universe.pages[:2]
-        plain = Campaign(universe, config).run(pages)
+        plain = execute(CampaignPlan(universe, sim=config, pages=pages))
         with ResultStore(str(tmp_path / "st")) as store:
-            stored = Campaign(universe, config).run(pages, store=store, run_name="r")
+            stored = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="r"
+            ))
         assert plain.store_stats is None
         assert result_fingerprint(plain) == result_fingerprint(stored)
 
@@ -266,8 +303,12 @@ class TestReplayDeterminism:
         config = CampaignConfig(seed=3, collect_counters=True)
         pages = universe.pages[:2]
         with ResultStore(str(tmp_path / "st")) as store:
-            fresh = Campaign(universe, config).run(pages, store=store, run_name="a")
-            warm = Campaign(universe, config).run(pages, store=store, run_name="b")
+            fresh = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="a"
+            ))
+            warm = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="b"
+            ))
         assert warm.counter_totals().to_dict() == fresh.counter_totals().to_dict()
 
     def test_report_identical_modulo_store_line(self, tmp_path):
@@ -275,8 +316,12 @@ class TestReplayDeterminism:
         config = CampaignConfig(seed=3)
         pages = universe.pages[:3]
         with ResultStore(str(tmp_path / "st")) as store:
-            fresh = Campaign(universe, config).run(pages, store=store, run_name="a")
-            warm = Campaign(universe, config).run(pages, store=store, run_name="b")
+            fresh = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="a"
+            ))
+            warm = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="b"
+            ))
         fresh_report = campaign_report(fresh)
         warm_report = campaign_report(warm)
         assert (
@@ -291,8 +336,12 @@ class TestReplayDeterminism:
         config = CampaignConfig(seed=3)
         pages = universe.pages[:2]
         with ResultStore(str(tmp_path / "st")) as store:
-            Campaign(universe, config).run(pages, store=store, run_name="a")
-            warm = Campaign(universe, config).run(pages, store=store, run_name="b")
+            execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="a"
+            ))
+            warm = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="b"
+            ))
             assert warm.store_stats.hits == len(pages)
             payload = store.get(store.run_keys("a")[0])
         # stored payloads never carry provenance
@@ -320,22 +369,25 @@ class TestResume:
                 parallel_mod, "measure_visit_outcome", dies_after_two
             )
             with pytest.raises(KeyboardInterrupt):
-                Campaign(universe, config).run(pages, store=store, run_name="r")
+                execute(CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="r"
+                ))
             monkeypatch.setattr(parallel_mod, "measure_visit_outcome", real)
 
             info = store.run_info("r")
             assert not info.complete
             assert info.journaled == 2  # both completed visits are durable
 
-            resumed = Campaign(universe, config).run(
-                pages, store=store, run_name="r", resume=True
-            )
+            resumed = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="r",
+                resume=True
+            ))
             assert resumed.store_stats.resumed == 2
             assert resumed.store_stats.misses == 2
             assert store.run_info("r").complete
             assert len(store.run_keys("r")) == len(pages)
 
-        baseline = Campaign(universe, config).run(pages)
+        baseline = execute(CampaignPlan(universe, sim=config, pages=pages))
         assert result_fingerprint(resumed) == result_fingerprint(baseline)
 
     def test_without_resume_prior_journal_is_not_counted(self, tmp_path):
@@ -343,8 +395,12 @@ class TestResume:
         config = CampaignConfig(seed=3)
         pages = universe.pages[:2]
         with ResultStore(str(tmp_path / "st")) as store:
-            Campaign(universe, config).run(pages, store=store, run_name="r")
-            rerun = Campaign(universe, config).run(pages, store=store, run_name="r")
+            execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="r"
+            ))
+            rerun = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="r"
+            ))
             assert rerun.store_stats.hits == len(pages)
             assert rerun.store_stats.resumed == 0
 
@@ -355,7 +411,9 @@ class TestGc:
         config = CampaignConfig(seed=3)
         pages = universe.pages[:2]
         with ResultStore(str(tmp_path / "st")) as store:
-            kept = Campaign(universe, config).run(pages, store=store, run_name="keep")
+            kept = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="keep"
+            ))
             # an anonymous run's entries are reachable from no run
             store.put("orphan", {"x": 1}, kind="paired", config_hash="c")
 
@@ -368,7 +426,9 @@ class TestGc:
             assert report.bytes_reclaimed > 0
             assert not store.contains("orphan")
             # the named run still replays bit-identically post-compaction
-            warm = Campaign(universe, config).run(pages, store=store, run_name="keep2")
+            warm = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="keep2"
+            ))
             assert warm.store_stats.hits == len(pages)
             assert result_fingerprint(warm) == result_fingerprint(kept)
             assert store.verify() == []
@@ -391,15 +451,18 @@ class TestGc:
         with ResultStore(str(tmp_path / "st")) as store:
             monkeypatch.setattr(parallel_mod, "measure_visit_outcome", dies_after_one)
             with pytest.raises(KeyboardInterrupt):
-                Campaign(universe, config).run(pages, store=store, run_name="r")
+                execute(CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="r"
+                ))
             monkeypatch.setattr(parallel_mod, "measure_visit_outcome", real)
             # gc between the crash and the resume must not discard the
             # journaled visit
             report = store.gc()
             assert report.entries_pruned == 0
-            resumed = Campaign(universe, config).run(
-                pages, store=store, run_name="r", resume=True
-            )
+            resumed = execute(CampaignPlan(
+                universe, sim=config, pages=pages, store=store, run_name="r",
+                resume=True
+            ))
             assert resumed.store_stats.resumed == 1
 
     def test_gc_on_empty_store(self, tmp_path):
@@ -412,13 +475,11 @@ class TestGc:
 class TestConsecutiveReplay:
     def test_walk_replay_is_bit_identical(self, tmp_path):
         universe = small_universe()
-        pages = list(universe.pages[:3])
+        pages = universe.pages[:3]
         with ResultStore(str(tmp_path / "st")) as store:
-            fresh_runner = ConsecutiveVisitRunner(universe, seed=2, store=store)
-            fresh_h2, fresh_h3 = fresh_runner.run_both(pages)
-            warm_h2, warm_h3 = ConsecutiveVisitRunner(
-                universe, seed=2, store=store
-            ).run_both(pages)
+            plan = ConsecutivePlan(universe, pages=pages, seed=2, store=store)
+            fresh_h2, fresh_h3 = execute(plan)
+            warm_h2, warm_h3 = execute(plan)
         assert fresh_h2.source == "fresh" and warm_h2.source == "replay"
         for fresh, warm in ((fresh_h2, warm_h2), (fresh_h3, warm_h3)):
             assert [visit_fingerprint(v) for v in warm.visits] == [
@@ -432,11 +493,13 @@ class TestConsecutiveReplay:
 
     def test_different_seed_misses(self, tmp_path):
         universe = small_universe()
-        pages = list(universe.pages[:2])
+        pages = universe.pages[:2]
         with ResultStore(str(tmp_path / "st")) as store:
-            ConsecutiveVisitRunner(universe, seed=2, store=store).run(pages, "h2-only")
-            other = ConsecutiveVisitRunner(universe, seed=3, store=store)
-            other.run(pages, "h2-only")
+            for seed in (2, 3):
+                execute(ConsecutivePlan(
+                    universe, pages=pages, modes=("h2-only",), seed=seed,
+                    store=store,
+                ))
             assert store.stats_summary()["entries"] == 2
 
 

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.measurement import Campaign, CampaignConfig
+from repro.measurement import CampaignConfig, CampaignPlan, execute
 from repro.store import ResultStore, diff_runs
 from repro.store.cli import main as store_main
 from repro.web.topsites import GeneratorConfig, cached_universe
@@ -34,14 +34,16 @@ def populated_store(tmp_path):
     pages = universe.pages[:3]
     root = str(tmp_path / "st")
     with ResultStore(root) as store:
-        Campaign(universe, CampaignConfig(seed=3)).run(
-            pages, store=store, run_name="baseline"
-        )
+        execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=3), pages=pages, store=store,
+            run_name="baseline"
+        ))
         # Same pages, same seed, but a throttled access link: a large,
         # deterministic slowdown in both modes.
-        Campaign(universe, CampaignConfig(seed=3, rate_mbps=2.0)).run(
-            pages, store=store, run_name="slow"
-        )
+        execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=3, rate_mbps=2.0), pages=pages,
+            store=store, run_name="slow"
+        ))
     return root
 
 
@@ -72,12 +74,14 @@ class TestDiff:
     def test_disjoint_runs_raise(self, tmp_path):
         universe = small_universe()
         with ResultStore(str(tmp_path / "st")) as store:
-            Campaign(universe, CampaignConfig(seed=3)).run(
-                universe.pages[:1], store=store, run_name="a"
-            )
-            Campaign(universe, CampaignConfig(seed=3)).run(
-                universe.pages[1:2], store=store, run_name="b"
-            )
+            execute(CampaignPlan(
+                universe, sim=CampaignConfig(seed=3), pages=universe.pages[:1],
+                store=store, run_name="a"
+            ))
+            execute(CampaignPlan(
+                universe, sim=CampaignConfig(seed=3), pages=universe.pages[1:2],
+                store=store, run_name="b"
+            ))
             with pytest.raises(ValueError):
                 diff_runs(store, "a", "b")
 

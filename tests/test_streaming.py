@@ -27,7 +27,6 @@ from repro.measurement.campaign import (
 )
 from repro.measurement.executor import (
     CampaignPlan,
-    ConsecutivePlan,
     MultiCampaignPlan,
     PageSource,
     execute,
@@ -313,35 +312,6 @@ class TestConfigGroups:
             sim=SimConfig(visits_per_page=1, max_vantage_points=1, seed=7),
         ))
         assert result.summary.total_visits == 6
-
-    def test_deprecated_entry_points_still_work(self):
-        universe = small_universe()
-        from repro.measurement.campaign import Campaign
-
-        with pytest.deprecated_call():
-            result = Campaign(universe, small_config()).run(
-                universe.pages[:2]
-            )
-        assert len(result.paired_visits) == 4  # 2 pages × 2 vantages
-
-    def test_consecutive_plan_matches_deprecated_run_both(self):
-        universe = small_universe()
-        pages = universe.pages[:3]
-        h2_run, h3_run = execute(ConsecutivePlan(
-            universe=universe, pages=pages, seed=2,
-        ))
-        from repro.measurement.consecutive import ConsecutiveVisitRunner
-
-        with pytest.deprecated_call():
-            old_h2, old_h3 = ConsecutiveVisitRunner(
-                universe, seed=2
-            ).run_both(pages)
-        assert [v.plt_ms for v in h2_run.visits] == [
-            v.plt_ms for v in old_h2.visits
-        ]
-        assert [v.plt_ms for v in h3_run.visits] == [
-            v.plt_ms for v in old_h3.visits
-        ]
 
 
 class TestFixedGridHistogram:

@@ -19,7 +19,7 @@ import types
 
 import pytest
 
-from repro.measurement import Campaign, CampaignConfig
+from repro.measurement import CampaignConfig, CampaignPlan, execute
 from repro.obs import (
     SPAN_KINDS,
     ConnectionSampler,
@@ -68,11 +68,14 @@ def telemetry_runs():
     plus the equivalent telemetry-free run."""
     universe = small_universe()
     pages = universe.pages[:3]
-    plain = Campaign(universe, CampaignConfig(seed=3)).run(pages, workers=1)
+    plain = execute(CampaignPlan(
+        universe, sim=CampaignConfig(seed=3), pages=pages, workers=1
+    ))
     runs = {
-        workers: Campaign(universe, CampaignConfig(seed=3, **ALL_ON)).run(
-            pages, workers=workers
-        )
+        workers: execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=3, **ALL_ON), pages=pages,
+            workers=workers
+        ))
         for workers in (1, 4)
     }
     return types.SimpleNamespace(plain=plain, w1=runs[1], w4=runs[4])
@@ -133,15 +136,17 @@ class TestStoreKeyExclusion:
         universe = small_universe()
         pages = universe.pages[:2]
         store = ResultStore(str(tmp_path / "st"))
-        cold = Campaign(universe, CampaignConfig(seed=3)).run(
-            pages, store=store, run_name="cold"
-        )
+        cold = execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=3), pages=pages, store=store,
+            run_name="cold"
+        ))
         assert cold.store_stats.misses == len(cold.paired_visits)
-        warm = Campaign(
+        warm = execute(CampaignPlan(
             universe,
-            CampaignConfig(seed=3, metrics_interval_ms=5.0, spans=True,
-                           progress=True),
-        ).run(pages, store=store, run_name="warm")
+            sim=CampaignConfig(seed=3, metrics_interval_ms=5.0, spans=True,
+                               progress=True),
+            pages=pages, store=store, run_name="warm"
+        ))
         store.close()
         assert warm.store_stats.hit_rate == 1.0
         for pv_cold, pv_warm in zip(cold.paired_visits, warm.paired_visits):
@@ -497,7 +502,9 @@ class TestCampaignPlumbing:
     def test_progress_summary_on_result(self, capsys):
         universe = small_universe()
         config = CampaignConfig(seed=3, collect_counters=True, progress=True)
-        result = Campaign(universe, config).run(universe.pages[:2], workers=1)
+        result = execute(CampaignPlan(
+            universe, sim=config, pages=universe.pages[:2], workers=1
+        ))
         summary = result.progress
         assert summary["visits"] == summary["total"] == len(result.paired_visits)
         assert summary["events"] > 0
@@ -523,12 +530,14 @@ class TestCampaignPlumbing:
     def test_profile_stripped_from_store_documents(self, tmp_path):
         universe = small_universe()
         store = ResultStore(str(tmp_path / "st"))
-        Campaign(
-            universe, CampaignConfig(seed=3, profile_loop=True)
-        ).run(universe.pages[:1], store=store, run_name="profiled")
-        warm = Campaign(
-            universe, CampaignConfig(seed=3, profile_loop=True)
-        ).run(universe.pages[:1], store=store, run_name="profiled2")
+        execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=3, profile_loop=True),
+            pages=universe.pages[:1], store=store, run_name="profiled"
+        ))
+        warm = execute(CampaignPlan(
+            universe, sim=CampaignConfig(seed=3, profile_loop=True),
+            pages=universe.pages[:1], store=store, run_name="profiled2"
+        ))
         store.close()
         assert warm.store_stats.hit_rate == 1.0
         # Replayed visits have no profile (it is wall-clock diagnostic),
