@@ -273,6 +273,9 @@ class Browser:
             "blocking_remaining": len(blocking0),
             "wave1_dispatched": not wave1,  # nothing to defer
         }
+        # Gains one item when the last entry lands.  The loop's stop
+        # test is its bound ``__len__``, a C call per dispatched event.
+        done: list[bool] = []
 
         def on_entry(
             resource: Resource,
@@ -284,6 +287,8 @@ class Browser:
                 self._to_har_entry(resource, record, dns_ms, requested_at)
             )
             state["outstanding"] -= 1
+            if not state["outstanding"]:
+                done.append(True)
             if resource.url in blocking0:
                 state["blocking_remaining"] -= 1
             if record.headers:
@@ -304,12 +309,16 @@ class Browser:
                     self._fetch(pool, sub, on_entry)
 
         self._fetch(pool, page.html, on_entry)
-        self.loop.run_until(lambda: state["outstanding"] == 0)
+        self.loop.run_until(done.__len__)
         har.on_load_ms = self.loop.now - start
         if visit_span is not None:
             spans.end(visit_span, self.loop.now)
             spans.current_visit = None
         pool.close()
+        # ``on_entry`` refers to itself through its closure cell; with
+        # the reference dropped the visit's pool and HAR are freed by
+        # reference counting.
+        on_entry = None
         status = "ok"
         if self.faults is not None:
             stats = pool.stats

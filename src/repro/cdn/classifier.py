@@ -50,20 +50,23 @@ _DOMAIN_PATTERNS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _build_header_index(
+def _build_index(
     providers: tuple[CdnProvider, ...]
-) -> tuple[dict[str, str], dict[str, str]]:
+) -> tuple[dict[str, str], dict[str, str], dict[str, str], frozenset[str]]:
+    """Header, shared-domain and name lookups for one provider registry."""
     by_server = {p.header_server.lower(): p.name for p in providers}
     by_via = {
         p.header_via.lower(): p.name for p in providers if p.header_via is not None
     }
-    return by_server, by_via
-
-
-def _build_domain_index(providers: tuple[CdnProvider, ...]) -> dict[str, str]:
-    return {
+    by_domain = {
         domain.lower(): p.name for p in providers for domain in p.shared_domains
     }
+    return by_server, by_via, by_domain, frozenset(p.name for p in providers)
+
+
+#: The default registry's lookups, built once: every HAR entry of every
+#: visit is classified against them.
+_DEFAULT_INDEX = _build_index(default_providers())
 
 
 def classify_response(
@@ -78,9 +81,10 @@ def classify_response(
     matches, then provider domain patterns.  Anything unmatched is
     non-CDN.
     """
-    providers = providers if providers is not None else default_providers()
+    by_server, by_via, by_domain, known_names = (
+        _DEFAULT_INDEX if providers is None else _build_index(providers)
+    )
     headers = {k.lower(): v for k, v in (headers or {}).items()}
-    by_server, by_via = _build_header_index(providers)
     host = host.lower()
 
     server = headers.get("server", "").lower()
@@ -90,11 +94,9 @@ def classify_response(
     if via in by_via:
         return ClassificationResult(True, by_via[via], "header")
 
-    domain_index = _build_domain_index(providers)
-    if host in domain_index:
-        return ClassificationResult(True, domain_index[host], "domain")
+    if host in by_domain:
+        return ClassificationResult(True, by_domain[host], "domain")
 
-    known_names = {p.name for p in providers}
     for provider_name, patterns in _DOMAIN_PATTERNS.items():
         if provider_name not in known_names:
             continue

@@ -56,13 +56,14 @@ class Violation:
         return f"[{self.invariant}]{at} {self.message}{extra}"
 
 
-class NullCheck:
-    """Falsy no-op stand-in; strict-off hooks bail on ``if check:``."""
+class NullCheck(tuple):
+    """Falsy no-op stand-in; strict-off hooks bail on ``if check:``.
+
+    An empty ``tuple``, like :class:`~repro.obs.trace.NullTracer`, so
+    the test never calls into Python.
+    """
 
     __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
 
     def fail(self, invariant, message, time_ms=None, **data) -> None:
         """No-op."""

@@ -25,6 +25,12 @@ class LinkStats:
 
     The paper reports average probe traffic (126.7 Kbps); these counters
     let the measurement harness compute the analogous figure.
+
+    ``sent_*``, ``dropped_packets`` and ``busy_time_ms`` count at
+    transmit time.  ``delivered_*`` count a delivery once the clock has
+    reached its delivery time: :attr:`Link.stats` settles them on every
+    read, so a read at time *t* includes a delivery due at *t* even if
+    its callback has not run yet, and never one due after *t*.
     """
 
     sent_packets: int = 0
@@ -62,6 +68,15 @@ class Link:
     rng:
         Randomness source for loss and jitter; pass a seeded
         :class:`random.Random` for reproducibility.
+
+    :attr:`stats` settles on read.  Delivered counters are not bumped
+    by an event of their own: each accepted packet queues ``(deliver_at,
+    size)`` in one FIFO (shared with :meth:`reserve_transmit`), and
+    :meth:`settle` folds the due head of that FIFO into the counters.
+    Reading :attr:`stats` at time *t* settles everything due by *t* —
+    including a same-instant delivery whose callback is still queued —
+    and nothing due later.  After ``loop.run()`` drains the loop, the
+    delivered counters equal the delivery callbacks that ran.
     """
 
     def __init__(
@@ -87,7 +102,7 @@ class Link:
         self.jitter_ms = jitter_ms
         self.rng = rng if rng is not None else random.Random(0)
         self.name = name
-        self.stats = LinkStats()
+        self._stats = LinkStats()
         #: Optional deterministic drop hook (failure injection in tests):
         #: called with each packet before the stochastic loss model; a
         #: truthy return drops the packet.
@@ -102,11 +117,18 @@ class Link:
         # Earliest permissible delivery time, to keep FIFO ordering under
         # jitter (a jittered packet may not overtake its predecessor).
         self._last_delivery_at = 0.0
-        # Reserved-but-not-yet-due deliveries (analytic fast path):
+        # Accepted-but-not-yet-due deliveries, transmitted or reserved:
         # ``(deliver_at, size_bytes)`` in nondecreasing ``deliver_at``
         # order (guaranteed by the ``_last_delivery_at`` monotonicity),
         # settled into the delivered stats once the clock reaches them.
-        self._pending_reserved: deque[tuple[float, int]] = deque()
+        self._pending: deque[tuple[float, int]] = deque()
+
+    @property
+    def stats(self) -> LinkStats:
+        """The link's counters, with every delivery due by now settled."""
+        if self._pending:
+            self.settle(self.loop.now)
+        return self._stats
 
     @property
     def fast_path_eligible(self) -> bool:
@@ -137,42 +159,45 @@ class Link:
 
         The delivery is *accounted* when the clock reaches its computed
         time, not at reservation: delivered stats are settled lazily via
-        :meth:`settle_reserved`, so mid-visit readers (link samplers,
-        ethics accounting, progress heartbeats) never see in-flight
-        bytes as already delivered.
+        :meth:`settle`, so mid-visit readers (link samplers, ethics
+        accounting, progress heartbeats) never see in-flight bytes as
+        already delivered.
         """
-        if self._pending_reserved:
-            self.settle_reserved(now)
-        self.stats.sent_packets += 1
-        self.stats.sent_bytes += size_bytes
+        pending = self._pending
+        if pending and pending[0][0] <= now:
+            self.settle(now)
+        stats = self._stats
+        stats.sent_packets += 1
+        stats.sent_bytes += size_bytes
         start = now if now > self._tx_free_at else self._tx_free_at
         if self.rate_mbps is None:
             tx_done = start
         else:
             tx_done = start + (size_bytes * 8) / (self.rate_mbps * 1000.0)
-            self.stats.busy_time_ms += tx_done - start
+            stats.busy_time_ms += tx_done - start
         self._tx_free_at = tx_done
         deliver_at = tx_done + self.delay_ms
         if deliver_at < self._last_delivery_at:
             deliver_at = self._last_delivery_at
         self._last_delivery_at = deliver_at
-        self._pending_reserved.append((deliver_at, size_bytes))
+        pending.append((deliver_at, size_bytes))
         return deliver_at
 
-    def settle_reserved(self, now: float) -> None:
-        """Fold reserved deliveries due by ``now`` into the stats.
+    def settle(self, now: float) -> None:
+        """Fold deliveries due by ``now`` into the stats.
 
-        Reservations are queued in nondecreasing delivery order, so a
-        single front-of-queue sweep settles everything due.  The
-        analytic walk settles both links when it finishes (at its final
-        virtual time), which keeps end-of-visit totals identical to the
-        packet path's.
+        Transmitted and reserved deliveries are queued in one FIFO in
+        nondecreasing delivery order, so a single front-of-queue sweep
+        settles everything due.  The analytic walk settles both links
+        when it finishes (at its final virtual time), which keeps
+        end-of-visit totals identical to the packet path's.
         """
-        pending = self._pending_reserved
+        pending = self._pending
+        stats = self._stats
         while pending and pending[0][0] <= now:
             _, size_bytes = pending.popleft()
-            self.stats.delivered_packets += 1
-            self.stats.delivered_bytes += size_bytes
+            stats.delivered_packets += 1
+            stats.delivered_bytes += size_bytes
 
     def transmit(self, packet: Packet, on_deliver: Callable[[Packet], None]) -> bool:
         """Send ``packet``; returns ``False`` if it was dropped.
@@ -183,10 +208,11 @@ class Link:
         lost *after* being serialized, as on a real path).
         """
         now = self.loop.now
-        if self._pending_reserved:
-            self.settle_reserved(now)
+        pending = self._pending
+        if pending and pending[0][0] <= now:
+            self.settle(now)
         size = packet.size_bytes
-        stats = self.stats
+        stats = self._stats
         stats.sent_packets += 1
         stats.sent_bytes += size
 
@@ -210,7 +236,10 @@ class Link:
         # deterministic drop filter is consulted: a filter-dropped packet
         # must still consume its loss draw, or the loss/jitter RNG stream
         # diverges from an unfiltered run for the rest of the visit.
-        loss_dropped = self.loss.should_drop(self.rng)
+        # ``NoLoss`` draws nothing, so skipping its call leaves the RNG
+        # stream as it was.
+        loss = self.loss
+        loss_dropped = type(loss) is not NoLoss and loss.should_drop(self.rng)
         drop_filter = self.drop_filter
         filter_dropped = drop_filter is not None and drop_filter(packet)
         if loss_dropped or filter_dropped:
@@ -224,13 +253,9 @@ class Link:
         if deliver_at < self._last_delivery_at:
             deliver_at = self._last_delivery_at
         self._last_delivery_at = deliver_at
-        self.loop.call_at(deliver_at, self._deliver, packet, on_deliver)
+        pending.append((deliver_at, size))
+        self.loop.call_at(deliver_at, on_deliver, packet)
         return True
-
-    def _deliver(self, packet: Packet, on_deliver: Callable[[Packet], None]) -> None:
-        self.stats.delivered_packets += 1
-        self.stats.delivered_bytes += packet.size_bytes
-        on_deliver(packet)
 
     def __repr__(self) -> str:
         rate = f"{self.rate_mbps}Mbps" if self.rate_mbps else "inf"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 #: Conventional Ethernet-ish maximum segment size used by both transports.
@@ -31,24 +32,33 @@ class PacketKind(enum.Enum):
     TICKET = "ticket"
 
 
-@dataclass(frozen=True, slots=True)
-class StreamChunk:
+class StreamChunk(
+    namedtuple("StreamChunk", ("stream_id", "offset", "size", "fin"), defaults=(False,))
+):
     """A contiguous run of one stream's bytes carried by a packet.
 
     ``offset`` is the stream-relative byte offset; ``fin`` marks the last
-    chunk of the stream.
+    chunk of the stream.  An immutable tuple: every data packet makes
+    one, and a tuple builds in about half the time of a frozen
+    dataclass, whose ``__init__`` sets each field through
+    ``object.__setattr__``.
     """
 
-    stream_id: int
-    offset: int
-    size: int
-    fin: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"chunk size must be positive, got {self.size}")
-        if self.offset < 0:
-            raise ValueError(f"chunk offset must be >= 0, got {self.offset}")
+    def __new__(
+        cls, stream_id: int, offset: int, size: int, fin: bool = False
+    ) -> "StreamChunk":
+        if size <= 0:
+            raise ValueError(f"chunk size must be positive, got {size}")
+        if offset < 0:
+            raise ValueError(f"chunk offset must be >= 0, got {offset}")
+        return tuple.__new__(cls, (stream_id, offset, size, fin))
+
+    @classmethod
+    def _make(cls, iterable) -> "StreamChunk":
+        # namedtuple's ``_make`` (and so ``_replace``) bypasses ``__new__``.
+        return cls(*iterable)
 
     @property
     def end(self) -> int:

@@ -232,9 +232,6 @@ class SegmentedPath:
         interior segments is the proxy operator's bill, not the
         probe's.
         """
-        now = self.loop.now
-        self.uplink.settle_reserved(now)
-        self.downlink.settle_reserved(now)
         return self.uplink.stats.delivered_bytes + self.downlink.stats.delivered_bytes
 
     def __repr__(self) -> str:

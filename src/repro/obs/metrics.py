@@ -39,18 +39,15 @@ LINK_SAMPLE = "metrics:link_sample"
 DEFAULT_MAX_SAMPLES = 512
 
 
-class NullSampler:
+class NullSampler(tuple):
     """The do-nothing, falsy sampler installed when sampling is off.
 
-    Same contract as :class:`~repro.obs.trace.NullTracer`: hot paths
-    guard with ``if self.sampler:`` so the disabled cost is one
-    attribute load and a boolean check.
+    Same contract as :class:`~repro.obs.trace.NullTracer`: an empty
+    ``tuple``, so hot paths guard with ``if self.sampler:`` at the cost
+    of one attribute load and a boolean check answered in C.
     """
 
     __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
 
     def on_ack(self, conn) -> None:
         pass

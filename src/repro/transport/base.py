@@ -50,6 +50,10 @@ class TransportError(RuntimeError):
     """Raised when a connection gives up (handshake/request retries exhausted)."""
 
 
+def _ignore_failure(error: TransportError) -> None:
+    """The failure sink of a closed connection that had one."""
+
+
 @dataclass
 class HandshakeResult:
     """Timing of a completed handshake.
@@ -167,18 +171,6 @@ class _ServerStream:
 
 
 @dataclass(slots=True)
-class _Inflight:
-    """A data packet awaiting acknowledgement."""
-
-    seq: int
-    chunk: StreamChunk
-    conn_start: int
-    size_bytes: int
-    sent_at: float
-    retransmission: bool
-
-
-@dataclass(slots=True)
 class _PendingRequestPacket:
     packet: Packet
     timer: Timer
@@ -230,6 +222,9 @@ class BaseConnection:
             # Observe-only proxy: every CC transition is sanity-checked
             # but the wrapped controller's decisions are untouched.
             self.cc = CheckedController(self.cc, self.check, self.config.mss)
+        #: The controller's delivery-rate input (BBR), or None; resolved
+        #: once here rather than per ACK.
+        self._rate_sampler = getattr(self.cc, "on_rate_sample", None)
         self.rng = rng or random.Random(0)
         self.server_think_ms = server_think_ms
         self.name = name
@@ -278,7 +273,10 @@ class BaseConnection:
         self._next_pkt_seq = itertools.count(1)
         self._largest_sent = 0
         self._largest_acked = 0
-        self._inflight: dict[int, _Inflight] = {}
+        #: Data packets awaiting acknowledgement, by packet number: the
+        #: sent :class:`Packet` itself (its one chunk, ``conn_start``,
+        #: size, send time and retransmission flag are all it needs).
+        self._inflight: dict[int, Packet] = {}
         self._bytes_in_flight = 0
         self._recovery_until_seq = 0
         self._pto_timer = Timer(loop, self._on_pto)
@@ -367,9 +365,10 @@ class BaseConnection:
                 f"{self.name or self.protocol_name}: handshake failed after "
                 f"{self._hs_retries - 1} retries"
             )
-            if self._on_failed is not None:
+            on_failed = self._on_failed
+            if on_failed is not None:
                 self.close()
-                self._on_failed(error)
+                on_failed(error)
                 return
             raise error
         self._send_handshake_flight()
@@ -508,9 +507,10 @@ class BaseConnection:
                 f"{self.name or self.protocol_name}: request packet lost "
                 f"{pending.tries + 1} times"
             )
-            if self.on_error is not None:
+            on_error = self.on_error
+            if on_error is not None:
                 self.close()
-                self.on_error(error)
+                on_error(error)
                 return
             raise error
         self._send_request_packet(pending.packet.chunks[0], pending.tries + 1)
@@ -653,9 +653,7 @@ class BaseConnection:
         self._largest_sent = seq
         if self._first_data_sent_at is None:
             self._first_data_sent_at = now
-        self._inflight[seq] = _Inflight(
-            seq, chunk, conn_start, size, now, retransmission
-        )
+        self._inflight[seq] = pkt
         self._bytes_in_flight += size
         stats = self.stats
         stats.data_packets_sent += 1
@@ -674,31 +672,29 @@ class BaseConnection:
         now = self.loop.now
         tracer = self.tracer
         self.stats.acks_received += len(acked)
-        largest_info: _Inflight | None = None
-        newly_acked = False
+        largest: Packet | None = None
         for seq in acked:
-            info = inflight.pop(seq, None)
-            if info is None:
+            sent = inflight.pop(seq, None)
+            if sent is None:
                 continue  # duplicate or already declared lost
             if tracer:
                 tracer.packet_acked(now, seq)
-            newly_acked = True
-            size = info.size_bytes
+            size = sent.size_bytes
             self._bytes_in_flight -= size
             cc.on_ack(size, now)
             self._delivered_bytes += size
-            if largest_info is None or seq > largest_info.seq:
-                largest_info = info
-        if not newly_acked:
+            if largest is None or seq > largest.seq:
+                largest = sent
+        if largest is None:
             return
         # RTT from the largest newly-acked, never-retransmitted packet,
         # net of the receiver's deliberate ack delay (RFC 9002 §5.3).
         rtt = self.rtt
-        if largest_info is not None and not largest_info.retransmission:
-            sample = now - largest_info.sent_at - pkt.ack_delay_ms
+        if not largest.retransmission:
+            sample = now - largest.sent_at - pkt.ack_delay_ms
             if sample >= 0:
                 rtt.on_sample(sample)
-        rate_sampler = getattr(cc, "on_rate_sample", None)
+        rate_sampler = self._rate_sampler
         if rate_sampler is not None and rtt.srtt_ms:
             assert self._first_data_sent_at is not None
             elapsed = now - self._first_data_sent_at
@@ -739,12 +735,12 @@ class BaseConnection:
             return
         newly_entered_recovery = False
         for seq in lost:
-            info = inflight.pop(seq)
-            self._bytes_in_flight -= info.size_bytes
+            sent = inflight.pop(seq)
+            self._bytes_in_flight -= sent.size_bytes
             self.stats.data_packets_lost += 1
             if self.tracer:
                 self.tracer.packet_lost(self.loop.now, seq, "packet_threshold")
-            self._retx_queue.append((info.chunk, info.conn_start))
+            self._retx_queue.append((sent.chunks[0], sent.conn_start))
             if seq > self._recovery_until_seq:
                 newly_entered_recovery = True
         if newly_entered_recovery:
@@ -792,15 +788,15 @@ class BaseConnection:
             self.cc.on_rto(self.loop.now)
         # Keys ascend (see ``_send_data_packet``): the first is the oldest.
         oldest_seq = next(iter(self._inflight))
-        info = self._inflight.pop(oldest_seq)
-        self._bytes_in_flight -= info.size_bytes
+        sent = self._inflight.pop(oldest_seq)
+        self._bytes_in_flight -= sent.size_bytes
         self.stats.data_packets_lost += 1
         if self.tracer:
             self.tracer.packet_lost(self.loop.now, oldest_seq, "pto")
             self._trace_metrics(force=True)
         if self.sampler:
             self.sampler.on_loss(self)
-        self._retx_queue.append((info.chunk, info.conn_start))
+        self._retx_queue.append((sent.chunks[0], sent.conn_start))
         if oldest_seq > self._recovery_until_seq:
             self._recovery_until_seq = self._largest_sent
         if not self._try_send() and self._inflight:
@@ -974,7 +970,13 @@ class BaseConnection:
         )
 
     def close(self) -> None:
-        """Tear down timers; the connection cannot be used afterwards."""
+        """Tear down timers; the connection cannot be used afterwards.
+
+        Also drops the owner's callbacks.  They are closures over the
+        pool and the visit, which hold this connection in turn; once
+        they are gone a finished visit is freed by reference counting
+        instead of waiting for the cyclic garbage collector.
+        """
         self.closed = True
         fastpath.cancel(self)
         self._pto_timer.stop()
@@ -984,6 +986,16 @@ class BaseConnection:
         for pending in self._pending_requests.values():
             pending.timer.stop()
         self._pending_requests.clear()
+        self._on_established = None
+        if self._on_failed is not None:
+            # A late handshake reply still restarts the flights of a
+            # closed connection; should they run out of retries, the
+            # failure stays swallowed, as the owner's callback did.
+            self._on_failed = _ignore_failure
+        self.on_error = None
+        for stream in self.streams.values():
+            stream.on_first_byte = None
+            stream.on_complete = None
 
     def __repr__(self) -> str:
         state = "established" if self.established else "connecting"

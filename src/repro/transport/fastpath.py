@@ -98,7 +98,7 @@ def cancel(conn) -> None:
 
     Reservations the walk already made stay accounted: on the packet
     path, deliveries scheduled before a close still fire and count, so
-    the links' pending reservations are settled unconditionally here.
+    the links' pending deliveries are settled unconditionally here.
     """
     epoch = conn._fp_epoch
     if epoch is not None:
@@ -106,8 +106,8 @@ def cancel(conn) -> None:
         if epoch.continuation is not None:
             epoch.continuation.cancel()
             epoch.continuation = None
-        conn.path.uplink.settle_reserved(float("inf"))
-        conn.path.downlink.settle_reserved(float("inf"))
+        conn.path.uplink.settle(float("inf"))
+        conn.path.downlink.settle(float("inf"))
 
 
 class _Epoch:
@@ -339,7 +339,7 @@ class _Epoch:
         sample = at - largest_sent_at - ack_delay
         if sample >= 0:
             conn.rtt.on_sample(sample)
-        rate_sampler = getattr(cc, "on_rate_sample", None)
+        rate_sampler = conn._rate_sampler
         if rate_sampler is not None and conn.rtt.srtt_ms:
             elapsed = at - conn._first_data_sent_at
             if elapsed > 0:
@@ -371,7 +371,7 @@ class _Epoch:
         # or after every delivery this walk reserved on either link —
         # settling here keeps end-of-visit delivered totals identical
         # to the packet path's.
-        conn.path.uplink.settle_reserved(self.last_step_at)
-        conn.path.downlink.settle_reserved(self.last_step_at)
+        conn.path.uplink.settle(self.last_step_at)
+        conn.path.downlink.settle(self.last_step_at)
         conn._pto_backoff = 1
         conn._fp_epoch = None

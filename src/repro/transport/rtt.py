@@ -8,6 +8,10 @@ class RttEstimator:
 
     Follows RFC 6298: ``srtt`` with gain 1/8, ``rttvar`` with gain 1/4,
     and ``rto = srtt + 4 * rttvar`` clamped to a configurable floor.
+
+    ``rto_ms`` is a plain attribute, recomputed by :meth:`on_sample`:
+    the transports read it on every timer arm, far more often than a
+    sample arrives.
     """
 
     ALPHA = 1.0 / 8.0
@@ -16,12 +20,14 @@ class RttEstimator:
     def __init__(self, initial_rto_ms: float = 200.0, min_rto_ms: float = 25.0) -> None:
         if initial_rto_ms <= 0 or min_rto_ms <= 0:
             raise ValueError("timeouts must be positive")
-        self._initial_rto_ms = initial_rto_ms
         self._min_rto_ms = min_rto_ms
         self.srtt_ms: float | None = None
         self.rttvar_ms: float = 0.0
         self.latest_sample_ms: float | None = None
         self.samples = 0
+        #: Current retransmission timeout (the initial RTO until the
+        #: first sample).
+        self.rto_ms: float = initial_rto_ms
 
     def on_sample(self, rtt_ms: float) -> None:
         """Feed one RTT measurement (never from a retransmitted packet,
@@ -33,15 +39,9 @@ class RttEstimator:
         if self.srtt_ms is None:
             self.srtt_ms = rtt_ms
             self.rttvar_ms = rtt_ms / 2.0
-            return
-        self.rttvar_ms = (1 - self.BETA) * self.rttvar_ms + self.BETA * abs(
-            self.srtt_ms - rtt_ms
-        )
-        self.srtt_ms = (1 - self.ALPHA) * self.srtt_ms + self.ALPHA * rtt_ms
-
-    @property
-    def rto_ms(self) -> float:
-        """Current retransmission timeout."""
-        if self.srtt_ms is None:
-            return self._initial_rto_ms
-        return max(self._min_rto_ms, self.srtt_ms + 4.0 * self.rttvar_ms)
+        else:
+            self.rttvar_ms = (1 - self.BETA) * self.rttvar_ms + self.BETA * abs(
+                self.srtt_ms - rtt_ms
+            )
+            self.srtt_ms = (1 - self.ALPHA) * self.srtt_ms + self.ALPHA * rtt_ms
+        self.rto_ms = max(self._min_rto_ms, self.srtt_ms + 4.0 * self.rttvar_ms)

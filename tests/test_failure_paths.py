@@ -47,6 +47,27 @@ class TestConnectionTeardown:
         loop.run()
         assert conn.closed
 
+    def test_closed_handshake_failing_late_stays_swallowed(self):
+        """A reply in flight at close restarts the handshake flights of
+        the closed connection.  Should those run out of retries, the
+        failure must not escape the event loop: the owner opted into a
+        failure callback, and close() dropped it for a no-op."""
+        loop = EventLoop()
+        path = make_path(loop)
+        conn = TcpConnection(
+            loop, path, config=TransportConfig(max_handshake_retries=2)
+        )
+        failures = []
+        conn.connect(lambda result: None, on_failed=failures.append)
+        assert conn._hs_total > 1
+        loop.run(until_ms=RTT - 1.0)  # the first reply is in flight
+        conn.close()
+        path.uplink.drop_filter = lambda pkt: True
+        loop.run()
+        assert conn._hs_retries > 2  # the late flights did run out
+        assert failures == []
+        assert not conn.established
+
 
 class TestRequestLossExhaustion:
     def test_request_gives_up_after_max_retries(self):

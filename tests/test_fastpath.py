@@ -300,11 +300,11 @@ class TestAccounting:
         conn.connect(lambda _hs: conn.request(300, 500_000))
         loop.run(until_ms=RTT * 3)
         assert conn._fp_epoch is not None
-        assert path.downlink._pending_reserved, "walk reserved nothing ahead"
-        path.downlink.settle_reserved(loop.now)
+        assert path.downlink._pending, "walk reserved nothing ahead"
+        path.downlink.settle(loop.now)
         # Deliveries the walk reserved for times beyond the current
         # clock must still be pending, not already counted delivered.
-        assert path.downlink._pending_reserved
+        assert path.downlink._pending
         assert (
             path.downlink.stats.delivered_bytes
             < path.downlink.stats.sent_bytes

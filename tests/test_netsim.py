@@ -41,6 +41,21 @@ class TestStreamChunk:
         with pytest.raises(ValueError):
             StreamChunk(stream_id=1, offset=-1, size=10)
 
+    def test_rejects_attribute_assignment(self):
+        chunk = StreamChunk(1, 0, 10)
+        for name, value in (("size", 20), ("fin", True), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(chunk, name, value)
+        assert chunk == StreamChunk(stream_id=1, offset=0, size=10, fin=False)
+
+    def test_replace_still_validates(self):
+        chunk = StreamChunk(2, 100, 50, fin=True)
+        assert chunk._replace(size=10) == StreamChunk(2, 100, 10, True)
+        with pytest.raises(ValueError):
+            chunk._replace(size=0)
+        with pytest.raises(ValueError):
+            chunk._replace(offset=-5)
+
 
 class TestPacket:
     def test_size_includes_header(self):
@@ -225,11 +240,78 @@ class TestLink:
         assert link.stats.sent_bytes == 1000
         assert link.stats.delivered_bytes == 0
         assert link.stats.delivered_packets == 0
-        link.settle_reserved(deliver_at - 0.001)
+        link.settle(deliver_at - 0.001)
         assert link.stats.delivered_bytes == 0
-        link.settle_reserved(deliver_at)
+        link.settle(deliver_at)
         assert link.stats.delivered_bytes == 1000
         assert link.stats.delivered_packets == 1
+
+    def test_stats_read_mid_flight_excludes_later_deliveries(self):
+        """``stats`` settles on read: a read at *t* counts every delivery
+        due by *t* — a same-instant one whose callback has not run yet
+        included — and none due after *t*."""
+        loop = EventLoop()
+        link = Link(loop, delay_ms=1.0, rate_mbps=8.0)  # 1000 B = 1 ms
+        callbacks = []
+        reads = []
+        # Scheduled before the transmits, so it runs ahead of the
+        # delivery due at the same instant (t = 3.0).
+        loop.call_at(3.0, lambda: reads.append(
+            (link.stats.delivered_packets, len(callbacks))
+        ))
+        for _ in range(3):
+            link.transmit(
+                data_packet(nbytes=1000 - HEADER_BYTES),
+                lambda p: callbacks.append(loop.now),
+            )
+        loop.call_at(2.5, lambda: reads.append(
+            (link.stats.delivered_packets, len(callbacks))
+        ))
+        loop.run()
+        assert callbacks == [2.0, 3.0, 4.0]
+        assert reads == [(1, 1), (2, 1)]
+        assert link.stats.delivered_packets == 3
+        assert link.stats.delivered_bytes == 3000
+
+    def test_stats_after_run_equal_delivery_callbacks(self):
+        loop = EventLoop()
+        link = Link(
+            loop, delay_ms=2.0, rate_mbps=50.0, jitter_ms=3.0,
+            loss=BernoulliLoss(0.3), rng=random.Random(12),
+        )
+        delivered = []
+        for i in range(200):
+            loop.call_at(
+                i * 0.1,
+                lambda n=i: link.transmit(
+                    data_packet(nbytes=100 + n), delivered.append
+                ),
+            )
+        loop.run()
+        stats = link.stats
+        assert 0 < stats.dropped_packets < 200
+        assert stats.delivered_packets == len(delivered)
+        assert stats.delivered_bytes == sum(p.size_bytes for p in delivered)
+        assert stats.delivered_packets + stats.dropped_packets == stats.sent_packets
+        assert not link._pending
+
+    def test_reserved_and_transmitted_settle_through_one_fifo(self):
+        loop = EventLoop()
+        link = Link(loop, delay_ms=1.0, rate_mbps=8.0)
+        reserved_at = link.reserve_transmit(1000, 0.0)  # 1 ms + 1 ms
+        link.transmit(data_packet(nbytes=500 - HEADER_BYTES), lambda p: None)
+        link.reserve_transmit(250, 0.0)
+        assert [size for _, size in link._pending] == [1000, 500, 250]
+        due = [at for at, _ in link._pending]
+        assert due == sorted(due) and due[0] == reserved_at
+        link.settle(due[1])
+        assert (link._stats.delivered_packets, link._stats.delivered_bytes) == (2, 1500)
+        assert [size for _, size in link._pending] == [250]
+        loop.run()
+        assert link.stats.delivered_bytes == 1500  # the clock stops at 2.5 ms
+        link.settle(due[2])
+        assert link.stats.delivered_bytes == 1750
+        assert not link._pending
 
     def test_transmit_settles_due_reservations(self):
         loop = EventLoop()

@@ -92,7 +92,7 @@ class _Audited:
         super()._detect_losses()
         declared = list(self._retx_queue)[queued:]
         assert declared == [
-            (before[seq].chunk, before[seq].conn_start) for seq in full_scan
+            (before[seq].chunks[0], before[seq].conn_start) for seq in full_scan
         ]
         assert [seq for seq in before if seq not in self._inflight] == full_scan
         self.declared_lost.extend(full_scan)
