@@ -1,12 +1,13 @@
 """Best-effort builder/loader for the C kernel core (``_ckernel.c``).
 
 The repo ships the C source, not a binary: on first import we compile
-it with the host C compiler into a content-addressed cache under the
-repository's ``build/`` directory (falling back to the system temp dir
-when that is not writable) and load it with :mod:`importlib`.  Every
-failure mode — no compiler, no headers, compile error, import error —
-degrades silently to ``None`` and the pure-Python scheduler takes
-over, so the accelerator can never break a checkout.
+it with the host C compiler into a cache under the repository's
+``build/`` directory (falling back to the system temp dir when that is
+not writable), addressed by source, interpreter ABI, compiler and
+flags, and load it with :mod:`importlib`.  Every failure mode — no
+compiler, no headers, compile error, import error — degrades silently
+to ``None`` and the pure-Python scheduler and link core take over, so
+the accelerator can never break a checkout.
 
 Environment knobs:
 
@@ -29,6 +30,11 @@ import tempfile
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ckernel.c")
 
+#: Compiler flags.  ``-ffp-contract=off`` stops the compiler fusing
+#: ``a*b+c`` into one FMA (GCC's default wherever the target has one,
+#: e.g. aarch64): the link arithmetic must round exactly as Python's.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
 
 def _debug(message: str) -> None:
     if os.environ.get("REPRO_CKERNEL_DEBUG"):
@@ -46,21 +52,23 @@ def _cache_dirs() -> list[str]:
     ]
 
 
-def _build_tag(source: bytes) -> str:
-    """Content address: source hash + interpreter ABI."""
+def _build_tag(source: bytes, cc: str, flags: tuple[str, ...]) -> str:
+    """Content address: source, interpreter ABI, compiler and flags.
+
+    A change to any of them names a new ``.so``, so a stale build is
+    never reused.
+    """
     h = hashlib.blake2b(digest_size=10)
     h.update(source)
     h.update((sysconfig.get_config_var("SOABI") or "abi3").encode())
+    h.update("\0".join((cc,) + flags).encode())
     return h.hexdigest()
 
 
 def _compile(cc: str, out_path: str) -> bool:
     include = sysconfig.get_paths()["include"]
     tmp = f"{out_path}.tmp.{os.getpid()}"
-    cmd = [
-        cc, "-O2", "-fPIC", "-shared",
-        f"-I{include}", _SOURCE, "-o", tmp,
-    ]
+    cmd = [cc, *_CFLAGS, f"-I{include}", _SOURCE, "-o", tmp]
     try:
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=180, check=False
@@ -90,8 +98,12 @@ def load():
     except OSError:
         _debug("C source missing")
         return None
+    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+    if cc is None:
+        _debug("no C compiler on PATH")
+        return None
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    name = f"_ckernel-{_build_tag(source)}{suffix}"
+    name = f"_ckernel-{_build_tag(source, cc, _CFLAGS)}{suffix}"
     so_path = None
     for root in _cache_dirs():
         candidate = os.path.join(root, name)
@@ -99,10 +111,6 @@ def load():
             so_path = candidate
             break
     if so_path is None:
-        cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-        if cc is None:
-            _debug("no C compiler on PATH")
-            return None
         for root in _cache_dirs():
             try:
                 os.makedirs(root, exist_ok=True)

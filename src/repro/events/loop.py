@@ -179,6 +179,11 @@ class HeapEventLoop:
         """Number of events executed so far (diagnostics/benchmarks)."""
         return self._processed
 
+    @property
+    def scheduled_events(self) -> int:
+        """Number of events scheduled so far, cancelled ones included."""
+        return self._seq
+
     def __len__(self) -> int:
         return self._live
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.events import EventLoop
+from repro.events.loop import _ckernel
 from repro.netsim.loss import LossModel, NoLoss
 from repro.netsim.packet import Packet
 
@@ -48,102 +49,18 @@ class LinkStats:
         return self.dropped_packets / self.sent_packets
 
 
-class Link:
-    """One direction of a network path.
+class _PyLinkCore:
+    """The per-packet core of :class:`Link`, in pure Python.
 
-    Parameters
-    ----------
-    loop:
-        The simulation event loop.
-    delay_ms:
-        One-way propagation delay.
-    rate_mbps:
-        Bottleneck rate in megabits per second.  ``None`` means
-        infinitely fast serialization (useful in unit tests).
-    loss:
-        Loss model applied per packet at ingress.
-    jitter_ms:
-        If positive, uniform jitter in ``[0, jitter_ms]`` added to the
-        propagation delay (delivery order is still preserved).
-    rng:
-        Randomness source for loss and jitter; pass a seeded
-        :class:`random.Random` for reproducibility.
-
-    :attr:`stats` settles on read.  Delivered counters are not bumped
-    by an event of their own: each accepted packet queues ``(deliver_at,
-    size)`` in one FIFO (shared with :meth:`reserve_transmit`), and
-    :meth:`settle` folds the due head of that FIFO into the counters.
-    Reading :attr:`stats` at time *t* settles everything due by *t* —
-    including a same-instant delivery whose callback is still queued —
-    and nothing due later.  After ``loop.run()`` drains the loop, the
-    delivered counters equal the delivery callbacks that ran.
+    :meth:`transmit`, :meth:`reserve_transmit` and :meth:`settle`, over
+    the state :class:`Link` sets up.  ``LinkCore`` in
+    ``repro/events/_ckernel.c`` is the same three methods in C — the
+    same float expressions in the same order, the same hooks called in
+    the same order — with the delivery FIFO and the counters held in C.
+    This class runs when the C kernel is not built (or
+    ``REPRO_NO_CKERNEL=1`` is set), and it is the oracle the
+    differential tests compare the C core against.
     """
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        delay_ms: float,
-        rate_mbps: float | None = None,
-        loss: LossModel | None = None,
-        jitter_ms: float = 0.0,
-        rng: random.Random | None = None,
-        name: str = "link",
-    ) -> None:
-        if delay_ms < 0:
-            raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
-        if rate_mbps is not None and rate_mbps <= 0:
-            raise ValueError(f"rate_mbps must be positive, got {rate_mbps}")
-        if jitter_ms < 0:
-            raise ValueError(f"jitter_ms must be >= 0, got {jitter_ms}")
-        self.loop = loop
-        self.delay_ms = delay_ms
-        self.rate_mbps = rate_mbps
-        self.loss = loss if loss is not None else NoLoss()
-        self.jitter_ms = jitter_ms
-        self.rng = rng if rng is not None else random.Random(0)
-        self.name = name
-        self._stats = LinkStats()
-        #: Optional deterministic drop hook (failure injection in tests):
-        #: called with each packet before the stochastic loss model; a
-        #: truthy return drops the packet.
-        self.drop_filter: Callable[[Packet], bool] | None = None
-        #: Optional sim-time metrics sampler (repro.obs.metrics), set by
-        #: the ObsContext per visit and detached at drain; sampled after
-        #: the transmitter slot is reserved so it sees the backlog.
-        self.sampler = None
-        # Time at which the transmitter finishes serializing the packet
-        # currently on the wire; packets queue behind it (FIFO).
-        self._tx_free_at = 0.0
-        # Earliest permissible delivery time, to keep FIFO ordering under
-        # jitter (a jittered packet may not overtake its predecessor).
-        self._last_delivery_at = 0.0
-        # Accepted-but-not-yet-due deliveries, transmitted or reserved:
-        # ``(deliver_at, size_bytes)`` in nondecreasing ``deliver_at``
-        # order (guaranteed by the ``_last_delivery_at`` monotonicity),
-        # settled into the delivered stats once the clock reaches them.
-        self._pending: deque[tuple[float, int]] = deque()
-
-    @property
-    def stats(self) -> LinkStats:
-        """The link's counters, with every delivery due by now settled."""
-        if self._pending:
-            self.settle(self.loop.now)
-        return self._stats
-
-    @property
-    def fast_path_eligible(self) -> bool:
-        """Whether delivery on this link is a pure function of size+time.
-
-        True when nothing stochastic or injected can touch a packet: no
-        loss model, no jitter, no drop filter.  Only then may the
-        analytic transport fast path reserve transmissions without
-        simulating them (:meth:`reserve_transmit`).
-        """
-        return (
-            isinstance(self.loss, NoLoss)
-            and self.jitter_ms == 0.0
-            and self.drop_filter is None
-        )
 
     def reserve_transmit(self, size_bytes: int, now: float) -> float:
         """Account one guaranteed delivery analytically; returns its time.
@@ -256,6 +173,120 @@ class Link:
         pending.append((deliver_at, size))
         self.loop.call_at(deliver_at, on_deliver, packet)
         return True
+
+
+# The C core when the kernel is built, the pure-Python one otherwise.
+if _ckernel is not None:
+    _ckernel._install_link(NoLoss)
+    _LinkCore = _ckernel.LinkCore
+else:  # pragma: no cover - exercised on hosts without a C toolchain
+    _LinkCore = _PyLinkCore
+
+
+class Link(_LinkCore):
+    """One direction of a network path.
+
+    Parameters
+    ----------
+    loop:
+        The simulation event loop.
+    delay_ms:
+        One-way propagation delay.
+    rate_mbps:
+        Bottleneck rate in megabits per second.  ``None`` means
+        infinitely fast serialization (useful in unit tests).
+    loss:
+        Loss model applied per packet at ingress.
+    jitter_ms:
+        If positive, uniform jitter in ``[0, jitter_ms]`` added to the
+        propagation delay (delivery order is still preserved).
+    rng:
+        Randomness source for loss and jitter; pass a seeded
+        :class:`random.Random` for reproducibility.
+
+    :attr:`stats` settles on read.  Delivered counters are not bumped
+    by an event of their own: each accepted packet queues ``(deliver_at,
+    size)`` in one FIFO (shared with :meth:`reserve_transmit`), and
+    :meth:`settle` folds the due head of that FIFO into the counters.
+    Reading :attr:`stats` at time *t* settles everything due by *t* —
+    including a same-instant delivery whose callback is still queued —
+    and nothing due later.  After ``loop.run()`` drains the loop, the
+    delivered counters equal the delivery callbacks that ran.
+
+    The per-packet methods (:meth:`transmit`, :meth:`reserve_transmit`,
+    :meth:`settle`) come from the base class.  When the C kernel is
+    built — the default whenever a C compiler is on the path — that is
+    ``LinkCore`` from ``repro/events/_ckernel.c``: the FIFO, the
+    transmitter state and the counters live in C, and on the C event
+    loop a delivery is scheduled without a Python call.  Otherwise (no
+    compiler, or ``REPRO_NO_CKERNEL=1``) it is :class:`_PyLinkCore`.
+    Both give the same results, bit for bit, on either scheduler.
+    """
+
+    def __init__(
+        self,
+        loop: EventLoop,
+        delay_ms: float,
+        rate_mbps: float | None = None,
+        loss: LossModel | None = None,
+        jitter_ms: float = 0.0,
+        rng: random.Random | None = None,
+        name: str = "link",
+    ) -> None:
+        if delay_ms < 0:
+            raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
+        if rate_mbps is not None and rate_mbps <= 0:
+            raise ValueError(f"rate_mbps must be positive, got {rate_mbps}")
+        if jitter_ms < 0:
+            raise ValueError(f"jitter_ms must be >= 0, got {jitter_ms}")
+        self.loop = loop
+        self.delay_ms = delay_ms
+        self.rate_mbps = rate_mbps
+        self.loss = loss if loss is not None else NoLoss()
+        self.jitter_ms = jitter_ms
+        self.rng = rng if rng is not None else random.Random(0)
+        self.name = name
+        self._stats = LinkStats()
+        #: Optional deterministic drop hook (failure injection in tests):
+        #: called with each packet before the stochastic loss model; a
+        #: truthy return drops the packet.
+        self.drop_filter: Callable[[Packet], bool] | None = None
+        #: Optional sim-time metrics sampler (repro.obs.metrics), set by
+        #: the ObsContext per visit and detached at drain; sampled after
+        #: the transmitter slot is reserved so it sees the backlog.
+        self.sampler = None
+        # Time at which the transmitter finishes serializing the packet
+        # currently on the wire; packets queue behind it (FIFO).
+        self._tx_free_at = 0.0
+        # Earliest permissible delivery time, to keep FIFO ordering under
+        # jitter (a jittered packet may not overtake its predecessor).
+        self._last_delivery_at = 0.0
+        # Accepted-but-not-yet-due deliveries, transmitted or reserved:
+        # ``(deliver_at, size_bytes)`` in nondecreasing ``deliver_at``
+        # order (guaranteed by the ``_last_delivery_at`` monotonicity),
+        # settled into the delivered stats once the clock reaches them.
+        self._pending: deque[tuple[float, int]] = deque()
+
+    @property
+    def stats(self) -> LinkStats:
+        """The link's counters, with every delivery due by now settled."""
+        self.settle(self.loop.now)
+        return self._stats
+
+    @property
+    def fast_path_eligible(self) -> bool:
+        """Whether delivery on this link is a pure function of size+time.
+
+        True when nothing stochastic or injected can touch a packet: no
+        loss model, no jitter, no drop filter.  Only then may the
+        analytic transport fast path reserve transmissions without
+        simulating them (:meth:`reserve_transmit`).
+        """
+        return (
+            isinstance(self.loss, NoLoss)
+            and self.jitter_ms == 0.0
+            and self.drop_filter is None
+        )
 
     def __repr__(self) -> str:
         rate = f"{self.rate_mbps}Mbps" if self.rate_mbps else "inf"

@@ -314,6 +314,20 @@ class TestSchedulerEdgeCases:
         assert fired == list(range(51))
         assert loop.now == 1.0
 
+    def test_scheduled_events_counts_every_schedule(self, loop_cls):
+        # Cancelled and refused schedules: the first count, the second
+        # does not.
+        loop = loop_cls()
+        events = [loop.call_later(float(i), lambda: None) for i in range(5)]
+        loop.call_at(2.0, lambda: None)
+        events[3].cancel()
+        loop.run(until_ms=1.0)
+        with pytest.raises(SimulationError):
+            loop.call_at(0.5, lambda: None)
+        assert loop.scheduled_events == 6
+        loop.run()
+        assert (loop.scheduled_events, loop.processed_events) == (6, 5)
+
     def test_max_events_exactness(self, loop_cls):
         loop = loop_cls()
         for i in range(10):
@@ -378,6 +392,29 @@ class TestSchedulerEdgeCases:
         loop.run()
         assert fired == ["near", "mid", "far"]
         assert loop.now == 5000.0
+
+
+# ---------------------------------------------------------------------
+# The C kernel's build cache.
+# ---------------------------------------------------------------------
+
+
+class TestBuildTag:
+    def test_tag_changes_with_compiler_and_flags(self):
+        from repro.events import _accel
+
+        flags = _accel._CFLAGS
+        assert "-ffp-contract=off" in flags
+        base = _accel._build_tag(b"int x;", "/usr/bin/cc", flags)
+        assert base == _accel._build_tag(b"int x;", "/usr/bin/cc", flags)
+        no_contract = tuple(f for f in flags if f != "-ffp-contract=off")
+        for source, cc, other in (
+            (b"int x;", "/usr/bin/cc", no_contract),
+            (b"int x;", "/usr/bin/cc", flags + ("-O3",)),
+            (b"int x;", "/usr/bin/clang", flags),
+            (b"int y;", "/usr/bin/cc", flags),
+        ):
+            assert _accel._build_tag(source, cc, other) != base
 
 
 # ---------------------------------------------------------------------
