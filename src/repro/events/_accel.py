@@ -6,8 +6,13 @@ it with the host C compiler into a cache under the repository's
 not writable), addressed by source, interpreter ABI, compiler and
 flags, and load it with :mod:`importlib`.  Every failure mode — no
 compiler, no headers, compile error, import error — degrades silently
-to ``None`` and the pure-Python scheduler and link core take over, so
-the accelerator can never break a checkout.
+to ``None`` and the pure-Python scheduler, link core and transport core
+take over, so the accelerator can never break a checkout.
+
+The module holds three cores: ``LoopCore`` (the scheduler behind
+``CEventLoop``), ``LinkCore`` (the per-packet half of
+``repro.netsim.link.Link``) and ``TransportCore`` (the send/ack/receive
+loop of ``repro.transport.base.BaseConnection``).
 
 Environment knobs:
 

@@ -1,9 +1,12 @@
 /* C core for the DES kernel: the optional accelerated scheduler
- * (LoopCore) and the per-packet half of a network link (LinkCore).
+ * (LoopCore), the per-packet half of a network link (LinkCore) and the
+ * send/ack/receive loop of a transport connection (TransportCore).
  *
  * Compiled on demand by repro/events/_accel.py with the host
- * toolchain; when unavailable the pure-Python HeapEventLoop and
- * repro.netsim.link._PyLinkCore take over with identical semantics.
+ * toolchain; when unavailable the pure-Python HeapEventLoop,
+ * repro.netsim.link._PyLinkCore and
+ * repro.transport.base._PyTransportCore take over with identical
+ * semantics.
  * The scheduler contract both sides implement:
  *
  *   - time is a double (milliseconds); events fire in (time, seq)
@@ -1346,6 +1349,1904 @@ static PyTypeObject LinkCoreType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* TransportCore: the send/ack/receive loop of a BaseConnection        */
+/* ------------------------------------------------------------------ */
+
+/* repro.transport.base._PyTransportCore, method for method: the
+ * server's send burst, ACK processing, loss detection and probe
+ * timeout (PTO), and the client's ACK batching and chunk hand-off.
+ * The arithmetic is the same float expressions in the same order, and
+ * the Python hooks (congestion controller, RTT estimator, rate
+ * sampler, tracer, metrics sampler, the subclass reassembly hook and
+ * the request-side methods) are called in the same order with the
+ * same arguments.  Calls between the moved methods stay in C.
+ *
+ * Data and ACK packets are Packet instances filled slot by slot, as
+ * the dataclass's generated __init__ and __post_init__ fill them, and
+ * response chunks are StreamChunk tuples.  The PTO and delayed-ACK
+ * deadlines are event handles held here: started, stopped and fired
+ * as repro.events.Timer does, but with no Timer and no bound method,
+ * so a connection whose deadlines are stopped holds no reference
+ * cycle through them. */
+
+/* Installed by repro.transport.base through _install_transport. */
+static PyTypeObject *ChunkType = NULL;
+static PyObject *KindData = NULL, *KindAck = NULL;
+static PyObject *PacketIds = NULL;      /* the counter Packet.uid draws from */
+static PyObject *PacketGlobals = NULL;  /* repro.netsim.packet's namespace */
+static PyObject *FastpathModule = NULL;
+static PyObject *PyDeliverChunk = NULL; /* _PyTransportCore._deliver_chunk */
+/* The deadlines' event callbacks (module functions, made at init). */
+static PyObject *FirePto = NULL, *FireAck = NULL;
+
+/* A slotted Python class whose fields C reads and writes in place: an
+ * instance of exactly that class by slot offset (resolved once from
+ * its member descriptors), anything else through getattr/setattr. */
+#define MAX_SLOTS 12
+typedef struct {
+    PyTypeObject *type;
+    int count;
+    const char *fields[MAX_SLOTS];
+    PyObject *names[MAX_SLOTS];
+    Py_ssize_t offsets[MAX_SLOTS];
+} SlotClass;
+
+enum { PK_KIND, PK_SEQ, PK_CHUNKS, PK_ACK_SEQ, PK_SACK, PK_ACK_DELAY,
+       PK_SIZE, PK_UID, PK_SENT_AT, PK_RETX, PK_CONN_START, PK_PAYLOAD };
+static SlotClass Packet = {NULL, 12, {
+    "kind", "seq", "chunks", "ack_seq", "sack", "ack_delay_ms",
+    "size_bytes", "uid", "sent_at", "retransmission", "conn_start",
+    "payload_bytes"}};
+
+/* ConnectionStats: the counters the loop bumps. */
+enum { ST_SENT, ST_LOST, ST_RETX, ST_ACKS, ST_RTO };
+static SlotClass Stats = {NULL, 5, {
+    "data_packets_sent", "data_packets_lost", "retransmissions",
+    "acks_received", "rto_events"}};
+
+/* _ServerStream: the send-side fields of the round-robin. */
+enum { SS_RESPONSE_BYTES, SS_NEXT_OFFSET, SS_WEIGHT };
+static SlotClass ServerStream = {NULL, 3, {
+    "response_bytes", "next_offset", "weight"}};
+
+/* ClientStream: the fields chunk hand-off updates. */
+enum { CS_T_FIRST_BYTE, CS_ON_FIRST_BYTE, CS_RECEIVED, CS_RESPONSE_BYTES,
+       CS_T_COMPLETE, CS_ON_COMPLETE, CS_STREAM_ID, CS_OPENED_AT };
+static SlotClass ClientStream = {NULL, 8, {
+    "t_first_byte", "on_first_byte", "received", "response_bytes",
+    "t_complete", "on_complete", "stream_id", "opened_at"}};
+
+/* StreamChunk's tuple items. */
+enum { CH_STREAM_ID, CH_OFFSET, CH_SIZE, CH_FIN };
+
+static PyObject *str_cancel, *str_call_later, *str_popleft, *str_append,
+    *str_rotate, *str_remove, *str_get, *str_advance, *str_header_bytes,
+    *str_send_to_client, *str_send_to_server, *str_client_on_packet,
+    *str_server_on_packet, *str_on_data_packet_received,
+    *str_absorb_request_chunk, *str_on_request_ack, *str_trace_metrics,
+    *str_on_ack, *str_on_loss, *str_on_rto, *str_on_sample, *str_rto_ms,
+    *str_srtt_ms, *str_cwnd_bytes, *str_packet_sent, *str_packet_received,
+    *str_packet_acked, *str_packet_lost, *str_event, *str_s2c,
+    *str_packet_threshold, *str_pto, *str_pto_fired, *str_stream_closed,
+    *str_stream_id,
+    *str_size, *str_mss, *str_ack_frequency, *str_max_ack_delay_ms;
+/* ("force",), ("backoff",), ("stream_id", "first_byte_ms", "duration_ms") */
+static PyObject *kw_force, *kw_backoff, *kw_stream_closed;
+static PyObject *int_zero, *int_minus_one, *float_minus_one, *empty_tuple;
+
+#define SLOT(obj, offset) (*(PyObject **)((char *)(obj) + (offset)))
+
+typedef struct {
+    PyObject_HEAD
+    /* Collaborators, as BaseConnection assigns them. */
+    PyObject *loop, *path, *config, *cc, *rtt, *stats, *tracer, *check,
+        *sampler, *rate_sampler, *streams, *fast_path_enabled;
+    /* Containers: the Python objects the rest of the code sees. */
+    PyObject *inflight, *send_queue, *retx_queue, *server_streams,
+        *ack_pending, *next_pkt_seq;
+    /* Hot state.  What the analytic fast path (Python) also updates
+     * per packet is held as objects, which the interpreter's attribute
+     * specialization reads and writes as directly as C does; the rest
+     * is held as C numbers. */
+    PyObject *largest_sent, *conn_send_offset, *delivered_bytes,
+        *first_data_sent_at;
+    long long largest_acked, bytes_in_flight, recovery_until_seq,
+        pto_backoff, ack_largest_received;
+    double ack_last_recv_at;
+    /* The config fields the loop reads, cached per config object
+     * (TransportConfig is frozen); see tc_config. */
+    PyObject *cached_config;
+    long long mss, packet_threshold, ack_frequency;
+    double max_ack_delay_ms;
+    /* The pending PTO / delayed-ACK events, or NULL when disarmed. */
+    PyObject *pto_event, *ack_event;
+} TransportCoreObject;
+
+static PyTypeObject TransportCoreType;
+
+static int
+tc_require(PyObject *value, const char *name)
+{
+    if (value != NULL)
+        return 0;
+    PyErr_Format(PyExc_AttributeError,
+                 "connection has no attribute '%s'", name);
+    return -1;
+}
+
+/* A member as a new reference, held across calls into Python (as a
+ * Python local would be); AttributeError when unset. */
+static PyObject *
+tc_get(PyObject *value, const char *name)
+{
+    if (tc_require(value, name) < 0)
+        return NULL;
+    Py_INCREF(value);
+    return value;
+}
+
+/* The in-flight map is walked with the dict API. */
+static int
+require_dict(PyObject *inflight)
+{
+    if (PyDict_Check(inflight))
+        return 0;
+    PyErr_SetString(PyExc_TypeError, "_inflight must be a dict");
+    return -1;
+}
+
+/* self._ack_pending (borrowed), which the list API appends to. */
+static PyObject *
+ack_pending_list(TransportCoreObject *self)
+{
+    PyObject *pending = self->ack_pending;
+    if (tc_require(pending, "_ack_pending") < 0)
+        return NULL;
+    if (PyList_Check(pending))
+        return pending;
+    PyErr_SetString(PyExc_TypeError, "_ack_pending must be a list");
+    return NULL;
+}
+
+static int
+as_ll(PyObject *obj, long long *out)
+{
+    *out = PyLong_AsLongLong(obj);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+as_double(PyObject *obj, double *out)
+{
+    *out = PyFloat_AsDouble(obj);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* getattr(obj, name) as a long long. */
+static int
+attr_ll(PyObject *obj, PyObject *name, long long *out)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return -1;
+    int rc = as_ll(value, out);
+    Py_DECREF(value);
+    return rc;
+}
+
+/* The loop's clock: read in C on the kernel's own loop. */
+static int
+tc_now(TransportCoreObject *self, double *now)
+{
+    PyObject *loop = self->loop;
+    if (tc_require(loop, "loop") < 0)
+        return -1;
+    if (PyObject_TypeCheck(loop, &LoopCoreType)) {
+        *now = ((LoopCoreObject *)loop)->now;
+        return 0;
+    }
+    PyObject *value = PyObject_GetAttr(loop, str_now);
+    if (value == NULL)
+        return -1;
+    int rc = as_double(value, now);
+    Py_DECREF(value);
+    return rc;
+}
+
+/* Load self.config's mss, packet_threshold, ack_frequency and
+ * max_ack_delay_ms into the struct, unless they are the cached
+ * config's already.  The cache holds its config, so the identity test
+ * cannot be fooled by a new object at a freed one's address. */
+static int
+tc_config(TransportCoreObject *self)
+{
+    PyObject *config = self->config;
+    if (tc_require(config, "config") < 0)
+        return -1;
+    if (config == self->cached_config)
+        return 0;
+    long long mss, threshold, frequency;
+    double max_ack_delay;
+    PyObject *delay = NULL;
+    if (attr_ll(config, str_mss, &mss) < 0
+        || attr_ll(config, str_packet_threshold, &threshold) < 0
+        || attr_ll(config, str_ack_frequency, &frequency) < 0
+        || (delay = PyObject_GetAttr(config, str_max_ack_delay_ms)) == NULL
+        || as_double(delay, &max_ack_delay) < 0) {
+        Py_XDECREF(delay);
+        return -1;
+    }
+    Py_DECREF(delay);
+    self->mss = mss;
+    self->packet_threshold = threshold;
+    self->ack_frequency = frequency;
+    self->max_ack_delay_ms = max_ack_delay;
+    Py_INCREF(config);
+    Py_XSETREF(self->cached_config, config);
+    return 0;
+}
+
+/* A method call whose result is dropped; -1 on exception. */
+static int
+call_method(PyObject *name, PyObject *const *args, size_t nargs,
+            PyObject *kwnames)
+{
+    PyObject *res = PyObject_VectorcallMethod(name, args, nargs, kwnames);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* obj.name(arg); a stolen arg may be NULL (an error passed through). */
+static int
+call_method1(PyObject *obj, PyObject *name, PyObject *arg, int steal)
+{
+    if (arg == NULL)
+        return -1;
+    PyObject *args[2] = {obj, arg};
+    int rc = call_method(name, args, 2, NULL);
+    if (steal)
+        Py_DECREF(arg);
+    return rc;
+}
+
+/* dict.pop(key[, default]) (new reference); KeyError without default. */
+static PyObject *
+dict_pop(PyObject *dict, PyObject *key, PyObject *deflt)
+{
+#if PY_VERSION_HEX >= 0x030D0000
+    PyObject *value;
+    int found = PyDict_Pop(dict, key, &value);
+    if (found < 0)
+        return NULL;
+    if (found)
+        return value;
+    if (deflt == NULL) {
+        PyErr_SetObject(PyExc_KeyError, key);
+        return NULL;
+    }
+    Py_INCREF(deflt);
+    return deflt;
+#else
+    return _PyDict_Pop(dict, key, deflt);
+#endif
+}
+
+/* -- Slotted classes ------------------------------------------------ */
+
+/* obj.<field> (new reference). */
+static PyObject *
+slot_get(SlotClass *cls, PyObject *obj, int field)
+{
+    if (Py_IS_TYPE(obj, cls->type)) {
+        PyObject *value = SLOT(obj, cls->offsets[field]);
+        if (value == NULL) {
+            PyErr_Format(PyExc_AttributeError,
+                         "'%.100s' object has no attribute '%U'",
+                         cls->type->tp_name, cls->names[field]);
+            return NULL;
+        }
+        Py_INCREF(value);
+        return value;
+    }
+    return PyObject_GetAttr(obj, cls->names[field]);
+}
+
+static int
+slot_get_ll(SlotClass *cls, PyObject *obj, int field, long long *out)
+{
+    PyObject *value = slot_get(cls, obj, field);
+    if (value == NULL)
+        return -1;
+    int rc = as_ll(value, out);
+    Py_DECREF(value);
+    return rc;
+}
+
+/* obj.<field> = value (value borrowed). */
+static int
+slot_set(SlotClass *cls, PyObject *obj, int field, PyObject *value)
+{
+    if (Py_IS_TYPE(obj, cls->type)) {
+        Py_INCREF(value);
+        Py_XSETREF(SLOT(obj, cls->offsets[field]), value);
+        return 0;
+    }
+    return PyObject_SetAttr(obj, cls->names[field], value);
+}
+
+/* obj.<field> = value (value stolen; NULL passes an error through). */
+static int
+slot_set_new(SlotClass *cls, PyObject *obj, int field, PyObject *value)
+{
+    if (value == NULL)
+        return -1;
+    int rc = slot_set(cls, obj, field, value);
+    Py_DECREF(value);
+    return rc;
+}
+
+/* cls's slot offsets, from its member descriptors. */
+static int
+resolve_slots(SlotClass *cls, PyObject *type)
+{
+    if (!PyType_Check(type)) {
+        PyErr_SetString(PyExc_TypeError, "expected a class");
+        return -1;
+    }
+    for (int i = 0; i < cls->count; i++) {
+        if (cls->names[i] == NULL) {
+            cls->names[i] = PyUnicode_InternFromString(cls->fields[i]);
+            if (cls->names[i] == NULL)
+                return -1;
+        }
+        PyObject *descr = PyDict_GetItemWithError(
+            ((PyTypeObject *)type)->tp_dict, cls->names[i]);
+        if (descr == NULL || !Py_IS_TYPE(descr, &PyMemberDescr_Type)
+            || ((PyMemberDescrObject *)descr)->d_member->type != T_OBJECT_EX) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_TypeError, "%s.%s is not a slot",
+                             ((PyTypeObject *)type)->tp_name, cls->fields[i]);
+            return -1;
+        }
+        cls->offsets[i] = ((PyMemberDescrObject *)descr)->d_member->offset;
+    }
+    Py_INCREF(type);
+    Py_XSETREF(cls->type, (PyTypeObject *)type);
+    return 0;
+}
+
+/* -- Packet and StreamChunk ------------------------------------------ */
+
+/* Packet(kind, seq=..., ...): the generated __init__ draws uid from
+ * its default factory, then __post_init__ sums the payload and, the
+ * size being unset, charges HEADER_BYTES (looked up in the packet
+ * module, as the method does) on top.  payload is that sum. */
+static PyObject *
+packet_new(PyObject *kind, PyObject *seq, PyObject *chunks,
+           PyObject *ack_seq, PyObject *sack, PyObject *ack_delay,
+           PyObject *sent_at, PyObject *retransmission,
+           PyObject *conn_start, PyObject *payload)
+{
+    PyObject *uid = Py_TYPE(PacketIds)->tp_iternext(PacketIds);
+    if (uid == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetNone(PyExc_StopIteration);
+        return NULL;
+    }
+    PyObject *header = PyDict_GetItemWithError(PacketGlobals, str_header_bytes);
+    if (header == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_NameError,
+                            "name 'HEADER_BYTES' is not defined");
+        Py_DECREF(uid);
+        return NULL;
+    }
+    PyObject *size = PyNumber_Add(header, payload);
+    if (size == NULL) {
+        Py_DECREF(uid);
+        return NULL;
+    }
+    PyObject *pkt = Packet.type->tp_alloc(Packet.type, 0);
+    if (pkt == NULL) {
+        Py_DECREF(uid);
+        Py_DECREF(size);
+        return NULL;
+    }
+    PyObject *values[] = {
+        kind, seq, chunks, ack_seq, sack, ack_delay, size, uid, sent_at,
+        retransmission, conn_start, payload};
+    for (int i = 0; i < Packet.count; i++) {
+        Py_INCREF(values[i]);
+        SLOT(pkt, Packet.offsets[i]) = values[i];
+    }
+    Py_DECREF(uid);
+    Py_DECREF(size);
+    return pkt;
+}
+
+/* chunk.<item> (new reference). */
+static PyObject *
+chunk_get(PyObject *chunk, int index, PyObject *name)
+{
+    if (Py_IS_TYPE(chunk, ChunkType)) {
+        PyObject *value = PyTuple_GET_ITEM(chunk, index);
+        Py_INCREF(value);
+        return value;
+    }
+    return PyObject_GetAttr(chunk, name);
+}
+
+/* StreamChunk(stream_id, offset, size, fin), with __new__'s checks. */
+static PyObject *
+chunk_new(PyObject *stream_id, long long offset, long long size, int fin)
+{
+    if (size <= 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "chunk size must be positive, got %lld", size);
+        return NULL;
+    }
+    if (offset < 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "chunk offset must be >= 0, got %lld", offset);
+        return NULL;
+    }
+    PyObject *offset_obj = PyLong_FromLongLong(offset);
+    PyObject *size_obj = PyLong_FromLongLong(size);
+    PyObject *chunk = NULL;
+    if (offset_obj != NULL && size_obj != NULL)
+        chunk = ChunkType->tp_alloc(ChunkType, 4);
+    if (chunk == NULL) {
+        Py_XDECREF(offset_obj);
+        Py_XDECREF(size_obj);
+        return NULL;
+    }
+    Py_INCREF(stream_id);
+    PyTuple_SET_ITEM(chunk, CH_STREAM_ID, stream_id);
+    PyTuple_SET_ITEM(chunk, CH_OFFSET, offset_obj);
+    PyTuple_SET_ITEM(chunk, CH_SIZE, size_obj);
+    PyTuple_SET_ITEM(chunk, CH_FIN, PyBool_FromLong(fin));
+    return chunk;
+}
+
+/* (sent.chunks[0], sent.conn_start): a lost packet's retransmission
+ * queue entry. */
+static PyObject *
+retx_entry(PyObject *sent)
+{
+    PyObject *chunks = slot_get(&Packet, sent, PK_CHUNKS);
+    if (chunks == NULL)
+        return NULL;
+    PyObject *chunk = PySequence_GetItem(chunks, 0);
+    Py_DECREF(chunks);
+    if (chunk == NULL)
+        return NULL;
+    PyObject *conn_start = slot_get(&Packet, sent, PK_CONN_START);
+    if (conn_start == NULL) {
+        Py_DECREF(chunk);
+        return NULL;
+    }
+    PyObject *entry = PyTuple_Pack(2, chunk, conn_start);
+    Py_DECREF(chunk);
+    Py_DECREF(conn_start);
+    return entry;
+}
+
+/* stats.<counter> += delta. */
+static int
+stats_add(PyObject *stats, int field, Py_ssize_t delta)
+{
+    if (tc_require(stats, "stats") < 0)
+        return -1;
+    PyObject *old = slot_get(&Stats, stats, field);
+    if (old == NULL)
+        return -1;
+    PyObject *d = PyLong_FromSsize_t(delta);
+    PyObject *value = d == NULL ? NULL : PyNumber_InPlaceAdd(old, d);
+    Py_DECREF(old);
+    Py_XDECREF(d);
+    return slot_set_new(&Stats, stats, field, value);
+}
+
+/* -- Deadlines -------------------------------------------------------- */
+
+/* Timer.stop: cancel the pending event, if any, and drop the handle. */
+static int
+deadline_stop(PyObject **slot)
+{
+    PyObject *event = *slot;
+    if (event == NULL)
+        return 0;
+    *slot = NULL;
+    int rc = 0;
+    if (Py_IS_TYPE(event, &CEventType)) {
+        Py_XDECREF(cevent_cancel((CEventObject *)event, NULL));
+    }
+    else {
+        PyObject *res = PyObject_CallMethodNoArgs(event, str_cancel);
+        if (res == NULL)
+            rc = -1;
+        Py_XDECREF(res);
+    }
+    Py_DECREF(event);
+    return rc;
+}
+
+/* Timer.start: cancel the pending event, then schedule fire(self) at
+ * now + delay — through the kernel's schedule() (call_later's seq and
+ * negative-delay rule) on a LoopCore, through loop.call_later
+ * otherwise. */
+static int
+deadline_start(TransportCoreObject *self, PyObject **slot, double delay,
+               PyObject *fire)
+{
+    if (deadline_stop(slot) < 0)
+        return -1;
+    PyObject *loop = self->loop;
+    if (tc_require(loop, "loop") < 0)
+        return -1;
+    PyObject *me = (PyObject *)self;
+    PyObject *delay_obj = PyFloat_FromDouble(delay);
+    if (delay_obj == NULL)
+        return -1;
+    PyObject *event;
+    if (PyObject_TypeCheck(loop, &LoopCoreType)) {
+        LoopCoreObject *core = (LoopCoreObject *)loop;
+        if (delay < 0) {
+            PyErr_Format(SimulationError,
+                         "cannot schedule %Rms in the past", delay_obj);
+            event = NULL;
+        }
+        else {
+            event = schedule(core, core->now + delay, fire, &me, 1);
+        }
+    }
+    else {
+        PyObject *args[4] = {loop, delay_obj, fire, me};
+        event = PyObject_VectorcallMethod(str_call_later, args, 4, NULL);
+    }
+    Py_DECREF(delay_obj);
+    if (event == NULL)
+        return -1;
+    Py_XSETREF(*slot, event);
+    return 0;
+}
+
+/* -- The loop ----------------------------------------------------------- */
+
+static int tc_try_send(TransportCoreObject *self);
+static PyObject *tc_flush_acks(TransportCoreObject *self, PyObject *unused);
+
+/* The tracer/sampler/check guard: `if self.<hook>:`. */
+static int
+hook_on(PyObject *hook, const char *name)
+{
+    if (tc_require(hook, name) < 0)
+        return -1;
+    return PyObject_IsTrue(hook);
+}
+
+/* self._trace_metrics() / self._trace_metrics(force=True). */
+static int
+trace_metrics(TransportCoreObject *self, int force)
+{
+    PyObject *args[2] = {(PyObject *)self, Py_True};
+    if (force)
+        return call_method(str_trace_metrics, args, 1, kw_force);
+    return call_method(str_trace_metrics, args, 1, NULL);
+}
+
+/* path.send_to_client(pkt, self._client_on_packet_from_server) and
+ * the uplink twin: the bound receiver is looked up on self, so a
+ * subclass override receives the packet, as in Python. */
+static int
+path_send(TransportCoreObject *self, PyObject *direction, PyObject *pkt,
+          PyObject *receiver)
+{
+    PyObject *callback = PyObject_GetAttr((PyObject *)self, receiver);
+    if (callback == NULL)
+        return -1;
+    PyObject *path = self->path;
+    if (tc_require(path, "path") < 0) {
+        Py_DECREF(callback);
+        return -1;
+    }
+    Py_INCREF(path);
+    PyObject *args[3] = {path, pkt, callback};
+    int rc = call_method(direction, args, 3, NULL);
+    Py_DECREF(path);
+    Py_DECREF(callback);
+    return rc;
+}
+
+static int
+tc_arm_pto(TransportCoreObject *self)
+{
+    if (tc_require(self->rtt, "rtt") < 0 || tc_config(self) < 0)
+        return -1;
+    PyObject *rto_obj = PyObject_GetAttr(self->rtt, str_rto_ms);
+    if (rto_obj == NULL)
+        return -1;
+    double rto;
+    int rc = as_double(rto_obj, &rto);
+    Py_DECREF(rto_obj);
+    if (rc < 0)
+        return -1;
+    /* RFC 9002 §6.2.1: the probe timeout budgets for max_ack_delay. */
+    double timeout = (rto + self->max_ack_delay_ms) * (double)self->pto_backoff;
+    return deadline_start(self, &self->pto_event, timeout, FirePto);
+}
+
+static int
+tc_send_data_packet(TransportCoreObject *self, PyObject *chunk,
+                    PyObject *conn_start, PyObject *retransmission)
+{
+    double now;
+    long long size_v;
+    if (tc_now(self, &now) < 0
+        || tc_require(self->next_pkt_seq, "_next_pkt_seq") < 0)
+        return -1;
+    int retx = PyObject_IsTrue(retransmission);
+    if (retx < 0)
+        return -1;
+    PyObject *seq = NULL, *payload = NULL, *chunks = NULL, *sent_at = NULL,
+        *pkt = NULL, *size = NULL;
+    int rc = -1;
+    seq = PyIter_Next(self->next_pkt_seq);
+    if (seq == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetNone(PyExc_StopIteration);
+        goto done;
+    }
+    payload = chunk_get(chunk, CH_SIZE, str_size);
+    chunks = PyTuple_Pack(1, chunk);
+    sent_at = PyFloat_FromDouble(now);
+    if (payload == NULL || chunks == NULL || sent_at == NULL)
+        goto done;
+    pkt = packet_new(KindData, seq, chunks, int_minus_one, empty_tuple,
+                     float_zero, sent_at, retransmission, conn_start, payload);
+    size = pkt == NULL ? NULL : slot_get(&Packet, pkt, PK_SIZE);
+    if (size == NULL || as_ll(size, &size_v) < 0)
+        goto done;
+    Py_INCREF(seq);
+    Py_XSETREF(self->largest_sent, seq);
+    if (tc_require(self->first_data_sent_at, "_first_data_sent_at") < 0)
+        goto done;
+    if (self->first_data_sent_at == Py_None) {
+        Py_INCREF(sent_at);
+        Py_SETREF(self->first_data_sent_at, sent_at);
+    }
+    /* The only place _inflight gains entries: its keys ascend. */
+    if (tc_require(self->inflight, "_inflight") < 0
+        || PyObject_SetItem(self->inflight, seq, pkt) < 0)
+        goto done;
+    self->bytes_in_flight += size_v;
+    if (stats_add(self->stats, ST_SENT, 1) < 0
+        || (retx && stats_add(self->stats, ST_RETX, 1) < 0))
+        goto done;
+    int tracing = hook_on(self->tracer, "tracer");
+    if (tracing < 0)
+        goto done;
+    if (tracing) {
+        PyObject *args[6] = {self->tracer, sent_at, seq, size, str_s2c,
+                             retransmission};
+        if (call_method(str_packet_sent, args, 6, NULL) < 0)
+            goto done;
+    }
+    rc = path_send(self, str_send_to_client, pkt, str_client_on_packet);
+done:
+    Py_XDECREF(seq);
+    Py_XDECREF(payload);
+    Py_XDECREF(chunks);
+    Py_XDECREF(sent_at);
+    Py_XDECREF(pkt);
+    Py_XDECREF(size);
+    return rc;
+}
+
+/* One weighted round-robin turn of the stream at the head of
+ * send_queue (H2 stream weights / H3 priorities: up to weight chunks,
+ * then the next stream): the number of packets sent, or -1. */
+static Py_ssize_t
+send_turn(TransportCoreObject *self, PyObject *send_queue, PyObject *streams,
+          double cwnd)
+{
+    long long mss = self->mss;
+    Py_ssize_t sent = 0;
+    PyObject *stream_id = PySequence_GetItem(send_queue, 0);
+    if (stream_id == NULL)
+        return -1;
+    PyObject *sstream = PyObject_GetItem(streams, stream_id);
+    long long response_bytes, next_offset, weight;
+    if (sstream == NULL)
+        goto error;
+    if (slot_get_ll(&ServerStream, sstream, SS_RESPONSE_BYTES, &response_bytes) < 0
+        || slot_get_ll(&ServerStream, sstream, SS_NEXT_OFFSET, &next_offset) < 0)
+        goto error;
+    /* ``send_remaining`` without the property (see _PyTransportCore). */
+    if (response_bytes - next_offset <= 0) {
+        PyObject *args[1] = {send_queue};
+        if (call_method(str_popleft, args, 1, NULL) < 0)
+            goto error;
+        goto out;
+    }
+    if (slot_get_ll(&ServerStream, sstream, SS_WEIGHT, &weight) < 0)
+        goto error;
+    int fin = 0;
+    for (long long turn = 0; turn < weight; turn++) {
+        long long offset;
+        if (slot_get_ll(&ServerStream, sstream, SS_NEXT_OFFSET, &offset) < 0
+            || slot_get_ll(&ServerStream, sstream, SS_RESPONSE_BYTES,
+                           &response_bytes) < 0)
+            goto error;
+        long long remaining = response_bytes - offset;
+        if (remaining <= 0)
+            break;
+        if ((double)(self->bytes_in_flight + mss) > cwnd)
+            break;
+        long long size = mss < remaining ? mss : remaining;
+        if (slot_get_ll(&ServerStream, sstream, SS_RESPONSE_BYTES,
+                        &response_bytes) < 0)
+            goto error;
+        fin = offset + size >= response_bytes;
+        PyObject *chunk = chunk_new(stream_id, offset, size, fin);
+        if (chunk == NULL)
+            goto error;
+        PyObject *conn_start = self->conn_send_offset;
+        long long conn_start_v;
+        if (tc_require(conn_start, "_conn_send_offset") < 0
+            || as_ll(conn_start, &conn_start_v) < 0) {
+            Py_DECREF(chunk);
+            goto error;
+        }
+        Py_INCREF(conn_start);
+        PyObject *conn_end = PyLong_FromLongLong(conn_start_v + size);
+        PyObject *next_obj = PyLong_FromLongLong(offset + size);
+        int r = -1;
+        if (conn_end != NULL && next_obj != NULL) {
+            Py_SETREF(self->conn_send_offset, conn_end);
+            conn_end = NULL;
+            if (slot_set(&ServerStream, sstream, SS_NEXT_OFFSET, next_obj) == 0)
+                r = tc_send_data_packet(self, chunk, conn_start, Py_False);
+        }
+        Py_DECREF(chunk);
+        Py_DECREF(conn_start);
+        Py_XDECREF(conn_end);
+        Py_XDECREF(next_obj);
+        if (r < 0)
+            goto error;
+        sent++;
+    }
+    {
+        PyObject *args[2] = {send_queue, int_minus_one};
+        if (call_method(str_rotate, args, 2, NULL) < 0)
+            goto error;
+    }
+    if (fin) {
+        /* Drop the stream from the queue wherever it now is. */
+        PyObject *args[2] = {send_queue, stream_id};
+        if (call_method(str_remove, args, 2, NULL) < 0) {
+            if (!PyErr_ExceptionMatches(PyExc_ValueError))
+                goto error;
+            PyErr_Clear();
+        }
+    }
+out:
+    Py_DECREF(stream_id);
+    Py_XDECREF(sstream);
+    return sent;
+error:
+    Py_DECREF(stream_id);
+    Py_XDECREF(sstream);
+    return -1;
+}
+
+/* `self._fast_path_enabled and fastpath.advance(self)`: 1, 0 or -1. */
+static int
+fast_path_advance(TransportCoreObject *self)
+{
+    if (tc_require(self->fast_path_enabled, "_fast_path_enabled") < 0)
+        return -1;
+    int enabled = PyObject_IsTrue(self->fast_path_enabled);
+    if (enabled <= 0)
+        return enabled;
+    PyObject *advance = PyObject_GetAttr(FastpathModule, str_advance);
+    PyObject *res = advance == NULL ? NULL
+        : PyObject_CallOneArg(advance, (PyObject *)self);
+    Py_XDECREF(advance);
+    if (res == NULL)
+        return -1;
+    int took = PyObject_IsTrue(res);
+    Py_DECREF(res);
+    return took;
+}
+
+/* Every queued retransmission, exempt from the window check: the
+ * number sent, or -1. */
+static Py_ssize_t
+send_retransmissions(TransportCoreObject *self)
+{
+    PyObject *queue = tc_get(self->retx_queue, "_retx_queue");
+    if (queue == NULL)
+        return -1;
+    Py_ssize_t sent = 0;
+    int more;
+    while ((more = PyObject_IsTrue(queue)) > 0) {
+        PyObject *args[1] = {queue};
+        PyObject *entry = PyObject_VectorcallMethod(str_popleft, args, 1, NULL);
+        PyObject *chunk, *conn_start;
+        int r = -1;
+        if (entry != NULL && PyArg_ParseTuple(entry, "OO", &chunk, &conn_start))
+            r = tc_send_data_packet(self, chunk, conn_start, Py_True);
+        Py_XDECREF(entry);
+        if (r < 0) {
+            more = -1;
+            break;
+        }
+        sent++;
+    }
+    Py_DECREF(queue);
+    return more < 0 ? -1 : sent;
+}
+
+/* Round-robin turns over send_queue while the window allows: the
+ * number of packets sent, or -1.  Sending never calls into the
+ * controller, so the window is read once for the whole burst. */
+static Py_ssize_t
+send_new_data(TransportCoreObject *self)
+{
+    PyObject *queue = tc_get(self->send_queue, "_send_queue");
+    if (queue == NULL)
+        return -1;
+    PyObject *streams = NULL;
+    Py_ssize_t sent = 0;
+    double cwnd = 0.0;
+    int more = PyObject_IsTrue(queue);
+    if (more > 0) {
+        PyObject *cwnd_obj = NULL;
+        if (tc_config(self) < 0
+            || tc_require(self->cc, "cc") < 0
+            || (streams = tc_get(self->server_streams, "_server_streams")) == NULL
+            || (cwnd_obj = PyObject_GetAttr(self->cc, str_cwnd_bytes)) == NULL
+            || as_double(cwnd_obj, &cwnd) < 0)
+            more = -1;
+        Py_XDECREF(cwnd_obj);
+    }
+    while (more > 0 && !((double)(self->bytes_in_flight + self->mss) > cwnd)) {
+        Py_ssize_t n = send_turn(self, queue, streams, cwnd);
+        if (n < 0) {
+            more = -1;
+            break;
+        }
+        sent += n;
+        more = PyObject_IsTrue(queue);
+    }
+    Py_DECREF(queue);
+    Py_XDECREF(streams);
+    return more < 0 ? -1 : sent;
+}
+
+/* 1 when a packet went out (the PTO then armed once for the burst),
+ * 0 when none did, -1 on exception. */
+static int
+tc_try_send(TransportCoreObject *self)
+{
+    int took = fast_path_advance(self);
+    if (took != 0)
+        return took < 0 ? -1 : 0;
+    Py_ssize_t retransmitted = send_retransmissions(self);
+    Py_ssize_t fresh = retransmitted < 0 ? -1 : send_new_data(self);
+    if (fresh < 0)
+        return -1;
+    int sent_any = retransmitted + fresh > 0;
+    if (sent_any && tc_arm_pto(self) < 0)
+        return -1;
+    return sent_any;
+}
+
+/* Declare in-flight packet seq lost: pop it, release its bytes, count
+ * it and trace it with its trigger.  Returns the packet. */
+static PyObject *
+pop_lost(TransportCoreObject *self, PyObject *inflight, PyObject *seq,
+         PyObject *now_obj, PyObject *trigger)
+{
+    PyObject *sent = dict_pop(inflight, seq, NULL);
+    long long size;
+    if (sent == NULL)
+        return NULL;
+    if (slot_get_ll(&Packet, sent, PK_SIZE, &size) < 0)
+        goto error;
+    self->bytes_in_flight -= size;
+    if (stats_add(self->stats, ST_LOST, 1) < 0)
+        goto error;
+    int tracing = hook_on(self->tracer, "tracer");
+    if (tracing < 0)
+        goto error;
+    if (tracing) {
+        PyObject *args[4] = {self->tracer, now_obj, seq, trigger};
+        if (call_method(str_packet_lost, args, 4, NULL) < 0)
+            goto error;
+    }
+    return sent;
+error:
+    Py_DECREF(sent);
+    return NULL;
+}
+
+/* self._retx_queue.append((sent.chunks[0], sent.conn_start)). */
+static int
+queue_retransmission(TransportCoreObject *self, PyObject *sent)
+{
+    if (tc_require(self->retx_queue, "_retx_queue") < 0)
+        return -1;
+    return call_method1(self->retx_queue, str_append, retx_entry(sent), 1);
+}
+
+/* The loss response: `if self.sampler: self.sampler.on_loss(self)`. */
+static int
+sample_loss(TransportCoreObject *self)
+{
+    int sampling = hook_on(self->sampler, "sampler");
+    if (sampling <= 0)
+        return sampling;
+    return call_method1(self->sampler, str_on_loss, (PyObject *)self, 0);
+}
+
+static int
+tc_detect_losses(TransportCoreObject *self)
+{
+    if (tc_config(self) < 0)
+        return -1;
+    long long cutoff = self->largest_acked - self->packet_threshold;
+    PyObject *inflight = tc_get(self->inflight, "_inflight");
+    if (inflight == NULL)
+        return -1;
+    PyObject *lost = NULL, *now_obj = NULL;
+    double now;
+    int rc = -1;
+    if (require_dict(inflight) < 0 || (lost = PyList_New(0)) == NULL)
+        goto done;
+    /* Keys ascend, so the lost packets are a prefix (see
+     * _PyTransportCore._detect_losses). */
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    while (PyDict_Next(inflight, &pos, &key, &value)) {
+        long long seq;
+        if (as_ll(key, &seq) < 0)
+            goto done;
+        if (seq > cutoff)
+            break;
+        if (PyList_Append(lost, key) < 0)
+            goto done;
+    }
+    if (PyList_GET_SIZE(lost) == 0) {
+        rc = 0;
+        goto done;
+    }
+    if (tc_now(self, &now) < 0 || (now_obj = PyFloat_FromDouble(now)) == NULL)
+        goto done;
+    int newly_entered_recovery = 0;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(lost); i++) {
+        PyObject *seq = PyList_GET_ITEM(lost, i);
+        long long seq_v;
+        if (as_ll(seq, &seq_v) < 0)
+            goto done;
+        PyObject *sent = pop_lost(self, inflight, seq, now_obj,
+                                  str_packet_threshold);
+        int r = sent == NULL ? -1 : queue_retransmission(self, sent);
+        Py_XDECREF(sent);
+        if (r < 0)
+            goto done;
+        if (seq_v > self->recovery_until_seq)
+            newly_entered_recovery = 1;
+    }
+    if (newly_entered_recovery) {
+        /* One congestion response per round trip worth of losses. */
+        if (tc_require(self->cc, "cc") < 0
+            || call_method1(self->cc, str_on_loss, now_obj, 0) < 0)
+            goto done;
+        if (tc_require(self->largest_sent, "_largest_sent") < 0
+            || as_ll(self->largest_sent, &self->recovery_until_seq) < 0)
+            goto done;
+        int tracing = hook_on(self->tracer, "tracer");
+        if (tracing < 0 || (tracing && trace_metrics(self, 1) < 0)
+            || sample_loss(self) < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_DECREF(inflight);
+    Py_XDECREF(lost);
+    Py_XDECREF(now_obj);
+    return rc;
+}
+
+/* After an ACK: the RTT sample from the largest newly acked packet,
+ * unless it was a retransmission, net of the receiver's deliberate ack
+ * delay (RFC 9002 §5.3), then the delivery-rate sample. */
+static int
+ack_samples(TransportCoreObject *self, PyObject *largest, PyObject *pkt,
+            double now)
+{
+    PyObject *rtt = tc_get(self->rtt, "rtt");
+    if (rtt == NULL)
+        return -1;
+    PyObject *retx = NULL, *sent_at = NULL, *ack_delay = NULL,
+        *rate_sampler = NULL, *srtt = NULL;
+    int rc = -1;
+    retx = slot_get(&Packet, largest, PK_RETX);
+    int was_retx = retx == NULL ? -1 : PyObject_IsTrue(retx);
+    if (was_retx < 0)
+        goto done;
+    if (!was_retx) {
+        double sent_at_v, ack_delay_v;
+        sent_at = slot_get(&Packet, largest, PK_SENT_AT);
+        ack_delay = sent_at == NULL ? NULL : slot_get(&Packet, pkt, PK_ACK_DELAY);
+        if (ack_delay == NULL || as_double(sent_at, &sent_at_v) < 0
+            || as_double(ack_delay, &ack_delay_v) < 0)
+            goto done;
+        double sample = now - sent_at_v - ack_delay_v;
+        if (sample >= 0
+            && call_method1(rtt, str_on_sample, PyFloat_FromDouble(sample), 1) < 0)
+            goto done;
+    }
+    rate_sampler = tc_get(self->rate_sampler, "_rate_sampler");
+    if (rate_sampler == NULL)
+        goto done;
+    if (rate_sampler != Py_None) {
+        srtt = PyObject_GetAttr(rtt, str_srtt_ms);
+        int positive = srtt == NULL ? -1 : PyObject_IsTrue(srtt);
+        if (positive < 0)
+            goto done;
+        if (positive) {
+            PyObject *first = self->first_data_sent_at;
+            double first_v, delivered_v;
+            if (first == NULL || first == Py_None) {
+                PyErr_SetNone(PyExc_AssertionError);
+                goto done;
+            }
+            if (as_double(first, &first_v) < 0
+                || tc_require(self->delivered_bytes, "_delivered_bytes") < 0
+                || as_double(self->delivered_bytes, &delivered_v) < 0)
+                goto done;
+            double elapsed = now - first_v;
+            if (elapsed > 0) {
+                PyObject *rate = PyFloat_FromDouble(delivered_v / elapsed);
+                PyObject *res = rate == NULL ? NULL
+                    : PyObject_CallFunctionObjArgs(rate_sampler, rate, srtt, NULL);
+                Py_XDECREF(rate);
+                if (res == NULL)
+                    goto done;
+                Py_DECREF(res);
+            }
+        }
+    }
+    rc = 0;
+done:
+    Py_DECREF(rtt);
+    Py_XDECREF(retx);
+    Py_XDECREF(sent_at);
+    Py_XDECREF(ack_delay);
+    Py_XDECREF(rate_sampler);
+    Py_XDECREF(srtt);
+    return rc;
+}
+
+static int
+tc_server_on_ack(TransportCoreObject *self, PyObject *pkt)
+{
+    /* One ACK may cover several data packets: sack lists every newly
+     * received packet number, ack_seq is the largest. */
+    PyObject *acked = NULL, *seqs = NULL, *inflight = NULL, *cc = NULL,
+        *tracer = NULL, *now_obj = NULL, *largest = NULL;
+    long long largest_seq = 0, ack_seq;
+    double now;
+    int rc = -1;
+    acked = slot_get(&Packet, pkt, PK_SACK);
+    int has_sack = acked == NULL ? -1 : PyObject_IsTrue(acked);
+    if (has_sack < 0)
+        goto done;
+    if (!has_sack) {
+        Py_DECREF(acked);
+        PyObject *largest_acked = slot_get(&Packet, pkt, PK_ACK_SEQ);
+        acked = largest_acked == NULL ? NULL : PyTuple_Pack(1, largest_acked);
+        Py_XDECREF(largest_acked);
+        if (acked == NULL)
+            goto done;
+    }
+    inflight = tc_get(self->inflight, "_inflight");
+    cc = inflight == NULL ? NULL : tc_get(self->cc, "cc");
+    tracer = cc == NULL ? NULL : tc_get(self->tracer, "tracer");
+    if (tracer == NULL || require_dict(inflight) < 0 || tc_now(self, &now) < 0)
+        goto done;
+    now_obj = PyFloat_FromDouble(now);
+    seqs = now_obj == NULL ? NULL : PySequence_Fast(acked, "sack must be iterable");
+    if (seqs == NULL
+        || stats_add(self->stats, ST_ACKS, PySequence_Fast_GET_SIZE(seqs)) < 0)
+        goto done;
+    int tracing = PyObject_IsTrue(tracer);
+    if (tracing < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seqs); i++) {
+        PyObject *seq = PySequence_Fast_GET_ITEM(seqs, i);
+        PyObject *sent = dict_pop(inflight, seq, Py_None);
+        if (sent == NULL)
+            goto done;
+        if (sent == Py_None) {
+            Py_DECREF(sent);
+            continue;  /* duplicate or already declared lost */
+        }
+        PyObject *size = NULL;
+        long long size_v, seq_v;
+        int r = 0;
+        if (tracing) {
+            PyObject *args[3] = {tracer, now_obj, seq};
+            r = call_method(str_packet_acked, args, 3, NULL);
+        }
+        if (r == 0)
+            size = slot_get(&Packet, sent, PK_SIZE);
+        if (size == NULL || as_ll(size, &size_v) < 0 || as_ll(seq, &seq_v) < 0) {
+            Py_XDECREF(size);
+            Py_DECREF(sent);
+            goto done;
+        }
+        self->bytes_in_flight -= size_v;
+        PyObject *args[3] = {cc, size, now_obj};
+        r = call_method(str_on_ack, args, 3, NULL);
+        if (r == 0) {
+            PyObject *delivered = tc_get(self->delivered_bytes, "_delivered_bytes");
+            PyObject *total = delivered == NULL ? NULL
+                : PyNumber_InPlaceAdd(delivered, size);
+            Py_XDECREF(delivered);
+            if (total == NULL)
+                r = -1;
+            else
+                Py_XSETREF(self->delivered_bytes, total);
+        }
+        Py_DECREF(size);
+        if (r == 0 && (largest == NULL || seq_v > largest_seq)) {
+            r = slot_get_ll(&Packet, sent, PK_SEQ, &largest_seq);
+            Py_XSETREF(largest, sent);
+        }
+        else {
+            Py_DECREF(sent);
+        }
+        if (r < 0)
+            goto done;
+    }
+    if (largest == NULL) {
+        rc = 0;
+        goto done;
+    }
+    if (ack_samples(self, largest, pkt, now) < 0
+        || slot_get_ll(&Packet, pkt, PK_ACK_SEQ, &ack_seq) < 0)
+        goto done;
+    if (ack_seq > self->largest_acked)
+        self->largest_acked = ack_seq;
+    self->pto_backoff = 1;
+    if (tracing && trace_metrics(self, 0) < 0)
+        goto done;
+    int sampling = hook_on(self->sampler, "sampler");
+    if (sampling < 0
+        || (sampling && call_method1(self->sampler, str_on_ack,
+                                     (PyObject *)self, 0) < 0))
+        goto done;
+    if (tc_detect_losses(self) < 0)
+        goto done;
+    /* The timer is stopped before the send attempt: an analytic walk
+     * started by _try_send looks at the next pending event.  A burst
+     * re-arms it; an idle attempt leaves the (re-)arm to us. */
+    if (PyDict_GET_SIZE(inflight) == 0 && deadline_stop(&self->pto_event) < 0)
+        goto done;
+    int sent = tc_try_send(self);
+    if (sent < 0)
+        goto done;
+    if (!sent && PyDict_GET_SIZE(inflight) && tc_arm_pto(self) < 0)
+        goto done;
+    rc = 0;
+done:
+    Py_XDECREF(acked);
+    Py_XDECREF(seqs);
+    Py_XDECREF(inflight);
+    Py_XDECREF(cc);
+    Py_XDECREF(tracer);
+    Py_XDECREF(now_obj);
+    Py_XDECREF(largest);
+    return rc;
+}
+
+static int
+tc_on_pto(TransportCoreObject *self)
+{
+    if (tc_require(self->inflight, "_inflight") < 0
+        || require_dict(self->inflight) < 0)
+        return -1;
+    if (PyDict_GET_SIZE(self->inflight) == 0)
+        return 0;
+    double now;
+    if (tc_now(self, &now) < 0 || stats_add(self->stats, ST_RTO, 1) < 0)
+        return -1;
+    PyObject *now_obj = PyFloat_FromDouble(now);
+    if (now_obj == NULL)
+        return -1;
+    PyObject *inflight = NULL, *oldest = NULL, *sent = NULL;
+    long long oldest_v;
+    int rc = -1;
+    int tracing = hook_on(self->tracer, "tracer");
+    if (tracing < 0)
+        goto done;
+    if (tracing) {
+        PyObject *backoff = PyLong_FromLongLong(self->pto_backoff);
+        if (backoff == NULL)
+            goto done;
+        PyObject *args[4] = {self->tracer, now_obj, str_pto_fired, backoff};
+        int r = call_method(str_event, args, 3, kw_backoff);
+        Py_DECREF(backoff);
+        if (r < 0)
+            goto done;
+    }
+    self->pto_backoff = self->pto_backoff * 2 < 64 ? self->pto_backoff * 2 : 64;
+    /* RFC 9002 §7.4: only persistent congestion collapses the window. */
+    if (self->pto_backoff > 2
+        && (tc_require(self->cc, "cc") < 0
+            || call_method1(self->cc, str_on_rto, now_obj, 0) < 0))
+        goto done;
+    /* Keys ascend: the first is the oldest. */
+    inflight = tc_get(self->inflight, "_inflight");
+    if (inflight == NULL || require_dict(inflight) < 0)
+        goto done;
+    Py_ssize_t pos = 0;
+    PyObject *value;
+    if (!PyDict_Next(inflight, &pos, &oldest, &value)) {
+        oldest = NULL;
+        PyErr_SetNone(PyExc_StopIteration);
+        goto done;
+    }
+    Py_INCREF(oldest);
+    if (as_ll(oldest, &oldest_v) < 0)
+        goto done;
+    sent = pop_lost(self, inflight, oldest, now_obj, str_pto);
+    if (sent == NULL)
+        goto done;
+    tracing = hook_on(self->tracer, "tracer");
+    if (tracing < 0 || (tracing && trace_metrics(self, 1) < 0)
+        || sample_loss(self) < 0 || queue_retransmission(self, sent) < 0)
+        goto done;
+    if (oldest_v > self->recovery_until_seq)
+        if (tc_require(self->largest_sent, "_largest_sent") < 0
+            || as_ll(self->largest_sent, &self->recovery_until_seq) < 0)
+            goto done;
+    int sent_any = tc_try_send(self);
+    if (sent_any < 0)
+        goto done;
+    if (!sent_any) {
+        int pending = tc_require(self->inflight, "_inflight") < 0 ? -1
+            : PyObject_IsTrue(self->inflight);
+        if (pending < 0 || (pending && tc_arm_pto(self) < 0))
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_DECREF(now_obj);
+    Py_XDECREF(inflight);
+    Py_XDECREF(oldest);
+    Py_XDECREF(sent);
+    return rc;
+}
+
+/* pkt.kind is PacketKind.ACK: 1, 0 or -1. */
+static int
+is_ack(PyObject *pkt)
+{
+    PyObject *kind = slot_get(&Packet, pkt, PK_KIND);
+    if (kind == NULL)
+        return -1;
+    int ack = kind == KindAck;
+    Py_DECREF(kind);
+    return ack;
+}
+
+static PyObject *
+tcm_server_on_ack(TransportCoreObject *self, PyObject *pkt)
+{
+    if (tc_server_on_ack(self, pkt) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+tcm_server_on_packet(TransportCoreObject *self, PyObject *pkt)
+{
+    int ack = is_ack(pkt);
+    if (ack < 0)
+        return NULL;
+    if (ack)
+        return tcm_server_on_ack(self, pkt);
+    /* A request data packet: ack it, then absorb new chunks. */
+    PyObject *seq = slot_get(&Packet, pkt, PK_SEQ);
+    if (seq == NULL)
+        return NULL;
+    PyObject *reply = packet_new(KindAck, int_minus_one, empty_tuple, seq,
+                                 empty_tuple, float_zero, float_minus_one,
+                                 Py_False, int_minus_one, int_zero);
+    Py_DECREF(seq);
+    if (reply == NULL)
+        return NULL;
+    int rc = path_send(self, str_send_to_client, reply, str_client_on_packet);
+    Py_DECREF(reply);
+    if (rc < 0)
+        return NULL;
+    PyObject *chunks = slot_get(&Packet, pkt, PK_CHUNKS);
+    if (chunks == NULL)
+        return NULL;
+    PyObject *iter = PyObject_GetIter(chunks);
+    Py_DECREF(chunks);
+    if (iter == NULL)
+        return NULL;
+    PyObject *chunk;
+    while ((chunk = PyIter_Next(iter)) != NULL) {
+        rc = call_method1((PyObject *)self, str_absorb_request_chunk, chunk, 0);
+        Py_DECREF(chunk);
+        if (rc < 0)
+            break;
+    }
+    Py_DECREF(iter);
+    if (PyErr_Occurred())
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+tcm_detect_losses(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (tc_detect_losses(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+tcm_try_send(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
+{
+    int sent = tc_try_send(self);
+    if (sent < 0)
+        return NULL;
+    return PyBool_FromLong(sent);
+}
+
+static PyObject *
+tcm_send_data_packet(TransportCoreObject *self, PyObject *const *args,
+                     Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "_send_data_packet(chunk, conn_start, retransmission)");
+        return NULL;
+    }
+    if (tc_send_data_packet(self, args[0], args[1], args[2]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+tcm_arm_pto(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (tc_arm_pto(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+tcm_on_pto(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (tc_on_pto(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+tcm_client_on_packet(TransportCoreObject *self, PyObject *pkt)
+{
+    int ack = is_ack(pkt);
+    if (ack < 0)
+        return NULL;
+    if (ack) {
+        if (call_method1((PyObject *)self, str_on_request_ack, pkt, 0) < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    /* Receipt, not delivery, drives acking; ACKs are batched (see
+     * _PyTransportCore._client_on_packet_from_server). */
+    double now;
+    long long seq_v;
+    PyObject *seq = slot_get(&Packet, pkt, PK_SEQ);
+    if (seq == NULL)
+        return NULL;
+    PyObject *now_obj = NULL, *retx = NULL;
+    if (as_ll(seq, &seq_v) < 0 || tc_now(self, &now) < 0)
+        goto error;
+    int tracing = hook_on(self->tracer, "tracer");
+    if (tracing < 0)
+        goto error;
+    if (tracing) {
+        now_obj = PyFloat_FromDouble(now);
+        PyObject *size = now_obj == NULL ? NULL : slot_get(&Packet, pkt, PK_SIZE);
+        retx = size == NULL ? NULL : slot_get(&Packet, pkt, PK_RETX);
+        int r = -1;
+        if (retx != NULL) {
+            PyObject *args[5] = {self->tracer, now_obj, seq, size, retx};
+            r = call_method(str_packet_received, args, 5, NULL);
+        }
+        Py_XDECREF(size);
+        Py_CLEAR(retx);
+        if (r < 0)
+            goto error;
+    }
+    long long largest = self->ack_largest_received;
+    int out_of_order = seq_v != largest + 1;
+    if (seq_v > largest)
+        self->ack_largest_received = seq_v;
+    PyObject *ack_pending = ack_pending_list(self);
+    if (ack_pending == NULL || PyList_Append(ack_pending, seq) < 0)
+        goto error;
+    self->ack_last_recv_at = now;
+    int flush = out_of_order;
+    if (!flush) {
+        retx = slot_get(&Packet, pkt, PK_RETX);
+        flush = retx == NULL ? -1 : PyObject_IsTrue(retx);
+        if (flush < 0)
+            goto error;
+    }
+    if (!flush) {
+        if (tc_config(self) < 0)
+            goto error;
+        flush = PyList_GET_SIZE(ack_pending) >= self->ack_frequency;
+    }
+    if (flush) {
+        PyObject *res = tc_flush_acks(self, NULL);
+        if (res == NULL)
+            goto error;
+        Py_DECREF(res);
+    }
+    else if (self->ack_event == NULL) {
+        if (tc_config(self) < 0
+            || deadline_start(self, &self->ack_event, self->max_ack_delay_ms,
+                           FireAck) < 0)
+            goto error;
+    }
+    if (call_method1((PyObject *)self, str_on_data_packet_received, pkt, 0) < 0)
+        goto error;
+    Py_DECREF(seq);
+    Py_XDECREF(now_obj);
+    Py_XDECREF(retx);
+    Py_RETURN_NONE;
+error:
+    Py_DECREF(seq);
+    Py_XDECREF(now_obj);
+    Py_XDECREF(retx);
+    return NULL;
+}
+
+static PyObject *
+tc_flush_acks(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
+{
+    /* Send one ACK covering every pending data-packet number. */
+    PyObject *ack_pending = ack_pending_list(self);
+    if (ack_pending == NULL)
+        return NULL;
+    if (PyList_GET_SIZE(ack_pending) == 0)
+        Py_RETURN_NONE;
+    if (deadline_stop(&self->ack_event) < 0)
+        return NULL;
+    PyObject *sorted = PyList_GetSlice(ack_pending, 0, PyList_GET_SIZE(ack_pending));
+    if (sorted == NULL)
+        return NULL;
+    if (PyList_Sort(sorted) < 0) {
+        Py_DECREF(sorted);
+        return NULL;
+    }
+    PyObject *pending = PyList_AsTuple(sorted);
+    Py_DECREF(sorted);
+    if (pending == NULL)
+        return NULL;
+    PyObject *reply = NULL, *delay = NULL;
+    PyObject *result = NULL;
+    double now;
+    ack_pending = ack_pending_list(self);
+    if (ack_pending == NULL
+        || PyList_SetSlice(ack_pending, 0, PyList_GET_SIZE(ack_pending), NULL) < 0
+        || tc_now(self, &now) < 0)
+        goto done;
+    delay = PyFloat_FromDouble(now - self->ack_last_recv_at);
+    if (delay == NULL)
+        goto done;
+    reply = packet_new(KindAck, int_minus_one, empty_tuple,
+                       PyTuple_GET_ITEM(pending, PyTuple_GET_SIZE(pending) - 1),
+                       pending, delay, float_minus_one, Py_False,
+                       int_minus_one, int_zero);
+    if (reply == NULL)
+        goto done;
+    if (path_send(self, str_send_to_server, reply, str_server_on_packet) < 0)
+        goto done;
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    Py_DECREF(pending);
+    Py_XDECREF(delay);
+    Py_XDECREF(reply);
+    return result;
+}
+
+/* The completion event: `if self.tracer: self.tracer.event(now,
+ * "http:stream_closed", stream_id=..., first_byte_ms=(t_first_byte or
+ * 0.0) - opened_at, duration_ms=now - opened_at)`. */
+static int
+trace_stream_closed(TransportCoreObject *self, PyObject *stream,
+                    PyObject *now_obj)
+{
+    int tracing = hook_on(self->tracer, "tracer");
+    if (tracing <= 0)
+        return tracing;
+    PyObject *stream_id = NULL, *first = NULL, *opened = NULL,
+        *first_byte_ms = NULL, *duration_ms = NULL;
+    int rc = -1;
+    stream_id = slot_get(&ClientStream, stream, CS_STREAM_ID);
+    first = stream_id == NULL ? NULL
+        : slot_get(&ClientStream, stream, CS_T_FIRST_BYTE);
+    opened = first == NULL ? NULL
+        : slot_get(&ClientStream, stream, CS_OPENED_AT);
+    if (opened == NULL)
+        goto done;
+    int has_first = PyObject_IsTrue(first);
+    if (has_first < 0)
+        goto done;
+    first_byte_ms = PyNumber_Subtract(has_first ? first : float_zero, opened);
+    duration_ms = first_byte_ms == NULL ? NULL
+        : PyNumber_Subtract(now_obj, opened);
+    if (duration_ms == NULL)
+        goto done;
+    PyObject *args[6] = {self->tracer, now_obj, str_stream_closed, stream_id,
+                         first_byte_ms, duration_ms};
+    rc = call_method(str_event, args, 3, kw_stream_closed);
+done:
+    Py_XDECREF(stream_id);
+    Py_XDECREF(first);
+    Py_XDECREF(opened);
+    Py_XDECREF(first_byte_ms);
+    Py_XDECREF(duration_ms);
+    return rc;
+}
+
+/* stream.<callback>(now), unless the callback is None. */
+static int
+stream_callback(PyObject *stream, int field, PyObject *now_obj)
+{
+    PyObject *callback = slot_get(&ClientStream, stream, field);
+    if (callback == NULL)
+        return -1;
+    int rc = 0;
+    if (callback != Py_None) {
+        PyObject *res = PyObject_CallOneArg(callback, now_obj);
+        rc = res == NULL ? -1 : 0;
+        Py_XDECREF(res);
+    }
+    Py_DECREF(callback);
+    return rc;
+}
+
+static PyObject *
+tcm_deliver_chunk(TransportCoreObject *self, PyObject *chunk)
+{
+    /* Strict checking runs the Python method itself: its checks sit
+     * inside its branches, and their calls then come in exactly its
+     * order. */
+    int check = hook_on(self->check, "check");
+    if (check < 0)
+        return NULL;
+    if (check)
+        return PyObject_CallFunctionObjArgs(PyDeliverChunk, (PyObject *)self,
+                                            chunk, NULL);
+    PyObject *streams = self->streams;
+    if (tc_require(streams, "streams") < 0)
+        return NULL;
+    PyObject *stream_id = chunk_get(chunk, CH_STREAM_ID, str_stream_id);
+    if (stream_id == NULL)
+        return NULL;
+    PyObject *stream;
+    if (PyDict_CheckExact(streams)) {
+        stream = PyDict_GetItemWithError(streams, stream_id);
+        Py_XINCREF(stream);
+        if (stream == NULL && !PyErr_Occurred()) {
+            stream = Py_None;
+            Py_INCREF(stream);
+        }
+    }
+    else {
+        PyObject *args[2] = {streams, stream_id};
+        stream = PyObject_VectorcallMethod(str_get, args, 2, NULL);
+    }
+    Py_DECREF(stream_id);
+    if (stream == NULL)
+        return NULL;
+    if (stream == Py_None) {
+        Py_DECREF(stream);
+        Py_RETURN_NONE;
+    }
+    PyObject *result = NULL, *now_obj = NULL, *value = NULL, *size = NULL,
+        *received = NULL, *total = NULL;
+    double now;
+    if (tc_now(self, &now) < 0)
+        goto done;
+    now_obj = PyFloat_FromDouble(now);
+    if (now_obj == NULL)
+        goto done;
+    value = slot_get(&ClientStream, stream, CS_T_FIRST_BYTE);
+    if (value == NULL)
+        goto done;
+    if (value == Py_None
+        && (slot_set(&ClientStream, stream, CS_T_FIRST_BYTE, now_obj) < 0
+            || stream_callback(stream, CS_ON_FIRST_BYTE, now_obj) < 0))
+        goto done;
+    Py_CLEAR(value);
+    size = chunk_get(chunk, CH_SIZE, str_size);
+    received = size == NULL ? NULL
+        : slot_get(&ClientStream, stream, CS_RECEIVED);
+    if (received == NULL)
+        goto done;
+    value = PyNumber_InPlaceAdd(received, size);
+    if (value == NULL || slot_set(&ClientStream, stream, CS_RECEIVED, value) < 0)
+        goto done;
+    Py_CLEAR(value);
+    Py_CLEAR(received);
+    received = slot_get(&ClientStream, stream, CS_RECEIVED);
+    total = received == NULL ? NULL
+        : slot_get(&ClientStream, stream, CS_RESPONSE_BYTES);
+    if (total == NULL)
+        goto done;
+    int complete = PyObject_RichCompareBool(received, total, Py_GE);
+    if (complete < 0)
+        goto done;
+    if (complete) {
+        value = slot_get(&ClientStream, stream, CS_T_COMPLETE);
+        if (value == NULL)
+            goto done;
+        if (value == Py_None
+            && (slot_set(&ClientStream, stream, CS_T_COMPLETE, now_obj) < 0
+                || trace_stream_closed(self, stream, now_obj) < 0
+                || stream_callback(stream, CS_ON_COMPLETE, now_obj) < 0))
+            goto done;
+    }
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    Py_DECREF(stream);
+    Py_XDECREF(now_obj);
+    Py_XDECREF(value);
+    Py_XDECREF(size);
+    Py_XDECREF(received);
+    Py_XDECREF(total);
+    return result;
+}
+
+static PyObject *
+tcm_stop_deadlines(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (deadline_stop(&self->pto_event) < 0
+        || deadline_stop(&self->ack_event) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* The deadlines' event callbacks: drop the handle first, as
+ * Timer._fire does, then run the handler. */
+static TransportCoreObject *
+fired_connection(PyObject *conn)
+{
+    if (!PyObject_TypeCheck(conn, &TransportCoreType)) {
+        PyErr_SetString(PyExc_TypeError, "expected a TransportCore");
+        return NULL;
+    }
+    return (TransportCoreObject *)conn;
+}
+
+static PyObject *
+ckernel_fire_pto(PyObject *module, PyObject *conn)
+{
+    TransportCoreObject *self = fired_connection(conn);
+    if (self == NULL)
+        return NULL;
+    Py_CLEAR(self->pto_event);
+    return tcm_on_pto(self, NULL);
+}
+
+static PyObject *
+ckernel_fire_ack(PyObject *module, PyObject *conn)
+{
+    TransportCoreObject *self = fired_connection(conn);
+    if (self == NULL)
+        return NULL;
+    Py_CLEAR(self->ack_event);
+    return tc_flush_acks(self, NULL);
+}
+
+static PyObject *
+tc_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    if (Packet.type == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "TransportCore needs _install_transport first");
+        return NULL;
+    }
+    /* tp_alloc zero-fills: no objects, zero scalars, no deadlines. */
+    return type->tp_alloc(type, 0);
+}
+
+#define TC_OBJECTS(X) \
+    X(loop) X(path) X(config) X(cc) X(rtt) X(stats) X(tracer) X(check) \
+    X(sampler) X(rate_sampler) X(streams) X(fast_path_enabled) \
+    X(inflight) X(send_queue) X(retx_queue) X(server_streams) \
+    X(ack_pending) X(next_pkt_seq) X(largest_sent) X(conn_send_offset) \
+    X(delivered_bytes) X(first_data_sent_at) X(cached_config) X(pto_event) \
+    X(ack_event)
+
+static int
+tc_traverse(TransportCoreObject *self, visitproc visit, void *arg)
+{
+#define TC_VISIT(name) Py_VISIT(self->name);
+    TC_OBJECTS(TC_VISIT)
+#undef TC_VISIT
+    return 0;
+}
+
+static int
+tc_clear_gc(TransportCoreObject *self)
+{
+#define TC_CLEAR(name) Py_CLEAR(self->name);
+    TC_OBJECTS(TC_CLEAR)
+#undef TC_CLEAR
+    return 0;
+}
+
+static void
+tc_dealloc(TransportCoreObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    tc_clear_gc(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef tc_methods[] = {
+    {"_server_on_packet", (PyCFunction)tcm_server_on_packet, METH_O,
+     "Server side: an ACK or a request data packet arrived."},
+    {"_server_on_ack", (PyCFunction)tcm_server_on_ack, METH_O,
+     "Server side: process one ACK (CC, RTT, loss detection, send)."},
+    {"_detect_losses", (PyCFunction)tcm_detect_losses, METH_NOARGS,
+     "Packet-threshold loss detection (RFC 9002 §6.1.1)."},
+    {"_try_send", (PyCFunction)tcm_try_send, METH_NOARGS,
+     "Transmit as much as the window allows; True if a packet went out."},
+    {"_send_data_packet", (PyCFunction)(void (*)(void))tcm_send_data_packet,
+     METH_FASTCALL, "Send one data packet (the caller arms the PTO)."},
+    {"_arm_pto", (PyCFunction)tcm_arm_pto, METH_NOARGS,
+     "Arm the probe timeout from the RTO, max_ack_delay and backoff."},
+    {"_on_pto", (PyCFunction)tcm_on_pto, METH_NOARGS,
+     "Probe timeout: declare the oldest packet lost and retransmit."},
+    {"_client_on_packet_from_server", (PyCFunction)tcm_client_on_packet,
+     METH_O, "Client side: a request ACK or a response data packet."},
+    {"_flush_acks", (PyCFunction)tc_flush_acks, METH_NOARGS,
+     "Send one ACK covering every pending data-packet number."},
+    {"_deliver_chunk", (PyCFunction)tcm_deliver_chunk, METH_O,
+     "Hand in-order stream bytes to the application layer."},
+    {"_stop_deadlines", (PyCFunction)tcm_stop_deadlines, METH_NOARGS,
+     "Disarm the PTO and delayed-ACK deadlines and drop their events."},
+    {NULL}
+};
+
+#define TC_OBJECT(name, field) \
+    {name, T_OBJECT_EX, offsetof(TransportCoreObject, field), 0, NULL}
+#define TC_SCALAR(name, type, field) \
+    {name, type, offsetof(TransportCoreObject, field), 0, NULL}
+
+static PyMemberDef tc_members[] = {
+    TC_OBJECT("loop", loop),
+    TC_OBJECT("path", path),
+    TC_OBJECT("config", config),
+    TC_OBJECT("cc", cc),
+    TC_OBJECT("rtt", rtt),
+    TC_OBJECT("stats", stats),
+    TC_OBJECT("tracer", tracer),
+    TC_OBJECT("check", check),
+    TC_OBJECT("sampler", sampler),
+    TC_OBJECT("_rate_sampler", rate_sampler),
+    TC_OBJECT("streams", streams),
+    TC_OBJECT("_fast_path_enabled", fast_path_enabled),
+    TC_OBJECT("_inflight", inflight),
+    TC_OBJECT("_send_queue", send_queue),
+    TC_OBJECT("_retx_queue", retx_queue),
+    TC_OBJECT("_server_streams", server_streams),
+    TC_OBJECT("_ack_pending", ack_pending),
+    TC_OBJECT("_next_pkt_seq", next_pkt_seq),
+    TC_OBJECT("_largest_sent", largest_sent),
+    TC_OBJECT("_conn_send_offset", conn_send_offset),
+    TC_OBJECT("_delivered_bytes", delivered_bytes),
+    TC_OBJECT("_first_data_sent_at", first_data_sent_at),
+    TC_SCALAR("_largest_acked", T_LONGLONG, largest_acked),
+    TC_SCALAR("_bytes_in_flight", T_LONGLONG, bytes_in_flight),
+    TC_SCALAR("_recovery_until_seq", T_LONGLONG, recovery_until_seq),
+    TC_SCALAR("_pto_backoff", T_LONGLONG, pto_backoff),
+    TC_SCALAR("_ack_largest_received", T_LONGLONG, ack_largest_received),
+    TC_SCALAR("_ack_last_recv_at", T_DOUBLE, ack_last_recv_at),
+    {NULL}
+};
+
+static PyTypeObject TransportCoreType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.events._ckernel.TransportCore",
+    .tp_basicsize = sizeof(TransportCoreObject),
+    .tp_dealloc = (destructor)tc_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "C core of repro.transport.base.BaseConnection: the send "
+              "burst, ACK processing, loss detection, the PTO and "
+              "delayed-ACK deadlines, and packet construction.",
+    .tp_traverse = (traverseproc)tc_traverse,
+    .tp_clear = (inquiry)tc_clear_gc,
+    .tp_methods = tc_methods,
+    .tp_members = tc_members,
+    .tp_new = tc_new,
+};
+
+static PyObject *
+ckernel_install_transport(PyObject *module, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {
+        "Packet", "StreamChunk", "ConnectionStats", "ServerStream",
+        "ClientStream", "DATA", "ACK", "packet_ids", "packet_globals",
+        "fastpath", "deliver_chunk", NULL};
+    PyObject *packet, *chunk, *stats, *server_stream, *client_stream, *data,
+        *ack, *ids, *globals, *fastpath, *deliver;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "$OOOOOOOOO!OO:_install_transport", kwlist, &packet,
+            &chunk, &stats, &server_stream, &client_stream, &data, &ack, &ids,
+            &PyDict_Type, &globals, &fastpath, &deliver))
+        return NULL;
+    if (!PyType_Check(chunk)
+        || !PyType_IsSubtype((PyTypeObject *)chunk, &PyTuple_Type)) {
+        PyErr_SetString(PyExc_TypeError, "StreamChunk must be a tuple type");
+        return NULL;
+    }
+    if (!PyIter_Check(ids)) {
+        PyErr_SetString(PyExc_TypeError, "packet_ids must be an iterator");
+        return NULL;
+    }
+    /* packet_new fills every slot of a Packet: it must have no others. */
+    PyObject *slots = PyObject_GetAttrString(packet, "__slots__");
+    if (slots == NULL)
+        return NULL;
+    Py_ssize_t n_slots = PyObject_Length(slots);
+    Py_DECREF(slots);
+    if (n_slots < 0)
+        return NULL;
+    if (n_slots != Packet.count) {
+        PyErr_Format(PyExc_TypeError, "Packet has %zd slots, expected %d",
+                     n_slots, Packet.count);
+        return NULL;
+    }
+    if (resolve_slots(&Packet, packet) < 0
+        || resolve_slots(&Stats, stats) < 0
+        || resolve_slots(&ServerStream, server_stream) < 0
+        || resolve_slots(&ClientStream, client_stream) < 0)
+        return NULL;
+    PyObject *objects[] = {chunk, data, ack, ids, globals, fastpath, deliver};
+    PyObject **targets[] = {(PyObject **)&ChunkType, &KindData, &KindAck,
+                            &PacketIds, &PacketGlobals, &FastpathModule,
+                            &PyDeliverChunk};
+    for (size_t i = 0; i < sizeof(objects) / sizeof(objects[0]); i++) {
+        Py_INCREF(objects[i]);
+        Py_XSETREF(*targets[i], objects[i]);
+    }
+    Py_RETURN_NONE;
+}
+
+/* ------------------------------------------------------------------ */
 /* Module                                                              */
 /* ------------------------------------------------------------------ */
 
@@ -1370,6 +3271,13 @@ static PyMethodDef module_methods[] = {
      "Install the SimulationError class raised by the schedulers."},
     {"_install_link", ckernel_install_link, METH_O,
      "Install the NoLoss class, whose draw LinkCore skips."},
+    {"_install_transport", (PyCFunction)(void (*)(void))ckernel_install_transport,
+     METH_VARARGS | METH_KEYWORDS,
+     "Install the classes and objects TransportCore builds and calls."},
+    {"_fire_pto", ckernel_fire_pto, METH_O,
+     "The PTO deadline's event callback."},
+    {"_fire_ack", ckernel_fire_ack, METH_O,
+     "The delayed-ACK deadline's event callback."},
     {NULL}
 };
 
@@ -1389,6 +3297,45 @@ intern_names(void)
         {&str_sent_bytes, "sent_bytes"},
         {&str_delivered_bytes, "delivered_bytes"},
         {&str_busy_time_ms, "busy_time_ms"},
+        {&str_cancel, "cancel"},
+        {&str_call_later, "call_later"},
+        {&str_popleft, "popleft"},
+        {&str_append, "append"},
+        {&str_rotate, "rotate"},
+        {&str_remove, "remove"},
+        {&str_get, "get"},
+        {&str_advance, "advance"},
+        {&str_header_bytes, "HEADER_BYTES"},
+        {&str_send_to_client, "send_to_client"},
+        {&str_send_to_server, "send_to_server"},
+        {&str_client_on_packet, "_client_on_packet_from_server"},
+        {&str_server_on_packet, "_server_on_packet"},
+        {&str_on_data_packet_received, "_on_data_packet_received"},
+        {&str_absorb_request_chunk, "_server_absorb_request_chunk"},
+        {&str_on_request_ack, "_client_on_request_ack"},
+        {&str_trace_metrics, "_trace_metrics"},
+        {&str_on_ack, "on_ack"},
+        {&str_on_loss, "on_loss"},
+        {&str_on_rto, "on_rto"},
+        {&str_on_sample, "on_sample"},
+        {&str_rto_ms, "rto_ms"},
+        {&str_srtt_ms, "srtt_ms"},
+        {&str_cwnd_bytes, "cwnd_bytes"},
+        {&str_packet_sent, "packet_sent"},
+        {&str_packet_received, "packet_received"},
+        {&str_packet_acked, "packet_acked"},
+        {&str_packet_lost, "packet_lost"},
+        {&str_event, "event"},
+        {&str_s2c, "s2c"},
+        {&str_packet_threshold, "packet_threshold"},
+        {&str_pto, "pto"},
+        {&str_pto_fired, "recovery:pto_fired"},
+        {&str_stream_closed, "http:stream_closed"},
+        {&str_stream_id, "stream_id"},
+        {&str_size, "size"},
+        {&str_mss, "mss"},
+        {&str_ack_frequency, "ack_frequency"},
+        {&str_max_ack_delay_ms, "max_ack_delay_ms"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         *names[i].slot = PyUnicode_InternFromString(names[i].name);
@@ -1396,7 +3343,19 @@ intern_names(void)
             return -1;
     }
     float_zero = PyFloat_FromDouble(0.0);
-    return float_zero == NULL ? -1 : 0;
+    float_minus_one = PyFloat_FromDouble(-1.0);
+    int_zero = PyLong_FromLong(0);
+    int_minus_one = PyLong_FromLong(-1);
+    empty_tuple = PyTuple_New(0);
+    kw_force = Py_BuildValue("(s)", "force");
+    kw_backoff = Py_BuildValue("(s)", "backoff");
+    kw_stream_closed = Py_BuildValue("(sss)", "stream_id", "first_byte_ms",
+                                     "duration_ms");
+    if (float_zero == NULL || float_minus_one == NULL || int_zero == NULL
+        || int_minus_one == NULL || empty_tuple == NULL || kw_force == NULL
+        || kw_backoff == NULL || kw_stream_closed == NULL)
+        return -1;
+    return 0;
 }
 
 static struct PyModuleDef ckernel_module = {
@@ -1416,6 +3375,8 @@ PyInit__ckernel(void)
         return NULL;
     if (PyType_Ready(&LinkCoreType) < 0)
         return NULL;
+    if (PyType_Ready(&TransportCoreType) < 0)
+        return NULL;
     if (intern_names() < 0)
         return NULL;
     PyObject *m = PyModule_Create(&ckernel_module);
@@ -1433,9 +3394,21 @@ PyInit__ckernel(void)
         Py_DECREF(m);
         return NULL;
     }
+    Py_INCREF(&TransportCoreType);
+    if (PyModule_AddObject(m, "TransportCore", (PyObject *)&TransportCoreType) < 0) {
+        Py_DECREF(&TransportCoreType);
+        Py_DECREF(m);
+        return NULL;
+    }
     Py_INCREF(&CEventType);
     if (PyModule_AddObject(m, "ScheduledEvent", (PyObject *)&CEventType) < 0) {
         Py_DECREF(&CEventType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    Py_XSETREF(FirePto, PyObject_GetAttrString(m, "_fire_pto"));
+    Py_XSETREF(FireAck, PyObject_GetAttrString(m, "_fire_ack"));
+    if (FirePto == NULL || FireAck == NULL) {
         Py_DECREF(m);
         return NULL;
     }

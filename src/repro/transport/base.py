@@ -17,6 +17,22 @@ client↔server connection, exchanging packets over a lossy
   H2/H3 frame interleaving), and paces transmission with a pluggable
   congestion controller.  Loss detection uses QUIC-style packet numbers
   with a packet threshold, plus a probe timeout (PTO) fallback.
+
+The per-packet part of that loop — the server's send burst, ACK
+processing, loss detection and PTO, the client's ACK batching and
+chunk hand-off, and the construction of every data/ACK
+:class:`~repro.netsim.packet.Packet` and response
+:class:`~repro.netsim.packet.StreamChunk` — lives in the base class
+:class:`BaseConnection` derives from.  When the C kernel is built (the
+default whenever a C compiler is on the path) that is ``TransportCore``
+from ``repro/events/_ckernel.c``: the hot counters live in C, the probe
+timeout and delayed-ACK deadlines are event handles it holds, and calls
+between those methods never enter the interpreter.  Otherwise (no
+compiler, or ``REPRO_NO_CKERNEL=1``) it is :class:`_PyTransportCore`,
+the same ten methods in Python and the oracle the differential tests
+run the C core against.  Both give the same results, bit for bit, on
+either scheduler.  Congestion control, RTT estimation, the handshake,
+requests and the TCP/QUIC reassembly hooks stay Python on both.
 """
 
 from __future__ import annotations
@@ -30,6 +46,8 @@ from typing import Callable
 from repro.check.context import NULL_CHECK
 from repro.check.controller import CheckedController
 from repro.events import EventLoop, Timer
+from repro.events.loop import _ckernel
+from repro.netsim import packet as packet_module
 from repro.netsim.packet import Packet, PacketKind, StreamChunk
 from repro.netsim.path import NetworkPath
 from repro.obs.metrics import NULL_SAMPLER
@@ -69,9 +87,12 @@ class HandshakeResult:
     retries: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ConnectionStats:
-    """Per-connection counters used by tests and the analysis layer."""
+    """Per-connection counters used by tests and the analysis layer.
+
+    Slotted, so the C transport core updates its counters in place.
+    """
 
     data_packets_sent: int = 0
     data_packets_lost: int = 0
@@ -177,7 +198,407 @@ class _PendingRequestPacket:
     tries: int = 0
 
 
-class BaseConnection:
+class _PyTransportCore:
+    """The send/ack/receive loop of :class:`BaseConnection`, in Python.
+
+    The server's send burst (:meth:`_try_send`,
+    :meth:`_send_data_packet`), ACK processing (:meth:`_server_on_packet`,
+    :meth:`_server_on_ack`), loss detection (:meth:`_detect_losses`) and
+    probe timeout (:meth:`_arm_pto`, :meth:`_on_pto`), and the client's
+    ACK batching and chunk hand-off
+    (:meth:`_client_on_packet_from_server`, :meth:`_flush_acks`,
+    :meth:`_deliver_chunk`), over the state :class:`BaseConnection`
+    sets up.  ``TransportCore`` in ``repro/events/_ckernel.c`` is the
+    same ten methods in C: the same float expressions in the same order,
+    the same hooks called in the same order with the same arguments,
+    with the hot counters held in its struct and the two deadlines held
+    as event handles instead of :class:`~repro.events.Timer` objects.
+    This class runs when the C kernel is not built (or
+    ``REPRO_NO_CKERNEL=1`` is set), and it is the oracle the
+    differential tests compare the C core against.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        # Cooperative: the connection's own __init__ runs first, so the
+        # timers are made once ``loop`` is set.
+        super().__init__(*args, **kwargs)
+        self._ack_timer = Timer(self.loop, self._flush_acks)
+        self._pto_timer = Timer(self.loop, self._on_pto)
+
+    def _stop_deadlines(self) -> None:
+        """Disarm both timers (connection teardown)."""
+        self._pto_timer.stop()
+        self._ack_timer.stop()
+
+    # -- server: ACKs in, data out ---------------------------------------
+
+    def _server_on_packet(self, pkt: Packet) -> None:
+        if pkt.kind is _ACK:
+            self._server_on_ack(pkt)
+            return
+        # A request data packet: ack it, then absorb new chunks.
+        ack = Packet(PacketKind.ACK, ack_seq=pkt.seq)
+        self.path.send_to_client(ack, self._client_on_packet_from_server)
+        for chunk in pkt.chunks:
+            self._server_absorb_request_chunk(chunk)
+
+    def _server_on_ack(self, pkt: Packet) -> None:
+        # One ACK packet may cover several data packets (``sack`` lists
+        # every newly-received packet number; ``ack_seq`` is the largest).
+        acked = pkt.sack or (pkt.ack_seq,)
+        inflight = self._inflight
+        cc = self.cc
+        now = self.loop.now
+        tracer = self.tracer
+        self.stats.acks_received += len(acked)
+        largest: Packet | None = None
+        for seq in acked:
+            sent = inflight.pop(seq, None)
+            if sent is None:
+                continue  # duplicate or already declared lost
+            if tracer:
+                tracer.packet_acked(now, seq)
+            size = sent.size_bytes
+            self._bytes_in_flight -= size
+            cc.on_ack(size, now)
+            self._delivered_bytes += size
+            if largest is None or seq > largest.seq:
+                largest = sent
+        if largest is None:
+            return
+        # RTT from the largest newly-acked, never-retransmitted packet,
+        # net of the receiver's deliberate ack delay (RFC 9002 §5.3).
+        rtt = self.rtt
+        if not largest.retransmission:
+            sample = now - largest.sent_at - pkt.ack_delay_ms
+            if sample >= 0:
+                rtt.on_sample(sample)
+        rate_sampler = self._rate_sampler
+        if rate_sampler is not None and rtt.srtt_ms:
+            assert self._first_data_sent_at is not None
+            elapsed = now - self._first_data_sent_at
+            if elapsed > 0:
+                rate_sampler(self._delivered_bytes / elapsed, rtt.srtt_ms)
+        if pkt.ack_seq > self._largest_acked:
+            self._largest_acked = pkt.ack_seq
+        self._pto_backoff = 1
+        if tracer:
+            self._trace_metrics()
+        if self.sampler:
+            self.sampler.on_ack(self)
+        self._detect_losses()
+        # The timer is stopped *before* the send attempt: an analytic
+        # walk started by ``_try_send`` looks at the next pending event.
+        # A burst re-arms it; an idle attempt leaves the (re-)arm to us.
+        if not inflight:
+            self._pto_timer.stop()
+        if not self._try_send() and inflight:
+            self._arm_pto()
+
+    def _detect_losses(self) -> None:
+        """Packet-threshold loss detection (RFC 9002 §6.1.1).
+
+        ``_inflight`` keys ascend (see ``_send_data_packet``), so the
+        packets at or below the threshold form a prefix of the dict: the
+        scan stops at the first key above it, and the lost packets come
+        out already in packet-number order.
+        """
+        cutoff = self._largest_acked - self.config.packet_threshold
+        inflight = self._inflight
+        lost = []
+        for seq in inflight:
+            if seq > cutoff:
+                break
+            lost.append(seq)
+        if not lost:
+            return
+        newly_entered_recovery = False
+        for seq in lost:
+            sent = inflight.pop(seq)
+            self._bytes_in_flight -= sent.size_bytes
+            self.stats.data_packets_lost += 1
+            if self.tracer:
+                self.tracer.packet_lost(self.loop.now, seq, "packet_threshold")
+            self._retx_queue.append((sent.chunks[0], sent.conn_start))
+            if seq > self._recovery_until_seq:
+                newly_entered_recovery = True
+        if newly_entered_recovery:
+            # One congestion response per round trip worth of losses.
+            self.cc.on_loss(self.loop.now)
+            self._recovery_until_seq = self._largest_sent
+            if self.tracer:
+                self._trace_metrics(force=True)
+            if self.sampler:
+                self.sampler.on_loss(self)
+
+    def _try_send(self) -> bool:
+        """Transmit as much as the congestion window allows.
+
+        Retransmissions are sent first and are exempt from the window
+        check (loss-recovery packets must not be starved by the very
+        congestion event that caused them).
+
+        Returns whether any packet went out, in which case the PTO timer
+        has been armed once for the whole burst.  Arming per burst is
+        exact: no time passes and no RTT sample or backoff change
+        happens inside a burst, so a per-packet re-arm would compute the
+        same deadline every time, and each re-arm would cancel the
+        previous one.  The one surviving event is scheduled after every
+        delivery event of the burst, as the last per-packet arm was.
+        """
+        if self._fast_path_enabled and fastpath.advance(self):
+            return False
+        sent_any = False
+        retx_queue = self._retx_queue
+        while retx_queue:
+            chunk, conn_start = retx_queue.popleft()
+            self._send_data_packet(chunk, conn_start, True)
+            sent_any = True
+        send_queue = self._send_queue
+        if send_queue:
+            mss = self.config.mss
+            # Sending never calls into the controller, so the window is
+            # fixed for the whole burst.
+            cwnd = self.cc.cwnd_bytes
+            streams = self._server_streams
+            while send_queue:
+                if self._bytes_in_flight + mss > cwnd:
+                    break
+                stream_id = send_queue[0]
+                sstream = streams[stream_id]
+                # ``send_remaining`` without the property: a stream is
+                # queued only by ``_server_enqueue_response``, after its
+                # ``response_queued`` flag is set.
+                if sstream.response_bytes - sstream.next_offset <= 0:
+                    send_queue.popleft()
+                    continue
+                # Weighted round-robin: a stream emits up to ``weight``
+                # chunks per turn (H2 stream weights / H3 priorities),
+                # then yields to the next stream.
+                fin = False
+                for _ in range(sstream.weight):
+                    offset = sstream.next_offset
+                    remaining = sstream.response_bytes - offset
+                    if remaining <= 0:
+                        break
+                    if self._bytes_in_flight + mss > cwnd:
+                        break
+                    size = mss if mss < remaining else remaining
+                    fin = offset + size >= sstream.response_bytes
+                    chunk = StreamChunk(stream_id, offset, size, fin)
+                    conn_start = self._conn_send_offset
+                    self._conn_send_offset = conn_start + size
+                    sstream.next_offset = offset + size
+                    self._send_data_packet(chunk, conn_start, False)
+                    sent_any = True
+                send_queue.rotate(-1)
+                if fin:
+                    # Drop the stream from the queue wherever it now is.
+                    try:
+                        send_queue.remove(stream_id)
+                    except ValueError:  # pragma: no cover - defensive
+                        pass
+        if sent_any:
+            self._arm_pto()
+        return sent_any
+
+    def _send_data_packet(
+        self, chunk: StreamChunk, conn_start: int, retransmission: bool
+    ) -> None:
+        """Send one data packet; the caller arms the PTO after its burst.
+
+        Packet numbers come from one increasing counter and this is the
+        only place ``_inflight`` gains entries, so its keys are always
+        in ascending order (``_detect_losses`` and ``_on_pto`` rely on
+        it).
+        """
+        now = self.loop.now
+        seq = next(self._next_pkt_seq)
+        pkt = Packet(
+            _DATA,
+            seq=seq,
+            chunks=(chunk,),
+            sent_at=now,
+            retransmission=retransmission,
+            conn_start=conn_start,
+        )
+        size = pkt.size_bytes
+        self._largest_sent = seq
+        if self._first_data_sent_at is None:
+            self._first_data_sent_at = now
+        self._inflight[seq] = pkt
+        self._bytes_in_flight += size
+        stats = self.stats
+        stats.data_packets_sent += 1
+        if retransmission:
+            stats.retransmissions += 1
+        if self.tracer:
+            self.tracer.packet_sent(now, seq, size, "s2c", retransmission)
+        self.path.send_to_client(pkt, self._client_on_packet_from_server)
+
+    def _arm_pto(self) -> None:
+        # RFC 9002 §6.2.1: the peer may legitimately sit on an ACK for
+        # up to max_ack_delay, so the probe timeout budgets for it.
+        timeout = (self.rtt.rto_ms + self.config.max_ack_delay_ms) * self._pto_backoff
+        self._pto_timer.start(timeout)
+
+    def _on_pto(self) -> None:
+        if not self._inflight:
+            return
+        self.stats.rto_events += 1
+        if self.tracer:
+            self.tracer.event(
+                self.loop.now, "recovery:pto_fired", backoff=self._pto_backoff
+            )
+        self._pto_backoff = min(self._pto_backoff * 2, 64)
+        # RFC 9002 §7.4: a probe timeout does NOT collapse the window;
+        # only *persistent* congestion (consecutive timeouts with no
+        # intervening ack) does.  Modern TCP behaves similarly via tail
+        # loss probes.
+        if self._pto_backoff > 2:
+            self.cc.on_rto(self.loop.now)
+        # Keys ascend (see ``_send_data_packet``): the first is the oldest.
+        oldest_seq = next(iter(self._inflight))
+        sent = self._inflight.pop(oldest_seq)
+        self._bytes_in_flight -= sent.size_bytes
+        self.stats.data_packets_lost += 1
+        if self.tracer:
+            self.tracer.packet_lost(self.loop.now, oldest_seq, "pto")
+            self._trace_metrics(force=True)
+        if self.sampler:
+            self.sampler.on_loss(self)
+        self._retx_queue.append((sent.chunks[0], sent.conn_start))
+        if oldest_seq > self._recovery_until_seq:
+            self._recovery_until_seq = self._largest_sent
+        if not self._try_send() and self._inflight:
+            self._arm_pto()
+
+    # -- client: data in, ACKs out --------------------------------------
+
+    def _client_on_packet_from_server(self, pkt: Packet) -> None:
+        if pkt.kind is _ACK:
+            self._client_on_request_ack(pkt)
+            return
+        # Receipt, not delivery, drives acking — this is what lets the
+        # sender learn about gaps while the receiver is HoL-blocked.
+        # ACKs are batched: every ``ack_frequency`` packets in the smooth
+        # case, immediately on any sequence anomaly (a gap means loss
+        # detection is waiting on this ACK), with a max_ack_delay timer
+        # backstop so tail packets are never acked late.
+        seq = pkt.seq
+        now = self.loop.now
+        if self.tracer:
+            self.tracer.packet_received(now, seq, pkt.size_bytes, pkt.retransmission)
+        largest = self._ack_largest_received
+        out_of_order = seq != largest + 1
+        if seq > largest:
+            self._ack_largest_received = seq
+        ack_pending = self._ack_pending
+        ack_pending.append(seq)
+        self._ack_last_recv_at = now
+        if (
+            out_of_order
+            or pkt.retransmission
+            or len(ack_pending) >= self.config.ack_frequency
+        ):
+            self._flush_acks()
+        elif not self._ack_timer.armed:
+            self._ack_timer.start(self.config.max_ack_delay_ms)
+        self._on_data_packet_received(pkt)
+
+    def _flush_acks(self) -> None:
+        """Send one ACK covering every pending data-packet number."""
+        if not self._ack_pending:
+            return
+        self._ack_timer.stop()
+        pending = tuple(sorted(self._ack_pending))
+        self._ack_pending.clear()
+        ack = Packet(
+            PacketKind.ACK,
+            ack_seq=pending[-1],
+            sack=pending,
+            ack_delay_ms=self.loop.now - self._ack_last_recv_at,
+        )
+        self.path.send_to_server(ack, self._server_on_packet)
+
+    def _deliver_chunk(self, chunk: StreamChunk) -> None:
+        """Hand in-order stream bytes to the application layer."""
+        stream = self.streams.get(chunk.stream_id)
+        if stream is None:
+            return
+        if self.check:
+            self.check.require(
+                chunk.size > 0,
+                "stream:chunk_positive",
+                "delivered an empty stream chunk",
+                time_ms=self.loop.now,
+                stream_id=chunk.stream_id,
+                offset=chunk.offset,
+            )
+            self.check.require(
+                stream.received + chunk.size <= stream.response_bytes,
+                "stream:byte_conservation",
+                "delivered more bytes than the response holds "
+                "(overlapping or duplicated chunks)",
+                time_ms=self.loop.now,
+                stream_id=chunk.stream_id,
+                received=stream.received,
+                chunk_size=chunk.size,
+                response_bytes=stream.response_bytes,
+            )
+        if stream.t_first_byte is None:
+            stream.t_first_byte = self.loop.now
+            if stream.on_first_byte is not None:
+                stream.on_first_byte(self.loop.now)
+        stream.received += chunk.size
+        if stream.received >= stream.response_bytes and stream.t_complete is None:
+            if self.check:
+                self.check.require(
+                    stream.received == stream.response_bytes,
+                    "stream:byte_conservation",
+                    "stream completed with delivered != requested bytes",
+                    time_ms=self.loop.now,
+                    stream_id=chunk.stream_id,
+                    received=stream.received,
+                    response_bytes=stream.response_bytes,
+                )
+            stream.t_complete = self.loop.now
+            if self.tracer:
+                self.tracer.event(
+                    self.loop.now, "http:stream_closed",
+                    stream_id=stream.stream_id,
+                    first_byte_ms=(stream.t_first_byte or 0.0) - stream.opened_at,
+                    duration_ms=self.loop.now - stream.opened_at,
+                )
+            if stream.on_complete is not None:
+                stream.on_complete(self.loop.now)
+
+
+# The C core when the kernel is built, the pure-Python one otherwise.
+if _ckernel is not None:
+    _ckernel._install_transport(
+        Packet=Packet,
+        StreamChunk=StreamChunk,
+        ConnectionStats=ConnectionStats,
+        ServerStream=_ServerStream,
+        ClientStream=ClientStream,
+        DATA=_DATA,
+        ACK=_ACK,
+        # Packet.uid's default factory draws from this counter, and
+        # __post_init__ reads HEADER_BYTES from the module namespace.
+        packet_ids=packet_module._packet_ids,
+        packet_globals=vars(packet_module),
+        # _try_send calls fastpath.advance; _deliver_chunk runs the
+        # Python method itself whenever strict checking is on.
+        fastpath=fastpath,
+        deliver_chunk=_PyTransportCore._deliver_chunk,
+    )
+    _TransportCore = _ckernel.TransportCore
+else:  # pragma: no cover - exercised on hosts without a C toolchain
+    _TransportCore = _PyTransportCore
+
+
+class BaseConnection(_TransportCore):
     """One simulated connection; see module docstring.
 
     Subclasses must implement :meth:`_handshake_flights` (round trips
@@ -264,7 +685,6 @@ class BaseConnection:
         self._ack_pending: list[int] = []
         self._ack_largest_received = 0
         self._ack_last_recv_at = 0.0
-        self._ack_timer = Timer(loop, self._flush_acks)
 
         # Server send side.
         self._server_streams: dict[int, _ServerStream] = {}
@@ -279,7 +699,6 @@ class BaseConnection:
         self._inflight: dict[int, Packet] = {}
         self._bytes_in_flight = 0
         self._recovery_until_seq = 0
-        self._pto_timer = Timer(loop, self._on_pto)
         self._pto_backoff = 1
         self._conn_send_offset = 0  # TCP byte-stream position (subclasses use it)
         # Delivery-rate accounting for model-based controllers (BBR).
@@ -303,6 +722,9 @@ class BaseConnection:
         #: here between its yield points; None when the packet path (or
         #: nothing) is driving the send side.
         self._fp_epoch = None
+        # The transport core's own set-up: the Python core makes its
+        # two deadline timers; the C core's start out disarmed.
+        super().__init__()
 
     # ------------------------------------------------------------------
     # Handshake
@@ -527,16 +949,6 @@ class BaseConnection:
     # Server: receiving requests, queueing and sending responses
     # ------------------------------------------------------------------
 
-    def _server_on_packet(self, pkt: Packet) -> None:
-        if pkt.kind is _ACK:
-            self._server_on_ack(pkt)
-            return
-        # A request data packet: ack it, then absorb new chunks.
-        ack = Packet(PacketKind.ACK, ack_seq=pkt.seq)
-        self.path.send_to_client(ack, self._client_on_packet_from_server)
-        for chunk in pkt.chunks:
-            self._server_absorb_request_chunk(chunk)
-
     def _server_absorb_request_chunk(self, chunk: StreamChunk) -> None:
         sstream = self._server_streams.get(chunk.stream_id)
         if sstream is None or chunk.offset in sstream.request_offsets:
@@ -558,206 +970,6 @@ class BaseConnection:
             self._send_queue.append(sstream.stream_id)
         self._try_send()
 
-    def _try_send(self) -> bool:
-        """Transmit as much as the congestion window allows.
-
-        Retransmissions are sent first and are exempt from the window
-        check (loss-recovery packets must not be starved by the very
-        congestion event that caused them).
-
-        Returns whether any packet went out, in which case the PTO timer
-        has been armed once for the whole burst.  Arming per burst is
-        exact: no time passes and no RTT sample or backoff change
-        happens inside a burst, so a per-packet re-arm would compute the
-        same deadline every time, and each re-arm would cancel the
-        previous one.  The one surviving event is scheduled after every
-        delivery event of the burst, as the last per-packet arm was.
-        """
-        if self._fast_path_enabled and fastpath.advance(self):
-            return False
-        sent_any = False
-        retx_queue = self._retx_queue
-        while retx_queue:
-            chunk, conn_start = retx_queue.popleft()
-            self._send_data_packet(chunk, conn_start, True)
-            sent_any = True
-        send_queue = self._send_queue
-        if send_queue:
-            mss = self.config.mss
-            # Sending never calls into the controller, so the window is
-            # fixed for the whole burst.
-            cwnd = self.cc.cwnd_bytes
-            streams = self._server_streams
-            while send_queue:
-                if self._bytes_in_flight + mss > cwnd:
-                    break
-                stream_id = send_queue[0]
-                sstream = streams[stream_id]
-                # ``send_remaining`` without the property: a stream is
-                # queued only by ``_server_enqueue_response``, after its
-                # ``response_queued`` flag is set.
-                if sstream.response_bytes - sstream.next_offset <= 0:
-                    send_queue.popleft()
-                    continue
-                # Weighted round-robin: a stream emits up to ``weight``
-                # chunks per turn (H2 stream weights / H3 priorities),
-                # then yields to the next stream.
-                fin = False
-                for _ in range(sstream.weight):
-                    offset = sstream.next_offset
-                    remaining = sstream.response_bytes - offset
-                    if remaining <= 0:
-                        break
-                    if self._bytes_in_flight + mss > cwnd:
-                        break
-                    size = mss if mss < remaining else remaining
-                    fin = offset + size >= sstream.response_bytes
-                    chunk = StreamChunk(stream_id, offset, size, fin)
-                    conn_start = self._conn_send_offset
-                    self._conn_send_offset = conn_start + size
-                    sstream.next_offset = offset + size
-                    self._send_data_packet(chunk, conn_start, False)
-                    sent_any = True
-                send_queue.rotate(-1)
-                if fin:
-                    # Drop the stream from the queue wherever it now is.
-                    try:
-                        send_queue.remove(stream_id)
-                    except ValueError:  # pragma: no cover - defensive
-                        pass
-        if sent_any:
-            self._arm_pto()
-        return sent_any
-
-    def _send_data_packet(
-        self, chunk: StreamChunk, conn_start: int, retransmission: bool
-    ) -> None:
-        """Send one data packet; the caller arms the PTO after its burst.
-
-        Packet numbers come from one increasing counter and this is the
-        only place ``_inflight`` gains entries, so its keys are always
-        in ascending order (``_detect_losses`` and ``_on_pto`` rely on
-        it).
-        """
-        now = self.loop.now
-        seq = next(self._next_pkt_seq)
-        pkt = Packet(
-            _DATA,
-            seq=seq,
-            chunks=(chunk,),
-            sent_at=now,
-            retransmission=retransmission,
-            conn_start=conn_start,
-        )
-        size = pkt.size_bytes
-        self._largest_sent = seq
-        if self._first_data_sent_at is None:
-            self._first_data_sent_at = now
-        self._inflight[seq] = pkt
-        self._bytes_in_flight += size
-        stats = self.stats
-        stats.data_packets_sent += 1
-        if retransmission:
-            stats.retransmissions += 1
-        if self.tracer:
-            self.tracer.packet_sent(now, seq, size, "s2c", retransmission)
-        self.path.send_to_client(pkt, self._client_on_packet_from_server)
-
-    def _server_on_ack(self, pkt: Packet) -> None:
-        # One ACK packet may cover several data packets (``sack`` lists
-        # every newly-received packet number; ``ack_seq`` is the largest).
-        acked = pkt.sack or (pkt.ack_seq,)
-        inflight = self._inflight
-        cc = self.cc
-        now = self.loop.now
-        tracer = self.tracer
-        self.stats.acks_received += len(acked)
-        largest: Packet | None = None
-        for seq in acked:
-            sent = inflight.pop(seq, None)
-            if sent is None:
-                continue  # duplicate or already declared lost
-            if tracer:
-                tracer.packet_acked(now, seq)
-            size = sent.size_bytes
-            self._bytes_in_flight -= size
-            cc.on_ack(size, now)
-            self._delivered_bytes += size
-            if largest is None or seq > largest.seq:
-                largest = sent
-        if largest is None:
-            return
-        # RTT from the largest newly-acked, never-retransmitted packet,
-        # net of the receiver's deliberate ack delay (RFC 9002 §5.3).
-        rtt = self.rtt
-        if not largest.retransmission:
-            sample = now - largest.sent_at - pkt.ack_delay_ms
-            if sample >= 0:
-                rtt.on_sample(sample)
-        rate_sampler = self._rate_sampler
-        if rate_sampler is not None and rtt.srtt_ms:
-            assert self._first_data_sent_at is not None
-            elapsed = now - self._first_data_sent_at
-            if elapsed > 0:
-                rate_sampler(self._delivered_bytes / elapsed, rtt.srtt_ms)
-        if pkt.ack_seq > self._largest_acked:
-            self._largest_acked = pkt.ack_seq
-        self._pto_backoff = 1
-        if tracer:
-            self._trace_metrics()
-        if self.sampler:
-            self.sampler.on_ack(self)
-        self._detect_losses()
-        # The timer is stopped *before* the send attempt: an analytic
-        # walk started by ``_try_send`` looks at the next pending event.
-        # A burst re-arms it; an idle attempt leaves the (re-)arm to us.
-        if not inflight:
-            self._pto_timer.stop()
-        if not self._try_send() and inflight:
-            self._arm_pto()
-
-    def _detect_losses(self) -> None:
-        """Packet-threshold loss detection (RFC 9002 §6.1.1).
-
-        ``_inflight`` keys ascend (see ``_send_data_packet``), so the
-        packets at or below the threshold form a prefix of the dict: the
-        scan stops at the first key above it, and the lost packets come
-        out already in packet-number order.
-        """
-        cutoff = self._largest_acked - self.config.packet_threshold
-        inflight = self._inflight
-        lost = []
-        for seq in inflight:
-            if seq > cutoff:
-                break
-            lost.append(seq)
-        if not lost:
-            return
-        newly_entered_recovery = False
-        for seq in lost:
-            sent = inflight.pop(seq)
-            self._bytes_in_flight -= sent.size_bytes
-            self.stats.data_packets_lost += 1
-            if self.tracer:
-                self.tracer.packet_lost(self.loop.now, seq, "packet_threshold")
-            self._retx_queue.append((sent.chunks[0], sent.conn_start))
-            if seq > self._recovery_until_seq:
-                newly_entered_recovery = True
-        if newly_entered_recovery:
-            # One congestion response per round trip worth of losses.
-            self.cc.on_loss(self.loop.now)
-            self._recovery_until_seq = self._largest_sent
-            if self.tracer:
-                self._trace_metrics(force=True)
-            if self.sampler:
-                self.sampler.on_loss(self)
-
-    def _arm_pto(self) -> None:
-        # RFC 9002 §6.2.1: the peer may legitimately sit on an ACK for
-        # up to max_ack_delay, so the probe timeout budgets for it.
-        timeout = (self.rtt.rto_ms + self.config.max_ack_delay_ms) * self._pto_backoff
-        self._pto_timer.start(timeout)
-
     def on_path_migration(self) -> None:
         """The client's address changed and this connection migrated.
 
@@ -771,142 +983,13 @@ class BaseConnection:
         if self._inflight:
             self._arm_pto()
 
-    def _on_pto(self) -> None:
-        if not self._inflight:
-            return
-        self.stats.rto_events += 1
-        if self.tracer:
-            self.tracer.event(
-                self.loop.now, "recovery:pto_fired", backoff=self._pto_backoff
-            )
-        self._pto_backoff = min(self._pto_backoff * 2, 64)
-        # RFC 9002 §7.4: a probe timeout does NOT collapse the window;
-        # only *persistent* congestion (consecutive timeouts with no
-        # intervening ack) does.  Modern TCP behaves similarly via tail
-        # loss probes.
-        if self._pto_backoff > 2:
-            self.cc.on_rto(self.loop.now)
-        # Keys ascend (see ``_send_data_packet``): the first is the oldest.
-        oldest_seq = next(iter(self._inflight))
-        sent = self._inflight.pop(oldest_seq)
-        self._bytes_in_flight -= sent.size_bytes
-        self.stats.data_packets_lost += 1
-        if self.tracer:
-            self.tracer.packet_lost(self.loop.now, oldest_seq, "pto")
-            self._trace_metrics(force=True)
-        if self.sampler:
-            self.sampler.on_loss(self)
-        self._retx_queue.append((sent.chunks[0], sent.conn_start))
-        if oldest_seq > self._recovery_until_seq:
-            self._recovery_until_seq = self._largest_sent
-        if not self._try_send() and self._inflight:
-            self._arm_pto()
-
     # ------------------------------------------------------------------
     # Client: receiving response data
     # ------------------------------------------------------------------
 
-    def _client_on_packet_from_server(self, pkt: Packet) -> None:
-        if pkt.kind is _ACK:
-            self._client_on_request_ack(pkt)
-            return
-        # Receipt, not delivery, drives acking — this is what lets the
-        # sender learn about gaps while the receiver is HoL-blocked.
-        # ACKs are batched: every ``ack_frequency`` packets in the smooth
-        # case, immediately on any sequence anomaly (a gap means loss
-        # detection is waiting on this ACK), with a max_ack_delay timer
-        # backstop so tail packets are never acked late.
-        seq = pkt.seq
-        now = self.loop.now
-        if self.tracer:
-            self.tracer.packet_received(now, seq, pkt.size_bytes, pkt.retransmission)
-        largest = self._ack_largest_received
-        out_of_order = seq != largest + 1
-        if seq > largest:
-            self._ack_largest_received = seq
-        ack_pending = self._ack_pending
-        ack_pending.append(seq)
-        self._ack_last_recv_at = now
-        if (
-            out_of_order
-            or pkt.retransmission
-            or len(ack_pending) >= self.config.ack_frequency
-        ):
-            self._flush_acks()
-        elif not self._ack_timer.armed:
-            self._ack_timer.start(self.config.max_ack_delay_ms)
-        self._on_data_packet_received(pkt)
-
-    def _flush_acks(self) -> None:
-        """Send one ACK covering every pending data-packet number."""
-        if not self._ack_pending:
-            return
-        self._ack_timer.stop()
-        pending = tuple(sorted(self._ack_pending))
-        self._ack_pending.clear()
-        ack = Packet(
-            PacketKind.ACK,
-            ack_seq=pending[-1],
-            sack=pending,
-            ack_delay_ms=self.loop.now - self._ack_last_recv_at,
-        )
-        self.path.send_to_server(ack, self._server_on_packet)
-
     def _on_data_packet_received(self, pkt: Packet) -> None:
         """Subclass hook: buffer/reorder and eventually deliver chunks."""
         raise NotImplementedError
-
-    def _deliver_chunk(self, chunk: StreamChunk) -> None:
-        """Hand in-order stream bytes to the application layer."""
-        stream = self.streams.get(chunk.stream_id)
-        if stream is None:
-            return
-        if self.check:
-            self.check.require(
-                chunk.size > 0,
-                "stream:chunk_positive",
-                "delivered an empty stream chunk",
-                time_ms=self.loop.now,
-                stream_id=chunk.stream_id,
-                offset=chunk.offset,
-            )
-            self.check.require(
-                stream.received + chunk.size <= stream.response_bytes,
-                "stream:byte_conservation",
-                "delivered more bytes than the response holds "
-                "(overlapping or duplicated chunks)",
-                time_ms=self.loop.now,
-                stream_id=chunk.stream_id,
-                received=stream.received,
-                chunk_size=chunk.size,
-                response_bytes=stream.response_bytes,
-            )
-        if stream.t_first_byte is None:
-            stream.t_first_byte = self.loop.now
-            if stream.on_first_byte is not None:
-                stream.on_first_byte(self.loop.now)
-        stream.received += chunk.size
-        if stream.received >= stream.response_bytes and stream.t_complete is None:
-            if self.check:
-                self.check.require(
-                    stream.received == stream.response_bytes,
-                    "stream:byte_conservation",
-                    "stream completed with delivered != requested bytes",
-                    time_ms=self.loop.now,
-                    stream_id=chunk.stream_id,
-                    received=stream.received,
-                    response_bytes=stream.response_bytes,
-                )
-            stream.t_complete = self.loop.now
-            if self.tracer:
-                self.tracer.event(
-                    self.loop.now, "http:stream_closed",
-                    stream_id=stream.stream_id,
-                    first_byte_ms=(stream.t_first_byte or 0.0) - stream.opened_at,
-                    duration_ms=self.loop.now - stream.opened_at,
-                )
-            if stream.on_complete is not None:
-                stream.on_complete(self.loop.now)
 
     # ------------------------------------------------------------------
     # Analytic fast path (repro.transport.fastpath) support
@@ -979,9 +1062,8 @@ class BaseConnection:
         """
         self.closed = True
         fastpath.cancel(self)
-        self._pto_timer.stop()
+        self._stop_deadlines()
         self._hs_timer.stop()
-        self._ack_timer.stop()
         self._ack_pending.clear()
         for pending in self._pending_requests.values():
             pending.timer.stop()

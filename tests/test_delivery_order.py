@@ -98,16 +98,18 @@ def test_tcp_delivery_follows_connection_byte_order():
         return False
 
     path.downlink.drop_filter = drop_third_data
-    conn = TcpConnection(loop, path)
     sent_order = []
-    original_send = conn._send_data_packet
+    send_to_client = path.send_to_client
 
-    def record_send(chunk, conn_start, retransmission):
-        if not retransmission:
-            sent_order.append((chunk.stream_id, chunk.offset))
-        original_send(chunk, conn_start, retransmission)
+    def record_send(pkt, on_deliver):
+        # Every first transmission of response data, in send order
+        # (recorded on the path, which both transport cores call).
+        if pkt.kind is PacketKind.DATA and not pkt.retransmission:
+            sent_order.extend((c.stream_id, c.offset) for c in pkt.chunks)
+        return send_to_client(pkt, on_deliver)
 
-    conn._send_data_packet = record_send
+    path.send_to_client = record_send
+    conn = TcpConnection(loop, path)
     recorder = _Recorder(conn)
     done = []
     conn.connect(done.append)

@@ -8,7 +8,15 @@ Two things a visit must not do, both deterministic:
 * call dormant hooks or trampolines per packet: with tracing, strict
   checking and sampling off, nothing in ``repro.obs`` or
   ``repro.check`` runs, and packets go from the transport straight to
-  ``Link.transmit`` and from the event loop straight to the receiver.
+  ``Link.transmit`` and from the event loop straight to the receiver;
+* run the transport loop in Python when the C kernel is built: none
+  of the ten methods of ``_PyTransportCore`` is called, and the only
+  packets built through ``Packet.__init__`` are handshake and request
+  packets.
+
+The profiler cannot see calls made from C to C (a ``Link.transmit``
+from the C transport core), so the packet counts come from the links'
+own counters.
 """
 
 import cProfile
@@ -29,7 +37,9 @@ from repro.browser import Browser, BrowserConfig
 from repro.events import EventLoop
 from repro.http.pool import ConnectionPool
 from repro.measurement import ProbeNetProfile, ServerFarm
-from repro.netsim import Link, NoLoss
+from repro.events.loop import _ckernel
+from repro.netsim import NoLoss, Packet
+from repro.transport.base import BaseConnection, _PyTransportCore
 from repro.web import GeneratorConfig, TopSitesGenerator
 
 
@@ -72,37 +82,45 @@ def test_finished_visit_frees_itself_without_the_cycle_collector(
         gc.enable()
 
 
-def test_dormant_visit_calls_no_hooks_or_trampolines(universe):
-    browser = make_browser(universe)
+def sent_packets(browser):
+    """Packets the farm's links have transmitted so far."""
+    return sum(
+        path.uplink.stats.sent_packets + path.downlink.stats.sent_packets
+        for path in browser.farm._paths.values()
+    )
+
+
+def profiled_visit(browser, page):
+    """Python calls per profiler key, and packets sent, over one visit."""
+    before = sent_packets(browser)
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        browser.visit(universe.pages[4])
+        browser.visit(page)
     finally:
         profiler.disable()
     calls = {
         key: stat[1] for key, stat in pstats.Stats(profiler).stats.items()
     }
+    return calls, sent_packets(browser) - before
 
-    def calls_to(code):
-        return calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
 
-    def profile_key(function):
-        # Python functions are keyed by their code object; C methods
-        # (the C kernel's LinkCore) by the descriptor repr.
-        code = getattr(function, "__code__", None)
-        if code is not None:
-            return (code.co_filename, code.co_firstlineno, code.co_name)
-        return ("~", 0, repr(function))
+def calls_to(calls, function):
+    code = function.__code__
+    return calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
+
+
+def test_dormant_visit_calls_no_hooks_or_trampolines(universe):
+    calls, packets = profiled_visit(make_browser(universe), universe.pages[4])
 
     # The visit really went over the packet path.
-    assert calls.get(profile_key(Link.transmit), 0) > 100
+    assert packets > 100
     dormant = tuple(
         os.path.dirname(package.__file__) + os.sep
         for package in (repro.obs, repro.check)
     )
     assert {key: n for key, n in calls.items() if key[0].startswith(dormant)} == {}
-    assert calls_to(NoLoss.should_drop.__code__) == 0
+    assert calls_to(calls, NoLoss.should_drop) == 0
     netsim = (repro.netsim.link.__file__, repro.netsim.path.__file__)
     trampolines = ("_deliver", "send_to_server", "send_to_client")
     assert {
@@ -110,3 +128,31 @@ def test_dormant_visit_calls_no_hooks_or_trampolines(universe):
         for key, n in calls.items()
         if key[0] in netsim and key[2] in trampolines
     } == {}
+
+
+@pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")
+def test_dormant_visit_runs_the_transport_loop_in_c(universe):
+    browser = make_browser(universe)
+    calls, packets = profiled_visit(browser, universe.pages[4])
+    assert packets > 100
+    moved = [
+        name for name, value in vars(_PyTransportCore).items()
+        if callable(value) and not name.startswith("__")
+        and name not in ("_init_deadlines", "_stop_deadlines")
+    ]
+    assert len(moved) == 10
+    assert {name: calls_to(calls, getattr(_PyTransportCore, name)) for name in moved} == {
+        name: 0 for name in moved
+    }
+    # Python builds only the handshake flights, their replies and the
+    # request packets; every data and ACK packet comes from C.
+    python_built = sum(
+        calls_to(calls, getattr(BaseConnection, name))
+        for name in (
+            "_send_handshake_flight",
+            "_server_on_handshake",
+            "_send_request_packet",
+        )
+    )
+    assert python_built > 0
+    assert calls_to(calls, Packet.__post_init__) == python_built

@@ -12,6 +12,11 @@ exercise retransmissions and PTOs:
 
 The pinned event counts below were taken before either mechanism
 existed: the simulated behaviour must not have moved.
+
+The audits override the loop's methods in a subclass, which only the
+Python transport core dispatches through (the C core calls its own
+methods directly), so the audited classes run on ``_PyTransportCore``;
+the pinned counts are checked on both cores.
 """
 
 import dataclasses
@@ -23,6 +28,7 @@ from repro.events import EventLoop, Timer
 from repro.netsim import NetemProfile, NetworkPath, PacketKind
 from repro.netsim.packet import HEADER_BYTES, Packet, StreamChunk
 from repro.transport import QuicConnection, TcpConnection
+from tests.test_transport_core import python_core
 
 RESPONSE_BYTES = 250_000
 
@@ -98,11 +104,11 @@ class _Audited:
         self.declared_lost.extend(full_scan)
 
 
-class AuditedTcp(_Audited, TcpConnection):
+class AuditedTcp(_Audited, python_core(TcpConnection)):
     pass
 
 
-class AuditedQuic(_Audited, QuicConnection):
+class AuditedQuic(_Audited, python_core(QuicConnection)):
     pass
 
 
@@ -157,14 +163,18 @@ class TestInflightOrdering:
 
 
 class TestOnePtoArmPerBurst:
-    # (events dispatched, data packets sent, PTO Timer.start calls).
-    # The dispatched counts are those of the per-packet re-arming code
-    # this replaced: cancelled timer events never dispatch, so arming
-    # once per burst must leave them exactly where they were.
+    # (events dispatched, data packets sent, events scheduled), pinned
+    # on either core, and PTO Timer.start calls, counted on the Python
+    # core.  The dispatched counts are those of the per-packet
+    # re-arming code this replaced: cancelled timer events never
+    # dispatch, so arming once per burst must leave them exactly where
+    # they were.  Every PTO arm schedules one event, so equal scheduled
+    # counts pin the C core's arms too.
     PINNED = {
-        AuditedTcp: (297, 187, 99),
-        AuditedQuic: (296, 186, 99),
+        "tcp": (297, 187, 479),
+        "quic": (296, 186, 476),
     }
+    PTO_STARTS = 99
 
     @pytest.mark.parametrize("conn_cls", [AuditedTcp, AuditedQuic])
     def test_pinned_counts(self, conn_cls):
@@ -173,11 +183,21 @@ class TestOnePtoArmPerBurst:
         assert (
             loop.processed_events,
             conn.stats.data_packets_sent,
-            pto_starts,
-        ) == self.PINNED[conn_cls]
+            loop.scheduled_events,
+        ) == self.PINNED[conn_cls.protocol_name]
+        assert pto_starts == self.PTO_STARTS
         assert pto_starts <= conn.ack_packets + conn.bursts
         # Per-packet arming would have started it once per data packet.
         assert pto_starts < conn.stats.data_packets_sent
+
+    @pytest.mark.parametrize("conn_cls", [TcpConnection, QuicConnection])
+    def test_pinned_counts_on_the_default_core(self, conn_cls):
+        loop, conn = lossy_transfer(conn_cls)
+        assert (
+            loop.processed_events,
+            conn.stats.data_packets_sent,
+            loop.scheduled_events,
+        ) == self.PINNED[conn_cls.protocol_name]
 
 
 class TestPayloadBytesField:
