@@ -184,6 +184,76 @@ class PageVisit:
         )
 
 
+class _DnsRetry:
+    """One fetch's name resolution under fault injection.
+
+    A SERVFAIL is retried after the retry policy's backoff; once the
+    retries are spent, a failed entry is recorded so the page load
+    still terminates.  The callbacks handed to the resolver and the
+    loop are bound methods of this slotted object, which references
+    nothing that refers back to it: a finished resolution is freed by
+    reference counting.  Only one attempt is outstanding at a time.
+    """
+
+    __slots__ = (
+        "browser", "resource", "on_entry", "requested_at", "after_dns", "attempt",
+    )
+
+    def __init__(self, browser: "Browser", resource: Resource, on_entry,
+                 requested_at: float, after_dns) -> None:
+        self.browser = browser
+        self.resource = resource
+        self.on_entry = on_entry
+        self.requested_at = requested_at
+        self.after_dns = after_dns
+        self.attempt = 0
+
+    def resolve(self) -> None:
+        # On a retry the resolver would report only the *final*
+        # attempt's latency; the entry's dns phase must cover the whole
+        # span since the request was made (failed attempts and backoff
+        # included) or the phases no longer sum to the entry's total
+        # time.
+        on_done = self.after_dns if self.attempt == 0 else self._after_retry
+        self.browser.dns.resolve(self.resource.host, on_done, on_fail=self.failed)
+
+    def _after_retry(self, _ms: float) -> None:
+        self.after_dns(self.browser.loop.now - self.requested_at)
+
+    def failed(self) -> None:
+        browser = self.browser
+        attempt = self.attempt
+        faults = browser.faults
+        resource = self.resource
+        host = resource.host
+        faults.record_fault("dns_failure", host, attempt=attempt)
+        policy = faults.retry
+        if attempt < policy.max_retries:
+            faults.record_recovery("dns_retry", host, attempt=attempt + 1)
+            self.attempt = attempt + 1
+            browser.loop.call_later(policy.backoff_ms(attempt), self.resolve)
+            return
+        # Resolution never succeeded: record a failed entry so the
+        # page load still terminates (graceful degradation).
+        now = browser.loop.now
+        requested_at = self.requested_at
+        timing = EntryTiming()
+        timing.blocked = now - requested_at
+        record = FetchRecord(
+            url=resource.url,
+            host=host,
+            protocol=browser._pick_protocol(browser.farm.server(host)),
+            started_at_ms=requested_at,
+            timing=timing,
+            response_bytes=0,
+            request_bytes=resource.request_bytes,
+            completed_at_ms=now,
+            failed=True,
+            error="dns_failure",
+        )
+        self.on_entry(resource, record, 0.0, requested_at)
+
+
 class Browser:
     """A simulated Chrome profile bound to one probe's network."""
 
@@ -420,54 +490,7 @@ class Browser:
             self.dns.resolve(resource.host, after_dns)
             return
 
-        def attempt_resolve(attempt: int) -> None:
-            # On a retry the resolver would report only the *final*
-            # attempt's latency; the entry's dns phase must cover the
-            # whole span since the request was made (failed attempts
-            # and backoff included) or the phases no longer sum to the
-            # entry's total time.
-            on_done = (
-                after_dns
-                if attempt == 0
-                else lambda _ms: after_dns(self.loop.now - requested_at)
-            )
-            self.dns.resolve(
-                resource.host,
-                on_done,
-                on_fail=lambda: on_dns_fail(attempt),
-            )
-
-        def on_dns_fail(attempt: int) -> None:
-            faults = self.faults
-            host = resource.host
-            faults.record_fault("dns_failure", host, attempt=attempt)
-            policy = faults.retry
-            if attempt < policy.max_retries:
-                faults.record_recovery("dns_retry", host, attempt=attempt + 1)
-                self.loop.call_later(
-                    policy.backoff_ms(attempt), attempt_resolve, attempt + 1
-                )
-                return
-            # Resolution never succeeded: record a failed entry so the
-            # page load still terminates (graceful degradation).
-            now = self.loop.now
-            timing = EntryTiming()
-            timing.blocked = now - requested_at
-            record = FetchRecord(
-                url=resource.url,
-                host=host,
-                protocol=self._pick_protocol(self.farm.server(host)),
-                started_at_ms=requested_at,
-                timing=timing,
-                response_bytes=0,
-                request_bytes=resource.request_bytes,
-                completed_at_ms=now,
-                failed=True,
-                error="dns_failure",
-            )
-            on_entry(resource, record, 0.0, requested_at)
-
-        attempt_resolve(0)
+        _DnsRetry(self, resource, on_entry, requested_at, after_dns).resolve()
 
     def _pick_protocol(self, server) -> HttpProtocol:
         """Choose the protocol lane for one request.

@@ -74,6 +74,9 @@ struct LoopCoreObject {
     PyObject *profile;        /* dict, or NULL when profiling is off */
 };
 
+/* Cancelling lets go of the callback and its arguments (None and ()
+ * take their place): a dead entry may wait in the heap long after its
+ * owner is done, and neither dispatch nor the profiler reads it. */
 static PyObject *
 cevent_cancel(CEventObject *self, PyObject *Py_UNUSED(ignored))
 {
@@ -82,6 +85,14 @@ cevent_cancel(CEventObject *self, PyObject *Py_UNUSED(ignored))
     if (loop != NULL) {
         self->loop = NULL;
         loop->live--;
+    }
+    PyObject *callback = self->callback, *args = self->args;
+    if (callback != Py_None) {
+        Py_INCREF(Py_None);
+        self->callback = Py_None;
+        self->args = PyTuple_New(0);  /* the shared empty tuple */
+        Py_XDECREF(callback);
+        Py_XDECREF(args);
     }
     Py_RETURN_NONE;
 }
@@ -439,12 +450,19 @@ execute_event(LoopCoreObject *self, CEventObject *ev)
     }
     self->now = ev->time;
     self->processed++;
+    /* Held for the call: the callback may cancel its own (already
+     * popped) event, which lets go of both. */
+    PyObject *callback = ev->callback, *args = ev->args;
+    Py_INCREF(callback);
+    Py_INCREF(args);
     PyObject *res;
     if (self->profile == NULL) {
-        if (PyTuple_GET_SIZE(ev->args) == 0)
-            res = PyObject_CallNoArgs(ev->callback);
+        if (PyTuple_GET_SIZE(args) == 0)
+            res = PyObject_CallNoArgs(callback);
         else
-            res = PyObject_CallObject(ev->callback, ev->args);
+            res = PyObject_CallObject(callback, args);
+        Py_DECREF(callback);
+        Py_DECREF(args);
         if (res == NULL)
             return -1;
         Py_DECREF(res);
@@ -453,22 +471,26 @@ execute_event(LoopCoreObject *self, CEventObject *ev)
     /* Profiled dispatch: attribute wall-clock to the callback name. */
     struct timespec t0, t1;
     clock_gettime(CLOCK_MONOTONIC, &t0);
-    res = PyObject_CallObject(ev->callback, ev->args);
+    res = PyObject_CallObject(callback, args);
     clock_gettime(CLOCK_MONOTONIC, &t1);
-    if (res == NULL)
+    Py_DECREF(args);
+    if (res == NULL) {
+        Py_DECREF(callback);
         return -1;
+    }
     Py_DECREF(res);
     double elapsed = (double)(t1.tv_sec - t0.tv_sec)
                      + (double)(t1.tv_nsec - t0.tv_nsec) * 1e-9;
-    PyObject *key = PyObject_GetAttrString(ev->callback, "__qualname__");
+    PyObject *key = PyObject_GetAttrString(callback, "__qualname__");
     if (key == NULL) {
         PyErr_Clear();
-        key = PyObject_Repr(ev->callback);
+        key = PyObject_Repr(callback);
     }
     else if (!PyObject_IsTrue(key)) {
         Py_DECREF(key);
-        key = PyObject_Repr(ev->callback);
+        key = PyObject_Repr(callback);
     }
+    Py_DECREF(callback);
     if (key == NULL)
         return -1;
     PyObject *entry = PyDict_GetItemWithError(self->profile, key);
@@ -768,12 +790,15 @@ static PyTypeObject LoopCoreType = {
  * doubles, the same RNG draws and the same (time, seq) schedule. */
 
 /* Installed by repro.netsim.link: the NoLoss class, whose should_drop
- * draws nothing and is therefore never called. */
+ * draws nothing and is therefore never called, and the BernoulliLoss
+ * class, whose draw (exact type only) LinkCore makes itself. */
 static PyObject *NoLossType = NULL;
+static PyObject *BernoulliLossType = NULL;
 
 /* Interned attribute names, made once at module init. */
 static PyObject *str_now, *str_size_bytes, *str_should_drop, *str_uniform,
-    *str_on_transmit, *str_call_at;
+    *str_on_transmit, *str_call_at, *str_call_later, *str_random,
+    *str_loss_rate, *str_visit_started_at;
 static PyObject *str_sent_packets, *str_dropped_packets,
     *str_delivered_packets, *str_sent_bytes, *str_delivered_bytes,
     *str_busy_time_ms;
@@ -790,6 +815,10 @@ typedef struct {
     PyObject *drop_filter;    /* None (or NULL) when unset */
     PyObject *sampler;        /* None (or NULL) when unset */
     PyObject *stats;          /* the LinkStats object _stats fills */
+    /* The next hop's transmit, or None (or NULL): a delivery becomes
+     * relay(packet, on_deliver), relay_delay_ms after arrival. */
+    PyObject *relay;
+    double relay_delay_ms;
     /* delay_ms / rate_mbps / jitter_ms as assigned (reads return the
      * same object) and as doubles for the arithmetic. */
     PyObject *delay_obj, *rate_obj, *jitter_obj;
@@ -880,6 +909,75 @@ link_require(PyObject *value, const char *name)
     return -1;
 }
 
+/* BernoulliLoss.should_drop, made here: loss_rate is read per packet,
+ * a rate of 0.0 draws nothing, otherwise one rng.random() is compared
+ * with it.  Subclasses keep their own should_drop. */
+static int
+bernoulli_draw(LinkCoreObject *self, PyObject *loss, int *dropped)
+{
+    PyObject *rate_obj = PyObject_GetAttr(loss, str_loss_rate);
+    if (rate_obj == NULL)
+        return -1;
+    double rate = PyFloat_AsDouble(rate_obj);
+    Py_DECREF(rate_obj);
+    if (rate == -1.0 && PyErr_Occurred())
+        return -1;
+    if (rate == 0.0)
+        return 0;
+    if (link_require(self->rng, "rng") < 0)
+        return -1;
+    PyObject *draw = PyObject_CallMethodNoArgs(self->rng, str_random);
+    if (draw == NULL)
+        return -1;
+    double value = PyFloat_AsDouble(draw);
+    Py_DECREF(draw);
+    if (value == -1.0 && PyErr_Occurred())
+        return -1;
+    *dropped = value < rate;
+    return 0;
+}
+
+/* Schedule callback(*args) at t on the link's loop: the kernel's own
+ * schedule() (call_at's seq and past-time rule without a bound-method
+ * call) on a LoopCore, call_at otherwise. */
+static int
+link_schedule_at(PyObject *loop, double t, PyObject *callback,
+                 PyObject *const *extra, Py_ssize_t n_extra)
+{
+    PyObject *event;
+    if (PyObject_TypeCheck(loop, &LoopCoreType)) {
+        LoopCoreObject *core = (LoopCoreObject *)loop;
+        if (t < core->now) {
+            PyObject *at = PyFloat_FromDouble(t);
+            if (at == NULL)
+                return -1;
+            raise_past(core, at);
+            Py_DECREF(at);
+            return -1;
+        }
+        event = schedule(core, t, callback, extra, n_extra);
+    }
+    else {
+        PyObject *at = PyFloat_FromDouble(t);
+        if (at == NULL)
+            return -1;
+        PyObject *cargs[6] = {loop, at, callback, NULL, NULL, NULL};
+        assert(n_extra <= 3);
+        for (Py_ssize_t i = 0; i < n_extra; i++)
+            cargs[3 + i] = extra[i];
+        event = PyObject_VectorcallMethod(str_call_at, cargs, 3 + n_extra, NULL);
+        Py_DECREF(at);
+    }
+    if (event == NULL)
+        return -1;
+    Py_DECREF(event);
+    return 0;
+}
+
+/* Set by module init: the module's _relay_later function. */
+static PyObject *RelayLater = NULL;
+static PyTypeObject LinkCoreType;
+
 static PyObject *
 link_transmit(LinkCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -945,7 +1043,12 @@ link_transmit(LinkCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (link_require(loss, "loss") < 0)
         return NULL;
     PyObject *loss_res = NULL, *filter_res = NULL;
-    if ((PyObject *)Py_TYPE(loss) != NoLossType) {
+    int loss_dropped = 0;
+    if ((PyObject *)Py_TYPE(loss) == BernoulliLossType) {
+        if (bernoulli_draw(self, loss, &loss_dropped) < 0)
+            return NULL;
+    }
+    else if ((PyObject *)Py_TYPE(loss) != NoLossType) {
         if (link_require(self->rng, "rng") < 0)
             return NULL;
         loss_res = PyObject_CallMethodOneArg(loss, str_should_drop, self->rng);
@@ -960,7 +1063,7 @@ link_transmit(LinkCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
             return NULL;
         }
     }
-    int dropped = loss_res != NULL ? PyObject_IsTrue(loss_res) : 0;
+    int dropped = loss_res != NULL ? PyObject_IsTrue(loss_res) : loss_dropped;
     if (dropped == 0 && filter_res != NULL)
         dropped = PyObject_IsTrue(filter_res);
     Py_XDECREF(loss_res);
@@ -990,38 +1093,69 @@ link_transmit(LinkCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (link_enqueue(self, &deliver_at, size) < 0)
         return NULL;
 
-    /* The kernel's own schedule(): call_at's seq and past-time rule
-     * without a bound-method call.  Any other loop gets call_at.  The
-     * loop is read again, as Python's self.loop.call_at does: the
-     * hooks above ran arbitrary code. */
+    /* One delivery event: on_deliver(packet), or with a relay target
+     * relay(packet, on_deliver) -- through _relay_later(self, packet,
+     * on_deliver) when the hop adds a forward delay.  The loop is read
+     * again, as Python's self.loop.call_at does: the hooks above ran
+     * arbitrary code. */
     loop = self->loop;
     if (link_require(loop, "loop") < 0)
         return NULL;
+    PyObject *relay = self->relay;
+    int rc;
+    if (relay == NULL || relay == Py_None) {
+        rc = link_schedule_at(loop, deliver_at, on_deliver, &packet, 1);
+    }
+    else if (self->relay_delay_ms > 0) {
+        PyObject *extra[3] = {(PyObject *)self, packet, on_deliver};
+        rc = link_schedule_at(loop, deliver_at, RelayLater, extra, 3);
+    }
+    else {
+        PyObject *extra[2] = {packet, on_deliver};
+        rc = link_schedule_at(loop, deliver_at, relay, extra, 2);
+    }
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_TRUE;
+}
+
+/* A relayed packet's arrival on a hop with a forward delay: schedule
+ * relay(packet, on_deliver) relay_delay_ms from now, at the time
+ * call_later computes. */
+static PyObject *
+ckernel_relay_later(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3 || !PyObject_TypeCheck(args[0], &LinkCoreType)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "_relay_later(link, packet, on_deliver)");
+        return NULL;
+    }
+    LinkCoreObject *link = (LinkCoreObject *)args[0];
+    PyObject *loop = link->loop, *relay = link->relay;
+    if (link_require(loop, "loop") < 0)
+        return NULL;
+    if (relay == NULL || relay == Py_None) {
+        PyErr_SetString(PyExc_AttributeError, "link has no relay target");
+        return NULL;
+    }
     PyObject *event;
     if (PyObject_TypeCheck(loop, &LoopCoreType)) {
         LoopCoreObject *core = (LoopCoreObject *)loop;
-        if (deliver_at < core->now) {
-            PyObject *at = PyFloat_FromDouble(deliver_at);
-            if (at == NULL)
-                return NULL;
-            raise_past(core, at);
-            Py_DECREF(at);
-            return NULL;
-        }
-        event = schedule(core, deliver_at, on_deliver, &packet, 1);
+        event = schedule(core, core->now + link->relay_delay_ms, relay,
+                         args + 1, 2);
     }
     else {
-        PyObject *at = PyFloat_FromDouble(deliver_at);
-        if (at == NULL)
+        PyObject *delay = PyFloat_FromDouble(link->relay_delay_ms);
+        if (delay == NULL)
             return NULL;
-        PyObject *cargs[4] = {loop, at, on_deliver, packet};
-        event = PyObject_VectorcallMethod(str_call_at, cargs, 4, NULL);
-        Py_DECREF(at);
+        PyObject *cargs[5] = {loop, delay, relay, args[1], args[2]};
+        event = PyObject_VectorcallMethod(str_call_later, cargs, 5, NULL);
+        Py_DECREF(delay);
     }
     if (event == NULL)
         return NULL;
     Py_DECREF(event);
-    Py_RETURN_TRUE;
+    Py_RETURN_NONE;
 }
 
 static PyObject *
@@ -1260,6 +1394,7 @@ link_traverse(LinkCoreObject *self, visitproc visit, void *arg)
     Py_VISIT(self->drop_filter);
     Py_VISIT(self->sampler);
     Py_VISIT(self->stats);
+    Py_VISIT(self->relay);
     Py_VISIT(self->delay_obj);
     Py_VISIT(self->rate_obj);
     Py_VISIT(self->jitter_obj);
@@ -1275,6 +1410,7 @@ link_clear_gc(LinkCoreObject *self)
     Py_CLEAR(self->drop_filter);
     Py_CLEAR(self->sampler);
     Py_CLEAR(self->stats);
+    Py_CLEAR(self->relay);
     Py_CLEAR(self->delay_obj);
     Py_CLEAR(self->rate_obj);
     Py_CLEAR(self->jitter_obj);
@@ -1312,6 +1448,10 @@ static PyMemberDef link_members[] = {
      "Optional deterministic drop hook, or None."},
     {"sampler", T_OBJECT, offsetof(LinkCoreObject, sampler), 0,
      "Optional sim-time metrics sampler, or None."},
+    {"relay", T_OBJECT, offsetof(LinkCoreObject, relay), 0,
+     "The next hop's transmit, or None: deliveries go to it."},
+    {"relay_delay_ms", T_DOUBLE, offsetof(LinkCoreObject, relay_delay_ms), 0,
+     "Forward delay before a relayed packet enters the next hop."},
     {"_tx_free_at", T_DOUBLE, offsetof(LinkCoreObject, tx_free_at), 0, NULL},
     {"_last_delivery_at", T_DOUBLE,
      offsetof(LinkCoreObject, last_delivery_at), 0, NULL},
@@ -1346,6 +1486,164 @@ static PyTypeObject LinkCoreType = {
     .tp_members = link_members,
     .tp_getset = link_getset,
     .tp_new = link_new,
+};
+
+/* ------------------------------------------------------------------ */
+/* WindowedSend: a FaultedPath's send, its drop windows tested in C    */
+/* ------------------------------------------------------------------ */
+
+/* repro.faults.inject.FaultedPath compiles the (start_ms, end_ms) of
+ * every fault window that drops its connection's packets once; this
+ * callable tests them per packet.  The visit anchor is read from the
+ * injector at send time (begin_visit moves it), so the verdict is
+ * FaultInjector.packet_dropped's: rel = loop.now - _visit_started_at,
+ * dropped when start <= rel < end for any window.  A dropped packet
+ * returns False without touching the path; otherwise the wrapped send
+ * runs and its verdict is returned. */
+
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    PyObject *send;           /* the wrapped path's send */
+    PyObject *loop;           /* the injector's loop */
+    PyObject *injector;       /* holds the visit anchor */
+    double *windows;          /* n (start, end) pairs */
+    Py_ssize_t n;
+} WindowedSendObject;
+
+static PyTypeObject WindowedSendType;
+
+static PyObject *
+windowed_send_call(WindowedSendObject *self, PyObject *const *args,
+                   size_t nargsf, PyObject *kwnames)
+{
+    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
+    if (nargs != 2 || kwnames != NULL) {
+        PyErr_SetString(PyExc_TypeError, "send(packet, on_deliver)");
+        return NULL;
+    }
+    double now;
+    if (PyObject_TypeCheck(self->loop, &LoopCoreType)) {
+        now = ((LoopCoreObject *)self->loop)->now;
+    }
+    else {
+        PyObject *now_obj = PyObject_GetAttr(self->loop, str_now);
+        if (now_obj == NULL)
+            return NULL;
+        now = PyFloat_AsDouble(now_obj);
+        Py_DECREF(now_obj);
+        if (now == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
+    PyObject *anchor_obj = PyObject_GetAttr(self->injector,
+                                            str_visit_started_at);
+    if (anchor_obj == NULL)
+        return NULL;
+    double anchor = PyFloat_AsDouble(anchor_obj);
+    Py_DECREF(anchor_obj);
+    if (anchor == -1.0 && PyErr_Occurred())
+        return NULL;
+    double rel = now - anchor;
+    const double *w = self->windows;
+    for (Py_ssize_t i = 0; i < self->n; i++) {
+        if (w[2 * i] <= rel && rel < w[2 * i + 1])
+            Py_RETURN_FALSE;
+    }
+    return PyObject_Vectorcall(self->send, args, nargs, NULL);
+}
+
+static PyObject *
+windowed_send_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"send", "loop", "injector", "windows", NULL};
+    PyObject *send, *loop, *injector, *windows;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOO:WindowedSend", kwlist,
+                                     &send, &loop, &injector, &windows))
+        return NULL;
+    PyObject *items = PySequence_Tuple(windows);
+    if (items == NULL)
+        return NULL;
+    Py_ssize_t n = PyTuple_GET_SIZE(items);
+    double *mem = PyMem_Malloc((n ? n : 1) * 2 * sizeof(double));
+    if (mem == NULL) {
+        Py_DECREF(items);
+        return PyErr_NoMemory();
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (!PyArg_ParseTuple(PyTuple_GET_ITEM(items, i), "dd",
+                              &mem[2 * i], &mem[2 * i + 1])) {
+            PyMem_Free(mem);
+            Py_DECREF(items);
+            return NULL;
+        }
+    }
+    Py_DECREF(items);
+    WindowedSendObject *self = (WindowedSendObject *)type->tp_alloc(type, 0);
+    if (self == NULL) {
+        PyMem_Free(mem);
+        return NULL;
+    }
+    self->vectorcall = (vectorcallfunc)windowed_send_call;
+    Py_INCREF(send);
+    self->send = send;
+    Py_INCREF(loop);
+    self->loop = loop;
+    Py_INCREF(injector);
+    self->injector = injector;
+    self->windows = mem;
+    self->n = n;
+    return (PyObject *)self;
+}
+
+static int
+windowed_send_traverse(WindowedSendObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->send);
+    Py_VISIT(self->loop);
+    Py_VISIT(self->injector);
+    return 0;
+}
+
+static int
+windowed_send_clear(WindowedSendObject *self)
+{
+    Py_CLEAR(self->send);
+    Py_CLEAR(self->loop);
+    Py_CLEAR(self->injector);
+    return 0;
+}
+
+static void
+windowed_send_dealloc(WindowedSendObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    windowed_send_clear(self);
+    PyMem_Free(self->windows);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+windowed_send_repr(WindowedSendObject *self)
+{
+    return PyUnicode_FromFormat("<WindowedSend %zd windows over %R>",
+                                self->n, self->send);
+}
+
+static PyTypeObject WindowedSendType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.events._ckernel.WindowedSend",
+    .tp_basicsize = sizeof(WindowedSendObject),
+    .tp_dealloc = (destructor)windowed_send_dealloc,
+    .tp_vectorcall_offset = offsetof(WindowedSendObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_repr = (reprfunc)windowed_send_repr,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC
+                | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "WindowedSend(send, loop, injector, windows): send(packet, "
+              "on_deliver) unless a fault window is open.",
+    .tp_traverse = (traverseproc)windowed_send_traverse,
+    .tp_clear = (inquiry)windowed_send_clear,
+    .tp_new = windowed_send_new,
 };
 
 /* ------------------------------------------------------------------ */
@@ -1419,7 +1717,7 @@ static SlotClass ClientStream = {NULL, 8, {
 /* StreamChunk's tuple items. */
 enum { CH_STREAM_ID, CH_OFFSET, CH_SIZE, CH_FIN };
 
-static PyObject *str_cancel, *str_call_later, *str_popleft, *str_append,
+static PyObject *str_cancel, *str_popleft, *str_append,
     *str_rotate, *str_remove, *str_get, *str_advance, *str_header_bytes,
     *str_send_to_client, *str_send_to_server, *str_client_on_packet,
     *str_server_on_packet, *str_on_data_packet_received,
@@ -3259,18 +3557,27 @@ ckernel_install(PyObject *module, PyObject *exc)
 }
 
 static PyObject *
-ckernel_install_link(PyObject *module, PyObject *no_loss)
+ckernel_install_link(PyObject *module, PyObject *args)
 {
+    PyObject *no_loss, *bernoulli;
+    if (!PyArg_ParseTuple(args, "OO:_install_link", &no_loss, &bernoulli))
+        return NULL;
     Py_INCREF(no_loss);
     Py_XSETREF(NoLossType, no_loss);
+    Py_INCREF(bernoulli);
+    Py_XSETREF(BernoulliLossType, bernoulli);
     Py_RETURN_NONE;
 }
 
 static PyMethodDef module_methods[] = {
     {"_install", ckernel_install, METH_O,
      "Install the SimulationError class raised by the schedulers."},
-    {"_install_link", ckernel_install_link, METH_O,
-     "Install the NoLoss class, whose draw LinkCore skips."},
+    {"_install_link", ckernel_install_link, METH_VARARGS,
+     "Install the NoLoss class, whose draw LinkCore skips, and the "
+     "BernoulliLoss class, whose draw LinkCore makes itself."},
+    {"_relay_later", (PyCFunction)(void (*)(void))ckernel_relay_later,
+     METH_FASTCALL,
+     "A relayed packet's arrival on a hop with a forward delay."},
     {"_install_transport", (PyCFunction)(void (*)(void))ckernel_install_transport,
      METH_VARARGS | METH_KEYWORDS,
      "Install the classes and objects TransportCore builds and calls."},
@@ -3291,6 +3598,9 @@ intern_names(void)
         {&str_uniform, "uniform"},
         {&str_on_transmit, "on_transmit"},
         {&str_call_at, "call_at"},
+        {&str_random, "random"},
+        {&str_loss_rate, "loss_rate"},
+        {&str_visit_started_at, "_visit_started_at"},
         {&str_sent_packets, "sent_packets"},
         {&str_dropped_packets, "dropped_packets"},
         {&str_delivered_packets, "delivered_packets"},
@@ -3377,6 +3687,8 @@ PyInit__ckernel(void)
         return NULL;
     if (PyType_Ready(&TransportCoreType) < 0)
         return NULL;
+    if (PyType_Ready(&WindowedSendType) < 0)
+        return NULL;
     if (intern_names() < 0)
         return NULL;
     PyObject *m = PyModule_Create(&ckernel_module);
@@ -3406,9 +3718,16 @@ PyInit__ckernel(void)
         Py_DECREF(m);
         return NULL;
     }
+    Py_INCREF(&WindowedSendType);
+    if (PyModule_AddObject(m, "WindowedSend", (PyObject *)&WindowedSendType) < 0) {
+        Py_DECREF(&WindowedSendType);
+        Py_DECREF(m);
+        return NULL;
+    }
     Py_XSETREF(FirePto, PyObject_GetAttrString(m, "_fire_pto"));
     Py_XSETREF(FireAck, PyObject_GetAttrString(m, "_fire_ack"));
-    if (FirePto == NULL || FireAck == NULL) {
+    Py_XSETREF(RelayLater, PyObject_GetAttrString(m, "_relay_later"));
+    if (FirePto == NULL || FireAck == NULL || RelayLater == NULL) {
         Py_DECREF(m);
         return NULL;
     }

@@ -12,7 +12,8 @@ Design notes
 * Events can be cancelled.  Cancellation is O(1): the entry is marked
   dead and skipped when it surfaces at the head of the queue.  This is
   the standard "lazy deletion" approach and is what retransmission
-  timers rely on.
+  timers rely on.  A cancelled entry drops its callback and arguments,
+  so the dead entry pins nothing while it waits to surface.
 
 Two scheduler implementations share one API and one (time, seq) total
 order, so results are bit-identical on either:
@@ -76,8 +77,15 @@ class ScheduledEvent:
         return self.seq < other.seq
 
     def cancel(self) -> None:
-        """Mark the event dead; it will be skipped when popped."""
+        """Mark the event dead; it will be skipped when popped.
+
+        The callback and its arguments are let go at once: a dead event
+        may sit in the queue long after its owner is done, and nothing
+        ever runs or reads it again.
+        """
         self.cancelled = True
+        self.callback = None
+        self.args = ()
         loop = self._loop
         if loop is not None:
             self._loop = None

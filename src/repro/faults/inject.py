@@ -14,16 +14,19 @@ registered in :data:`repro.obs.trace.EVENT_NAMES` and validated by
 ``repro.obs.schema``).
 
 :class:`FaultedPath` wraps a :class:`~repro.netsim.path.NetworkPath`
-per-connection, dropping packets while a ``blackout`` (any transport) or
-``udp_blackhole`` (QUIC only) window is open.  It is a pure pass-through
-otherwise — it consumes no randomness and schedules no events, so
-wrapping paths under an empty profile cannot change results.
+per-connection, dropping packets while a ``blackout`` (any transport), a
+migration gap (any transport) or ``udp_blackhole`` (QUIC only) window is
+open.  It is a pure pass-through otherwise — it consumes no randomness
+and schedules no events, so wrapping paths under an empty profile cannot
+change results.  Its windows are compiled once per connection and tested
+per packet in the C kernel when it is built.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.events.loop import _ckernel
 from repro.faults.profile import MIGRATION_KINDS, FaultProfile, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -225,16 +228,44 @@ class FaultInjector:
             tracer.event(self.loop.now, f"recovery:{kind}", host=host, **data)
 
 
+def _windowed_send(send, loop, injector, windows):
+    """``send`` behind ``windows``: the pure-Python form of
+    ``_ckernel.WindowedSend`` (same verdicts, same anchor read)."""
+
+    def send_unless_dropped(packet, on_deliver):
+        rel_now = loop.now - injector._visit_started_at
+        for start, end in windows:
+            if start <= rel_now < end:
+                return False
+        return send(packet, on_deliver)
+
+    return send_unless_dropped
+
+
 class FaultedPath:
     """A :class:`NetworkPath` proxy that drops packets in fault windows.
 
     Wraps one connection's view of the path: the pool knows whether the
     connection is QUIC, so ``udp_blackhole`` windows drop only QUIC
-    traffic while ``blackout`` windows drop everything.  All other
-    attribute access delegates to the underlying path.
+    traffic while ``blackout`` and migration windows drop everything.
+    All other attribute access delegates to the underlying path.
+
+    The windows that can drop this connection's packets are compiled
+    once, here: the ``(start_ms, end_ms)`` of every such event that
+    targets the host (the profile is frozen, so they cannot go stale).
+    ``send_to_server`` / ``send_to_client`` then test them per packet
+    against ``loop.now - injector._visit_started_at``, read at send
+    time, so the windows move with :meth:`FaultInjector.begin_visit` —
+    the verdict is :meth:`FaultInjector.packet_dropped`'s.  With no
+    window they are the wrapped path's own callables; otherwise a
+    ``_ckernel.WindowedSend`` (or, without the C kernel, a closure).
+    Neither holds the ``FaultedPath``.
     """
 
-    __slots__ = ("_path", "_injector", "_host", "_quic")
+    __slots__ = (
+        "_path", "_injector", "_host", "_quic", "_windows",
+        "send_to_server", "send_to_client",
+    )
 
     #: A faulted view may start dropping packets at any scripted moment,
     #: so the analytic transport fast path must never reserve deliveries
@@ -252,16 +283,25 @@ class FaultedPath:
         self._injector = injector
         self._host = host
         self._quic = quic
-
-    def send_to_server(self, packet, on_deliver) -> bool:
-        if self._injector.packet_dropped(self._host, self._quic):
-            return False
-        return self._path.send_to_server(packet, on_deliver)
-
-    def send_to_client(self, packet, on_deliver) -> bool:
-        if self._injector.packet_dropped(self._host, self._quic):
-            return False
-        return self._path.send_to_client(packet, on_deliver)
+        dropping = {"blackout", *MIGRATION_KINDS}
+        if quic:
+            dropping.add("udp_blackhole")
+        self._windows = tuple(
+            (event.start_ms, event.end_ms)
+            for event in injector.profile.events
+            if event.kind in dropping and event.targets(host)
+        )
+        if not self._windows:
+            self.send_to_server = path.send_to_server
+            self.send_to_client = path.send_to_client
+            return
+        wrap = _windowed_send if _ckernel is None else _ckernel.WindowedSend
+        self.send_to_server = wrap(
+            path.send_to_server, injector.loop, injector, self._windows
+        )
+        self.send_to_client = wrap(
+            path.send_to_client, injector.loop, injector, self._windows
+        )
 
     def __getattr__(self, name: str):
         return getattr(self._path, name)

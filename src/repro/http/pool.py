@@ -130,8 +130,15 @@ class PoolStats:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class _PendingFetch:
+    """One request waiting for, or in flight on, a connection.
+
+    Compared by identity: the pool finds a fetch in its lists with
+    ``in`` and ``remove``, and two fetches with equal fields are still
+    two requests.
+    """
+
     url: str
     resource_key: str
     request_bytes: int

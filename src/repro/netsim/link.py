@@ -16,7 +16,7 @@ from typing import Callable
 
 from repro.events import EventLoop
 from repro.events.loop import _ckernel
-from repro.netsim.loss import LossModel, NoLoss
+from repro.netsim.loss import BernoulliLoss, LossModel, NoLoss
 from repro.netsim.packet import Packet
 
 
@@ -56,7 +56,8 @@ class _PyLinkCore:
     the state :class:`Link` sets up.  ``LinkCore`` in
     ``repro/events/_ckernel.c`` is the same three methods in C — the
     same float expressions in the same order, the same hooks called in
-    the same order — with the delivery FIFO and the counters held in C.
+    the same order — with the delivery FIFO and the counters held in C;
+    the module's ``_relay_later`` is :meth:`_relay_later`.
     This class runs when the C kernel is not built (or
     ``REPRO_NO_CKERNEL=1`` is set), and it is the oracle the
     differential tests compare the C core against.
@@ -123,6 +124,11 @@ class _PyLinkCore:
         serialization + propagation (+ jitter).  Loss is applied up
         front: a dropped packet still occupies the transmitter (it is
         lost *after* being serialized, as on a real path).
+
+        With a :attr:`relay` target set, the delivery event calls
+        ``relay(packet, on_deliver)`` instead of ``on_deliver(packet)``
+        (after :attr:`relay_delay_ms` more, when positive): the packet
+        enters the next hop, which delivers it in the end.
         """
         now = self.loop.now
         pending = self._pending
@@ -171,13 +177,26 @@ class _PyLinkCore:
             deliver_at = self._last_delivery_at
         self._last_delivery_at = deliver_at
         pending.append((deliver_at, size))
-        self.loop.call_at(deliver_at, on_deliver, packet)
+        relay = self.relay
+        if relay is None:
+            self.loop.call_at(deliver_at, on_deliver, packet)
+        elif self.relay_delay_ms > 0:
+            self.loop.call_at(deliver_at, self._relay_later, packet, on_deliver)
+        else:
+            self.loop.call_at(deliver_at, relay, packet, on_deliver)
         return True
+
+    def _relay_later(
+        self, packet: Packet, on_deliver: Callable[[Packet], None]
+    ) -> None:
+        """A relayed packet's arrival on a hop with a forward delay: it
+        enters the next hop :attr:`relay_delay_ms` later."""
+        self.loop.call_later(self.relay_delay_ms, self.relay, packet, on_deliver)
 
 
 # The C core when the kernel is built, the pure-Python one otherwise.
 if _ckernel is not None:
-    _ckernel._install_link(NoLoss)
+    _ckernel._install_link(NoLoss, BernoulliLoss)
     _LinkCore = _ckernel.LinkCore
 else:  # pragma: no cover - exercised on hosts without a C toolchain
     _LinkCore = _PyLinkCore
@@ -217,9 +236,12 @@ class Link(_LinkCore):
     :meth:`settle`) come from the base class.  When the C kernel is
     built — the default whenever a C compiler is on the path — that is
     ``LinkCore`` from ``repro/events/_ckernel.c``: the FIFO, the
-    transmitter state and the counters live in C, and on the C event
-    loop a delivery is scheduled without a Python call.  Otherwise (no
-    compiler, or ``REPRO_NO_CKERNEL=1``) it is :class:`_PyLinkCore`.
+    transmitter state and the counters live in C, on the C event loop
+    a delivery (or a relay into the next hop) is scheduled without a
+    Python call, and a :class:`BernoulliLoss` (that exact type) is
+    drawn in C with the draw and compare of its ``should_drop``.
+    Otherwise (no compiler, or ``REPRO_NO_CKERNEL=1``) it is
+    :class:`_PyLinkCore`.
     Both give the same results, bit for bit, on either scheduler.
     """
 
@@ -255,6 +277,12 @@ class Link(_LinkCore):
         #: the ObsContext per visit and detached at drain; sampled after
         #: the transmitter slot is reserved so it sees the backlog.
         self.sampler = None
+        #: Optional next hop (a multi-segment path wires it): its
+        #: ``transmit``, called as ``relay(packet, on_deliver)`` when a
+        #: packet arrives here, ``relay_delay_ms`` later when positive.
+        #: A drop on the next hop is silent to this link's sender.
+        self.relay: Callable[[Packet, Callable[[Packet], None]], bool] | None = None
+        self.relay_delay_ms = 0.0
         # Time at which the transmitter finishes serializing the packet
         # currently on the wire; packets queue behind it (FIFO).
         self._tx_free_at = 0.0

@@ -35,13 +35,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.loss import make_loss_model
 from repro.netsim.netem import NetemProfile
-from repro.netsim.packet import Packet
 
 #: Canonical proxy model identifiers (CLI / scenario vocabulary).
 PROXY_MODELS = ("connect-tunnel", "masque-relay")
@@ -115,6 +113,10 @@ class SegmentedPath:
     as they would be for a real sender that cannot observe a remote
     segment).
 
+    The chain is wired once, at construction: each link holds the next
+    hop's ``transmit`` as its relay target, so no Python frame runs per
+    hop (see :attr:`Link.relay <repro.netsim.link.Link.relay>`).
+
     ``uplink``/``downlink`` alias the **client segment's** links so
     existing single-path consumers — the link sampler attachment,
     ethics byte accounting, probe NIC throughput — observe the client's
@@ -166,8 +168,16 @@ class SegmentedPath:
         # client NIC: segment 0 in both directions.
         self.uplink = self.uplinks[0]
         self.downlink = self.downlinks[0]
-        # Downstream traverses the chain edge→client.
-        self._down_chain = list(reversed(self.downlinks))
+        # Each link relays into the next hop: uplinks client→edge,
+        # downlinks edge→client.
+        self._wire(self.uplinks)
+        self._wire(self.downlinks[::-1])
+        #: ``send_to_server(packet, on_deliver)`` / ``send_to_client``:
+        #: client → proxy → … → server and back; ``False`` only on a
+        #: first-hop drop.  Bound straight to the first link's
+        #: ``transmit``, as :class:`NetworkPath` binds its links'.
+        self.send_to_server = self.uplinks[0].transmit
+        self.send_to_client = self.downlinks[-1].transmit
 
     @property
     def h3_passthrough(self) -> bool:
@@ -188,41 +198,14 @@ class SegmentedPath:
             + 2.0 * self.forward_delay_ms * hops
         )
 
-    # -- forwarding chain ----------------------------------------------
-
-    def _forward(
-        self,
-        chain: list[Link],
-        hop: int,
-        packet: Packet,
-        on_deliver: Callable[[Packet], None],
-    ) -> bool:
-        link = chain[hop]
-        if hop == len(chain) - 1:
-            return link.transmit(packet, on_deliver)
-
-        def relay(pkt: Packet) -> None:
-            if self.forward_delay_ms > 0:
-                self.loop.call_later(
-                    self.forward_delay_ms,
-                    self._forward, chain, hop + 1, pkt, on_deliver,
-                )
-            else:
-                self._forward(chain, hop + 1, pkt, on_deliver)
-
-        return link.transmit(packet, relay)
-
-    def send_to_server(
-        self, packet: Packet, on_deliver: Callable[[Packet], None]
-    ) -> bool:
-        """Client → proxy → … → server; ``False`` only on first-hop drop."""
-        return self._forward(self.uplinks, 0, packet, on_deliver)
-
-    def send_to_client(
-        self, packet: Packet, on_deliver: Callable[[Packet], None]
-    ) -> bool:
-        """Server → … → proxy → client; ``False`` only on first-hop drop."""
-        return self._forward(self._down_chain, 0, packet, on_deliver)
+    def _wire(self, chain: list[Link]) -> None:
+        """Point every link of ``chain`` but the last at the next one's
+        ``transmit``: a packet arriving at a hop is relayed onward
+        (``forward_delay_ms`` later when positive), and only the last
+        hop calls the receiver's ``on_deliver``."""
+        for link, next_hop in zip(chain, chain[1:]):
+            link.relay = next_hop.transmit
+            link.relay_delay_ms = self.forward_delay_ms
 
     def total_bytes_transferred(self) -> int:
         """Bytes delivered on the client segment (probe NIC accounting).

@@ -12,7 +12,10 @@ Two things a visit must not do, both deterministic:
 * run the transport loop in Python when the C kernel is built: none
   of the ten methods of ``_PyTransportCore`` is called, and the only
   packets built through ``Packet.__init__`` are handshake and request
-  packets.
+  packets;
+* run Python per packet on a faulted, relayed, lossy path when the C
+  kernel is built: fault windows, relay hops and Bernoulli draws all
+  stay in C.
 
 The profiler cannot see calls made from C to C (a ``Link.transmit``
 from the C transport core), so the packet counts come from the links'
@@ -30,15 +33,22 @@ import pytest
 
 import repro.browser.browser as browser_module
 import repro.check
+import repro.faults.inject
 import repro.netsim.link
+import repro.netsim.loss
 import repro.netsim.path
+import repro.netsim.proxy
 import repro.obs
 from repro.browser import Browser, BrowserConfig
 from repro.events import EventLoop
 from repro.http.pool import ConnectionPool
+from repro.browser.browser import H3_ENABLED
 from repro.measurement import ProbeNetProfile, ServerFarm
+from repro.measurement.probe import Probe
 from repro.events.loop import _ckernel
-from repro.netsim import NoLoss, Packet
+from repro.faults import FaultInjector
+from repro.netsim import BernoulliLoss, NoLoss, Packet, SegmentedPath
+from repro.scenario import preset
 from repro.transport.base import BaseConnection, _PyTransportCore
 from repro.web import GeneratorConfig, TopSitesGenerator
 
@@ -83,10 +93,14 @@ def test_finished_visit_frees_itself_without_the_cycle_collector(
 
 
 def sent_packets(browser):
-    """Packets the farm's links have transmitted so far."""
+    """Packets the farm's links (every segment's) have transmitted so far."""
     return sum(
-        path.uplink.stats.sent_packets + path.downlink.stats.sent_packets
+        link.stats.sent_packets
         for path in browser.farm._paths.values()
+        for link in (
+            *getattr(path, "uplinks", [path.uplink]),
+            *getattr(path, "downlinks", [path.downlink]),
+        )
     )
 
 
@@ -156,3 +170,54 @@ def test_dormant_visit_runs_the_transport_loop_in_c(universe):
     )
     assert python_built > 0
     assert calls_to(calls, Packet.__post_init__) == python_built
+
+
+@pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")
+def test_faulted_relayed_lossy_visit_runs_no_python_per_packet(universe):
+    """The ``lossy-migration`` benchmark's set-up: 1% Bernoulli loss, a
+    MASQUE relay and a NAT-rebind window."""
+    sim = (
+        preset("lossy").with_proxy("masque-relay").with_faults("nat-rebind")
+        .campaign_config(seed=11).sim
+    )
+    probe = Probe(
+        "lean", universe,
+        net_profile=ProbeNetProfile(loss_rate=sim.loss_rate, rate_mbps=sim.rate_mbps),
+        seed=5,
+        transport_config=sim.transport_config,
+        fault_profile=sim.fault_profile,
+        proxy=sim.proxy,
+    )
+    browser = probe.browsers[H3_ENABLED]
+    calls, packets = profiled_visit(browser, universe.pages[4])
+    assert packets > 100
+    per_packet = {
+        repro.faults.inject.__file__: (
+            "send_to_server", "send_to_client", "send_unless_dropped",
+            "packet_dropped", "blackout", "migration_blackout", "udp_blackholed",
+        ),
+        repro.netsim.proxy.__file__: ("_forward", "send_to_server", "send_to_client"),
+    }
+    assert {
+        key: n for key, n in calls.items() if key[2] in per_packet.get(key[0], ())
+    } == {}
+    assert calls_to(calls, BernoulliLoss.should_drop) == 0
+    # ``_active`` and ``_rel_now`` still answer the per-request and
+    # per-connection queries, and nothing else.
+    injector = FaultInjector
+    queries = sum(
+        calls_to(calls, getattr(injector, name))
+        for name in ("edge_outage", "dns_failure", "zero_rtt_rejected")
+    )
+    assert queries > 0
+    assert calls_to(calls, injector._active) == queries
+    assert calls_to(calls, injector._rel_now) == queries + sum(
+        calls_to(calls, getattr(injector, name))
+        for name in ("migration_at", "connection_reset_at")
+    )
+    # The visit really went over relayed, lossy, faulted paths.
+    paths = list(browser.farm._paths.values())
+    assert paths and all(isinstance(path, SegmentedPath) for path in paths)
+    links = [link for path in paths for link in path.uplinks + path.downlinks]
+    assert any(type(link.loss) is BernoulliLoss for link in links)
+    assert sim.fault_profile.events

@@ -70,17 +70,24 @@ def python_core(cls):
 
 
 def record_deliveries(path, loop, log, first_uid):
-    """Log every delivery on the path's links as (link, time, uid, kind, seq)."""
+    """Log every delivery on the path's links as (link, time, uid, kind, seq).
+
+    A hop of a segmented path that relays into the next one is logged
+    when its relay runs (after the forward delay, if any)."""
+
+    def entry(name, pkt):
+        return (name, repr(loop.now), pkt.uid - first_uid, pkt.kind.value, pkt.seq)
+
     links = list(getattr(path, "uplinks", [path.uplink]))
     links += list(getattr(path, "downlinks", [path.downlink]))
     for link in links:
+        if getattr(link, "relay", None) is not None:
+            continue
         transmit = link.transmit
 
         def recorded(packet, on_deliver, transmit=transmit, name=link.name):
             def deliver(pkt):
-                log.append(
-                    (name, repr(loop.now), pkt.uid - first_uid, pkt.kind.value, pkt.seq)
-                )
+                log.append(entry(name, pkt))
                 on_deliver(pkt)
 
             return transmit(packet, deliver)
@@ -89,6 +96,19 @@ def record_deliveries(path, loop, log, first_uid):
     if isinstance(path, NetworkPath):
         path.send_to_server = path.uplink.transmit
         path.send_to_client = path.downlink.transmit
+        return
+    # Relays into the recorded last hops, then a log entry per relay.
+    path._wire(path.uplinks)
+    path._wire(path.downlinks[::-1])
+    for link in links:
+        if link.relay is None:
+            continue
+
+        def relayed(packet, on_deliver, relay=link.relay, name=link.name):
+            log.append(entry(name, packet))
+            return relay(packet, on_deliver)
+
+        link.relay = relayed
 
 
 def drop_first_fin():
