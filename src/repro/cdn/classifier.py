@@ -11,6 +11,7 @@ domains and provider-specific domain patterns).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.cdn.provider import CdnProvider, default_providers
 
@@ -79,18 +80,43 @@ def classify_response(
     Signals are checked in decreasing reliability order, mirroring
     LocEdge: exact header fingerprints, then exact shared-domain
     matches, then provider domain patterns.  Anything unmatched is
-    non-CDN.
+    non-CDN.  Header names match case-insensitively; when several
+    spell the same name, the last one wins.  Verdicts against the
+    default registry are memoised; a caller-supplied ``providers``
+    registry is classified afresh each time.
     """
-    by_server, by_via, by_domain, known_names = (
-        _DEFAULT_INDEX if providers is None else _build_index(providers)
-    )
-    headers = {k.lower(): v for k, v in (headers or {}).items()}
-    host = host.lower()
+    server = via = ""
+    if headers:
+        for name, value in headers.items():
+            name = name.lower()
+            if name == "server":
+                server = value
+            elif name == "via":
+                via = value
+    host, server, via = host.lower(), server.lower(), via.lower()
+    if providers is not None:
+        return _classify(host, server, via, _build_index(providers))
+    return _classify_default(host, server, via)
 
-    server = headers.get("server", "").lower()
+
+@lru_cache(maxsize=1 << 16)
+def _classify_default(host: str, server: str, via: str) -> ClassificationResult:
+    """:func:`_classify` against the default registry, memoised on the
+    three lower-cased inputs the decision reads.  Results are frozen, so
+    every caller may share one."""
+    return _classify(host, server, via, _DEFAULT_INDEX)
+
+
+def _classify(
+    host: str,
+    server: str,
+    via: str,
+    index: tuple[dict[str, str], dict[str, str], dict[str, str], frozenset[str]],
+) -> ClassificationResult:
+    """The decision on lower-cased inputs against one registry's index."""
+    by_server, by_via, by_domain, known_names = index
     if server in by_server:
         return ClassificationResult(True, by_server[server], "header")
-    via = headers.get("via", "").lower()
     if via in by_via:
         return ClassificationResult(True, by_via[via], "header")
 

@@ -27,6 +27,8 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#include <errno.h>
+#include <math.h>
 #include <time.h>
 
 /* Installed by the loader: repro.events.loop.SimulationError, so C
@@ -671,6 +673,16 @@ core_profile_raw(LoopCoreObject *self, PyObject *Py_UNUSED(ignored))
     return self->profile;
 }
 
+/* HeapEventLoop.close: cancel every queued event, then drop the queue. */
+static PyObject *
+core_close(LoopCoreObject *self, PyObject *Py_UNUSED(ignored))
+{
+    for (Py_ssize_t i = 0; i < self->heap_len; i++)
+        Py_XDECREF(cevent_cancel(self->heap[i].ev, NULL));
+    core_release_queue(self);
+    Py_RETURN_NONE;
+}
+
 static PyObject *
 core_next_event_time(LoopCoreObject *self, PyObject *Py_UNUSED(ignored))
 {
@@ -738,6 +750,8 @@ static PyMethodDef core_methods[] = {
      "Run until predicate() becomes true or the queue drains."},
     {"step", (PyCFunction)core_step, METH_NOARGS,
      "Execute the next pending event; False when the queue is empty."},
+    {"close", (PyCFunction)core_close, METH_NOARGS,
+     "Cancel every pending event and empty the queue."},
     {"next_event_time", (PyCFunction)core_next_event_time, METH_NOARGS,
      "Time of the earliest pending live event, or None when empty."},
     {"set_check", (PyCFunction)core_set_check, METH_O,
@@ -1655,9 +1669,17 @@ static PyTypeObject WindowedSendType = {
  * timeout (PTO), and the client's ACK batching and chunk hand-off.
  * The arithmetic is the same float expressions in the same order, and
  * the Python hooks (congestion controller, RTT estimator, rate
- * sampler, tracer, metrics sampler, the subclass reassembly hook and
- * the request-side methods) are called in the same order with the
- * same arguments.  Calls between the moved methods stay in C.
+ * sampler, tracer, metrics sampler and the request-side methods) are
+ * called in the same order with the same arguments.  Calls between the
+ * moved methods stay in C.
+ *
+ * Two more pieces run here without a Python call: the per-ACK
+ * arithmetic of an exact RttEstimator, NewRenoController or
+ * CubicController (slotted classes whose fields are read and written
+ * in place, with Python's operations and result types), and the
+ * receivers' reassembly (TCP in connection-byte order, QUIC per
+ * stream), whose state the struct holds.  Any other controller, and a
+ * connection class that overrides a reassembly hook, is called.
  *
  * Data and ACK packets are Packet instances filled slot by slot, as
  * the dataclass's generated __init__ and __post_init__ fill them, and
@@ -1675,7 +1697,12 @@ static PyObject *PacketGlobals = NULL;  /* repro.netsim.packet's namespace */
 static PyObject *FastpathModule = NULL;
 static PyObject *PyDeliverChunk = NULL; /* _PyTransportCore._deliver_chunk */
 /* The deadlines' event callbacks (module functions, made at init). */
-static PyObject *FirePto = NULL, *FireAck = NULL;
+static PyObject *FirePto = NULL, *FireAck = NULL, *FireHandshake = NULL;
+/* TransportCore's own method descriptors (borrowed from its type
+ * dict): a connection class whose hook resolves to one of them gets
+ * the C function called directly. */
+static PyObject *DescrDeliver = NULL, *DescrTcpReceive = NULL,
+    *DescrTcpRelease = NULL, *DescrQuicReceive = NULL, *DescrQuicChunk = NULL;
 
 /* A slotted Python class whose fields C reads and writes in place: an
  * instance of exactly that class by slot offset (resolved once from
@@ -1696,11 +1723,25 @@ static SlotClass Packet = {NULL, 12, {
     "size_bytes", "uid", "sent_at", "retransmission", "conn_start",
     "payload_bytes"}};
 
-/* ConnectionStats: the counters the loop bumps. */
-enum { ST_SENT, ST_LOST, ST_RETX, ST_ACKS, ST_RTO };
-static SlotClass Stats = {NULL, 5, {
+/* ConnectionStats: the counters the loop and the reassembly bump. */
+enum { ST_SENT, ST_LOST, ST_RETX, ST_ACKS, ST_RTO, ST_HOL_CHUNKS,
+       ST_HOL_STALLS, ST_HOL_STALL_MS };
+static SlotClass Stats = {NULL, 8, {
     "data_packets_sent", "data_packets_lost", "retransmissions",
-    "acks_received", "rto_events"}};
+    "acks_received", "rto_events", "hol_blocked_chunks", "hol_stalls",
+    "hol_stall_ms"}};
+
+/* RttEstimator. */
+enum { RT_MIN_RTO, RT_SRTT, RT_RTTVAR, RT_LATEST, RT_SAMPLES, RT_RTO };
+static SlotClass Rtt = {NULL, 6, {
+    "_min_rto_ms", "srtt_ms", "rttvar_ms", "latest_sample_ms", "samples",
+    "rto_ms"}};
+
+/* NewRenoController, and CubicController with three more fields. */
+enum { CC_MSS, CC_CWND, CC_SSTHRESH, CC_MIN_CWND, CC_W_MAX, CC_EPOCH };
+static SlotClass NewReno = {NULL, 3, {"mss", "_cwnd", "_ssthresh"}};
+static SlotClass Cubic = {NULL, 6, {
+    "mss", "_cwnd", "_ssthresh", "_min_cwnd", "_w_max", "_epoch_start_ms"}};
 
 /* _ServerStream: the send-side fields of the round-robin. */
 enum { SS_RESPONSE_BYTES, SS_NEXT_OFFSET, SS_WEIGHT };
@@ -1722,15 +1763,21 @@ static PyObject *str_cancel, *str_popleft, *str_append,
     *str_send_to_client, *str_send_to_server, *str_client_on_packet,
     *str_server_on_packet, *str_on_data_packet_received,
     *str_absorb_request_chunk, *str_on_request_ack, *str_trace_metrics,
-    *str_on_ack, *str_on_loss, *str_on_rto, *str_on_sample, *str_rto_ms,
-    *str_srtt_ms, *str_cwnd_bytes, *str_packet_sent, *str_packet_received,
+    *str_on_ack, *str_on_loss, *str_on_rto, *str_on_sample, *str_cwnd_bytes,
+    *str_packet_sent, *str_packet_received,
     *str_packet_acked, *str_packet_lost, *str_event, *str_s2c,
     *str_packet_threshold, *str_pto, *str_pto_fired, *str_stream_closed,
-    *str_stream_id,
+    *str_stream_id, *str_offset, *str_pop, *str_setdefault, *str_deliver_chunk,
+    *str_release_packet, *str_receive_stream_chunk,
+    *str_on_handshake_timeout, *str_hol_started, *str_hol_ended,
+    *str_alpha, *str_beta, *str_c,
     *str_size, *str_mss, *str_ack_frequency, *str_max_ack_delay_ms;
-/* ("force",), ("backoff",), ("stream_id", "first_byte_ms", "duration_ms") */
-static PyObject *kw_force, *kw_backoff, *kw_stream_closed;
-static PyObject *int_zero, *int_minus_one, *float_minus_one, *empty_tuple;
+/* ("force",), ("backoff",), ("stream_id", "first_byte_ms", "duration_ms"),
+ * and the HoL-stall events' keywords, without and with a stream id. */
+static PyObject *kw_force, *kw_backoff, *kw_stream_closed, *kw_blocked_from,
+    *kw_duration, *kw_stream_blocked_from, *kw_stream_duration;
+static PyObject *int_zero, *int_one, *int_minus_one, *float_minus_one,
+    *empty_tuple;
 
 #define SLOT(obj, offset) (*(PyObject **)((char *)(obj) + (offset)))
 
@@ -1756,8 +1803,14 @@ typedef struct {
     PyObject *cached_config;
     long long mss, packet_threshold, ack_frequency;
     double max_ack_delay_ms;
-    /* The pending PTO / delayed-ACK events, or NULL when disarmed. */
-    PyObject *pto_event, *ack_event;
+    /* Receiver reassembly: TCP's next in-order byte, reorder buffer and
+     * stall start; QUIC's per-stream next offsets, buffers and stall
+     * starts (each protocol sets its own). */
+    PyObject *rcv_next, *reorder_buffer, *stall_started_at,
+        *stream_rcv_next, *stream_buffers, *stream_stall_started;
+    /* The pending PTO / delayed-ACK / handshake events, or NULL when
+     * disarmed. */
+    PyObject *pto_event, *ack_event, *hs_event;
 } TransportCoreObject;
 
 static PyTypeObject TransportCoreType;
@@ -2147,6 +2200,292 @@ stats_add(PyObject *stats, int field, Py_ssize_t delta)
     return slot_set_new(&Stats, stats, field, value);
 }
 
+/* stats.<counter> += delta, for any number delta (borrowed). */
+static int
+stats_add_obj(PyObject *stats, int field, PyObject *delta)
+{
+    if (tc_require(stats, "stats") < 0)
+        return -1;
+    PyObject *old = slot_get(&Stats, stats, field);
+    if (old == NULL)
+        return -1;
+    PyObject *value = PyNumber_InPlaceAdd(old, delta);
+    Py_DECREF(old);
+    return slot_set_new(&Stats, stats, field, value);
+}
+
+/* -- Congestion control and RTT in place ------------------------------ */
+
+/* The fields of an exact RttEstimator, NewRenoController or
+ * CubicController are plain numbers: floats, and ints that a double
+ * holds exactly.  On those, Python's mixed int/float arithmetic and
+ * comparisons are the double ones, so C computes them in doubles (ints
+ * stay ints where Python keeps them ints).  Anything else, an unset
+ * field, or an operation that would raise in Python, and the Python
+ * method is called instead; nothing has been written by then. */
+typedef struct { double d; long long i; int is_int; } Num;
+
+#define EXACT_INT_LIMIT (1LL << 53)
+
+/* 0 when obj is a plain number (filled into *out), 1 otherwise. */
+static int
+plain_number(PyObject *obj, Num *out)
+{
+    if (obj == NULL)
+        return 1;
+    if (PyFloat_CheckExact(obj)) {
+        out->d = PyFloat_AS_DOUBLE(obj);
+        out->is_int = 0;
+        return 0;
+    }
+    if (PyLong_CheckExact(obj)) {
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(obj, &overflow);
+        if (overflow || v > EXACT_INT_LIMIT || v < -EXACT_INT_LIMIT)
+            return 1;
+        out->i = v;
+        out->d = (double)v;
+        out->is_int = 1;
+        return 0;
+    }
+    return 1;
+}
+
+/* A float class constant, as `self.NAME` finds it on a slotted
+ * instance: 0 with *out set, 1 when it is not an exact float. */
+static int
+class_float(PyObject *obj, PyObject *name, double *out)
+{
+    PyObject *value = _PyType_Lookup(Py_TYPE(obj), name);
+    if (value == NULL || !PyFloat_CheckExact(value))
+        return 1;
+    *out = PyFloat_AS_DOUBLE(value);
+    return 0;
+}
+
+/* iv ** iw on floats as float.__pow__ computes it (its special cases
+ * first, then the C library's pow()): 0 with *out set, 1 for the cases
+ * left to Python (zero, infinite or NaN operands, a complex result, a
+ * range error). */
+static int
+float_pow(double iv, double iw, double *out)
+{
+    if (!isfinite(iv) || !isfinite(iw) || iv == 0.0 || iw == 0.0)
+        return 1;
+    int negate = 0;
+    if (iv < 0.0) {
+        if (iw != floor(iw))
+            return 1;
+        iv = -iv;
+        negate = fmod(fabs(iw), 2.0) == 1.0;
+    }
+    if (iv == 1.0) {
+        *out = negate ? -1.0 : 1.0;
+        return 0;
+    }
+    errno = 0;
+    double ix = pow(iv, iw);
+    if (errno != 0 || isinf(ix))
+        return 1;
+    *out = negate ? -ix : ix;
+    return 0;
+}
+
+/* A number object that is a's value when `max(a, b)` returns a: b if
+ * b > a else a (Python's max returns the first of two equal ones).  a
+ * is borrowed, the result new. */
+static PyObject *
+py_max(PyObject *a, double a_v, double b_v)
+{
+    if (b_v > a_v)
+        return PyFloat_FromDouble(b_v);
+    Py_INCREF(a);
+    return a;
+}
+
+/* rtt.on_sample(sample) for an exact RttEstimator, in place: 1 when
+ * done, 0 when the caller must call the method, -1 on error.  The
+ * caller passes only samples >= 0 (the method raises on the rest). */
+static int
+rtt_sample_native(PyObject *rtt, PyObject *sample_obj)
+{
+    if (!Py_IS_TYPE(rtt, Rtt.type) || !PyFloat_CheckExact(sample_obj))
+        return 0;
+    double sample = PyFloat_AS_DOUBLE(sample_obj);
+    PyObject *min_rto = SLOT(rtt, Rtt.offsets[RT_MIN_RTO]);
+    PyObject *srtt = SLOT(rtt, Rtt.offsets[RT_SRTT]);
+    PyObject *rttvar = SLOT(rtt, Rtt.offsets[RT_RTTVAR]);
+    PyObject *samples = SLOT(rtt, Rtt.offsets[RT_SAMPLES]);
+    Num min_v, srtt_v, rttvar_v;
+    double alpha, beta;
+    if (!(sample >= 0) || samples == NULL || !PyLong_CheckExact(samples)
+        || plain_number(min_rto, &min_v) || srtt == NULL
+        || class_float(rtt, str_alpha, &alpha)
+        || class_float(rtt, str_beta, &beta))
+        return 0;
+    double new_srtt, new_rttvar;
+    if (srtt == Py_None) {
+        new_srtt = sample;
+        new_rttvar = sample / 2.0;
+    }
+    else {
+        if (plain_number(srtt, &srtt_v) || plain_number(rttvar, &rttvar_v))
+            return 0;
+        new_rttvar = (1 - beta) * rttvar_v.d + beta * fabs(srtt_v.d - sample);
+        new_srtt = (1 - alpha) * srtt_v.d + alpha * sample;
+    }
+    PyObject *count = PyNumber_Add(samples, int_one);
+    PyObject *srtt_obj = srtt == Py_None ? Py_NewRef(sample_obj)
+                                         : PyFloat_FromDouble(new_srtt);
+    PyObject *rttvar_obj = PyFloat_FromDouble(new_rttvar);
+    PyObject *rto = py_max(min_rto, min_v.d, new_srtt + 4.0 * new_rttvar);
+    if (count == NULL || srtt_obj == NULL || rttvar_obj == NULL || rto == NULL) {
+        Py_XDECREF(count);
+        Py_XDECREF(srtt_obj);
+        Py_XDECREF(rttvar_obj);
+        Py_XDECREF(rto);
+        return -1;
+    }
+    Py_INCREF(sample_obj);
+    Py_XSETREF(SLOT(rtt, Rtt.offsets[RT_LATEST]), sample_obj);
+    Py_SETREF(SLOT(rtt, Rtt.offsets[RT_SAMPLES]), count);
+    Py_SETREF(SLOT(rtt, Rtt.offsets[RT_SRTT]), srtt_obj);
+    Py_XSETREF(SLOT(rtt, Rtt.offsets[RT_RTTVAR]), rttvar_obj);
+    Py_XSETREF(SLOT(rtt, Rtt.offsets[RT_RTO]), rto);
+    return 1;
+}
+
+/* The slot layout of cc when it is an exact NewReno or CUBIC
+ * controller, else NULL. */
+static SlotClass *
+native_cc(PyObject *cc)
+{
+    if (Py_IS_TYPE(cc, NewReno.type))
+        return &NewReno;
+    if (Py_IS_TYPE(cc, Cubic.type))
+        return &Cubic;
+    return NULL;
+}
+
+#define CC_FIELD(cls, cc, field) SLOT(cc, (cls)->offsets[field])
+
+/* The congestion-avoidance step both share, `cwnd + mss * acked /
+ * cwnd`: 0 with *out set, 1 when Python must do it. */
+static int
+reno_increase(Num cwnd, Num mss, Num acked, double *out)
+{
+    double product;
+    if (mss.is_int && acked.is_int) {
+        /* int * int stays an exact int; int / x is a double division
+         * when the int is exactly a double. */
+        long long p;
+        if (__builtin_mul_overflow(mss.i, acked.i, &p)
+            || p > EXACT_INT_LIMIT || p < -EXACT_INT_LIMIT)
+            return 1;
+        product = (double)p;
+    }
+    else {
+        product = mss.d * acked.d;
+    }
+    if (cwnd.d == 0.0)
+        return 1;
+    *out = cwnd.d + product / cwnd.d;
+    return 0;
+}
+
+/* cc.on_ack(acked, now) for an exact NewRenoController or
+ * CubicController, in place: 1 when done, 0 when the caller must call
+ * the method, -1 on error. */
+static int
+cc_ack_native(PyObject *cc, PyObject *acked_obj, double now)
+{
+    SlotClass *cls = native_cc(cc);
+    if (cls == NULL)
+        return 0;
+    PyObject *cwnd_obj = CC_FIELD(cls, cc, CC_CWND);
+    Num cwnd, ssthresh, mss, acked;
+    if (plain_number(cwnd_obj, &cwnd)
+        || plain_number(CC_FIELD(cls, cc, CC_SSTHRESH), &ssthresh)
+        || plain_number(CC_FIELD(cls, cc, CC_MSS), &mss)
+        || plain_number(acked_obj, &acked))
+        return 0;
+    PyObject *value;
+    double v;
+    if (cwnd.d < ssthresh.d) {
+        /* in_slow_start: cwnd += acked (int + int stays an int). */
+        if (cwnd.is_int && acked.is_int)
+            value = PyLong_FromLongLong(cwnd.i + acked.i);
+        else
+            value = PyFloat_FromDouble(cwnd.d + acked.d);
+    }
+    else if (cls == &NewReno || CC_FIELD(cls, cc, CC_W_MAX) == Py_None) {
+        /* Congestion avoidance (CUBIC before any loss emulates Reno). */
+        if (reno_increase(cwnd, mss, acked, &v))
+            return 0;
+        value = PyFloat_FromDouble(v);
+    }
+    else {
+        /* max(cwnd, _cubic_window(now)). */
+        Num w_max, epoch, min_cwnd;
+        double c, beta, k, cubed;
+        PyObject *min_obj = CC_FIELD(cls, cc, CC_MIN_CWND);
+        if (plain_number(CC_FIELD(cls, cc, CC_W_MAX), &w_max)
+            || plain_number(CC_FIELD(cls, cc, CC_EPOCH), &epoch)
+            || plain_number(min_obj, &min_cwnd)
+            || class_float(cc, str_c, &c) || class_float(cc, str_beta, &beta)
+            || mss.d == 0.0 || c == 0.0)
+            return 0;
+        double w_max_seg = w_max.d / mss.d;
+        if (float_pow(w_max_seg * (1 - beta) / c, 1.0 / 3.0, &k))
+            return 0;
+        double t = (now - epoch.d) / 1000.0;
+        if (float_pow(t - k, 3.0, &cubed))
+            return 0;
+        double target_seg = c * cubed + w_max_seg;
+        double target = target_seg * mss.d;
+        double window = target > min_cwnd.d ? target : min_cwnd.d;
+        if (!(window > cwnd.d))
+            return 1;  /* max() keeps cwnd */
+        value = target > min_cwnd.d ? PyFloat_FromDouble(target)
+                                    : Py_NewRef(min_obj);
+    }
+    if (value == NULL)
+        return -1;
+    Py_XSETREF(CC_FIELD(cls, cc, CC_CWND), value);
+    return 1;
+}
+
+/* cc.on_ack(acked, now). */
+static int
+cc_on_ack(PyObject *cc, PyObject *acked, double now, PyObject *now_obj)
+{
+    int done = cc_ack_native(cc, acked, now);
+    if (done != 0)
+        return done < 0 ? -1 : 0;
+    PyObject *args[3] = {cc, acked, now_obj};
+    return call_method(str_on_ack, args, 3, NULL);
+}
+
+/* cc.cwnd_bytes as a double: int(cc._cwnd) read in place for an exact
+ * NewReno or CUBIC controller, the property otherwise. */
+static int
+cc_cwnd(PyObject *cc, double *out)
+{
+    SlotClass *cls = native_cc(cc);
+    Num cwnd;
+    if (cls != NULL && plain_number(CC_FIELD(cls, cc, CC_CWND), &cwnd) == 0
+        && isfinite(cwnd.d)) {
+        *out = cwnd.is_int ? cwnd.d : trunc(cwnd.d);
+        return 0;
+    }
+    PyObject *value = PyObject_GetAttr(cc, str_cwnd_bytes);
+    if (value == NULL)
+        return -1;
+    int rc = as_double(value, out);
+    Py_DECREF(value);
+    return rc;
+}
+
 /* -- Deadlines -------------------------------------------------------- */
 
 /* Timer.stop: cancel the pending event, if any, and drop the handle. */
@@ -2215,6 +2554,7 @@ deadline_start(TransportCoreObject *self, PyObject **slot, double delay,
 
 static int tc_try_send(TransportCoreObject *self);
 static PyObject *tc_flush_acks(TransportCoreObject *self, PyObject *unused);
+static int data_packet_received(TransportCoreObject *self, PyObject *pkt);
 
 /* The tracer/sampler/check guard: `if self.<hook>:`. */
 static int
@@ -2263,7 +2603,7 @@ tc_arm_pto(TransportCoreObject *self)
 {
     if (tc_require(self->rtt, "rtt") < 0 || tc_config(self) < 0)
         return -1;
-    PyObject *rto_obj = PyObject_GetAttr(self->rtt, str_rto_ms);
+    PyObject *rto_obj = slot_get(&Rtt, self->rtt, RT_RTO);
     if (rto_obj == NULL)
         return -1;
     double rto;
@@ -2502,14 +2842,11 @@ send_new_data(TransportCoreObject *self)
     double cwnd = 0.0;
     int more = PyObject_IsTrue(queue);
     if (more > 0) {
-        PyObject *cwnd_obj = NULL;
         if (tc_config(self) < 0
             || tc_require(self->cc, "cc") < 0
             || (streams = tc_get(self->server_streams, "_server_streams")) == NULL
-            || (cwnd_obj = PyObject_GetAttr(self->cc, str_cwnd_bytes)) == NULL
-            || as_double(cwnd_obj, &cwnd) < 0)
+            || cc_cwnd(self->cc, &cwnd) < 0)
             more = -1;
-        Py_XDECREF(cwnd_obj);
     }
     while (more > 0 && !((double)(self->bytes_in_flight + self->mss) > cwnd)) {
         Py_ssize_t n = send_turn(self, queue, streams, cwnd);
@@ -2685,15 +3022,22 @@ ack_samples(TransportCoreObject *self, PyObject *largest, PyObject *pkt,
             || as_double(ack_delay, &ack_delay_v) < 0)
             goto done;
         double sample = now - sent_at_v - ack_delay_v;
-        if (sample >= 0
-            && call_method1(rtt, str_on_sample, PyFloat_FromDouble(sample), 1) < 0)
-            goto done;
+        if (sample >= 0) {
+            PyObject *sample_obj = PyFloat_FromDouble(sample);
+            int r = sample_obj == NULL ? -1
+                : rtt_sample_native(rtt, sample_obj);
+            if (r == 0)
+                r = call_method1(rtt, str_on_sample, sample_obj, 0);
+            Py_XDECREF(sample_obj);
+            if (r < 0)
+                goto done;
+        }
     }
     rate_sampler = tc_get(self->rate_sampler, "_rate_sampler");
     if (rate_sampler == NULL)
         goto done;
     if (rate_sampler != Py_None) {
-        srtt = PyObject_GetAttr(rtt, str_srtt_ms);
+        srtt = slot_get(&Rtt, rtt, RT_SRTT);
         int positive = srtt == NULL ? -1 : PyObject_IsTrue(srtt);
         if (positive < 0)
             goto done;
@@ -2790,8 +3134,7 @@ tc_server_on_ack(TransportCoreObject *self, PyObject *pkt)
             goto done;
         }
         self->bytes_in_flight -= size_v;
-        PyObject *args[3] = {cc, size, now_obj};
-        r = call_method(str_on_ack, args, 3, NULL);
+        r = cc_on_ack(cc, size, now, now_obj);
         if (r == 0) {
             PyObject *delivered = tc_get(self->delivered_bytes, "_delivered_bytes");
             PyObject *total = delivered == NULL ? NULL
@@ -3112,7 +3455,7 @@ tcm_client_on_packet(TransportCoreObject *self, PyObject *pkt)
                            FireAck) < 0)
             goto error;
     }
-    if (call_method1((PyObject *)self, str_on_data_packet_received, pkt, 0) < 0)
+    if (data_packet_received(self, pkt) < 0)
         goto error;
     Py_DECREF(seq);
     Py_XDECREF(now_obj);
@@ -3326,11 +3669,481 @@ done:
     return result;
 }
 
+/* -- Reassembly -------------------------------------------------------- */
+
+/* Whether self.<name> is the core's own method descr: no class
+ * between overrides it and no instance attribute shadows it.  Then C
+ * runs the method itself. */
+static int
+own_method(TransportCoreObject *self, PyObject *name, PyObject *descr)
+{
+    if (_PyType_Lookup(Py_TYPE(self), name) != descr)
+        return 0;
+    PyObject **dict = _PyObject_GetDictPtr((PyObject *)self);
+    return dict == NULL || *dict == NULL
+        || PyDict_GetItemWithError(*dict, name) == NULL;
+}
+
+/* self.<name>(arg), result dropped. */
+static int
+call_self(TransportCoreObject *self, PyObject *name, PyObject *arg)
+{
+    return call_method1((PyObject *)self, name, arg, 0);
+}
+
+static int
+result_status(PyObject *res)
+{
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* self._deliver_chunk(chunk). */
+static int
+deliver(TransportCoreObject *self, PyObject *chunk)
+{
+    if (own_method(self, str_deliver_chunk, DescrDeliver))
+        return result_status(tcm_deliver_chunk(self, chunk));
+    return call_self(self, str_deliver_chunk, chunk);
+}
+
+/* loop.now as a new float. */
+static PyObject *
+now_object(TransportCoreObject *self)
+{
+    double now;
+    if (tc_now(self, &now) < 0)
+        return NULL;
+    return PyFloat_FromDouble(now);
+}
+
+/* `if self.tracer: self.tracer.event(now, name, k1=v1[, k2=v2])`, the
+ * keywords named by kwnames; v2 is NULL for a single keyword. */
+static int
+trace_event(TransportCoreObject *self, PyObject *name, PyObject *kwnames,
+            PyObject *v1, PyObject *v2)
+{
+    int tracing = hook_on(self->tracer, "tracer");
+    if (tracing <= 0)
+        return tracing;
+    PyObject *now_obj = now_object(self);
+    if (now_obj == NULL)
+        return -1;
+    PyObject *args[5] = {self->tracer, now_obj, name, v1, v2};
+    int rc = call_method(str_event, args, 3, kwnames);
+    Py_DECREF(now_obj);
+    return rc;
+}
+
+/* mapping.get(key, default) and mapping.pop(key[, default]) as new
+ * references: the dict API on a dict, the methods otherwise. */
+static PyObject *
+map_get(PyObject *map, PyObject *key, PyObject *deflt)
+{
+    if (PyDict_CheckExact(map)) {
+        PyObject *value = PyDict_GetItemWithError(map, key);
+        if (value == NULL && PyErr_Occurred())
+            return NULL;
+        return Py_NewRef(value != NULL ? value : deflt);
+    }
+    PyObject *args[3] = {map, key, deflt};
+    return PyObject_VectorcallMethod(str_get, args, 3, NULL);
+}
+
+static PyObject *
+map_pop(PyObject *map, PyObject *key, PyObject *deflt)
+{
+    if (PyDict_CheckExact(map))
+        return dict_pop(map, key, deflt);
+    PyObject *args[3] = {map, key, deflt};
+    return PyObject_VectorcallMethod(str_pop, args, deflt == NULL ? 2 : 3, NULL);
+}
+
+/* A stall ended now: `duration = now - started`, one more stall and
+ * its duration on the stats, and the traced event (with stream_id for
+ * a QUIC stream, when not NULL). */
+static int
+stall_ended(TransportCoreObject *self, PyObject *started, PyObject *stream_id)
+{
+    PyObject *now_obj = now_object(self);
+    PyObject *duration = now_obj == NULL ? NULL
+        : PyNumber_Subtract(now_obj, started);
+    Py_XDECREF(now_obj);
+    if (duration == NULL)
+        return -1;
+    int rc = -1;
+    if (stats_add(self->stats, ST_HOL_STALLS, 1) == 0
+        && stats_add_obj(self->stats, ST_HOL_STALL_MS, duration) == 0)
+        rc = stream_id == NULL
+            ? trace_event(self, str_hol_ended, kw_duration, duration, NULL)
+            : trace_event(self, str_hol_ended, kw_stream_duration, stream_id,
+                          duration);
+    Py_DECREF(duration);
+    return rc;
+}
+
+/* _PyTransportCore._tcp_release_packet. */
+static int
+tcp_release(TransportCoreObject *self, PyObject *pkt)
+{
+    PyObject *payload = slot_get(&Packet, pkt, PK_PAYLOAD);
+    if (payload == NULL)
+        return -1;
+    PyObject *rcv_next = tc_get(self->rcv_next, "_rcv_next");
+    PyObject *total = rcv_next == NULL ? NULL
+        : PyNumber_InPlaceAdd(rcv_next, payload);
+    Py_DECREF(payload);
+    Py_XDECREF(rcv_next);
+    if (total == NULL)
+        return -1;
+    Py_XSETREF(self->rcv_next, total);
+    PyObject *chunks = slot_get(&Packet, pkt, PK_CHUNKS);
+    PyObject *seq = chunks == NULL ? NULL
+        : PySequence_Fast(chunks, "chunks must be iterable");
+    Py_XDECREF(chunks);
+    if (seq == NULL)
+        return -1;
+    int rc = 0;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        if (deliver(self, PySequence_Fast_GET_ITEM(seq, i)) < 0) {
+            rc = -1;
+            break;
+        }
+    }
+    Py_DECREF(seq);
+    return rc;
+}
+
+static PyObject *
+tcm_tcp_release(TransportCoreObject *self, PyObject *pkt)
+{
+    if (tcp_release(self, pkt) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* self._release_packet(pkt). */
+static int
+release_packet(TransportCoreObject *self, PyObject *pkt)
+{
+    if (own_method(self, str_release_packet, DescrTcpRelease))
+        return result_status(tcm_tcp_release(self, pkt));
+    return call_self(self, str_release_packet, pkt);
+}
+
+/* _PyTransportCore._tcp_on_data_packet_received: release in
+ * connection-byte order, holding whatever lies past a gap. */
+static int
+tcp_receive(TransportCoreObject *self, PyObject *pkt)
+{
+    PyObject *start = NULL, *rcv_next = NULL, *buffer = NULL, *key = NULL;
+    int rc = -1, cmp;
+    start = slot_get(&Packet, pkt, PK_CONN_START);
+    rcv_next = start == NULL ? NULL : tc_get(self->rcv_next, "_rcv_next");
+    if (rcv_next == NULL)
+        goto done;
+    cmp = PyObject_RichCompareBool(start, rcv_next, Py_LT);
+    if (cmp != 0) {  /* duplicate of already-delivered data */
+        rc = cmp < 0 ? -1 : 0;
+        goto done;
+    }
+    buffer = tc_get(self->reorder_buffer, "_reorder_buffer");
+    if (buffer == NULL
+        || (cmp = PyObject_RichCompareBool(start, rcv_next, Py_GT)) < 0)
+        goto done;
+    if (cmp) {
+        /* Gap: everything in the buffer, any stream, is HoL-blocked. */
+        int held = PySequence_Contains(buffer, start);
+        if (held != 0) {
+            rc = held < 0 ? -1 : 0;
+            goto done;
+        }
+        int blocked = PyObject_IsTrue(buffer);
+        if (blocked < 0)
+            goto done;
+        if (!blocked) {
+            PyObject *now_obj = now_object(self);
+            if (now_obj == NULL)
+                goto done;
+            Py_XSETREF(self->stall_started_at, now_obj);
+            if (trace_event(self, str_hol_started, kw_blocked_from, rcv_next,
+                            NULL) < 0)
+                goto done;
+        }
+        if (PyObject_SetItem(buffer, start, pkt) < 0)
+            goto done;
+        PyObject *chunks = slot_get(&Packet, pkt, PK_CHUNKS);
+        Py_ssize_t n = chunks == NULL ? -1 : PyObject_Length(chunks);
+        Py_XDECREF(chunks);
+        if (n < 0 || stats_add(self->stats, ST_HOL_CHUNKS, n) < 0)
+            goto done;
+        rc = 0;
+        goto done;
+    }
+    if (release_packet(self, pkt) < 0)
+        goto done;
+    int blocked = PyObject_IsTrue(buffer);
+    if (blocked <= 0) {  /* nothing was blocked: no stall can end here */
+        rc = blocked;
+        goto done;
+    }
+    for (;;) {
+        key = tc_get(self->rcv_next, "_rcv_next");
+        int held = key == NULL ? -1 : PySequence_Contains(buffer, key);
+        if (held <= 0) {
+            if (held < 0)
+                goto done;
+            break;
+        }
+        PyObject *next = map_pop(buffer, key, NULL);
+        if (next == NULL)
+            goto done;
+        int r = release_packet(self, next);
+        Py_DECREF(next);
+        if (r < 0)
+            goto done;
+        Py_CLEAR(key);
+    }
+    if ((blocked = PyObject_IsTrue(buffer)) < 0
+        || (!blocked
+            && tc_require(self->stall_started_at, "_stall_started_at") < 0))
+        goto done;
+    if (!blocked && self->stall_started_at != Py_None) {
+        PyObject *started = self->stall_started_at;
+        self->stall_started_at = Py_NewRef(Py_None);
+        int r = stall_ended(self, started, NULL);
+        Py_DECREF(started);
+        if (r < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(start);
+    Py_XDECREF(rcv_next);
+    Py_XDECREF(buffer);
+    Py_XDECREF(key);
+    return rc;
+}
+
+static PyObject *
+tcm_tcp_receive(TransportCoreObject *self, PyObject *pkt)
+{
+    if (tcp_receive(self, pkt) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* _PyTransportCore._quic_receive_stream_chunk: reassemble one stream,
+ * holding only that stream's chunks past its gap. */
+static int
+quic_chunk(TransportCoreObject *self, PyObject *chunk)
+{
+    PyObject *stream_id = NULL, *offset = NULL, *expected = NULL,
+        *buffer = NULL, *size = NULL, *started = NULL;
+    int rc = -1, cmp;
+    stream_id = chunk_get(chunk, CH_STREAM_ID, str_stream_id);
+    offset = stream_id == NULL ? NULL : chunk_get(chunk, CH_OFFSET, str_offset);
+    if (offset == NULL
+        || tc_require(self->stream_rcv_next, "_stream_rcv_next") < 0
+        || (expected = map_get(self->stream_rcv_next, stream_id, int_zero)) == NULL)
+        goto done;
+    cmp = PyObject_RichCompareBool(offset, expected, Py_LT);
+    if (cmp != 0) {  /* duplicate */
+        rc = cmp < 0 ? -1 : 0;
+        goto done;
+    }
+    if ((cmp = PyObject_RichCompareBool(offset, expected, Py_GT)) < 0)
+        goto done;
+    if (cmp) {
+        /* Gap within this stream only: other streams are unaffected.
+         * buffer = self._stream_buffers.setdefault(stream_id, {}). */
+        PyObject *buffers = self->stream_buffers;
+        if (tc_require(buffers, "_stream_buffers") < 0)
+            goto done;
+        if (PyDict_CheckExact(buffers)) {
+            buffer = PyDict_GetItemWithError(buffers, stream_id);
+            if (buffer != NULL)
+                Py_INCREF(buffer);
+            else if (!PyErr_Occurred()
+                     && (buffer = PyDict_New()) != NULL
+                     && PyDict_SetItem(buffers, stream_id, buffer) < 0)
+                Py_CLEAR(buffer);
+        }
+        else {
+            PyObject *fresh = PyDict_New();
+            if (fresh != NULL) {
+                PyObject *args[3] = {buffers, stream_id, fresh};
+                buffer = PyObject_VectorcallMethod(str_setdefault, args, 3, NULL);
+                Py_DECREF(fresh);
+            }
+        }
+        if (buffer == NULL)
+            goto done;
+        int held = PySequence_Contains(buffer, offset);
+        if (held != 0) {
+            rc = held < 0 ? -1 : 0;
+            goto done;
+        }
+        int blocked = PyObject_IsTrue(buffer);
+        if (blocked < 0)
+            goto done;
+        if (!blocked) {
+            PyObject *now_obj = now_object(self);
+            int r = now_obj == NULL
+                || tc_require(self->stream_stall_started, "_stream_stall_started") < 0
+                ? -1 : PyObject_SetItem(self->stream_stall_started, stream_id, now_obj);
+            Py_XDECREF(now_obj);
+            if (r < 0
+                || trace_event(self, str_hol_started, kw_stream_blocked_from,
+                               stream_id, expected) < 0)
+                goto done;
+        }
+        if (PyObject_SetItem(buffer, offset, chunk) < 0
+            || stats_add(self->stats, ST_HOL_CHUNKS, 1) < 0)
+            goto done;
+        rc = 0;
+        goto done;
+    }
+    if (deliver(self, chunk) < 0)
+        goto done;
+    size = chunk_get(chunk, CH_SIZE, str_size);
+    if (size == NULL)
+        goto done;
+    Py_SETREF(expected, PyNumber_Add(offset, size));
+    if (expected == NULL
+        || tc_require(self->stream_buffers, "_stream_buffers") < 0
+        || (buffer = map_get(self->stream_buffers, stream_id, Py_None)) == NULL)
+        goto done;
+    int blocked = PyObject_IsTrue(buffer);
+    if (blocked < 0)
+        goto done;
+    if (blocked) {
+        int held;
+        while ((held = PySequence_Contains(buffer, expected)) > 0) {
+            PyObject *queued = map_pop(buffer, expected, NULL);
+            if (queued == NULL)
+                goto done;
+            PyObject *q_offset = NULL, *q_size = NULL;
+            int r = deliver(self, queued);
+            if (r == 0) {
+                q_offset = chunk_get(queued, CH_OFFSET, str_offset);
+                q_size = q_offset == NULL ? NULL
+                    : chunk_get(queued, CH_SIZE, str_size);
+            }
+            Py_DECREF(queued);
+            Py_SETREF(expected, q_size == NULL ? NULL
+                                : PyNumber_Add(q_offset, q_size));
+            Py_XDECREF(q_offset);
+            Py_XDECREF(q_size);
+            if (expected == NULL)
+                goto done;
+        }
+        if (held < 0)
+            goto done;
+    }
+    if (tc_require(self->stream_rcv_next, "_stream_rcv_next") < 0
+        || PyObject_SetItem(self->stream_rcv_next, stream_id, expected) < 0
+        || (blocked = PyObject_IsTrue(buffer)) < 0)
+        goto done;
+    if (!blocked) {
+        if (tc_require(self->stream_stall_started, "_stream_stall_started") < 0
+            || (started = map_pop(self->stream_stall_started, stream_id,
+                                  Py_None)) == NULL)
+            goto done;
+        if (started != Py_None && stall_ended(self, started, stream_id) < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(stream_id);
+    Py_XDECREF(offset);
+    Py_XDECREF(expected);
+    Py_XDECREF(buffer);
+    Py_XDECREF(size);
+    Py_XDECREF(started);
+    return rc;
+}
+
+static PyObject *
+tcm_quic_chunk(TransportCoreObject *self, PyObject *chunk)
+{
+    if (quic_chunk(self, chunk) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* _PyTransportCore._quic_on_data_packet_received: each chunk to
+ * self._receive_stream_chunk. */
+static int
+quic_receive(TransportCoreObject *self, PyObject *pkt)
+{
+    PyObject *chunks = slot_get(&Packet, pkt, PK_CHUNKS);
+    PyObject *seq = chunks == NULL ? NULL
+        : PySequence_Fast(chunks, "chunks must be iterable");
+    Py_XDECREF(chunks);
+    if (seq == NULL)
+        return -1;
+    int rc = 0;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq) && rc == 0; i++) {
+        PyObject *chunk = PySequence_Fast_GET_ITEM(seq, i);
+        rc = own_method(self, str_receive_stream_chunk, DescrQuicChunk)
+            ? result_status(tcm_quic_chunk(self, chunk))
+            : call_self(self, str_receive_stream_chunk, chunk);
+    }
+    Py_DECREF(seq);
+    return rc;
+}
+
+static PyObject *
+tcm_quic_receive(TransportCoreObject *self, PyObject *pkt)
+{
+    if (quic_receive(self, pkt) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* self._on_data_packet_received(pkt): the core's reassembly in C when
+ * the class aliases its own, the (overriding) method otherwise. */
+static int
+data_packet_received(TransportCoreObject *self, PyObject *pkt)
+{
+    PyObject *name = str_on_data_packet_received;
+    if (own_method(self, name, DescrTcpReceive))
+        return result_status(tcm_tcp_receive(self, pkt));
+    if (own_method(self, name, DescrQuicReceive))
+        return result_status(tcm_quic_receive(self, pkt));
+    return call_self(self, name, pkt);
+}
+
+/* -- Deadline methods ----------------------------------------------- */
+
 static PyObject *
 tcm_stop_deadlines(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
 {
     if (deadline_stop(&self->pto_event) < 0
-        || deadline_stop(&self->ack_event) < 0)
+        || deadline_stop(&self->ack_event) < 0
+        || deadline_stop(&self->hs_event) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+tcm_start_handshake_deadline(TransportCoreObject *self, PyObject *delay)
+{
+    double delay_v;
+    if (as_double(delay, &delay_v) < 0
+        || deadline_start(self, &self->hs_event, delay_v, FireHandshake) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+tcm_stop_handshake_deadline(TransportCoreObject *self,
+                            PyObject *Py_UNUSED(ignored))
+{
+    if (deadline_stop(&self->hs_event) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -3368,6 +4181,23 @@ ckernel_fire_ack(PyObject *module, PyObject *conn)
 }
 
 static PyObject *
+ckernel_fire_handshake(PyObject *module, PyObject *conn)
+{
+    TransportCoreObject *self = fired_connection(conn);
+    if (self == NULL)
+        return NULL;
+    Py_CLEAR(self->hs_event);
+    return PyObject_CallMethodNoArgs(conn, str_on_handshake_timeout);
+}
+
+/* Whether the core runs obj's per-ACK arithmetic itself. */
+static PyObject *
+ckernel_native_model(PyObject *module, PyObject *obj)
+{
+    return PyBool_FromLong(Py_IS_TYPE(obj, Rtt.type) || native_cc(obj) != NULL);
+}
+
+static PyObject *
 tc_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     if (Packet.type == NULL) {
@@ -3384,8 +4214,10 @@ tc_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     X(sampler) X(rate_sampler) X(streams) X(fast_path_enabled) \
     X(inflight) X(send_queue) X(retx_queue) X(server_streams) \
     X(ack_pending) X(next_pkt_seq) X(largest_sent) X(conn_send_offset) \
-    X(delivered_bytes) X(first_data_sent_at) X(cached_config) X(pto_event) \
-    X(ack_event)
+    X(delivered_bytes) X(first_data_sent_at) X(cached_config) \
+    X(rcv_next) X(reorder_buffer) X(stall_started_at) X(stream_rcv_next) \
+    X(stream_buffers) X(stream_stall_started) X(pto_event) X(ack_event) \
+    X(hs_event)
 
 static int
 tc_traverse(TransportCoreObject *self, visitproc visit, void *arg)
@@ -3434,8 +4266,20 @@ static PyMethodDef tc_methods[] = {
      "Send one ACK covering every pending data-packet number."},
     {"_deliver_chunk", (PyCFunction)tcm_deliver_chunk, METH_O,
      "Hand in-order stream bytes to the application layer."},
+    {"_tcp_on_data_packet_received", (PyCFunction)tcm_tcp_receive, METH_O,
+     "TCP receiver: release bytes in connection order (HoL blocking)."},
+    {"_tcp_release_packet", (PyCFunction)tcm_tcp_release, METH_O,
+     "TCP receiver: advance _rcv_next and hand the packet's chunks over."},
+    {"_quic_on_data_packet_received", (PyCFunction)tcm_quic_receive, METH_O,
+     "QUIC receiver: each chunk to its stream's reassembly."},
+    {"_quic_receive_stream_chunk", (PyCFunction)tcm_quic_chunk, METH_O,
+     "QUIC receiver: reassemble one stream (no cross-stream HoL)."},
+    {"_start_handshake_deadline", (PyCFunction)tcm_start_handshake_deadline,
+     METH_O, "(Re-)arm the handshake flight's retransmission deadline."},
+    {"_stop_handshake_deadline", (PyCFunction)tcm_stop_handshake_deadline,
+     METH_NOARGS, "Disarm the handshake deadline."},
     {"_stop_deadlines", (PyCFunction)tcm_stop_deadlines, METH_NOARGS,
-     "Disarm the PTO and delayed-ACK deadlines and drop their events."},
+     "Disarm the PTO, delayed-ACK and handshake deadlines."},
     {NULL}
 };
 
@@ -3467,6 +4311,12 @@ static PyMemberDef tc_members[] = {
     TC_OBJECT("_conn_send_offset", conn_send_offset),
     TC_OBJECT("_delivered_bytes", delivered_bytes),
     TC_OBJECT("_first_data_sent_at", first_data_sent_at),
+    TC_OBJECT("_rcv_next", rcv_next),
+    TC_OBJECT("_reorder_buffer", reorder_buffer),
+    TC_OBJECT("_stall_started_at", stall_started_at),
+    TC_OBJECT("_stream_rcv_next", stream_rcv_next),
+    TC_OBJECT("_stream_buffers", stream_buffers),
+    TC_OBJECT("_stream_stall_started", stream_stall_started),
     TC_SCALAR("_largest_acked", T_LONGLONG, largest_acked),
     TC_SCALAR("_bytes_in_flight", T_LONGLONG, bytes_in_flight),
     TC_SCALAR("_recovery_until_seq", T_LONGLONG, recovery_until_seq),
@@ -3483,8 +4333,10 @@ static PyTypeObject TransportCoreType = {
     .tp_dealloc = (destructor)tc_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "C core of repro.transport.base.BaseConnection: the send "
-              "burst, ACK processing, loss detection, the PTO and "
-              "delayed-ACK deadlines, and packet construction.",
+              "burst, ACK processing with congestion control and RTT "
+              "estimation, loss detection, the PTO, delayed-ACK and "
+              "handshake deadlines, packet construction and the TCP/QUIC "
+              "reassembly.",
     .tp_traverse = (traverseproc)tc_traverse,
     .tp_clear = (inquiry)tc_clear_gc,
     .tp_methods = tc_methods,
@@ -3498,13 +4350,15 @@ ckernel_install_transport(PyObject *module, PyObject *args, PyObject *kwds)
     static char *kwlist[] = {
         "Packet", "StreamChunk", "ConnectionStats", "ServerStream",
         "ClientStream", "DATA", "ACK", "packet_ids", "packet_globals",
-        "fastpath", "deliver_chunk", NULL};
+        "fastpath", "deliver_chunk", "RttEstimator", "NewRenoController",
+        "CubicController", NULL};
     PyObject *packet, *chunk, *stats, *server_stream, *client_stream, *data,
-        *ack, *ids, *globals, *fastpath, *deliver;
+        *ack, *ids, *globals, *fastpath, *deliver, *rtt, *newreno, *cubic;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "$OOOOOOOOO!OO:_install_transport", kwlist, &packet,
-            &chunk, &stats, &server_stream, &client_stream, &data, &ack, &ids,
-            &PyDict_Type, &globals, &fastpath, &deliver))
+            args, kwds, "$OOOOOOOOO!OOOOO:_install_transport", kwlist,
+            &packet, &chunk, &stats, &server_stream, &client_stream, &data,
+            &ack, &ids, &PyDict_Type, &globals, &fastpath, &deliver, &rtt,
+            &newreno, &cubic))
         return NULL;
     if (!PyType_Check(chunk)
         || !PyType_IsSubtype((PyTypeObject *)chunk, &PyTuple_Type)) {
@@ -3528,10 +4382,14 @@ ckernel_install_transport(PyObject *module, PyObject *args, PyObject *kwds)
                      n_slots, Packet.count);
         return NULL;
     }
-    if (resolve_slots(&Packet, packet) < 0
-        || resolve_slots(&Stats, stats) < 0
+    /* Packet last: TransportCore instances need it (tc_new). */
+    if (resolve_slots(&Stats, stats) < 0
         || resolve_slots(&ServerStream, server_stream) < 0
-        || resolve_slots(&ClientStream, client_stream) < 0)
+        || resolve_slots(&ClientStream, client_stream) < 0
+        || resolve_slots(&Rtt, rtt) < 0
+        || resolve_slots(&NewReno, newreno) < 0
+        || resolve_slots(&Cubic, cubic) < 0
+        || resolve_slots(&Packet, packet) < 0)
         return NULL;
     PyObject *objects[] = {chunk, data, ack, ids, globals, fastpath, deliver};
     PyObject **targets[] = {(PyObject **)&ChunkType, &KindData, &KindAck,
@@ -3585,6 +4443,12 @@ static PyMethodDef module_methods[] = {
      "The PTO deadline's event callback."},
     {"_fire_ack", ckernel_fire_ack, METH_O,
      "The delayed-ACK deadline's event callback."},
+    {"_fire_handshake", ckernel_fire_handshake, METH_O,
+     "The handshake deadline's event callback."},
+    {"_native_model", ckernel_native_model, METH_O,
+     "Whether TransportCore runs this RTT estimator's or congestion "
+     "controller's per-ACK arithmetic itself (exact RttEstimator, "
+     "NewRenoController and CubicController instances)."},
     {NULL}
 };
 
@@ -3628,8 +4492,6 @@ intern_names(void)
         {&str_on_loss, "on_loss"},
         {&str_on_rto, "on_rto"},
         {&str_on_sample, "on_sample"},
-        {&str_rto_ms, "rto_ms"},
-        {&str_srtt_ms, "srtt_ms"},
         {&str_cwnd_bytes, "cwnd_bytes"},
         {&str_packet_sent, "packet_sent"},
         {&str_packet_received, "packet_received"},
@@ -3642,6 +4504,18 @@ intern_names(void)
         {&str_pto_fired, "recovery:pto_fired"},
         {&str_stream_closed, "http:stream_closed"},
         {&str_stream_id, "stream_id"},
+        {&str_offset, "offset"},
+        {&str_pop, "pop"},
+        {&str_setdefault, "setdefault"},
+        {&str_deliver_chunk, "_deliver_chunk"},
+        {&str_release_packet, "_release_packet"},
+        {&str_receive_stream_chunk, "_receive_stream_chunk"},
+        {&str_on_handshake_timeout, "_on_handshake_timeout"},
+        {&str_hol_started, "transport:hol_stall_started"},
+        {&str_hol_ended, "transport:hol_stall_ended"},
+        {&str_alpha, "ALPHA"},
+        {&str_beta, "BETA"},
+        {&str_c, "C"},
         {&str_size, "size"},
         {&str_mss, "mss"},
         {&str_ack_frequency, "ack_frequency"},
@@ -3655,15 +4529,22 @@ intern_names(void)
     float_zero = PyFloat_FromDouble(0.0);
     float_minus_one = PyFloat_FromDouble(-1.0);
     int_zero = PyLong_FromLong(0);
+    int_one = PyLong_FromLong(1);
     int_minus_one = PyLong_FromLong(-1);
     empty_tuple = PyTuple_New(0);
     kw_force = Py_BuildValue("(s)", "force");
     kw_backoff = Py_BuildValue("(s)", "backoff");
     kw_stream_closed = Py_BuildValue("(sss)", "stream_id", "first_byte_ms",
                                      "duration_ms");
+    kw_blocked_from = Py_BuildValue("(s)", "blocked_from");
+    kw_duration = Py_BuildValue("(s)", "duration_ms");
+    kw_stream_blocked_from = Py_BuildValue("(ss)", "stream_id", "blocked_from");
+    kw_stream_duration = Py_BuildValue("(ss)", "stream_id", "duration_ms");
     if (float_zero == NULL || float_minus_one == NULL || int_zero == NULL
-        || int_minus_one == NULL || empty_tuple == NULL || kw_force == NULL
-        || kw_backoff == NULL || kw_stream_closed == NULL)
+        || int_one == NULL || int_minus_one == NULL || empty_tuple == NULL
+        || kw_force == NULL || kw_backoff == NULL || kw_stream_closed == NULL
+        || kw_blocked_from == NULL || kw_duration == NULL
+        || kw_stream_blocked_from == NULL || kw_stream_duration == NULL)
         return -1;
     return 0;
 }
@@ -3726,8 +4607,24 @@ PyInit__ckernel(void)
     }
     Py_XSETREF(FirePto, PyObject_GetAttrString(m, "_fire_pto"));
     Py_XSETREF(FireAck, PyObject_GetAttrString(m, "_fire_ack"));
+    Py_XSETREF(FireHandshake, PyObject_GetAttrString(m, "_fire_handshake"));
     Py_XSETREF(RelayLater, PyObject_GetAttrString(m, "_relay_later"));
-    if (FirePto == NULL || FireAck == NULL || RelayLater == NULL) {
+    if (FirePto == NULL || FireAck == NULL || FireHandshake == NULL
+        || RelayLater == NULL) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    /* The method descriptors the hooks are compared with; the static
+     * type's dict keeps them alive. */
+    PyObject *dict = TransportCoreType.tp_dict;
+    DescrDeliver = PyDict_GetItemString(dict, "_deliver_chunk");
+    DescrTcpReceive = PyDict_GetItemString(dict, "_tcp_on_data_packet_received");
+    DescrTcpRelease = PyDict_GetItemString(dict, "_tcp_release_packet");
+    DescrQuicReceive = PyDict_GetItemString(dict, "_quic_on_data_packet_received");
+    DescrQuicChunk = PyDict_GetItemString(dict, "_quic_receive_stream_chunk");
+    if (DescrDeliver == NULL || DescrTcpReceive == NULL || DescrTcpRelease == NULL
+        || DescrQuicReceive == NULL || DescrQuicChunk == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "TransportCore methods missing");
         Py_DECREF(m);
         return NULL;
     }

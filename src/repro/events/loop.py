@@ -308,6 +308,18 @@ class HeapEventLoop:
         event._loop = None
         self._live -= 1
 
+    def close(self) -> None:
+        """Cancel every pending event and empty the queue.
+
+        A finished simulation's pending events (packets still in flight,
+        armed timers) hold callbacks bound to objects that hold this
+        loop; cancelling them lets the whole simulation be freed by
+        reference counting instead of the cyclic garbage collector.
+        """
+        queue, self._queue = self._queue, []
+        for event in queue:
+            event.cancel()
+
     def next_event_time(self) -> float | None:
         """Time of the earliest pending live event, or ``None`` if empty.
 

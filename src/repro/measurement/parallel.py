@@ -118,6 +118,7 @@ def measure_paired_visit(
     h2 = probe.measure_page(page, H2_ONLY, visits=config.visits_per_page)
     h3 = probe.measure_page(page, H3_ENABLED, visits=config.visits_per_page)
     loop_profile = probe.loop.profile_stats() if config.profile_loop else None
+    probe.close()
     return PairedVisit(
         page=page, probe_name=probe.name, h2=h2, h3=h3,
         loop_profile=loop_profile,

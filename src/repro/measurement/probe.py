@@ -128,6 +128,12 @@ class Probe:
         for browser in self.browsers.values():
             browser.clear_session_state()
 
+    def close(self) -> None:
+        """Done measuring: cancel what is still scheduled (packets in
+        flight, armed deadlines), so the probe's connections are freed
+        by reference counting once it is dropped."""
+        self.loop.close()
+
     def average_traffic_kbps(self) -> float:
         """Mean traffic rate this probe has generated so far.
 

@@ -29,10 +29,17 @@ from ``repro/events/_ckernel.c``: the hot counters live in C, the probe
 timeout and delayed-ACK deadlines are event handles it holds, and calls
 between those methods never enter the interpreter.  Otherwise (no
 compiler, or ``REPRO_NO_CKERNEL=1``) it is :class:`_PyTransportCore`,
-the same ten methods in Python and the oracle the differential tests
+the same methods in Python and the oracle the differential tests
 run the C core against.  Both give the same results, bit for bit, on
-either scheduler.  Congestion control, RTT estimation, the handshake,
-requests and the TCP/QUIC reassembly hooks stay Python on both.
+either scheduler.  The core also holds the receivers' reassembly, TCP's
+in-order release and QUIC's per-stream one (the subclasses alias their
+``_on_data_packet_received`` to it), and the handshake deadline.  The C
+core runs the per-ACK arithmetic of an exact
+:class:`~repro.transport.rtt.RttEstimator`,
+:class:`~repro.transport.congestion.NewRenoController` or
+:class:`~repro.transport.congestion.CubicController` itself; any other
+controller (BBR, the strict-mode ``CheckedController``, a subclass) is
+called.  The handshake and request packets stay Python on both.
 """
 
 from __future__ import annotations
@@ -54,7 +61,12 @@ from repro.obs.metrics import NULL_SAMPLER
 from repro.obs.trace import NULL_TRACER
 from repro.transport import fastpath
 from repro.transport.config import TransportConfig
-from repro.transport.congestion import CongestionController, make_congestion_controller
+from repro.transport.congestion import (
+    CongestionController,
+    CubicController,
+    NewRenoController,
+    make_congestion_controller,
+)
 from repro.transport.rtt import RttEstimator
 
 
@@ -194,7 +206,9 @@ class _ServerStream:
 @dataclass(slots=True)
 class _PendingRequestPacket:
     packet: Packet
-    timer: Timer
+    #: The scheduled ``_on_request_timeout(seq)`` event; cancelled on
+    #: ack and on close.
+    timeout: object
     tries: int = 0
 
 
@@ -209,10 +223,14 @@ class _PyTransportCore:
     (:meth:`_client_on_packet_from_server`, :meth:`_flush_acks`,
     :meth:`_deliver_chunk`), over the state :class:`BaseConnection`
     sets up.  ``TransportCore`` in ``repro/events/_ckernel.c`` is the
-    same ten methods in C: the same float expressions in the same order,
+    same methods in C: the same float expressions in the same order,
     the same hooks called in the same order with the same arguments,
-    with the hot counters held in its struct and the two deadlines held
-    as event handles instead of :class:`~repro.events.Timer` objects.
+    with the hot counters held in its struct and the three deadlines
+    (PTO, delayed ACK, handshake) held as event handles instead of
+    :class:`~repro.events.Timer` objects.  The receivers' reassembly
+    (:meth:`_tcp_on_data_packet_received` and :meth:`_tcp_release_packet`,
+    :meth:`_quic_on_data_packet_received` and
+    :meth:`_quic_receive_stream_chunk`) lives here too.
     This class runs when the C kernel is not built (or
     ``REPRO_NO_CKERNEL=1`` is set), and it is the oracle the
     differential tests compare the C core against.
@@ -224,11 +242,20 @@ class _PyTransportCore:
         super().__init__(*args, **kwargs)
         self._ack_timer = Timer(self.loop, self._flush_acks)
         self._pto_timer = Timer(self.loop, self._on_pto)
+        self._hs_timer = Timer(self.loop, self._on_handshake_timeout)
 
     def _stop_deadlines(self) -> None:
-        """Disarm both timers (connection teardown)."""
+        """Disarm every timer (connection teardown)."""
         self._pto_timer.stop()
         self._ack_timer.stop()
+        self._hs_timer.stop()
+
+    def _start_handshake_deadline(self, delay_ms: float) -> None:
+        """(Re-)arm the handshake flight's retransmission deadline."""
+        self._hs_timer.start(delay_ms)
+
+    def _stop_handshake_deadline(self) -> None:
+        self._hs_timer.stop()
 
     # -- server: ACKs in, data out ---------------------------------------
 
@@ -573,6 +600,103 @@ class _PyTransportCore:
             if stream.on_complete is not None:
                 stream.on_complete(self.loop.now)
 
+    # -- client: reassembly ----------------------------------------------
+
+    def _tcp_on_data_packet_received(self, pkt: Packet) -> None:
+        """TCP: release bytes strictly in connection order.
+
+        A packet past a gap waits in the reorder buffer until the
+        retransmission fills it, whatever stream it carries: that wait
+        is head-of-line blocking, timed as a stall from the buffer going
+        non-empty to its draining.
+        """
+        start = pkt.conn_start
+        rcv_next = self._rcv_next
+        if start < rcv_next:
+            return  # duplicate of already-delivered data
+        reorder_buffer = self._reorder_buffer
+        if start > rcv_next:
+            # Gap: buffer and wait for the retransmission.  Everything
+            # in this buffer — any stream — is HoL-blocked.
+            if start not in reorder_buffer:
+                if not reorder_buffer:
+                    # The connection just became HoL-blocked.
+                    self._stall_started_at = self.loop.now
+                    if self.tracer:
+                        self.tracer.event(
+                            self.loop.now, "transport:hol_stall_started",
+                            blocked_from=rcv_next,
+                        )
+                reorder_buffer[start] = pkt
+                self.stats.hol_blocked_chunks += len(pkt.chunks)
+            return
+        self._release_packet(pkt)
+        if not reorder_buffer:
+            return  # nothing was blocked, so no stall can end here
+        while self._rcv_next in reorder_buffer:
+            self._release_packet(reorder_buffer.pop(self._rcv_next))
+        if not reorder_buffer and self._stall_started_at is not None:
+            duration = self.loop.now - self._stall_started_at
+            self._stall_started_at = None
+            self.stats.hol_stalls += 1
+            self.stats.hol_stall_ms += duration
+            if self.tracer:
+                self.tracer.event(
+                    self.loop.now, "transport:hol_stall_ended",
+                    duration_ms=duration,
+                )
+
+    def _tcp_release_packet(self, pkt: Packet) -> None:
+        self._rcv_next += pkt.payload_bytes
+        for chunk in pkt.chunks:
+            self._deliver_chunk(chunk)
+
+    def _quic_on_data_packet_received(self, pkt: Packet) -> None:
+        """QUIC: reassemble each stream on its own (no cross-stream HoL)."""
+        for chunk in pkt.chunks:
+            self._receive_stream_chunk(chunk)
+
+    def _quic_receive_stream_chunk(self, chunk: StreamChunk) -> None:
+        stream_id = chunk.stream_id
+        expected = self._stream_rcv_next.get(stream_id, 0)
+        if chunk.offset < expected:
+            return  # duplicate
+        if chunk.offset > expected:
+            # Gap *within this stream only*: other streams unaffected.
+            buffer = self._stream_buffers.setdefault(stream_id, {})
+            if chunk.offset not in buffer:
+                if not buffer:
+                    # This one stream just became blocked on a gap.
+                    self._stream_stall_started[stream_id] = self.loop.now
+                    if self.tracer:
+                        self.tracer.event(
+                            self.loop.now, "transport:hol_stall_started",
+                            stream_id=stream_id, blocked_from=expected,
+                        )
+                buffer[chunk.offset] = chunk
+                self.stats.hol_blocked_chunks += 1
+            return
+        self._deliver_chunk(chunk)
+        expected = chunk.offset + chunk.size
+        buffer = self._stream_buffers.get(stream_id)
+        if buffer:
+            while expected in buffer:
+                queued = buffer.pop(expected)
+                self._deliver_chunk(queued)
+                expected = queued.offset + queued.size
+        self._stream_rcv_next[stream_id] = expected
+        if not buffer:
+            started = self._stream_stall_started.pop(stream_id, None)
+            if started is not None:
+                duration = self.loop.now - started
+                self.stats.hol_stalls += 1
+                self.stats.hol_stall_ms += duration
+                if self.tracer:
+                    self.tracer.event(
+                        self.loop.now, "transport:hol_stall_ended",
+                        stream_id=stream_id, duration_ms=duration,
+                    )
+
 
 # The C core when the kernel is built, the pure-Python one otherwise.
 if _ckernel is not None:
@@ -592,6 +716,10 @@ if _ckernel is not None:
         # Python method itself whenever strict checking is on.
         fastpath=fastpath,
         deliver_chunk=_PyTransportCore._deliver_chunk,
+        # Exact instances of these get their per-ACK arithmetic in C.
+        RttEstimator=RttEstimator,
+        NewRenoController=NewRenoController,
+        CubicController=CubicController,
     )
     _TransportCore = _ckernel.TransportCore
 else:  # pragma: no cover - exercised on hosts without a C toolchain
@@ -662,7 +790,6 @@ class BaseConnection(_TransportCore):
         self._hs_total = 0
         self._hs_retries = 0
         self._hs_flight_times: list[float] = []
-        self._hs_timer = Timer(loop, self._on_handshake_timeout)
         self._on_established: Callable[[HandshakeResult], None] | None = None
         self._on_failed: Callable[[TransportError], None] | None = None
         #: Optional sink for terminal client-side errors after the
@@ -705,8 +832,9 @@ class BaseConnection(_TransportCore):
         self._first_data_sent_at: float | None = None
         self._delivered_bytes = 0
         # Last cwnd the tracer logged (metrics events are emitted only
-        # on ≥1-MSS changes so traces stay bounded).
-        self._traced_cwnd = self.cc.cwnd_bytes
+        # on ≥1-MSS changes so traces stay bounded).  Read only when
+        # tracing: untraced, the controller is never asked from Python.
+        self._traced_cwnd = self.cc.cwnd_bytes if self.tracer else 0
         # Analytic fast path (repro.transport.fastpath): opt-in via
         # config, and forced off under tracing, strict checking or
         # metrics sampling — all want the real per-packet path.  Path
@@ -723,7 +851,7 @@ class BaseConnection(_TransportCore):
         #: nothing) is driving the send side.
         self._fp_epoch = None
         # The transport core's own set-up: the Python core makes its
-        # two deadline timers; the C core's start out disarmed.
+        # three deadline timers; the C core's start out disarmed.
         super().__init__()
 
     # ------------------------------------------------------------------
@@ -769,7 +897,7 @@ class BaseConnection(_TransportCore):
         pkt = Packet(PacketKind.HANDSHAKE, seq=self._hs_flight)
         self.path.send_to_server(pkt, self._server_on_handshake)
         timeout = self.rtt.rto_ms * self._hs_backoff()
-        self._hs_timer.start(timeout)
+        self._start_handshake_deadline(timeout)
 
     def _hs_backoff(self) -> float:
         return float(2 ** min(self._hs_retries, 6))
@@ -820,7 +948,7 @@ class BaseConnection(_TransportCore):
             self.rtt.on_sample(elapsed - previous)
         self._hs_flight += 1
         if self._hs_flight >= self._hs_total:
-            self._hs_timer.stop()
+            self._stop_handshake_deadline()
             self._finish_handshake()
         else:
             self._send_handshake_flight()
@@ -914,9 +1042,10 @@ class BaseConnection(_TransportCore):
             self.tracer.packet_sent(
                 self.loop.now, seq, pkt.size_bytes, "c2s", tries > 0
             )
-        timer = Timer(self.loop, lambda: self._on_request_timeout(seq))
-        self._pending_requests[seq] = _PendingRequestPacket(pkt, timer, tries)
-        timer.start(self.rtt.rto_ms * (2 ** min(tries, 6)))
+        timeout = self.loop.call_later(
+            self.rtt.rto_ms * (2 ** min(tries, 6)), self._on_request_timeout, seq
+        )
+        self._pending_requests[seq] = _PendingRequestPacket(pkt, timeout, tries)
         self.path.send_to_server(pkt, self._server_on_packet)
 
     def _on_request_timeout(self, seq: int) -> None:
@@ -941,7 +1070,7 @@ class BaseConnection(_TransportCore):
         pending = self._pending_requests.pop(pkt.ack_seq, None)
         if pending is None:
             return
-        pending.timer.stop()
+        pending.timeout.cancel()
         if not pending.packet.retransmission:
             self.rtt.on_sample(self.loop.now - pending.packet.sent_at)
 
@@ -988,7 +1117,11 @@ class BaseConnection(_TransportCore):
     # ------------------------------------------------------------------
 
     def _on_data_packet_received(self, pkt: Packet) -> None:
-        """Subclass hook: buffer/reorder and eventually deliver chunks."""
+        """Subclass hook: buffer/reorder and eventually deliver chunks.
+
+        TCP and QUIC alias it to the core's ``_tcp_*`` / ``_quic_*``
+        reassembly, which the C core then runs without a Python call.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -1063,10 +1196,9 @@ class BaseConnection(_TransportCore):
         self.closed = True
         fastpath.cancel(self)
         self._stop_deadlines()
-        self._hs_timer.stop()
         self._ack_pending.clear()
         for pending in self._pending_requests.values():
-            pending.timer.stop()
+            pending.timeout.cancel()
         self._pending_requests.clear()
         self._on_established = None
         if self._on_failed is not None:

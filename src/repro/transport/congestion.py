@@ -35,7 +35,15 @@ class CongestionController(Protocol):
 
 
 class NewRenoController:
-    """Slow start + AIMD congestion avoidance (RFC 5681 / RFC 9002)."""
+    """Slow start + AIMD congestion avoidance (RFC 5681 / RFC 9002).
+
+    Slotted: the C transport core runs :meth:`on_ack` (and reads
+    ``cwnd_bytes``) for an instance of exactly this class itself, with
+    the same operations and result types (``_cwnd`` stays an ``int``
+    until congestion avoidance).  Subclasses are always called.
+    """
+
+    __slots__ = ("mss", "_cwnd", "_initial_cwnd", "_ssthresh", "_min_cwnd", "loss_events")
 
     def __init__(self, mss: int, initial_cwnd_packets: int = 10) -> None:
         self.mss = mss
@@ -85,7 +93,14 @@ class CubicController:
     The window grows as ``W(t) = C*(t - K)^3 + W_max`` where ``K`` is the
     time to regain ``W_max`` after a multiplicative decrease by ``beta``.
     Slow start behaves like NewReno until the first loss.
+
+    Slotted, and run by the C transport core as :class:`NewRenoController`
+    is; both ``**`` are C ``pow()`` there, as ``float.__pow__`` computes
+    them.
     """
+
+    __slots__ = ("mss", "_cwnd", "_ssthresh", "_min_cwnd", "_w_max", "_epoch_start_ms",
+                 "loss_events")
 
     C = 0.4  # scaling constant, windows in MSS units, time in seconds
     BETA = 0.7

@@ -13,7 +13,7 @@ The two H3 strengths the paper analyses map to two properties here:
 
 from __future__ import annotations
 
-from repro.netsim.packet import Packet, StreamChunk
+from repro.netsim.packet import StreamChunk
 from repro.transport.base import BaseConnection
 
 
@@ -50,50 +50,11 @@ class QuicConnection(BaseConnection):
     # Per-stream (HoL-free) delivery
     # ------------------------------------------------------------------
 
-    def _on_data_packet_received(self, pkt: Packet) -> None:
-        for chunk in pkt.chunks:
-            self._receive_stream_chunk(chunk)
-
-    def _receive_stream_chunk(self, chunk: StreamChunk) -> None:
-        stream_id = chunk.stream_id
-        expected = self._stream_rcv_next.get(stream_id, 0)
-        if chunk.offset < expected:
-            return  # duplicate
-        if chunk.offset > expected:
-            # Gap *within this stream only*: other streams unaffected.
-            buffer = self._stream_buffers.setdefault(stream_id, {})
-            if chunk.offset not in buffer:
-                if not buffer:
-                    # This one stream just became blocked on a gap.
-                    self._stream_stall_started[stream_id] = self.loop.now
-                    if self.tracer:
-                        self.tracer.event(
-                            self.loop.now, "transport:hol_stall_started",
-                            stream_id=stream_id, blocked_from=expected,
-                        )
-                buffer[chunk.offset] = chunk
-                self.stats.hol_blocked_chunks += 1
-            return
-        self._deliver_chunk(chunk)
-        expected = chunk.offset + chunk.size
-        buffer = self._stream_buffers.get(stream_id)
-        if buffer:
-            while expected in buffer:
-                queued = buffer.pop(expected)
-                self._deliver_chunk(queued)
-                expected = queued.offset + queued.size
-        self._stream_rcv_next[stream_id] = expected
-        if not buffer:
-            started = self._stream_stall_started.pop(stream_id, None)
-            if started is not None:
-                duration = self.loop.now - started
-                self.stats.hol_stalls += 1
-                self.stats.hol_stall_ms += duration
-                if self.tracer:
-                    self.tracer.event(
-                        self.loop.now, "transport:hol_stall_ended",
-                        stream_id=stream_id, duration_ms=duration,
-                    )
+    # The transport core's per-stream reassembly (the Python text is
+    # ``_PyTransportCore._quic_receive_stream_chunk``); the C core runs
+    # it without leaving C.
+    _on_data_packet_received = BaseConnection._quic_on_data_packet_received
+    _receive_stream_chunk = BaseConnection._quic_receive_stream_chunk
 
     def _fast_path_sync(self, stream_ends: dict[int, int], payload_bytes: int) -> None:
         # A loss-free epoch delivers every stream's chunks in offset

@@ -12,7 +12,15 @@ class RttEstimator:
     ``rto_ms`` is a plain attribute, recomputed by :meth:`on_sample`:
     the transports read it on every timer arm, far more often than a
     sample arrives.
+
+    Slotted: the C transport core runs :meth:`on_sample` for an instance
+    of exactly this class itself, reading and writing the fields in
+    place with the same float operations in the same order.
     """
+
+    __slots__ = (
+        "_min_rto_ms", "srtt_ms", "rttvar_ms", "latest_sample_ms", "samples", "rto_ms",
+    )
 
     ALPHA = 1.0 / 8.0
     BETA = 1.0 / 4.0

@@ -90,47 +90,11 @@ class TcpConnection(BaseConnection):
     # In-order (head-of-line blocked) delivery
     # ------------------------------------------------------------------
 
-    def _on_data_packet_received(self, pkt: Packet) -> None:
-        start = pkt.conn_start
-        rcv_next = self._rcv_next
-        if start < rcv_next:
-            return  # duplicate of already-delivered data
-        reorder_buffer = self._reorder_buffer
-        if start > rcv_next:
-            # Gap: buffer and wait for the retransmission.  Everything
-            # in this buffer — any stream — is HoL-blocked.
-            if start not in reorder_buffer:
-                if not reorder_buffer:
-                    # The connection just became HoL-blocked.
-                    self._stall_started_at = self.loop.now
-                    if self.tracer:
-                        self.tracer.event(
-                            self.loop.now, "transport:hol_stall_started",
-                            blocked_from=rcv_next,
-                        )
-                reorder_buffer[start] = pkt
-                self.stats.hol_blocked_chunks += len(pkt.chunks)
-            return
-        self._release_packet(pkt)
-        if not reorder_buffer:
-            return  # nothing was blocked, so no stall can end here
-        while self._rcv_next in reorder_buffer:
-            self._release_packet(reorder_buffer.pop(self._rcv_next))
-        if not reorder_buffer and self._stall_started_at is not None:
-            duration = self.loop.now - self._stall_started_at
-            self._stall_started_at = None
-            self.stats.hol_stalls += 1
-            self.stats.hol_stall_ms += duration
-            if self.tracer:
-                self.tracer.event(
-                    self.loop.now, "transport:hol_stall_ended",
-                    duration_ms=duration,
-                )
-
-    def _release_packet(self, pkt: Packet) -> None:
-        self._rcv_next += pkt.payload_bytes
-        for chunk in pkt.chunks:
-            self._deliver_chunk(chunk)
+    # The transport core's reassembly in connection-byte order (the
+    # Python text is ``_PyTransportCore._tcp_on_data_packet_received``);
+    # the C core runs it without leaving C.
+    _on_data_packet_received = BaseConnection._tcp_on_data_packet_received
+    _release_packet = BaseConnection._tcp_release_packet
 
     def _fast_path_sync(self, stream_ends: dict[int, int], payload_bytes: int) -> None:
         # A loss-free epoch delivers strictly in connection-byte order,

@@ -310,6 +310,96 @@ class TestClassifier:
         assert result.matched_by == "pattern"
 
 
+def _classify_unmemoised(host, headers=None):
+    """``classify_response`` as it was before the memo (the oracle)."""
+    from repro.cdn.classifier import _DEFAULT_INDEX, _DOMAIN_PATTERNS, ClassificationResult
+
+    by_server, by_via, by_domain, known_names = _DEFAULT_INDEX
+    headers = {k.lower(): v for k, v in (headers or {}).items()}
+    host = host.lower()
+    server = headers.get("server", "").lower()
+    if server in by_server:
+        return ClassificationResult(True, by_server[server], "header")
+    via = headers.get("via", "").lower()
+    if via in by_via:
+        return ClassificationResult(True, by_via[via], "header")
+    if host in by_domain:
+        return ClassificationResult(True, by_domain[host], "domain")
+    for provider_name, patterns in _DOMAIN_PATTERNS.items():
+        if provider_name in known_names and any(p in host for p in patterns):
+            return ClassificationResult(True, provider_name, "pattern")
+    return ClassificationResult.non_cdn()
+
+
+class TestClassifierMemo:
+    @pytest.fixture(scope="class")
+    def served(self):
+        """Every (host, headers) the reference universe's servers send."""
+        import random
+
+        from repro.events import EventLoop
+        from repro.measurement import ProbeNetProfile, ServerFarm
+        from repro.web import GeneratorConfig, TopSitesGenerator
+
+        universe = TopSitesGenerator(GeneratorConfig(n_sites=128)).generate(seed=11)
+        farm = ServerFarm(EventLoop(), universe.hosts, ProbeNetProfile(),
+                          rng=random.Random(3))
+        served = []
+        for host in universe.hosts:
+            server = farm.server(host)
+            if isinstance(server, EdgeServer):
+                header_sets = [server.response_headers(hit) for hit in (True, False)]
+            else:
+                header_sets = [server.response_headers()]
+            served += [(host, headers) for headers in header_sets]
+        # The universe's hosts match by header or shared domain only;
+        # add customer hostnames that match by pattern.
+        for host in ("d111111abcdef8.cloudfront.net", "img.Akamaized.net",
+                     "evil-fastly.net.attacker.example", "x.azureedge.net"):
+            served += [(host, {"server": "nginx"}), (host, None)]
+        return served
+
+    @staticmethod
+    def variants(host, headers):
+        """The headers as sent, re-cased, and with a name given twice
+        (the last spelling of a name wins)."""
+        yield host, headers
+        headers = headers or {}
+        yield host.upper(), {name.title(): value.upper() for name, value in headers.items()}
+        yield host, {**headers, "SERVER": "nginx"}
+        yield host, {"Server": "cloudflare", **headers}
+        yield host, {**headers, "Via": "1.1 varnish (Fastly)", "VIA": "1.1 google"}
+        yield host, None
+
+    def test_memo_matches_the_unmemoised_classifier(self, served):
+        assert len(served) > 600
+        seen = set()
+        for host, headers in served:
+            for variant_host, variant_headers in self.variants(host, headers):
+                expected = _classify_unmemoised(variant_host, variant_headers)
+                # Twice: the first call fills the memo, the second reads it.
+                for _ in range(2):
+                    got = classify_response(variant_host, variant_headers)
+                    assert got == expected, (variant_host, variant_headers)
+                seen.add(expected.matched_by)
+        assert seen == {"header", "domain", "pattern", None}
+
+    def test_memo_shares_one_frozen_result(self):
+        first = classify_response("Fonts.GSTATIC.com", {"server": "x"})
+        assert classify_response("fonts.gstatic.com", {"Server": "X"}) is first
+
+    def test_custom_registry_bypasses_the_memo(self):
+        import dataclasses
+
+        fastly = get_provider("fastly")
+        renamed = dataclasses.replace(fastly, name="renamed-fastly")
+        headers = {"server": fastly.header_server}
+        assert classify_response("a.example", headers).provider_name == "fastly"
+        result = classify_response("a.example", headers, providers=(renamed,))
+        assert result.provider_name == "renamed-fastly"
+        assert classify_response("a.example", headers).provider_name == "fastly"
+
+
 class TestDictClassifier:
     def test_matches_on_label_boundaries(self):
         verdict = DictClassifier().classify("cdn.fastly.net")

@@ -222,6 +222,24 @@ ALL_LOOPS = [
 
 @pytest.mark.parametrize("loop_cls", ALL_LOOPS)
 class TestSchedulerEdgeCases:
+    def test_close_cancels_and_releases_every_pending_event(self, loop_cls):
+        loop = loop_cls()
+        fired = []
+        payload = object()
+        events = [loop.call_later(t, fired.append, payload) for t in (3.0, 1.0, 2.0)]
+        events[1].cancel()
+        loop.run(until_ms=1.5)
+        loop.close()
+        assert len(loop) == 0 and loop.next_event_time() is None
+        assert all(event.cancelled for event in events)
+        assert all(event.callback is None and event.args == () for event in events)
+        events[0].cancel()  # a second cancel stays harmless
+        assert len(loop) == 0
+        # The loop still schedules and runs afterwards.
+        loop.call_later(1.0, fired.append, "after")
+        loop.run()
+        assert fired == ["after"] and loop.scheduled_events == 4
+
     def test_cancel_before_fire(self, loop_cls):
         loop = loop_cls()
         fired = []

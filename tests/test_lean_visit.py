@@ -10,9 +10,11 @@ Two things a visit must not do, both deterministic:
   ``repro.check`` runs, and packets go from the transport straight to
   ``Link.transmit`` and from the event loop straight to the receiver;
 * run the transport loop in Python when the C kernel is built: none
-  of the ten methods of ``_PyTransportCore`` is called, and the only
+  of the methods of ``_PyTransportCore`` is called, and the only
   packets built through ``Packet.__init__`` are handshake and request
   packets;
+* run congestion control, RTT estimation or reassembly in Python per
+  ACK or per data packet when the C kernel is built;
 * run Python per packet on a faulted, relayed, lossy path when the C
   kernel is built: fault windows, relay hops and Bernoulli draws all
   stay in C.
@@ -45,11 +47,14 @@ from repro.http.pool import ConnectionPool
 from repro.browser.browser import H3_ENABLED
 from repro.measurement import ProbeNetProfile, ServerFarm
 from repro.measurement.probe import Probe
+from repro.measurement import CampaignPlan, execute
 from repro.events.loop import _ckernel
 from repro.faults import FaultInjector
 from repro.netsim import BernoulliLoss, NoLoss, Packet, SegmentedPath
 from repro.scenario import preset
 from repro.transport.base import BaseConnection, _PyTransportCore
+from repro.transport.congestion import NewRenoController
+from repro.transport.rtt import RttEstimator
 from repro.web import GeneratorConfig, TopSitesGenerator
 
 
@@ -88,6 +93,26 @@ def test_finished_visit_frees_itself_without_the_cycle_collector(
         del visit
         assert har() is None
         assert len(pools) == 2 and all(ref() is None for ref in pools)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")
+def test_dropped_campaign_leaves_nothing_for_the_cycle_collector(universe):
+    """Every deadline is an event handle the C core holds, and a probe
+    cancels what is still scheduled when it is done: a dropped campaign
+    is freed by reference counting.  (The Python core's ``Timer``s hold
+    bound methods, a cycle by design.)"""
+    sim = preset("paper-default").campaign_config(seed=11).sim
+    plan = CampaignPlan(universe=universe, sim=sim, pages=universe.pages[:3])
+    execute(plan)  # warm-up: first-use state
+    gc.collect()
+    gc.disable()
+    try:
+        result = execute(plan)
+        assert result.visits and not result.failures
+        del result
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -154,7 +179,9 @@ def test_dormant_visit_runs_the_transport_loop_in_c(universe):
         if callable(value) and not name.startswith("__")
         and name not in ("_init_deadlines", "_stop_deadlines")
     ]
-    assert len(moved) == 10
+    # The send/ack/receive loop (10), the TCP and QUIC reassembly (4)
+    # and the handshake deadline (2).
+    assert len(moved) == 16
     assert {name: calls_to(calls, getattr(_PyTransportCore, name)) for name in moved} == {
         name: 0 for name in moved
     }
@@ -170,6 +197,41 @@ def test_dormant_visit_runs_the_transport_loop_in_c(universe):
     )
     assert python_built > 0
     assert calls_to(calls, Packet.__post_init__) == python_built
+
+
+@pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")
+def test_dormant_visit_runs_cc_rtt_and_reassembly_in_c(universe):
+    browser = make_browser(universe)
+    before = sent_packets(browser)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        browser.visit(universe.pages[4])
+    finally:
+        profiler.disable()
+    assert sent_packets(browser) - before > 100
+    stats = pstats.Stats(profiler).stats
+    calls = {key: stat[1] for key, stat in stats.items()}
+    per_packet = (
+        NewRenoController.on_ack,
+        NewRenoController.in_slow_start.fget,
+        NewRenoController.cwnd_bytes.fget,
+        _PyTransportCore._tcp_on_data_packet_received,
+        _PyTransportCore._tcp_release_packet,
+        _PyTransportCore._quic_on_data_packet_received,
+        _PyTransportCore._quic_receive_stream_chunk,
+    )
+    assert {f.__qualname__: calls_to(calls, f) for f in per_packet} == {
+        f.__qualname__: 0 for f in per_packet
+    }
+    # The estimator still takes the request-ACK and handshake samples
+    # from Python; every data-ACK sample is taken in C.
+    code = RttEstimator.on_sample.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    assert calls.get(key, 0) > 0
+    callers = {caller[2] for caller in stats[key][4]}
+    assert callers <= {"_client_on_request_ack", "_client_on_handshake_reply"}
+    assert "_client_on_request_ack" in callers
 
 
 @pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")

@@ -46,11 +46,15 @@ PROTOCOLS = [
     pytest.param(QuicConnection, id="quic"),
 ]
 
-#: The ten methods the cores implement.
+#: The methods the cores implement: the send/ack/receive loop, the
+#: reassembly and the handshake deadline.
 MOVED = (
     "_server_on_packet", "_server_on_ack", "_detect_losses", "_try_send",
     "_send_data_packet", "_arm_pto", "_on_pto",
     "_client_on_packet_from_server", "_flush_acks", "_deliver_chunk",
+    "_tcp_on_data_packet_received", "_tcp_release_packet",
+    "_quic_on_data_packet_received", "_quic_receive_stream_chunk",
+    "_start_handshake_deadline", "_stop_handshake_deadline",
 )
 
 #: Connection state the loop keeps, compared after every transfer.
@@ -63,10 +67,22 @@ SCALARS = (
 
 
 def python_core(cls):
-    """``cls`` with the send/ack/receive loop of ``_PyTransportCore``."""
+    """``cls`` with the send/ack/receive loop of ``_PyTransportCore``.
+
+    TCP and QUIC alias their reassembly hooks to the core's methods; the
+    variant aliases them to the Python core's methods of the same names.
+    """
     if issubclass(cls, _PyTransportCore):
         return cls
-    return type(f"Py{cls.__name__}", (_PyTransportCore, cls), {})
+    aliases = {
+        name: vars(_PyTransportCore)[value.__name__]
+        for klass in cls.__mro__
+        for name, value in vars(klass).items()
+        if isinstance(value, types.MethodDescriptorType)
+        and value.__objclass__ is _ckernel.TransportCore
+        and name != value.__name__
+    }
+    return type(f"Py{cls.__name__}", (_PyTransportCore, cls), aliases)
 
 
 def record_deliveries(path, loop, log, first_uid):
@@ -349,11 +365,16 @@ class TestScenariosReachWhatTheyName:
             assert float(first_byte) < float(closed_at) < float(complete)
 
     def test_variants_run_the_core_they_name(self):
-        for name in MOVED:
-            assert isinstance(getattr(TcpConnection, name), types.MethodDescriptorType)
-            assert isinstance(
-                getattr(python_core(TcpConnection), name), types.FunctionType
-            )
+        for conn_cls in (TcpConnection, QuicConnection):
+            for name in MOVED + ("_on_data_packet_received",):
+                assert isinstance(getattr(conn_cls, name), types.MethodDescriptorType)
+                assert isinstance(
+                    getattr(python_core(conn_cls), name), types.FunctionType
+                )
+        assert TcpConnection._release_packet is TcpConnection._tcp_release_packet
+        assert python_core(QuicConnection)._receive_stream_chunk is (
+            _PyTransportCore._quic_receive_stream_chunk
+        )
 
 
 def in_flight_connection(loop_cls, conn_cls):
@@ -396,6 +417,16 @@ def test_closed_connection_holds_no_deadline_or_bound_method(conn_cls, loop_cls)
     refs = gc.get_referents(conn)
     refs += [
         value for ref in refs if isinstance(ref, dict) for value in ref.values()
+    ]
+    # One level further, into each referent (a Timer, a pending request,
+    # a stream), but not into the loop and the path: packets still in
+    # flight there are bound to the connection's receivers.
+    shared = (conn.loop, conn.path)
+    refs += [
+        inner
+        for ref in list(refs)
+        if not any(ref is obj for obj in shared)
+        for inner in gc.get_referents(ref)
     ]
     assert pending_events(refs) == []
     assert bound_to(refs, conn) == []
