@@ -1,10 +1,12 @@
 """HTTP layer: protocol semantics on top of TCP/QUIC transports.
 
-Provides the three protocol lanes the paper's Table II distinguishes
-(HTTP/1.1, HTTP/2, HTTP/3), a per-origin connection pool with
-Chrome-like reuse rules (the mechanism behind the paper's Fig. 7
-"reused connections" analysis), TLS session resumption wiring (Fig. 8),
-and Alt-Svc based H3 discovery.
+Provides the three protocols the paper's Table II distinguishes
+(HTTP/1.1, HTTP/2, HTTP/3), a connection pool with Chrome-like reuse
+rules (the mechanism behind the paper's Fig. 7 "reused connections"
+analysis), TLS session resumption wiring (Fig. 8), and Alt-Svc based
+H3 discovery.  The pool keeps one table of lanes: one H2 or H3
+connection per ``(coalesce_key, protocol)`` lane, up to six H1
+connections per ``(host, H1)`` lane.
 """
 
 from repro.http.alt_svc import AltSvcCache

@@ -5,9 +5,11 @@ Pooling is the mechanism behind two of the paper's findings:
 * **Reused connections** (Fig. 7): all requests to a host after the
   connection-opening one ride the existing connection and report a
   connect time of 0 — exactly the paper's criterion for a "reused HTTP
-  connection" in the Chrome-HAR data.  H1.1 opens up to six parallel
-  connections per host and serializes requests on each; H2/H3 multiplex
-  everything over a single connection per (host, protocol).
+  connection" in the Chrome-HAR data.  One table of lanes holds every
+  connection: H2/H3 multiplex everything over the single connection of
+  a ``(coalesce_key, protocol)`` lane, while an H1.1 ``(host, H1)``
+  lane opens up to six parallel connections and serializes requests
+  on each.
 * **Resumed connections** (Fig. 8): when a session ticket is cached for
   the host, new connections are created in resumed mode (H3: 0-RTT;
   H2+TLS1.3: TCP round trip only), and fresh tickets are stored after
@@ -19,10 +21,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable, Protocol
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 
 from repro.check.context import EPSILON_MS, NULL_CHECK
-from repro.events import EventLoop, ScheduledEvent, Timer
+from repro.events import EventLoop, ScheduledEvent
 from repro.http.messages import EntryTiming, FetchRecord, HttpProtocol
 from repro.netsim.path import NetworkPath
 from repro.tls.session_cache import SessionTicketCache
@@ -51,9 +54,11 @@ class Server(Protocol):
 class PoolStats:
     """Counters the analyses read after a page visit.
 
-    The fault-era fields (``failed_requests`` onward) serialize only
-    when nonzero, so visit payloads from fault-free runs stay
-    byte-identical to the pre-fault format.
+    One rule serializes every field: its camelCase name on the wire and
+    ``pool.<field>`` as a counter.  The first five fields are always
+    present; the fault-era ones (``failed_requests`` onward) only when
+    nonzero, so visit payloads and counter snapshots from fault-free
+    runs stay byte-identical to the pre-fault format.
     """
 
     requests: int = 0
@@ -73,8 +78,7 @@ class PoolStats:
 
     def merged_with(self, other: "PoolStats") -> "PoolStats":
         # Derived from the dataclass fields so a future counter can
-        # never be silently dropped from the merge (the drift that bit
-        # to_dict/from_dict when the fault-era fields landed).
+        # never be silently dropped from the merge.
         return PoolStats(
             **{
                 f.name: getattr(self, f.name) + getattr(other, f.name)
@@ -82,52 +86,30 @@ class PoolStats:
             }
         )
 
+    def _serialized(self) -> Iterator[tuple[str, int]]:
+        """``(field, value)`` for every field that serializes, in order."""
+        for index, name in enumerate(_WIRE_NAMES):
+            value = getattr(self, name)
+            if value or index < _ALWAYS_SERIALIZED:
+                yield name, value
+
     def to_dict(self) -> dict[str, int]:
-        payload = {
-            "requests": self.requests,
-            "connectionsCreated": self.connections_created,
-            "resumedConnections": self.resumed_connections,
-            "reusedRequests": self.reused_requests,
-            "zeroRttConnections": self.zero_rtt_connections,
-        }
-        if self.failed_requests:
-            payload["failedRequests"] = self.failed_requests
-        if self.retried_requests:
-            payload["retriedRequests"] = self.retried_requests
-        if self.h3_fallbacks:
-            payload["h3Fallbacks"] = self.h3_fallbacks
-        if self.connect_timeouts:
-            payload["connectTimeouts"] = self.connect_timeouts
-        if self.connection_resets:
-            payload["connectionResets"] = self.connection_resets
-        if self.quic_migrations:
-            payload["quicMigrations"] = self.quic_migrations
-        if self.migration_reconnects:
-            payload["migrationReconnects"] = self.migration_reconnects
-        if self.proxy_h3_downgrades:
-            payload["proxyH3Downgrades"] = self.proxy_h3_downgrades
-        if self.proxy_cache_hits:
-            payload["proxyCacheHits"] = self.proxy_cache_hits
-        return payload
+        return {_WIRE_NAMES[name]: value for name, value in self._serialized()}
 
     @classmethod
     def from_dict(cls, raw: dict[str, int]) -> "PoolStats":
-        return cls(
-            requests=raw.get("requests", 0),
-            connections_created=raw.get("connectionsCreated", 0),
-            resumed_connections=raw.get("resumedConnections", 0),
-            reused_requests=raw.get("reusedRequests", 0),
-            zero_rtt_connections=raw.get("zeroRttConnections", 0),
-            failed_requests=raw.get("failedRequests", 0),
-            retried_requests=raw.get("retriedRequests", 0),
-            h3_fallbacks=raw.get("h3Fallbacks", 0),
-            connect_timeouts=raw.get("connectTimeouts", 0),
-            connection_resets=raw.get("connectionResets", 0),
-            quic_migrations=raw.get("quicMigrations", 0),
-            migration_reconnects=raw.get("migrationReconnects", 0),
-            proxy_h3_downgrades=raw.get("proxyH3Downgrades", 0),
-            proxy_cache_hits=raw.get("proxyCacheHits", 0),
-        )
+        return cls(**{name: raw.get(wire, 0) for name, wire in _WIRE_NAMES.items()})
+
+
+def _camel_case(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
+#: How many leading ``PoolStats`` fields serialize even when zero.
+_ALWAYS_SERIALIZED = 5
+#: ``PoolStats`` field name -> wire name, in field order.
+_WIRE_NAMES = {f.name: _camel_case(f.name) for f in fields(PoolStats)}
 
 
 @dataclass(eq=False)
@@ -154,8 +136,8 @@ class _PendingFetch:
     path: NetworkPath | None = None
     #: Recovery retries consumed so far (fault injection only).
     attempts: int = 0
-    #: Armed request-timeout timer while the fetch is in flight.
-    timer: Timer | None = None
+    #: Request deadline, pending while the fetch is in flight.
+    timer: ScheduledEvent | None = None
     #: Client Accept-Encoding preference (compression campaigns only;
     #: ``None`` keeps the legacy 3-argument ``serve`` call).
     accept_encoding: tuple[str, ...] | None = None
@@ -166,12 +148,21 @@ class _PendingFetch:
 class _PooledConnection:
     """One live connection plus its pending-request queue."""
 
-    def __init__(self, conn: BaseConnection, protocol: HttpProtocol, host: str) -> None:
+    def __init__(
+        self,
+        conn: BaseConnection,
+        protocol: HttpProtocol,
+        host: str,
+        lane_key: tuple[str, HttpProtocol],
+        resumed: bool,
+    ) -> None:
         self.conn = conn
         self.protocol = protocol
         self.host = host
+        #: The pool lane the connection belongs to (see ``_assign``).
+        self.lane_key = lane_key
         self.established = False
-        self.resumed = conn.resumed if hasattr(conn, "resumed") else False
+        self.resumed = resumed
         self.active_streams = 0
         self.pending: deque[_PendingFetch] = deque()
         #: Whether this connection holds a handshake-throttle slot.
@@ -181,12 +172,10 @@ class _PooledConnection:
         # -- fault-recovery state (inert without an injector) ----------
         #: The fetch that opened this connection (until it is issued).
         self.opener: _PendingFetch | None = None
-        #: Coalescing key the connection is registered under.
-        self.coalesce_key = host
         #: Fetches currently issued on this connection.
         self.inflight: list[_PendingFetch] = []
-        #: Connect-timeout timer (armed while handshaking under faults).
-        self.connect_timer: Timer | None = None
+        #: Handshake deadline (pending while handshaking under faults).
+        self.connect_timer: ScheduledEvent | None = None
         #: Scheduled mid-transfer reset, if the profile scripts one.
         self.reset_event: ScheduledEvent | None = None
         #: Scheduled mid-transfer client address change, if scripted.
@@ -201,6 +190,21 @@ class _PooledConnection:
     def busy(self) -> bool:
         """H1.1 connections serve one request at a time."""
         return not self.protocol.multiplexes and self.active_streams > 0
+
+    def disarm(self) -> None:
+        """Cancel the connection's fault-recovery deadlines and events.
+
+        The loop outlives the pool (one loop per probe, one pool per
+        visit), so anything left pending would fire into a later visit.
+        """
+        for event in (self.connect_timer, self.reset_event, self.migration_event):
+            if event is not None:
+                event.cancel()
+        self.connect_timer = self.reset_event = self.migration_event = None
+        for fetch in self.inflight:
+            if fetch.timer is not None:
+                fetch.timer.cancel()
+                fetch.timer = None
 
 
 class ConnectionPool:
@@ -254,8 +258,11 @@ class ConnectionPool:
         #: downgraded (count/trace once per would-be QUIC connection).
         self._proxy_downgraded_keys: set[str] = set()
         self.stats = PoolStats()
-        self._multiplexed: dict[tuple[str, HttpProtocol], _PooledConnection] = {}
-        self._h1_conns: dict[str, list[_PooledConnection]] = {}
+        #: The connection table: one lane per ``(coalesce_key, H2|H3)``
+        #: with that group's one multiplexed connection, and one per
+        #: ``(host, H1)`` with up to ``H1_MAX_PER_HOST`` connections.
+        self._lanes: dict[tuple[str, HttpProtocol], list[_PooledConnection]] = {}
+        #: H1 fetches waiting for one of their host's connections.
         self._h1_queues: dict[str, deque[_PendingFetch]] = {}
         # Handshake throttling: browsers bound concurrent connection
         # setups; extra openers queue here (0-RTT bypasses the queue).
@@ -295,38 +302,45 @@ class ConnectionPool:
         if self._closed:
             raise RuntimeError("pool is closed")
         self.stats.requests += 1
-        fetch = _PendingFetch(
-            url=url,
-            resource_key=resource_key if resource_key is not None else url,
-            request_bytes=request_bytes,
-            response_bytes=response_bytes,
-            server=server,
-            protocol=protocol,
-            queued_at=self.loop.now,
-            on_complete=on_complete,
-            weight=weight,
-            path=path,
-            accept_encoding=accept_encoding,
-            rtype=rtype,
+        self._dispatch(
+            _PendingFetch(
+                url=url,
+                resource_key=resource_key if resource_key is not None else url,
+                request_bytes=request_bytes,
+                response_bytes=response_bytes,
+                server=server,
+                protocol=protocol,
+                queued_at=self.loop.now,
+                on_complete=on_complete,
+                weight=weight,
+                path=path,
+                accept_encoding=accept_encoding,
+                rtype=rtype,
+            )
         )
-        if protocol.multiplexes:
-            self._fetch_multiplexed(fetch, path)
-        else:
-            self._fetch_h1(fetch, path)
 
     def _dispatch(self, fetch: _PendingFetch) -> None:
-        """(Re-)dispatch a fetch according to its current protocol.
+        """Settle a fetch's protocol, then hand it to its lane.
 
-        Fault recovery re-enters here after retries and H3→H2 fallback;
-        the fetch keeps its original path, callback and queue time.
+        H3 falls back to TCP when a CONNECT tunnel on the path cannot
+        carry QUIC, or when the coalesce group's QUIC lane already
+        failed.  Fault recovery re-enters here after retries and H3
+        demotion; the fetch keeps its original path, callback and
+        queue time.
         """
         if self._closed:
             return
-        assert fetch.path is not None
-        if fetch.protocol.multiplexes:
-            self._fetch_multiplexed(fetch, fetch.path)
-        else:
-            self._fetch_h1(fetch, fetch.path)
+        if fetch.protocol is HttpProtocol.H3:
+            if not getattr(fetch.path, "h3_passthrough", True):
+                # A CONNECT-style tunnel only relays TCP byte streams.
+                self._proxy_downgrade_h3(fetch)
+            elif (
+                self.faults is not None
+                and self._coalesce_key(fetch.server) in self._h3_broken_keys
+            ):
+                # Route straight to TCP instead of re-proving the blackhole.
+                fetch.protocol = self._tcp_protocol(fetch.server)
+        self._assign(fetch)
 
     @staticmethod
     def _coalesce_key(server: Server) -> str:
@@ -334,53 +348,47 @@ class ConnectionPool:
         protocol (certificate/IP coalescing); origins stay per-host."""
         return getattr(server, "coalesce_key", None) or server.hostname
 
-    def _fetch_multiplexed(self, fetch: _PendingFetch, path: NetworkPath) -> None:
-        if fetch.protocol is HttpProtocol.H3 and not getattr(
-            path, "h3_passthrough", True
-        ):
-            # A CONNECT-style tunnel on the path only relays TCP byte
-            # streams: the H3 (QUIC-over-UDP) attempt cannot traverse
-            # the proxy and downgrades to H2 over the tunnel.
-            self._proxy_downgrade_h3(fetch, path)
-            if not fetch.protocol.multiplexes:
-                self._fetch_h1(fetch, path)
-                return
-        if (
-            fetch.protocol is HttpProtocol.H3
-            and self.faults is not None
-            and self._coalesce_key(fetch.server) in self._h3_broken_keys
-        ):
-            # This coalesce group's QUIC lane already failed: route the
-            # fetch straight to TCP instead of re-proving the blackhole.
-            fetch.protocol = (
-                HttpProtocol.H2
-                if getattr(fetch.server, "supports_h2", True)
-                else HttpProtocol.H1
-            )
-            if not fetch.protocol.multiplexes:
-                self._fetch_h1(fetch, path)
-                return
-        key = (self._coalesce_key(fetch.server), fetch.protocol)
-        pooled = self._multiplexed.get(key)
-        if pooled is None:
-            pooled = self._open_connection(fetch, path)
-            self._multiplexed[key] = pooled
-            return
-        if pooled.established:
-            self.stats.reused_requests += 1
-            self._issue(pooled, fetch, reused=True)
-        else:
-            # Arrived mid-handshake: waits, then reports connect = 0.
-            self.stats.reused_requests += 1
-            pooled.pending.append(fetch)
-
-    def _proxy_downgrade_h3(self, fetch: _PendingFetch, path: NetworkPath) -> None:
-        """Reroute one H3 fetch to TCP at a non-UDP-capable proxy."""
-        fetch.protocol = (
+    @staticmethod
+    def _tcp_protocol(server: Server) -> HttpProtocol:
+        """Where an H3 fetch falls back to: H2, or H1 without h2."""
+        return (
             HttpProtocol.H2
-            if getattr(fetch.server, "supports_h2", True)
+            if getattr(server, "supports_h2", True)
             else HttpProtocol.H1
         )
+
+    def _assign(self, fetch: _PendingFetch) -> None:
+        """Issue, open or park one fetch in its lane.
+
+        An idle established connection takes the fetch as a reused
+        request; a lane below its limit (one H2/H3 connection, six H1)
+        opens a connection with the fetch as its opener.  A full lane
+        parks the fetch.  An H2/H3 lane is full only while its one
+        connection handshakes: the fetch waits on it and counts as
+        reused at once.  An H1 lane is full when all six are busy: the
+        fetch queues at the host and counts as reused when drained.
+        """
+        protocol = fetch.protocol
+        multiplexes = protocol.multiplexes
+        host = fetch.server.hostname
+        key = (self._coalesce_key(fetch.server) if multiplexes else host, protocol)
+        lane = self._lanes.setdefault(key, [])
+        for pooled in lane:
+            if pooled.established and not pooled.busy:
+                self.stats.reused_requests += 1
+                self._issue(pooled, fetch, reused=True)
+                return
+        if len(lane) < (1 if multiplexes else self.H1_MAX_PER_HOST):
+            lane.append(self._open_connection(fetch, key))
+        elif multiplexes:
+            self.stats.reused_requests += 1
+            lane[0].pending.append(fetch)
+        else:
+            self._h1_queues.setdefault(host, deque()).append(fetch)
+
+    def _proxy_downgrade_h3(self, fetch: _PendingFetch) -> None:
+        """Reroute one H3 fetch to TCP at a non-UDP-capable proxy."""
+        fetch.protocol = self._tcp_protocol(fetch.server)
         key = self._coalesce_key(fetch.server)
         if key in self._proxy_downgraded_keys:
             return
@@ -396,26 +404,17 @@ class ConnectionPool:
                     self.loop.now,
                     "proxy:h3_downgrade",
                     host=fetch.server.hostname,
-                    model=getattr(path, "proxy_model", None) or "connect-tunnel",
+                    model=getattr(fetch.path, "proxy_model", None)
+                    or "connect-tunnel",
                 )
-
-    def _fetch_h1(self, fetch: _PendingFetch, path: NetworkPath) -> None:
-        host = fetch.server.hostname
-        conns = self._h1_conns.setdefault(host, [])
-        for pooled in conns:
-            if pooled.established and not pooled.busy:
-                self.stats.reused_requests += 1
-                self._issue(pooled, fetch, reused=True)
-                return
-        if len(conns) < self.H1_MAX_PER_HOST:
-            conns.append(self._open_connection(fetch, path))
-            return
-        self._h1_queues.setdefault(host, deque()).append(fetch)
 
     # ------------------------------------------------------------------
 
-    def _open_connection(self, opener: _PendingFetch, path: NetworkPath) -> _PooledConnection:
+    def _open_connection(
+        self, opener: _PendingFetch, lane_key: tuple[str, HttpProtocol]
+    ) -> _PooledConnection:
         host = opener.server.hostname
+        path = opener.path
         conn_rng = random.Random(self.rng.getrandbits(64))
         conn_name = (
             f"h3-{host}" if opener.protocol is HttpProtocol.H3 else f"tcp-{host}"
@@ -490,12 +489,10 @@ class ConnectionPool:
                 tls_version=opener.server.tls_version, name=conn_name,
                 tracer=tracer, check=self.check or None, sampler=sampler,
             )
-        pooled = _PooledConnection(conn, opener.protocol, host)
-        pooled.resumed = has_ticket
-        pooled.coalesce_key = self._coalesce_key(opener.server)
+        pooled = _PooledConnection(conn, opener.protocol, host, lane_key, has_ticket)
         if self.faults is not None:
             pooled.opener = opener
-            conn.on_error = lambda error: self._on_transport_error(pooled)
+            conn.on_error = partial(self._on_transport_error, pooled)
         self.stats.connections_created += 1
         if has_ticket:
             self.stats.resumed_connections += 1
@@ -524,21 +521,18 @@ class ConnectionPool:
             )
         if counted:
             self._active_handshakes += 1
+        on_established = partial(self._on_established, pooled, opener)
         if self.faults is None:
-            pooled.conn.connect(
-                lambda result: self._on_established(pooled, opener, result)
-            )
+            pooled.conn.connect(on_established)
             return
         # Under fault injection a handshake gets a hard deadline: a
         # blackholed QUIC handshake would otherwise crawl its retry
         # ladder for tens of simulated seconds before giving up.
-        pooled.connect_timer = Timer(
-            self.loop, lambda: self._on_connect_timeout(pooled)
+        pooled.connect_timer = self.loop.call_later(
+            self.faults.retry.connect_timeout_ms, self._on_connect_timeout, pooled
         )
-        pooled.connect_timer.start(self.faults.retry.connect_timeout_ms)
         pooled.conn.connect(
-            lambda result: self._on_established(pooled, opener, result),
-            on_failed=lambda error: self._on_connect_timeout(pooled),
+            on_established, on_failed=partial(self._on_connect_timeout, pooled)
         )
 
     def _on_established(self, pooled: _PooledConnection, opener: _PendingFetch, result) -> None:
@@ -548,7 +542,7 @@ class ConnectionPool:
         if self.faults is not None:
             pooled.opener = None
             if pooled.connect_timer is not None:
-                pooled.connect_timer.stop()
+                pooled.connect_timer.cancel()
                 pooled.connect_timer = None
             reset_at = self.faults.connection_reset_at(pooled.host)
             if reset_at is not None:
@@ -615,7 +609,7 @@ class ConnectionPool:
 
     # -- fault recovery ------------------------------------------------
 
-    def _on_connect_timeout(self, pooled: _PooledConnection) -> None:
+    def _on_connect_timeout(self, pooled: _PooledConnection, error=None) -> None:
         """The handshake deadline expired (or the transport gave up)."""
         if self._closed or pooled.failed or pooled.established:
             return
@@ -632,9 +626,7 @@ class ConnectionPool:
             "connect_timeout", pooled.host, protocol=pooled.protocol.value
         )
         pooled.failed = True
-        if pooled.connect_timer is not None:
-            pooled.connect_timer.stop()
-            pooled.connect_timer = None
+        pooled.disarm()
         pooled.conn.close()
         self._release_handshake_slot(pooled)
         self._remove_pooled(pooled)
@@ -687,7 +679,7 @@ class ConnectionPool:
         )
         self._teardown_established(pooled, "migration")
 
-    def _on_transport_error(self, pooled: _PooledConnection) -> None:
+    def _on_transport_error(self, pooled: _PooledConnection, error) -> None:
         """The transport exhausted its own retry budget mid-request."""
         if self._closed or pooled.failed:
             return
@@ -709,22 +701,13 @@ class ConnectionPool:
     def _teardown_established(self, pooled: _PooledConnection, reason: str) -> None:
         """Kill a live connection and re-dispatch everything it carried."""
         pooled.failed = True
-        if pooled.reset_event is not None:
-            pooled.reset_event.cancel()
-            pooled.reset_event = None
-        if pooled.migration_event is not None:
-            pooled.migration_event.cancel()
-            pooled.migration_event = None
+        pooled.disarm()
         pooled.conn.close()
         self._remove_pooled(pooled)
         victims = list(pooled.inflight)
         pooled.inflight.clear()
         victims.extend(pooled.pending)
         pooled.pending.clear()
-        for fetch in victims:
-            if fetch.timer is not None:
-                fetch.timer.stop()
-                fetch.timer = None
         if pooled.protocol is HttpProtocol.H3 and reason != "connection_reset":
             # A QUIC connection that died of timeouts points at a
             # UDP-hostile path: demote the whole coalesce group.  Resets
@@ -735,7 +718,7 @@ class ConnectionPool:
 
     def _demote_h3(self, pooled: _PooledConnection, orphans: list[_PendingFetch]) -> None:
         """H3→H2 fallback: reroute this coalesce group's fetches to TCP."""
-        self._h3_broken_keys.add(pooled.coalesce_key)
+        self._h3_broken_keys.add(pooled.lane_key[0])
         if self.alt_svc is not None:
             self.alt_svc.mark_h3_broken(pooled.host, self.loop.now)
         self.stats.h3_fallbacks += 1
@@ -743,11 +726,7 @@ class ConnectionPool:
             "h3_fallback", pooled.host, orphaned=len(orphans)
         )
         for fetch in orphans:
-            fetch.protocol = (
-                HttpProtocol.H2
-                if getattr(fetch.server, "supports_h2", True)
-                else HttpProtocol.H1
-            )
+            fetch.protocol = self._tcp_protocol(fetch.server)
             self._dispatch(fetch)
 
     def _retry_or_fail(
@@ -800,18 +779,27 @@ class ConnectionPool:
             failed=True,
             error=reason,
         )
+        if not fetch.protocol.multiplexes:
+            # Queued H1 fetches wait for a connection of their host to
+            # free up, and this fetch's may have been the last one:
+            # dispatch them again, each on its own retry budget.  A full
+            # lane of busy connections queues them again in order.
+            for queued in self._h1_queues.pop(fetch.server.hostname, ()):
+                self._dispatch(queued)
         fetch.on_complete(record)
 
     def _remove_pooled(self, pooled: _PooledConnection) -> None:
-        """Drop a dead connection from the reuse tables."""
-        if pooled.protocol.multiplexes:
-            key = (pooled.coalesce_key, pooled.protocol)
-            if self._multiplexed.get(key) is pooled:
-                del self._multiplexed[key]
-        else:
-            conns = self._h1_conns.get(pooled.host)
-            if conns is not None and pooled in conns:
-                conns.remove(pooled)
+        """Drop a dead connection from its lane.
+
+        An emptied H2/H3 lane leaves the table, so a connection that
+        reopens it closes after every lane opened before it; H1 lanes
+        keep their place by host (``close`` relies on both).
+        """
+        lane = self._lanes.get(pooled.lane_key)
+        if lane is not None and pooled in lane:
+            lane.remove(pooled)
+            if not lane and pooled.protocol.multiplexes:
+                del self._lanes[pooled.lane_key]
 
     def _serve(self, fetch: _PendingFetch):
         """Answer one fetch: proxy cache first, then the server.
@@ -985,10 +973,10 @@ class ConnectionPool:
         transfer_span: list[int | None] = [None]
         if self.faults is not None:
             pooled.inflight.append(fetch)
-            fetch.timer = Timer(
-                self.loop, lambda: self._on_fetch_timeout(pooled, fetch)
+            fetch.timer = self.loop.call_later(
+                self.faults.retry.request_timeout_ms,
+                self._on_fetch_timeout, pooled, fetch,
             )
-            fetch.timer.start(self.faults.retry.request_timeout_ms)
 
         def on_first_byte(t: float) -> None:
             if pooled.failed:
@@ -1040,7 +1028,7 @@ class ConnectionPool:
                 spans.end(request_span, t)
             pooled.active_streams -= 1
             if fetch.timer is not None:
-                fetch.timer.stop()
+                fetch.timer.cancel()
                 fetch.timer = None
             if self.faults is not None and fetch in pooled.inflight:
                 pooled.inflight.remove(fetch)
@@ -1069,7 +1057,7 @@ class ConnectionPool:
 
     def connection_count(self) -> int:
         """Live connections (diagnostics)."""
-        return len(self._multiplexed) + sum(len(v) for v in self._h1_conns.values())
+        return sum(len(lane) for lane in self._lanes.values())
 
     def close(self) -> None:
         """Terminate every connection (between page visits).
@@ -1079,9 +1067,15 @@ class ConnectionPool:
         registry — a cold path, so packet accounting never slows down.
         """
         self._closed = True
-        all_conns = list(self._multiplexed.values())
-        for conns in self._h1_conns.values():
-            all_conns.extend(conns)
+        # Multiplexed lanes first, then H1 by host: the order in which
+        # connections close and fold their stats into the counters.
+        all_conns = [
+            pooled
+            for multiplexed in (True, False)
+            for (_, protocol), lane in self._lanes.items()
+            if protocol.multiplexes is multiplexed
+            for pooled in lane
+        ]
         if self.check:
             counted = sum(1 for pooled in all_conns if pooled.handshake_counted)
             self.check.require(
@@ -1134,53 +1128,18 @@ class ConnectionPool:
                     transfer=self._economics.transfer_bytes,
                 )
         for pooled in all_conns:
-            if self.faults is not None:
-                # Disarm recovery timers: the loop outlives this pool
-                # (one loop per probe, one pool per visit), so anything
-                # left armed would fire into the next visit.
-                if pooled.connect_timer is not None:
-                    pooled.connect_timer.stop()
-                    pooled.connect_timer = None
-                if pooled.reset_event is not None:
-                    pooled.reset_event.cancel()
-                    pooled.reset_event = None
-                if pooled.migration_event is not None:
-                    pooled.migration_event.cancel()
-                    pooled.migration_event = None
-                for fetch in pooled.inflight:
-                    if fetch.timer is not None:
-                        fetch.timer.stop()
-                        fetch.timer = None
+            pooled.disarm()
             pooled.conn.close()
         if self.obs is not None:
             for pooled in all_conns:
                 self.obs.absorb_connection(pooled.conn)
             counters = self.obs.counters
-            counters.incr("pool.requests", self.stats.requests)
-            counters.incr("pool.connections_created", self.stats.connections_created)
-            counters.incr("pool.resumed_connections", self.stats.resumed_connections)
-            counters.incr("pool.reused_requests", self.stats.reused_requests)
-            counters.incr("pool.zero_rtt_connections", self.stats.zero_rtt_connections)
-            # Fault-era counters only appear once nonzero, keeping
-            # fault-free counter snapshots byte-identical.
-            for key, value in (
-                ("pool.failed_requests", self.stats.failed_requests),
-                ("pool.retried_requests", self.stats.retried_requests),
-                ("pool.h3_fallbacks", self.stats.h3_fallbacks),
-                ("pool.connect_timeouts", self.stats.connect_timeouts),
-                ("pool.connection_resets", self.stats.connection_resets),
-                ("pool.quic_migrations", self.stats.quic_migrations),
-                ("pool.migration_reconnects", self.stats.migration_reconnects),
-                ("pool.proxy_h3_downgrades", self.stats.proxy_h3_downgrades),
-                ("pool.proxy_cache_hits", self.stats.proxy_cache_hits),
-            ):
-                if value:
-                    counters.incr(key, value)
+            for name, value in self.stats._serialized():
+                counters.incr(f"pool.{name}", value)
             if self._economics is not None:
                 # Hierarchy/compression campaigns only; nonzero-only so
                 # legacy counter snapshots stay byte-identical.
                 for key, value in self._economics.counter_items():
                     counters.incr(key, value)
-        self._multiplexed.clear()
-        self._h1_conns.clear()
+        self._lanes.clear()
         self._h1_queues.clear()

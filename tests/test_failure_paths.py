@@ -144,3 +144,49 @@ class TestPoolUnderLoss:
         conn.connect(lambda r: None)
         with pytest.raises(TransportError, match="handshake failed"):
             loop.run()
+
+
+class TestH1QueueWhenTheHostFails:
+    """H1 fetches queued behind a host's six connections still get a
+    record when every one of those fetches runs out of retries."""
+
+    @staticmethod
+    def run_ten_h1_fetches(event):
+        from repro.faults import FaultInjector
+        from repro.faults.profile import FaultProfile
+
+        loop = EventLoop()
+        origin = OriginServer("h1.example", supports_h2=False, supports_h3=False)
+        faults = FaultInjector(FaultProfile(events=(event,)), loop)
+        pool = ConnectionPool(loop, faults=faults)
+        path = make_path(loop)
+        records = []
+        for i in range(10):
+            pool.fetch(origin, path, HttpProtocol.H1,
+                       f"https://h1.example/r{i}", 400, 5000, records.append)
+        loop.run()
+        return pool, records
+
+    @pytest.mark.parametrize("kind", ["blackout", "edge_outage", "connection_reset"])
+    def test_every_fetch_fails_with_a_record(self, kind):
+        from repro.faults.profile import FaultEvent
+
+        pool, records = self.run_ten_h1_fetches(
+            FaultEvent(kind, hosts=("h1.example",))
+        )
+        assert len(records) == 10
+        assert all(record.failed for record in records)
+        assert sorted(r.url for r in records) == sorted(
+            f"https://h1.example/r{i}" for i in range(10)
+        )
+        assert pool.stats.failed_requests == 10
+
+    def test_a_blackout_that_lifts_completes_every_fetch(self):
+        from repro.faults.profile import FaultEvent
+
+        pool, records = self.run_ten_h1_fetches(
+            FaultEvent("blackout", end_ms=5000.0, hosts=("h1.example",))
+        )
+        assert len(records) == 10
+        assert not any(record.failed for record in records)
+        assert pool.stats.failed_requests == 0

@@ -534,9 +534,10 @@ class TestPendingFetchIdentity:
         snapshots = []
 
         def on_complete(record):
-            # Every fetch still listed as in flight has its timer armed;
-            # the one that just completed (timer dropped) is gone.
-            (pooled,) = pool._multiplexed.values()
+            # Every fetch still listed as in flight has its deadline
+            # pending; the one that just completed (deadline dropped)
+            # is gone.
+            ((pooled,),) = pool._lanes.values()
             snapshots.append([fetch.timer is not None for fetch in pooled.inflight])
 
         for _ in range(2):

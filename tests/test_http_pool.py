@@ -1,12 +1,15 @@
 """Tests for the HTTP connection pool: reuse, resumption, H1 queueing."""
 
 import random
+from dataclasses import fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cdn import EdgeServer, OriginServer, get_provider
 from repro.events import EventLoop
-from repro.http import ConnectionPool, HttpProtocol
+from repro.http import ConnectionPool, HttpProtocol, PoolStats
 from repro.netsim import NetemProfile, NetworkPath
 from repro.tls import SessionTicketCache
 
@@ -226,3 +229,70 @@ class TestPoolLifecycle:
         assert merged.requests == 5
         assert merged.connections_created == 1
         assert merged.reused_requests == 2
+
+
+#: Wire names of the ``PoolStats`` fields, in field order.
+WIRE_NAMES = [
+    "requests", "connectionsCreated", "resumedConnections", "reusedRequests",
+    "zeroRttConnections", "failedRequests", "retriedRequests", "h3Fallbacks",
+    "connectTimeouts", "connectionResets", "quicMigrations",
+    "migrationReconnects", "proxyH3Downgrades", "proxyCacheHits",
+]
+#: The pre-fault keys every payload carries, zero or not.
+LEGACY_KEYS = WIRE_NAMES[:5]
+
+pool_stats = st.builds(
+    PoolStats,
+    **{f.name: st.integers(min_value=0, max_value=10**9) for f in fields(PoolStats)},
+)
+
+
+class _Counters:
+    def __init__(self):
+        self.calls = []
+
+    def incr(self, key, value=1):
+        self.calls.append((key, value))
+
+
+class _Obs:
+    """Just enough of ``ObsContext`` for ``ConnectionPool.close``."""
+
+    spans = None
+
+    def __init__(self):
+        self.counters = _Counters()
+
+    def absorb_connection(self, conn):
+        pass
+
+
+class TestPoolStatsSerialization:
+    def test_fields_match_the_wire_names(self):
+        assert len(fields(PoolStats)) == len(WIRE_NAMES) == 14
+
+    @given(pool_stats)
+    def test_round_trip_and_key_order(self, stats):
+        payload = stats.to_dict()
+        assert PoolStats.from_dict(payload) == stats
+        values = [getattr(stats, f.name) for f in fields(PoolStats)]
+        assert list(payload) == [
+            wire for wire, value in zip(WIRE_NAMES, values)
+            if wire in LEGACY_KEYS or value
+        ]
+
+    def test_default_has_exactly_the_legacy_keys(self):
+        assert PoolStats().to_dict() == dict.fromkeys(LEGACY_KEYS, 0)
+        assert PoolStats.from_dict({}) == PoolStats()
+
+    @given(pool_stats)
+    def test_close_counts_pool_fields(self, stats):
+        obs = _Obs()
+        pool = ConnectionPool(EventLoop(), obs=obs)
+        pool.stats = stats
+        pool.close()
+        assert obs.counters.calls == [
+            (f"pool.{f.name}", getattr(stats, f.name))
+            for index, f in enumerate(fields(PoolStats))
+            if index < len(LEGACY_KEYS) or getattr(stats, f.name)
+        ]
