@@ -456,10 +456,8 @@ class Browser:
             if compression is not None:
                 from repro.cdn.compression import client_accept_encoding
 
-                accept = client_accept_encoding(
-                    resource.url, resource.rtype.value, compression
-                )
-                rtype_val = resource.rtype.value
+                rtype_val = resource.rtype._value_
+                accept = client_accept_encoding(resource.url, rtype_val, compression)
             else:
                 accept = None
                 rtype_val = None
@@ -527,13 +525,16 @@ class Browser:
         return HarEntry(
             url=record.url,
             host=record.host,
-            protocol=record.protocol.value,
+            # ``_value_``: the plain attribute behind the ``.value``
+            # descriptor, read without a Python call (one HAR entry per
+            # request).
+            protocol=record.protocol._value_,
             started_at_ms=started,
             time_ms=record.completed_at_ms - started,
             timings=record.timing,
             response_bytes=record.response_bytes,
             request_bytes=record.request_bytes,
-            resource_type=resource.rtype.value,
+            resource_type=resource.rtype._value_,
             headers=record.headers,
             reused=record.reused,
             resumed=record.resumed,

@@ -82,21 +82,33 @@ def classify_response(
     matches, then provider domain patterns.  Anything unmatched is
     non-CDN.  Header names match case-insensitively; when several
     spell the same name, the last one wins.  Verdicts against the
-    default registry are memoised; a caller-supplied ``providers``
-    registry is classified afresh each time.
+    default registry are memoised on the host and header items as
+    sent; a caller-supplied ``providers`` registry is classified afresh
+    each time.
     """
-    server = via = ""
-    if headers:
-        for name, value in headers.items():
-            name = name.lower()
-            if name == "server":
-                server = value
-            elif name == "via":
-                via = value
-    host, server, via = host.lower(), server.lower(), via.lower()
+    items = tuple(headers.items()) if headers else ()
     if providers is not None:
-        return _classify(host, server, via, _build_index(providers))
-    return _classify_default(host, server, via)
+        return _classify(*_decision_inputs(host, items), _build_index(providers))
+    return _classify_sent(host, items)
+
+
+def _decision_inputs(host: str, items: tuple) -> tuple[str, str, str]:
+    """The lower-cased host, ``server`` and ``via`` the decision reads."""
+    server = via = ""
+    for name, value in items:
+        name = name.lower()
+        if name == "server":
+            server = value
+        elif name == "via":
+            via = value
+    return host.lower(), server.lower(), via.lower()
+
+
+@lru_cache(maxsize=1 << 16)
+def _classify_sent(host: str, items: tuple) -> ClassificationResult:
+    """The default registry's verdict on a response as sent: a response
+    seen before skips the header scan and its ``str.lower`` calls."""
+    return _classify_default(*_decision_inputs(host, items))
 
 
 @lru_cache(maxsize=1 << 16)

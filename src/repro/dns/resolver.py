@@ -30,6 +30,7 @@ import enum
 import random
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from repro.events import EventLoop
@@ -77,6 +78,25 @@ class DnsConfig:
             raise ValueError("resolver_rtt_ms must be >= 0")
         if not 0.0 <= self.recursive_hit_rate <= 1.0:
             raise ValueError("recursive_hit_rate must be in [0, 1]")
+
+
+@lru_cache(maxsize=1 << 12)
+def _recursion_ms(
+    host: str, recursive_hit_rate: float, recursion_ms_range: tuple[float, float]
+) -> float | None:
+    """The recursion cost of resolving ``host`` upstream, or None on a
+    recursive-cache hit.
+
+    The cost is a *property of the name* (its delegation chain and
+    popularity), not a fresh random draw: a host that is slow to resolve
+    is slow for every probe and protocol run.  Deriving it from a stable
+    hash keeps H2/H3 comparisons paired, and makes it a pure function of
+    its arguments, so it is drawn once per name and configuration.
+    """
+    host_rng = random.Random(zlib.crc32(host.encode()))
+    if host_rng.random() >= recursive_hit_rate:
+        return host_rng.uniform(*recursion_ms_range)
+    return None
 
 
 class DnsResolver:
@@ -164,13 +184,11 @@ class DnsResolver:
             round_trips = cfg.transport.cold_round_trips
             self._upstream_warm = True
         latency = round_trips * cfg.resolver_rtt_ms
-        # The recursion cost is a *property of the name* (its delegation
-        # chain and popularity), not a fresh random draw: a host that is
-        # slow to resolve is slow for every probe and protocol run.
-        # Deriving it from a stable hash keeps H2/H3 comparisons paired.
-        host_rng = random.Random(zlib.crc32(host.encode()))
-        if host_rng.random() >= cfg.recursive_hit_rate:
-            latency += host_rng.uniform(*cfg.recursion_ms_range)
+        recursion = _recursion_ms(
+            host, cfg.recursive_hit_rate, tuple(cfg.recursion_ms_range)
+        )
+        if recursion is not None:
+            latency += recursion
         return latency
 
     def clear(self) -> None:

@@ -1665,13 +1665,13 @@ static PyTypeObject WindowedSendType = {
 /* ------------------------------------------------------------------ */
 
 /* repro.transport.base._PyTransportCore, method for method: the
- * server's send burst, ACK processing, loss detection and probe
- * timeout (PTO), and the client's ACK batching and chunk hand-off.
- * The arithmetic is the same float expressions in the same order, and
- * the Python hooks (congestion controller, RTT estimator, rate
- * sampler, tracer, metrics sampler and the request-side methods) are
- * called in the same order with the same arguments.  Calls between the
- * moved methods stay in C.
+ * request exchange, the server's send burst, ACK processing, loss
+ * detection and probe timeout (PTO), and the client's ACK batching and
+ * chunk hand-off.  The arithmetic is the same float expressions in the
+ * same order, and the Python hooks (congestion controller, RTT
+ * estimator, rate sampler, tracer, metrics sampler) are called in the
+ * same order with the same arguments.  Calls between the moved methods
+ * stay in C.
  *
  * Two more pieces run here without a Python call: the per-ACK
  * arithmetic of an exact RttEstimator, NewRenoController or
@@ -1696,13 +1696,19 @@ static PyObject *PacketIds = NULL;      /* the counter Packet.uid draws from */
 static PyObject *PacketGlobals = NULL;  /* repro.netsim.packet's namespace */
 static PyObject *FastpathModule = NULL;
 static PyObject *PyDeliverChunk = NULL; /* _PyTransportCore._deliver_chunk */
-/* The deadlines' event callbacks (module functions, made at init). */
-static PyObject *FirePto = NULL, *FireAck = NULL, *FireHandshake = NULL;
+static PyObject *TransportError = NULL; /* repro.transport.base's */
+/* The deadlines' and the request exchange's event callbacks (module
+ * functions, made at init). */
+static PyObject *FirePto = NULL, *FireAck = NULL, *FireHandshake = NULL,
+    *FireRequestTimeout = NULL, *FireEnqueue = NULL;
 /* TransportCore's own method descriptors (borrowed from its type
  * dict): a connection class whose hook resolves to one of them gets
  * the C function called directly. */
 static PyObject *DescrDeliver = NULL, *DescrTcpReceive = NULL,
-    *DescrTcpRelease = NULL, *DescrQuicReceive = NULL, *DescrQuicChunk = NULL;
+    *DescrTcpRelease = NULL, *DescrQuicReceive = NULL, *DescrQuicChunk = NULL,
+    *DescrSendRequest = NULL, *DescrRequestTimeout = NULL,
+    *DescrRequestAck = NULL, *DescrAbsorb = NULL, *DescrEnqueue = NULL,
+    *DescrCanSend = NULL;
 
 /* A slotted Python class whose fields C reads and writes in place: an
  * instance of exactly that class by slot offset (resolved once from
@@ -1723,13 +1729,14 @@ static SlotClass Packet = {NULL, 12, {
     "size_bytes", "uid", "sent_at", "retransmission", "conn_start",
     "payload_bytes"}};
 
-/* ConnectionStats: the counters the loop and the reassembly bump. */
+/* ConnectionStats: the counters the loop, the reassembly and the
+ * request exchange bump. */
 enum { ST_SENT, ST_LOST, ST_RETX, ST_ACKS, ST_RTO, ST_HOL_CHUNKS,
-       ST_HOL_STALLS, ST_HOL_STALL_MS };
-static SlotClass Stats = {NULL, 8, {
+       ST_HOL_STALLS, ST_HOL_STALL_MS, ST_REQUEST_RETX };
+static SlotClass Stats = {NULL, 9, {
     "data_packets_sent", "data_packets_lost", "retransmissions",
     "acks_received", "rto_events", "hol_blocked_chunks", "hol_stalls",
-    "hol_stall_ms"}};
+    "hol_stall_ms", "request_retransmissions"}};
 
 /* RttEstimator. */
 enum { RT_MIN_RTO, RT_SRTT, RT_RTTVAR, RT_LATEST, RT_SAMPLES, RT_RTO };
@@ -1743,17 +1750,28 @@ static SlotClass NewReno = {NULL, 3, {"mss", "_cwnd", "_ssthresh"}};
 static SlotClass Cubic = {NULL, 6, {
     "mss", "_cwnd", "_ssthresh", "_min_cwnd", "_w_max", "_epoch_start_ms"}};
 
-/* _ServerStream: the send-side fields of the round-robin. */
-enum { SS_RESPONSE_BYTES, SS_NEXT_OFFSET, SS_WEIGHT };
-static SlotClass ServerStream = {NULL, 3, {
-    "response_bytes", "next_offset", "weight"}};
+/* _ServerStream: the send-side fields of the round-robin, then the
+ * request reassembly's.  Every slot: request() builds them. */
+enum { SS_RESPONSE_BYTES, SS_NEXT_OFFSET, SS_WEIGHT, SS_STREAM_ID,
+       SS_THINK_MS, SS_REQUEST_RECEIVED, SS_REQUEST_TOTAL,
+       SS_REQUEST_OFFSETS, SS_RESPONSE_QUEUED };
+static SlotClass ServerStream = {NULL, 9, {
+    "response_bytes", "next_offset", "weight", "stream_id", "think_ms",
+    "request_received", "request_total", "request_offsets",
+    "response_queued"}};
 
-/* ClientStream: the fields chunk hand-off updates. */
+/* ClientStream: the fields chunk hand-off updates, then the request
+ * size.  Every slot: request() builds them. */
 enum { CS_T_FIRST_BYTE, CS_ON_FIRST_BYTE, CS_RECEIVED, CS_RESPONSE_BYTES,
-       CS_T_COMPLETE, CS_ON_COMPLETE, CS_STREAM_ID, CS_OPENED_AT };
-static SlotClass ClientStream = {NULL, 8, {
+       CS_T_COMPLETE, CS_ON_COMPLETE, CS_STREAM_ID, CS_OPENED_AT,
+       CS_REQUEST_BYTES };
+static SlotClass ClientStream = {NULL, 9, {
     "t_first_byte", "on_first_byte", "received", "response_bytes",
-    "t_complete", "on_complete", "stream_id", "opened_at"}};
+    "t_complete", "on_complete", "stream_id", "opened_at", "request_bytes"}};
+
+/* _PendingRequestPacket: a request packet awaiting its ACK. */
+enum { PR_PACKET, PR_TIMEOUT, PR_TRIES };
+static SlotClass PendingRequest = {NULL, 3, {"packet", "timeout", "tries"}};
 
 /* StreamChunk's tuple items. */
 enum { CH_STREAM_ID, CH_OFFSET, CH_SIZE, CH_FIN };
@@ -1771,11 +1789,18 @@ static PyObject *str_cancel, *str_popleft, *str_append,
     *str_release_packet, *str_receive_stream_chunk,
     *str_on_handshake_timeout, *str_hol_started, *str_hol_ended,
     *str_alpha, *str_beta, *str_c,
-    *str_size, *str_mss, *str_ack_frequency, *str_max_ack_delay_ms;
+    *str_size, *str_mss, *str_ack_frequency, *str_max_ack_delay_ms,
+    *str_send_request_packet, *str_on_request_timeout,
+    *str_enqueue_response, *str_can_send_requests, *str_closed,
+    *str_established, *str_zero_rtt, *str_stream_opened, *str_c2s,
+    *str_add, *str_end, *str_request_complete, *str_max_request_retries,
+    *str_name, *str_protocol_name, *str_on_error, *str_close, *str_fin;
 /* ("force",), ("backoff",), ("stream_id", "first_byte_ms", "duration_ms"),
- * and the HoL-stall events' keywords, without and with a stream id. */
+ * the HoL-stall events' keywords, without and with a stream id, and
+ * ("stream_id", "request_bytes", "response_bytes"). */
 static PyObject *kw_force, *kw_backoff, *kw_stream_closed, *kw_blocked_from,
-    *kw_duration, *kw_stream_blocked_from, *kw_stream_duration;
+    *kw_duration, *kw_stream_blocked_from, *kw_stream_duration,
+    *kw_stream_opened;
 static PyObject *int_zero, *int_one, *int_minus_one, *float_minus_one,
     *empty_tuple;
 
@@ -1811,6 +1836,9 @@ typedef struct {
     /* The pending PTO / delayed-ACK / handshake events, or NULL when
      * disarmed. */
     PyObject *pto_event, *ack_event, *hs_event;
+    /* The request exchange: stream and request-packet numbering, the
+     * request packets awaiting their ACK, the default think time. */
+    PyObject *next_stream_id, *req_seq, *pending_requests, *server_think_ms;
 } TransportCoreObject;
 
 static PyTypeObject TransportCoreType;
@@ -2068,6 +2096,42 @@ resolve_slots(SlotClass *cls, PyObject *type)
     return 0;
 }
 
+/* resolve_slots for a class slotted_new builds: one whose __slots__
+ * are exactly cls's fields, so no slot is left unset. */
+static int
+resolve_all_slots(SlotClass *cls, PyObject *type)
+{
+    PyObject *slots = PyObject_GetAttrString(type, "__slots__");
+    if (slots == NULL)
+        return -1;
+    Py_ssize_t n_slots = PyObject_Length(slots);
+    Py_DECREF(slots);
+    if (n_slots < 0)
+        return -1;
+    if (n_slots != cls->count) {
+        PyErr_Format(PyExc_TypeError, "%s has %zd slots, expected %d",
+                     ((PyTypeObject *)type)->tp_name, n_slots, cls->count);
+        return -1;
+    }
+    return resolve_slots(cls, type);
+}
+
+/* An instance of exactly cls, every slot filled from values (borrowed),
+ * as the class's __init__ fills them: cls has no other slots (checked
+ * by _install_transport) and no __init__ side effects. */
+static PyObject *
+slotted_new(SlotClass *cls, PyObject *const *values)
+{
+    PyObject *obj = cls->type->tp_alloc(cls->type, 0);
+    if (obj == NULL)
+        return NULL;
+    for (int i = 0; i < cls->count; i++) {
+        Py_INCREF(values[i]);
+        SLOT(obj, cls->offsets[i]) = values[i];
+    }
+    return obj;
+}
+
 /* -- Packet and StreamChunk ------------------------------------------ */
 
 /* Packet(kind, seq=..., ...): the generated __init__ draws uid from
@@ -2099,19 +2163,10 @@ packet_new(PyObject *kind, PyObject *seq, PyObject *chunks,
         Py_DECREF(uid);
         return NULL;
     }
-    PyObject *pkt = Packet.type->tp_alloc(Packet.type, 0);
-    if (pkt == NULL) {
-        Py_DECREF(uid);
-        Py_DECREF(size);
-        return NULL;
-    }
     PyObject *values[] = {
         kind, seq, chunks, ack_seq, sack, ack_delay, size, uid, sent_at,
         retransmission, conn_start, payload};
-    for (int i = 0; i < Packet.count; i++) {
-        Py_INCREF(values[i]);
-        SLOT(pkt, Packet.offsets[i]) = values[i];
-    }
+    PyObject *pkt = slotted_new(&Packet, values);
     Py_DECREF(uid);
     Py_DECREF(size);
     return pkt;
@@ -2127,6 +2182,19 @@ chunk_get(PyObject *chunk, int index, PyObject *name)
         return value;
     }
     return PyObject_GetAttr(chunk, name);
+}
+
+/* The StreamChunk tuple of four items (borrowed), past __new__'s checks. */
+static PyObject *
+chunk_pack(PyObject *stream_id, PyObject *offset, PyObject *size, PyObject *fin)
+{
+    PyObject *chunk = ChunkType->tp_alloc(ChunkType, 4);
+    if (chunk == NULL)
+        return NULL;
+    PyObject *items[4] = {stream_id, offset, size, fin};
+    for (int i = 0; i < 4; i++)
+        PyTuple_SET_ITEM(chunk, i, Py_NewRef(items[i]));
+    return chunk;
 }
 
 /* StreamChunk(stream_id, offset, size, fin), with __new__'s checks. */
@@ -2147,18 +2215,34 @@ chunk_new(PyObject *stream_id, long long offset, long long size, int fin)
     PyObject *size_obj = PyLong_FromLongLong(size);
     PyObject *chunk = NULL;
     if (offset_obj != NULL && size_obj != NULL)
-        chunk = ChunkType->tp_alloc(ChunkType, 4);
-    if (chunk == NULL) {
-        Py_XDECREF(offset_obj);
-        Py_XDECREF(size_obj);
+        chunk = chunk_pack(stream_id, offset_obj, size_obj,
+                           fin ? Py_True : Py_False);
+    Py_XDECREF(offset_obj);
+    Py_XDECREF(size_obj);
+    return chunk;
+}
+
+/* The same for any number objects (a request's chunks), compared as
+ * __new__ compares them. */
+static PyObject *
+chunk_from(PyObject *stream_id, PyObject *offset, PyObject *size,
+           PyObject *fin)
+{
+    int bad = PyObject_RichCompareBool(size, int_zero, Py_LE);
+    if (bad != 0) {
+        if (bad > 0)
+            PyErr_Format(PyExc_ValueError,
+                         "chunk size must be positive, got %S", size);
         return NULL;
     }
-    Py_INCREF(stream_id);
-    PyTuple_SET_ITEM(chunk, CH_STREAM_ID, stream_id);
-    PyTuple_SET_ITEM(chunk, CH_OFFSET, offset_obj);
-    PyTuple_SET_ITEM(chunk, CH_SIZE, size_obj);
-    PyTuple_SET_ITEM(chunk, CH_FIN, PyBool_FromLong(fin));
-    return chunk;
+    bad = PyObject_RichCompareBool(offset, int_zero, Py_LT);
+    if (bad != 0) {
+        if (bad > 0)
+            PyErr_Format(PyExc_ValueError,
+                         "chunk offset must be >= 0, got %S", offset);
+        return NULL;
+    }
+    return chunk_pack(stream_id, offset, size, fin);
 }
 
 /* (sent.chunks[0], sent.conn_start): a lost packet's retransmission
@@ -2488,6 +2572,19 @@ cc_cwnd(PyObject *cc, double *out)
 
 /* -- Deadlines -------------------------------------------------------- */
 
+/* event.cancel(). */
+static int
+cancel_event(PyObject *event)
+{
+    if (Py_IS_TYPE(event, &CEventType)) {
+        Py_XDECREF(cevent_cancel((CEventObject *)event, NULL));
+        return 0;
+    }
+    PyObject *res = PyObject_CallMethodNoArgs(event, str_cancel);
+    Py_XDECREF(res);
+    return res == NULL ? -1 : 0;
+}
+
 /* Timer.stop: cancel the pending event, if any, and drop the handle. */
 static int
 deadline_stop(PyObject **slot)
@@ -2496,54 +2593,55 @@ deadline_stop(PyObject **slot)
     if (event == NULL)
         return 0;
     *slot = NULL;
-    int rc = 0;
-    if (Py_IS_TYPE(event, &CEventType)) {
-        Py_XDECREF(cevent_cancel((CEventObject *)event, NULL));
-    }
-    else {
-        PyObject *res = PyObject_CallMethodNoArgs(event, str_cancel);
-        if (res == NULL)
-            rc = -1;
-        Py_XDECREF(res);
-    }
+    int rc = cancel_event(event);
     Py_DECREF(event);
     return rc;
 }
 
+/* loop.call_later(delay, fire, self[, arg]) (new reference to the
+ * event): through the kernel's schedule() (call_later's seq and
+ * negative-delay rule) on a LoopCore, through the method otherwise.
+ * arg may be NULL. */
+static PyObject *
+loop_call_later(TransportCoreObject *self, double delay, PyObject *fire,
+                PyObject *arg)
+{
+    PyObject *loop = self->loop;
+    if (tc_require(loop, "loop") < 0)
+        return NULL;
+    PyObject *extra[2] = {(PyObject *)self, arg};
+    Py_ssize_t n_extra = arg == NULL ? 1 : 2;
+    if (PyObject_TypeCheck(loop, &LoopCoreType)) {
+        LoopCoreObject *core = (LoopCoreObject *)loop;
+        if (delay < 0) {
+            PyObject *delay_obj = PyFloat_FromDouble(delay);
+            if (delay_obj != NULL)
+                PyErr_Format(SimulationError,
+                             "cannot schedule %Rms in the past", delay_obj);
+            Py_XDECREF(delay_obj);
+            return NULL;
+        }
+        return schedule(core, core->now + delay, fire, extra, n_extra);
+    }
+    PyObject *delay_obj = PyFloat_FromDouble(delay);
+    if (delay_obj == NULL)
+        return NULL;
+    PyObject *args[5] = {loop, delay_obj, fire, extra[0], extra[1]};
+    PyObject *event = PyObject_VectorcallMethod(str_call_later, args,
+                                                3 + n_extra, NULL);
+    Py_DECREF(delay_obj);
+    return event;
+}
+
 /* Timer.start: cancel the pending event, then schedule fire(self) at
- * now + delay — through the kernel's schedule() (call_later's seq and
- * negative-delay rule) on a LoopCore, through loop.call_later
- * otherwise. */
+ * now + delay. */
 static int
 deadline_start(TransportCoreObject *self, PyObject **slot, double delay,
                PyObject *fire)
 {
     if (deadline_stop(slot) < 0)
         return -1;
-    PyObject *loop = self->loop;
-    if (tc_require(loop, "loop") < 0)
-        return -1;
-    PyObject *me = (PyObject *)self;
-    PyObject *delay_obj = PyFloat_FromDouble(delay);
-    if (delay_obj == NULL)
-        return -1;
-    PyObject *event;
-    if (PyObject_TypeCheck(loop, &LoopCoreType)) {
-        LoopCoreObject *core = (LoopCoreObject *)loop;
-        if (delay < 0) {
-            PyErr_Format(SimulationError,
-                         "cannot schedule %Rms in the past", delay_obj);
-            event = NULL;
-        }
-        else {
-            event = schedule(core, core->now + delay, fire, &me, 1);
-        }
-    }
-    else {
-        PyObject *args[4] = {loop, delay_obj, fire, me};
-        event = PyObject_VectorcallMethod(str_call_later, args, 4, NULL);
-    }
-    Py_DECREF(delay_obj);
+    PyObject *event = loop_call_later(self, delay, fire, NULL);
     if (event == NULL)
         return -1;
     Py_XSETREF(*slot, event);
@@ -2555,6 +2653,9 @@ deadline_start(TransportCoreObject *self, PyObject **slot, double delay,
 static int tc_try_send(TransportCoreObject *self);
 static PyObject *tc_flush_acks(TransportCoreObject *self, PyObject *unused);
 static int data_packet_received(TransportCoreObject *self, PyObject *pkt);
+/* self._server_absorb_request_chunk(chunk), self._client_on_request_ack(pkt). */
+static int absorb_request_chunk(TransportCoreObject *self, PyObject *chunk);
+static int request_ack(TransportCoreObject *self, PyObject *pkt);
 
 /* The tracer/sampler/check guard: `if self.<hook>:`. */
 static int
@@ -3327,7 +3428,7 @@ tcm_server_on_packet(TransportCoreObject *self, PyObject *pkt)
         return NULL;
     PyObject *chunk;
     while ((chunk = PyIter_Next(iter)) != NULL) {
-        rc = call_method1((PyObject *)self, str_absorb_request_chunk, chunk, 0);
+        rc = absorb_request_chunk(self, chunk);
         Py_DECREF(chunk);
         if (rc < 0)
             break;
@@ -3392,7 +3493,7 @@ tcm_client_on_packet(TransportCoreObject *self, PyObject *pkt)
     if (ack < 0)
         return NULL;
     if (ack) {
-        if (call_method1((PyObject *)self, str_on_request_ack, pkt, 0) < 0)
+        if (request_ack(self, pkt) < 0)
             return NULL;
         Py_RETURN_NONE;
     }
@@ -4190,6 +4291,670 @@ ckernel_fire_handshake(PyObject *module, PyObject *conn)
     return PyObject_CallMethodNoArgs(conn, str_on_handshake_timeout);
 }
 
+/* -- The request exchange --------------------------------------------- */
+
+/* _PyTransportCore.request and what it sets going, method for method:
+ * the client opens a stream and sends its request packets, each with
+ * its retransmission timeout; the server acks each, reassembles the
+ * request and, after the stream's think time, queues the response for
+ * the send burst.  The streams, chunks, packets and pending entries
+ * are the Python classes' instances, filled slot by slot; the timeout
+ * and think-time events are the same call_later events, scheduled in
+ * the same order, with module functions as their callbacks. */
+
+/* next(iterator), new reference; StopIteration when exhausted. */
+static PyObject *
+next_of(PyObject *iterator, const char *name)
+{
+    if (tc_require(iterator, name) < 0)
+        return NULL;
+    if (!PyIter_Check(iterator)) {
+        PyErr_Format(PyExc_TypeError, "'%.100s' object is not an iterator",
+                     Py_TYPE(iterator)->tp_name);
+        return NULL;
+    }
+    PyObject *value = PyIter_Next(iterator);
+    if (value == NULL && !PyErr_Occurred())
+        PyErr_SetNone(PyExc_StopIteration);
+    return value;
+}
+
+/* self.<name> truth: 1, 0 or -1. */
+static int
+attr_true(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return -1;
+    int truth = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return truth;
+}
+
+/* `not self.closed and (self.established or self.zero_rtt)`: new
+ * reference to the value the property returns. */
+static PyObject *
+request_gate(PyObject *self)
+{
+    int closed = attr_true(self, str_closed);
+    if (closed != 0)
+        return closed < 0 ? NULL : Py_NewRef(Py_False);
+    PyObject *established = PyObject_GetAttr(self, str_established);
+    int truth = established == NULL ? -1 : PyObject_IsTrue(established);
+    if (truth > 0)
+        return established;
+    Py_XDECREF(established);
+    return truth < 0 ? NULL : PyObject_GetAttr(self, str_zero_rtt);
+}
+
+static PyObject *
+tc_get_can_send(TransportCoreObject *self, void *Py_UNUSED(closure))
+{
+    return request_gate((PyObject *)self);
+}
+
+/* self.can_send_requests truth, the core's own property in C. */
+static int
+can_send_requests(TransportCoreObject *self)
+{
+    PyObject *gate = _PyType_Lookup(Py_TYPE(self), str_can_send_requests) == DescrCanSend
+        ? request_gate((PyObject *)self)
+        : PyObject_GetAttr((PyObject *)self, str_can_send_requests);
+    if (gate == NULL)
+        return -1;
+    int truth = PyObject_IsTrue(gate);
+    Py_DECREF(gate);
+    return truth;
+}
+
+/* self.<name>(arg): own(self, arg) when that is the core's own method
+ * descr (see own_method), the method otherwise. */
+static int
+dispatch(TransportCoreObject *self, PyObject *name, PyObject *descr,
+         int (*own)(TransportCoreObject *, PyObject *), PyObject *arg)
+{
+    if (own_method(self, name, descr))
+        return own(self, arg);
+    return call_self(self, name, arg);
+}
+
+static int tc_send_request(TransportCoreObject *self, PyObject *chunk,
+                           PyObject *tries);
+
+/* self._send_request_packet(chunk, tries). */
+static int
+send_request(TransportCoreObject *self, PyObject *chunk, PyObject *tries)
+{
+    if (own_method(self, str_send_request_packet, DescrSendRequest))
+        return tc_send_request(self, chunk, tries);
+    PyObject *args[3] = {(PyObject *)self, chunk, tries};
+    return call_method(str_send_request_packet, args, 3, NULL);
+}
+
+/* The request's packets, MSS-sized, the last one with fin. */
+static int
+send_request_chunks(TransportCoreObject *self, PyObject *stream_id,
+                    PyObject *request_bytes)
+{
+    if (tc_config(self) < 0)
+        return -1;
+    PyObject *mss = PyLong_FromLongLong(self->mss);
+    if (mss == NULL)
+        return -1;
+    PyObject *offset = Py_NewRef(int_zero);
+    int more, rc = -1;
+    while ((more = PyObject_RichCompareBool(offset, request_bytes, Py_LT)) > 0) {
+        PyObject *remaining = PyNumber_Subtract(request_bytes, offset);
+        if (remaining == NULL)
+            break;
+        int smaller = PyObject_RichCompareBool(remaining, mss, Py_LT);
+        /* min(mss, remaining) */
+        PyObject *size = smaller < 0 ? NULL : Py_NewRef(smaller ? remaining : mss);
+        Py_DECREF(remaining);
+        PyObject *end = size == NULL ? NULL : PyNumber_Add(offset, size);
+        PyObject *fin = end == NULL ? NULL
+            : PyObject_RichCompare(end, request_bytes, Py_GE);
+        PyObject *chunk = fin == NULL ? NULL
+            : chunk_from(stream_id, offset, size, fin);
+        int r = chunk == NULL ? -1 : send_request(self, chunk, int_zero);
+        Py_XDECREF(chunk);
+        Py_XDECREF(fin);
+        Py_XDECREF(end);
+        if (r < 0) {
+            Py_XDECREF(size);
+            break;
+        }
+        Py_SETREF(offset, PyNumber_InPlaceAdd(offset, size));
+        Py_DECREF(size);
+        if (offset == NULL)
+            break;
+    }
+    if (more == 0)
+        rc = 0;
+    Py_XDECREF(offset);
+    Py_DECREF(mss);
+    return rc;
+}
+
+/* `if self.tracer: self.tracer.event(now, "http:stream_opened", ...)`. */
+static int
+trace_stream_opened(TransportCoreObject *self, PyObject *now_obj,
+                    PyObject *stream_id, PyObject *request_bytes,
+                    PyObject *response_bytes)
+{
+    int tracing = hook_on(self->tracer, "tracer");
+    if (tracing <= 0)
+        return tracing;
+    PyObject *args[6] = {self->tracer, now_obj, str_stream_opened, stream_id,
+                         request_bytes, response_bytes};
+    return call_method(str_event, args, 3, kw_stream_opened);
+}
+
+static PyObject *
+tcm_request(TransportCoreObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"request_bytes", "response_bytes", "think_ms",
+                             "on_first_byte", "on_complete", "weight", NULL};
+    PyObject *request_bytes, *response_bytes, *think_ms = Py_None,
+        *on_first_byte = Py_None, *on_complete = Py_None, *weight = int_one;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|OOOO:request", kwlist,
+                                     &request_bytes, &response_bytes, &think_ms,
+                                     &on_first_byte, &on_complete, &weight))
+        return NULL;
+    int ready = can_send_requests(self);
+    if (ready <= 0) {
+        if (ready == 0)
+            PyErr_SetString(TransportError, "connection not ready for requests");
+        return NULL;
+    }
+    int bad = PyObject_RichCompareBool(request_bytes, int_zero, Py_LE);
+    if (bad == 0)
+        bad = PyObject_RichCompareBool(response_bytes, int_zero, Py_LE);
+    if (bad != 0) {
+        if (bad > 0)
+            PyErr_SetString(PyExc_ValueError,
+                            "request and response sizes must be positive");
+        return NULL;
+    }
+    PyObject *stream_id = NULL, *now_obj = NULL, *stream = NULL,
+        *offsets = NULL, *sstream = NULL;
+    PyObject *result = NULL;
+    double now;
+    stream_id = next_of(self->next_stream_id, "_next_stream_id");
+    if (stream_id == NULL || tc_now(self, &now) < 0
+        || (now_obj = PyFloat_FromDouble(now)) == NULL)
+        goto done;
+    PyObject *client_values[] = {
+        Py_None, on_first_byte, int_zero, response_bytes, Py_None, on_complete,
+        stream_id, now_obj, request_bytes};
+    stream = slotted_new(&ClientStream, client_values);
+    if (stream == NULL
+        || trace_stream_opened(self, now_obj, stream_id, request_bytes,
+                               response_bytes) < 0
+        || tc_require(self->streams, "streams") < 0
+        || PyObject_SetItem(self->streams, stream_id, stream) < 0)
+        goto done;
+    if (think_ms == Py_None) {
+        think_ms = self->server_think_ms;
+        if (tc_require(think_ms, "server_think_ms") < 0)
+            goto done;
+    }
+    /* max(1, weight) */
+    int heavier = PyObject_RichCompareBool(weight, int_one, Py_GT);
+    if (heavier < 0 || (offsets = PySet_New(NULL)) == NULL)
+        goto done;
+    PyObject *server_values[] = {
+        response_bytes, int_zero, heavier ? weight : int_one, stream_id,
+        think_ms, int_zero, Py_None, offsets, Py_False};
+    sstream = slotted_new(&ServerStream, server_values);
+    if (sstream == NULL
+        || tc_require(self->server_streams, "_server_streams") < 0
+        || PyObject_SetItem(self->server_streams, stream_id, sstream) < 0
+        || send_request_chunks(self, stream_id, request_bytes) < 0)
+        goto done;
+    result = Py_NewRef(stream);
+done:
+    Py_XDECREF(stream_id);
+    Py_XDECREF(now_obj);
+    Py_XDECREF(stream);
+    Py_XDECREF(offsets);
+    Py_XDECREF(sstream);
+    return result;
+}
+
+/* One request packet: numbered, traced, its timeout scheduled at
+ * rto_ms * 2**min(tries, 6), recorded as pending, then sent. */
+static int
+tc_send_request(TransportCoreObject *self, PyObject *chunk, PyObject *tries)
+{
+    double now, rto;
+    long long tries_v;
+    PyObject *seq = NULL, *sent_at = NULL, *size = NULL, *payload = NULL,
+        *chunks = NULL, *retx = NULL, *pkt = NULL, *rto_obj = NULL,
+        *timeout = NULL, *pending = NULL, *packet_size = NULL;
+    int rc = -1;
+    seq = next_of(self->req_seq, "_req_seq");
+    if (seq == NULL || tc_now(self, &now) < 0
+        || (sent_at = PyFloat_FromDouble(now)) == NULL)
+        goto done;
+    /* Packet.__post_init__'s payload sum, from 0. */
+    size = chunk_get(chunk, CH_SIZE, str_size);
+    payload = size == NULL ? NULL : PyNumber_Add(int_zero, size);
+    chunks = payload == NULL ? NULL : PyTuple_Pack(1, chunk);
+    retx = chunks == NULL ? NULL : PyObject_RichCompare(tries, int_zero, Py_GT);
+    if (retx == NULL)
+        goto done;
+    pkt = packet_new(KindData, seq, chunks, int_minus_one, empty_tuple,
+                     float_zero, sent_at, retx, int_minus_one, payload);
+    if (pkt == NULL)
+        goto done;
+    int tracing = hook_on(self->tracer, "tracer");
+    if (tracing < 0)
+        goto done;
+    if (tracing) {
+        packet_size = slot_get(&Packet, pkt, PK_SIZE);
+        if (packet_size == NULL)
+            goto done;
+        PyObject *args[6] = {self->tracer, sent_at, seq, packet_size, str_c2s,
+                             retx};
+        if (call_method(str_packet_sent, args, 6, NULL) < 0)
+            goto done;
+    }
+    if (tc_require(self->rtt, "rtt") < 0
+        || (rto_obj = slot_get(&Rtt, self->rtt, RT_RTO)) == NULL
+        || as_double(rto_obj, &rto) < 0 || as_ll(tries, &tries_v) < 0)
+        goto done;
+    /* 2 ** min(tries, 6), exactly (2 ** -2000 is 0.0 in Python too). */
+    int exponent = tries_v > 6 ? 6 : tries_v < -2000 ? -2000 : (int)tries_v;
+    timeout = loop_call_later(self, rto * ldexp(1.0, exponent),
+                              FireRequestTimeout, seq);
+    if (timeout == NULL)
+        goto done;
+    PyObject *pending_values[] = {pkt, timeout, tries};
+    pending = slotted_new(&PendingRequest, pending_values);
+    if (pending == NULL
+        || tc_require(self->pending_requests, "_pending_requests") < 0
+        || PyObject_SetItem(self->pending_requests, seq, pending) < 0)
+        goto done;
+    rc = path_send(self, str_send_to_server, pkt, str_server_on_packet);
+done:
+    Py_XDECREF(seq);
+    Py_XDECREF(sent_at);
+    Py_XDECREF(size);
+    Py_XDECREF(payload);
+    Py_XDECREF(chunks);
+    Py_XDECREF(retx);
+    Py_XDECREF(pkt);
+    Py_XDECREF(rto_obj);
+    Py_XDECREF(timeout);
+    Py_XDECREF(pending);
+    Py_XDECREF(packet_size);
+    return rc;
+}
+
+static PyObject *
+tcm_send_request(TransportCoreObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"chunk", "tries", NULL};
+    PyObject *chunk, *tries = int_zero;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|O:_send_request_packet",
+                                     kwlist, &chunk, &tries)
+        || tc_send_request(self, chunk, tries) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* The retry budget ran out: close and report to on_error, or raise. */
+static int
+request_failed(TransportCoreObject *self, PyObject *attempts)
+{
+    PyObject *who = PyObject_GetAttr((PyObject *)self, str_name);
+    int named = who == NULL ? -1 : PyObject_IsTrue(who);
+    if (named < 0) {
+        Py_XDECREF(who);
+        return -1;
+    }
+    if (!named) {
+        Py_SETREF(who, PyObject_GetAttr((PyObject *)self, str_protocol_name));
+        if (who == NULL)
+            return -1;
+    }
+    PyObject *message = PyUnicode_FromFormat(
+        "%S: request packet lost %S times", who, attempts);
+    Py_DECREF(who);
+    PyObject *error = message == NULL ? NULL
+        : PyObject_CallOneArg(TransportError, message);
+    Py_XDECREF(message);
+    if (error == NULL)
+        return -1;
+    PyObject *on_error = PyObject_GetAttr((PyObject *)self, str_on_error);
+    int rc = -1;
+    if (on_error == NULL)
+        goto done;
+    if (on_error != Py_None) {
+        PyObject *res = PyObject_CallMethodNoArgs((PyObject *)self, str_close);
+        if (res == NULL)
+            goto done;
+        Py_DECREF(res);
+        res = PyObject_CallOneArg(on_error, error);
+        if (res == NULL)
+            goto done;
+        Py_DECREF(res);
+        rc = 0;
+        goto done;
+    }
+    PyErr_SetObject((PyObject *)Py_TYPE(error), error);
+done:
+    Py_DECREF(error);
+    Py_XDECREF(on_error);
+    return rc;
+}
+
+static int
+tc_request_timeout(TransportCoreObject *self, PyObject *seq)
+{
+    if (tc_require(self->pending_requests, "_pending_requests") < 0)
+        return -1;
+    PyObject *pending = map_pop(self->pending_requests, seq, Py_None);
+    if (pending == NULL)
+        return -1;
+    if (pending == Py_None) {
+        Py_DECREF(pending);
+        return 0;
+    }
+    PyObject *tries = NULL, *attempts = NULL, *limit = NULL, *packet = NULL,
+        *chunks = NULL, *chunk = NULL;
+    int rc = -1;
+    if (stats_add(self->stats, ST_REQUEST_RETX, 1) < 0
+        || (tries = slot_get(&PendingRequest, pending, PR_TRIES)) == NULL
+        || (attempts = PyNumber_Add(tries, int_one)) == NULL
+        || tc_require(self->config, "config") < 0
+        || (limit = PyObject_GetAttr(self->config, str_max_request_retries)) == NULL)
+        goto done;
+    int exhausted = PyObject_RichCompareBool(attempts, limit, Py_GT);
+    if (exhausted < 0)
+        goto done;
+    if (exhausted) {
+        rc = request_failed(self, attempts);
+        goto done;
+    }
+    packet = slot_get(&PendingRequest, pending, PR_PACKET);
+    chunks = packet == NULL ? NULL : slot_get(&Packet, packet, PK_CHUNKS);
+    chunk = chunks == NULL ? NULL : PySequence_GetItem(chunks, 0);
+    if (chunk == NULL)
+        goto done;
+    rc = send_request(self, chunk, attempts);
+done:
+    Py_DECREF(pending);
+    Py_XDECREF(tries);
+    Py_XDECREF(attempts);
+    Py_XDECREF(limit);
+    Py_XDECREF(packet);
+    Py_XDECREF(chunks);
+    Py_XDECREF(chunk);
+    return rc;
+}
+
+static PyObject *
+tcm_request_timeout(TransportCoreObject *self, PyObject *seq)
+{
+    if (tc_request_timeout(self, seq) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* The request's ACK: drop the pending entry and its timeout, and take
+ * an RTT sample unless the packet was a retransmission (Karn). */
+static int
+tc_request_ack(TransportCoreObject *self, PyObject *pkt)
+{
+    PyObject *ack_seq = slot_get(&Packet, pkt, PK_ACK_SEQ);
+    if (ack_seq == NULL
+        || tc_require(self->pending_requests, "_pending_requests") < 0) {
+        Py_XDECREF(ack_seq);
+        return -1;
+    }
+    PyObject *pending = map_pop(self->pending_requests, ack_seq, Py_None);
+    Py_DECREF(ack_seq);
+    if (pending == NULL)
+        return -1;
+    if (pending == Py_None) {
+        Py_DECREF(pending);
+        return 0;
+    }
+    PyObject *timeout = NULL, *packet = NULL, *retx = NULL, *rtt = NULL,
+        *now_obj = NULL, *sent_at = NULL, *sample = NULL;
+    int rc = -1;
+    timeout = slot_get(&PendingRequest, pending, PR_TIMEOUT);
+    if (timeout == NULL || cancel_event(timeout) < 0)
+        goto done;
+    packet = slot_get(&PendingRequest, pending, PR_PACKET);
+    retx = packet == NULL ? NULL : slot_get(&Packet, packet, PK_RETX);
+    int was_retx = retx == NULL ? -1 : PyObject_IsTrue(retx);
+    if (was_retx != 0) {
+        rc = was_retx < 0 ? -1 : 0;
+        goto done;
+    }
+    rtt = tc_get(self->rtt, "rtt");
+    now_obj = rtt == NULL ? NULL : now_object(self);
+    sent_at = now_obj == NULL ? NULL : slot_get(&Packet, packet, PK_SENT_AT);
+    sample = sent_at == NULL ? NULL : PyNumber_Subtract(now_obj, sent_at);
+    if (sample == NULL)
+        goto done;
+    rc = rtt_sample_native(rtt, sample);
+    if (rc == 0)
+        rc = call_method1(rtt, str_on_sample, sample, 0);
+    else if (rc > 0)
+        rc = 0;
+done:
+    Py_DECREF(pending);
+    Py_XDECREF(timeout);
+    Py_XDECREF(packet);
+    Py_XDECREF(retx);
+    Py_XDECREF(rtt);
+    Py_XDECREF(now_obj);
+    Py_XDECREF(sent_at);
+    Py_XDECREF(sample);
+    return rc;
+}
+
+static PyObject *
+tcm_request_ack(TransportCoreObject *self, PyObject *pkt)
+{
+    if (tc_request_ack(self, pkt) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static int
+request_ack(TransportCoreObject *self, PyObject *pkt)
+{
+    return dispatch(self, str_on_request_ack, DescrRequestAck, tc_request_ack, pkt);
+}
+
+static int
+tc_enqueue(TransportCoreObject *self, PyObject *sstream)
+{
+    PyObject *stream_id = slot_get(&ServerStream, sstream, SS_STREAM_ID);
+    PyObject *queue = stream_id == NULL ? NULL
+        : tc_get(self->send_queue, "_send_queue");
+    int queued = queue == NULL ? -1 : PySequence_Contains(queue, stream_id);
+    int rc = queued < 0 ? -1 : 0;
+    if (queued == 0)
+        rc = call_method1(queue, str_append, stream_id, 0);
+    Py_XDECREF(stream_id);
+    Py_XDECREF(queue);
+    if (rc < 0)
+        return -1;
+    return tc_try_send(self) < 0 ? -1 : 0;
+}
+
+static PyObject *
+tcm_enqueue(TransportCoreObject *self, PyObject *sstream)
+{
+    if (tc_enqueue(self, sstream) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static int
+enqueue_response(TransportCoreObject *self, PyObject *sstream)
+{
+    return dispatch(self, str_enqueue_response, DescrEnqueue, tc_enqueue, sstream);
+}
+
+/* sstream.request_complete: in place on an exact _ServerStream. */
+static int
+request_complete(PyObject *sstream)
+{
+    if (!Py_IS_TYPE(sstream, ServerStream.type))
+        return attr_true(sstream, str_request_complete);
+    PyObject *total = SLOT(sstream, ServerStream.offsets[SS_REQUEST_TOTAL]);
+    PyObject *received = SLOT(sstream, ServerStream.offsets[SS_REQUEST_RECEIVED]);
+    if (total == NULL || received == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "_ServerStream field unset");
+        return -1;
+    }
+    if (total == Py_None)
+        return 0;
+    return PyObject_RichCompareBool(received, total, Py_GE);
+}
+
+/* A request chunk reached the server: count its bytes once, and when
+ * the request is whole queue the response, after the think time. */
+static int
+tc_absorb(TransportCoreObject *self, PyObject *chunk)
+{
+    PyObject *stream_id = NULL, *sstream = NULL, *offset = NULL,
+        *offsets = NULL, *size = NULL, *received = NULL, *fin = NULL,
+        *end = NULL, *think = NULL, *event = NULL;
+    int rc = -1;
+    stream_id = chunk_get(chunk, CH_STREAM_ID, str_stream_id);
+    if (stream_id == NULL
+        || tc_require(self->server_streams, "_server_streams") < 0
+        || (sstream = map_get(self->server_streams, stream_id, Py_None)) == NULL)
+        goto done;
+    if (sstream == Py_None) {  /* unknown stream */
+        rc = 0;
+        goto done;
+    }
+    offset = chunk_get(chunk, CH_OFFSET, str_offset);
+    offsets = offset == NULL ? NULL
+        : slot_get(&ServerStream, sstream, SS_REQUEST_OFFSETS);
+    int seen = offsets == NULL ? -1 : PySequence_Contains(offsets, offset);
+    if (seen != 0) {  /* duplicate delivery */
+        rc = seen < 0 ? -1 : 0;
+        goto done;
+    }
+    if (PySet_CheckExact(offsets) ? PySet_Add(offsets, offset) < 0
+        : call_method1(offsets, str_add, offset, 0) < 0)
+        goto done;
+    size = chunk_get(chunk, CH_SIZE, str_size);
+    received = size == NULL ? NULL
+        : slot_get(&ServerStream, sstream, SS_REQUEST_RECEIVED);
+    if (received == NULL
+        || slot_set_new(&ServerStream, sstream, SS_REQUEST_RECEIVED,
+                        PyNumber_InPlaceAdd(received, size)) < 0
+        || (fin = chunk_get(chunk, CH_FIN, str_fin)) == NULL)
+        goto done;
+    int last = PyObject_IsTrue(fin);
+    if (last < 0)
+        goto done;
+    if (last) {
+        /* chunk.end */
+        end = Py_IS_TYPE(chunk, ChunkType) ? PyNumber_Add(offset, size)
+            : PyObject_GetAttr(chunk, str_end);
+        if (end == NULL
+            || slot_set(&ServerStream, sstream, SS_REQUEST_TOTAL, end) < 0)
+            goto done;
+    }
+    int complete = request_complete(sstream);
+    if (complete <= 0) {
+        rc = complete;
+        goto done;
+    }
+    PyObject *queued_obj = slot_get(&ServerStream, sstream, SS_RESPONSE_QUEUED);
+    int queued = queued_obj == NULL ? -1 : PyObject_IsTrue(queued_obj);
+    Py_XDECREF(queued_obj);
+    if (queued != 0) {
+        rc = queued < 0 ? -1 : 0;
+        goto done;
+    }
+    if (slot_set(&ServerStream, sstream, SS_RESPONSE_QUEUED, Py_True) < 0
+        || (think = slot_get(&ServerStream, sstream, SS_THINK_MS)) == NULL)
+        goto done;
+    int later = PyObject_RichCompareBool(think, int_zero, Py_GT);
+    if (later < 0)
+        goto done;
+    if (later) {
+        double think_v;
+        if (as_double(think, &think_v) < 0
+            || (event = loop_call_later(self, think_v, FireEnqueue, sstream)) == NULL)
+            goto done;
+        rc = 0;
+    }
+    else {
+        rc = enqueue_response(self, sstream);
+    }
+done:
+    Py_XDECREF(stream_id);
+    Py_XDECREF(sstream);
+    Py_XDECREF(offset);
+    Py_XDECREF(offsets);
+    Py_XDECREF(size);
+    Py_XDECREF(received);
+    Py_XDECREF(fin);
+    Py_XDECREF(end);
+    Py_XDECREF(think);
+    Py_XDECREF(event);
+    return rc;
+}
+
+static PyObject *
+tcm_absorb(TransportCoreObject *self, PyObject *chunk)
+{
+    if (tc_absorb(self, chunk) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static int
+absorb_request_chunk(TransportCoreObject *self, PyObject *chunk)
+{
+    return dispatch(self, str_absorb_request_chunk, DescrAbsorb, tc_absorb, chunk);
+}
+
+/* The request timeout's and the think time's event callbacks. */
+static PyObject *
+ckernel_fire_request_timeout(PyObject *module, PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    TransportCoreObject *self = nargs == 2 ? fired_connection(args[0]) : NULL;
+    if (self == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "_fire_request_timeout(conn, seq)");
+        return NULL;
+    }
+    if (dispatch(self, str_on_request_timeout, DescrRequestTimeout,
+                 tc_request_timeout, args[1]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+ckernel_fire_enqueue(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    TransportCoreObject *self = nargs == 2 ? fired_connection(args[0]) : NULL;
+    if (self == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "_fire_enqueue(conn, sstream)");
+        return NULL;
+    }
+    if (enqueue_response(self, args[1]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 /* Whether the core runs obj's per-ACK arithmetic itself. */
 static PyObject *
 ckernel_native_model(PyObject *module, PyObject *obj)
@@ -4217,7 +4982,8 @@ tc_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     X(delivered_bytes) X(first_data_sent_at) X(cached_config) \
     X(rcv_next) X(reorder_buffer) X(stall_started_at) X(stream_rcv_next) \
     X(stream_buffers) X(stream_stall_started) X(pto_event) X(ack_event) \
-    X(hs_event)
+    X(hs_event) X(next_stream_id) X(req_seq) X(pending_requests) \
+    X(server_think_ms)
 
 static int
 tc_traverse(TransportCoreObject *self, visitproc visit, void *arg)
@@ -4280,6 +5046,32 @@ static PyMethodDef tc_methods[] = {
      METH_NOARGS, "Disarm the handshake deadline."},
     {"_stop_deadlines", (PyCFunction)tcm_stop_deadlines, METH_NOARGS,
      "Disarm the PTO, delayed-ACK and handshake deadlines."},
+    {"request", (PyCFunction)(void (*)(void))tcm_request,
+     METH_VARARGS | METH_KEYWORDS,
+     "request($self, /, request_bytes, response_bytes, think_ms=None,\n"
+     "        on_first_byte=None, on_complete=None, weight=1)\n--\n\n"
+     "Issue one request; returns the client-side stream handle.\n\n"
+     "``think_ms`` overrides the connection-level server think time for\n"
+     "this request (used to model cache hits vs origin fetches).\n"
+     "``weight`` is the stream's priority: the sender emits that many\n"
+     "chunks per scheduling turn (H2 stream weights / H3 priorities)."},
+    {"_send_request_packet", (PyCFunction)(void (*)(void))tcm_send_request,
+     METH_VARARGS | METH_KEYWORDS,
+     "Send one request packet and schedule its retransmission timeout."},
+    {"_on_request_timeout", (PyCFunction)tcm_request_timeout, METH_O,
+     "A request packet went unacknowledged: resend it or give up."},
+    {"_client_on_request_ack", (PyCFunction)tcm_request_ack, METH_O,
+     "Client side: a request packet's ACK (timeout cancelled, RTT sample)."},
+    {"_server_absorb_request_chunk", (PyCFunction)tcm_absorb, METH_O,
+     "Server side: reassemble a request; queue the response when whole."},
+    {"_server_enqueue_response", (PyCFunction)tcm_enqueue, METH_O,
+     "Server side: put a stream in the send queue and try to send."},
+    {NULL}
+};
+
+static PyGetSetDef tc_getset[] = {
+    {"can_send_requests", (getter)tc_get_can_send, NULL,
+     "Requests may flow once established (or immediately for 0-RTT).", NULL},
     {NULL}
 };
 
@@ -4317,6 +5109,10 @@ static PyMemberDef tc_members[] = {
     TC_OBJECT("_stream_rcv_next", stream_rcv_next),
     TC_OBJECT("_stream_buffers", stream_buffers),
     TC_OBJECT("_stream_stall_started", stream_stall_started),
+    TC_OBJECT("_next_stream_id", next_stream_id),
+    TC_OBJECT("_req_seq", req_seq),
+    TC_OBJECT("_pending_requests", pending_requests),
+    TC_OBJECT("server_think_ms", server_think_ms),
     TC_SCALAR("_largest_acked", T_LONGLONG, largest_acked),
     TC_SCALAR("_bytes_in_flight", T_LONGLONG, bytes_in_flight),
     TC_SCALAR("_recovery_until_seq", T_LONGLONG, recovery_until_seq),
@@ -4332,15 +5128,16 @@ static PyTypeObject TransportCoreType = {
     .tp_basicsize = sizeof(TransportCoreObject),
     .tp_dealloc = (destructor)tc_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "C core of repro.transport.base.BaseConnection: the send "
-              "burst, ACK processing with congestion control and RTT "
-              "estimation, loss detection, the PTO, delayed-ACK and "
-              "handshake deadlines, packet construction and the TCP/QUIC "
-              "reassembly.",
+    .tp_doc = "C core of repro.transport.base.BaseConnection: the request "
+              "exchange, the send burst, ACK processing with congestion "
+              "control and RTT estimation, loss detection, the PTO, "
+              "delayed-ACK and handshake deadlines, packet construction "
+              "and the TCP/QUIC reassembly.",
     .tp_traverse = (traverseproc)tc_traverse,
     .tp_clear = (inquiry)tc_clear_gc,
     .tp_methods = tc_methods,
     .tp_members = tc_members,
+    .tp_getset = tc_getset,
     .tp_new = tc_new,
 };
 
@@ -4351,14 +5148,15 @@ ckernel_install_transport(PyObject *module, PyObject *args, PyObject *kwds)
         "Packet", "StreamChunk", "ConnectionStats", "ServerStream",
         "ClientStream", "DATA", "ACK", "packet_ids", "packet_globals",
         "fastpath", "deliver_chunk", "RttEstimator", "NewRenoController",
-        "CubicController", NULL};
+        "CubicController", "PendingRequest", "TransportError", NULL};
     PyObject *packet, *chunk, *stats, *server_stream, *client_stream, *data,
-        *ack, *ids, *globals, *fastpath, *deliver, *rtt, *newreno, *cubic;
+        *ack, *ids, *globals, *fastpath, *deliver, *rtt, *newreno, *cubic,
+        *pending, *error;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "$OOOOOOOOO!OOOOO:_install_transport", kwlist,
+            args, kwds, "$OOOOOOOOO!OOOOOOO:_install_transport", kwlist,
             &packet, &chunk, &stats, &server_stream, &client_stream, &data,
             &ack, &ids, &PyDict_Type, &globals, &fastpath, &deliver, &rtt,
-            &newreno, &cubic))
+            &newreno, &cubic, &pending, &error))
         return NULL;
     if (!PyType_Check(chunk)
         || !PyType_IsSubtype((PyTypeObject *)chunk, &PyTuple_Type)) {
@@ -4369,32 +5167,25 @@ ckernel_install_transport(PyObject *module, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "packet_ids must be an iterator");
         return NULL;
     }
-    /* packet_new fills every slot of a Packet: it must have no others. */
-    PyObject *slots = PyObject_GetAttrString(packet, "__slots__");
-    if (slots == NULL)
-        return NULL;
-    Py_ssize_t n_slots = PyObject_Length(slots);
-    Py_DECREF(slots);
-    if (n_slots < 0)
-        return NULL;
-    if (n_slots != Packet.count) {
-        PyErr_Format(PyExc_TypeError, "Packet has %zd slots, expected %d",
-                     n_slots, Packet.count);
+    if (!PyExceptionClass_Check(error)) {
+        PyErr_SetString(PyExc_TypeError, "TransportError must be an exception class");
         return NULL;
     }
     /* Packet last: TransportCore instances need it (tc_new). */
     if (resolve_slots(&Stats, stats) < 0
-        || resolve_slots(&ServerStream, server_stream) < 0
-        || resolve_slots(&ClientStream, client_stream) < 0
+        || resolve_all_slots(&ServerStream, server_stream) < 0
+        || resolve_all_slots(&ClientStream, client_stream) < 0
+        || resolve_all_slots(&PendingRequest, pending) < 0
         || resolve_slots(&Rtt, rtt) < 0
         || resolve_slots(&NewReno, newreno) < 0
         || resolve_slots(&Cubic, cubic) < 0
-        || resolve_slots(&Packet, packet) < 0)
+        || resolve_all_slots(&Packet, packet) < 0)
         return NULL;
-    PyObject *objects[] = {chunk, data, ack, ids, globals, fastpath, deliver};
+    PyObject *objects[] = {chunk, data, ack, ids, globals, fastpath, deliver,
+                           error};
     PyObject **targets[] = {(PyObject **)&ChunkType, &KindData, &KindAck,
                             &PacketIds, &PacketGlobals, &FastpathModule,
-                            &PyDeliverChunk};
+                            &PyDeliverChunk, &TransportError};
     for (size_t i = 0; i < sizeof(objects) / sizeof(objects[0]); i++) {
         Py_INCREF(objects[i]);
         Py_XSETREF(*targets[i], objects[i]);
@@ -4445,6 +5236,12 @@ static PyMethodDef module_methods[] = {
      "The delayed-ACK deadline's event callback."},
     {"_fire_handshake", ckernel_fire_handshake, METH_O,
      "The handshake deadline's event callback."},
+    {"_fire_request_timeout",
+     (PyCFunction)(void (*)(void))ckernel_fire_request_timeout, METH_FASTCALL,
+     "A request packet's retransmission timeout: conn, packet number."},
+    {"_fire_enqueue", (PyCFunction)(void (*)(void))ckernel_fire_enqueue,
+     METH_FASTCALL,
+     "A request's think time is over: conn, server stream."},
     {"_native_model", ckernel_native_model, METH_O,
      "Whether TransportCore runs this RTT estimator's or congestion "
      "controller's per-ACK arithmetic itself (exact RttEstimator, "
@@ -4520,6 +5317,24 @@ intern_names(void)
         {&str_mss, "mss"},
         {&str_ack_frequency, "ack_frequency"},
         {&str_max_ack_delay_ms, "max_ack_delay_ms"},
+        {&str_send_request_packet, "_send_request_packet"},
+        {&str_on_request_timeout, "_on_request_timeout"},
+        {&str_enqueue_response, "_server_enqueue_response"},
+        {&str_can_send_requests, "can_send_requests"},
+        {&str_closed, "closed"},
+        {&str_established, "established"},
+        {&str_zero_rtt, "zero_rtt"},
+        {&str_stream_opened, "http:stream_opened"},
+        {&str_c2s, "c2s"},
+        {&str_add, "add"},
+        {&str_end, "end"},
+        {&str_request_complete, "request_complete"},
+        {&str_max_request_retries, "max_request_retries"},
+        {&str_name, "name"},
+        {&str_protocol_name, "protocol_name"},
+        {&str_on_error, "on_error"},
+        {&str_close, "close"},
+        {&str_fin, "fin"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         *names[i].slot = PyUnicode_InternFromString(names[i].name);
@@ -4540,11 +5355,14 @@ intern_names(void)
     kw_duration = Py_BuildValue("(s)", "duration_ms");
     kw_stream_blocked_from = Py_BuildValue("(ss)", "stream_id", "blocked_from");
     kw_stream_duration = Py_BuildValue("(ss)", "stream_id", "duration_ms");
+    kw_stream_opened = Py_BuildValue("(sss)", "stream_id", "request_bytes",
+                                     "response_bytes");
     if (float_zero == NULL || float_minus_one == NULL || int_zero == NULL
         || int_one == NULL || int_minus_one == NULL || empty_tuple == NULL
         || kw_force == NULL || kw_backoff == NULL || kw_stream_closed == NULL
         || kw_blocked_from == NULL || kw_duration == NULL
-        || kw_stream_blocked_from == NULL || kw_stream_duration == NULL)
+        || kw_stream_blocked_from == NULL || kw_stream_duration == NULL
+        || kw_stream_opened == NULL)
         return -1;
     return 0;
 }
@@ -4609,8 +5427,11 @@ PyInit__ckernel(void)
     Py_XSETREF(FireAck, PyObject_GetAttrString(m, "_fire_ack"));
     Py_XSETREF(FireHandshake, PyObject_GetAttrString(m, "_fire_handshake"));
     Py_XSETREF(RelayLater, PyObject_GetAttrString(m, "_relay_later"));
+    Py_XSETREF(FireRequestTimeout, PyObject_GetAttrString(m, "_fire_request_timeout"));
+    Py_XSETREF(FireEnqueue, PyObject_GetAttrString(m, "_fire_enqueue"));
     if (FirePto == NULL || FireAck == NULL || FireHandshake == NULL
-        || RelayLater == NULL) {
+        || RelayLater == NULL || FireRequestTimeout == NULL
+        || FireEnqueue == NULL) {
         Py_DECREF(m);
         return NULL;
     }
@@ -4622,8 +5443,17 @@ PyInit__ckernel(void)
     DescrTcpRelease = PyDict_GetItemString(dict, "_tcp_release_packet");
     DescrQuicReceive = PyDict_GetItemString(dict, "_quic_on_data_packet_received");
     DescrQuicChunk = PyDict_GetItemString(dict, "_quic_receive_stream_chunk");
+    DescrSendRequest = PyDict_GetItemString(dict, "_send_request_packet");
+    DescrRequestTimeout = PyDict_GetItemString(dict, "_on_request_timeout");
+    DescrRequestAck = PyDict_GetItemString(dict, "_client_on_request_ack");
+    DescrAbsorb = PyDict_GetItemString(dict, "_server_absorb_request_chunk");
+    DescrEnqueue = PyDict_GetItemString(dict, "_server_enqueue_response");
+    DescrCanSend = PyDict_GetItemString(dict, "can_send_requests");
     if (DescrDeliver == NULL || DescrTcpReceive == NULL || DescrTcpRelease == NULL
-        || DescrQuicReceive == NULL || DescrQuicChunk == NULL) {
+        || DescrQuicReceive == NULL || DescrQuicChunk == NULL
+        || DescrSendRequest == NULL || DescrRequestTimeout == NULL
+        || DescrRequestAck == NULL || DescrAbsorb == NULL
+        || DescrEnqueue == NULL || DescrCanSend == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "TransportCore methods missing");
         Py_DECREF(m);
         return NULL;

@@ -10,6 +10,18 @@ advisor example.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+
+@lru_cache(maxsize=1 << 12)
+def _alt_svc_header(items: tuple) -> str:
+    """The first ``Alt-Svc`` header's value among the header items, or
+    "" — memoised, as responses repeat a few header sets many times."""
+    for name, value in items:
+        if name.lower() == "alt-svc":
+            return value
+    return ""
+
 
 class AltSvcCache:
     """Host → advertised-H3 knowledge, with an expiry horizon.
@@ -39,11 +51,7 @@ class AltSvcCache:
         real servers emit anything from ``alt-svc`` to ``Alt-Svc`` to
         ``ALT-SVC``.
         """
-        alt_svc = ""
-        for name, value in headers.items():
-            if name.lower() == "alt-svc":
-                alt_svc = value
-                break
+        alt_svc = _alt_svc_header(tuple(headers.items()))
         if "h3" in alt_svc:
             self._until[host] = now_ms + self._parse_max_age(alt_svc)
 

@@ -39,6 +39,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.http.alt_svc import AltSvcCache
 
 
+#: Hot-path alias (as in repro.transport.base): ``protocol is not _H1``
+#: answers ``protocol.multiplexes`` without a property call, per request.
+#: Likewise the per-request paths read a member's value as ``_value_``,
+#: the plain attribute ``.value`` returns: the ``.value`` descriptor,
+#: and a dict keyed by the member (``Enum.__hash__``), are Python calls.
+_H1 = HttpProtocol.H1
+
+
 class Server(Protocol):
     """What the pool needs from an edge/origin server."""
 
@@ -189,7 +197,7 @@ class _PooledConnection:
     @property
     def busy(self) -> bool:
         """H1.1 connections serve one request at a time."""
-        return not self.protocol.multiplexes and self.active_streams > 0
+        return self.protocol is _H1 and self.active_streams > 0
 
     def disarm(self) -> None:
         """Cancel the connection's fault-recovery deadlines and events.
@@ -369,7 +377,7 @@ class ConnectionPool:
         fetch queues at the host and counts as reused when drained.
         """
         protocol = fetch.protocol
-        multiplexes = protocol.multiplexes
+        multiplexes = protocol is not _H1
         host = fetch.server.hostname
         key = (self._coalesce_key(fetch.server) if multiplexes else host, protocol)
         lane = self._lanes.setdefault(key, [])
@@ -822,20 +830,20 @@ class ConnectionPool:
             return ServeDecision(
                 cache_hit=True,
                 think_ms=0.0,
-                protocol=fetch.protocol.value,
+                protocol=fetch.protocol._value_,
                 headers={"x-cache": "HIT", "via": "1.1 proxy-cache"},
             )
         if fetch.accept_encoding is not None:
             decision = fetch.server.serve(
                 fetch.resource_key,
                 fetch.response_bytes,
-                fetch.protocol.value,
+                fetch.protocol._value_,
                 accept_encoding=fetch.accept_encoding,
                 rtype=fetch.rtype,
             )
         else:
             decision = fetch.server.serve(
-                fetch.resource_key, fetch.response_bytes, fetch.protocol.value
+                fetch.resource_key, fetch.response_bytes, fetch.protocol._value_
             )
         if cacheable:
             body = (
@@ -1045,7 +1053,7 @@ class ConnectionPool:
         )
 
     def _drain_h1(self, pooled: _PooledConnection) -> None:
-        if pooled.protocol.multiplexes or pooled.busy:
+        if pooled.protocol is not _H1 or pooled.busy:
             return
         queue = self._h1_queues.get(pooled.host)
         if queue:

@@ -18,10 +18,13 @@ client↔server connection, exchanging packets over a lossy
   congestion controller.  Loss detection uses QUIC-style packet numbers
   with a packet threshold, plus a probe timeout (PTO) fallback.
 
-The per-packet part of that loop — the server's send burst, ACK
-processing, loss detection and PTO, the client's ACK batching and
-chunk hand-off, and the construction of every data/ACK
-:class:`~repro.netsim.packet.Packet` and response
+The per-packet and per-request part of that loop — the request
+exchange (:meth:`request`, the request packets with their
+retransmission timeouts, the server's request reassembly and the
+think-time wait), the server's send burst, ACK processing, loss
+detection and PTO, the client's ACK batching and chunk hand-off, and
+the construction of every stream, data/ACK/request
+:class:`~repro.netsim.packet.Packet` and
 :class:`~repro.netsim.packet.StreamChunk` — lives in the base class
 :class:`BaseConnection` derives from.  When the C kernel is built (the
 default whenever a C compiler is on the path) that is ``TransportCore``
@@ -39,7 +42,7 @@ core runs the per-ACK arithmetic of an exact
 :class:`~repro.transport.congestion.NewRenoController` or
 :class:`~repro.transport.congestion.CubicController` itself; any other
 controller (BBR, the strict-mode ``CheckedController``, a subclass) is
-called.  The handshake and request packets stay Python on both.
+called.  The handshake flights stay Python on both.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import Callable
 
 from repro.check.context import NULL_CHECK
 from repro.check.controller import CheckedController
-from repro.events import EventLoop, Timer
+from repro.events import EventLoop
 from repro.events.loop import _ckernel
 from repro.netsim import packet as packet_module
 from repro.netsim.packet import Packet, PacketKind, StreamChunk
@@ -212,6 +215,34 @@ class _PendingRequestPacket:
     tries: int = 0
 
 
+def _cancel(event) -> None:
+    """Cancel a deadline's pending event, if any; None, the disarmed handle."""
+    if event is not None:
+        event.cancel()
+
+
+# The deadlines' event callbacks drop the handle first, as
+# ``Timer._fire`` did, then run the handler.  Module functions with the
+# connection as their argument, not bound methods held by a ``Timer``:
+# a connection whose deadlines are disarmed then holds no reference
+# cycle through them.
+
+
+def _fire_pto(conn) -> None:
+    conn._pto_event = None
+    conn._on_pto()
+
+
+def _fire_ack(conn) -> None:
+    conn._ack_event = None
+    conn._flush_acks()
+
+
+def _fire_handshake(conn) -> None:
+    conn._hs_event = None
+    conn._on_handshake_timeout()
+
+
 class _PyTransportCore:
     """The send/ack/receive loop of :class:`BaseConnection`, in Python.
 
@@ -225,37 +256,43 @@ class _PyTransportCore:
     sets up.  ``TransportCore`` in ``repro/events/_ckernel.c`` is the
     same methods in C: the same float expressions in the same order,
     the same hooks called in the same order with the same arguments,
-    with the hot counters held in its struct and the three deadlines
-    (PTO, delayed ACK, handshake) held as event handles instead of
-    :class:`~repro.events.Timer` objects.  The receivers' reassembly
-    (:meth:`_tcp_on_data_packet_received` and :meth:`_tcp_release_packet`,
-    :meth:`_quic_on_data_packet_received` and
-    :meth:`_quic_receive_stream_chunk`) lives here too.
+    and the same events scheduled in the same order, with the hot
+    counters held in its struct.  Here as there, the three deadlines
+    (PTO, delayed ACK, handshake) are plain event handles.  The
+    receivers' reassembly (:meth:`_tcp_on_data_packet_received` and
+    :meth:`_tcp_release_packet`, :meth:`_quic_on_data_packet_received`
+    and :meth:`_quic_receive_stream_chunk`) and the request exchange
+    (:meth:`request`, :meth:`_send_request_packet`,
+    :meth:`_on_request_timeout`, :meth:`_client_on_request_ack`,
+    :meth:`_server_absorb_request_chunk`,
+    :meth:`_server_enqueue_response`) live here too.
     This class runs when the C kernel is not built (or
     ``REPRO_NO_CKERNEL=1`` is set), and it is the oracle the
     differential tests compare the C core against.
     """
 
     def __init__(self, *args, **kwargs) -> None:
-        # Cooperative: the connection's own __init__ runs first, so the
-        # timers are made once ``loop`` is set.
+        # Cooperative: the connection's own __init__ runs first.
         super().__init__(*args, **kwargs)
-        self._ack_timer = Timer(self.loop, self._flush_acks)
-        self._pto_timer = Timer(self.loop, self._on_pto)
-        self._hs_timer = Timer(self.loop, self._on_handshake_timeout)
+        #: The pending PTO / delayed-ACK / handshake events, or None
+        #: when disarmed.
+        self._pto_event = None
+        self._ack_event = None
+        self._hs_event = None
 
     def _stop_deadlines(self) -> None:
-        """Disarm every timer (connection teardown)."""
-        self._pto_timer.stop()
-        self._ack_timer.stop()
-        self._hs_timer.stop()
+        """Disarm every deadline (connection teardown)."""
+        self._pto_event = _cancel(self._pto_event)
+        self._ack_event = _cancel(self._ack_event)
+        self._hs_event = _cancel(self._hs_event)
 
     def _start_handshake_deadline(self, delay_ms: float) -> None:
         """(Re-)arm the handshake flight's retransmission deadline."""
-        self._hs_timer.start(delay_ms)
+        _cancel(self._hs_event)
+        self._hs_event = self.loop.call_later(delay_ms, _fire_handshake, self)
 
     def _stop_handshake_deadline(self) -> None:
-        self._hs_timer.stop()
+        self._hs_event = _cancel(self._hs_event)
 
     # -- server: ACKs in, data out ---------------------------------------
 
@@ -318,7 +355,7 @@ class _PyTransportCore:
         # walk started by ``_try_send`` looks at the next pending event.
         # A burst re-arms it; an idle attempt leaves the (re-)arm to us.
         if not inflight:
-            self._pto_timer.stop()
+            self._pto_event = _cancel(self._pto_event)
         if not self._try_send() and inflight:
             self._arm_pto()
 
@@ -467,7 +504,8 @@ class _PyTransportCore:
         # RFC 9002 §6.2.1: the peer may legitimately sit on an ACK for
         # up to max_ack_delay, so the probe timeout budgets for it.
         timeout = (self.rtt.rto_ms + self.config.max_ack_delay_ms) * self._pto_backoff
-        self._pto_timer.start(timeout)
+        _cancel(self._pto_event)
+        self._pto_event = self.loop.call_later(timeout, _fire_pto, self)
 
     def _on_pto(self) -> None:
         if not self._inflight:
@@ -529,15 +567,17 @@ class _PyTransportCore:
             or len(ack_pending) >= self.config.ack_frequency
         ):
             self._flush_acks()
-        elif not self._ack_timer.armed:
-            self._ack_timer.start(self.config.max_ack_delay_ms)
+        elif self._ack_event is None:
+            self._ack_event = self.loop.call_later(
+                self.config.max_ack_delay_ms, _fire_ack, self
+            )
         self._on_data_packet_received(pkt)
 
     def _flush_acks(self) -> None:
         """Send one ACK covering every pending data-packet number."""
         if not self._ack_pending:
             return
-        self._ack_timer.stop()
+        self._ack_event = _cancel(self._ack_event)
         pending = tuple(sorted(self._ack_pending))
         self._ack_pending.clear()
         ack = Packet(
@@ -697,6 +737,127 @@ class _PyTransportCore:
                         stream_id=stream_id, duration_ms=duration,
                     )
 
+    # -- the request exchange --------------------------------------------
+
+    @property
+    def can_send_requests(self) -> bool:
+        """Requests may flow once established (or immediately for 0-RTT)."""
+        return not self.closed and (self.established or self.zero_rtt)
+
+    def request(
+        self,
+        request_bytes: int,
+        response_bytes: int,
+        think_ms: float | None = None,
+        on_first_byte: Callable[[float], None] | None = None,
+        on_complete: Callable[[float], None] | None = None,
+        weight: int = 1,
+    ) -> ClientStream:
+        """Issue one request; returns the client-side stream handle.
+
+        ``think_ms`` overrides the connection-level server think time
+        for this request (used to model cache hits vs origin fetches).
+        ``weight`` is the stream's priority: the sender emits that many
+        chunks per scheduling turn (H2 stream weights / H3 priorities).
+        """
+        if not self.can_send_requests:
+            raise TransportError("connection not ready for requests")
+        if request_bytes <= 0 or response_bytes <= 0:
+            raise ValueError("request and response sizes must be positive")
+        stream_id = next(self._next_stream_id)
+        stream = ClientStream(
+            stream_id,
+            request_bytes,
+            response_bytes,
+            on_first_byte,
+            on_complete,
+            opened_at=self.loop.now,
+        )
+        if self.tracer:
+            self.tracer.event(
+                self.loop.now, "http:stream_opened",
+                stream_id=stream_id,
+                request_bytes=request_bytes,
+                response_bytes=response_bytes,
+            )
+        self.streams[stream_id] = stream
+        self._server_streams[stream_id] = _ServerStream(
+            stream_id,
+            response_bytes,
+            think_ms=self.server_think_ms if think_ms is None else think_ms,
+            weight=weight,
+        )
+        mss = self.config.mss
+        offset = 0
+        while offset < request_bytes:
+            size = min(mss, request_bytes - offset)
+            fin = offset + size >= request_bytes
+            chunk = StreamChunk(stream_id, offset, size, fin)
+            self._send_request_packet(chunk)
+            offset += size
+        return stream
+
+    def _send_request_packet(self, chunk: StreamChunk, tries: int = 0) -> None:
+        seq = next(self._req_seq)
+        pkt = Packet(PacketKind.DATA, seq=seq, chunks=(chunk,), sent_at=self.loop.now)
+        pkt.retransmission = tries > 0
+        if self.tracer:
+            self.tracer.packet_sent(
+                self.loop.now, seq, pkt.size_bytes, "c2s", tries > 0
+            )
+        timeout = self.loop.call_later(
+            self.rtt.rto_ms * (2 ** min(tries, 6)), self._on_request_timeout, seq
+        )
+        self._pending_requests[seq] = _PendingRequestPacket(pkt, timeout, tries)
+        self.path.send_to_server(pkt, self._server_on_packet)
+
+    def _on_request_timeout(self, seq: int) -> None:
+        pending = self._pending_requests.pop(seq, None)
+        if pending is None:
+            return
+        self.stats.request_retransmissions += 1
+        if pending.tries + 1 > self.config.max_request_retries:
+            error = TransportError(
+                f"{self.name or self.protocol_name}: request packet lost "
+                f"{pending.tries + 1} times"
+            )
+            on_error = self.on_error
+            if on_error is not None:
+                self.close()
+                on_error(error)
+                return
+            raise error
+        self._send_request_packet(pending.packet.chunks[0], pending.tries + 1)
+
+    def _client_on_request_ack(self, pkt: Packet) -> None:
+        pending = self._pending_requests.pop(pkt.ack_seq, None)
+        if pending is None:
+            return
+        pending.timeout.cancel()
+        if not pending.packet.retransmission:
+            self.rtt.on_sample(self.loop.now - pending.packet.sent_at)
+
+    def _server_absorb_request_chunk(self, chunk: StreamChunk) -> None:
+        sstream = self._server_streams.get(chunk.stream_id)
+        if sstream is None or chunk.offset in sstream.request_offsets:
+            return  # unknown stream or duplicate delivery
+        sstream.request_offsets.add(chunk.offset)
+        sstream.request_received += chunk.size
+        if chunk.fin:
+            sstream.request_total = chunk.end
+        if sstream.request_complete and not sstream.response_queued:
+            sstream.response_queued = True
+            think = sstream.think_ms
+            if think > 0:
+                self.loop.call_later(think, self._server_enqueue_response, sstream)
+            else:
+                self._server_enqueue_response(sstream)
+
+    def _server_enqueue_response(self, sstream: _ServerStream) -> None:
+        if sstream.stream_id not in self._send_queue:
+            self._send_queue.append(sstream.stream_id)
+        self._try_send()
+
 
 # The C core when the kernel is built, the pure-Python one otherwise.
 if _ckernel is not None:
@@ -720,6 +881,9 @@ if _ckernel is not None:
         RttEstimator=RttEstimator,
         NewRenoController=NewRenoController,
         CubicController=CubicController,
+        # The request exchange builds these and raises this.
+        PendingRequest=_PendingRequestPacket,
+        TransportError=TransportError,
     )
     _TransportCore = _ckernel.TransportCore
 else:  # pragma: no cover - exercised on hosts without a C toolchain
@@ -850,8 +1014,8 @@ class BaseConnection(_TransportCore):
         #: here between its yield points; None when the packet path (or
         #: nothing) is driving the send side.
         self._fp_epoch = None
-        # The transport core's own set-up: the Python core makes its
-        # three deadline timers; the C core's start out disarmed.
+        # The transport core's own set-up: the Python core disarms its
+        # three deadlines; the C core's start out disarmed.
         super().__init__()
 
     # ------------------------------------------------------------------
@@ -973,131 +1137,8 @@ class BaseConnection(_TransportCore):
             self._on_established(self.handshake)
 
     # ------------------------------------------------------------------
-    # Client: sending requests
+    # Path migration
     # ------------------------------------------------------------------
-
-    @property
-    def can_send_requests(self) -> bool:
-        """Requests may flow once established (or immediately for 0-RTT)."""
-        return not self.closed and (self.established or self.zero_rtt)
-
-    def request(
-        self,
-        request_bytes: int,
-        response_bytes: int,
-        think_ms: float | None = None,
-        on_first_byte: Callable[[float], None] | None = None,
-        on_complete: Callable[[float], None] | None = None,
-        weight: int = 1,
-    ) -> ClientStream:
-        """Issue one request; returns the client-side stream handle.
-
-        ``think_ms`` overrides the connection-level server think time
-        for this request (used to model cache hits vs origin fetches).
-        ``weight`` is the stream's priority: the sender emits that many
-        chunks per scheduling turn (H2 stream weights / H3 priorities).
-        """
-        if not self.can_send_requests:
-            raise TransportError("connection not ready for requests")
-        if request_bytes <= 0 or response_bytes <= 0:
-            raise ValueError("request and response sizes must be positive")
-        stream_id = next(self._next_stream_id)
-        stream = ClientStream(
-            stream_id,
-            request_bytes,
-            response_bytes,
-            on_first_byte,
-            on_complete,
-            opened_at=self.loop.now,
-        )
-        if self.tracer:
-            self.tracer.event(
-                self.loop.now, "http:stream_opened",
-                stream_id=stream_id,
-                request_bytes=request_bytes,
-                response_bytes=response_bytes,
-            )
-        self.streams[stream_id] = stream
-        self._server_streams[stream_id] = _ServerStream(
-            stream_id,
-            response_bytes,
-            think_ms=self.server_think_ms if think_ms is None else think_ms,
-            weight=weight,
-        )
-        mss = self.config.mss
-        offset = 0
-        while offset < request_bytes:
-            size = min(mss, request_bytes - offset)
-            fin = offset + size >= request_bytes
-            chunk = StreamChunk(stream_id, offset, size, fin)
-            self._send_request_packet(chunk)
-            offset += size
-        return stream
-
-    def _send_request_packet(self, chunk: StreamChunk, tries: int = 0) -> None:
-        seq = next(self._req_seq)
-        pkt = Packet(PacketKind.DATA, seq=seq, chunks=(chunk,), sent_at=self.loop.now)
-        pkt.retransmission = tries > 0
-        if self.tracer:
-            self.tracer.packet_sent(
-                self.loop.now, seq, pkt.size_bytes, "c2s", tries > 0
-            )
-        timeout = self.loop.call_later(
-            self.rtt.rto_ms * (2 ** min(tries, 6)), self._on_request_timeout, seq
-        )
-        self._pending_requests[seq] = _PendingRequestPacket(pkt, timeout, tries)
-        self.path.send_to_server(pkt, self._server_on_packet)
-
-    def _on_request_timeout(self, seq: int) -> None:
-        pending = self._pending_requests.pop(seq, None)
-        if pending is None:
-            return
-        self.stats.request_retransmissions += 1
-        if pending.tries + 1 > self.config.max_request_retries:
-            error = TransportError(
-                f"{self.name or self.protocol_name}: request packet lost "
-                f"{pending.tries + 1} times"
-            )
-            on_error = self.on_error
-            if on_error is not None:
-                self.close()
-                on_error(error)
-                return
-            raise error
-        self._send_request_packet(pending.packet.chunks[0], pending.tries + 1)
-
-    def _client_on_request_ack(self, pkt: Packet) -> None:
-        pending = self._pending_requests.pop(pkt.ack_seq, None)
-        if pending is None:
-            return
-        pending.timeout.cancel()
-        if not pending.packet.retransmission:
-            self.rtt.on_sample(self.loop.now - pending.packet.sent_at)
-
-    # ------------------------------------------------------------------
-    # Server: receiving requests, queueing and sending responses
-    # ------------------------------------------------------------------
-
-    def _server_absorb_request_chunk(self, chunk: StreamChunk) -> None:
-        sstream = self._server_streams.get(chunk.stream_id)
-        if sstream is None or chunk.offset in sstream.request_offsets:
-            return  # unknown stream or duplicate delivery
-        sstream.request_offsets.add(chunk.offset)
-        sstream.request_received += chunk.size
-        if chunk.fin:
-            sstream.request_total = chunk.end
-        if sstream.request_complete and not sstream.response_queued:
-            sstream.response_queued = True
-            think = sstream.think_ms
-            if think > 0:
-                self.loop.call_later(think, self._server_enqueue_response, sstream)
-            else:
-                self._server_enqueue_response(sstream)
-
-    def _server_enqueue_response(self, sstream: _ServerStream) -> None:
-        if sstream.stream_id not in self._send_queue:
-            self._send_queue.append(sstream.stream_id)
-        self._try_send()
 
     def on_path_migration(self) -> None:
         """The client's address changed and this connection migrated.

@@ -9,10 +9,10 @@ Two things a visit must not do, both deterministic:
   checking and sampling off, nothing in ``repro.obs`` or
   ``repro.check`` runs, and packets go from the transport straight to
   ``Link.transmit`` and from the event loop straight to the receiver;
-* run the transport loop in Python when the C kernel is built: none
-  of the methods of ``_PyTransportCore`` is called, and the only
-  packets built through ``Packet.__init__`` are handshake and request
-  packets;
+* run the transport loop or the request exchange in Python when the C
+  kernel is built: none of the methods of ``_PyTransportCore`` is
+  called, and the only packets built through ``Packet.__init__`` are
+  the handshake flights and their replies;
 * run congestion control, RTT estimation or reassembly in Python per
   ACK or per data packet when the C kernel is built;
 * run Python per packet on a faulted, relayed, lossy path when the C
@@ -97,12 +97,10 @@ def test_finished_visit_frees_itself_without_the_cycle_collector(
         gc.enable()
 
 
-@pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")
 def test_dropped_campaign_leaves_nothing_for_the_cycle_collector(universe):
-    """Every deadline is an event handle the C core holds, and a probe
-    cancels what is still scheduled when it is done: a dropped campaign
-    is freed by reference counting.  (The Python core's ``Timer``s hold
-    bound methods, a cycle by design.)"""
+    """Every deadline is an event handle the transport core holds (C or
+    Python), and a probe cancels what is still scheduled when it is
+    done: a dropped campaign is freed by reference counting."""
     sim = preset("paper-default").campaign_config(seed=11).sim
     plan = CampaignPlan(universe=universe, sim=sim, pages=universe.pages[:3])
     execute(plan)  # warm-up: first-use state
@@ -179,21 +177,17 @@ def test_dormant_visit_runs_the_transport_loop_in_c(universe):
         if callable(value) and not name.startswith("__")
         and name not in ("_init_deadlines", "_stop_deadlines")
     ]
-    # The send/ack/receive loop (10), the TCP and QUIC reassembly (4)
-    # and the handshake deadline (2).
-    assert len(moved) == 16
+    # The send/ack/receive loop (10), the TCP and QUIC reassembly (4),
+    # the handshake deadline (2) and the request exchange (6).
+    assert len(moved) == 22
     assert {name: calls_to(calls, getattr(_PyTransportCore, name)) for name in moved} == {
         name: 0 for name in moved
     }
-    # Python builds only the handshake flights, their replies and the
-    # request packets; every data and ACK packet comes from C.
+    # Python builds only the handshake flights and their replies; every
+    # request, data and ACK packet comes from C.
     python_built = sum(
         calls_to(calls, getattr(BaseConnection, name))
-        for name in (
-            "_send_handshake_flight",
-            "_server_on_handshake",
-            "_send_request_packet",
-        )
+        for name in ("_send_handshake_flight", "_server_on_handshake")
     )
     assert python_built > 0
     assert calls_to(calls, Packet.__post_init__) == python_built
@@ -224,14 +218,13 @@ def test_dormant_visit_runs_cc_rtt_and_reassembly_in_c(universe):
     assert {f.__qualname__: calls_to(calls, f) for f in per_packet} == {
         f.__qualname__: 0 for f in per_packet
     }
-    # The estimator still takes the request-ACK and handshake samples
-    # from Python; every data-ACK sample is taken in C.
+    # The estimator still takes the handshake samples from Python; every
+    # request-ACK and data-ACK sample is taken in C.
     code = RttEstimator.on_sample.__code__
     key = (code.co_filename, code.co_firstlineno, code.co_name)
     assert calls.get(key, 0) > 0
     callers = {caller[2] for caller in stats[key][4]}
-    assert callers <= {"_client_on_request_ack", "_client_on_handshake_reply"}
-    assert "_client_on_request_ack" in callers
+    assert callers == {"_client_on_handshake_reply"}
 
 
 @pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")

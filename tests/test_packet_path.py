@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from repro.events import EventLoop, Timer
+from repro.events import EventLoop
 from repro.netsim import NetemProfile, NetworkPath, PacketKind
 from repro.netsim.packet import HEADER_BYTES, Packet, StreamChunk
 from repro.transport import QuicConnection, TcpConnection
@@ -33,25 +33,14 @@ from tests.test_transport_core import python_core
 RESPONSE_BYTES = 250_000
 
 
-class CountingTimer(Timer):
-    __slots__ = ("starts",)
-
-    def __init__(self, loop, callback) -> None:
-        super().__init__(loop, callback)
-        self.starts = 0
-
-    def start(self, delay_ms: float) -> None:
-        self.starts += 1
-        super().start(delay_ms)
-
-
 class _Audited:
     """Checks the ``_inflight`` invariants after every server/client
-    handler and records what each loss scan declared."""
+    handler, records what each loss scan declared and counts the PTO
+    arms."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._pto_timer = CountingTimer(self.loop, self._on_pto)
+        self.pto_starts = 0
         self.ack_packets = 0
         self.bursts = 0
         self.audits = 0
@@ -82,6 +71,10 @@ class _Audited:
     def _on_pto(self):
         super()._on_pto()
         self._audit()
+
+    def _arm_pto(self):
+        self.pto_starts += 1
+        super()._arm_pto()
 
     def _try_send(self):
         sent = super()._try_send()
@@ -164,8 +157,8 @@ class TestInflightOrdering:
 
 class TestOnePtoArmPerBurst:
     # (events dispatched, data packets sent, events scheduled), pinned
-    # on either core, and PTO Timer.start calls, counted on the Python
-    # core.  The dispatched counts are those of the per-packet
+    # on either core, and PTO arms (each one schedules the deadline's
+    # event), counted on the Python core.  The dispatched counts are those of the per-packet
     # re-arming code this replaced: cancelled timer events never
     # dispatch, so arming once per burst must leave them exactly where
     # they were.  Every PTO arm schedules one event, so equal scheduled
@@ -179,7 +172,7 @@ class TestOnePtoArmPerBurst:
     @pytest.mark.parametrize("conn_cls", [AuditedTcp, AuditedQuic])
     def test_pinned_counts(self, conn_cls):
         loop, conn = lossy_transfer(conn_cls)
-        pto_starts = conn._pto_timer.starts
+        pto_starts = conn.pto_starts
         assert (
             loop.processed_events,
             conn.stats.data_packets_sent,
