@@ -184,44 +184,83 @@ class PageVisit:
         )
 
 
-class _DnsRetry:
-    """One fetch's name resolution under fault injection.
+class _Request:
+    """One resource, from its DNS lookup to its HAR entry.
 
-    A SERVFAIL is retried after the retry policy's backoff; once the
-    retries are spent, a failed entry is recorded so the page load
-    still terminates.  The callbacks handed to the resolver and the
-    loop are bound methods of this slotted object, which references
-    nothing that refers back to it: a finished resolution is freed by
-    reference counting.  Only one attempt is outstanding at a time.
+    The resolver's callbacks, the retry timer's and the pool's
+    ``on_complete`` are bound methods of this slotted object, so a
+    request creates no function or cell.  Faults or not, the lookup is
+    the same; only an injector's SERVFAIL windows call :meth:`failed`,
+    which retries after the policy's backoff and, once the retries are
+    spent, records a failed entry.  One lookup is outstanding at a time.
     """
 
-    __slots__ = (
-        "browser", "resource", "on_entry", "requested_at", "after_dns", "attempt",
-    )
+    __slots__ = ("load", "resource", "requested_at", "dns_ms", "attempt")
 
-    def __init__(self, browser: "Browser", resource: Resource, on_entry,
-                 requested_at: float, after_dns) -> None:
-        self.browser = browser
+    def __init__(self, load: "_PageLoad", resource: Resource) -> None:
+        self.load = load
         self.resource = resource
-        self.on_entry = on_entry
-        self.requested_at = requested_at
-        self.after_dns = after_dns
+        self.requested_at = load.browser.loop.now
+        self.dns_ms = 0.0
         self.attempt = 0
 
     def resolve(self) -> None:
-        # On a retry the resolver would report only the *final*
-        # attempt's latency; the entry's dns phase must cover the whole
-        # span since the request was made (failed attempts and backoff
-        # included) or the phases no longer sum to the entry's total
-        # time.
-        on_done = self.after_dns if self.attempt == 0 else self._after_retry
-        self.browser.dns.resolve(self.resource.host, on_done, on_fail=self.failed)
+        dns = self.load.browser.dns
+        if dns is None:
+            self.resolved(0.0)
+        else:
+            dns.resolve(self.resource.host, self.resolved, on_fail=self.failed)
 
-    def _after_retry(self, _ms: float) -> None:
-        self.after_dns(self.browser.loop.now - self.requested_at)
+    def resolved(self, dns_ms: float) -> None:
+        """The name resolved: hand the request to the pool."""
+        browser = self.load.browser
+        loop = browser.loop
+        resource = self.resource
+        host = resource.host
+        if self.attempt:
+            # The resolver reports only the final attempt's latency; the
+            # entry's dns phase must cover the whole span since the
+            # request was made (failed attempts and backoff included) or
+            # the phases no longer sum to the entry's total time.
+            dns_ms = loop.now - self.requested_at
+        self.dns_ms = dns_ms
+        obs = browser.obs
+        if dns_ms > 0 and obs is not None and obs.spans is not None:
+            # Retroactive: the resolver just reported; zero-cost cached
+            # answers are not worth a span each.
+            spans = obs.spans
+            spans.add(
+                "phase", f"dns:{host}", loop.now - dns_ms, loop.now,
+                parent=spans.current_visit,
+            )
+        farm = browser.farm
+        server = farm.server(host)
+        protocol = browser._pick_protocol(server)
+        config = browser.config
+        compression = config.compression
+        if compression is not None:
+            from repro.cdn.compression import client_accept_encoding
+
+            rtype_val = resource.rtype._value_
+            accept = client_accept_encoding(resource.url, rtype_val, compression)
+        else:
+            accept = None
+            rtype_val = None
+        self.load.pool.fetch(
+            server, farm.path(host), protocol, resource.url,
+            resource.request_bytes, resource.size_bytes, self.complete,
+            resource_key=resource.url,
+            weight=(
+                RESOURCE_WEIGHTS[resource.rtype]
+                if config.use_resource_priorities else 1
+            ),
+            accept_encoding=accept,
+            rtype=rtype_val,
+        )
 
     def failed(self) -> None:
-        browser = self.browser
+        """The lookup SERVFAILed: retry, or record a failed entry."""
+        browser = self.load.browser
         attempt = self.attempt
         faults = browser.faults
         resource = self.resource
@@ -251,7 +290,91 @@ class _DnsRetry:
             failed=True,
             error="dns_failure",
         )
-        self.on_entry(resource, record, 0.0, requested_at)
+        self.complete(record)
+
+    def complete(self, record: FetchRecord) -> None:
+        """The pool's ``on_complete``: file the HAR entry, count the page
+        load down and dispatch what the entry unblocks."""
+        load = self.load
+        resource = self.resource
+        classification = classify_response(record.host, record.headers)
+        record.timing.dns = self.dns_ms
+        started = self.requested_at
+        load.har.entries.append(
+            HarEntry(
+                url=record.url,
+                host=record.host,
+                # ``_value_``: the plain attribute behind the ``.value``
+                # descriptor, read without a Python call.
+                protocol=record.protocol._value_,
+                started_at_ms=started,
+                time_ms=record.completed_at_ms - started,
+                timings=record.timing,
+                response_bytes=record.response_bytes,
+                request_bytes=record.request_bytes,
+                resource_type=resource.rtype._value_,
+                headers=record.headers,
+                reused=record.reused,
+                resumed=record.resumed,
+                cache_hit=record.cache_hit,
+                is_cdn=classification.is_cdn,
+                provider=classification.provider_name,
+                status=0 if record.failed else 200,
+                failed=record.failed,
+            )
+        )
+        load.outstanding -= 1
+        if not load.outstanding:
+            load.done.append(True)
+        if resource.url in load.blocking0:
+            load.blocking_remaining -= 1
+        browser = load.browser
+        if record.headers and browser.config.use_alt_svc:
+            # Positive Alt-Svc knowledge is read only under use_alt_svc.
+            browser.alt_svc.observe(record.host, record.headers, browser.loop.now)
+        if resource.rtype is ResourceType.HTML:
+            load.fetch(load.wave0)
+        # With no render-blocking wave-0 resource this dispatches wave 1
+        # right behind wave 0, when the HTML lands.
+        if load.blocking_remaining == 0 and not load.wave1_dispatched:
+            load.wave1_dispatched = True
+            load.fetch(load.wave1)
+
+
+class _PageLoad:
+    """One page load in progress: its pool, its HAR and its waves.
+
+    HTML first; its landing dispatches wave 0, and wave 1 follows once
+    wave 0's render-blocking CSS/JS have all landed.  ``done`` gains
+    one item when the last entry lands: the loop's stop test is its
+    bound ``__len__``, a C call per dispatched event.
+    """
+
+    __slots__ = (
+        "browser", "pool", "har", "wave0", "wave1", "blocking0",
+        "outstanding", "blocking_remaining", "wave1_dispatched", "done",
+    )
+
+    def __init__(
+        self, browser: "Browser", pool: ConnectionPool, page: Webpage, har: HarLog
+    ) -> None:
+        self.browser = browser
+        self.pool = pool
+        self.har = har
+        self.wave1 = [r for r in page.resources if r.wave == 1]
+        self.wave0 = [r for r in page.resources if r.wave == 0]
+        self.blocking0 = {
+            r.url for r in self.wave0
+            if r.rtype in (ResourceType.CSS, ResourceType.JS)
+        }
+        self.outstanding = 1 + len(page.resources)
+        self.blocking_remaining = len(self.blocking0)
+        self.wave1_dispatched = not self.wave1  # nothing to defer
+        self.done: list[bool] = []
+
+    def fetch(self, resources) -> None:
+        for resource in resources:
+            _Request(self, resource).resolve()
 
 
 class Browser:
@@ -333,62 +456,14 @@ class Browser:
             visit_span = spans.begin("visit", page.url, start)
             spans.current_visit = visit_span
 
-        wave1 = [r for r in page.resources if r.wave == 1]
-        wave0 = [r for r in page.resources if r.wave == 0]
-        blocking0 = {
-            r.url for r in wave0 if r.rtype in (ResourceType.CSS, ResourceType.JS)
-        }
-        state = {
-            "outstanding": 1 + len(page.resources),
-            "blocking_remaining": len(blocking0),
-            "wave1_dispatched": not wave1,  # nothing to defer
-        }
-        # Gains one item when the last entry lands.  The loop's stop
-        # test is its bound ``__len__``, a C call per dispatched event.
-        done: list[bool] = []
-
-        def on_entry(
-            resource: Resource,
-            record: FetchRecord,
-            dns_ms: float,
-            requested_at: float,
-        ) -> None:
-            har.entries.append(
-                self._to_har_entry(resource, record, dns_ms, requested_at)
-            )
-            state["outstanding"] -= 1
-            if not state["outstanding"]:
-                done.append(True)
-            if resource.url in blocking0:
-                state["blocking_remaining"] -= 1
-            if record.headers:
-                self.alt_svc.observe(record.host, record.headers, self.loop.now)
-            if resource.rtype is ResourceType.HTML:
-                for sub in wave0:
-                    self._fetch(pool, sub, on_entry)
-                if not blocking0 and not state["wave1_dispatched"]:
-                    state["wave1_dispatched"] = True
-                    for sub in wave1:
-                        self._fetch(pool, sub, on_entry)
-            if (
-                state["blocking_remaining"] == 0
-                and not state["wave1_dispatched"]
-            ):
-                state["wave1_dispatched"] = True
-                for sub in wave1:
-                    self._fetch(pool, sub, on_entry)
-
-        self._fetch(pool, page.html, on_entry)
-        self.loop.run_until(done.__len__)
+        load = _PageLoad(self, pool, page, har)
+        load.fetch((page.html,))
+        self.loop.run_until(load.done.__len__)
         har.on_load_ms = self.loop.now - start
         if visit_span is not None:
             spans.end(visit_span, self.loop.now)
             spans.current_visit = None
         pool.close()
-        # ``on_entry`` refers to itself through its closure cell; with
-        # the reference dropped the visit's pool and HAR are freed by
-        # reference counting.
-        on_entry = None
         status = "ok"
         if self.faults is not None:
             stats = pool.stats
@@ -436,60 +511,6 @@ class Browser:
 
     # ------------------------------------------------------------------
 
-    def _fetch(self, pool: ConnectionPool, resource: Resource, on_entry) -> None:
-        """Resolve the host, then issue the request through the pool."""
-        requested_at = self.loop.now
-
-        def after_dns(dns_ms: float) -> None:
-            if dns_ms > 0 and self.obs is not None and self.obs.spans is not None:
-                # Retroactive: the resolver just reported; zero-cost
-                # cached answers are not worth a span each.
-                spans = self.obs.spans
-                spans.add(
-                    "phase", f"dns:{resource.host}",
-                    self.loop.now - dns_ms, self.loop.now,
-                    parent=spans.current_visit,
-                )
-            server = self.farm.server(resource.host)
-            protocol = self._pick_protocol(server)
-            compression = self.config.compression
-            if compression is not None:
-                from repro.cdn.compression import client_accept_encoding
-
-                rtype_val = resource.rtype._value_
-                accept = client_accept_encoding(resource.url, rtype_val, compression)
-            else:
-                accept = None
-                rtype_val = None
-            pool.fetch(
-                server=server,
-                path=self.farm.path(resource.host),
-                protocol=protocol,
-                url=resource.url,
-                request_bytes=resource.request_bytes,
-                response_bytes=resource.size_bytes,
-                on_complete=lambda record: on_entry(
-                    resource, record, dns_ms, requested_at
-                ),
-                resource_key=resource.url,
-                weight=(
-                    RESOURCE_WEIGHTS[resource.rtype]
-                    if self.config.use_resource_priorities
-                    else 1
-                ),
-                accept_encoding=accept,
-                rtype=rtype_val,
-            )
-
-        if self.dns is None:
-            after_dns(0.0)
-            return
-        if self.faults is None:
-            self.dns.resolve(resource.host, after_dns)
-            return
-
-        _DnsRetry(self, resource, on_entry, requested_at, after_dns).resolve()
-
     def _pick_protocol(self, server) -> HttpProtocol:
         """Choose the protocol lane for one request.
 
@@ -511,36 +532,3 @@ class Browser:
         if server.supports_h2:
             return HttpProtocol.H2
         return HttpProtocol.H1
-
-    def _to_har_entry(
-        self,
-        resource: Resource,
-        record: FetchRecord,
-        dns_ms: float = 0.0,
-        requested_at: float | None = None,
-    ) -> HarEntry:
-        classification = classify_response(record.host, record.headers)
-        record.timing.dns = dns_ms
-        started = requested_at if requested_at is not None else record.started_at_ms
-        return HarEntry(
-            url=record.url,
-            host=record.host,
-            # ``_value_``: the plain attribute behind the ``.value``
-            # descriptor, read without a Python call (one HAR entry per
-            # request).
-            protocol=record.protocol._value_,
-            started_at_ms=started,
-            time_ms=record.completed_at_ms - started,
-            timings=record.timing,
-            response_bytes=record.response_bytes,
-            request_bytes=record.request_bytes,
-            resource_type=resource.rtype._value_,
-            headers=record.headers,
-            reused=record.reused,
-            resumed=record.resumed,
-            cache_hit=record.cache_hit,
-            is_cdn=classification.is_cdn,
-            provider=classification.provider_name,
-            status=0 if record.failed else 200,
-            failed=record.failed,
-        )

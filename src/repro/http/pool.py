@@ -39,22 +39,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.http.alt_svc import AltSvcCache
 
 
-#: Hot-path alias (as in repro.transport.base): ``protocol is not _H1``
+#: Hot-path aliases (as in repro.transport.base): ``protocol is not _H1``
 #: answers ``protocol.multiplexes`` without a property call, per request.
 #: Likewise the per-request paths read a member's value as ``_value_``,
-#: the plain attribute ``.value`` returns: the ``.value`` descriptor,
-#: and a dict keyed by the member (``Enum.__hash__``), are Python calls.
+#: the plain attribute ``.value`` returns, and key the lane table by it:
+#: the ``.value`` descriptor, and hashing the member (``Enum.__hash__``),
+#: are Python calls.
 _H1 = HttpProtocol.H1
+_H3 = HttpProtocol.H3
 
 
 class Server(Protocol):
-    """What the pool needs from an edge/origin server."""
+    """What the pool reads from an edge or origin server."""
 
     hostname: str
     tls_version: object
+    coalesce_key: str  # the H2/H3 connection-coalescing group
+    supports_h2: bool
     issues_tickets: bool
+    resumption_rate: float  # share of presented tickets accepted
+    tls_setup_cpu_ms: float  # handshake CPU, added to the opener's think
+    resumed_setup_cpu_ms: float
 
-    def serve(self, resource_key: str, size_bytes: int, protocol: str):
+    def serve(self, resource_key: str, size_bytes: int, protocol: str,
+              accept_encoding: tuple[str, ...] | None, rtype: str | None):
         ...  # pragma: no cover - protocol stub
 
 
@@ -120,13 +128,15 @@ _ALWAYS_SERIALIZED = 5
 _WIRE_NAMES = {f.name: _camel_case(f.name) for f in fields(PoolStats)}
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _PendingFetch:
-    """One request waiting for, or in flight on, a connection.
+    """One request, from ``pool.fetch`` to its record.
 
-    Compared by identity: the pool finds a fetch in its lists with
-    ``in`` and ``remove``, and two fetches with equal fields are still
-    two requests.
+    It waits for, then rides, a connection and carries its stream's
+    state; the transport's stream callbacks are its bound methods, so
+    issuing a request creates no function or cell.  Compared by
+    identity: the pool finds a fetch in its lists with ``in`` and
+    ``remove``, and two fetches with equal fields are two requests.
     """
 
     url: str
@@ -146,11 +156,83 @@ class _PendingFetch:
     attempts: int = 0
     #: Request deadline, pending while the fetch is in flight.
     timer: ScheduledEvent | None = None
-    #: Client Accept-Encoding preference (compression campaigns only;
-    #: ``None`` keeps the legacy 3-argument ``serve`` call).
+    #: Client Accept-Encoding preference (compression campaigns only).
     accept_encoding: tuple[str, ...] | None = None
     #: Resource type ("html", "js", …) for encoding decisions.
     rtype: str | None = None
+    pool: ConnectionPool | None = None
+    # -- the stream, set by each ``_issue`` (fault recovery may re-issue)
+    pooled: _PooledConnection | None = None
+    record: FetchRecord | None = None
+    issued_at: float = 0.0
+    #: ``phase:request`` and ``transfer`` span ids (spans only).
+    request_span: int | None = None
+    transfer_span: int | None = None
+
+    def on_first_byte(self, t: float) -> None:
+        if self.pooled.failed:
+            # Stale delivery from a torn-down connection.  Without this
+            # guard a late first byte lands *after* the fetch
+            # re-dispatched, stamping the old issue time into the
+            # retried entry and driving its ``wait`` negative.
+            return
+        timing = self.record.timing
+        timing.wait = t - self.issued_at
+        pool = self.pool
+        if self.request_span is not None:
+            self.transfer_span = pool._spans.begin(
+                "transfer", self.url, t, parent=self.request_span
+            )
+        if pool.check:
+            pool.check.require(
+                timing.wait >= 0.0,
+                "pool:wait_nonnegative",
+                "first byte arrived before the request was issued",
+                time_ms=t,
+                url=self.url,
+                wait_ms=timing.wait,
+            )
+
+    def on_stream_complete(self, t: float) -> None:
+        pooled = self.pooled
+        if pooled.failed:
+            return  # stale delivery from a torn-down connection
+        record = self.record
+        timing = record.timing
+        first_byte_at = self.issued_at + timing.wait
+        receive = t - first_byte_at
+        if -EPSILON_MS < receive < 0.0:
+            # ``issued_at + wait`` re-derives the first-byte instant
+            # through a float round trip, so a stream that completes at
+            # that same instant can land ~1e-13 below zero; clamp so the
+            # HAR never carries a negative phase.
+            receive = 0.0
+        timing.receive = receive
+        pool = self.pool
+        if pool.check:
+            pool.check.require(
+                timing.receive >= -EPSILON_MS,
+                "pool:receive_nonnegative",
+                "stream completed before its first byte",
+                time_ms=t,
+                url=self.url,
+                receive_ms=timing.receive,
+            )
+        record.completed_at_ms = t
+        if self.request_span is not None:
+            spans = pool._spans
+            if self.transfer_span is not None:
+                spans.end(self.transfer_span, t)
+            spans.end(self.request_span, t)
+        pooled.active_streams -= 1
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        if pool.faults is not None and self in pooled.inflight:
+            pooled.inflight.remove(self)
+        self.on_complete(record)
+        if pooled.protocol is _H1:
+            pool._drain_h1(pooled)
 
 
 class _PooledConnection:
@@ -161,13 +243,13 @@ class _PooledConnection:
         conn: BaseConnection,
         protocol: HttpProtocol,
         host: str,
-        lane_key: tuple[str, HttpProtocol],
+        lane_key: tuple[str, str],
         resumed: bool,
     ) -> None:
         self.conn = conn
         self.protocol = protocol
         self.host = host
-        #: The pool lane the connection belongs to (see ``_assign``).
+        #: The pool lane the connection belongs to (see ``_dispatch``).
         self.lane_key = lane_key
         self.established = False
         self.resumed = resumed
@@ -193,11 +275,6 @@ class _PooledConnection:
         self.failed = False
         #: Open ``phase:connect`` span id while handshaking (spans only).
         self.connect_span: int | None = None
-
-    @property
-    def busy(self) -> bool:
-        """H1.1 connections serve one request at a time."""
-        return self.protocol is _H1 and self.active_streams > 0
 
     def disarm(self) -> None:
         """Cancel the connection's fault-recovery deadlines and events.
@@ -266,10 +343,10 @@ class ConnectionPool:
         #: downgraded (count/trace once per would-be QUIC connection).
         self._proxy_downgraded_keys: set[str] = set()
         self.stats = PoolStats()
-        #: The connection table: one lane per ``(coalesce_key, H2|H3)``
+        #: The connection table: one lane per ``(coalesce_key, "h2"|"h3")``
         #: with that group's one multiplexed connection, and one per
-        #: ``(host, H1)`` with up to ``H1_MAX_PER_HOST`` connections.
-        self._lanes: dict[tuple[str, HttpProtocol], list[_PooledConnection]] = {}
+        #: ``(host, "http/1.1")`` with up to ``H1_MAX_PER_HOST``.
+        self._lanes: dict[tuple[str, str], list[_PooledConnection]] = {}
         #: H1 fetches waiting for one of their host's connections.
         self._h1_queues: dict[str, deque[_PendingFetch]] = {}
         # Handshake throttling: browsers bound concurrent connection
@@ -324,65 +401,45 @@ class ConnectionPool:
                 path=path,
                 accept_encoding=accept_encoding,
                 rtype=rtype,
+                pool=self,
             )
         )
 
     def _dispatch(self, fetch: _PendingFetch) -> None:
-        """Settle a fetch's protocol, then hand it to its lane.
+        """Settle a fetch's protocol, then issue, open or park it in its lane.
 
         H3 falls back to TCP when a CONNECT tunnel on the path cannot
         carry QUIC, or when the coalesce group's QUIC lane already
-        failed.  Fault recovery re-enters here after retries and H3
-        demotion; the fetch keeps its original path, callback and
-        queue time.
+        failed.  An idle established connection takes the fetch as a
+        reused request; a lane below its limit (one H2/H3 connection,
+        six H1) opens one with the fetch as its opener.  Otherwise an
+        H2/H3 fetch waits on the handshaking connection (reused at
+        once) and an H1 fetch queues at its host (reused when drained).
+        Fault recovery re-enters here after retries and H3 demotion.
         """
         if self._closed:
             return
-        if fetch.protocol is HttpProtocol.H3:
-            if not getattr(fetch.path, "h3_passthrough", True):
+        server = fetch.server
+        if fetch.protocol is _H3:
+            if not fetch.path.h3_passthrough:
                 # A CONNECT-style tunnel only relays TCP byte streams.
                 self._proxy_downgrade_h3(fetch)
             elif (
                 self.faults is not None
-                and self._coalesce_key(fetch.server) in self._h3_broken_keys
+                and server.coalesce_key in self._h3_broken_keys
             ):
                 # Route straight to TCP instead of re-proving the blackhole.
-                fetch.protocol = self._tcp_protocol(fetch.server)
-        self._assign(fetch)
-
-    @staticmethod
-    def _coalesce_key(server: Server) -> str:
-        """Coalescing group: providers' edges share one connection per
-        protocol (certificate/IP coalescing); origins stay per-host."""
-        return getattr(server, "coalesce_key", None) or server.hostname
-
-    @staticmethod
-    def _tcp_protocol(server: Server) -> HttpProtocol:
-        """Where an H3 fetch falls back to: H2, or H1 without h2."""
-        return (
-            HttpProtocol.H2
-            if getattr(server, "supports_h2", True)
-            else HttpProtocol.H1
-        )
-
-    def _assign(self, fetch: _PendingFetch) -> None:
-        """Issue, open or park one fetch in its lane.
-
-        An idle established connection takes the fetch as a reused
-        request; a lane below its limit (one H2/H3 connection, six H1)
-        opens a connection with the fetch as its opener.  A full lane
-        parks the fetch.  An H2/H3 lane is full only while its one
-        connection handshakes: the fetch waits on it and counts as
-        reused at once.  An H1 lane is full when all six are busy: the
-        fetch queues at the host and counts as reused when drained.
-        """
+                fetch.protocol = self._tcp_protocol(server)
         protocol = fetch.protocol
         multiplexes = protocol is not _H1
-        host = fetch.server.hostname
-        key = (self._coalesce_key(fetch.server) if multiplexes else host, protocol)
+        key = (
+            server.coalesce_key if multiplexes else server.hostname,
+            protocol._value_,
+        )
         lane = self._lanes.setdefault(key, [])
         for pooled in lane:
-            if pooled.established and not pooled.busy:
+            # An H1.1 connection serves one request at a time.
+            if pooled.established and (multiplexes or not pooled.active_streams):
                 self.stats.reused_requests += 1
                 self._issue(pooled, fetch, reused=True)
                 return
@@ -392,12 +449,17 @@ class ConnectionPool:
             self.stats.reused_requests += 1
             lane[0].pending.append(fetch)
         else:
-            self._h1_queues.setdefault(host, deque()).append(fetch)
+            self._h1_queues.setdefault(server.hostname, deque()).append(fetch)
+
+    @staticmethod
+    def _tcp_protocol(server: Server) -> HttpProtocol:
+        """Where an H3 fetch falls back to: H2, or H1 without h2."""
+        return HttpProtocol.H2 if server.supports_h2 else HttpProtocol.H1
 
     def _proxy_downgrade_h3(self, fetch: _PendingFetch) -> None:
         """Reroute one H3 fetch to TCP at a non-UDP-capable proxy."""
         fetch.protocol = self._tcp_protocol(fetch.server)
-        key = self._coalesce_key(fetch.server)
+        key = fetch.server.coalesce_key
         if key in self._proxy_downgraded_keys:
             return
         # First H3 attempt for this coalesce group: account for the
@@ -412,14 +474,13 @@ class ConnectionPool:
                     self.loop.now,
                     "proxy:h3_downgrade",
                     host=fetch.server.hostname,
-                    model=getattr(fetch.path, "proxy_model", None)
-                    or "connect-tunnel",
+                    model=fetch.path.proxy_model or "connect-tunnel",
                 )
 
     # ------------------------------------------------------------------
 
     def _open_connection(
-        self, opener: _PendingFetch, lane_key: tuple[str, HttpProtocol]
+        self, opener: _PendingFetch, lane_key: tuple[str, str]
     ) -> _PooledConnection:
         host = opener.server.hostname
         path = opener.path
@@ -439,8 +500,7 @@ class ConnectionPool:
                 # The server may reject the ticket (key rotation, a
                 # different machine behind the load balancer): the
                 # connection then falls back to a full handshake.
-                accept_rate = getattr(opener.server, "resumption_rate", 1.0)
-                has_ticket = conn_rng.random() < accept_rate
+                has_ticket = conn_rng.random() < opener.server.resumption_rate
             if (
                 has_ticket
                 and self.faults is not None
@@ -588,12 +648,13 @@ class ConnectionPool:
                 counters.incr("transport.handshakes.zero_rtt")
         if (
             self.use_session_tickets
-            and getattr(opener.server, "issues_tickets", True)
+            and opener.server.issues_tickets
             and self.transport_config.issue_session_tickets
         ):
             self.session_cache.store(pooled.host, self.loop.now)
         self._issue(pooled, opener, reused=False, handshake=result)
-        while pooled.pending and not pooled.busy:
+        # Only multiplexed connections hold waiting fetches.
+        while pooled.pending:
             self._issue(pooled, pooled.pending.popleft(), reused=True)
 
     def _release_handshake_slot(self, pooled: _PooledConnection) -> None:
@@ -787,7 +848,7 @@ class ConnectionPool:
             failed=True,
             error=reason,
         )
-        if not fetch.protocol.multiplexes:
+        if fetch.protocol is _H1:
             # Queued H1 fetches wait for a connection of their host to
             # free up, and this fetch's may have been the last one:
             # dispatch them again, each on its own retry budget.  A full
@@ -806,7 +867,7 @@ class ConnectionPool:
         lane = self._lanes.get(pooled.lane_key)
         if lane is not None and pooled in lane:
             lane.remove(pooled)
-            if not lane and pooled.protocol.multiplexes:
+            if not lane and pooled.protocol is not _H1:
                 del self._lanes[pooled.lane_key]
 
     def _serve(self, fetch: _PendingFetch):
@@ -821,7 +882,7 @@ class ConnectionPool:
         """
         cacheable = (
             self._proxy_cache is not None
-            and getattr(fetch.path, "proxy_model", None) == "connect-tunnel"
+            and fetch.path.proxy_model == "connect-tunnel"
         )
         if cacheable and self._proxy_cache.lookup(fetch.resource_key):
             from repro.cdn.edge import ServeDecision
@@ -833,26 +894,19 @@ class ConnectionPool:
                 protocol=fetch.protocol._value_,
                 headers={"x-cache": "HIT", "via": "1.1 proxy-cache"},
             )
-        if fetch.accept_encoding is not None:
-            decision = fetch.server.serve(
-                fetch.resource_key,
-                fetch.response_bytes,
-                fetch.protocol._value_,
-                accept_encoding=fetch.accept_encoding,
-                rtype=fetch.rtype,
-            )
-        else:
-            decision = fetch.server.serve(
-                fetch.resource_key, fetch.response_bytes, fetch.protocol._value_
-            )
+        decision = fetch.server.serve(
+            fetch.resource_key,
+            fetch.response_bytes,
+            fetch.protocol._value_,
+            fetch.accept_encoding,
+            fetch.rtype,
+        )
         if cacheable:
-            body = (
-                decision.body_bytes
-                if getattr(decision, "body_bytes", None) is not None
-                else fetch.response_bytes
+            body = decision.body_bytes
+            self._proxy_cache.insert(
+                fetch.resource_key, fetch.response_bytes if body is None else body
             )
-            self._proxy_cache.insert(fetch.resource_key, body)
-        economics = getattr(decision, "economics", None)
+        economics = decision.economics
         if economics is not None:
             if self._economics is None:
                 from repro.cdn.economics import EconomicsLedger
@@ -931,20 +985,18 @@ class ConnectionPool:
         decision = self._serve(fetch)
         #: Bytes actually on the wire: compression campaigns egress the
         #: negotiated encoding's size, everything else the nominal size.
-        body_bytes = (
-            decision.body_bytes
-            if getattr(decision, "body_bytes", None) is not None
-            else fetch.response_bytes
-        )
+        body_bytes = decision.body_bytes
+        if body_bytes is None:
+            body_bytes = fetch.response_bytes
         think_ms = decision.think_ms
         if handshake is not None:
             # Connection-opening request: the server pays the TLS setup
             # CPU (certificate crypto on full handshakes, much less on
             # resumed ones) before processing the request.
             if pooled.resumed:
-                think_ms += getattr(fetch.server, "resumed_setup_cpu_ms", 0.0)
+                think_ms += fetch.server.resumed_setup_cpu_ms
             else:
-                think_ms += getattr(fetch.server, "tls_setup_cpu_ms", 0.0)
+                think_ms += fetch.server.tls_setup_cpu_ms
         timing = EntryTiming()
         if reused or handshake is None:
             timing.blocked = now - fetch.queued_at
@@ -970,90 +1022,32 @@ class ConnectionPool:
             cache_hit=decision.cache_hit,
         )
         pooled.active_streams += 1
-        issued_at = now
+        fetch.pooled = pooled
+        fetch.record = record
+        fetch.issued_at = now
         spans = self._spans
-        if spans is not None:
-            request_span = spans.begin(
-                "phase", f"request:{fetch.url}", now, parent=spans.current_visit
-            )
-        else:
-            request_span = None
-        transfer_span: list[int | None] = [None]
+        fetch.request_span = None if spans is None else spans.begin(
+            "phase", f"request:{fetch.url}", now, parent=spans.current_visit
+        )
+        fetch.transfer_span = None
         if self.faults is not None:
             pooled.inflight.append(fetch)
             fetch.timer = self.loop.call_later(
                 self.faults.retry.request_timeout_ms,
                 self._on_fetch_timeout, pooled, fetch,
             )
-
-        def on_first_byte(t: float) -> None:
-            if pooled.failed:
-                # Stale delivery from a torn-down connection.  Without
-                # this guard a late first byte lands *after* the fetch
-                # re-dispatched, stamping the old issue time into the
-                # retried entry and driving its ``wait`` negative.
-                return
-            record.timing.wait = t - issued_at
-            if request_span is not None:
-                transfer_span[0] = spans.begin(
-                    "transfer", fetch.url, t, parent=request_span
-                )
-            if self.check:
-                self.check.require(
-                    record.timing.wait >= 0.0,
-                    "pool:wait_nonnegative",
-                    "first byte arrived before the request was issued",
-                    time_ms=t,
-                    url=fetch.url,
-                    wait_ms=record.timing.wait,
-                )
-
-        def on_stream_complete(t: float) -> None:
-            if pooled.failed:
-                return  # stale delivery from a torn-down connection
-            first_byte_at = issued_at + record.timing.wait
-            receive = t - first_byte_at
-            if -EPSILON_MS < receive < 0.0:
-                # ``issued_at + wait`` re-derives the first-byte instant
-                # through a float round trip, so a stream that completes
-                # at that same instant can land ~1e-13 below zero; clamp
-                # so the HAR never carries a negative phase.
-                receive = 0.0
-            record.timing.receive = receive
-            if self.check:
-                self.check.require(
-                    record.timing.receive >= -EPSILON_MS,
-                    "pool:receive_nonnegative",
-                    "stream completed before its first byte",
-                    time_ms=t,
-                    url=fetch.url,
-                    receive_ms=record.timing.receive,
-                )
-            record.completed_at_ms = t
-            if request_span is not None:
-                if transfer_span[0] is not None:
-                    spans.end(transfer_span[0], t)
-                spans.end(request_span, t)
-            pooled.active_streams -= 1
-            if fetch.timer is not None:
-                fetch.timer.cancel()
-                fetch.timer = None
-            if self.faults is not None and fetch in pooled.inflight:
-                pooled.inflight.remove(fetch)
-            fetch.on_complete(record)
-            self._drain_h1(pooled)
-
         pooled.conn.request(
             fetch.request_bytes,
             body_bytes,
             think_ms=think_ms,
-            on_first_byte=on_first_byte,
-            on_complete=on_stream_complete,
+            on_first_byte=fetch.on_first_byte,
+            on_complete=fetch.on_stream_complete,
             weight=fetch.weight,
         )
 
     def _drain_h1(self, pooled: _PooledConnection) -> None:
-        if pooled.protocol is not _H1 or pooled.busy:
+        """Issue the next fetch queued at an H1 connection's host."""
+        if pooled.active_streams:
             return
         queue = self._h1_queues.get(pooled.host)
         if queue:
@@ -1079,9 +1073,9 @@ class ConnectionPool:
         # connections close and fold their stats into the counters.
         all_conns = [
             pooled
-            for multiplexed in (True, False)
+            for h1 in (False, True)
             for (_, protocol), lane in self._lanes.items()
-            if protocol.multiplexes is multiplexed
+            if (protocol == _H1._value_) is h1
             for pooled in lane
         ]
         if self.check:

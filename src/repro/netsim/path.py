@@ -23,6 +23,8 @@ class NetworkPath:
     #: A direct path carries UDP end-to-end, so an H3 handshake can
     #: complete without downgrade (proxy topologies may override this).
     h3_passthrough = True
+    #: No proxy on a direct path (a :class:`SegmentedPath` names its own).
+    proxy_model = None
 
     def __init__(
         self,

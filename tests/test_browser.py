@@ -206,6 +206,15 @@ class TestAltSvc:
             first.har.entries_by_protocol("h3")
         )
 
+    @pytest.mark.parametrize("use_alt_svc", [False, True])
+    def test_advertisements_are_recorded_only_when_read(self, universe, use_alt_svc):
+        """Positive Alt-Svc knowledge feeds only ``use_alt_svc``'s
+        protocol choice: without it, a visit records none."""
+        browser = make_browser(universe, use_alt_svc=use_alt_svc)
+        visit = browser.visit(universe.pages[0])
+        assert any("alt-svc" in entry.headers for entry in visit.entries)
+        assert bool(browser.alt_svc._until) is use_alt_svc
+
 
 class TestHarRendering:
     def test_har_dict_round_trip(self, universe):

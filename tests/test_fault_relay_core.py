@@ -20,8 +20,8 @@ Four mechanisms, each checked against the code it replaced:
   nor its arguments.
 
 Plus the two allocation fixes that ride along: ``_PendingFetch``
-compares by identity, and DNS retries under faults form no closure
-cycle.
+compares by identity, and DNS retries under faults form no cycle of
+closures or request objects.
 """
 
 import collections
@@ -35,6 +35,7 @@ import pytest
 
 import repro.faults.inject as inject_module
 from repro.browser import Browser, BrowserConfig
+from repro.browser.browser import _PageLoad, _Request
 from repro.browser.har import HarEntry
 from repro.events.loop import CEventLoop, HeapEventLoop, _ckernel
 from repro.faults import FaultInjector
@@ -555,7 +556,8 @@ def universe():
 
 def test_dns_retries_leave_no_closure_cycles(universe):
     """A dropped faulted visit with DNS retries leaves no cell, function,
-    ``_PendingFetch`` or ``HarEntry`` for the cycle collector."""
+    request object (``_PendingFetch``, ``_Request``, ``_PageLoad``) or
+    ``HarEntry`` for the cycle collector."""
     loop = CEventLoop() if CEventLoop is not None else HeapEventLoop()
     farm = ServerFarm(loop, universe.hosts, ProbeNetProfile(), rng=random.Random(3))
     farm.warm_caches(universe.pages)
@@ -588,7 +590,10 @@ def test_dns_retries_leave_no_closure_cycles(universe):
         kinds = collections.Counter(type(obj).__name__ for obj in gc.garbage)
         leaked = {
             name: kinds[name]
-            for name in ("cell", "function", "_PendingFetch", HarEntry.__name__)
+            for name in (
+                "cell", "function", _PendingFetch.__name__, _Request.__name__,
+                _PageLoad.__name__, HarEntry.__name__,
+            )
             if kinds[name]
         }
         assert leaked == {}

@@ -9,6 +9,10 @@ Two things a visit must not do, both deterministic:
   checking and sampling off, nothing in ``repro.obs`` or
   ``repro.check`` runs, and packets go from the transport straight to
   ``Link.transmit`` and from the event loop straight to the receiver;
+* create a closure or lambda per request, or make more than a dozen
+  or so Python calls per request in ``repro.http`` and
+  ``repro.browser``: one request object carries each resource from its
+  DNS answer to its HAR entry;
 * run the transport loop or the request exchange in Python when the C
   kernel is built: none of the methods of ``_PyTransportCore`` is
   called, and the only packets built through ``Packet.__init__`` are
@@ -26,6 +30,7 @@ own counters.
 
 import cProfile
 import gc
+import inspect
 import os
 import pstats
 import random
@@ -34,8 +39,10 @@ import weakref
 import pytest
 
 import repro.browser.browser as browser_module
+import repro.browser
 import repro.check
 import repro.faults.inject
+import repro.http
 import repro.netsim.link
 import repro.netsim.loss
 import repro.netsim.path
@@ -43,7 +50,8 @@ import repro.netsim.proxy
 import repro.obs
 from repro.browser import Browser, BrowserConfig
 from repro.events import EventLoop
-from repro.http.pool import ConnectionPool
+from repro.http import AltSvcCache
+from repro.http.pool import ConnectionPool, _PendingFetch
 from repro.browser.browser import H3_ENABLED
 from repro.measurement import ProbeNetProfile, ServerFarm
 from repro.measurement.probe import Probe
@@ -165,6 +173,47 @@ def test_dormant_visit_calls_no_hooks_or_trampolines(universe):
         for key, n in calls.items()
         if key[0] in netsim and key[2] in trampolines
     } == {}
+
+
+#: Python calls into ``repro.http`` and ``repro.browser`` over the
+#: 96-request dormant visit below: six per request in the pool, five in
+#: the browser, ``AltSvcCache.h3_broken`` for H3-capable hosts, and a
+#: few per connection and per visit.
+HTTP_BROWSER_CALLS = 1150
+
+
+def named_functions(*owners):
+    """Profiler keys of the functions defined directly on the classes
+    ``owners``: no closure or lambda is among them."""
+    keys = set()
+    for owner in owners:
+        for value in vars(owner).values():
+            function = getattr(value, "fget", value)
+            if inspect.isfunction(function):
+                code = function.__code__
+                keys.add((code.co_filename, code.co_firstlineno, code.co_name))
+    return keys
+
+
+def test_dormant_visit_makes_a_dozen_calls_per_request(universe):
+    page = universe.pages[4]
+    calls, packets = profiled_visit(make_browser(universe), page)
+    assert packets > 100
+    layers = tuple(
+        os.path.dirname(package.__file__) + os.sep
+        for package in (repro.http, repro.browser)
+    )
+    ours = {key: n for key, n in calls.items() if key[0].startswith(layers)}
+    assert page.total_requests == 96
+    assert sum(ours.values()) == HTTP_BROWSER_CALLS
+    assert sum(ours.values()) / page.total_requests <= 14
+    # Whatever runs per request is a named method or function.
+    per_request = {key for key, n in ours.items() if n >= page.total_requests}
+    assert per_request <= named_functions(
+        browser_module._Request, browser_module._PageLoad, browser_module.Browser,
+        _PendingFetch, ConnectionPool, AltSvcCache,
+    )
+    assert len(per_request) == 11
 
 
 @pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")

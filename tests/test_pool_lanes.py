@@ -33,7 +33,8 @@ def snapshot(pool):
     lanes = [
         ((key, protocol), lane)
         for multiplexed in (True, False)
-        for (key, protocol), lane in pool._lanes.items()
+        for (key, value), lane in pool._lanes.items()
+        for protocol in (HttpProtocol(value),)
         if protocol.multiplexes is multiplexed
     ]
     rows = []
