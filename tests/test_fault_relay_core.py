@@ -42,7 +42,7 @@ from repro.faults import FaultInjector
 from repro.faults.inject import FaultedPath
 from repro.faults.profile import FaultEvent, FaultProfile, RetryPolicy
 from repro.http import ConnectionPool, HttpProtocol
-from repro.http.pool import _PendingFetch
+from repro.http.pool import _PendingFetch, _PooledConnection
 from repro.measurement import ProbeNetProfile, ServerFarm
 from repro.netsim import (
     BernoulliLoss,
@@ -556,8 +556,8 @@ def universe():
 
 def test_dns_retries_leave_no_closure_cycles(universe):
     """A dropped faulted visit with DNS retries leaves no cell, function,
-    request object (``_PendingFetch``, ``_Request``, ``_PageLoad``) or
-    ``HarEntry`` for the cycle collector."""
+    request object (``_PendingFetch``, ``_Request``, ``_PageLoad``),
+    ``_PooledConnection`` or ``HarEntry`` for the cycle collector."""
     loop = CEventLoop() if CEventLoop is not None else HeapEventLoop()
     farm = ServerFarm(loop, universe.hosts, ProbeNetProfile(), rng=random.Random(3))
     farm.warm_caches(universe.pages)
@@ -592,7 +592,7 @@ def test_dns_retries_leave_no_closure_cycles(universe):
             name: kinds[name]
             for name in (
                 "cell", "function", _PendingFetch.__name__, _Request.__name__,
-                _PageLoad.__name__, HarEntry.__name__,
+                _PageLoad.__name__, _PooledConnection.__name__, HarEntry.__name__,
             )
             if kinds[name]
         }
