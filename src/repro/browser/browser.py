@@ -40,6 +40,8 @@ from repro.web.resource import Resource, ResourceType
 class Farm(TypingProtocol):
     """What the browser needs from the measurement-layer server farm."""
 
+    proxy_cache: object | None  # the proxy's ``LruCache``, or None
+
     def server(self, hostname: str):
         ...  # pragma: no cover - protocol stub
 
@@ -445,7 +447,7 @@ class Browser:
             faults=self.faults,
             alt_svc=self.alt_svc,
             check=self.check,
-            proxy_cache=getattr(self.farm, "proxy_cache", None),
+            proxy_cache=self.farm.proxy_cache,
         )
         har = HarLog(page_url=page.url, started_at_ms=self.loop.now)
         start = self.loop.now

@@ -121,6 +121,18 @@ class EdgeServer:
         #: one ingredient of the paper's Fig. 6(a) turning point.
         self.tls_setup_cpu_ms = tls_setup_cpu_ms
         self.resumed_setup_cpu_ms = resumed_setup_cpu_ms
+        #: HTTP connection-coalescing group (RFC 7540 §9.1.1 / RFC 7838).
+        #: A provider's edge hostnames share certificates and IPs, so
+        #: browsers coalesce their H2/H3 requests onto one connection per
+        #: provider.  The paper leans on this (citing the "Respect the
+        #: ORIGIN!" coalescing study): under an H2-only run all of a
+        #: provider's resources share one connection, while partial H3
+        #: deployment splits them across an H3 and an H2 connection —
+        #: the root of the Fig. 7 reuse difference.
+        self.coalesce_key = f"cdn:{provider.name}"
+        #: Response headers per cache outcome (``[hit]``), built once and
+        #: shared by every decision: nothing may write into them.
+        self._headers = (self.response_headers(False), self.response_headers(True))
 
     def serve(
         self,
@@ -152,7 +164,7 @@ class EdgeServer:
                 cache_hit=hit,
                 think_ms=think,
                 protocol=protocol,
-                headers=self.response_headers(hit),
+                headers=self._headers[hit],
             )
         return self._serve_rich(
             resource_key, size_bytes, protocol, accept_encoding, rtype
@@ -222,7 +234,7 @@ class EdgeServer:
             tier_fetch_bytes=stored_size * hops,
             conversions=conversions,
         )
-        headers = self.response_headers(cache_hit)
+        headers = dict(self._headers[cache_hit])
         resolved_tier = hit_tier if hit_tier is not None else "origin"
         headers["x-cache-tier"] = resolved_tier
         if self.compression is not None and egress_encoding != "identity":
@@ -248,20 +260,6 @@ class EdgeServer:
         if self.supports_h3:
             headers["alt-svc"] = 'h3=":443"; ma=86400'
         return headers
-
-    @property
-    def coalesce_key(self) -> str:
-        """HTTP connection-coalescing group (RFC 7540 §9.1.1 / RFC 7838).
-
-        A provider's edge hostnames share certificates and IPs, so
-        browsers coalesce their H2/H3 requests onto one connection per
-        provider.  The paper leans on this (citing the "Respect the
-        ORIGIN!" coalescing study): under an H2-only run all of a
-        provider's resources share one connection, while partial H3
-        deployment splits them across an H3 and an H2 connection —
-        the root of the Fig. 7 reuse difference.
-        """
-        return f"cdn:{self.provider.name}"
 
     def warm(self, resource_key: str, size_bytes: int, rtype: str | None = None) -> None:
         """Pre-seed the cache (popular objects already at the edge).

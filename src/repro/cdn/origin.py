@@ -50,6 +50,10 @@ class OriginServer:
         #: TLS handshake CPU (full / resumed), as on edges.
         self.tls_setup_cpu_ms = tls_setup_cpu_ms
         self.resumed_setup_cpu_ms = resumed_setup_cpu_ms
+        #: Origins don't share certificates: no cross-host coalescing.
+        self.coalesce_key = f"origin:{hostname}"
+        #: Response headers, built once and shared by every decision.
+        self._headers = self.response_headers()
 
     def serve(
         self,
@@ -78,13 +82,8 @@ class OriginServer:
             cache_hit=False,
             think_ms=think,
             protocol=protocol,
-            headers=self.response_headers(),
+            headers=self._headers,
         )
-
-    @property
-    def coalesce_key(self) -> str:
-        """Origins don't share certificates: no cross-host coalescing."""
-        return f"origin:{self.hostname}"
 
     def response_headers(self) -> dict[str, str]:
         headers = {"server": "nginx"}

@@ -7,6 +7,12 @@ analysis), TLS session resumption wiring (Fig. 8), and Alt-Svc based
 H3 discovery.  The pool keeps one table of lanes: one H2 or H3
 connection per ``(coalesce_key, protocol)`` lane, up to six H1
 connections per ``(host, H1)`` lane.
+
+Each pooled connection owns its lifecycle: *queued* for a handshake
+slot, *connecting* (under fault injection: the connect deadline),
+*established* (the scripted reset and migration events and each
+request's deadline), then *failed* (fault recovery retries its fetches
+or moves them to TCP) or *closed* with the pool.
 """
 
 from repro.http.alt_svc import AltSvcCache
