@@ -8,7 +8,7 @@ that grew under loss.  Off by default: without a context every hook
 costs one falsy check against :data:`NULL_CHECK` (the same pattern as
 ``NULL_TRACER``) and results are bit-identical.
 
-Enable it with ``Scenario(strict=True)``, ``CampaignConfig(strict=True)``
+Enable it with ``preset(...).with_strict()``, ``CampaignConfig(strict=True)``
 or the CLI's ``--strict`` flag.  See ``docs/checking.md`` for the
 invariant catalog.
 """

@@ -35,85 +35,7 @@ class SimConfig:
     These are exactly the store-keyed knobs plus the knobs that select
     which visits run: changing any of them changes the simulation (or
     the set of simulations), so two campaigns agree bit-for-bit iff
-    their ``SimConfig``s agree.  Pair with a :class:`TelemetryConfig`
-    via ``CampaignConfig.from_groups`` to obtain a full campaign
-    configuration.
-    """
-
-    #: Visits per page per mode; the last one is recorded (paper: 2).
-    visits_per_page: int = 2
-    #: Probes per vantage point (paper: 3).
-    probes_per_vantage: int = 1
-    #: Limit to the first N vantage points (None = all three).
-    max_vantage_points: int | None = 1
-    #: netem loss imposed at every probe (the Fig. 9 knob).
-    loss_rate: float = 0.0
-    #: Probe access-link rate.
-    rate_mbps: float | None = 50.0
-    #: Pre-seed edge caches with popular objects before measuring.
-    warm_popular: bool = True
-    #: Base seed; probes derive their own streams from it.
-    seed: int = 0
-    #: Transport-level configuration shared by all probes.
-    transport_config: TransportConfig = field(default_factory=TransportConfig)
-    #: Disable TLS session tickets everywhere (ablation).
-    use_session_tickets: bool = True
-    #: Scripted fault profile applied at every probe.
-    fault_profile: FaultProfile | None = None
-    #: Proxy hop on every probe↔host path (``None`` = direct paths).
-    proxy: ProxyConfig | None = None
-    #: Multi-tier cache chain on every edge (``None`` = flat LRU,
-    #: bit-identical to pre-hierarchy builds).
-    cache_hierarchy: "HierarchyConfig | None" = None
-    #: Compression/format negotiation (``None`` = encoding-oblivious
-    #: serving, bit-identical to pre-compression builds).
-    compression: "CompressionConfig | None" = None
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Everything observe-only: instrumentation that never changes results.
-
-    Each knob here carries the same guarantee as :mod:`repro.obs` —
-    toggling it leaves every simulated timing, HAR and counter-relevant
-    outcome bit-identical.  (Note ``collect_counters``/``trace``/
-    ``strict`` *do* participate in store content keys for historical
-    reasons — the stored documents carry the collected telemetry — so
-    flipping them changes cache hits, never results.)
-    """
-
-    #: Collect a per-visit counter registry (handshakes, 0-RTT, HoL).
-    collect_counters: bool = False
-    #: Attach a qlog-style event tracer to every connection.
-    trace: bool = False
-    #: Run every visit under the :mod:`repro.check` invariant checker.
-    strict: bool = False
-    #: Sim-time metrics sampling interval (ms); ``None`` disables.
-    metrics_interval_ms: float | None = None
-    #: Ring-buffer capacity per metrics sampler.
-    metrics_max_samples: int = 512
-    #: Record hierarchical spans (visit → phase → transfer) per visit.
-    spans: bool = False
-    #: Enable event-loop callback profiling on every probe.
-    profile_loop: bool = False
-    #: Emit live progress heartbeats to stderr while the campaign runs.
-    progress: bool = False
-
-
-#: Flat CampaignConfig fields that belong to each group (the
-#: decomposition map; store keys keep reading the flat names).
-SIM_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SimConfig))
-TELEMETRY_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(TelemetryConfig))
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Campaign-level knobs — the flat union of :class:`SimConfig` + :class:`TelemetryConfig`.
-
-    Store keys (and the config hash run manifests record) read the flat
-    field names, and ``dataclasses.replace`` works on them directly.
-    Use :attr:`sim` / :attr:`telemetry` to decompose and
-    :meth:`from_groups` to compose.
+    their ``SimConfig``s agree.
     """
 
     #: Visits per page per mode; the last one is recorded (paper: 2).
@@ -135,48 +57,76 @@ class CampaignConfig:
     transport_config: TransportConfig = field(default_factory=TransportConfig)
     #: Disable TLS session tickets everywhere (ablation).
     use_session_tickets: bool = True
-    #: Collect a per-visit counter registry (handshakes, 0-RTT, HoL,
-    #: packets).  Purely observational: results are bit-identical on/off.
-    collect_counters: bool = False
-    #: Attach a qlog-style event tracer to every connection and carry
-    #: the per-visit traces in the results (implies heavier visits).
-    trace: bool = False
     #: Scripted fault profile applied at every probe (``None`` keeps
     #: the fault machinery dormant; results are then bit-identical to
     #: fault-free builds).
     fault_profile: FaultProfile | None = None
+    #: Proxy hop on every probe↔host path (``None`` = direct paths).
+    proxy: ProxyConfig | None = None
+    #: Multi-tier cache chain on every edge (``None`` = flat LRU,
+    #: bit-identical to pre-hierarchy builds).
+    cache_hierarchy: HierarchyConfig | None = None
+    #: Compression/format negotiation (``None`` = encoding-oblivious
+    #: serving, bit-identical to pre-compression builds).
+    compression: CompressionConfig | None = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.loss_rate <= 1.0:
+            raise ValueError("loss_rate must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class TelemetryConfig:
+    """Everything observe-only: instrumentation that never changes results.
+
+    Each knob here carries the same guarantee as :mod:`repro.obs` —
+    toggling it leaves every simulated timing, HAR and counter-relevant
+    outcome bit-identical.  (Note ``collect_counters``/``trace``/
+    ``strict`` *do* participate in store content keys for historical
+    reasons — the stored documents carry the collected telemetry — so
+    flipping them changes cache hits, never results.)
+    """
+
+    #: Collect a per-visit counter registry (handshakes, 0-RTT, HoL,
+    #: packets).
+    collect_counters: bool = False
+    #: Attach a qlog-style event tracer to every connection and carry
+    #: the per-visit traces in the results.
+    trace: bool = False
     #: Run every visit under the :mod:`repro.check` invariant checker;
-    #: the first violation raises.  Observe-only: results with strict
-    #: on are identical to strict off.
+    #: the first violation raises.
     strict: bool = False
     #: Sim-time metrics sampling interval (ms) for the
     #: :mod:`repro.obs.metrics` samplers; ``None`` disables sampling.
-    #: Observe-only and excluded from store content keys.
     metrics_interval_ms: float | None = None
     #: Ring-buffer capacity per metrics sampler.
     metrics_max_samples: int = 512
     #: Record hierarchical spans (visit → phase → transfer) per visit.
-    #: Observe-only and excluded from store content keys.
     spans: bool = False
     #: Enable event-loop callback profiling on every probe and carry
     #: the per-visit profiles in the outcomes (wall-clock diagnostics;
     #: stripped before store writes).
     profile_loop: bool = False
     #: Emit live progress heartbeats to stderr while the campaign runs
-    #: and record a progress summary on the result.  Wall-clock only;
-    #: never affects results or store keys.
+    #: and record a progress summary on the result.
     progress: bool = False
-    #: Proxy hop on every probe↔host path (``None`` = direct paths).
-    #: Result-affecting: part of the store content key.
-    proxy: ProxyConfig | None = None
-    #: Multi-tier cache chain on every edge (``None`` = flat LRU).
-    #: Result-affecting: part of the store content key (schema v3).
-    cache_hierarchy: "HierarchyConfig | None" = None
-    #: Compression/format negotiation (``None`` = encoding-oblivious).
-    #: Result-affecting: part of the store content key (schema v3).
-    compression: "CompressionConfig | None" = None
 
-    # -- groups --------------------------------------------------------
+
+#: The field names of each group.
+SIM_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SimConfig))
+TELEMETRY_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(TelemetryConfig))
+
+
+@dataclass(frozen=True)
+class CampaignConfig(TelemetryConfig, SimConfig):
+    """A whole campaign's knobs: one :class:`SimConfig` and one :class:`TelemetryConfig`.
+
+    It declares no field of its own, so every knob lives in exactly one
+    group.  Store keys (and the config hash run manifests record) read
+    the flat field names, and ``dataclasses.replace`` works on them
+    directly.  Use :attr:`sim` / :attr:`telemetry` to decompose and
+    :meth:`from_groups` to compose.
+    """
 
     @property
     def sim(self) -> SimConfig:
@@ -196,12 +146,13 @@ class CampaignConfig:
         sim: SimConfig | None = None,
         telemetry: TelemetryConfig | None = None,
     ) -> "CampaignConfig":
-        """Compose the two frozen groups into a flat config."""
+        """Compose the two groups (``sim`` may itself be a campaign config)."""
         sim = sim or SimConfig()
         telemetry = telemetry or TelemetryConfig()
-        knobs = {name: getattr(sim, name) for name in SIM_FIELDS}
-        knobs.update({name: getattr(telemetry, name) for name in TELEMETRY_FIELDS})
-        return cls(**knobs)
+        return cls(
+            **{name: getattr(sim, name) for name in SIM_FIELDS},
+            **{name: getattr(telemetry, name) for name in TELEMETRY_FIELDS},
+        )
 
 
 @dataclass

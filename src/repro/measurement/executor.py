@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import multiprocessing
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from functools import singledispatch
 from typing import Hashable
 
@@ -76,30 +76,17 @@ MAX_AUTO_CHUNK = 64
 DEFAULT_STORE_BATCH = 16
 
 
-def _as_campaign_config(
-    sim: "SimConfig | CampaignConfig",
-    telemetry: TelemetryConfig | None,
-) -> CampaignConfig:
-    if isinstance(sim, CampaignConfig):
-        if telemetry is not None:
-            return CampaignConfig.from_groups(sim.sim, telemetry)
-        return sim
-    return CampaignConfig.from_groups(sim, telemetry)
-
-
 @dataclass(frozen=True)
-class CampaignPlan:
-    """Everything needed to run one campaign, declaratively.
+class _StreamPlan:
+    """The run shape both streaming plans share.
 
-    ``sim`` may be a composed :class:`SimConfig` (paired with
-    ``telemetry``) or a flat :class:`CampaignConfig`.  Pages
-    default to the whole universe; ``page_count`` selects the first N
-    pages without materializing them (the lazy-universe path).
+    ``universe`` is the one positional field.  Pages default to the
+    whole universe; ``page_count`` selects the first N pages without
+    materializing them (the lazy-universe path).
     """
 
     universe: object
-    sim: "SimConfig | CampaignConfig" = field(default_factory=SimConfig)
-    telemetry: TelemetryConfig | None = None
+    _: KW_ONLY
     pages: tuple[Webpage, ...] | None = None
     page_count: int | None = None
     vantage_points: tuple[VantagePoint, ...] | None = None
@@ -107,7 +94,6 @@ class CampaignPlan:
     chunk_size: int | None = None
     start_method: str | None = None
     store: object | None = None
-    run_name: str | None = None
     resume: bool = False
     #: Keep only the folded :class:`CampaignSummary`; ``paired_visits``
     #: stays empty and peak RSS is bounded by the in-flight window.
@@ -118,29 +104,33 @@ class CampaignPlan:
     #: Visits per store write-through commit.
     store_batch: int = DEFAULT_STORE_BATCH
 
+
+@dataclass(frozen=True)
+class CampaignPlan(_StreamPlan):
+    """Everything needed to run one campaign, declaratively.
+
+    ``sim`` may be a :class:`SimConfig` (paired with ``telemetry``) or a
+    whole :class:`CampaignConfig`; a ``telemetry`` given with a
+    campaign config replaces its telemetry group.
+    """
+
+    sim: SimConfig = field(default_factory=SimConfig)
+    telemetry: TelemetryConfig | None = None
+    run_name: str | None = None
+
     @property
     def config(self) -> CampaignConfig:
-        return _as_campaign_config(self.sim, self.telemetry)
+        if self.telemetry is None and isinstance(self.sim, CampaignConfig):
+            return self.sim
+        return CampaignConfig.from_groups(self.sim, self.telemetry)
 
 
 @dataclass(frozen=True)
-class MultiCampaignPlan:
+class MultiCampaignPlan(_StreamPlan):
     """Several configs drained over one shared pool (sweeps)."""
 
-    universe: object
     configs: dict[Hashable, CampaignConfig] = field(default_factory=dict)
-    pages: tuple[Webpage, ...] | None = None
-    page_count: int | None = None
-    vantage_points: tuple[VantagePoint, ...] | None = None
-    workers: int = 1
-    chunk_size: int | None = None
-    start_method: str | None = None
-    store: object | None = None
     run_prefix: str | None = None
-    resume: bool = False
-    summary_only: bool = False
-    max_in_flight: int | None = None
-    store_batch: int = DEFAULT_STORE_BATCH
 
 
 @singledispatch
@@ -151,43 +141,13 @@ def execute(plan):
 
 @execute.register
 def _execute_campaign(plan: CampaignPlan) -> CampaignResult:
-    results = _stream_campaigns(
-        plan.universe,
-        {"campaign": plan.config},
-        pages=plan.pages,
-        page_count=plan.page_count,
-        vantage_points=plan.vantage_points,
-        workers=plan.workers,
-        chunk_size=plan.chunk_size,
-        start_method=plan.start_method,
-        store=plan.store,
-        run_prefix=plan.run_name,
-        resume=plan.resume,
-        summary_only=plan.summary_only,
-        max_in_flight=plan.max_in_flight,
-        store_batch=plan.store_batch,
-    )
+    results = _stream_campaigns(plan, {"campaign": plan.config}, plan.run_name)
     return results["campaign"]
 
 
 @execute.register
 def _execute_multi(plan: MultiCampaignPlan) -> dict:
-    return _stream_campaigns(
-        plan.universe,
-        plan.configs,
-        pages=plan.pages,
-        page_count=plan.page_count,
-        vantage_points=plan.vantage_points,
-        workers=plan.workers,
-        chunk_size=plan.chunk_size,
-        start_method=plan.start_method,
-        store=plan.store,
-        run_prefix=plan.run_prefix,
-        resume=plan.resume,
-        summary_only=plan.summary_only,
-        max_in_flight=plan.max_in_flight,
-        store_batch=plan.store_batch,
-    )
+    return _stream_campaigns(plan, plan.configs, plan.run_prefix)
 
 
 @execute.register
@@ -359,27 +319,18 @@ class _KeyState:
 
 
 def _stream_campaigns(
-    universe,
+    plan: _StreamPlan,
     configs: dict[Hashable, CampaignConfig],
-    *,
-    pages=None,
-    page_count=None,
-    vantage_points=None,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    start_method: str | None = None,
-    store=None,
-    run_prefix: str | None = None,
-    resume: bool = False,
-    summary_only: bool = False,
-    max_in_flight: int | None = None,
-    store_batch: int = DEFAULT_STORE_BATCH,
+    run_prefix: str | None,
 ) -> dict[Hashable, CampaignResult]:
     """The engine: enumerate → (replay | simulate) → fold, streaming."""
-    source = PageSource(universe, pages=pages, count=page_count)
+    universe, workers, store = plan.universe, plan.workers, plan.store
+    source = PageSource(universe, pages=plan.pages, count=plan.page_count)
     n_pages = len(source)
     all_vps = tuple(
-        vantage_points if vantage_points is not None else default_vantage_points()
+        plan.vantage_points
+        if plan.vantage_points is not None
+        else default_vantage_points()
     )
 
     # -- per-config setup ---------------------------------------------
@@ -401,7 +352,7 @@ def _stream_campaigns(
             )
             if state.run_name is not None:
                 state.prior = store.begin_run(
-                    state.run_name, config_hash=state.config_hash, resume=resume
+                    state.run_name, config_hash=state.config_hash, resume=plan.resume
                 )
 
     if store is not None:
@@ -425,7 +376,7 @@ def _stream_campaigns(
                 page_materials.move_to_end(page_index)
             return material
 
-    batcher = _StoreBatcher(store, store_batch) if store is not None else None
+    batcher = _StoreBatcher(store, plan.store_batch) if store is not None else None
 
     # -- progress ------------------------------------------------------
     progress = None
@@ -438,15 +389,19 @@ def _stream_campaigns(
         )
 
     # -- chunking and windowing ----------------------------------------
-    if chunk_size is not None:
-        per_chunk = chunk_size
+    if plan.chunk_size is not None:
+        per_chunk = plan.chunk_size
     else:
         per_chunk = min(
             _default_chunk_size(n_pages, workers), MAX_AUTO_CHUNK
         )
     per_chunk = max(1, per_chunk)
     pooled = workers > 1
-    max_units = max_in_flight if max_in_flight is not None else max(2, 2 * workers)
+    max_units = (
+        plan.max_in_flight
+        if plan.max_in_flight is not None
+        else max(2, 2 * workers)
+    )
     ready_cap = max(256, 2 * max_units * per_chunk)
 
     exec_stats = {
@@ -488,7 +443,7 @@ def _stream_campaigns(
                     error=outcome.error or "unknown",
                 )
             )
-        elif not summary_only:
+        elif not plan.summary_only:
             state.paired.append(
                 PairedVisit(
                     page=source[outcome.page_index],
@@ -558,7 +513,7 @@ def _stream_campaigns(
     interrupted = False
     try:
         if pooled:
-            ctx = multiprocessing.get_context(start_method)
+            ctx = multiprocessing.get_context(plan.start_method)
             pool = ctx.Pool(
                 processes=workers,
                 initializer=parallel_mod._init_worker,

@@ -1,17 +1,13 @@
-"""Scenarios: one named bundle for transport + network + fault config.
+"""Scenarios: a campaign config under a name.
 
-Before this module, wiring up a run meant assembling a
-:class:`~repro.transport.config.TransportConfig`, the netem-style
-shaping knobs (``loss_rate`` / ``rate_mbps``) and — since the fault
-subsystem — a :class:`~repro.faults.FaultProfile` by hand, in the right
-places inside a :class:`~repro.measurement.campaign.CampaignConfig`.
-A :class:`Scenario` consolidates the three under one name and renders
-the campaign config in a single call::
+A :class:`Scenario` pairs a name with a
+:class:`~repro.measurement.campaign.CampaignConfig` and renders it, with
+per-run overrides, in a single call::
 
     config = preset("udp-blocked").campaign_config(trace=True)
 
 Presets cover the paper baseline and the common fault studies; the
-builder methods (:meth:`with_faults`, :meth:`with_loss`) derive
+builder methods (:meth:`with_faults`, :meth:`with_loss`, …) derive
 variants without mutating anything.
 """
 
@@ -30,29 +26,16 @@ from repro.transport.config import TransportConfig
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named, immutable bundle of run conditions."""
+    """A named, immutable campaign config."""
 
     name: str
-    #: Transport-level configuration shared by all probes.
-    transport: TransportConfig = field(default_factory=TransportConfig)
-    #: netem-style loss imposed at every probe.
-    loss_rate: float = 0.0
-    #: Probe access-link rate (None = unshaped).
-    rate_mbps: float | None = 50.0
-    #: Scripted fault profile (None = fault machinery dormant).
-    faults: FaultProfile | None = None
-    #: Run every visit under the invariant checker (``repro.check``).
-    strict: bool = False
-    #: Optional proxy hop between client and edge (None = direct paths).
-    proxy: ProxyConfig | None = None
-    #: Multi-tier edge cache hierarchy (None = legacy flat LRU).
-    cache_hierarchy: HierarchyConfig | None = None
-    #: Compression negotiation (None = encoding machinery dormant).
-    compression: CompressionConfig | None = None
+    #: The run conditions; :meth:`campaign_config` renders them.
+    config: CampaignConfig = field(default_factory=CampaignConfig)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError("loss_rate must be in [0, 1]")
+    def _derive(self, suffix: str | None = None, **knobs: Any) -> "Scenario":
+        """This scenario with ``knobs`` replaced, its name gaining ``suffix``."""
+        name = self.name if suffix is None else f"{self.name}+{suffix}"
+        return Scenario(name, replace(self.config, **knobs))
 
     # -- builders ------------------------------------------------------
 
@@ -66,13 +49,11 @@ class Scenario:
         if isinstance(faults, str):
             faults = FAULT_PROFILES[faults]
         suffix = faults.name if faults is not None else "no-faults"
-        return replace(self, name=f"{self.name}+{suffix}", faults=faults)
+        return self._derive(suffix, fault_profile=faults)
 
     def with_loss(self, loss_rate: float) -> "Scenario":
         """This scenario with a different netem loss rate."""
-        return replace(
-            self, name=f"{self.name}+loss{loss_rate:g}", loss_rate=loss_rate
-        )
+        return self._derive(f"loss{loss_rate:g}", loss_rate=loss_rate)
 
     def with_proxy(self, proxy: ProxyConfig | str | None) -> "Scenario":
         """This scenario with a proxy hop on every path.
@@ -85,7 +66,7 @@ class Scenario:
         if isinstance(proxy, str):
             proxy = ProxyConfig(model=proxy)
         suffix = proxy.model if proxy is not None else "direct"
-        return replace(self, name=f"{self.name}+{suffix}", proxy=proxy)
+        return self._derive(suffix, proxy=proxy)
 
     def with_cache_tiers(
         self, hierarchy: HierarchyConfig | str | None
@@ -103,9 +84,7 @@ class Scenario:
             if hierarchy is not None
             else "flat-cache"
         )
-        return replace(
-            self, name=f"{self.name}+{suffix}", cache_hierarchy=hierarchy
-        )
+        return self._derive(suffix, cache_hierarchy=hierarchy)
 
     def with_compression(
         self, compression: CompressionConfig | float | None
@@ -128,17 +107,15 @@ class Scenario:
             if compression is not None
             else "no-compress"
         )
-        return replace(
-            self, name=f"{self.name}+{suffix}", compression=compression
-        )
+        return self._derive(suffix, compression=compression)
 
     def with_transport(self, transport: TransportConfig) -> "Scenario":
         """This scenario with a different transport configuration."""
-        return replace(self, transport=transport)
+        return self._derive(transport_config=transport)
 
     def with_strict(self, strict: bool = True) -> "Scenario":
         """This scenario with invariant checking on (or off)."""
-        return replace(self, strict=strict)
+        return self._derive(strict=strict)
 
     # -- rendering -----------------------------------------------------
 
@@ -155,41 +132,28 @@ class Scenario:
         return campaign_config_hash(self.campaign_config(**overrides))
 
     def campaign_config(self, **overrides: Any) -> CampaignConfig:
-        """Render this scenario as a :class:`CampaignConfig`.
-
-        ``overrides`` pass through to the config verbatim (e.g.
-        ``seed=3``, ``trace=True``) and win over scenario fields.
-        """
-        base = dict(
-            transport_config=self.transport,
-            loss_rate=self.loss_rate,
-            rate_mbps=self.rate_mbps,
-            fault_profile=self.faults,
-            strict=self.strict,
-            proxy=self.proxy,
-            cache_hierarchy=self.cache_hierarchy,
-            compression=self.compression,
-        )
-        base.update(overrides)
-        return CampaignConfig(**base)
+        """This scenario's config with ``overrides`` (e.g. ``seed=3``) applied."""
+        return replace(self.config, **overrides)
 
 
 def _build_scenarios() -> dict[str, Scenario]:
-    paper = Scenario(name="paper-default")
     return {
-        "paper-default": paper,
+        "paper-default": Scenario("paper-default"),
         # Fig. 9's heavy end: 1% netem loss, faults dormant.
-        "lossy": Scenario(name="lossy", loss_rate=0.01),
+        "lossy": Scenario("lossy", CampaignConfig(loss_rate=0.01)),
         # Every host's UDP blackholed: the H3-fallback stress scenario.
         "udp-blocked": Scenario(
-            name="udp-blocked", faults=FAULT_PROFILES["udp-blocked"]
+            "udp-blocked",
+            CampaignConfig(fault_profile=FAULT_PROFILES["udp-blocked"]),
         ),
         # Tiered CDN with compression negotiation: the hierarchy/
         # economics scenarios build on this.
         "cdn-hierarchy": Scenario(
-            name="cdn-hierarchy",
-            cache_hierarchy=hierarchy_preset("edge-regional"),
-            compression=CompressionConfig(),
+            "cdn-hierarchy",
+            CampaignConfig(
+                cache_hierarchy=hierarchy_preset("edge-regional"),
+                compression=CompressionConfig(),
+            ),
         ),
     }
 

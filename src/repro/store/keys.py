@@ -134,9 +134,8 @@ def proxy_part(proxy) -> dict | None:
     }
     # Absent (not 0) when unset, so cacheless-proxy key material is
     # byte-identical to schema v2.
-    cache_mb = getattr(proxy, "cache_mb", 0.0)
-    if cache_mb:
-        part["cache_mb"] = _finite(cache_mb)
+    if proxy.cache_mb:
+        part["cache_mb"] = _finite(proxy.cache_mb)
     return part
 
 
@@ -209,10 +208,10 @@ def visit_config_part(config: CampaignConfig) -> dict:
     part["proxy"] = proxy_part(config.proxy)
     # v3 knobs stay *absent* (not null) at their defaults so default
     # configs produce byte-identical key material to schema v2.
-    hierarchy = hierarchy_part(getattr(config, "cache_hierarchy", None))
+    hierarchy = hierarchy_part(config.cache_hierarchy)
     if hierarchy is not None:
         part["hierarchy"] = hierarchy
-    compression = compression_part(getattr(config, "compression", None))
+    compression = compression_part(config.compression)
     if compression is not None:
         part["compression"] = compression
     return part

@@ -131,14 +131,14 @@ class TestScenarioProxy:
     def test_with_proxy_by_model_name(self):
         scenario = Scenario(name="base").with_proxy("masque-relay")
         assert scenario.name == "base+masque-relay"
-        assert scenario.proxy is not None
+        assert scenario.config.proxy is not None
         config = scenario.campaign_config()
         assert config.proxy.model == "masque-relay"
 
     def test_with_proxy_none_goes_direct(self):
         scenario = Scenario(name="base").with_proxy("connect-tunnel")
         direct = scenario.with_proxy(None)
-        assert direct.proxy is None
+        assert direct.config.proxy is None
         assert direct.name.endswith("+direct")
         assert direct.campaign_config().proxy is None
 
