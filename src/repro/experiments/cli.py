@@ -262,17 +262,11 @@ def render_plots(result) -> list[str]:
     return lines
 
 
-def make_study(args: argparse.Namespace, store=None) -> H3CdnStudy:
-    sites, campaign_pages, consecutive_pages, loss_pages, loss_reps = SCALES[args.scale]
-    if args.sites is not None:
-        sites = args.sites
-    trace = bool(getattr(args, "trace_dir", None))
-    collect = trace or bool(getattr(args, "counters", False) or
-                            getattr(args, "json", None))
-    faults_name = getattr(args, "faults", None)
+def _scenario(args: argparse.Namespace) -> Scenario:
+    """The paper-default scenario with the run-condition flags applied."""
     scenario = Scenario(name="paper-default")
-    if faults_name:
-        scenario = scenario.with_faults(faults_name)
+    if getattr(args, "faults", None):
+        scenario = scenario.with_faults(args.faults)
     if getattr(args, "proxy", None):
         scenario = scenario.with_proxy(args.proxy)
     if getattr(args, "cache_tiers", None):
@@ -281,11 +275,21 @@ def make_study(args: argparse.Namespace, store=None) -> H3CdnStudy:
         scenario = scenario.with_compression(args.compression)
     if getattr(args, "strict", False):
         scenario = scenario.with_strict()
+    return scenario
+
+
+def make_study(args: argparse.Namespace, store=None) -> H3CdnStudy:
+    sites, campaign_pages, consecutive_pages, loss_pages, loss_reps = SCALES[args.scale]
+    if args.sites is not None:
+        sites = args.sites
+    trace = bool(getattr(args, "trace_dir", None))
+    collect = trace or bool(getattr(args, "counters", False) or
+                            getattr(args, "json", None))
     return H3CdnStudy(
         StudyConfig(
             n_sites=sites,
             seed=args.seed,
-            campaign_config=scenario.campaign_config(
+            campaign_config=_scenario(args).campaign_config(
                 collect_counters=collect,
                 trace=trace,
                 metrics_interval_ms=getattr(args, "metrics_interval", None),
@@ -309,7 +313,6 @@ def run_streaming(args: argparse.Namespace) -> int:
     """``--stream-pages N``: a summary-only campaign over a lazy universe."""
     from repro.measurement.executor import CampaignPlan, execute
     from repro.measurement.report import campaign_report
-    from repro.scenario import Scenario
     from repro.web.topsites import GeneratorConfig, lazy_universe
 
     n_pages = args.stream_pages
@@ -322,18 +325,7 @@ def run_streaming(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    scenario = Scenario(name="paper-default")
-    if getattr(args, "faults", None):
-        scenario = scenario.with_faults(args.faults)
-    if getattr(args, "proxy", None):
-        scenario = scenario.with_proxy(args.proxy)
-    if getattr(args, "cache_tiers", None):
-        scenario = scenario.with_cache_tiers(args.cache_tiers)
-    if getattr(args, "compression", None) is not None:
-        scenario = scenario.with_compression(args.compression)
-    if getattr(args, "strict", False):
-        scenario = scenario.with_strict()
-    config = scenario.campaign_config(
+    config = _scenario(args).campaign_config(
         seed=args.seed,
         progress=bool(getattr(args, "progress", False)),
     )
