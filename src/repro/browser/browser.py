@@ -28,7 +28,7 @@ from repro.dns import DnsConfig, DnsResolver
 from repro.events import EventLoop
 from repro.faults.inject import FaultInjector
 from repro.http.alt_svc import AltSvcCache
-from repro.http.messages import EntryTiming, FetchRecord, HttpProtocol
+from repro.http.messages import FetchRecord, HttpProtocol
 from repro.http.pool import ConnectionPool, PoolStats
 from repro.netsim.path import NetworkPath
 from repro.tls.session_cache import SessionTicketCache
@@ -276,23 +276,17 @@ class _Request:
             return
         # Resolution never succeeded: record a failed entry so the
         # page load still terminates (graceful degradation).
-        now = browser.loop.now
-        requested_at = self.requested_at
-        timing = EntryTiming()
-        timing.blocked = now - requested_at
-        record = FetchRecord(
-            url=resource.url,
-            host=host,
-            protocol=browser._pick_protocol(browser.farm.server(host)),
-            started_at_ms=requested_at,
-            timing=timing,
-            response_bytes=0,
-            request_bytes=resource.request_bytes,
-            completed_at_ms=now,
-            failed=True,
-            error="dns_failure",
+        self.complete(
+            FetchRecord.failure(
+                resource.url,
+                host,
+                browser._pick_protocol(browser.farm.server(host)),
+                self.requested_at,
+                resource.request_bytes,
+                browser.loop.now,
+                "dns_failure",
+            )
         )
-        self.complete(record)
 
     def complete(self, record: FetchRecord) -> None:
         """The pool's ``on_complete``: file the HAR entry, count the page

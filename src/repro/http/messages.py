@@ -95,3 +95,30 @@ class FetchRecord:
     @property
     def total_ms(self) -> float:
         return self.completed_at_ms - self.started_at_ms
+
+    @classmethod
+    def failure(
+        cls,
+        url: str,
+        host: str,
+        protocol: HttpProtocol,
+        started_at_ms: float,
+        request_bytes: int,
+        now_ms: float,
+        error: str,
+    ) -> "FetchRecord":
+        """A fetch that gave up at ``now_ms``: blocked throughout, no response."""
+        timing = EntryTiming()
+        timing.blocked = now_ms - started_at_ms
+        return cls(
+            url=url,
+            host=host,
+            protocol=protocol,
+            started_at_ms=started_at_ms,
+            timing=timing,
+            response_bytes=0,
+            request_bytes=request_bytes,
+            completed_at_ms=now_ms,
+            failed=True,
+            error=error,
+        )
