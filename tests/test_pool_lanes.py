@@ -145,8 +145,8 @@ def test_h2_fetch_waits_on_the_handshaking_connection():
         "cdn:cloudflare|h2 h2 CONNECTING active=0 issued=0 pending=2",
         "handshakes active=1 queued=0",
     ]
-    # Counted as reused when it starts waiting, not when it is issued.
-    assert pool.stats.reused_requests == 2
+    # Counted as reused when it completes, not when it starts waiting.
+    assert pool.stats.reused_requests == 0
 
     loop.run_until(lambda: len(records) == 1)
     assert snapshot(pool) == [
@@ -168,6 +168,7 @@ def test_h2_fetch_waits_on_the_handshaking_connection():
         ("r0", "h2", False, False),
         ("r3", "h2", True, False),
     ]
+    assert pool.stats.reused_requests == 3
 
 
 def test_one_provider_coalesces_onto_one_h3_connection_beside_h2():

@@ -37,8 +37,8 @@ SCENARIOS = {
 
 PINNED = {
     "paper-default": "7f32a40fa15d06bed71f255f01f2c4d4",
-    "udp-blocked": "00b02fd543aaba4f0a7ab6f576e156e8",
-    "lossy+masque-relay+nat-rebind": "f84c802e42114ede46cacdfc33dccb5d",
+    "udp-blocked": "4bf377ebb850d64c76d0905c00b38835",
+    "lossy+masque-relay+nat-rebind": "9e23612b53f9bfef2d974621d18ac786",
     "connect-tunnel+cache": "fcf601009c568f5032ac434449d8aca4",
     "cdn-hierarchy": "f40ba9c4930ffb1ce27187869cd52c9d",
 }
