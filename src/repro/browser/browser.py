@@ -21,14 +21,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Protocol as TypingProtocol
 
-from repro.browser.har import HarEntry, HarLog
+from repro.browser.har import HarLog
 from repro.cdn.classifier import classify_response
 from repro.check.visit import check_visit
 from repro.dns import DnsConfig, DnsResolver
 from repro.events import EventLoop
 from repro.faults.inject import FaultInjector
 from repro.http.alt_svc import AltSvcCache
-from repro.http.messages import FetchRecord, HttpProtocol
+from repro.http.messages import HarEntry, HttpProtocol
 from repro.http.pool import ConnectionPool, PoolStats
 from repro.netsim.path import NetworkPath
 from repro.tls.session_cache import SessionTicketCache
@@ -251,7 +251,6 @@ class _Request:
         self.load.pool.fetch(
             server, farm.path(host), protocol, resource.url,
             resource.request_bytes, resource.size_bytes, self.complete,
-            resource_key=resource.url,
             weight=(
                 RESOURCE_WEIGHTS[resource.rtype]
                 if config.use_resource_priorities else 1
@@ -277,57 +276,42 @@ class _Request:
         # Resolution never succeeded: record a failed entry so the
         # page load still terminates (graceful degradation).
         self.complete(
-            FetchRecord.failure(
+            HarEntry.failure(
                 resource.url,
                 host,
-                browser._pick_protocol(browser.farm.server(host)),
+                browser._pick_protocol(browser.farm.server(host))._value_,
                 self.requested_at,
                 resource.request_bytes,
                 browser.loop.now,
-                "dns_failure",
             )
         )
 
-    def complete(self, record: FetchRecord) -> None:
-        """The pool's ``on_complete``: file the HAR entry, count the page
-        load down and dispatch what the entry unblocks."""
+    def complete(self, entry: HarEntry) -> None:
+        """The pool's ``on_complete``, called as the entry ends: fill what
+        only the browser knows, file the entry, count the page load
+        down and dispatch what the entry unblocks."""
         load = self.load
+        browser = load.browser
         resource = self.resource
-        classification = classify_response(record.host, record.headers)
-        record.timing.dns = self.dns_ms
+        classification = classify_response(entry.host, entry.headers)
+        entry.timings.dns = self.dns_ms
         started = self.requested_at
-        load.har.entries.append(
-            HarEntry(
-                url=record.url,
-                host=record.host,
-                # ``_value_``: the plain attribute behind the ``.value``
-                # descriptor, read without a Python call.
-                protocol=record.protocol._value_,
-                started_at_ms=started,
-                time_ms=record.completed_at_ms - started,
-                timings=record.timing,
-                response_bytes=record.response_bytes,
-                request_bytes=record.request_bytes,
-                resource_type=resource.rtype._value_,
-                headers=record.headers,
-                reused=record.reused,
-                resumed=record.resumed,
-                cache_hit=record.cache_hit,
-                is_cdn=classification.is_cdn,
-                provider=classification.provider_name,
-                status=0 if record.failed else 200,
-                failed=record.failed,
-            )
-        )
+        entry.started_at_ms = started
+        entry.time_ms = browser.loop.now - started
+        # ``_value_``: the plain attribute behind the ``.value``
+        # descriptor, read without a Python call.
+        entry.resource_type = resource.rtype._value_
+        entry.is_cdn = classification.is_cdn
+        entry.provider = classification.provider_name
+        load.har.entries.append(entry)
         load.outstanding -= 1
         if not load.outstanding:
             load.done.append(True)
         if resource.url in load.blocking0:
             load.blocking_remaining -= 1
-        browser = load.browser
-        if record.headers and browser.config.use_alt_svc:
+        if entry.headers and browser.config.use_alt_svc:
             # Positive Alt-Svc knowledge is read only under use_alt_svc.
-            browser.alt_svc.observe(record.host, record.headers, browser.loop.now)
+            browser.alt_svc.observe(entry.host, entry.headers, browser.loop.now)
         if resource.rtype is ResourceType.HTML:
             load.fetch(load.wave0)
         # With no render-blocking wave-0 resource this dispatches wave 1

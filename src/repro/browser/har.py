@@ -5,97 +5,15 @@ the CDN classification, and the timing phases (connection / wait /
 receive); and per page, the PLT.  :class:`HarEntry` carries exactly
 those fields (plus provenance flags the analyses need), and
 :class:`HarLog` can render a HAR-1.2-style dict for interoperability.
+:class:`HarEntry` lives in :mod:`repro.http.messages`, where the
+connection pool fills it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.http.messages import EntryTiming
-
-
-@dataclass
-class HarEntry:
-    """One request/response exchange, as the paper's analyses see it."""
-
-    url: str
-    host: str
-    protocol: str  # "http/1.1" | "h2" | "h3"
-    started_at_ms: float
-    time_ms: float
-    timings: EntryTiming
-    response_bytes: int
-    request_bytes: int
-    resource_type: str
-    headers: dict[str, str] = field(default_factory=dict)
-    status: int = 200
-    #: Rode an existing connection (connect time 0) — Fig. 7 criterion.
-    reused: bool = False
-    #: Connection resumed from a session ticket — Fig. 8 criterion.
-    resumed: bool = False
-    #: Edge cache hit.
-    cache_hit: bool = False
-    #: LocEdge-style classification (filled at collection time).
-    is_cdn: bool = False
-    provider: str | None = None
-    #: Fetch gave up after exhausting its fault-recovery retry budget
-    #: (``status`` is 0, Chrome-style, for such entries).
-    failed: bool = False
-
-    @property
-    def connection_time(self) -> float:
-        """The paper's *Connection time* (handshake, incl. TLS)."""
-        return self.timings.connect
-
-    @property
-    def wait_time(self) -> float:
-        """The paper's *Wait time* (first request byte → first response byte)."""
-        return self.timings.wait
-
-    @property
-    def receive_time(self) -> float:
-        """The paper's *Receive time* (response transmission)."""
-        return self.timings.receive
-
-    @property
-    def used_reused_connection(self) -> bool:
-        """The paper's reuse test: 'if the connection time is 0, then it
-        is a reused connection' (Section VI-C)."""
-        return self.timings.connect == 0.0
-
-    def to_dict(self) -> dict:
-        """HAR-1.2-flavoured rendering of this entry.
-
-        The ``_failed`` extension key appears only on failed entries,
-        keeping fault-free documents byte-identical to older captures.
-        """
-        document = {
-            "startedDateTime": self.started_at_ms,
-            "time": self.time_ms,
-            "request": {
-                "method": "GET",
-                "url": self.url,
-                "headersSize": self.request_bytes,
-            },
-            "response": {
-                "status": self.status,
-                "httpVersion": self.protocol,
-                "headers": [
-                    {"name": name, "value": value}
-                    for name, value in self.headers.items()
-                ],
-                "bodySize": self.response_bytes,
-            },
-            "timings": self.timings.as_dict(),
-            "_resourceType": self.resource_type,
-            "_cdn": {"isCdn": self.is_cdn, "provider": self.provider},
-            "_reused": self.reused,
-            "_resumed": self.resumed,
-            "_cacheHit": self.cache_hit,
-        }
-        if self.failed:
-            document["_failed"] = True
-        return document
+from repro.http.messages import EntryTiming, HarEntry
 
 
 @dataclass

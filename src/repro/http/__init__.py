@@ -13,17 +13,22 @@ slot, *connecting* (under fault injection: the connect deadline),
 *established* (the scripted reset and migration events and each
 request's deadline), then *failed* (fault recovery retries its fetches
 or moves them to TCP) or *closed* with the pool.
+
+Each request's one record is its :class:`HarEntry`: the pool fills the
+protocol, phases, bytes, headers and reuse/resumption/cache flags when
+it issues the request, and hands the entry to the caller's
+``on_complete`` when the response lands (or the fetch gives up).
 """
 
 from repro.http.alt_svc import AltSvcCache
-from repro.http.messages import EntryTiming, FetchRecord, HttpProtocol
+from repro.http.messages import EntryTiming, HarEntry, HttpProtocol
 from repro.http.pool import ConnectionPool, PoolStats
 
 __all__ = [
     "AltSvcCache",
     "ConnectionPool",
     "EntryTiming",
-    "FetchRecord",
+    "HarEntry",
     "HttpProtocol",
     "PoolStats",
 ]

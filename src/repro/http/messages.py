@@ -1,4 +1,4 @@
-"""HTTP-level datatypes: protocols and per-request timing records."""
+"""HTTP-level datatypes: protocols and the per-request HAR entry."""
 
 from __future__ import annotations
 
@@ -64,61 +64,114 @@ class EntryTiming:
 
 
 @dataclass
-class FetchRecord:
-    """Everything the pool knows about one completed fetch.
+class HarEntry:
+    """One request/response exchange, as the paper's analyses see it.
 
-    The browser turns this into a HAR entry; the paper's analyses read
-    ``reused`` (connect time 0 ⇒ reused HTTP connection, Section VI-C)
-    and ``resumed`` (session-ticket resumption, Section VI-D).
+    The connection pool fills the fields before ``started_at_ms`` and
+    the flags when it issues the request (or gives up on it); the
+    browser adds the DNS phase, the request's start and total time, its
+    resource type and its CDN classification when the entry lands.
     """
 
     url: str
     host: str
-    protocol: HttpProtocol
-    started_at_ms: float
-    timing: EntryTiming
+    protocol: str  # "http/1.1" | "h2" | "h3"
+    timings: EntryTiming
     response_bytes: int
     request_bytes: int
     headers: dict[str, str] = field(default_factory=dict)
-    #: Request rode an existing connection (its connect time is 0).
+    #: When the browser requested the resource (before its DNS lookup).
+    started_at_ms: float = 0.0
+    time_ms: float = 0.0
+    resource_type: str = "other"
+    status: int = 200
+    #: Rode an existing connection (connect time 0) — Fig. 7 criterion.
     reused: bool = False
-    #: Connection was established via a TLS session ticket.
+    #: Connection resumed from a session ticket — Fig. 8 criterion.
     resumed: bool = False
-    #: The edge answered from cache.
+    #: Edge cache hit.
     cache_hit: bool = False
-    completed_at_ms: float = 0.0
-    #: The fetch gave up after exhausting its retry budget (fault
-    #: injection); ``error`` carries the terminal reason.
+    #: LocEdge-style classification (filled at collection time).
+    is_cdn: bool = False
+    provider: str | None = None
+    #: Fetch gave up after exhausting its fault-recovery retry budget
+    #: (``status`` is 0, Chrome-style, for such entries).
     failed: bool = False
-    error: str | None = None
-
-    @property
-    def total_ms(self) -> float:
-        return self.completed_at_ms - self.started_at_ms
 
     @classmethod
     def failure(
         cls,
         url: str,
         host: str,
-        protocol: HttpProtocol,
+        protocol: str,
         started_at_ms: float,
         request_bytes: int,
         now_ms: float,
-        error: str,
-    ) -> "FetchRecord":
+    ) -> "HarEntry":
         """A fetch that gave up at ``now_ms``: blocked throughout, no response."""
-        timing = EntryTiming()
-        timing.blocked = now_ms - started_at_ms
         return cls(
             url=url,
             host=host,
             protocol=protocol,
-            started_at_ms=started_at_ms,
-            timing=timing,
+            timings=EntryTiming(blocked=now_ms - started_at_ms),
             response_bytes=0,
             request_bytes=request_bytes,
-            completed_at_ms=now_ms,
+            started_at_ms=started_at_ms,
+            status=0,
             failed=True,
-            error=error,
         )
+
+    @property
+    def connection_time(self) -> float:
+        """The paper's *Connection time* (handshake, incl. TLS)."""
+        return self.timings.connect
+
+    @property
+    def wait_time(self) -> float:
+        """The paper's *Wait time* (first request byte → first response byte)."""
+        return self.timings.wait
+
+    @property
+    def receive_time(self) -> float:
+        """The paper's *Receive time* (response transmission)."""
+        return self.timings.receive
+
+    @property
+    def used_reused_connection(self) -> bool:
+        """The paper's reuse test: 'if the connection time is 0, then it
+        is a reused connection' (Section VI-C)."""
+        return self.timings.connect == 0.0
+
+    def to_dict(self) -> dict:
+        """HAR-1.2-flavoured rendering of this entry.
+
+        The ``_failed`` extension key appears only on failed entries,
+        keeping fault-free documents byte-identical to older captures.
+        """
+        document = {
+            "startedDateTime": self.started_at_ms,
+            "time": self.time_ms,
+            "request": {
+                "method": "GET",
+                "url": self.url,
+                "headersSize": self.request_bytes,
+            },
+            "response": {
+                "status": self.status,
+                "httpVersion": self.protocol,
+                "headers": [
+                    {"name": name, "value": value}
+                    for name, value in self.headers.items()
+                ],
+                "bodySize": self.response_bytes,
+            },
+            "timings": self.timings.as_dict(),
+            "_resourceType": self.resource_type,
+            "_cdn": {"isCdn": self.is_cdn, "provider": self.provider},
+            "_reused": self.reused,
+            "_resumed": self.resumed,
+            "_cacheHit": self.cache_hit,
+        }
+        if self.failed:
+            document["_failed"] = True
+        return document

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 
 from repro.check.context import EPSILON_MS, NULL_CHECK
 from repro.events import EventLoop, ScheduledEvent
-from repro.http.messages import EntryTiming, FetchRecord, HttpProtocol
+from repro.http.messages import EntryTiming, HarEntry, HttpProtocol
 from repro.netsim.path import NetworkPath
 from repro.tls.session_cache import SessionTicketCache
 from repro.transport.base import BaseConnection
@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: are Python calls.
 _H1 = HttpProtocol.H1
 _H3 = HttpProtocol.H3
-#: The headers of a proxy-cache hit, copied into each record.
+#: The headers of a proxy-cache hit, copied into each entry.
 _PROXY_HIT_HEADERS = {"x-cache": "HIT", "via": "1.1 proxy-cache"}
 
 
@@ -132,7 +132,7 @@ _WIRE_NAMES = {f.name: _camel_case(f.name) for f in fields(PoolStats)}
 
 @dataclass(eq=False, slots=True)
 class _PendingFetch:
-    """One request, from ``pool.fetch`` to its record.
+    """One request, from ``pool.fetch`` to its HAR entry.
 
     It waits for, then rides, a connection and carries its stream's
     state; the transport's stream callbacks are its bound methods, so
@@ -142,13 +142,12 @@ class _PendingFetch:
     """
 
     url: str
-    resource_key: str
     request_bytes: int
     response_bytes: int
     server: Server
     protocol: HttpProtocol
     queued_at: float
-    on_complete: Callable[[FetchRecord], None]
+    on_complete: Callable[[HarEntry], None]
     weight: int = 1
     #: The network path the fetch was dispatched over; kept so fault
     #: recovery can re-dispatch the fetch on a fresh connection.
@@ -163,7 +162,7 @@ class _PendingFetch:
     rtype: str | None = None
     # -- the stream, set by each ``_issue`` (fault recovery may re-issue)
     pooled: _PooledConnection | None = None
-    record: FetchRecord | None = None
+    entry: HarEntry | None = None
     issued_at: float = 0.0
     #: ``phase:request`` and ``transfer`` span ids (spans only).
     request_span: int | None = None
@@ -176,7 +175,7 @@ class _PendingFetch:
             # re-dispatched, stamping the old issue time into the
             # retried entry and driving its ``wait`` negative.
             return
-        timing = self.record.timing
+        timing = self.entry.timings
         timing.wait = t - self.issued_at
         pool = self.pooled.pool
         if self.request_span is not None:
@@ -197,8 +196,8 @@ class _PendingFetch:
         pooled = self.pooled
         if pooled.failed:
             return  # stale delivery from a torn-down connection
-        record = self.record
-        timing = record.timing
+        entry = self.entry
+        timing = entry.timings
         first_byte_at = self.issued_at + timing.wait
         receive = t - first_byte_at
         if -EPSILON_MS < receive < 0.0:
@@ -209,7 +208,7 @@ class _PendingFetch:
             receive = 0.0
         timing.receive = receive
         pool = pooled.pool
-        if record.reused:
+        if entry.reused:
             # Counted once per request, when it completes: a fetch that
             # fault recovery re-dispatches is dispatched more than once.
             pool.stats.reused_requests += 1
@@ -222,19 +221,16 @@ class _PendingFetch:
                 url=self.url,
                 receive_ms=timing.receive,
             )
-        record.completed_at_ms = t
         if self.request_span is not None:
             spans = pool._spans
             if self.transfer_span is not None:
                 spans.end(self.transfer_span, t)
             spans.end(self.request_span, t)
-        pooled.active_streams -= 1
+        pooled.inflight.remove(self)
         if self.timer is not None:
             self.timer.cancel()
             self.timer = None
-        if pool.faults is not None and self in pooled.inflight:
-            pooled.inflight.remove(self)
-        self.on_complete(record)
+        self.on_complete(entry)
         if pooled.protocol is _H1:
             pool._drain_h1(pooled)
 
@@ -262,7 +258,8 @@ class _PooledConnection:
         self.lane_key = lane_key
         self.established = False
         self.resumed = resumed
-        self.active_streams = 0
+        #: Fetches currently issued on this connection.
+        self.inflight: list[_PendingFetch] = []
         #: The opener until the handshake completes, then (multiplexed
         #: only) the fetches that waited for it.
         self.pending: deque[_PendingFetch] = deque((opener,))
@@ -271,8 +268,6 @@ class _PooledConnection:
         #: When the handshake actually started (post-queue).
         self.connect_started_at = 0.0
         # -- fault-recovery state (inert without an injector) ----------
-        #: Fetches currently issued on this connection.
-        self.inflight: list[_PendingFetch] = []
         #: Handshake deadline (pending while handshaking under faults).
         self.connect_timer: ScheduledEvent | None = None
         #: Scheduled mid-transfer reset, if the profile scripts one.
@@ -584,13 +579,16 @@ class ConnectionPool:
         url: str,
         request_bytes: int,
         response_bytes: int,
-        on_complete: Callable[[FetchRecord], None],
-        resource_key: str | None = None,
+        on_complete: Callable[[HarEntry], None],
         weight: int = 1,
         accept_encoding: tuple[str, ...] | None = None,
         rtype: str | None = None,
     ) -> None:
-        """Fetch one resource; ``on_complete`` receives the record.
+        """Fetch one resource; ``on_complete`` receives its HAR entry.
+
+        The pool calls ``on_complete`` at the instant the response
+        completes (or the fetch gives up), so ``loop.now`` is the
+        entry's end.
 
         ``weight`` is the stream priority on multiplexed connections.
         ``accept_encoding``/``rtype`` drive server-side compression
@@ -602,7 +600,6 @@ class ConnectionPool:
         self._dispatch(
             _PendingFetch(
                 url=url,
-                resource_key=resource_key if resource_key is not None else url,
                 request_bytes=request_bytes,
                 response_bytes=response_bytes,
                 server=server,
@@ -650,7 +647,7 @@ class ConnectionPool:
         lane = self._lanes.setdefault(key, [])
         for pooled in lane:
             # An H1.1 connection serves one request at a time.
-            if pooled.established and (multiplexes or not pooled.active_streams):
+            if pooled.established and (multiplexes or not pooled.inflight):
                 self._issue(pooled, fetch)
                 return
         if len(lane) < (1 if multiplexes else self.H1_MAX_PER_HOST):
@@ -822,7 +819,7 @@ class ConnectionPool:
     def _fail_fetch(self, fetch: _PendingFetch, reason: str) -> None:
         """Out of retries: complete the fetch with a structured failure.
 
-        The browser still receives a record (``failed=True``), so the
+        The browser still receives an entry (``failed=True``), so the
         page visit terminates normally instead of hanging the loop —
         campaign-level graceful degradation builds on this.
         """
@@ -830,14 +827,13 @@ class ConnectionPool:
         self.faults.record_recovery(
             "request_failed", fetch.server.hostname, reason=reason
         )
-        record = FetchRecord.failure(
+        entry = HarEntry.failure(
             fetch.url,
             fetch.server.hostname,
-            fetch.protocol,
+            fetch.protocol._value_,
             fetch.queued_at,
             fetch.request_bytes,
             self.loop.now,
-            reason,
         )
         if fetch.protocol is _H1:
             # Queued H1 fetches wait for a connection of their host to
@@ -846,7 +842,7 @@ class ConnectionPool:
             # lane of busy connections queues them again in order.
             for queued in self._h1_queues.pop(fetch.server.hostname, ()):
                 self._dispatch(queued)
-        fetch.on_complete(record)
+        fetch.on_complete(entry)
 
     def _serve(self, fetch: _PendingFetch):
         """Answer one fetch: proxy cache first, then the server.
@@ -862,7 +858,7 @@ class ConnectionPool:
             self._proxy_cache is not None
             and fetch.path.proxy_model == "connect-tunnel"
         )
-        if cacheable and self._proxy_cache.lookup(fetch.resource_key):
+        if cacheable and self._proxy_cache.lookup(fetch.url):
             from repro.cdn.edge import ServeDecision
 
             self.stats.proxy_cache_hits += 1
@@ -873,7 +869,7 @@ class ConnectionPool:
                 headers=_PROXY_HIT_HEADERS,
             )
         decision = fetch.server.serve(
-            fetch.resource_key,
+            fetch.url,
             fetch.response_bytes,
             fetch.protocol._value_,
             fetch.accept_encoding,
@@ -882,7 +878,7 @@ class ConnectionPool:
         if cacheable:
             body = decision.body_bytes
             self._proxy_cache.insert(
-                fetch.resource_key, fetch.response_bytes if body is None else body
+                fetch.url, fetch.response_bytes if body is None else body
             )
         economics = decision.economics
         if economics is not None:
@@ -984,14 +980,13 @@ class ConnectionPool:
             timing.blocked = pooled.connect_started_at - fetch.queued_at
             timing.connect = pooled.conn.handshake.connect_ms
             timing.ssl = ssl_ms
-        record = FetchRecord(
+        fetch.entry = HarEntry(
             url=fetch.url,
             # The request's own hostname (a coalesced connection serves
             # several hosts; HAR entries keep the per-request host).
             host=fetch.server.hostname,
-            protocol=fetch.protocol,
-            started_at_ms=fetch.queued_at,
-            timing=timing,
+            protocol=fetch.protocol._value_,
+            timings=timing,
             response_bytes=body_bytes,
             request_bytes=fetch.request_bytes,
             headers=dict(decision.headers),
@@ -999,9 +994,8 @@ class ConnectionPool:
             resumed=pooled.resumed,
             cache_hit=decision.cache_hit,
         )
-        pooled.active_streams += 1
+        pooled.inflight.append(fetch)
         fetch.pooled = pooled
-        fetch.record = record
         fetch.issued_at = now
         spans = self._spans
         fetch.request_span = None if spans is None else spans.begin(
@@ -1009,7 +1003,6 @@ class ConnectionPool:
         )
         fetch.transfer_span = None
         if self.faults is not None:
-            pooled.inflight.append(fetch)
             fetch.timer = self.loop.call_later(
                 self.faults.retry.request_timeout_ms, pooled.on_request_timeout, fetch
             )
@@ -1024,7 +1017,7 @@ class ConnectionPool:
 
     def _drain_h1(self, pooled: _PooledConnection) -> None:
         """Issue the next fetch queued at an H1 connection's host."""
-        if pooled.active_streams:
+        if pooled.inflight:
             return
         queue = self._h1_queues.get(pooled.host)
         if queue:
@@ -1070,7 +1063,7 @@ class ConnectionPool:
                     self._active_handshakes == 0
                     and not self._handshake_queue
                     and all(
-                        pooled.active_streams == 0 and not pooled.pending
+                        not pooled.inflight and not pooled.pending
                         for pooled in all_conns
                     )
                     and not any(self._h1_queues.values()),

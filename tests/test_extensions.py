@@ -156,7 +156,7 @@ class TestHandshakeThrottle:
             pool.fetch(server, path, HttpProtocol.H2,
                        f"https://host{index}.example/", 400, 1000, records.append)
         loop.run_until(lambda: len(records) == 3)
-        blocked = sorted(r.timing.blocked for r in records)
+        blocked = sorted(r.timings.blocked for r in records)
         assert blocked[0] == 0.0
         assert blocked[1] >= 60.0  # waited for the first handshake
         assert blocked[2] >= 120.0
@@ -196,5 +196,5 @@ class TestHandshakeThrottle:
         loop.run_until(lambda: len(records) == 2)
         zero_rtt = [r for r in records if r.host == "fonts.gstatic.com"][0]
         assert zero_rtt.resumed
-        assert zero_rtt.timing.blocked == 0.0
-        assert zero_rtt.timing.connect == 0.0
+        assert zero_rtt.timings.blocked == 0.0
+        assert zero_rtt.timings.connect == 0.0

@@ -506,7 +506,6 @@ class TestCancelReleases:
 def pending_fetch(on_complete):
     return _PendingFetch(
         url="https://a.example/x",
-        resource_key="https://a.example/x",
         request_bytes=400,
         response_bytes=5000,
         server=None,

@@ -60,7 +60,7 @@ class TestMultiplexedReuse:
         assert pool.stats.reused_requests == 4
         openers = [r for r in records if not r.reused]
         assert len(openers) == 1
-        assert openers[0].timing.connect > 0
+        assert openers[0].timings.connect > 0
 
     def test_reused_requests_have_zero_connect(self, loop):
         """The paper's reuse criterion: connect time == 0."""
@@ -69,7 +69,7 @@ class TestMultiplexedReuse:
         reused = [r for r in records if r.reused]
         assert len(reused) == 3
         for record in reused:
-            assert record.timing.connect == 0.0
+            assert record.timings.connect == 0.0
 
     def test_h2_and_h3_use_separate_connections(self, loop):
         pool = ConnectionPool(loop)
@@ -87,8 +87,8 @@ class TestMultiplexedReuse:
         (h2_opener,) = fetch_all(pool_h2, loop, server, path, HttpProtocol.H2, 1)
         (h3_opener,) = fetch_all(pool_h3, loop, server, path, HttpProtocol.H3, 1)
         # TLS1.3: H2 pays 2 RTT, H3 pays 1 RTT.
-        assert h2_opener.timing.connect == pytest.approx(2 * RTT)
-        assert h3_opener.timing.connect == pytest.approx(RTT)
+        assert h2_opener.timings.connect == pytest.approx(2 * RTT)
+        assert h3_opener.timings.connect == pytest.approx(RTT)
 
     def test_requests_during_handshake_wait_and_report_blocked(self, loop):
         pool = ConnectionPool(loop)
@@ -101,7 +101,7 @@ class TestMultiplexedReuse:
         followers = [r for r in records if r.reused]
         assert len(followers) == 2
         for record in followers:
-            assert record.timing.blocked == pytest.approx(2 * RTT)  # handshake wait
+            assert record.timings.blocked == pytest.approx(2 * RTT)  # handshake wait
 
 
 class TestSessionResumption:
@@ -122,7 +122,7 @@ class TestSessionResumption:
         pool2 = ConnectionPool(loop, session_cache=cache)
         records = fetch_all(pool2, loop, server, path, HttpProtocol.H3, 1)
         assert records[0].resumed
-        assert records[0].timing.connect == 0.0
+        assert records[0].timings.connect == 0.0
         assert pool2.stats.resumed_connections == 1
         assert pool2.stats.zero_rtt_connections == 1
 
@@ -138,7 +138,7 @@ class TestSessionResumption:
         pool2 = ConnectionPool(loop, session_cache=cache)
         records = fetch_all(pool2, loop, server, path, HttpProtocol.H2, 1)
         assert records[0].resumed
-        assert records[0].timing.connect == pytest.approx(2 * RTT)
+        assert records[0].timings.connect == pytest.approx(2 * RTT)
 
     def test_tickets_disabled_never_resumes(self, loop):
         cache = SessionTicketCache()
@@ -175,7 +175,7 @@ class TestH1Semantics:
         # The 7th request had to wait for one of the six connections.
         queued = [r for r in records if r.reused]
         assert len(queued) == 1
-        assert queued[0].timing.blocked > 0
+        assert queued[0].timings.blocked > 0
 
     def test_h1_reuses_idle_connection(self, loop):
         origin = OriginServer("old.example.com", supports_h2=False, base_think_ms=5.0)
@@ -200,7 +200,7 @@ class TestPoolLifecycle:
         server.warm("https://cdnjs.cloudflare.com/r0", 5000)
         pool = ConnectionPool(loop)
         records = fetch_all(pool, loop, server, make_path(loop), HttpProtocol.H2, 1)
-        assert records[0].timing.wait == pytest.approx(RTT + 25.0)
+        assert records[0].timings.wait == pytest.approx(RTT + 25.0)
 
     def test_opener_wait_includes_tls_setup_cpu(self, loop):
         server = make_edge(base_think_ms=25.0, tls_setup_cpu_ms=9.0)
@@ -210,8 +210,8 @@ class TestPoolLifecycle:
         records = fetch_all(pool, loop, server, make_path(loop), HttpProtocol.H2, 2)
         opener = [r for r in records if not r.reused][0]
         follower = [r for r in records if r.reused][0]
-        assert opener.timing.wait == pytest.approx(RTT + 25.0 + 9.0)
-        assert follower.timing.wait == pytest.approx(RTT + 25.0)
+        assert opener.timings.wait == pytest.approx(RTT + 25.0 + 9.0)
+        assert follower.timings.wait == pytest.approx(RTT + 25.0)
 
     def test_closed_pool_rejects_fetches(self, loop):
         pool = ConnectionPool(loop)

@@ -13,6 +13,8 @@ Two things a visit must not do, both deterministic:
   or so Python calls per request in ``repro.http`` and
   ``repro.browser``: one request object carries each resource from its
   DNS answer to its HAR entry;
+* build more than one record per request: the pool fills the
+  request's ``HarEntry`` and the browser files that same object;
 * run the transport loop or the request exchange in Python when the C
   kernel is built: none of the methods of ``_PyTransportCore`` is
   called, and the only packets built through ``Packet.__init__`` are
@@ -50,7 +52,7 @@ import repro.netsim.proxy
 import repro.obs
 from repro.browser import Browser, BrowserConfig
 from repro.events import EventLoop
-from repro.http import AltSvcCache
+from repro.http import AltSvcCache, HarEntry
 from repro.http.pool import ConnectionPool, _PendingFetch
 from repro.browser.browser import H3_ENABLED
 from repro.measurement import ProbeNetProfile, ServerFarm
@@ -214,6 +216,28 @@ def test_dormant_visit_makes_a_dozen_calls_per_request(universe):
         _PendingFetch, ConnectionPool, AltSvcCache,
     )
     assert len(per_request) == 11
+
+
+def test_each_request_builds_one_record(universe, monkeypatch):
+    built, handed = [], []
+    init = HarEntry.__init__
+    complete = browser_module._Request.complete
+
+    def counted_init(entry, *args, **kwargs):
+        built.append(entry)
+        init(entry, *args, **kwargs)
+
+    def spied_complete(request, entry):
+        handed.append(entry)
+        complete(request, entry)
+
+    monkeypatch.setattr(HarEntry, "__init__", counted_init)
+    monkeypatch.setattr(browser_module._Request, "complete", spied_complete)
+    page = universe.pages[4]
+    visit = make_browser(universe).visit(page)
+    assert len(built) == page.total_requests
+    assert [id(entry) for entry in visit.entries] == [id(entry) for entry in handed]
+    assert {id(entry) for entry in built} == {id(entry) for entry in handed}
 
 
 @pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")

@@ -47,7 +47,7 @@ def snapshot(pool):
             state = "ESTABLISHED" if pooled.established else "CONNECTING"
             rows.append(
                 f"{key}|{protocol.value} {pooled.protocol.value} {state}"
-                f" active={pooled.active_streams}"
+                f" active={len(pooled.inflight)}"
                 f" issued={len(pooled.conn.streams)}"
                 f" pending={len(pooled.pending) - (not pooled.established)}"
             )
@@ -76,7 +76,7 @@ def fetch(pool, server, path, protocol, name, records):
 
 def completed(records):
     return [
-        (r.url.rsplit("/", 1)[1], r.protocol.value, r.reused, r.failed)
+        (r.url.rsplit("/", 1)[1], r.protocol, r.reused, r.failed)
         for r in records
     ]
 
@@ -202,7 +202,7 @@ def test_one_provider_coalesces_onto_one_h3_connection_beside_h2():
         ("b", "h3", True, False),
         ("c", "h2", False, False),
     ]
-    assert [r.host for r in records if r.protocol is HttpProtocol.H3] == [
+    assert [r.host for r in records if r.protocol == HttpProtocol.H3.value] == [
         "static.cloudflare.com", "cdnjs.cloudflare.com",
     ]
 
@@ -254,7 +254,7 @@ def test_handshake_throttle_with_zero_rtt_bypass():
         "cdn:cloudflare|h3 h3 ESTABLISHED active=0 issued=1 pending=0",
     ]
     assert pool.stats.zero_rtt_connections == 1
-    blocked = {r.url.rsplit("/", 1)[1]: r.timing.blocked for r in records}
+    blocked = {r.url.rsplit("/", 1)[1]: r.timings.blocked for r in records}
     assert blocked["z"] == 0.0 and blocked["o0"] == 0.0
     assert blocked["o2"] > 0.0
 
@@ -525,5 +525,5 @@ def test_connect_timeouts_release_their_handshake_slots():
         ("o1", "h2", False, True),
         ("o2", "h2", False, True),
     ]
-    assert [r.timing.blocked for r in records] == [3000.0, 3000.0, 6000.0]
+    assert [r.timings.blocked for r in records] == [3000.0, 3000.0, 6000.0]
     pool.close()
