@@ -10,13 +10,15 @@ the pool, so they can afford whole-visit passes:
   the DNS latency misattribution bugs (coalesced waiters and retried
   lookups both skewed ``dns`` against wall-clock entry time);
 * PLT bounds every entry's end (onLoad fires last);
-* pool counters are internally consistent — in fault-free runs every
-  request is exactly one created or one reused connection ride, and
-  exactly one HAR entry.
+* pool counters are non-negative and internally consistent — in
+  fault-free runs every request is exactly one HAR entry.  The
+  request-accounting identity (one created or one reused connection
+  ride per request) is checked once, by ``ConnectionPool.close``.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
 from repro.check.context import EPSILON_MS, CheckContext
@@ -103,18 +105,8 @@ def check_visit(check: CheckContext, visit, faults_active: bool) -> None:
     """
     check_har(check, visit.har)
     stats = visit.pool_stats
-    for name in (
-        "requests",
-        "connections_created",
-        "resumed_connections",
-        "reused_requests",
-        "zero_rtt_connections",
-        "failed_requests",
-        "retried_requests",
-        "h3_fallbacks",
-        "connect_timeouts",
-        "connection_resets",
-    ):
+    for counter in fields(stats):
+        name = counter.name
         value = getattr(stats, name)
         check.require(
             value >= 0,
@@ -141,15 +133,6 @@ def check_visit(check: CheckContext, visit, faults_active: bool) -> None:
             "pool requests != HAR entries in a fault-free visit",
             requests=stats.requests,
             entries=n_entries,
-        )
-        check.require(
-            stats.requests == stats.connections_created + stats.reused_requests,
-            "pool:request_accounting",
-            "requests != connections_created + reused_requests "
-            "in a fault-free visit",
-            requests=stats.requests,
-            connections_created=stats.connections_created,
-            reused_requests=stats.reused_requests,
         )
         check.require(
             stats.failed_requests == 0

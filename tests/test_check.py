@@ -30,7 +30,10 @@ from repro.check import (
 )
 from repro.events import EventLoop, ScheduledEvent, Timer
 from repro.faults import FAULT_PROFILES
-from repro.http import PoolStats
+from repro.browser import HarLog, PageVisit
+from repro.browser.browser import H3_ENABLED
+from repro.check.visit import check_visit
+from repro.http import ConnectionPool, PoolStats
 from repro.measurement import (
     CampaignConfig,
     CampaignPlan,
@@ -38,6 +41,7 @@ from repro.measurement import (
     MultiCampaignPlan,
     execute,
 )
+from repro.measurement.probe import Probe
 from repro.transport.congestion import NewRenoController
 from repro.web.topsites import GeneratorConfig, cached_universe
 
@@ -364,6 +368,42 @@ class TestStrictCampaign:
             universe, pages=universe.pages[:3], seed=5, strict=True
         ))
         assert len(h2_run.visits) == len(h3_run.visits) == 3
+
+
+class TestPoolCounterChecks:
+    """Each pool-counter invariant is checked once per visit, over every
+    ``PoolStats`` field."""
+
+    def test_request_accounting_violation_recorded_once(
+        self, universe, monkeypatch
+    ):
+        close = ConnectionPool.close
+
+        def tampered_close(pool):
+            pool.stats.reused_requests += 1
+            close(pool)
+
+        monkeypatch.setattr(ConnectionPool, "close", tampered_close)
+        check = CheckContext(mode="collect")
+        probe = Probe("tampered", universe, seed=3, check=check)
+        probe.visit_once(universe.pages[0], H3_ENABLED)
+        assert [v.invariant for v in check.violations] == [
+            "pool:request_accounting"
+        ]
+
+    def test_negative_proxy_cache_hits_reported(self):
+        check = CheckContext(mode="collect")
+        visit = PageVisit(
+            page_url="https://a.example/",
+            protocol_mode=H3_ENABLED,
+            har=HarLog(page_url="https://a.example/"),
+            plt_ms=0.0,
+            pool_stats=PoolStats(proxy_cache_hits=-1),
+        )
+        check_visit(check, visit, faults_active=False)
+        assert [
+            (v.invariant, v.data["counter"]) for v in check.violations
+        ] == [("pool:counter_nonnegative", "proxy_cache_hits")]
 
 
 class TestStrictRegistry:
