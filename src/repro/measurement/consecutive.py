@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from repro.browser.browser import H2_ONLY, H3_ENABLED, PageVisit
 from repro.measurement.farm import ProbeNetProfile
 from repro.measurement.probe import Probe
-from repro.transport.config import TransportConfig
 from repro.web.page import Webpage
 
 #: Serialization format of a stored consecutive walk.
@@ -68,7 +67,6 @@ class ConsecutivePlan:
     modes: tuple[str, ...] = (H2_ONLY, H3_ENABLED)
     net_profile: ProbeNetProfile | None = None
     seed: int = 0
-    transport_config: TransportConfig | None = None
     use_session_tickets: bool = True
     warm_edges_first: bool = True
     strict: bool = False
@@ -81,8 +79,10 @@ def _walk_key(plan: ConsecutivePlan, mode: str) -> str:
 
     Session tickets carry state from page to page, so individual
     visits don't cache independently — the ordered walk is the unit.
+    A walk always runs on the default transport; the key keeps its
+    ``transport`` entry (``None``) so stored walk keys stay valid.
     """
-    from repro.store.keys import consecutive_key, page_part, transport_part
+    from repro.store.keys import consecutive_key, page_part
 
     config_material = {
         "net_profile": (
@@ -91,11 +91,7 @@ def _walk_key(plan: ConsecutivePlan, mode: str) -> str:
             else None
         ),
         "seed": plan.seed,
-        "transport": (
-            transport_part(plan.transport_config)
-            if plan.transport_config is not None
-            else None
-        ),
+        "transport": None,
         "use_session_tickets": plan.use_session_tickets,
         "warm_edges_first": plan.warm_edges_first,
         "strict": plan.strict,
@@ -128,7 +124,7 @@ def run_walk(plan: ConsecutivePlan, mode: str) -> ConsecutiveRun:
             run = ConsecutiveRun.from_dict(document)
             run.source = "replay"
             if plan.run_name is not None:
-                store.journal_visit(plan.run_name, walk_key, "replay")
+                store.put_batch([], journal=[(plan.run_name, walk_key, "replay")])
             return run
     check = None
     if plan.strict:
@@ -140,7 +136,6 @@ def run_walk(plan: ConsecutivePlan, mode: str) -> ConsecutiveRun:
         universe=plan.universe,
         net_profile=plan.net_profile,
         seed=plan.seed,
-        transport_config=plan.transport_config,
         use_session_tickets=plan.use_session_tickets,
         check=check,
     )
@@ -150,14 +145,18 @@ def run_walk(plan: ConsecutivePlan, mode: str) -> ConsecutiveRun:
     visits = [probe.visit_once(page, mode) for page in pages]
     run = ConsecutiveRun(mode=mode, visits=visits)
     if walk_key is not None:
-        store.put(
-            walk_key,
-            run.to_dict(),
-            kind="consecutive",
-            config_hash="",
-            page_url=pages[0].url if pages else None,
-            probe=f"consecutive-{mode}",
+        store.put_batch(
+            [{
+                "key": walk_key,
+                "document": run.to_dict(),
+                "kind": "consecutive",
+                "config_hash": "",
+                "page_url": pages[0].url if pages else None,
+                "probe": f"consecutive-{mode}",
+            }],
+            journal=(
+                [] if plan.run_name is None
+                else [(plan.run_name, walk_key, "fresh")]
+            ),
         )
-        if plan.run_name is not None:
-            store.journal_visit(plan.run_name, walk_key, "fresh")
     return run
