@@ -171,9 +171,11 @@ class H3CdnStudy:
             if store is not None and run_name is not None:
                 # The journal holds both walks' keys in completion
                 # order (deduped in case a resume re-journaled one).
-                store.finish_run(
-                    run_name, list(dict.fromkeys(store.journal_keys(run_name)))
-                )
+                keys = list(dict.fromkeys(store.journal_keys(run_name)))
+                store.put_batch([], run_visits=[
+                    (run_name, position, key) for position, key in enumerate(keys)
+                ])
+                store.mark_run_complete(run_name, len(keys))
         return self._consecutive
 
     # -- Section IV: adoption --------------------------------------------

@@ -247,33 +247,14 @@ class ResultStore:
         The artifact append and the index insert commit in one
         transaction, which is the per-visit write-ahead step.
         """
-        if self.contains(key):
-            return False
-        payload = (canonical_json(document) + "\n").encode()
-        handle = self._append_handle()
-        handle.seek(0, os.SEEK_END)
-        offset = handle.tell()
-        handle.write(payload)
-        handle.flush()
-        with self._db:
-            self._db.execute(
-                "INSERT INTO entries (key, kind, offset, length, payload_hash,"
-                " config_hash, page_url, probe, created_unix)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    key,
-                    kind,
-                    offset,
-                    len(payload),
-                    blake2b_hex(payload),
-                    config_hash,
-                    page_url,
-                    probe,
-                    time.time(),
-                ),
-            )
-        self.stats.writes += 1
-        return True
+        return self.put_batch([{
+            "key": key,
+            "document": document,
+            "kind": kind,
+            "config_hash": config_hash,
+            "page_url": page_url,
+            "probe": probe,
+        }]) == 1
 
     # -- named runs and the visit journal ------------------------------
 
@@ -313,20 +294,6 @@ class ResultStore:
             )
         return prior
 
-    def journal_visit(self, name: str, key: str, source: str = "fresh") -> None:
-        """Journal one completed visit (committed immediately)."""
-        with self._db:
-            row = self._db.execute(
-                "SELECT COALESCE(MAX(seq), -1) + 1 FROM journal"
-                " WHERE run_name = ?",
-                (name,),
-            ).fetchone()
-            self._db.execute(
-                "INSERT INTO journal (run_name, seq, key, source, created_unix)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (name, row[0], key, source, time.time()),
-            )
-
     def put_batch(
         self,
         entries: list[dict],
@@ -336,9 +303,10 @@ class ResultStore:
     ) -> int:
         """Write several entries + journal rows in **one** transaction.
 
-        ``entries`` items carry the same fields as :meth:`put` keyword
-        arguments (``key``, ``document``, ``kind``, ``config_hash``,
-        optional ``page_url``/``probe``); existing keys are skipped.
+        The store's one write path.  ``entries`` items carry the same
+        fields as :meth:`put` keyword arguments (``key``, ``document``,
+        ``kind``, ``config_hash``, optional ``page_url``/``probe``);
+        existing keys are skipped.
         ``journal`` rows are ``(run_name, key, source)`` triples and
         ``run_visits`` rows are ``(run_name, position, key)`` — both
         commit atomically with the entry index, so a batch is either
@@ -409,11 +377,10 @@ class ResultStore:
         return len(new_rows)
 
     def mark_run_complete(self, name: str, n_visits: int) -> None:
-        """Flip a run to complete once its visit list has been streamed.
+        """Flip a run to complete once its visit list has been written.
 
-        The streaming executor appends ``run_visits`` rows batch by
-        batch (via :meth:`put_batch`) instead of handing
-        :meth:`finish_run` an O(visits) key list; this is the closing
+        Callers append the ``run_visits`` rows through :meth:`put_batch`
+        (the streaming executor batch by batch); this is the closing
         bookend.
         """
         with self._db:
@@ -431,22 +398,6 @@ class ResultStore:
                 (name,),
             )
         ]
-
-    def finish_run(self, name: str, keys: list[str]) -> None:
-        """Record the complete, ordered visit list of a finished run."""
-        with self._db:
-            self._db.execute(
-                "DELETE FROM run_visits WHERE run_name = ?", (name,)
-            )
-            self._db.executemany(
-                "INSERT INTO run_visits (run_name, position, key)"
-                " VALUES (?, ?, ?)",
-                [(name, position, key) for position, key in enumerate(keys)],
-            )
-            self._db.execute(
-                "UPDATE runs SET complete = 1, n_visits = ? WHERE name = ?",
-                (len(keys), name),
-            )
 
     def run_names(self) -> list[str]:
         return [
