@@ -5,8 +5,8 @@ to how a config is declared or rendered must leave these literals alone:
 a moved key orphans every entry of every existing store, and a moved
 ``campaign_config_hash`` breaks the provenance run manifests record.
 The pins cover every scenario preset, the scenario variants the repo
-benchmark and ``tests/test_visit_payloads.py`` run, and the default
-``SimConfig``.
+benchmark and ``tests/test_visit_payloads.py`` run, the default
+``SimConfig`` and one consecutive walk.
 
 The property tests hold the key complete: every visit-shaping
 ``SimConfig`` field enters the visit key, the three topology/seed fields
@@ -21,6 +21,7 @@ from repro.cdn.compression import CompressionConfig
 from repro.cdn.hierarchy import hierarchy_preset
 from repro.faults import FAULT_PROFILES
 from repro.measurement import CampaignConfig, SimConfig, TelemetryConfig, derive_seed
+from repro.measurement.consecutive import ConsecutivePlan, _walk_key
 from repro.measurement.vantage import default_vantage_points
 from repro.netsim.proxy import ProxyConfig
 from repro.scenario import SCENARIOS, preset
@@ -137,6 +138,14 @@ def visit_key(universe, config: CampaignConfig) -> str:
 def test_keys_are_pinned(universe, name):
     config = CONFIGS[name]
     assert (campaign_config_hash(config), visit_key(universe, config)) == PINNED[name]
+
+
+def test_walk_keys_are_pinned(universe):
+    plan = ConsecutivePlan(universe, pages=tuple(universe.pages[:3]), seed=SEED)
+    assert (_walk_key(plan, "h2-only"), _walk_key(plan, "h3-enabled")) == (
+        "37e05402f44f7c35aec933f1fe868836",
+        "b420d9a66b859578d253f30023d030ba",
+    )
 
 
 def test_every_sim_field_has_an_alternative():
