@@ -68,7 +68,6 @@ class ConsecutivePlan:
     net_profile: ProbeNetProfile | None = None
     seed: int = 0
     use_session_tickets: bool = True
-    warm_edges_first: bool = True
     strict: bool = False
     store: object | None = None
     run_name: str | None = None
@@ -79,8 +78,10 @@ def _walk_key(plan: ConsecutivePlan, mode: str) -> str:
 
     Session tickets carry state from page to page, so individual
     visits don't cache independently — the ordered walk is the unit.
-    A walk always runs on the default transport; the key keeps its
-    ``transport`` entry (``None``) so stored walk keys stay valid.
+    A walk always runs on the default transport and always warms the
+    edges first; the key keeps its ``transport`` (``None``) and
+    ``warm_edges_first`` (``True``) entries so stored walk keys stay
+    valid.
     """
     from repro.store.keys import consecutive_key, page_part
 
@@ -93,7 +94,7 @@ def _walk_key(plan: ConsecutivePlan, mode: str) -> str:
         "seed": plan.seed,
         "transport": None,
         "use_session_tickets": plan.use_session_tickets,
-        "warm_edges_first": plan.warm_edges_first,
+        "warm_edges_first": True,
         "strict": plan.strict,
     }
     return consecutive_key(
@@ -139,8 +140,7 @@ def run_walk(plan: ConsecutivePlan, mode: str) -> ConsecutiveRun:
         use_session_tickets=plan.use_session_tickets,
         check=check,
     )
-    if plan.warm_edges_first:
-        probe.warm_edges(pages)
+    probe.warm_edges(pages)
     probe.clear_session_state()
     visits = [probe.visit_once(page, mode) for page in pages]
     run = ConsecutiveRun(mode=mode, visits=visits)
