@@ -12,8 +12,10 @@
  *   - time is a double (milliseconds); events fire in (time, seq)
  *     order, seq being a monotonically increasing tie-breaker, so
  *     same-timestamp events preserve scheduling order (FIFO).
- *   - cancellation is lazy: cancel() marks the entry dead and fixes
- *     the live count; the corpse is discarded when it surfaces.
+ *   - cancel() takes the entry out of the heap at once, by the index
+ *     the event keeps, so the heap holds only live events (the Python
+ *     heap deletes lazily instead; both pop the same (time, seq)
+ *     sequence, since a cancelled event never fires on either).
  *   - run/step/run_until/max_events semantics match
  *     repro.events.loop.HeapEventLoop exactly (see its docstrings).
  *
@@ -41,20 +43,25 @@ typedef struct LoopCoreObject LoopCoreObject;
 /* ScheduledEvent: the cancellable handle call_later/call_at return.   */
 /* ------------------------------------------------------------------ */
 
+/* Up to this many arguments ride inline in the event; more go in a
+ * tuple, held in argv[0] with nargs -1. */
+#define EV_INLINE 3
+
 typedef struct {
     PyObject_HEAD
     double time;
     long long seq;
-    PyObject *callback;       /* strong */
-    PyObject *args;           /* strong, tuple */
+    PyObject *callback;       /* strong; NULL (reads None) once released */
+    PyObject *argv[EV_INLINE];  /* strong */
+    Py_ssize_t nargs;
     char cancelled;
     /* Borrowed "still pending" marker: non-NULL iff the event sits in
-     * its loop's heap (which then holds a strong ref to us, keeping
-     * the loop alive transitively for the caller).  Cleared on pop and
-     * on cancel so the live counter stays exact under double-cancels
-     * and cancels of already-fired events; the loop clears it for
-     * every queued event before releasing the queue. */
+     * its loop's heap, at position index (the heap then holds a strong
+     * ref to us, keeping the loop alive transitively for the caller).
+     * Cleared on pop and on cancel; the loop clears it for every
+     * queued event before releasing the queue. */
     LoopCoreObject *loop;
+    Py_ssize_t index;
 } CEventObject;
 
 static PyTypeObject CEventType;
@@ -66,8 +73,7 @@ struct LoopCoreObject {
     double now;
     long long seq;
     long long processed;
-    long long live;
-    /* Implicit binary min-heap ordered by (time, seq). */
+    /* Implicit binary min-heap ordered by (time, seq), live events only. */
     HeapEntry *heap;
     Py_ssize_t heap_len;
     Py_ssize_t heap_cap;
@@ -76,9 +82,32 @@ struct LoopCoreObject {
     PyObject *profile;        /* dict, or NULL when profiling is off */
 };
 
-/* Cancelling lets go of the callback and its arguments (None and ()
- * take their place): a dead entry may wait in the heap long after its
- * owner is done, and neither dispatch nor the profiler reads it. */
+/* Freed events kept for reuse: scheduling from the freelist allocates
+ * nothing and adds no object to the cyclic collector's count. */
+#define EV_FREELIST_MAX 256
+static CEventObject *ev_freelist[EV_FREELIST_MAX];
+static int ev_free_count = 0;
+
+/* Let go of the callback and its arguments (reads: None and ()).  The
+ * fields are reset before the references go, so a destructor that
+ * runs meanwhile sees a released event. */
+static void
+cevent_release(CEventObject *self)
+{
+    PyObject *callback = self->callback, *argv[EV_INLINE];
+    Py_ssize_t n = self->nargs < 0 ? 1 : self->nargs;
+    memcpy(argv, self->argv, n * sizeof(PyObject *));
+    self->callback = NULL;
+    self->nargs = 0;
+    Py_XDECREF(callback);
+    for (Py_ssize_t i = 0; i < n; i++)
+        Py_DECREF(argv[i]);
+}
+
+static void heap_remove(LoopCoreObject *loop, Py_ssize_t i);
+
+/* Cancelling takes a pending event out of its loop's heap at once and
+ * lets go of the callback and its arguments, pending or not. */
 static PyObject *
 cevent_cancel(CEventObject *self, PyObject *Py_UNUSED(ignored))
 {
@@ -86,16 +115,11 @@ cevent_cancel(CEventObject *self, PyObject *Py_UNUSED(ignored))
     LoopCoreObject *loop = self->loop;
     if (loop != NULL) {
         self->loop = NULL;
-        loop->live--;
+        heap_remove(loop, self->index);
     }
-    PyObject *callback = self->callback, *args = self->args;
-    if (callback != Py_None) {
-        Py_INCREF(Py_None);
-        self->callback = Py_None;
-        self->args = PyTuple_New(0);  /* the shared empty tuple */
-        Py_XDECREF(callback);
-        Py_XDECREF(args);
-    }
+    cevent_release(self);
+    if (loop != NULL)
+        Py_DECREF(self);  /* the heap's reference; the caller holds one */
     Py_RETURN_NONE;
 }
 
@@ -116,15 +140,15 @@ static int
 cevent_traverse(CEventObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->callback);
-    Py_VISIT(self->args);
+    for (Py_ssize_t i = 0; i < (self->nargs < 0 ? 1 : self->nargs); i++)
+        Py_VISIT(self->argv[i]);
     return 0;
 }
 
 static int
 cevent_clear_gc(CEventObject *self)
 {
-    Py_CLEAR(self->callback);
-    Py_CLEAR(self->args);
+    cevent_release(self);
     return 0;
 }
 
@@ -132,9 +156,11 @@ static void
 cevent_dealloc(CEventObject *self)
 {
     PyObject_GC_UnTrack(self);
-    Py_XDECREF(self->callback);
-    Py_XDECREF(self->args);
-    PyObject_GC_Del(self);
+    cevent_release(self);
+    if (ev_free_count < EV_FREELIST_MAX)
+        ev_freelist[ev_free_count++] = self;
+    else
+        PyObject_GC_Del(self);
 }
 
 static PyObject *
@@ -143,25 +169,39 @@ cevent_get_cancelled(CEventObject *self, void *closure)
     return PyBool_FromLong(self->cancelled);
 }
 
+static PyObject *
+cevent_get_args(CEventObject *self, void *closure)
+{
+    if (self->nargs < 0)
+        return Py_NewRef(self->argv[0]);
+    PyObject *args = PyTuple_New(self->nargs);
+    if (args == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < self->nargs; i++)
+        PyTuple_SET_ITEM(args, i, Py_NewRef(self->argv[i]));
+    return args;
+}
+
 static PyMemberDef cevent_members[] = {
     {"time", T_DOUBLE, offsetof(CEventObject, time), READONLY,
      "Absolute fire time in ms."},
     {"seq", T_LONGLONG, offsetof(CEventObject, seq), READONLY,
      "FIFO tie-breaker."},
-    {"callback", T_OBJECT_EX, offsetof(CEventObject, callback), READONLY, NULL},
-    {"args", T_OBJECT_EX, offsetof(CEventObject, args), READONLY, NULL},
+    {"callback", T_OBJECT, offsetof(CEventObject, callback), READONLY, NULL},
     {NULL}
 };
 
 static PyGetSetDef cevent_getset[] = {
     {"cancelled", (getter)cevent_get_cancelled, NULL,
      "Whether cancel() was called.", NULL},
+    {"args", (getter)cevent_get_args, NULL,
+     "The callback's arguments, as a tuple.", NULL},
     {NULL}
 };
 
 static PyMethodDef cevent_methods[] = {
     {"cancel", (PyCFunction)cevent_cancel, METH_NOARGS,
-     "Mark the event dead; it will be skipped when popped."},
+     "Take the event out of the queue; it will not fire."},
     {NULL}
 };
 
@@ -185,102 +225,121 @@ static PyTypeObject CEventType = {
 /* ------------------------------------------------------------------ */
 
 static inline int
-entry_less(double at, long long aseq, double bt, long long bseq)
+entry_less(HeapEntry a, HeapEntry b)
 {
-    if (at != bt)
-        return at < bt;
-    return aseq < bseq;
+    if (a.time != b.time)
+        return a.time < b.time;
+    return a.seq < b.seq;
 }
 
-static int
-heap_push(LoopCoreObject *self, double t, long long seq, CEventObject *ev)
+/* Store e at position i, telling its event where it is. */
+static inline void
+heap_set(HeapEntry *h, Py_ssize_t i, HeapEntry e)
 {
-    if (self->heap_len == self->heap_cap) {
-        Py_ssize_t cap = self->heap_cap ? self->heap_cap * 2 : 64;
-        HeapEntry *mem = PyMem_Realloc(self->heap, cap * sizeof(HeapEntry));
-        if (mem == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        self->heap = mem;
-        self->heap_cap = cap;
-    }
-    HeapEntry *h = self->heap;
-    Py_ssize_t i = self->heap_len++;
+    h[i] = e;
+    e.ev->index = i;
+}
+
+/* Move e up from the hole at i to its place. */
+static void
+sift_up(HeapEntry *h, Py_ssize_t i, HeapEntry e)
+{
     while (i > 0) {
         Py_ssize_t parent = (i - 1) >> 1;
-        if (!entry_less(t, seq, h[parent].time, h[parent].seq))
+        if (!entry_less(e, h[parent]))
             break;
-        h[i] = h[parent];
+        heap_set(h, i, h[parent]);
         i = parent;
     }
-    h[i].time = t;
-    h[i].seq = seq;
-    h[i].ev = ev;
+    heap_set(h, i, e);
+}
+
+/* Move e down from the hole at i of an n-entry heap to its place. */
+static void
+sift_down(HeapEntry *h, Py_ssize_t n, Py_ssize_t i, HeapEntry e)
+{
+    for (;;) {
+        Py_ssize_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && entry_less(h[child + 1], h[child]))
+            child++;
+        if (!entry_less(h[child], e))
+            break;
+        heap_set(h, i, h[child]);
+        i = child;
+    }
+    heap_set(h, i, e);
+}
+
+/* Room for one more entry; -1 on memory error. */
+static int
+heap_reserve(LoopCoreObject *self)
+{
+    if (self->heap_len < self->heap_cap)
+        return 0;
+    Py_ssize_t cap = self->heap_cap ? self->heap_cap * 2 : 64;
+    HeapEntry *mem = PyMem_Realloc(self->heap, cap * sizeof(HeapEntry));
+    if (mem == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    self->heap = mem;
+    self->heap_cap = cap;
     return 0;
+}
+
+/* Take the entry at i out; the caller owns its ev reference. */
+static void
+heap_remove(LoopCoreObject *self, Py_ssize_t i)
+{
+    HeapEntry *h = self->heap;
+    Py_ssize_t n = --self->heap_len;
+    if (i == n)
+        return;
+    HeapEntry last = h[n];
+    if (i > 0 && entry_less(last, h[(i - 1) >> 1]))
+        sift_up(h, i, last);
+    else
+        sift_down(h, n, i, last);
 }
 
 /* Pop the root.  Caller owns the returned entry's ev reference. */
 static HeapEntry
 heap_pop(LoopCoreObject *self)
 {
-    HeapEntry *h = self->heap;
-    HeapEntry top = h[0];
-    Py_ssize_t n = --self->heap_len;
-    if (n > 0) {
-        HeapEntry last = h[n];
-        Py_ssize_t i = 0;
-        for (;;) {
-            Py_ssize_t child = 2 * i + 1;
-            if (child >= n)
-                break;
-            if (child + 1 < n &&
-                entry_less(h[child + 1].time, h[child + 1].seq,
-                           h[child].time, h[child].seq))
-                child++;
-            if (!entry_less(h[child].time, h[child].seq, last.time, last.seq))
-                break;
-            h[i] = h[child];
-            i = child;
-        }
-        h[i] = last;
-    }
+    HeapEntry top = self->heap[0];
+    heap_remove(self, 0);
+    top.ev->loop = NULL;
     return top;
-}
-
-/* Discard cancelled entries at the root; returns the live head
- * (borrowed) or NULL when the queue is empty. */
-static CEventObject *
-peek_live(LoopCoreObject *self)
-{
-    while (self->heap_len) {
-        HeapEntry *h = self->heap;
-        if (!h[0].ev->cancelled)
-            return h[0].ev;
-        HeapEntry dead = heap_pop(self);
-        dead.ev->loop = NULL;  /* already NULL: cancel() clears it */
-        Py_DECREF(dead.ev);
-    }
-    return NULL;
 }
 
 /* ------------------------------------------------------------------ */
 /* LoopCore                                                            */
 /* ------------------------------------------------------------------ */
 
+/* Empty the queue, cancelling each event first when `cancel` is set.
+ * Every queued event's loop pointer is NULLed before its reference
+ * goes: handles that escaped to Python must never touch a dead loop
+ * through cancel().  The array is detached first, so a destructor that
+ * schedules starts a new one. */
 static void
-core_release_queue(LoopCoreObject *self)
+core_release_queue(LoopCoreObject *self, int cancel)
 {
-    /* NULL every queued event's loop pointer before dropping the
-     * references: handles that escaped to Python must never touch a
-     * dead loop through cancel(). */
     HeapEntry *h = self->heap;
     Py_ssize_t n = self->heap_len;
-    self->heap_len = 0;
+    self->heap = NULL;
+    self->heap_len = self->heap_cap = 0;
     for (Py_ssize_t i = 0; i < n; i++) {
-        h[i].ev->loop = NULL;
-        Py_DECREF(h[i].ev);
+        CEventObject *ev = h[i].ev;
+        ev->loop = NULL;
+        if (cancel) {
+            ev->cancelled = 1;
+            cevent_release(ev);
+        }
+        Py_DECREF(ev);
     }
+    PyMem_Free(h);
 }
 
 static PyObject *
@@ -292,7 +351,6 @@ core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->now = 0.0;
     self->seq = 0;
     self->processed = 0;
-    self->live = 0;
     self->heap = NULL;
     self->heap_len = 0;
     self->heap_cap = 0;
@@ -317,7 +375,7 @@ core_traverse(LoopCoreObject *self, visitproc visit, void *arg)
 static int
 core_clear_gc(LoopCoreObject *self)
 {
-    core_release_queue(self);
+    core_release_queue(self, 0);
     Py_CLEAR(self->check);
     Py_CLEAR(self->check_require);
     Py_CLEAR(self->profile);
@@ -328,8 +386,7 @@ static void
 core_dealloc(LoopCoreObject *self)
 {
     PyObject_GC_UnTrack(self);
-    core_release_queue(self);
-    PyMem_Free(self->heap);
+    core_release_queue(self, 0);
     Py_XDECREF(self->check);
     Py_XDECREF(self->check_require);
     Py_XDECREF(self->profile);
@@ -340,36 +397,42 @@ static PyObject *
 schedule(LoopCoreObject *self, double t, PyObject *callback,
          PyObject *const *extra, Py_ssize_t n_extra)
 {
-    PyObject *args = PyTuple_New(n_extra);
-    if (args == NULL)
+    PyObject *tuple = NULL;
+    if (heap_reserve(self) < 0)
         return NULL;
-    for (Py_ssize_t i = 0; i < n_extra; i++) {
-        Py_INCREF(extra[i]);
-        PyTuple_SET_ITEM(args, i, extra[i]);
+    if (n_extra > EV_INLINE) {
+        tuple = PyTuple_New(n_extra);
+        if (tuple == NULL)
+            return NULL;
+        for (Py_ssize_t i = 0; i < n_extra; i++)
+            PyTuple_SET_ITEM(tuple, i, Py_NewRef(extra[i]));
     }
-    CEventObject *ev = PyObject_GC_New(CEventObject, &CEventType);
-    if (ev == NULL) {
-        Py_DECREF(args);
+    CEventObject *ev;
+    if (ev_free_count > 0) {
+        ev = ev_freelist[--ev_free_count];
+        PyObject_Init((PyObject *)ev, &CEventType);
+    }
+    else if ((ev = PyObject_GC_New(CEventObject, &CEventType)) == NULL) {
+        Py_XDECREF(tuple);
         return NULL;
     }
-    long long seq = ++self->seq;
     ev->time = t;
-    ev->seq = seq;
-    Py_INCREF(callback);
-    ev->callback = callback;
-    ev->args = args;
+    ev->seq = ++self->seq;
+    ev->callback = Py_NewRef(callback);
+    if (tuple != NULL) {
+        ev->argv[0] = tuple;
+        ev->nargs = -1;
+    }
+    else {
+        for (Py_ssize_t i = 0; i < n_extra; i++)
+            ev->argv[i] = Py_NewRef(extra[i]);
+        ev->nargs = n_extra;
+    }
     ev->cancelled = 0;
     ev->loop = self;
     PyObject_GC_Track((PyObject *)ev);
-    Py_INCREF(ev);  /* the heap's reference */
-    if (heap_push(self, t, seq, ev) < 0) {
-        self->seq--;
-        ev->loop = NULL;
-        Py_DECREF(ev);
-        Py_DECREF(ev);
-        return NULL;
-    }
-    self->live++;
+    HeapEntry e = {t, ev->seq, (CEventObject *)Py_NewRef(ev)};  /* the heap's */
+    sift_up(self->heap, self->heap_len++, e);
     return (PyObject *)ev;
 }
 
@@ -454,32 +517,32 @@ execute_event(LoopCoreObject *self, CEventObject *ev)
     self->processed++;
     /* Held for the call: the callback may cancel its own (already
      * popped) event, which lets go of both. */
-    PyObject *callback = ev->callback, *args = ev->args;
-    Py_INCREF(callback);
-    Py_INCREF(args);
-    PyObject *res;
-    if (self->profile == NULL) {
-        if (PyTuple_GET_SIZE(args) == 0)
-            res = PyObject_CallNoArgs(callback);
-        else
-            res = PyObject_CallObject(callback, args);
+    PyObject *callback = Py_NewRef(ev->callback), *held[EV_INLINE];
+    Py_ssize_t n_held = ev->nargs < 0 ? 1 : ev->nargs;
+    for (Py_ssize_t i = 0; i < n_held; i++)
+        held[i] = Py_NewRef(ev->argv[i]);
+    PyObject *const *argv = held;
+    Py_ssize_t argc = n_held;
+    if (ev->nargs < 0) {
+        argv = &PyTuple_GET_ITEM(held[0], 0);
+        argc = PyTuple_GET_SIZE(held[0]);
+    }
+    /* Profiled dispatch attributes wall-clock to the callback name. */
+    struct timespec t0 = {0, 0}, t1;
+    int profiled = self->profile != NULL;
+    if (profiled)
+        clock_gettime(CLOCK_MONOTONIC, &t0);
+    PyObject *res = PyObject_Vectorcall(callback, argv, argc, NULL);
+    for (Py_ssize_t i = 0; i < n_held; i++)
+        Py_DECREF(held[i]);
+    if (res == NULL || !profiled || self->profile == NULL) {
         Py_DECREF(callback);
-        Py_DECREF(args);
         if (res == NULL)
             return -1;
         Py_DECREF(res);
         return 0;
     }
-    /* Profiled dispatch: attribute wall-clock to the callback name. */
-    struct timespec t0, t1;
-    clock_gettime(CLOCK_MONOTONIC, &t0);
-    res = PyObject_CallObject(callback, args);
     clock_gettime(CLOCK_MONOTONIC, &t1);
-    Py_DECREF(args);
-    if (res == NULL) {
-        Py_DECREF(callback);
-        return -1;
-    }
     Py_DECREF(res);
     double elapsed = (double)(t1.tv_sec - t0.tv_sec)
                      + (double)(t1.tv_nsec - t0.tv_nsec) * 1e-9;
@@ -549,10 +612,9 @@ core_run(LoopCoreObject *self, PyObject *args, PyObject *kwds)
     }
     long long executed = 0;
     for (;;) {
-        CEventObject *head = peek_live(self);
-        if (head == NULL)
+        if (self->heap_len == 0)
             Py_RETURN_NONE;
-        if (until_set && head->time > until) {
+        if (until_set && self->heap[0].time > until) {
             self->now = until;
             Py_RETURN_NONE;
         }
@@ -563,8 +625,6 @@ core_run(LoopCoreObject *self, PyObject *args, PyObject *kwds)
             return NULL;
         }
         HeapEntry e = heap_pop(self);
-        e.ev->loop = NULL;
-        self->live--;
         executed++;
         int rc = execute_event(self, e.ev);
         Py_DECREF(e.ev);
@@ -576,11 +636,9 @@ core_run(LoopCoreObject *self, PyObject *args, PyObject *kwds)
 static PyObject *
 core_step(LoopCoreObject *self, PyObject *Py_UNUSED(ignored))
 {
-    if (peek_live(self) == NULL)
+    if (self->heap_len == 0)
         Py_RETURN_FALSE;
     HeapEntry e = heap_pop(self);
-    e.ev->loop = NULL;
-    self->live--;
     int rc = execute_event(self, e.ev);
     Py_DECREF(e.ev);
     if (rc < 0)
@@ -614,11 +672,9 @@ core_run_until(LoopCoreObject *self, PyObject *args, PyObject *kwds)
                          max_events);
             return NULL;
         }
-        if (peek_live(self) == NULL)
+        if (self->heap_len == 0)
             Py_RETURN_NONE;
         HeapEntry e = heap_pop(self);
-        e.ev->loop = NULL;
-        self->live--;
         int rc = execute_event(self, e.ev);
         Py_DECREF(e.ev);
         if (rc < 0)
@@ -673,23 +729,20 @@ core_profile_raw(LoopCoreObject *self, PyObject *Py_UNUSED(ignored))
     return self->profile;
 }
 
-/* HeapEventLoop.close: cancel every queued event, then drop the queue. */
+/* HeapEventLoop.close: cancel every queued event and drop the queue. */
 static PyObject *
 core_close(LoopCoreObject *self, PyObject *Py_UNUSED(ignored))
 {
-    for (Py_ssize_t i = 0; i < self->heap_len; i++)
-        Py_XDECREF(cevent_cancel(self->heap[i].ev, NULL));
-    core_release_queue(self);
+    core_release_queue(self, 1);
     Py_RETURN_NONE;
 }
 
 static PyObject *
 core_next_event_time(LoopCoreObject *self, PyObject *Py_UNUSED(ignored))
 {
-    CEventObject *head = peek_live(self);
-    if (head == NULL)
+    if (self->heap_len == 0)
         Py_RETURN_NONE;
-    return PyFloat_FromDouble(head->time);
+    return PyFloat_FromDouble(self->heap[0].time);
 }
 
 static PyObject *
@@ -728,7 +781,7 @@ core_get_check(LoopCoreObject *self, void *closure)
 static Py_ssize_t
 core_length(LoopCoreObject *self)
 {
-    return (Py_ssize_t)self->live;
+    return self->heap_len;
 }
 
 static PySequenceMethods core_as_sequence = {
@@ -1839,6 +1892,11 @@ typedef struct {
     /* The request exchange: stream and request-packet numbering, the
      * request packets awaiting their ACK, the default think time. */
     PyObject *next_stream_id, *req_seq, *pending_requests, *server_think_ms;
+    /* The bound packet receivers path_send hands the path, resolved on
+     * first use; close() drops them and sets closed, after which they
+     * are resolved per packet (each refers back to self). */
+    PyObject *client_receiver, *server_receiver;
+    char closed;
 } TransportCoreObject;
 
 static PyTypeObject TransportCoreType;
@@ -2577,7 +2635,7 @@ static int
 cancel_event(PyObject *event)
 {
     if (Py_IS_TYPE(event, &CEventType)) {
-        Py_XDECREF(cevent_cancel((CEventObject *)event, NULL));
+        Py_DECREF(cevent_cancel((CEventObject *)event, NULL));
         return 0;
     }
     PyObject *res = PyObject_CallMethodNoArgs(event, str_cancel);
@@ -2677,15 +2735,26 @@ trace_metrics(TransportCoreObject *self, int force)
 }
 
 /* path.send_to_client(pkt, self._client_on_packet_from_server) and
- * the uplink twin: the bound receiver is looked up on self, so a
- * subclass override receives the packet, as in Python. */
+ * the uplink twin: the bound receiver is looked up on self (so a
+ * subclass override receives the packet, as in Python) once, and
+ * cached until close(). */
 static int
-path_send(TransportCoreObject *self, PyObject *direction, PyObject *pkt,
-          PyObject *receiver)
+path_send(TransportCoreObject *self, int to_client, PyObject *pkt)
 {
-    PyObject *callback = PyObject_GetAttr((PyObject *)self, receiver);
-    if (callback == NULL)
-        return -1;
+    PyObject **cached = to_client ? &self->client_receiver
+                                  : &self->server_receiver;
+    PyObject *callback = *cached;
+    if (callback != NULL)
+        Py_INCREF(callback);
+    else {
+        callback = PyObject_GetAttr(
+            (PyObject *)self,
+            to_client ? str_client_on_packet : str_server_on_packet);
+        if (callback == NULL)
+            return -1;
+        if (!self->closed)
+            *cached = Py_NewRef(callback);
+    }
     PyObject *path = self->path;
     if (tc_require(path, "path") < 0) {
         Py_DECREF(callback);
@@ -2693,7 +2762,8 @@ path_send(TransportCoreObject *self, PyObject *direction, PyObject *pkt,
     }
     Py_INCREF(path);
     PyObject *args[3] = {path, pkt, callback};
-    int rc = call_method(direction, args, 3, NULL);
+    int rc = call_method(to_client ? str_send_to_client : str_send_to_server,
+                         args, 3, NULL);
     Py_DECREF(path);
     Py_DECREF(callback);
     return rc;
@@ -2773,7 +2843,7 @@ tc_send_data_packet(TransportCoreObject *self, PyObject *chunk,
         if (call_method(str_packet_sent, args, 6, NULL) < 0)
             goto done;
     }
-    rc = path_send(self, str_send_to_client, pkt, str_client_on_packet);
+    rc = path_send(self, 1, pkt);
 done:
     Py_XDECREF(seq);
     Py_XDECREF(payload);
@@ -3415,7 +3485,7 @@ tcm_server_on_packet(TransportCoreObject *self, PyObject *pkt)
     Py_DECREF(seq);
     if (reply == NULL)
         return NULL;
-    int rc = path_send(self, str_send_to_client, reply, str_client_on_packet);
+    int rc = path_send(self, 1, reply);
     Py_DECREF(reply);
     if (rc < 0)
         return NULL;
@@ -3608,7 +3678,7 @@ tc_flush_acks(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
                        int_minus_one, int_zero);
     if (reply == NULL)
         goto done;
-    if (path_send(self, str_send_to_server, reply, str_server_on_packet) < 0)
+    if (path_send(self, 0, reply) < 0)
         goto done;
     result = Py_None;
     Py_INCREF(result);
@@ -4223,6 +4293,9 @@ data_packet_received(TransportCoreObject *self, PyObject *pkt)
 static PyObject *
 tcm_stop_deadlines(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
 {
+    self->closed = 1;
+    Py_CLEAR(self->client_receiver);
+    Py_CLEAR(self->server_receiver);
     if (deadline_stop(&self->pto_event) < 0
         || deadline_stop(&self->ack_event) < 0
         || deadline_stop(&self->hs_event) < 0)
@@ -4576,7 +4649,7 @@ tc_send_request(TransportCoreObject *self, PyObject *chunk, PyObject *tries)
         || tc_require(self->pending_requests, "_pending_requests") < 0
         || PyObject_SetItem(self->pending_requests, seq, pending) < 0)
         goto done;
-    rc = path_send(self, str_send_to_server, pkt, str_server_on_packet);
+    rc = path_send(self, 0, pkt);
 done:
     Py_XDECREF(seq);
     Py_XDECREF(sent_at);
@@ -4983,7 +5056,7 @@ tc_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     X(rcv_next) X(reorder_buffer) X(stall_started_at) X(stream_rcv_next) \
     X(stream_buffers) X(stream_stall_started) X(pto_event) X(ack_event) \
     X(hs_event) X(next_stream_id) X(req_seq) X(pending_requests) \
-    X(server_think_ms)
+    X(server_think_ms) X(client_receiver) X(server_receiver)
 
 static int
 tc_traverse(TransportCoreObject *self, visitproc visit, void *arg)
@@ -5045,7 +5118,8 @@ static PyMethodDef tc_methods[] = {
     {"_stop_handshake_deadline", (PyCFunction)tcm_stop_handshake_deadline,
      METH_NOARGS, "Disarm the handshake deadline."},
     {"_stop_deadlines", (PyCFunction)tcm_stop_deadlines, METH_NOARGS,
-     "Disarm the PTO, delayed-ACK and handshake deadlines."},
+     "Connection teardown: disarm the PTO, delayed-ACK and handshake\n"
+     "deadlines and drop the cached packet receivers."},
     {"request", (PyCFunction)(void (*)(void))tcm_request,
      METH_VARARGS | METH_KEYWORDS,
      "request($self, /, request_bytes, response_bytes, think_ms=None,\n"

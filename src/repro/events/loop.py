@@ -9,11 +9,14 @@ Design notes
 * Events scheduled for the same instant fire in the order they were
   scheduled (FIFO).  This is achieved with a monotonically increasing
   sequence number used as a tie-breaker.
-* Events can be cancelled.  Cancellation is O(1): the entry is marked
-  dead and skipped when it surfaces at the head of the queue.  This is
-  the standard "lazy deletion" approach and is what retransmission
-  timers rely on.  A cancelled entry drops its callback and arguments,
-  so the dead entry pins nothing while it waits to surface.
+* Events can be cancelled, which retransmission timers rely on.  A
+  cancelled event drops its callback and arguments at once.  The two
+  schedulers remove it differently: the C heap takes it out at once, by
+  the heap index the event keeps (O(log n)), so it holds live events
+  only; the Python heap marks it dead (O(1)) and discards it when it
+  surfaces at the head ("lazy deletion"), so the dead entry pins
+  nothing while it waits.  A cancelled event never fires on either, so
+  both pop the same (time, seq) sequence.
 
 Two scheduler implementations share one API and one (time, seq) total
 order, so results are bit-identical on either:

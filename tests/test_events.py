@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -399,6 +400,19 @@ class TestSchedulerEdgeCases:
         assert loop.now == 0.0
         assert len(loop) == 1
 
+    def test_profiling_toggled_inside_a_callback(self, loop_cls):
+        # A callback that turns profiling off (or on) mid-dispatch: the
+        # event it runs in is not recorded, and the loop runs on.
+        loop = loop_cls()
+        loop.enable_profiling()
+        fired = []
+        loop.call_later(0.0, loop.disable_profiling)
+        loop.call_later(1.0, loop.enable_profiling)
+        loop.call_later(2.0, fired.append, "after")
+        loop.run()
+        assert fired == ["after"]
+        assert list(loop.profile_stats()) == ["list.append"]
+
     def test_far_future_and_near_interleave(self, loop_cls):
         # Far-future deadlines must still interleave correctly with
         # near-term events scheduled later.
@@ -410,6 +424,102 @@ class TestSchedulerEdgeCases:
         loop.run()
         assert fired == ["near", "mid", "far"]
         assert loop.now == 5000.0
+
+
+def _random_operations(loop_cls, seed, n_ops=4000):
+    """Drive one loop through a seeded mix of operations; return the trace.
+
+    The mix schedules (with 0 to 5 arguments, ties included), cancels
+    the head, a deep entry, an entry already cancelled or fired, and
+    from inside a callback, re-arms a pending event, steps, runs to a
+    time or an event budget, and closes the loop.  After every
+    operation the trace records what the loop reports.
+    """
+    rng = random.Random(seed)
+    loop = loop_cls()
+    handles = []  # label -> handle
+    pending = {}  # label -> handle, neither fired nor cancelled
+    trace = []
+
+    def schedule():
+        label = len(handles)
+        if rng.random() < 0.5:
+            delay = rng.choice((0.0, 0.5, 1.0, 2.0))
+        else:
+            delay = round(rng.uniform(0.0, 100.0), 1)
+        args = tuple(range(rng.randrange(6)))
+        if rng.random() < 0.5:
+            handle = loop.call_later(delay, fire, label, *args)
+        else:
+            handle = loop.call_at(loop.now + delay, fire, label, *args)
+        handles.append(handle)
+        pending[label] = handle
+        trace.append(("schedule", label, handle.time, handle.seq, handle.args))
+
+    def cancel(label):
+        handle = handles[label]
+        handle.cancel()
+        pending.pop(label, None)
+        trace.append(
+            ("cancel", label, handle.cancelled, handle.callback, handle.args)
+        )
+
+    def fire(label, *args):
+        del pending[label]
+        trace.append(("fire", label, loop.now, args))
+        roll = rng.random()
+        if roll < 0.15 and pending:
+            cancel(rng.choice(sorted(pending)))
+        elif roll < 0.25:
+            schedule()
+        elif roll < 0.3:
+            cancel(label)  # its own, already popped
+
+    for _ in range(n_ops):
+        op = rng.random()
+        if op < 0.5 or not pending:
+            schedule()
+        elif op < 0.56:
+            cancel(min(pending, key=lambda l: (handles[l].time, handles[l].seq)))
+        elif op < 0.62:
+            cancel(rng.choice(sorted(pending)))
+        elif op < 0.65:
+            cancel(rng.randrange(len(handles)))  # twice, or after firing
+        elif op < 0.72:
+            cancel(rng.choice(sorted(pending)))  # re-arm
+            schedule()
+        elif op < 0.721:
+            loop.close()
+            trace.append(("close", [handles[l].cancelled for l in sorted(pending)]))
+            pending.clear()
+        elif op < 0.8:
+            trace.append(("step", loop.step()))
+        elif op < 0.88:
+            loop.run(until_ms=loop.now + rng.uniform(0.0, 0.5))
+        else:
+            try:
+                loop.run(max_events=rng.randrange(1, 4))
+            except SimulationError:
+                trace.append("max_events")
+        trace.append((
+            len(loop), loop.scheduled_events, loop.processed_events,
+            loop.next_event_time(), loop.now,
+        ))
+    loop.run()
+    trace.append((len(loop), loop.scheduled_events, loop.processed_events))
+    return trace
+
+
+@pytest.mark.skipif(CEventLoop is None, reason="C kernel not built on this host")
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_c_loop_matches_heap_loop_on_random_operations(seed):
+    # The C heap drops a cancelled entry at once, the Python heap when
+    # it surfaces: both must fire the same sequence and report the same
+    # length, counters and next event time throughout.
+    expected = _random_operations(HeapEventLoop, seed)
+    assert sum(1 for entry in expected if entry[0] == "fire") > 1000
+    assert sum(1 for entry in expected if entry[0] == "close") > 0
+    assert _random_operations(CEventLoop, seed) == expected
 
 
 # ---------------------------------------------------------------------
