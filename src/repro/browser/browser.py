@@ -17,6 +17,7 @@ Mirrors the paper's instrumented Chrome:
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field
 from typing import Protocol as TypingProtocol
@@ -436,9 +437,18 @@ class Browser:
             visit_span = spans.begin("visit", page.url, start)
             spans.current_visit = visit_span
 
-        load = _PageLoad(self, pool, page, har)
-        load.fetch((page.html,))
-        self.loop.run_until(load.done.__len__)
+        # The cyclic collector stays off while the page loads: a visit
+        # makes no reference cycles (tests/test_lean_visit.py holds
+        # both cores to that), so a pass would only walk live objects.
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            load = _PageLoad(self, pool, page, har)
+            load.fetch((page.html,))
+            self.loop.run_until(load.done.__len__)
+        finally:
+            if gc_enabled:
+                gc.enable()
         har.on_load_ms = self.loop.now - start
         if visit_span is not None:
             spans.end(visit_span, self.loop.now)

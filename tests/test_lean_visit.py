@@ -4,7 +4,8 @@ Two things a visit must not do, both deterministic:
 
 * keep itself alive: once its result is dropped, a finished visit's
   :class:`ConnectionPool` and :class:`HarLog` are freed by reference
-  counting alone, without the cyclic garbage collector;
+  counting alone, without the cyclic garbage collector (which is why a
+  visit may run with the collector paused);
 * call dormant hooks or trampolines per packet: with tracing, strict
   checking and sampling off, nothing in ``repro.obs`` or
   ``repro.check`` runs, and packets go from the transport straight to
@@ -105,6 +106,36 @@ def test_finished_visit_frees_itself_without_the_cycle_collector(
         assert len(pools) == 2 and all(ref() is None for ref in pools)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("faulted", [False, True], ids=["ok", "raises"])
+def test_visit_pauses_the_cycle_collector_and_restores_the_callers_state(
+    universe, caller_enabled, faulted
+):
+    """A visit makes no cycles (above), so it runs with the collector off;
+    afterwards the caller's setting is back, also when the visit raises."""
+    browser = make_browser(universe)
+    seen = []
+
+    def probe():
+        seen.append(gc.isenabled())
+        if faulted:
+            raise RuntimeError("fault inside the visit")
+
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if caller_enabled else gc.disable()
+        browser.loop.call_later(0.0, probe)
+        if faulted:
+            with pytest.raises(RuntimeError, match="fault inside the visit"):
+                browser.visit(universe.pages[1])
+        else:
+            browser.visit(universe.pages[1])
+        assert seen == [False]
+        assert gc.isenabled() is caller_enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
 
 
 def test_dropped_campaign_leaves_nothing_for_the_cycle_collector(universe):
