@@ -21,8 +21,10 @@ instead *streams*:
    is materialized; with a lazy universe the pages themselves are
    generated on demand.
 2. Store lookups happen per slot as it is enumerated; hits become
-   immediately-available outcomes, misses accumulate into bounded work
-   units that feed the pool through a **bounded in-flight window**
+   immediately-available outcomes (decoded from their stored records),
+   misses accumulate into bounded work units that feed the pool — started
+   at the first miss, so a fully warm replay forks no workers — through
+   a **bounded in-flight window**
    (``max_in_flight`` units submitted-but-unconsumed; the enumerator
    blocks when the window is full — that is the backpressure).
 3. Outcomes are folded into a :class:`~repro.measurement.summary.
@@ -217,7 +219,7 @@ class _StoreBatcher:
     def add_fresh(
         self,
         visit_key: str,
-        document: dict,
+        record: bytes,
         *,
         config_hash: str,
         page_url: str | None,
@@ -234,7 +236,7 @@ class _StoreBatcher:
             self._entries.append(
                 {
                     "key": visit_key,
-                    "document": document,
+                    "document": record,
                     "kind": "paired",
                     "config_hash": config_hash,
                     "page_url": page_url,
@@ -416,13 +418,14 @@ def _stream_campaigns(
         "replayed_visits": 0,
     }
 
-    #: seq -> (slot, outcome); the reorder buffer bridging completion
-    #: order back to canonical fold order.
-    ready: dict[int, tuple[tuple, VisitOutcome]] = {}
+    #: seq -> (slot, outcome, record); the reorder buffer bridging
+    #: completion order back to canonical fold order.  ``record`` is a
+    #: pooled visit's encoding as the worker sent it, else ``None``.
+    ready: dict[int, tuple[tuple, VisitOutcome, bytes | None]] = {}
     fold_frontier = 0
     in_flight: deque = deque()  # (seqs, page_indices, slot_group, async_result)
 
-    def _fold_one(slot, outcome: VisitOutcome) -> None:
+    def _fold_one(slot, outcome: VisitOutcome, record: bytes | None) -> None:
         key, vp_index, probe_index, page_index = slot
         state = states[key]
         probe_name = f"{state.vps[vp_index].name}-{probe_index}"
@@ -466,13 +469,9 @@ def _stream_campaigns(
         if batcher is not None:
             visit_key = _slot_keys.pop(slot)
             if outcome.source == "fresh":
-                document = outcome.to_dict()
-                # The loop profile is wall-clock noise: strip it so
-                # stored documents stay host-independent.
-                document.pop("profile", None)
                 wrote = batcher.add_fresh(
                     visit_key,
-                    document,
+                    record if record is not None else outcome.to_record(),
                     config_hash=state.config_hash,
                     page_url=source[page_index].url,
                     probe=probe_name,
@@ -488,8 +487,7 @@ def _stream_campaigns(
     def _fold_ready() -> None:
         nonlocal fold_frontier
         while fold_frontier in ready:
-            slot, outcome = ready.pop(fold_frontier)
-            _fold_one(slot, outcome)
+            _fold_one(*ready.pop(fold_frontier))
             fold_frontier += 1
 
     #: store key per pending slot (popped at fold time; bounded by the
@@ -501,10 +499,11 @@ def _stream_campaigns(
         seqs, page_indices, (key, vp_index, probe_index), async_result = (
             in_flight.popleft()
         )
-        documents = async_result.get()
-        for seq, page_index, document in zip(seqs, page_indices, documents):
-            outcome = VisitOutcome.from_dict(document)
-            ready[seq] = ((key, vp_index, probe_index, page_index), outcome)
+        results = async_result.get()
+        for seq, page_index, (record, profile) in zip(seqs, page_indices, results):
+            outcome = VisitOutcome.from_record(record)
+            outcome.profile = profile
+            ready[seq] = ((key, vp_index, probe_index, page_index), outcome, record)
         exec_stats["max_ready_backlog"] = max(
             exec_stats["max_ready_backlog"], len(ready)
         )
@@ -512,23 +511,23 @@ def _stream_campaigns(
     pool = None
     interrupted = False
     try:
-        if pooled:
-            ctx = multiprocessing.get_context(plan.start_method)
-            pool = ctx.Pool(
-                processes=workers,
-                initializer=parallel_mod._init_worker,
-                initargs=(universe, all_vps, configs, source),
-            )
-
         open_group: tuple | None = None  # (key, vp_index, probe_index)
         open_indices: list[int] = []
         open_seqs: list[int] = []
 
         def _flush_unit() -> None:
             """Submit the accumulating (possibly partial) unit to the pool."""
-            nonlocal open_indices, open_seqs
+            nonlocal open_indices, open_seqs, pool
             if not open_indices:
                 return
+            if pool is None:
+                # Started at the first miss, so a fully warm replay
+                # forks no workers.
+                pool = multiprocessing.get_context(plan.start_method).Pool(
+                    processes=workers,
+                    initializer=parallel_mod._init_worker,
+                    initargs=(universe, all_vps, configs, source),
+                )
             key, vp_index, probe_index = open_group
             exec_stats["units_submitted"] += 1
             unit = (key, vp_index, probe_index, tuple(open_indices))
@@ -553,8 +552,7 @@ def _stream_campaigns(
                 for probe_index in range(config.probes_per_vantage):
                     group = (key, vp_index, probe_index)
                     if open_group != group:
-                        if pool is not None:
-                            _flush_unit()
+                        _flush_unit()
                         open_group = group
                     for page_index in range(n_pages):
                         slot = (key, vp_index, probe_index, page_index)
@@ -570,11 +568,11 @@ def _stream_campaigns(
                                 ),
                             )
                             _slot_keys[slot] = visit_key
-                            document = store.get(visit_key)
-                            if document is not None:
-                                outcome = VisitOutcome.from_dict(document)
+                            payload = store.get(visit_key)
+                            if payload is not None:
+                                outcome = VisitOutcome.from_payload(payload)
                                 outcome.source = "replay"
-                                ready[seq] = (slot, outcome)
+                                ready[seq] = (slot, outcome, None)
                                 state.stats.hits += 1
                                 if visit_key in state.prior:
                                     state.stats.resumed += 1
@@ -583,7 +581,7 @@ def _stream_campaigns(
                             else:
                                 state.stats.misses += 1
                         if not staged:
-                            if pool is None:
+                            if not pooled:
                                 # Serial: simulate right here, one visit
                                 # at a time — folding (and the store
                                 # write-through) keeps the legacy
@@ -598,14 +596,14 @@ def _stream_campaigns(
                                     source[page_index],
                                     page_index,
                                 )
-                                ready[seq] = (slot, outcome)
+                                ready[seq] = (slot, outcome, None)
                             else:
                                 open_indices.append(page_index)
                                 open_seqs.append(seq)
                                 if len(open_indices) >= per_chunk:
                                     _flush_unit()
                         seq += 1
-                        if pool is not None:
+                        if pooled:
                             # Backpressure: bound the submitted window
                             # and the reorder backlog.  A backlog at cap
                             # means the fold frontier is stuck behind
@@ -621,8 +619,7 @@ def _stream_campaigns(
                             exec_stats["max_ready_backlog"], len(ready)
                         )
                         _fold_ready()
-        if pool is not None:
-            _flush_unit()
+        _flush_unit()
         while in_flight:
             _drain_one()
             _fold_ready()

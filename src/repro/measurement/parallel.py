@@ -14,9 +14,9 @@ exploits that:
   any worker count, chunking, or scheduling order reproduces the
   ``workers=1`` run bit-for-bit.
 * **The process boundary** carries typed
-  :class:`~repro.measurement.outcome.VisitOutcome` values rendered to
-  compact dicts via their single ``to_dict``/``from_dict`` pair, never
-  live simulation object graphs.
+  :class:`~repro.measurement.outcome.VisitOutcome` values as compact
+  records (``to_record``/``from_record``), never live simulation object
+  graphs; the parent stores a fresh visit's record as it arrived.
 
 The streaming executor (:mod:`repro.measurement.executor`) owns the
 pool and the ordering; this module holds what runs inside it.  It looks
@@ -191,17 +191,18 @@ def _init_worker(
     _WORKER_CTX["pages"] = pages
 
 
-def _run_unit(unit: _WorkUnit) -> list[dict]:
-    """Replay one work unit; outcomes cross the process gap as dicts."""
+def _run_unit(unit: _WorkUnit) -> list[tuple[bytes, dict | None]]:
+    """Replay one work unit: each visit's record and loop profile."""
     key, vp_index, probe_index, page_indices = unit
     universe = _WORKER_CTX["universe"]
     vantage = _WORKER_CTX["vantage_points"][vp_index]
     config = _WORKER_CTX["configs"][key]
     pages = _WORKER_CTX["pages"]
-    return [
-        measure_visit_outcome(
+    records = []
+    for page_index in page_indices:
+        outcome = measure_visit_outcome(
             universe, vantage, vp_index, probe_index, config,
             pages[page_index], page_index,
-        ).to_dict()
-        for page_index in page_indices
-    ]
+        )
+        records.append((outcome.to_record(), outcome.profile))
+    return records

@@ -5,8 +5,8 @@ This package makes measurement results durable and addressable:
 * :mod:`repro.store.keys` — canonical serialization and BLAKE2b keying
   of visits (config + page + hosts + vantage + derived seed + schema
   version),
-* :mod:`repro.store.store` — :class:`ResultStore`, a stdlib-``sqlite3``
-  index over an append-only JSONL artifact file, with named runs, a
+* :mod:`repro.store.store` — :class:`ResultStore`, one stdlib-``sqlite3``
+  file holding compact visit records as BLOBs, with named runs, a
   per-visit write-ahead journal (resumable campaigns), ``verify`` and
   ``gc``,
 * :mod:`repro.store.diff` — per-page PLT regression diffing between

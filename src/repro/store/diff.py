@@ -130,26 +130,22 @@ def _mode_dict(mode: ModeDelta) -> dict:
     }
 
 
-def _visit_plts(documents: list[dict]) -> tuple[dict, int]:
+def _visit_plts(outcomes: list) -> tuple[dict, int]:
     """``(page_url, occurrence) → (h2 PLT, h3 PLT)`` for one run.
 
-    Only ``paired`` payloads with both visits count; ``failed``
-    outcomes are tallied separately.
+    ``failed`` outcomes are tallied separately.
     """
     counts: dict[str, int] = defaultdict(int)
     plts: dict[tuple[str, int], tuple[float, float]] = {}
     failed = 0
-    for document in documents:
-        if document.get("status") == "failed":
+    for outcome in outcomes:
+        if outcome.status == "failed":
             failed += 1
             continue
-        h2, h3 = document.get("h2"), document.get("h3")
-        if not h2 or not h3:
-            continue
-        url = h2["pageUrl"]
+        url = outcome.h2.page_url
         occurrence = counts[url]
         counts[url] += 1
-        plts[(url, occurrence)] = (h2["pltMs"], h3["pltMs"])
+        plts[(url, occurrence)] = (outcome.h2.plt_ms, outcome.h3.plt_ms)
     return plts, failed
 
 

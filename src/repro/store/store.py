@@ -1,18 +1,34 @@
-"""The result store: sqlite index + JSONL artifact spill.
+"""The result store: one sqlite file holding index and payloads.
 
 Layout of a store directory::
 
-    <root>/index.sqlite3    entry index, named runs, visit journal
-    <root>/artifacts.jsonl  append-only canonical-JSON payloads
+    <root>/index.sqlite3    entries with their payloads, named runs,
+                            visit journal
 
-The sqlite database is the source of truth: each ``entries`` row maps a
-content-addressed key to a ``(offset, length, payload_hash)`` slice of
-the artifact file.  Payloads are written append-only and committed
-together with their index row, one transaction per visit — that
-transaction sequence *is* the write-ahead journal that makes
-interrupted campaigns resumable: a killed run leaves every completed
-visit durable and replayable, and at worst one orphaned artifact line
-(no index row), which ``gc`` compacts away.
+Each ``entries`` row maps a content-addressed key to its payload, a
+BLOB, and the payload's BLAKE2b hash.  The first byte tells the two
+payload kinds apart:
+
+* a paired visit is a compact record
+  (:meth:`~repro.measurement.outcome.VisitOutcome.to_record`, first
+  byte ``RECORD_MAGIC``), stored as the bytes the pool worker sent;
+* a consecutive walk, and every payload of a store written before the
+  record existed, is a canonical-JSON document (first byte ``{``).
+
+:meth:`ResultStore.get` returns a record's bytes as they are and a JSON
+document parsed.  The ``record_layout`` row of ``meta`` names the
+layout of the store's records.
+
+Entries commit together with their journal rows, one transaction per
+batch of visits — that transaction sequence *is* the write-ahead
+journal that makes interrupted campaigns resumable: a killed run leaves
+every committed visit durable and replayable, and nothing half-written.
+
+A store written with the older layout (payloads appended to an
+``artifacts.jsonl`` spill file, indexed by offset and length) is
+migrated on open: its payload bytes move into the BLOB column
+unchanged, so their hashes and keys still hold, and the spill file is
+removed.
 
 Named runs map a label to the ordered key list of a finished campaign
 (``run_visits``) plus the per-visit completion journal (``journal``).
@@ -27,9 +43,11 @@ cross-process locking beyond sqlite's own.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import sqlite3
+import struct
 import time
 from dataclasses import dataclass, field
 
@@ -89,21 +107,22 @@ class RunInfo:
     created_unix: float = field(compare=False, default=0.0)
 
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS meta (
-    key TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
+_ENTRIES = """
 CREATE TABLE IF NOT EXISTS entries (
     key TEXT PRIMARY KEY,
     kind TEXT NOT NULL,
-    offset INTEGER NOT NULL,
-    length INTEGER NOT NULL,
+    payload BLOB NOT NULL,
     payload_hash TEXT NOT NULL,
     config_hash TEXT NOT NULL,
     page_url TEXT,
     probe TEXT,
     created_unix REAL NOT NULL
+)"""
+
+_SCHEMA = _ENTRIES + """;
+CREATE TABLE IF NOT EXISTS meta (
+    key TEXT PRIMARY KEY,
+    value TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS runs (
     name TEXT PRIMARY KEY,
@@ -135,46 +154,66 @@ class ResultStore:
     """Content-addressed persistence for measurement results."""
 
     def __init__(self, root: str) -> None:
+        from repro.measurement.outcome import RECORD_LAYOUT
+
         self.root = root
         os.makedirs(root, exist_ok=True)
         self.index_path = os.path.join(root, "index.sqlite3")
-        self.artifacts_path = os.path.join(root, "artifacts.jsonl")
         self._db = sqlite3.connect(self.index_path)
         self._db.executescript(_SCHEMA)
-        self._check_schema_version()
-        # Append handle (created lazily so read-only consumers never
-        # touch the artifact file) and a separate read handle.
-        self._append = None
-        self._read = None
+        self._check_version("schema_version", STORE_SCHEMA_VERSION)
+        self._check_version("record_layout", RECORD_LAYOUT)
+        self._migrate_spill()
         #: Instance-wide accounting; campaign runners additionally keep
         #: per-campaign :class:`StoreStats`.
         self.stats = StoreStats()
 
     # -- lifecycle -----------------------------------------------------
 
-    def _check_schema_version(self) -> None:
+    def _check_version(self, name: str, supported: int) -> None:
         row = self._db.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'"
+            "SELECT value FROM meta WHERE key = ?", (name,)
         ).fetchone()
         if row is None:
             with self._db:
                 self._db.execute(
-                    "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                    (str(STORE_SCHEMA_VERSION),),
+                    "INSERT INTO meta (key, value) VALUES (?, ?)",
+                    (name, str(supported)),
                 )
-        elif int(row[0]) != STORE_SCHEMA_VERSION:
+        elif int(row[0]) != supported:
             raise StoreError(
-                f"{self.index_path}: store schema v{row[0]} != "
-                f"supported v{STORE_SCHEMA_VERSION}"
+                f"{self.index_path}: store {name} {row[0]} != "
+                f"supported {supported}"
             )
 
+    def _migrate_spill(self) -> None:
+        """Move the payloads of an ``artifacts.jsonl`` store into the index."""
+        spill = os.path.join(self.root, "artifacts.jsonl")
+        columns = {row[1] for row in self._db.execute("PRAGMA table_info(entries)")}
+        if "payload" not in columns:
+            rows = self._db.execute(
+                "SELECT key, kind, offset, length, payload_hash, config_hash,"
+                " page_url, probe, created_unix FROM entries ORDER BY offset"
+            ).fetchall()
+            # A missing spill file migrates as empty payloads, which
+            # fail their hash check on read and in `verify`.
+            source = open(spill, "rb") if os.path.exists(spill) else io.BytesIO()
+            with source:
+                self._db.execute("BEGIN")
+                with self._db:
+                    self._db.execute("ALTER TABLE entries RENAME TO spill_entries")
+                    self._db.execute(_ENTRIES)
+                    for key, kind, offset, length, *rest in rows:
+                        source.seek(offset)
+                        self._db.execute(
+                            "INSERT INTO entries VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                            (key, kind, source.read(length), *rest),
+                        )
+                    self._db.execute("DROP TABLE spill_entries")
+        if os.path.exists(spill):
+            os.remove(spill)
+
     def close(self) -> None:
-        if self._append is not None:
-            self._append.close()
-            self._append = None
-        if self._read is not None:
-            self._read.close()
-            self._read = None
         self._db.close()
 
     def __enter__(self) -> "ResultStore":
@@ -182,21 +221,6 @@ class ResultStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- raw payload I/O ----------------------------------------------
-
-    def _append_handle(self):
-        if self._append is None:
-            self._append = open(self.artifacts_path, "ab")
-        return self._append
-
-    def _read_payload(self, offset: int, length: int) -> bytes:
-        if self._append is not None:
-            self._append.flush()
-        if self._read is None:
-            self._read = open(self.artifacts_path, "rb")
-        self._read.seek(offset)
-        return self._read.read(length)
 
     # -- entries -------------------------------------------------------
 
@@ -206,34 +230,34 @@ class ResultStore:
         ).fetchone()
         return row is not None
 
-    def get(self, key: str) -> dict | None:
-        """The payload document for ``key``, or ``None`` on a miss.
+    def get(self, key: str) -> dict | bytes | None:
+        """The payload for ``key``, or ``None`` on a miss.
 
+        A JSON payload is returned parsed, a record as its bytes (decode
+        it with :meth:`~repro.measurement.outcome.VisitOutcome.from_payload`).
         Every read re-hashes the payload against the index — a silently
-        corrupted artifact file raises :class:`StoreError` instead of
+        corrupted payload raises :class:`StoreError` instead of
         replaying garbage into a campaign.
         """
         row = self._db.execute(
-            "SELECT offset, length, payload_hash FROM entries WHERE key = ?",
-            (key,),
+            "SELECT payload, payload_hash FROM entries WHERE key = ?", (key,)
         ).fetchone()
         if row is None:
             self.stats.misses += 1
             return None
-        offset, length, payload_hash = row
-        payload = self._read_payload(offset, length)
-        if len(payload) != length or blake2b_hex(payload) != payload_hash:
+        payload, payload_hash = row
+        if blake2b_hex(payload) != payload_hash:
             raise StoreError(
-                f"artifact corruption for key {key}: payload hash mismatch "
+                f"payload corruption for key {key}: payload hash mismatch "
                 f"(run `python -m repro.store verify`)"
             )
         self.stats.hits += 1
-        return json.loads(payload)
+        return _parse(payload)
 
     def put(
         self,
         key: str,
-        document: dict,
+        document: dict | bytes,
         *,
         kind: str,
         config_hash: str,
@@ -242,10 +266,9 @@ class ResultStore:
     ) -> bool:
         """Durably store ``document`` under ``key``; idempotent.
 
-        Returns ``False`` (writing nothing) when the key already exists
-        — content addressing makes re-puts of the same key equivalent.
-        The artifact append and the index insert commit in one
-        transaction, which is the per-visit write-ahead step.
+        ``document`` is a JSON-able dict or an encoded record.  Returns
+        ``False`` (writing nothing) when the key already exists —
+        content addressing makes re-puts of the same key equivalent.
         """
         return self.put_batch([{
             "key": key,
@@ -306,36 +329,32 @@ class ResultStore:
         The store's one write path.  ``entries`` items carry the same
         fields as :meth:`put` keyword arguments (``key``, ``document``,
         ``kind``, ``config_hash``, optional ``page_url``/``probe``);
-        existing keys are skipped.
+        existing keys are skipped.  A ``document`` given as bytes (an
+        encoded record) is stored as it is; a dict as canonical JSON.
         ``journal`` rows are ``(run_name, key, source)`` triples and
         ``run_visits`` rows are ``(run_name, position, key)`` — both
-        commit atomically with the entry index, so a batch is either
-        fully durable or (at worst) orphaned artifact bytes that ``gc``
-        compacts away.  This is the streaming executor's write-through
-        batching: one fsync-ish commit per *batch* instead of per visit.
+        commit atomically with the entries, so a batch is either fully
+        durable or not there at all.  This is the streaming executor's
+        write-through batching: one commit per *batch* instead of per
+        visit.
 
         Returns the number of new entries written.
         """
         new_rows: list[tuple] = []
         seen: set[str] = set()
-        handle = None
         for item in entries:
             key = item["key"]
             if key in seen or self.contains(key):
                 continue
             seen.add(key)
-            payload = (canonical_json(item["document"]) + "\n").encode()
-            if handle is None:
-                handle = self._append_handle()
-                handle.seek(0, os.SEEK_END)
-            offset = handle.tell()
-            handle.write(payload)
+            payload = item["document"]
+            if not isinstance(payload, bytes):
+                payload = canonical_json(payload).encode()
             new_rows.append(
                 (
                     key,
                     item["kind"],
-                    offset,
-                    len(payload),
+                    payload,
                     blake2b_hex(payload),
                     item["config_hash"],
                     item.get("page_url"),
@@ -343,14 +362,10 @@ class ResultStore:
                     time.time(),
                 )
             )
-        if handle is not None:
-            handle.flush()
         with self._db:
             if new_rows:
                 self._db.executemany(
-                    "INSERT INTO entries (key, kind, offset, length,"
-                    " payload_hash, config_hash, page_url, probe,"
-                    " created_unix) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    "INSERT INTO entries VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                     new_rows,
                 )
             next_seq: dict[str, int] = {}
@@ -441,45 +456,35 @@ class ResultStore:
             )
         ]
 
-    def run_outcomes(self, name: str) -> list[dict]:
-        """Every stored payload of a named run, in visit order."""
-        documents = []
+    def run_outcomes(self, name: str) -> list:
+        """Every stored :class:`~repro.measurement.outcome.VisitOutcome`
+        of a named run, in visit order."""
+        from repro.measurement.outcome import VisitOutcome
+
+        outcomes = []
         for key in self.run_keys(name):
-            document = self.get(key)
-            if document is None:
+            payload = self.get(key)
+            if payload is None:
                 raise StoreError(
                     f"run {name!r} references missing entry {key} "
                     "(gc'd or never finished?)"
                 )
-            documents.append(document)
-        return documents
+            outcomes.append(VisitOutcome.from_payload(payload))
+        return outcomes
 
     # -- maintenance ---------------------------------------------------
 
     def stats_summary(self) -> dict:
         """Store-wide inventory (the ``stats`` subcommand's payload)."""
-        kinds = dict(
-            self._db.execute(
-                "SELECT kind, COUNT(*) FROM entries GROUP BY kind"
-            ).fetchall()
-        )
-        if self._append is not None:
-            self._append.flush()
-        artifact_bytes = (
-            os.path.getsize(self.artifacts_path)
-            if os.path.exists(self.artifacts_path)
-            else 0
-        )
+        by_kind = self._db.execute(
+            "SELECT kind, COUNT(*), SUM(LENGTH(payload)) FROM entries GROUP BY kind"
+        ).fetchall()
         return {
             "schema_version": STORE_SCHEMA_VERSION,
-            "entries": sum(kinds.values()),
-            "entries_by_kind": kinds,
-            "artifact_bytes": artifact_bytes,
-            "index_bytes": (
-                os.path.getsize(self.index_path)
-                if os.path.exists(self.index_path)
-                else 0
-            ),
+            "entries": sum(count for _, count, _ in by_kind),
+            "entries_by_kind": {kind: count for kind, count, _ in by_kind},
+            "artifact_bytes": sum(size for _, _, size in by_kind),
+            "index_bytes": os.path.getsize(self.index_path),
             "runs": [
                 {
                     "name": info.name,
@@ -498,54 +503,34 @@ class ResultStore:
     def verify(self) -> list[VerifyProblem]:
         """Re-hash every payload and re-check stored HAR invariants.
 
-        Two layers: byte-level integrity (payload length and BLAKE2b
-        hash against the index row) and semantic integrity (each stored
-        visit's HAR must still satisfy the :mod:`repro.check` timing
-        invariants — the same ones strict mode enforces at collection
-        time).  Returns every problem found; an empty list means clean.
+        Two layers: byte-level integrity (the payload's BLAKE2b hash
+        against the index row) and semantic integrity (each stored
+        visit decodes, and its HAR still satisfies the :mod:`repro.check`
+        timing invariants — the same ones strict mode enforces at
+        collection time).  Returns every problem found; an empty list
+        means clean.
         """
         from repro.check.context import CheckContext
         from repro.check.visit import check_har
 
         problems: list[VerifyProblem] = []
         rows = self._db.execute(
-            "SELECT key, kind, offset, length, payload_hash FROM entries"
-            " ORDER BY offset"
-        ).fetchall()
-        for key, kind, offset, length, payload_hash in rows:
-            try:
-                payload = self._read_payload(offset, length)
-            except OSError as exc:
-                problems.append(VerifyProblem(key, "unreadable", str(exc)))
-                continue
-            if len(payload) != length:
-                problems.append(
-                    VerifyProblem(
-                        key, "truncated",
-                        f"expected {length} bytes, read {len(payload)}",
-                    )
-                )
-                continue
+            "SELECT key, kind, payload, payload_hash FROM entries ORDER BY rowid"
+        )
+        for key, kind, payload, payload_hash in rows:
             if blake2b_hex(payload) != payload_hash:
                 problems.append(
                     VerifyProblem(key, "hash_mismatch", "payload re-hash differs")
                 )
                 continue
             try:
-                document = json.loads(payload)
-            except ValueError as exc:
-                problems.append(VerifyProblem(key, "bad_json", str(exc)))
+                visits = _stored_visits(kind, _parse(payload))
+            except (KeyError, ValueError, TypeError, IndexError, struct.error) as exc:
+                problems.append(
+                    VerifyProblem(key, "bad_payload", f"{type(exc).__name__}: {exc}")
+                )
                 continue
-            for visit_doc in _visit_documents(kind, document):
-                try:
-                    from repro.browser.browser import PageVisit
-
-                    visit = PageVisit.from_dict(visit_doc)
-                except (KeyError, ValueError) as exc:
-                    problems.append(
-                        VerifyProblem(key, "bad_visit", f"{type(exc).__name__}: {exc}")
-                    )
-                    continue
+            for visit in visits:
                 check = CheckContext(mode="collect")
                 check_har(check, visit.har)
                 for violation in check.violations:
@@ -570,68 +555,55 @@ class ResultStore:
         return reachable
 
     def gc(self, dry_run: bool = False) -> GcReport:
-        """Prune entries unreachable from named runs; compact artifacts.
+        """Prune entries unreachable from named runs.
 
-        Reachability is defined by :meth:`reachable_keys`.  The artifact
-        file is rewritten with only surviving payloads (offsets updated
-        atomically with the rewrite), so reclaimed bytes are actually
-        returned to the filesystem rather than left as dead weight.
+        Reachability is defined by :meth:`reachable_keys`.  A pass that
+        prunes anything vacuums the database afterwards, so reclaimed
+        bytes are returned to the filesystem rather than left as free
+        pages.
         """
-        if self._append is not None:
-            self._append.flush()
-        report = GcReport(dry_run=dry_run)
-        report.bytes_before = (
-            os.path.getsize(self.artifacts_path)
-            if os.path.exists(self.artifacts_path)
-            else 0
-        )
-        rows = self._db.execute(
-            "SELECT key, offset, length FROM entries ORDER BY offset"
+        sizes = self._db.execute(
+            "SELECT key, LENGTH(payload) FROM entries"
         ).fetchall()
-        report.entries_before = len(rows)
         reachable = self.reachable_keys()
-        keep = [row for row in rows if row[0] in reachable]
-        report.entries_pruned = len(rows) - len(keep)
-        report.bytes_after = sum(length for __, __, length in keep)
-        if dry_run or not rows:
+        report = GcReport(
+            entries_before=len(sizes),
+            entries_pruned=sum(1 for key, _ in sizes if key not in reachable),
+            bytes_before=sum(size for _, size in sizes),
+            bytes_after=sum(size for key, size in sizes if key in reachable),
+            dry_run=dry_run,
+        )
+        if dry_run or not report.entries_pruned:
             return report
-
-        # Rewrite artifacts with survivors only, then swap in the new
-        # offsets and file in one transaction + atomic rename.
-        if self._read is not None:
-            self._read.close()
-            self._read = None
-        if self._append is not None:
-            self._append.close()
-            self._append = None
-        compact_path = self.artifacts_path + ".gc"
-        new_offsets: list[tuple[int, str]] = []
-        with open(compact_path, "wb") as compact:
-            with open(self.artifacts_path, "rb") as source:
-                for key, offset, length in keep:
-                    source.seek(offset)
-                    new_offsets.append((compact.tell(), key))
-                    compact.write(source.read(length))
         with self._db:
             self._db.execute(
                 "DELETE FROM entries WHERE key NOT IN (SELECT key FROM"
                 " run_visits UNION SELECT key FROM journal)"
             )
-            self._db.executemany(
-                "UPDATE entries SET offset = ? WHERE key = ?", new_offsets
-            )
-        os.replace(compact_path, self.artifacts_path)
         self._db.execute("VACUUM")
         return report
 
 
-def _visit_documents(kind: str, document: dict) -> list[dict]:
-    """The PageVisit sub-documents a stored payload carries."""
+def _parse(payload: bytes) -> dict | bytes:
+    """A JSON payload parsed; a record's bytes as they are."""
+    return json.loads(payload) if payload[:1] == b"{" else payload
+
+
+def _stored_visits(kind: str, payload: dict | bytes) -> list:
+    """The :class:`~repro.browser.browser.PageVisit` values a payload carries."""
+    if isinstance(payload, bytes):
+        from repro.measurement.outcome import VisitOutcome
+
+        outcome = VisitOutcome.from_record(payload)
+        return [visit for visit in (outcome.h2, outcome.h3) if visit is not None]
+    from repro.browser.browser import PageVisit
+
     if kind == "paired":
-        return [
-            doc for doc in (document.get("h2"), document.get("h3"))
-            if doc is not None
+        documents = [
+            doc for doc in (payload.get("h2"), payload.get("h3")) if doc is not None
         ]
-    if kind == "consecutive":
-        return list(document.get("visits", ()))
-    return []
+    elif kind == "consecutive":
+        documents = list(payload.get("visits", ()))
+    else:
+        documents = []
+    return [PageVisit.from_dict(document) for document in documents]

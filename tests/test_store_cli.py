@@ -109,12 +109,9 @@ class TestStoreCli:
         assert "ok" in capsys.readouterr().out
 
     def test_verify_corruption_exit_one(self, populated_store, capsys):
-        import os
+        from tests.test_store import flip_payload_byte
 
-        artifacts = os.path.join(populated_store, "artifacts.jsonl")
-        data = bytearray(open(artifacts, "rb").read())
-        data[20] ^= 0xFF
-        open(artifacts, "wb").write(bytes(data))
+        flip_payload_byte(populated_store, 20)
         assert store_main(["verify", populated_store]) == 1
 
     def test_gc_dry_run_and_real(self, populated_store, capsys):
