@@ -184,9 +184,12 @@ check-smoke:
 # Result-store smoke: the persistence contract end to end.
 # 1. Run a campaign twice against one store; the second run must be
 #    100% hits and its experiment output byte-identical to the first.
-# 2. Simulate an interrupted campaign, --resume it, and check the
+# 2. `python -m repro.store gc` on the warm store prunes nothing (both
+#    runs' visits are reachable), `verify` then finds it clean, and
+#    `stats` counts the same entries before and after.
+# 3. Simulate an interrupted campaign, --resume it, and check the
 #    journal recovered the completed visits.
-# 3. `python -m repro.store verify` must find the store clean.
+# 4. `python -m repro.store verify` must find the store clean.
 store-smoke:
 	rm -rf .store_smoke
 	mkdir -p .store_smoke
@@ -205,6 +208,18 @@ store-smoke:
 	assert sa['hits'] == 0 and sa['misses'] > 0, sa; \
 	assert sb['misses'] == 0 and sb['hit_rate'] == 1.0, sb; \
 	print('store-smoke: warm run 100%% hits, output bit-identical')"
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.store stats .store_smoke/st \
+		--json > .store_smoke/stats_before.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.store gc .store_smoke/st
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.store verify .store_smoke/st
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.store stats .store_smoke/st \
+		--json > .store_smoke/stats_after.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "\
+	import json; \
+	a = json.load(open('.store_smoke/stats_before.json')); \
+	b = json.load(open('.store_smoke/stats_after.json')); \
+	assert a['entries'] > 0 and a['entries'] == b['entries'], (a, b); \
+	print(f\"store-smoke: gc kept all {b['entries']} entries, verify clean\")"
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "\
 	import repro.measurement.parallel as par; \
 	from repro.measurement import CampaignConfig, CampaignPlan, execute; \
