@@ -135,13 +135,16 @@ class PageVisit:
         return sum(1 for entry in self.har.entries if entry.failed)
 
     def to_dict(self) -> dict:
-        """Compact, picklable rendering of this visit.
+        """This visit as a plain JSON document (HAR-1.2 plus counters).
 
-        This is the parallel campaign runner's worker→parent boundary:
-        a visit crosses the process gap as plain dicts (HAR-1.2 document
-        plus counters) instead of a live ``EventLoop`` object graph.
-        Telemetry keys appear only when collected, so documents from
-        observability-free runs are byte-identical to before.
+        Stored consecutive walks and
+        :meth:`~repro.measurement.outcome.VisitOutcome.to_dict` use it.
+        Campaign visits cross the worker→parent boundary and land in the
+        store as binary records
+        (:meth:`~repro.measurement.outcome.VisitOutcome.to_record`), not
+        as this document.  Telemetry keys appear only when collected, so
+        documents from observability-free runs are byte-identical to
+        before.
         """
         document = {
             "format": "repro-h3cdn-visit/1",

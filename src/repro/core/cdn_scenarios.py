@@ -38,8 +38,6 @@ from repro.cdn.hierarchy import (
 )
 from repro.measurement.campaign import CampaignConfig
 from repro.measurement.executor import MultiCampaignPlan, execute
-from repro.web.page import Webpage
-from repro.web.topsites import WebUniverse
 
 #: Identity-demand ratios swept by the amplification experiment.
 DEFAULT_IDENTITY_RATIOS = (0.0, 0.5, 1.0)
@@ -144,49 +142,21 @@ def _point_from_result(label: str, result, tier_names: Sequence[str]) -> Economi
     )
 
 
-def _run_cells(
-    universe: WebUniverse,
-    configs: dict,
-    pages: Sequence[Webpage] | None,
-    workers: int,
-    chunk_size: int | None,
-    store,
-    run_prefix: str | None,
-    resume: bool,
-):
-    target_pages = tuple(pages if pages is not None else universe.pages)
-    return execute(MultiCampaignPlan(
-        universe=universe,
-        configs=configs,
-        pages=target_pages,
-        workers=workers,
-        chunk_size=chunk_size,
-        store=store,
-        run_prefix=run_prefix,
-        resume=resume,
-    ))
-
-
 def amplification_sweep(
-    universe: WebUniverse,
+    plan: MultiCampaignPlan,
     identity_ratios: Sequence[float] = DEFAULT_IDENTITY_RATIOS,
     hierarchy: HierarchyConfig = DEFAULT_HIERARCHY,
-    pages: Sequence[Webpage] | None = None,
     seed: int = 0,
     campaign_config: CampaignConfig | None = None,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    store=None,
-    run_prefix: str | None = None,
-    resume: bool = False,
 ) -> list[EconomicsPoint]:
     """One campaign per identity-demand ratio, compression on.
 
-    The identity-demand decision is hash-derived per URL with *nested*
-    accept sets across ratios (a URL that demands identity at ratio r
-    still does at every r' > r), so the amplification factor is
-    monotone in the ratio by construction — any non-monotonicity is a
-    bookkeeping bug, which is exactly what the smoke gate checks.
+    ``plan`` gives the run shape and no configs.  The identity-demand
+    decision is hash-derived per URL with *nested* accept sets across
+    ratios (a URL that demands identity at ratio r still does at every
+    r' > r), so the amplification factor is monotone in the ratio by
+    construction — any non-monotonicity is a bookkeeping bug, which is
+    exactly what the smoke gate checks.
     """
     base = campaign_config or CampaignConfig()
     configs = {}
@@ -205,9 +175,7 @@ def amplification_sweep(
             visits_per_page=1,
             warm_popular=False,
         )
-    results = _run_cells(
-        universe, configs, pages, workers, chunk_size, store, run_prefix, resume
-    )
+    results = execute(replace(plan, configs=configs))
     tier_names = [tier.name for tier in hierarchy.tiers]
     return [
         _point_from_result(f"ratio-{ratio:g}", results[f"ratio-{ratio:g}"], tier_names)
@@ -215,68 +183,57 @@ def amplification_sweep(
     ]
 
 
-def miss_storm_sweep(
-    universe: WebUniverse,
-    levels: dict[str, HierarchyConfig] | None = None,
-    pages: Sequence[Webpage] | None = None,
-    seed: int = 0,
-    campaign_config: CampaignConfig | None = None,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    store=None,
-    run_prefix: str | None = None,
-    resume: bool = False,
+def _hierarchy_sweep(
+    plan: MultiCampaignPlan,
+    cells: dict[str, HierarchyConfig],
+    seed: int,
+    campaign_config: CampaignConfig | None,
 ) -> list[EconomicsPoint]:
-    """One campaign per capacity-squeeze level (no compression)."""
-    levels = levels if levels is not None else MISS_STORM_LEVELS
+    """One campaign per labelled tier chain (no compression)."""
     base = campaign_config or CampaignConfig()
     configs = {
         label: replace(
             base, seed=seed, collect_counters=True, cache_hierarchy=hierarchy
         )
-        for label, hierarchy in levels.items()
+        for label, hierarchy in cells.items()
     }
-    results = _run_cells(
-        universe, configs, pages, workers, chunk_size, store, run_prefix, resume
-    )
+    results = execute(replace(plan, configs=configs))
     return [
         _point_from_result(
             label, results[label], [tier.name for tier in hierarchy.tiers]
         )
-        for label, hierarchy in levels.items()
+        for label, hierarchy in cells.items()
     ]
+
+
+def miss_storm_sweep(
+    plan: MultiCampaignPlan,
+    levels: dict[str, HierarchyConfig] | None = None,
+    seed: int = 0,
+    campaign_config: CampaignConfig | None = None,
+) -> list[EconomicsPoint]:
+    """One campaign per capacity-squeeze level (no compression)."""
+    return _hierarchy_sweep(
+        plan,
+        levels if levels is not None else MISS_STORM_LEVELS,
+        seed,
+        campaign_config,
+    )
 
 
 def flash_crowd_sweep(
-    universe: WebUniverse,
+    plan: MultiCampaignPlan,
     topologies: dict[str, HierarchyConfig] | None = None,
-    pages: Sequence[Webpage] | None = None,
     seed: int = 0,
     campaign_config: CampaignConfig | None = None,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    store=None,
-    run_prefix: str | None = None,
-    resume: bool = False,
 ) -> list[EconomicsPoint]:
     """Flat small edge vs the same edge backed by a regional tier."""
-    topologies = topologies if topologies is not None else FLASH_CROWD_TOPOLOGIES
-    base = campaign_config or CampaignConfig()
-    configs = {
-        label: replace(
-            base, seed=seed, collect_counters=True, cache_hierarchy=hierarchy
-        )
-        for label, hierarchy in topologies.items()
-    }
-    results = _run_cells(
-        universe, configs, pages, workers, chunk_size, store, run_prefix, resume
+    return _hierarchy_sweep(
+        plan,
+        topologies if topologies is not None else FLASH_CROWD_TOPOLOGIES,
+        seed,
+        campaign_config,
     )
-    return [
-        _point_from_result(
-            label, results[label], [tier.name for tier in hierarchy.tiers]
-        )
-        for label, hierarchy in topologies.items()
-    ]
 
 
 # -- structural checks ---------------------------------------------------

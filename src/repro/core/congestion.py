@@ -15,8 +15,6 @@ from typing import Sequence
 from repro.analysis.stats import LinearFit, linear_fit, median
 from repro.measurement.campaign import CampaignConfig
 from repro.measurement.executor import MultiCampaignPlan, execute
-from repro.web.page import Webpage
-from repro.web.topsites import WebUniverse
 
 #: The paper's loss rates.
 DEFAULT_LOSS_RATES = (0.0, 0.005, 0.01)
@@ -78,32 +76,26 @@ def binned_median_fit(
 
 
 def loss_sweep(
-    universe: WebUniverse,
+    plan: MultiCampaignPlan,
     loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
-    pages: Sequence[Webpage] | None = None,
     seed: int = 0,
     repetitions: int = 1,
     campaign_config: CampaignConfig | None = None,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    store=None,
-    run_prefix: str | None = None,
-    resume: bool = False,
 ) -> list[LossSweepSeries]:
     """Run the Fig. 9 experiment: one campaign per loss rate.
 
-    ``repetitions`` re-runs each campaign with distinct seeds and pools
-    the points — loss is stochastic, so the paper-style fitted slopes
-    stabilize with a few repetitions.
+    ``plan`` gives the run shape (universe, pages, workers, store) and
+    no configs; the sweep fills them in.  ``repetitions`` re-runs each
+    campaign with distinct seeds and pools the points — loss is
+    stochastic, so the paper-style fitted slopes stabilize with a few
+    repetitions.
 
-    All ``loss_rate × repetition`` campaigns are submitted to one
-    worker pool (``workers > 1``), so every loss rate is just another
-    set of independent shards rather than a serial outer loop.  With a
-    :class:`~repro.store.ResultStore` attached, each ``loss_rate ×
-    repetition`` campaign is a separate named run under ``run_prefix``
-    and already-stored visits are replayed instead of re-simulated.
+    All ``loss_rate × repetition`` campaigns share the plan's worker
+    pool, so every loss rate is just another set of independent shards
+    rather than a serial outer loop.  With a store on the plan, each
+    campaign is a separate named run under ``plan.run_prefix`` and
+    already-stored visits are replayed instead of re-simulated.
     """
-    target_pages = tuple(pages if pages is not None else universe.pages)
     base = campaign_config or CampaignConfig()
     # replace() keeps every other knob from the caller's config; the
     # old field-by-field copy silently dropped anything added after it
@@ -115,16 +107,7 @@ def loss_sweep(
         for loss_rate in loss_rates
         for repetition in range(repetitions)
     }
-    results = execute(MultiCampaignPlan(
-        universe=universe,
-        configs=configs,
-        pages=target_pages,
-        workers=workers,
-        chunk_size=chunk_size,
-        store=store,
-        run_prefix=run_prefix,
-        resume=resume,
-    ))
+    results = execute(replace(plan, configs=configs))
     series: list[LossSweepSeries] = []
     for loss_rate in loss_rates:
         points: list[tuple[int, float]] = []

@@ -26,8 +26,6 @@ from typing import Sequence
 from repro.faults.presets import udp_blackhole_profile
 from repro.measurement.campaign import CampaignConfig
 from repro.measurement.executor import MultiCampaignPlan, execute
-from repro.web.page import Webpage
-from repro.web.topsites import WebUniverse
 
 #: Default fault intensities (fraction of hosts with UDP blackholed).
 DEFAULT_INTENSITIES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -53,27 +51,21 @@ class FallbackSweepPoint:
 
 
 def fallback_sweep(
-    universe: WebUniverse,
+    plan: MultiCampaignPlan,
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
-    pages: Sequence[Webpage] | None = None,
     seed: int = 0,
     campaign_config: CampaignConfig | None = None,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    store=None,
-    run_prefix: str | None = None,
-    resume: bool = False,
 ) -> list[FallbackSweepPoint]:
     """Run the fig-fallback experiment: one campaign per intensity.
 
-    All intensities share one worker pool (each campaign's visits are
-    just more independent shards) and the same seed, so the only thing
-    that differs between points is the fault profile.  Host targeting
-    uses one salt across intensities, making the blackholed sets nested
-    — which is what guarantees the fallback rate is monotone in the
-    intensity rather than merely trending upward.
+    ``plan`` gives the run shape and no configs.  All intensities share
+    its worker pool (each campaign's visits are just more independent
+    shards) and the same seed, so the only thing that differs between
+    points is the fault profile.  Host targeting uses one salt across
+    intensities, making the blackholed sets nested — which is what
+    guarantees the fallback rate is monotone in the intensity rather
+    than merely trending upward.
     """
-    target_pages = tuple(pages if pages is not None else universe.pages)
     base = campaign_config or CampaignConfig()
     configs = {
         ("faults", intensity): replace(
@@ -85,23 +77,14 @@ def fallback_sweep(
         )
         for intensity in intensities
     }
-    results = execute(MultiCampaignPlan(
-        universe=universe,
-        configs=configs,
-        pages=target_pages,
-        workers=workers,
-        chunk_size=chunk_size,
-        store=store,
-        run_prefix=run_prefix,
-        resume=resume,
-    ))
+    results = execute(replace(plan, configs=configs))
     points: list[FallbackSweepPoint] = []
     for intensity in intensities:
         result = results[("faults", intensity)]
         eligible = 0
         fell_back = 0
         for entry in result.entries("h3-enabled"):
-            host_spec = universe.hosts.get(entry.host)
+            host_spec = plan.universe.hosts.get(entry.host)
             if host_spec is None or not host_spec.supports_h3:
                 continue
             eligible += 1

@@ -35,8 +35,6 @@ from repro.faults.presets import migration_profile
 from repro.measurement.campaign import CampaignConfig
 from repro.measurement.executor import MultiCampaignPlan, execute
 from repro.netsim.proxy import PROXY_MODELS, ProxyConfig
-from repro.web.page import Webpage
-from repro.web.topsites import WebUniverse
 
 #: Path topologies swept by default: direct plus both proxy models.
 DEFAULT_TOPOLOGIES = ("direct",) + PROXY_MODELS
@@ -82,26 +80,19 @@ def _proxy_for(topology: str) -> ProxyConfig | None:
 
 
 def migration_sweep(
-    universe: WebUniverse,
+    plan: MultiCampaignPlan,
     topologies: Sequence[str] = DEFAULT_TOPOLOGIES,
     fault_kinds: Sequence[str] = DEFAULT_FAULTS,
-    pages: Sequence[Webpage] | None = None,
     seed: int = 0,
     campaign_config: CampaignConfig | None = None,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    store=None,
-    run_prefix: str | None = None,
-    resume: bool = False,
 ) -> list[MigrationPoint]:
     """Run the fig-migration experiment: one campaign per cell.
 
-    All cells share one worker pool and one seed; only the proxy config
-    and fault profile vary.  Counters are forced on — the migration
-    verdict (migrated vs reconnected) lives in the pool's counters, not
-    in PLT alone.
+    ``plan`` gives the run shape and no configs.  All cells share its
+    worker pool and one seed; only the proxy config and fault profile
+    vary.  Counters are forced on — the migration verdict (migrated vs
+    reconnected) lives in the pool's counters, not in PLT alone.
     """
-    target_pages = tuple(pages if pages is not None else universe.pages)
     base = campaign_config or CampaignConfig()
     configs = {}
     for topology in topologies:
@@ -119,16 +110,7 @@ def migration_sweep(
                     migration_profile(kind) if kind != "none" else None
                 ),
             )
-    results = execute(MultiCampaignPlan(
-        universe=universe,
-        configs=configs,
-        pages=target_pages,
-        workers=workers,
-        chunk_size=chunk_size,
-        store=store,
-        run_prefix=run_prefix,
-        resume=resume,
-    ))
+    results = execute(replace(plan, configs=configs))
     points: list[MigrationPoint] = []
     for (topology, kind), result in (
         ((t, k), results[(t, k)]) for t in topologies for k in fault_kinds
@@ -136,7 +118,7 @@ def migration_sweep(
         eligible = 0
         over_h3 = 0
         for entry in result.entries("h3-enabled"):
-            host_spec = universe.hosts.get(entry.host)
+            host_spec = plan.universe.hosts.get(entry.host)
             if host_spec is None or not host_spec.supports_h3:
                 continue
             eligible += 1

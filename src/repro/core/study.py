@@ -30,7 +30,12 @@ from repro.core.migration import MigrationPoint
 from repro.core.sharing import CaseStudyResult
 from repro.measurement.campaign import CampaignConfig, CampaignResult
 from repro.measurement.consecutive import ConsecutiveRun
-from repro.measurement.executor import CampaignPlan, ConsecutivePlan, execute
+from repro.measurement.executor import (
+    CampaignPlan,
+    ConsecutivePlan,
+    MultiCampaignPlan,
+    execute,
+)
 from repro.web.page import Webpage
 from repro.web.topsites import GeneratorConfig, WebUniverse, cached_universe
 
@@ -67,7 +72,8 @@ class StudyConfig:
     amplification_ratios: tuple[float, ...] = (
         cdn_scenarios_mod.DEFAULT_IDENTITY_RATIOS
     )
-    #: Worker processes for the campaign and loss sweep (1 = in-process).
+    #: Worker processes for the campaign and every sweep (the walks are
+    #: serial; 1 = in-process).
     workers: int = 1
     #: Result store for replay/resume (``None`` = no persistence).  A
     #: live :class:`~repro.store.ResultStore`; excluded from equality so
@@ -93,13 +99,9 @@ class H3CdnStudy:
         self._universe: WebUniverse | None = None
         self._campaign_result: CampaignResult | None = None
         self._consecutive: tuple[ConsecutiveRun, ConsecutiveRun] | None = None
-        self._loss_sweep: list[LossSweepSeries] | None = None
-        self._fallback_sweep: list[FallbackSweepPoint] | None = None
-        self._migration_sweep: list[MigrationPoint] | None = None
         self._case_study: CaseStudyResult | None = None
-        self._amplification: list[EconomicsPoint] | None = None
-        self._miss_storm: list[EconomicsPoint] | None = None
-        self._flash_crowd: list[EconomicsPoint] | None = None
+        #: Stage name → the cached result of that sweep's default call.
+        self._sweeps: dict[str, list] = {}
 
     # -- cached stages ---------------------------------------------------
 
@@ -260,28 +262,54 @@ class H3CdnStudy:
             )
         return self._case_study
 
+    # -- sweeps -------------------------------------------------------------
+
+    def _plan(self, stage: str | None) -> MultiCampaignPlan:
+        """The run shape every sweep shares, with no configs yet.
+
+        With a store, ``stage`` names the sweep's runs
+        (``<run_name>/<stage>/<cell>``).  ``stage=None`` is an explicit
+        rerun: it stays out of the store.
+        """
+        config = self.config
+        store = config.store if stage is not None else None
+        return MultiCampaignPlan(
+            self.universe,
+            pages=self._pages(config.max_loss_sweep_pages),
+            workers=config.workers,
+            store=store,
+            run_prefix=f"{config.run_name}/{stage}" if store is not None else None,
+            resume=config.resume,
+        )
+
+    def _sweep(self, sweep, stage: str | None, **knobs):
+        """Run ``sweep`` on this study's plan, seed and campaign config.
+
+        A named ``stage`` is cached and, with a store, stored; ``None``
+        runs fresh every time.
+        """
+        if stage in self._sweeps:
+            return self._sweeps[stage]
+        result = sweep(
+            self._plan(stage),
+            seed=self.config.seed,
+            campaign_config=self.config.campaign_config,
+            **knobs,
+        )
+        if stage is not None:
+            self._sweeps[stage] = result
+        return result
+
     # -- Section VI-E: congestion -------------------------------------------
 
     def fig9(self) -> list[LossSweepSeries]:
         """Fig. 9: the loss sweep with fitted slopes."""
-        if self._loss_sweep is None:
-            self._loss_sweep = congestion_mod.loss_sweep(
-                self.universe,
-                loss_rates=self.config.loss_rates,
-                pages=self._pages(self.config.max_loss_sweep_pages),
-                seed=self.config.seed,
-                repetitions=self.config.loss_sweep_repetitions,
-                campaign_config=self.config.campaign_config,
-                workers=self.config.workers,
-                store=self.config.store,
-                run_prefix=(
-                    f"{self.config.run_name}/fig9"
-                    if self.config.store is not None
-                    else None
-                ),
-                resume=self.config.resume,
-            )
-        return self._loss_sweep
+        return self._sweep(
+            congestion_mod.loss_sweep,
+            "fig9",
+            loss_rates=self.config.loss_rates,
+            repetitions=self.config.loss_sweep_repetitions,
+        )
 
     # -- fault injection: fallback ------------------------------------------
 
@@ -290,35 +318,18 @@ class H3CdnStudy:
     ) -> list[FallbackSweepPoint]:
         """The fallback sweep: H3's edge under rising UDP blackholing.
 
-        Only the default-intensity call is cached; an explicit
-        ``intensities`` argument always runs fresh.
+        Only the default-intensity call is cached and stored; an
+        explicit ``intensities`` argument always runs fresh.
         """
-        if intensities is not None:
-            return fallback_mod.fallback_sweep(
-                self.universe,
-                intensities=tuple(intensities),
-                pages=self._pages(self.config.max_loss_sweep_pages),
-                seed=self.config.seed,
-                campaign_config=self.config.campaign_config,
-                workers=self.config.workers,
-            )
-        if self._fallback_sweep is None:
-            self._fallback_sweep = fallback_mod.fallback_sweep(
-                self.universe,
-                intensities=self.config.fallback_intensities,
-                pages=self._pages(self.config.max_loss_sweep_pages),
-                seed=self.config.seed,
-                campaign_config=self.config.campaign_config,
-                workers=self.config.workers,
-                store=self.config.store,
-                run_prefix=(
-                    f"{self.config.run_name}/fig-fallback"
-                    if self.config.store is not None
-                    else None
-                ),
-                resume=self.config.resume,
-            )
-        return self._fallback_sweep
+        return self._sweep(
+            fallback_mod.fallback_sweep,
+            "fig-fallback" if intensities is None else None,
+            intensities=tuple(
+                intensities
+                if intensities is not None
+                else self.config.fallback_intensities
+            ),
+        )
 
     # -- proxy topologies: migration ----------------------------------------
 
@@ -330,45 +341,24 @@ class H3CdnStudy:
         """The migration sweep: QUIC migration vs TCP reconnect across
         direct/tunnel/relay topologies.
 
-        Only the default call is cached; explicit ``topologies`` or
-        ``fault_kinds`` always run fresh.
+        Only the default call is cached and stored; explicit
+        ``topologies`` or ``fault_kinds`` always run fresh.
         """
-        if topologies is not None or fault_kinds is not None:
-            return migration_mod.migration_sweep(
-                self.universe,
-                topologies=tuple(
-                    topologies
-                    if topologies is not None
-                    else self.config.migration_topologies
-                ),
-                fault_kinds=tuple(
-                    fault_kinds
-                    if fault_kinds is not None
-                    else self.config.migration_faults
-                ),
-                pages=self._pages(self.config.max_loss_sweep_pages),
-                seed=self.config.seed,
-                campaign_config=self.config.campaign_config,
-                workers=self.config.workers,
-            )
-        if self._migration_sweep is None:
-            self._migration_sweep = migration_mod.migration_sweep(
-                self.universe,
-                topologies=self.config.migration_topologies,
-                fault_kinds=self.config.migration_faults,
-                pages=self._pages(self.config.max_loss_sweep_pages),
-                seed=self.config.seed,
-                campaign_config=self.config.campaign_config,
-                workers=self.config.workers,
-                store=self.config.store,
-                run_prefix=(
-                    f"{self.config.run_name}/fig-migration"
-                    if self.config.store is not None
-                    else None
-                ),
-                resume=self.config.resume,
-            )
-        return self._migration_sweep
+        default = topologies is None and fault_kinds is None
+        return self._sweep(
+            migration_mod.migration_sweep,
+            "fig-migration" if default else None,
+            topologies=tuple(
+                topologies
+                if topologies is not None
+                else self.config.migration_topologies
+            ),
+            fault_kinds=tuple(
+                fault_kinds
+                if fault_kinds is not None
+                else self.config.migration_faults
+            ),
+        )
 
     # -- CDN hierarchy: economics scenarios ---------------------------------
 
@@ -378,73 +368,26 @@ class H3CdnStudy:
         """The amplification sweep: identity-demanding clients vs a
         Brotli-storing origin (egress/ingress factor by demand ratio).
 
-        Only the default-ratio call is cached; an explicit
+        Only the default-ratio call is cached and stored; an explicit
         ``identity_ratios`` argument always runs fresh.
         """
-        if identity_ratios is not None:
-            return cdn_scenarios_mod.amplification_sweep(
-                self.universe,
-                identity_ratios=tuple(identity_ratios),
-                pages=self._pages(self.config.max_loss_sweep_pages),
-                seed=self.config.seed,
-                campaign_config=self.config.campaign_config,
-                workers=self.config.workers,
-            )
-        if self._amplification is None:
-            self._amplification = cdn_scenarios_mod.amplification_sweep(
-                self.universe,
-                identity_ratios=self.config.amplification_ratios,
-                pages=self._pages(self.config.max_loss_sweep_pages),
-                seed=self.config.seed,
-                campaign_config=self.config.campaign_config,
-                workers=self.config.workers,
-                store=self.config.store,
-                run_prefix=(
-                    f"{self.config.run_name}/fig-amplification"
-                    if self.config.store is not None
-                    else None
-                ),
-                resume=self.config.resume,
-            )
-        return self._amplification
+        return self._sweep(
+            cdn_scenarios_mod.amplification_sweep,
+            "fig-amplification" if identity_ratios is None else None,
+            identity_ratios=tuple(
+                identity_ratios
+                if identity_ratios is not None
+                else self.config.amplification_ratios
+            ),
+        )
 
     def fig_miss_storm(self) -> list[EconomicsPoint]:
         """The miss-storm sweep: offload collapse under tier squeeze."""
-        if self._miss_storm is None:
-            self._miss_storm = cdn_scenarios_mod.miss_storm_sweep(
-                self.universe,
-                pages=self._pages(self.config.max_loss_sweep_pages),
-                seed=self.config.seed,
-                campaign_config=self.config.campaign_config,
-                workers=self.config.workers,
-                store=self.config.store,
-                run_prefix=(
-                    f"{self.config.run_name}/fig-miss-storm"
-                    if self.config.store is not None
-                    else None
-                ),
-                resume=self.config.resume,
-            )
-        return self._miss_storm
+        return self._sweep(cdn_scenarios_mod.miss_storm_sweep, "fig-miss-storm")
 
     def fig_flash_crowd(self) -> list[EconomicsPoint]:
         """The flash-crowd comparison: flat cache vs tier hierarchy."""
-        if self._flash_crowd is None:
-            self._flash_crowd = cdn_scenarios_mod.flash_crowd_sweep(
-                self.universe,
-                pages=self._pages(self.config.max_loss_sweep_pages),
-                seed=self.config.seed,
-                campaign_config=self.config.campaign_config,
-                workers=self.config.workers,
-                store=self.config.store,
-                run_prefix=(
-                    f"{self.config.run_name}/fig-flash-crowd"
-                    if self.config.store is not None
-                    else None
-                ),
-                resume=self.config.resume,
-            )
-        return self._flash_crowd
+        return self._sweep(cdn_scenarios_mod.flash_crowd_sweep, "fig-flash-crowd")
 
     # ------------------------------------------------------------------
 

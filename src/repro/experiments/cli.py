@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for campaigns and the loss sweep "
+        help="worker processes for the campaign and every sweep "
         "(default 1 = in-process; results are identical for any value)",
     )
     parser.add_argument(

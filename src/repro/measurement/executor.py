@@ -94,7 +94,6 @@ class _StreamPlan:
     vantage_points: tuple[VantagePoint, ...] | None = None
     workers: int = 1
     chunk_size: int | None = None
-    start_method: str | None = None
     store: object | None = None
     resume: bool = False
     #: Keep only the folded :class:`CampaignSummary`; ``paired_visits``
@@ -103,8 +102,6 @@ class _StreamPlan:
     #: Maximum work units submitted-but-unconsumed (default
     #: ``max(2, 2 * workers)``).
     max_in_flight: int | None = None
-    #: Visits per store write-through commit.
-    store_batch: int = DEFAULT_STORE_BATCH
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,8 @@ class PageSource:
 
 
 class _StoreBatcher:
-    """Groups store writes into one transaction per ``batch`` visits.
+    """Groups store writes into one transaction per
+    :data:`DEFAULT_STORE_BATCH` visits.
 
     Entries, journal rows and ordered ``run_visits`` rows all commit
     together, so a flushed batch is durable as a unit; the executor's
@@ -207,9 +205,8 @@ class _StoreBatcher:
     serial path (everything folded before the exception is flushed).
     """
 
-    def __init__(self, store, batch: int) -> None:
+    def __init__(self, store) -> None:
         self.store = store
-        self.batch = max(1, batch)
         self._entries: list[dict] = []
         self._journal: list[tuple[str, str, str]] = []
         self._run_visits: list[tuple[str, int, str]] = []
@@ -253,7 +250,7 @@ class _StoreBatcher:
     def visit_done(self) -> None:
         """Count one folded visit; flush when the batch is full."""
         self._pending_visits += 1
-        if self._pending_visits >= self.batch:
+        if self._pending_visits >= DEFAULT_STORE_BATCH:
             self.flush()
 
     def flush(self) -> None:
@@ -378,7 +375,7 @@ def _stream_campaigns(
                 page_materials.move_to_end(page_index)
             return material
 
-    batcher = _StoreBatcher(store, plan.store_batch) if store is not None else None
+    batcher = _StoreBatcher(store) if store is not None else None
 
     # -- progress ------------------------------------------------------
     progress = None
@@ -523,7 +520,7 @@ def _stream_campaigns(
             if pool is None:
                 # Started at the first miss, so a fully warm replay
                 # forks no workers.
-                pool = multiprocessing.get_context(plan.start_method).Pool(
+                pool = multiprocessing.get_context().Pool(
                     processes=workers,
                     initializer=parallel_mod._init_worker,
                     initargs=(universe, all_vps, configs, source),

@@ -134,23 +134,6 @@ def universe_from_dict(document: dict[str, Any]) -> WebUniverse:
     )
 
 
-def page_visit_to_dict(visit: Any) -> dict[str, Any]:
-    """Serialize a :class:`~repro.browser.browser.PageVisit` to a dict.
-
-    Convenience alias for ``visit.to_dict()`` so serialization consumers
-    (the parallel campaign runner, archival tools) can import every
-    format from one module.
-    """
-    return visit.to_dict()
-
-
-def page_visit_from_dict(document: dict[str, Any]):
-    """Inverse of :func:`page_visit_to_dict`."""
-    from repro.browser.browser import PageVisit
-
-    return PageVisit.from_dict(document)
-
-
 def save_universe(universe: WebUniverse, path: str) -> None:
     """Write a universe to ``path`` as JSON."""
     with open(path, "w") as handle:

@@ -674,8 +674,9 @@ class TestLossSweepConfigDerivation:
         )
         with pytest.raises(_Captured):
             congestion_mod.loss_sweep(
-                universe, loss_rates=(0.0, 0.01), pages=universe.pages[:2],
-                seed=9, repetitions=2, campaign_config=base,
+                MultiCampaignPlan(universe, pages=universe.pages[:2]),
+                loss_rates=(0.0, 0.01), seed=9, repetitions=2,
+                campaign_config=base,
             )
         assert len(captured) == 4
         for (loss_rate, repetition), config in captured.items():

@@ -285,9 +285,8 @@ class TestFallbackSweep:
         )
 
         points = fallback_sweep(
-            universe,
+            MultiCampaignPlan(universe, pages=universe.pages[:4]),
             intensities=(0.0, 0.5, 1.0),
-            pages=universe.pages[:4],
             seed=3,
         )
         assert [p.intensity for p in points] == [0.0, 0.5, 1.0]

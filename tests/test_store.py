@@ -710,3 +710,79 @@ class TestStudyIntegration:
             assert second.campaign_result.store_stats.misses == 0
             names = store.run_names()
         assert "t/campaign" in names and "t/consecutive" in names
+
+    def test_every_stored_stage_keeps_its_layout(self, tmp_path):
+        """Every stage a study stores lands under the same run names,
+        config hashes and ordered visit keys; an explicit-argument rerun
+        stays out of the store."""
+        import hashlib
+
+        from repro.core.study import H3CdnStudy, StudyConfig
+
+        expected_runs = [
+            ("t/campaign", "236bee6174ac2965f75b9159eb697dc7", 2),
+            ("t/consecutive", "236bee6174ac2965f75b9159eb697dc7", 2),
+            ("t/fig-amplification/ratio-0", "492737d07f721b4a396ee6623b76c266", 2),
+            ("t/fig-amplification/ratio-0.5", "eef832a659f76e82fc09859bf1485823", 2),
+            ("t/fig-amplification/ratio-1", "cc8716e94d5ea8f63a69d98ed5ef1f82", 2),
+            ("t/fig-fallback/faults-0.0", "f364034f86b081d5dca4098dd9b590e4", 2),
+            ("t/fig-fallback/faults-0.25", "cdc40b8855534d2863ec01b62cab5714", 2),
+            ("t/fig-fallback/faults-0.5", "9c95e3dae140c95390f3975d7a9a34ef", 2),
+            ("t/fig-fallback/faults-0.75", "7f51b57a4835423e146b05da5cf36b4e", 2),
+            ("t/fig-fallback/faults-1.0", "56599fa68f8ea74384f7af441cff2fef", 2),
+            ("t/fig-flash-crowd/flat", "31d9c25454ea40ec0f6482244e5393a1", 2),
+            ("t/fig-flash-crowd/hierarchy", "70cd65c319d7d3fd96ce583b3ada50af", 2),
+            ("t/fig-migration/connect-tunnel-nat_rebind", "054ee52950a2813c8d78ee9c097ee3b1", 2),
+            ("t/fig-migration/connect-tunnel-none", "2b540e733b07f4dc5597c252c9b2ed71", 2),
+            ("t/fig-migration/direct-nat_rebind", "c56f2c80b412217d3415fff66b961f3b", 2),
+            ("t/fig-migration/direct-none", "d23557b56f94c3b33a3ce164bad93615", 2),
+            ("t/fig-migration/masque-relay-nat_rebind", "52977718df8c0bdfaed17d7afcdcdd8c", 2),
+            ("t/fig-migration/masque-relay-none", "5b1cd272a0588db11f2919e0a6b9b96a", 2),
+            ("t/fig-miss-storm/squeezed", "74687c30f586925a6a993f449f1316f1", 2),
+            ("t/fig-miss-storm/storm", "335fa89251d054534b3be5c8e101d001", 2),
+            ("t/fig-miss-storm/warm", "9d33dfc7e82290f1cde2f4fe4bb5765c", 2),
+            ("t/fig9/0.0-0", "f364034f86b081d5dca4098dd9b590e4", 2),
+            ("t/fig9/0.005-0", "f20e9d87a10990fa2296c85740c48a6b", 2),
+            ("t/fig9/0.01-0", "d11f35e80ddbe278f05f3ae0ee3b1d01", 2),
+        ]
+        with ResultStore(str(tmp_path / "st")) as store:
+            study = H3CdnStudy(
+                StudyConfig(
+                    n_sites=6,
+                    seed=4,
+                    generator_config=SMALL,
+                    max_campaign_pages=2,
+                    max_consecutive_pages=2,
+                    max_loss_sweep_pages=2,
+                    store=store,
+                    run_name="t",
+                )
+            )
+            study.campaign_result
+            study.consecutive_runs
+            study.fig9()
+            study.fig_fallback()
+            study.fig_migration()
+            study.fig_amplification()
+            study.fig_miss_storm()
+            study.fig_flash_crowd()
+            infos = [store.run_info(name) for name in store.run_names()]
+            assert all(info.complete for info in infos)
+            assert [
+                (info.name, info.config_hash, info.n_visits) for info in infos
+            ] == expected_runs
+            digest = hashlib.sha256()
+            for name in store.run_names():
+                for position, key in enumerate(store.run_keys(name)):
+                    digest.update(f"{name}\t{position}\t{key}\n".encode())
+            assert digest.hexdigest() == (
+                "37ac7f5bc556a50c4e75914f3295b7b6967a9c56125943b057e08b9d8260cc13"
+            )
+            entries = store.stats_summary()["entries"]
+            assert entries == 46
+
+            # 0.3 is not a default intensity: a stored rerun would add
+            # a run and fresh entries.
+            study.fig_fallback(intensities=(0.0, 0.3))
+            assert [info.name for info in infos] == store.run_names()
+            assert store.stats_summary()["entries"] == entries
