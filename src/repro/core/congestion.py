@@ -95,8 +95,17 @@ def loss_sweep(
     rather than a serial outer loop.  With a store on the plan, each
     campaign is a separate named run under ``plan.run_prefix`` and
     already-stored visits are replayed instead of re-simulated.
+
+    Each rate's fit needs at least two paired visits; a plan that gives
+    a rate fewer raises :class:`ValueError` before anything runs.
     """
     base = campaign_config or CampaignConfig()
+    per_rate = repetitions * plan.visit_count(base)
+    if per_rate < 2:
+        raise ValueError(
+            f"a loss-rate fit needs at least two paired visits; this plan "
+            f"gives each rate {per_rate}"
+        )
     # replace() keeps every other knob from the caller's config; the
     # old field-by-field copy silently dropped anything added after it
     # was written (fault_profile, collect_counters, trace, strict).

@@ -157,11 +157,12 @@ class H3CdnStudy:
                 from repro.store.keys import campaign_config_hash
 
                 run_name = f"{self.config.run_name}/consecutive"
-                store.begin_run(
+                # Opened before the walks, which journal into the run.
+                store.put_batch([], open_runs=[(
                     run_name,
-                    config_hash=campaign_config_hash(self.config.campaign_config),
-                    resume=self.config.resume,
-                )
+                    campaign_config_hash(self.config.campaign_config),
+                    self.config.resume,
+                )])
             self._consecutive = execute(ConsecutivePlan(
                 universe=self.universe,
                 pages=tuple(self._pages(self.config.max_consecutive_pages)),
@@ -174,10 +175,14 @@ class H3CdnStudy:
                 # The journal holds both walks' keys in completion
                 # order (deduped in case a resume re-journaled one).
                 keys = list(dict.fromkeys(store.journal_keys(run_name)))
-                store.put_batch([], run_visits=[
-                    (run_name, position, key) for position, key in enumerate(keys)
-                ])
-                store.mark_run_complete(run_name, len(keys))
+                store.put_batch(
+                    [],
+                    run_visits=[
+                        (run_name, position, key)
+                        for position, key in enumerate(keys)
+                    ],
+                    close_runs=[(run_name, len(keys))],
+                )
         return self._consecutive
 
     # -- Section IV: adoption --------------------------------------------

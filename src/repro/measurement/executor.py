@@ -36,7 +36,9 @@ instead *streams*:
    (:meth:`~repro.store.store.ResultStore.put_batch`), and a
    ``finally`` flush preserves per-visit durability when an
    interruption propagates — mid-stream resume picks up from the
-   journal exactly as before.
+   journal exactly as before.  Named runs open in the first batch and
+   close in the final flush of a clean finish, so a warm replay that
+   fits in one batch commits once.
 
 With ``summary_only=True`` no ``PairedVisit`` is retained at all:
 ``CampaignResult.paired_visits`` stays empty and analyses consume
@@ -103,6 +105,20 @@ class _StreamPlan:
     #: ``max(2, 2 * workers)``).
     max_in_flight: int | None = None
 
+    def visit_count(self, config: CampaignConfig) -> int:
+        """Paired visits (slots) one campaign of ``config`` runs here."""
+        vps = (
+            self.vantage_points
+            if self.vantage_points is not None
+            else default_vantage_points()
+        )
+        pages = PageSource(self.universe, pages=self.pages, count=self.page_count)
+        return (
+            len(vps[: config.max_vantage_points])
+            * config.probes_per_vantage
+            * len(pages)
+        )
+
 
 @dataclass(frozen=True)
 class CampaignPlan(_StreamPlan):
@@ -140,13 +156,21 @@ def execute(plan):
 
 @execute.register
 def _execute_campaign(plan: CampaignPlan) -> CampaignResult:
-    results = _stream_campaigns(plan, {"campaign": plan.config}, plan.run_name)
+    results = _stream_campaigns(
+        plan, {"campaign": plan.config}, {"campaign": plan.run_name}
+    )
     return results["campaign"]
 
 
 @execute.register
 def _execute_multi(plan: MultiCampaignPlan) -> dict:
-    return _stream_campaigns(plan, plan.configs, plan.run_prefix)
+    run_names = {}
+    if plan.run_prefix is not None:
+        run_names = {
+            key: f"{plan.run_prefix}/{_format_run_key(key)}"
+            for key in plan.configs
+        }
+    return _stream_campaigns(plan, plan.configs, run_names)
 
 
 @execute.register
@@ -203,6 +227,9 @@ class _StoreBatcher:
     together, so a flushed batch is durable as a unit; the executor's
     ``finally`` flush keeps interrupt semantics per-visit for the
     serial path (everything folded before the exception is flushed).
+    A named run opens in the first batch that commits and closes in the
+    last one, so a warm replay that fits in one batch commits once, and
+    a run interrupted before any visit folds writes nothing.
     """
 
     def __init__(self, store) -> None:
@@ -210,8 +237,16 @@ class _StoreBatcher:
         self._entries: list[dict] = []
         self._journal: list[tuple[str, str, str]] = []
         self._run_visits: list[tuple[str, int, str]] = []
+        self._open_runs: list[tuple[str, str, bool]] = []
+        self._close_runs: list[tuple[str, int]] = []
         self._queued: set[str] = set()
         self._pending_visits = 0
+
+    def open_run(self, run_name: str, config_hash: str, resume: bool) -> None:
+        self._open_runs.append((run_name, config_hash, resume))
+
+    def close_run(self, run_name: str, n_visits: int) -> None:
+        self._close_runs.append((run_name, n_visits))
 
     def add_fresh(
         self,
@@ -247,22 +282,36 @@ class _StoreBatcher:
     def add_run_visit(self, run_name: str, position: int, visit_key: str) -> None:
         self._run_visits.append((run_name, position, visit_key))
 
-    def visit_done(self) -> None:
-        """Count one folded visit; flush when the batch is full."""
+    def visit_done(self, last: bool) -> None:
+        """Count one folded visit; flush when the batch is full.
+
+        The plan's last visit leaves its batch to the final flush, which
+        closes the runs in the same transaction.
+        """
         self._pending_visits += 1
-        if self._pending_visits >= DEFAULT_STORE_BATCH:
+        if self._pending_visits >= DEFAULT_STORE_BATCH and not last:
             self.flush()
 
     def flush(self) -> None:
-        if not (self._entries or self._journal or self._run_visits):
+        """Commit what is queued; opening a run alone never commits."""
+        if not (
+            self._entries or self._journal or self._run_visits
+            or self._close_runs
+        ):
             self._pending_visits = 0
             return
         self.store.put_batch(
-            self._entries, journal=self._journal, run_visits=self._run_visits
+            self._entries,
+            journal=self._journal,
+            run_visits=self._run_visits,
+            open_runs=self._open_runs,
+            close_runs=self._close_runs,
         )
         self._entries = []
         self._journal = []
         self._run_visits = []
+        self._open_runs = []
+        self._close_runs = []
         self._queued = set()
         self._pending_visits = 0
 
@@ -279,12 +328,6 @@ def _format_run_key(key: Hashable) -> str:
     return str(key)
 
 
-def _run_name_for(run_prefix: str | None, key: Hashable, multi: bool) -> str | None:
-    if run_prefix is None:
-        return None
-    return f"{run_prefix}/{_format_run_key(key)}" if multi else run_prefix
-
-
 def _default_chunk_size(n_pages: int, workers: int) -> int:
     """A few chunks per worker balances load against pool overhead."""
     if workers <= 1:
@@ -297,7 +340,7 @@ class _KeyState:
 
     __slots__ = (
         "config", "vps", "summary", "paired", "failures", "stats",
-        "run_name", "config_hash", "config_part", "profile_merge",
+        "run_name", "config_hash", "config_fragment", "profile_merge",
         "prior", "position", "n_slots",
     )
 
@@ -310,7 +353,7 @@ class _KeyState:
         self.stats: StoreStats | None = None
         self.run_name: str | None = None
         self.config_hash: str = ""
-        self.config_part: dict | None = None
+        self.config_fragment = None
         self.profile_merge: dict[str, list] = {}
         self.prior: set[str] = set()
         self.position = 0
@@ -320,9 +363,13 @@ class _KeyState:
 def _stream_campaigns(
     plan: _StreamPlan,
     configs: dict[Hashable, CampaignConfig],
-    run_prefix: str | None,
+    run_names: dict[Hashable, str | None],
 ) -> dict[Hashable, CampaignResult]:
-    """The engine: enumerate → (replay | simulate) → fold, streaming."""
+    """The engine: enumerate → (replay | simulate) → fold, streaming.
+
+    ``run_names`` maps a config key to its named run in the store; a
+    key it lacks runs unnamed.
+    """
     universe, workers, store = plan.universe, plan.workers, plan.store
     source = PageSource(universe, pages=plan.pages, count=plan.page_count)
     n_pages = len(source)
@@ -332,27 +379,31 @@ def _stream_campaigns(
         else default_vantage_points()
     )
 
+    batcher = _StoreBatcher(store) if store is not None else None
+
     # -- per-config setup ---------------------------------------------
     states: dict[Hashable, _KeyState] = {}
     for key, config in configs.items():
-        vps = all_vps
-        if config.max_vantage_points is not None:
-            vps = vps[: config.max_vantage_points]
-        state = states[key] = _KeyState(config, vps)
-        state.n_slots = len(vps) * config.probes_per_vantage * n_pages
+        state = states[key] = _KeyState(
+            config, all_vps[: config.max_vantage_points]
+        )
+        state.n_slots = plan.visit_count(config)
         if store is not None:
-            from repro.store.keys import campaign_config_hash, visit_config_part
+            from repro.store.keys import (
+                ConfigFragment,
+                campaign_config_hash,
+                visit_config_part,
+            )
 
             state.stats = StoreStats()
-            state.config_part = visit_config_part(config)
-            state.config_hash = campaign_config_hash(config)
-            state.run_name = _run_name_for(
-                run_prefix, key, multi=len(configs) > 1
-            )
+            config_part = visit_config_part(config)
+            state.config_fragment = ConfigFragment.of(config_part)
+            state.config_hash = campaign_config_hash(config, config_part)
+            state.run_name = run_names.get(key)
             if state.run_name is not None:
-                state.prior = store.begin_run(
-                    state.run_name, config_hash=state.config_hash, resume=plan.resume
-                )
+                if plan.resume:
+                    state.prior = set(store.journal_keys(state.run_name))
+                batcher.open_run(state.run_name, state.config_hash, plan.resume)
 
     if store is not None:
         from repro.store.keys import page_part, paired_visit_key
@@ -361,10 +412,10 @@ def _stream_campaigns(
         # bounded LRU so the streaming path stays O(window), not O(pages).
         from collections import OrderedDict
 
-        page_materials: OrderedDict[int, dict] = OrderedDict()
+        page_materials: OrderedDict[int, str] = OrderedDict()
         material_cap = max(256, 4 * MAX_AUTO_CHUNK)
 
-        def material_for(page_index: int) -> dict:
+        def material_for(page_index: int) -> str:
             material = page_materials.get(page_index)
             if material is None:
                 material = page_part(source[page_index], universe.hosts)
@@ -375,7 +426,7 @@ def _stream_campaigns(
                 page_materials.move_to_end(page_index)
             return material
 
-    batcher = _StoreBatcher(store) if store is not None else None
+    total_slots = sum(state.n_slots for state in states.values())
 
     # -- progress ------------------------------------------------------
     progress = None
@@ -383,7 +434,7 @@ def _stream_campaigns(
         from repro.obs.progress import ProgressReporter
 
         progress = ProgressReporter(
-            total=sum(state.n_slots for state in states.values()),
+            total=total_slots,
             workers=max(1, workers),
         )
 
@@ -479,7 +530,7 @@ def _stream_campaigns(
             if state.run_name is not None:
                 batcher.add_run_visit(state.run_name, state.position, visit_key)
             state.position += 1
-            batcher.visit_done()
+            batcher.visit_done(last=fold_frontier + 1 == total_slots)
 
     def _fold_ready() -> None:
         nonlocal fold_frontier
@@ -556,7 +607,7 @@ def _stream_campaigns(
                         staged = False
                         if store is not None:
                             visit_key = paired_visit_key(
-                                state.config_part,
+                                state.config_fragment,
                                 material_for(page_index),
                                 all_vps[vp_index],
                                 probe_index,
@@ -621,7 +672,7 @@ def _stream_campaigns(
             _drain_one()
             _fold_ready()
         _fold_ready()
-    except (KeyboardInterrupt, Exception):
+    except BaseException:
         interrupted = True
         raise
     finally:
@@ -633,8 +684,13 @@ def _stream_campaigns(
             pool.join()
         # Durability on interrupt: everything folded so far commits, so
         # the journal reflects every completed visit (per-visit in the
-        # serial path) and a --resume run recovers it.
+        # serial path) and a --resume run recovers it.  Only a clean
+        # finish closes the named runs, in the same transaction.
         if batcher is not None:
+            if not interrupted:
+                for state in states.values():
+                    if state.run_name is not None:
+                        batcher.close_run(state.run_name, state.n_slots)
             batcher.flush()
 
     progress_summary = progress.finish() if progress is not None else None
@@ -661,8 +717,6 @@ def _stream_campaigns(
             result.progress = progress_summary
         if store is not None:
             result.store_stats = state.stats
-            if state.run_name is not None:
-                store.mark_run_complete(state.run_name, state.n_slots)
         results[key] = result
     return results
 

@@ -34,6 +34,7 @@ string ``"inf"``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -43,6 +44,7 @@ from repro.measurement.campaign import CampaignConfig
 from repro.measurement.vantage import VantagePoint
 from repro.web.hosts import HostSpec
 from repro.web.page import Webpage
+from repro.web.resource import Resource
 
 #: Bump on any incompatible change to key material or payload formats;
 #: every key embeds it, so old entries simply become misses.
@@ -217,15 +219,20 @@ def visit_config_part(config: CampaignConfig) -> dict:
     return part
 
 
-def campaign_config_hash(config: CampaignConfig) -> str:
+def campaign_config_hash(
+    config: CampaignConfig, config_part: dict | None = None
+) -> str:
     """Hash of the *whole* campaign config (run-level provenance).
 
     Unlike :func:`visit_config_part` this covers every field — seed and
     topology included — because it identifies a campaign, not a visit.
     It is the ``config_hash`` recorded in run manifests and the store's
-    ``runs`` table.
+    ``runs`` table.  A caller that already holds
+    ``visit_config_part(config)`` passes it as ``config_part``.
     """
-    material = visit_config_part(config)
+    material = dict(
+        visit_config_part(config) if config_part is None else config_part
+    )
     material["seed"] = config.seed
     material["probes_per_vantage"] = config.probes_per_vantage
     material["max_vantage_points"] = config.max_vantage_points
@@ -233,13 +240,47 @@ def campaign_config_hash(config: CampaignConfig) -> str:
     return blake2b_hex(canonical_json(material).encode())
 
 
+@dataclasses.dataclass(frozen=True)
+class ConfigFragment:
+    """A config part rendered once: its canonical JSON and its schema.
+
+    :func:`paired_visit_key` and :func:`consecutive_key` accept either
+    this or the config part itself; a campaign renders its part once
+    and reuses the fragment for every slot.
+    """
+
+    json: str
+    schema: int
+
+    @classmethod
+    def of(cls, config_part: dict) -> "ConfigFragment":
+        return cls(canonical_json(config_part), _schema_for(config_part))
+
+
+def _config_fragment(config_part: dict | ConfigFragment) -> ConfigFragment:
+    if isinstance(config_part, ConfigFragment):
+        return config_part
+    return ConfigFragment.of(config_part)
+
+
 # ----------------------------------------------------------------------
 # Workload canonicalization
 # ----------------------------------------------------------------------
+#
+# Resources, hosts and vantage points enter a key as canonical-JSON
+# fragments, spliced into the key material in sorted-key order.  The
+# three are frozen dataclasses, so each fragment is cached by the
+# value of its object; ``Webpage`` and a universe's host map are
+# mutable, so pages are never cached here.
+
+#: Bound of each fragment cache (a page has ~100 resources).
+_FRAGMENT_CACHE = 1 << 14
 
 
-def _resource_part(resource) -> dict:
-    return {
+@functools.lru_cache(maxsize=_FRAGMENT_CACHE)
+def _resource_fragment(resource: Resource) -> str:
+    """One :class:`~repro.web.resource.Resource` as key material."""
+    return canonical_json({
         "url": resource.url,
         "host": resource.host,
         "type": resource.rtype.value,
@@ -248,11 +289,13 @@ def _resource_part(resource) -> dict:
         "wave": resource.wave,
         "popular": resource.popular,
         "request_bytes": resource.request_bytes,
-    }
+    })
 
 
-def _host_part(spec: HostSpec) -> dict:
-    return {
+@functools.lru_cache(maxsize=_FRAGMENT_CACHE)
+def _host_fragment(spec: HostSpec) -> str:
+    """One :class:`~repro.web.hosts.HostSpec` as key material."""
+    return canonical_json({
         "hostname": spec.hostname,
         "kind": spec.kind,
         "provider": spec.provider_name,
@@ -263,34 +306,38 @@ def _host_part(spec: HostSpec) -> dict:
         "origin_fetch_ms": spec.origin_fetch_ms,
         "h3_overhead_ms": spec.h3_think_overhead_ms,
         "tls": spec.tls_version.value,
-    }
+    })
 
 
-def page_part(page: Webpage, hosts: Mapping[str, HostSpec]) -> dict:
+@functools.lru_cache(maxsize=256)
+def _vantage_fragment(vantage: VantagePoint) -> str:
+    """One :class:`~repro.measurement.vantage.VantagePoint` as key material."""
+    return canonical_json({
+        "name": vantage.name,
+        "rtt_scale": vantage.rtt_scale,
+        "extra_delay_ms": vantage.extra_delay_ms,
+    })
+
+
+def page_part(page: Webpage, hosts: Mapping[str, HostSpec]) -> str:
     """One page plus the host specs it touches, as key material.
 
     ``hosts`` is the universe's full inventory; only the page's own
     hosts are folded in, so unrelated universe changes don't invalidate
-    the page's cached visits.
+    the page's cached visits.  Returns the canonical-JSON rendering of
+    ``{"url", "origin_host", "html", "resources", "hosts"}``, assembled
+    from cached resource and host fragments.
     """
-    return {
-        "url": page.url,
-        "origin_host": page.origin_host,
-        "html": _resource_part(page.html),
-        "resources": [_resource_part(r) for r in page.resources],
-        "hosts": [
-            _host_part(hosts[name]) for name in sorted(page.hosts())
-            if name in hosts
-        ],
-    }
-
-
-def vantage_part(vantage: VantagePoint) -> dict:
-    return {
-        "name": vantage.name,
-        "rtt_scale": vantage.rtt_scale,
-        "extra_delay_ms": vantage.extra_delay_ms,
-    }
+    page_hosts = ",".join([
+        _host_fragment(hosts[name]) for name in sorted(page.hosts())
+        if name in hosts
+    ])
+    resources = ",".join(map(_resource_fragment, page.resources))
+    return (
+        f'{{"hosts":[{page_hosts}],"html":{_resource_fragment(page.html)},'
+        f'"origin_host":{canonical_json(page.origin_host)},'
+        f'"resources":[{resources}],"url":{canonical_json(page.url)}}}'
+    )
 
 
 # ----------------------------------------------------------------------
@@ -299,46 +346,48 @@ def vantage_part(vantage: VantagePoint) -> dict:
 
 
 def paired_visit_key(
-    config_part: dict,
-    page_material: dict,
+    config_part: dict | ConfigFragment,
+    page_material: str,
     vantage: VantagePoint,
     probe_index: int,
     derived_seed: int,
 ) -> str:
     """The store key for one paired (H2, H3) visit.
 
-    ``config_part`` and ``page_material`` are precomputed via
-    :func:`visit_config_part` / :func:`page_part` so campaign-scale key
-    derivation hashes each config and page once, not once per slot.
+    The key material is ``{"schema", "kind": "paired", "mode": "h2+h3",
+    "config", "page", "vantage", "probe_index", "seed"}`` in canonical
+    JSON.  ``config_part`` comes from :func:`visit_config_part` (or its
+    :class:`ConfigFragment`) and ``page_material`` from
+    :func:`page_part`, so campaign-scale key derivation renders each
+    config and page once, not once per slot.
     """
-    material = {
-        "schema": _schema_for(config_part),
-        "kind": "paired",
-        "mode": "h2+h3",
-        "config": config_part,
-        "page": page_material,
-        "vantage": vantage_part(vantage),
-        "probe_index": probe_index,
-        "seed": derived_seed,
-    }
-    return blake2b_hex(canonical_json(material).encode())
+    config = _config_fragment(config_part)
+    material = (
+        f'{{"config":{config.json},"kind":"paired","mode":"h2+h3",'
+        f'"page":{page_material},"probe_index":{probe_index},'
+        f'"schema":{config.schema},"seed":{derived_seed},'
+        f'"vantage":{_vantage_fragment(vantage)}}}'
+    )
+    return blake2b_hex(material.encode())
 
 
 def consecutive_key(
     mode: str,
-    pages_material: list[dict],
-    config_material: dict,
+    pages_material: list[str],
+    config_material: dict | ConfigFragment,
 ) -> str:
     """The store key for one whole consecutive-visit walk.
 
     Session tickets persist across the walk, so individual visits don't
     decompose — the unit of caching is the ordered walk under one mode.
+    The key material is ``{"schema", "kind": "consecutive", "mode",
+    "config", "pages"}`` in canonical JSON, ``pages`` from
+    :func:`page_part`.
     """
-    material = {
-        "schema": _schema_for(config_material),
-        "kind": "consecutive",
-        "mode": mode,
-        "config": config_material,
-        "pages": pages_material,
-    }
-    return blake2b_hex(canonical_json(material).encode())
+    config = _config_fragment(config_material)
+    material = (
+        f'{{"config":{config.json},"kind":"consecutive",'
+        f'"mode":{canonical_json(mode)},"pages":[{",".join(pages_material)}],'
+        f'"schema":{config.schema}}}'
+    )
+    return blake2b_hex(material.encode())

@@ -23,6 +23,8 @@ Entries commit together with their journal rows, one transaction per
 batch of visits — that transaction sequence *is* the write-ahead
 journal that makes interrupted campaigns resumable: a killed run leaves
 every committed visit durable and replayable, and nothing half-written.
+A named run opens in its first batch and closes in its last, so a run
+killed before its first batch leaves the store as it was.
 
 A store written with the older layout (payloads appended to an
 ``artifacts.jsonl`` spill file, indexed by offset and length) is
@@ -281,48 +283,14 @@ class ResultStore:
 
     # -- named runs and the visit journal ------------------------------
 
-    def begin_run(
-        self, name: str, *, config_hash: str, resume: bool = False
-    ) -> set[str]:
-        """Open (or reopen) a named run; returns prior journaled keys.
-
-        Without ``resume`` any earlier run record and journal under
-        ``name`` is discarded and the returned set is empty.  With
-        ``resume`` the prior journal survives and its key set is
-        returned, so the caller can tell recovered visits (store hits
-        that a crashed invocation already completed) from replays of
-        older runs.
-        """
-        prior: set[str] = set()
-        with self._db:
-            if resume:
-                prior = {
-                    row[0]
-                    for row in self._db.execute(
-                        "SELECT key FROM journal WHERE run_name = ?", (name,)
-                    )
-                }
-            else:
-                self._db.execute(
-                    "DELETE FROM journal WHERE run_name = ?", (name,)
-                )
-            self._db.execute(
-                "DELETE FROM run_visits WHERE run_name = ?", (name,)
-            )
-            self._db.execute(
-                "INSERT OR REPLACE INTO runs"
-                " (name, config_hash, created_unix, complete, n_visits)"
-                " VALUES (?, ?, ?, 0, 0)",
-                (name, config_hash, time.time()),
-            )
-        return prior
-
     def put_batch(
         self,
         entries: list[dict],
         *,
         journal: list[tuple[str, str, str]] = (),
         run_visits: list[tuple[str, int, str]] = (),
+        open_runs: list[tuple[str, str, bool]] = (),
+        close_runs: list[tuple[str, int]] = (),
     ) -> int:
         """Write several entries + journal rows in **one** transaction.
 
@@ -337,6 +305,15 @@ class ResultStore:
         durable or not there at all.  This is the streaming executor's
         write-through batching: one commit per *batch* instead of per
         visit.
+
+        A named run opens and closes inside these transactions.
+        ``open_runs`` rows are ``(run_name, config_hash, resume)``: the
+        run's ``runs`` row is reset to incomplete and its ``run_visits``
+        rows (and, without ``resume``, its journal) are deleted before
+        anything else in the batch is written.  ``close_runs`` rows are
+        ``(run_name, n_visits)`` and mark the run complete after
+        everything else.  A run whose opening batch never commits
+        leaves the store as it was.
 
         Returns the number of new entries written.
         """
@@ -363,6 +340,20 @@ class ResultStore:
                 )
             )
         with self._db:
+            for run_name, config_hash, resume in open_runs:
+                if not resume:
+                    self._db.execute(
+                        "DELETE FROM journal WHERE run_name = ?", (run_name,)
+                    )
+                self._db.execute(
+                    "DELETE FROM run_visits WHERE run_name = ?", (run_name,)
+                )
+                self._db.execute(
+                    "INSERT OR REPLACE INTO runs"
+                    " (name, config_hash, created_unix, complete, n_visits)"
+                    " VALUES (?, ?, ?, 0, 0)",
+                    (run_name, config_hash, time.time()),
+                )
             if new_rows:
                 self._db.executemany(
                     "INSERT INTO entries VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
@@ -388,21 +379,13 @@ class ResultStore:
                     " (run_name, position, key) VALUES (?, ?, ?)",
                     list(run_visits),
                 )
+            if close_runs:
+                self._db.executemany(
+                    "UPDATE runs SET complete = 1, n_visits = ? WHERE name = ?",
+                    [(n_visits, run_name) for run_name, n_visits in close_runs],
+                )
         self.stats.writes += len(new_rows)
         return len(new_rows)
-
-    def mark_run_complete(self, name: str, n_visits: int) -> None:
-        """Flip a run to complete once its visit list has been written.
-
-        Callers append the ``run_visits`` rows through :meth:`put_batch`
-        (the streaming executor batch by batch); this is the closing
-        bookend.
-        """
-        with self._db:
-            self._db.execute(
-                "UPDATE runs SET complete = 1, n_visits = ? WHERE name = ?",
-                (n_visits, name),
-            )
 
     def journal_keys(self, name: str) -> list[str]:
         """Journaled visit keys of ``name``, in completion order."""

@@ -26,6 +26,7 @@ from repro.measurement import (
     CampaignPlan,
     ConsecutivePlan,
     ConsecutiveRun,
+    MultiCampaignPlan,
     derive_seed,
     execute,
 )
@@ -464,6 +465,89 @@ class TestResume:
             assert rerun.store_stats.resumed == 0
 
 
+class TestRunTransactions:
+    """A named run opens in its first batch and closes in its last."""
+
+    @pytest.mark.parametrize(
+        "probes, commits",
+        # 4, 16 (one full batch) and 20 visits on 4 pages
+        [(1, 1), (4, 1), (5, 2)],
+    )
+    def test_warm_named_replay_commits_once_per_batch(
+        self, tmp_path, probes, commits
+    ):
+        universe = small_universe()
+        plan = CampaignPlan(
+            universe, sim=CampaignConfig(seed=3, probes_per_vantage=probes),
+            pages=universe.pages[:4], run_name="r",
+        )
+        visits = 4 * probes
+        with ResultStore(str(tmp_path / "st")) as store:
+            cold = execute(dataclasses.replace(plan, store=store))
+            statements = []
+            store._db.set_trace_callback(statements.append)
+            warm = execute(dataclasses.replace(plan, store=store))
+            store._db.set_trace_callback(None)
+            assert warm.store_stats.hits == visits
+            assert [s for s in statements if s.startswith("COMMIT")] == [
+                "COMMIT"
+            ] * commits
+            info = store.run_info("r")
+            assert info.complete and info.n_visits == visits
+            assert len(store.run_keys("r")) == visits
+        assert result_fingerprint(warm) == result_fingerprint(cold)
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_kill_before_the_first_batch_changes_nothing(
+        self, tmp_path, monkeypatch, resume
+    ):
+        import repro.measurement.parallel as parallel_mod
+
+        universe = small_universe()
+        pages = universe.pages[:2]
+        with ResultStore(str(tmp_path / "st")) as store:
+            execute(CampaignPlan(
+                universe, sim=CampaignConfig(seed=3), pages=pages, store=store,
+                run_name="r",
+            ))
+            before = (
+                store.run_info("r"),
+                store.run_info("r").created_unix,
+                store.run_keys("r"),
+                store.journal_keys("r"),
+                store.stats_summary(),
+            )
+
+            def killed(*args, **kwargs):
+                raise KeyboardInterrupt("simulated kill")
+
+            monkeypatch.setattr(parallel_mod, "measure_visit_outcome", killed)
+            with pytest.raises(KeyboardInterrupt):
+                execute(CampaignPlan(
+                    universe, sim=CampaignConfig(seed=4), pages=pages,
+                    store=store, run_name="r", resume=resume,
+                ))
+            after = (
+                store.run_info("r"),
+                store.run_info("r").created_unix,
+                store.run_keys("r"),
+                store.journal_keys("r"),
+                store.stats_summary(),
+            )
+        assert after == before
+        assert before[0].complete and before[0].n_visits == 2
+
+    def test_one_config_sweep_names_its_run_by_key(self, tmp_path):
+        universe = small_universe()
+        with ResultStore(str(tmp_path / "st")) as store:
+            execute(MultiCampaignPlan(
+                universe, pages=universe.pages[:1], store=store, run_prefix="p",
+                configs={"only": CampaignConfig(seed=3)},
+            ))
+            assert store.run_names() == ["p/only"]
+            assert store.run_info("p/only").complete
+
+
 class TestGc:
     def test_gc_prunes_only_unreachable(self, tmp_path):
         universe = small_universe()
@@ -710,6 +794,25 @@ class TestStudyIntegration:
             assert second.campaign_result.store_stats.misses == 0
             names = store.run_names()
         assert "t/campaign" in names and "t/consecutive" in names
+
+    def test_loss_sweep_too_small_to_fit_stores_nothing(self, tmp_path):
+        from repro.core.study import H3CdnStudy, StudyConfig
+
+        with ResultStore(str(tmp_path / "st")) as store:
+            study = H3CdnStudy(
+                StudyConfig(
+                    n_sites=6,
+                    seed=4,
+                    generator_config=SMALL,
+                    max_loss_sweep_pages=1,
+                    store=store,
+                    run_name="t",
+                )
+            )
+            with pytest.raises(ValueError, match="two paired visits"):
+                study.fig9()
+            assert store.run_names() == []
+            assert store.stats_summary()["entries"] == 0
 
     def test_every_stored_stage_keeps_its_layout(self, tmp_path):
         """Every stage a study stores lands under the same run names,
