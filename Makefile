@@ -182,8 +182,9 @@ check-smoke:
 		--sites 6 --pages 4 --seed 7
 
 # Result-store smoke: the persistence contract end to end.
-# 1. Run a campaign twice against one store; the second run must be
-#    100% hits and its experiment output byte-identical to the first.
+# 1. Run a campaign and the consecutive walks (table2, fig8) twice
+#    against one store; the second run must be 100% hits and its
+#    experiment output byte-identical to the first.
 # 2. `python -m repro.store gc` on the warm store prunes nothing (both
 #    runs' visits are reachable), `verify` then finds it clean, and
 #    `stats` counts the same entries before and after.
@@ -194,10 +195,10 @@ store-smoke:
 	rm -rf .store_smoke
 	mkdir -p .store_smoke
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.cli \
-		--scale smoke --sites 6 --experiments table2 \
+		--scale smoke --sites 6 --experiments table2,fig8 \
 		--store .store_smoke/st --run smoke --json .store_smoke/run1.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.cli \
-		--scale smoke --sites 6 --experiments table2 \
+		--scale smoke --sites 6 --experiments table2,fig8 \
 		--store .store_smoke/st --run smoke --json .store_smoke/run2.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "\
 	import json; \

@@ -79,8 +79,7 @@ def test_ablation_zero_rtt_resumption(benchmark, small_universe):
             small_universe,
             pages=small_universe.pages,
             modes=(H3_ENABLED,),
-            seed=5,
-            use_session_tickets=tickets,
+            sim=CampaignConfig(seed=5, use_session_tickets=tickets),
         ))
         return sum(run.resumed_connections()), sum(v.plt_ms for v in run.visits)
 

@@ -11,7 +11,7 @@ Run:  python examples/consecutive_browsing.py
 """
 
 from repro.core.sharing import giant_provider_count
-from repro.measurement import ConsecutivePlan, execute
+from repro.measurement import CampaignConfig, ConsecutivePlan, execute
 from repro.web import GeneratorConfig, TopSitesGenerator
 
 
@@ -22,7 +22,7 @@ def main() -> None:
           "(tickets persist, connections/caches do not)\n")
 
     h2_run, h3_run = execute(ConsecutivePlan(
-        universe=universe, pages=tuple(pages), seed=9
+        universe=universe, pages=tuple(pages), sim=CampaignConfig(seed=9)
     ))
 
     header = f"{'page':34s} {'giants':>6s} {'resumed':>7s} {'H2 PLT':>8s} {'H3 PLT':>8s} {'reduction':>9s}"

@@ -19,6 +19,7 @@ from repro.analysis.kmeans import kmeans
 from repro.analysis.stats import mean
 from repro.cdn.provider import GIANT_PROVIDERS
 from repro.core.metrics import reduction
+from repro.measurement.campaign import SimConfig
 from repro.measurement.consecutive import ConsecutiveRun
 from repro.measurement.executor import ConsecutivePlan, execute
 from repro.measurement.farm import ProbeNetProfile
@@ -114,15 +115,15 @@ class CaseStudyResult:
 def case_study(
     universe: WebUniverse,
     pages: Sequence[Webpage] | None = None,
-    seed: int = 0,
+    sim: SimConfig = SimConfig(),
     net_profile: ProbeNetProfile | None = None,
-    strict: bool = False,
 ) -> CaseStudyResult:
     """Run the paper's Table III case study end to end.
 
     k-means (k=2) over domain vectors partitions the pages; the group
     with the higher average provider count is C_H.  Each group is then
-    measured with consecutive visits under both protocol modes.
+    measured with consecutive visits under both protocol modes, with
+    ``sim`` as the walks' config; its seed also seeds the clustering.
     """
     pages = list(pages if pages is not None else universe.pages)
     domains, vectors, kept = domain_vectors(pages)
@@ -137,7 +138,7 @@ def case_study(
     best_groups: list[list[Webpage]] | None = None
     best_separation = -1.0
     for restart in range(8):
-        clustering = kmeans(vectors, k=2, seed=seed + restart)
+        clustering = kmeans(vectors, k=2, seed=sim.seed + restart)
         groups = [
             [kept[i] for i in clustering.cluster_indices(label)]
             for label in (0, 1)
@@ -162,8 +163,7 @@ def case_study(
             universe=universe,
             pages=tuple(group),
             net_profile=net_profile,
-            seed=seed,
-            strict=strict,
+            sim=sim,
         ))
         return SharingGroupStats(
             label=label,

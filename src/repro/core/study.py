@@ -128,11 +128,7 @@ class H3CdnStudy:
                 pages=self._pages(self.config.max_campaign_pages),
                 workers=self.config.workers,
                 store=self.config.store,
-                run_name=(
-                    f"{self.config.run_name}/campaign"
-                    if self.config.store is not None
-                    else None
-                ),
+                run_name=f"{self.config.run_name}/campaign",
                 resume=self.config.resume,
             ))
         return self._campaign_result
@@ -151,38 +147,14 @@ class H3CdnStudy:
     def consecutive_runs(self) -> tuple[ConsecutiveRun, ConsecutiveRun]:
         """(H2 walk, H3 walk) over the ordered page list."""
         if self._consecutive is None:
-            store = self.config.store
-            run_name = None
-            if store is not None:
-                from repro.store.keys import campaign_config_hash
-
-                run_name = f"{self.config.run_name}/consecutive"
-                # Opened before the walks, which journal into the run.
-                store.put_batch([], open_runs=[(
-                    run_name,
-                    campaign_config_hash(self.config.campaign_config),
-                    self.config.resume,
-                )])
             self._consecutive = execute(ConsecutivePlan(
                 universe=self.universe,
                 pages=tuple(self._pages(self.config.max_consecutive_pages)),
-                seed=self.config.seed,
-                strict=self.config.campaign_config.strict,
-                store=store,
-                run_name=run_name,
+                # The walks run at the study seed, like the sweeps.
+                sim=replace(self.config.campaign_config, seed=self.config.seed),
+                store=self.config.store,
+                run_name=f"{self.config.run_name}/consecutive",
             ))
-            if store is not None and run_name is not None:
-                # The journal holds both walks' keys in completion
-                # order (deduped in case a resume re-journaled one).
-                keys = list(dict.fromkeys(store.journal_keys(run_name)))
-                store.put_batch(
-                    [],
-                    run_visits=[
-                        (run_name, position, key)
-                        for position, key in enumerate(keys)
-                    ],
-                    close_runs=[(run_name, len(keys))],
-                )
         return self._consecutive
 
     # -- Section IV: adoption --------------------------------------------
@@ -262,8 +234,7 @@ class H3CdnStudy:
             self._case_study = sharing_mod.case_study(
                 self.universe,
                 pages=self._pages(self.config.max_consecutive_pages),
-                seed=self.config.seed,
-                strict=self.config.campaign_config.strict,
+                sim=replace(self.config.campaign_config, seed=self.config.seed),
             )
         return self._case_study
 

@@ -10,7 +10,7 @@ it returns is what all Table II / Fig. 2–7 analyses consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import KW_ONLY, dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from repro.browser.browser import H2_ONLY, H3_ENABLED, PageVisit
@@ -153,6 +153,26 @@ class CampaignConfig(TelemetryConfig, SimConfig):
             **{name: getattr(sim, name) for name in SIM_FIELDS},
             **{name: getattr(telemetry, name) for name in TELEMETRY_FIELDS},
         )
+
+
+@dataclass(frozen=True)
+class PlanConfig:
+    """The config half every plan shares, keyword-only.
+
+    ``sim`` may be a :class:`SimConfig` (paired with ``telemetry``) or a
+    whole :class:`CampaignConfig`; a ``telemetry`` given with a
+    campaign config replaces its telemetry group.
+    """
+
+    _: KW_ONLY
+    sim: SimConfig = field(default_factory=SimConfig)
+    telemetry: TelemetryConfig | None = None
+
+    @property
+    def config(self) -> CampaignConfig:
+        if self.telemetry is None and isinstance(self.sim, CampaignConfig):
+            return self.sim
+        return CampaignConfig.from_groups(self.sim, self.telemetry)
 
 
 @dataclass

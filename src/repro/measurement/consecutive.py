@@ -7,8 +7,8 @@ already seen on an *earlier page* can resume (H3: 0-RTT; H2: TCP round
 trip + TLS early data).  This is the mechanism behind the paper's
 Fig. 8 and the Table III case study.
 
-A :class:`ConsecutivePlan` describes one walk; ``execute(plan)`` from
-:mod:`repro.measurement.executor` runs it through :func:`run_walk`.
+``execute(ConsecutivePlan(...))`` replays each walk from a store or
+simulates it with :func:`run_walk`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.browser.browser import H2_ONLY, H3_ENABLED, PageVisit
+from repro.measurement.campaign import PlanConfig
 from repro.measurement.farm import ProbeNetProfile
 from repro.measurement.probe import Probe
 from repro.web.page import Webpage
@@ -59,16 +60,19 @@ class ConsecutiveRun:
 
 
 @dataclass(frozen=True)
-class ConsecutivePlan:
-    """An ordered consecutive-visit walk (tickets persist across pages)."""
+class ConsecutivePlan(PlanConfig):
+    """One ordered walk per mode; tickets persist across pages.
+
+    A walk reads only ``seed``, ``use_session_tickets`` and ``strict``
+    of its config: it runs on the default transport, without faults,
+    proxy, cache hierarchy or compression.  With a store, ``run_name``
+    names a run listing the walks' keys in mode order.
+    """
 
     universe: object
     pages: tuple[Webpage, ...] = ()
     modes: tuple[str, ...] = (H2_ONLY, H3_ENABLED)
     net_profile: ProbeNetProfile | None = None
-    seed: int = 0
-    use_session_tickets: bool = True
-    strict: bool = False
     store: object | None = None
     run_name: str | None = None
 
@@ -76,26 +80,27 @@ class ConsecutivePlan:
 def _walk_key(plan: ConsecutivePlan, mode: str) -> str:
     """Content-addressed key for one whole walk under one mode.
 
-    Session tickets carry state from page to page, so individual
-    visits don't cache independently — the ordered walk is the unit.
-    A walk always runs on the default transport and always warms the
-    edges first; the key keeps its ``transport`` (``None``) and
+    Session tickets carry state from page to page, so the ordered walk
+    is the unit.  The key holds what a walk reads (seed, tickets,
+    strict, ``net_profile``) and keeps ``transport`` (``None``) and
     ``warm_edges_first`` (``True``) entries so stored walk keys stay
-    valid.
+    valid: a walk always runs on the default transport and warms the
+    edges first.
     """
     from repro.store.keys import consecutive_key, page_part
 
+    config = plan.config
     config_material = {
         "net_profile": (
             dataclasses.asdict(plan.net_profile)
             if plan.net_profile is not None
             else None
         ),
-        "seed": plan.seed,
+        "seed": config.seed,
         "transport": None,
-        "use_session_tickets": plan.use_session_tickets,
+        "use_session_tickets": config.use_session_tickets,
         "warm_edges_first": True,
-        "strict": plan.strict,
+        "strict": config.strict,
     }
     return consecutive_key(
         mode,
@@ -105,30 +110,15 @@ def _walk_key(plan: ConsecutivePlan, mode: str) -> str:
 
 
 def run_walk(plan: ConsecutivePlan, mode: str) -> ConsecutiveRun:
-    """Visit ``plan.pages`` in order under ``mode``; tickets persist.
+    """Simulate ``plan.pages`` in order under ``mode``; tickets persist.
 
     A fresh probe (fresh clock, caches and ticket store) is built per
     walk so that H2 and H3 walks are independent, mirroring the paper's
-    separate browser instances.  With a store attached, a previously
-    completed identical walk is replayed bit-identically instead of
-    re-simulated.
+    separate browser instances.
     """
-    if mode not in (H2_ONLY, H3_ENABLED):
-        raise ValueError(f"unknown mode {mode!r}")
-    store = plan.store
-    pages = plan.pages
-    walk_key = None
-    if store is not None:
-        walk_key = _walk_key(plan, mode)
-        document = store.get(walk_key)
-        if document is not None:
-            run = ConsecutiveRun.from_dict(document)
-            run.source = "replay"
-            if plan.run_name is not None:
-                store.put_batch([], journal=[(plan.run_name, walk_key, "replay")])
-            return run
+    config = plan.config
     check = None
-    if plan.strict:
+    if config.strict:
         from repro.check import CheckContext
 
         check = CheckContext()
@@ -136,27 +126,12 @@ def run_walk(plan: ConsecutivePlan, mode: str) -> ConsecutiveRun:
         name=f"consecutive-{mode}",
         universe=plan.universe,
         net_profile=plan.net_profile,
-        seed=plan.seed,
-        use_session_tickets=plan.use_session_tickets,
+        seed=config.seed,
+        use_session_tickets=config.use_session_tickets,
         check=check,
     )
-    probe.warm_edges(pages)
+    probe.warm_edges(plan.pages)
     probe.clear_session_state()
-    visits = [probe.visit_once(page, mode) for page in pages]
-    run = ConsecutiveRun(mode=mode, visits=visits)
-    if walk_key is not None:
-        store.put_batch(
-            [{
-                "key": walk_key,
-                "document": run.to_dict(),
-                "kind": "consecutive",
-                "config_hash": "",
-                "page_url": pages[0].url if pages else None,
-                "probe": f"consecutive-{mode}",
-            }],
-            journal=(
-                [] if plan.run_name is None
-                else [(plan.run_name, walk_key, "fresh")]
-            ),
-        )
-    return run
+    return ConsecutiveRun(
+        mode=mode, visits=[probe.visit_once(page, mode) for page in plan.pages]
+    )

@@ -7,14 +7,14 @@ measurements:
 * ``execute(MultiCampaignPlan)`` — several configs over one shared
   worker pool (the Fig. 9 loss sweep, the fallback sweep).
 * ``execute(ConsecutivePlan)`` — ordered consecutive-visit walks
-  (Fig. 8 / Table III).
+  (Fig. 8 / Table III), one per mode, replayed or simulated.
+
+All three write a store through one :class:`_StoreBatcher`.
 
 Streaming
 =========
 
-The old runner materialized every slot, every work unit and every
-``PairedVisit`` before merging — peak RSS was O(visits).  The executor
-instead *streams*:
+Campaigns *stream*; peak RSS does not grow with the visit count:
 
 1. A generator enumerates ``(config, vantage, probe, page)`` slots in
    canonical order, assigning each a global sequence number.  Nothing
@@ -31,14 +31,9 @@ instead *streams*:
    CampaignSummary` **in canonical slot order** (a small reorder
    buffer bridges completion order to slot order; float folds are
    order-sensitive, canonical order is what makes workers=1 == N).
-4. Store write-through is batched: entries, journal rows and the
-   ordered ``run_visits`` list commit one batch at a time
-   (:meth:`~repro.store.store.ResultStore.put_batch`), and a
-   ``finally`` flush preserves per-visit durability when an
-   interruption propagates — mid-stream resume picks up from the
-   journal exactly as before.  Named runs open in the first batch and
-   close in the final flush of a clean finish, so a warm replay that
-   fits in one batch commits once.
+4. Store write-through is batched (:class:`_StoreBatcher`), and a
+   ``finally`` flush keeps every folded visit durable when an
+   interruption propagates, so ``resume`` picks up from the journal.
 
 With ``summary_only=True`` no ``PairedVisit`` is retained at all:
 ``CampaignResult.paired_visits`` stays empty and analyses consume
@@ -55,15 +50,20 @@ from dataclasses import KW_ONLY, dataclass, field
 from functools import singledispatch
 from typing import Hashable
 
+from repro.browser.browser import H2_ONLY, H3_ENABLED
 from repro.measurement import parallel as parallel_mod
 from repro.measurement.campaign import (
     CampaignConfig,
     CampaignResult,
     PairedVisit,
-    SimConfig,
-    TelemetryConfig,
+    PlanConfig,
 )
-from repro.measurement.consecutive import ConsecutivePlan, ConsecutiveRun, run_walk
+from repro.measurement.consecutive import (
+    ConsecutivePlan,
+    ConsecutiveRun,
+    _walk_key,
+    run_walk,
+)
 from repro.measurement.outcome import VisitFailure, VisitOutcome
 from repro.measurement.summary import CampaignSummary
 from repro.measurement.vantage import VantagePoint, default_vantage_points
@@ -121,23 +121,10 @@ class _StreamPlan:
 
 
 @dataclass(frozen=True)
-class CampaignPlan(_StreamPlan):
-    """Everything needed to run one campaign, declaratively.
+class CampaignPlan(_StreamPlan, PlanConfig):
+    """Everything needed to run one campaign, declaratively."""
 
-    ``sim`` may be a :class:`SimConfig` (paired with ``telemetry``) or a
-    whole :class:`CampaignConfig`; a ``telemetry`` given with a
-    campaign config replaces its telemetry group.
-    """
-
-    sim: SimConfig = field(default_factory=SimConfig)
-    telemetry: TelemetryConfig | None = None
     run_name: str | None = None
-
-    @property
-    def config(self) -> CampaignConfig:
-        if self.telemetry is None and isinstance(self.sim, CampaignConfig):
-            return self.sim
-        return CampaignConfig.from_groups(self.sim, self.telemetry)
 
 
 @dataclass(frozen=True)
@@ -175,8 +162,48 @@ def _execute_multi(plan: MultiCampaignPlan) -> dict:
 
 @execute.register
 def _execute_consecutive(plan: ConsecutivePlan):
-    runs = tuple(run_walk(plan, mode) for mode in plan.modes)
-    return runs[0] if len(runs) == 1 else runs
+    """One walk per mode, replayed from the store or simulated."""
+    for mode in plan.modes:
+        if mode not in (H2_ONLY, H3_ENABLED):
+            raise ValueError(f"unknown mode {mode!r}")
+    store, run_name = plan.store, plan.run_name
+    if store is None:
+        runs = tuple(run_walk(plan, mode) for mode in plan.modes)
+        return runs[0] if len(runs) == 1 else runs
+    batcher = _StoreBatcher(store)
+    if run_name is not None:
+        from repro.store.keys import campaign_config_hash
+
+        batcher.open_run(
+            run_name, campaign_config_hash(plan.config), False, len(plan.modes)
+        )
+    runs = []
+    clean = False
+    try:
+        for position, mode in enumerate(plan.modes):
+            walk_key = _walk_key(plan, mode)
+            document = store.get(walk_key)
+            if document is None:
+                run = run_walk(plan, mode)
+                batcher.add_fresh(
+                    walk_key,
+                    run.to_dict(),
+                    kind="consecutive",
+                    config_hash="",
+                    page_url=plan.pages[0].url if plan.pages else None,
+                    probe=f"consecutive-{mode}",
+                    run_name=run_name,
+                )
+            else:
+                run = ConsecutiveRun.from_dict(document)
+                run.source = "replay"
+            if run_name is not None:
+                batcher.add_run_visit(run_name, position, walk_key)
+            runs.append(run)
+        clean = True
+    finally:
+        batcher.flush(close=clean)
+    return runs[0] if len(runs) == 1 else tuple(runs)
 
 
 # ----------------------------------------------------------------------
@@ -228,8 +255,9 @@ class _StoreBatcher:
     ``finally`` flush keeps interrupt semantics per-visit for the
     serial path (everything folded before the exception is flushed).
     A named run opens in the first batch that commits and closes in the
-    last one, so a warm replay that fits in one batch commits once, and
-    a run interrupted before any visit folds writes nothing.
+    final flush of a clean finish, so a warm replay that fits in one
+    batch commits once, and a run interrupted before any visit folds
+    writes nothing.
     """
 
     def __init__(self, store) -> None:
@@ -238,21 +266,21 @@ class _StoreBatcher:
         self._journal: list[tuple[str, str, str]] = []
         self._run_visits: list[tuple[str, int, str]] = []
         self._open_runs: list[tuple[str, str, bool]] = []
-        self._close_runs: list[tuple[str, int]] = []
+        #: ``(run_name, n_visits)`` of every opened run.
+        self._runs: list[tuple[str, int]] = []
         self._queued: set[str] = set()
         self._pending_visits = 0
 
-    def open_run(self, run_name: str, config_hash: str, resume: bool) -> None:
-        self._open_runs.append((run_name, config_hash, resume))
-
-    def close_run(self, run_name: str, n_visits: int) -> None:
-        self._close_runs.append((run_name, n_visits))
+    def open_run(self, name: str, config_hash: str, resume: bool, n_visits: int) -> None:
+        self._open_runs.append((name, config_hash, resume))
+        self._runs.append((name, n_visits))
 
     def add_fresh(
         self,
         visit_key: str,
-        record: bytes,
+        record: bytes | dict,
         *,
+        kind: str,
         config_hash: str,
         page_url: str | None,
         probe: str | None,
@@ -269,7 +297,7 @@ class _StoreBatcher:
                 {
                     "key": visit_key,
                     "document": record,
-                    "kind": "paired",
+                    "kind": kind,
                     "config_hash": config_hash,
                     "page_url": page_url,
                     "probe": probe,
@@ -292,11 +320,13 @@ class _StoreBatcher:
         if self._pending_visits >= DEFAULT_STORE_BATCH and not last:
             self.flush()
 
-    def flush(self) -> None:
-        """Commit what is queued; opening a run alone never commits."""
+    def flush(self, close: bool = False) -> None:
+        """Commit what is queued and, with ``close``, mark every opened
+        run complete in the same transaction; opening a run alone never
+        commits."""
+        close_runs = self._runs if close else []
         if not (
-            self._entries or self._journal or self._run_visits
-            or self._close_runs
+            self._entries or self._journal or self._run_visits or close_runs
         ):
             self._pending_visits = 0
             return
@@ -305,13 +335,12 @@ class _StoreBatcher:
             journal=self._journal,
             run_visits=self._run_visits,
             open_runs=self._open_runs,
-            close_runs=self._close_runs,
+            close_runs=close_runs,
         )
         self._entries = []
         self._journal = []
         self._run_visits = []
         self._open_runs = []
-        self._close_runs = []
         self._queued = set()
         self._pending_visits = 0
 
@@ -403,7 +432,9 @@ def _stream_campaigns(
             if state.run_name is not None:
                 if plan.resume:
                     state.prior = set(store.journal_keys(state.run_name))
-                batcher.open_run(state.run_name, state.config_hash, plan.resume)
+                batcher.open_run(
+                    state.run_name, state.config_hash, plan.resume, state.n_slots
+                )
 
     if store is not None:
         from repro.store.keys import page_part, paired_visit_key
@@ -520,6 +551,7 @@ def _stream_campaigns(
                 wrote = batcher.add_fresh(
                     visit_key,
                     record if record is not None else outcome.to_record(),
+                    kind="paired",
                     config_hash=state.config_hash,
                     page_url=source[page_index].url,
                     probe=probe_name,
@@ -682,16 +714,10 @@ def _stream_campaigns(
             else:
                 pool.close()
             pool.join()
-        # Durability on interrupt: everything folded so far commits, so
-        # the journal reflects every completed visit (per-visit in the
-        # serial path) and a --resume run recovers it.  Only a clean
-        # finish closes the named runs, in the same transaction.
+        # Everything folded so far commits, so a --resume run recovers
+        # it; only a clean finish closes the named runs.
         if batcher is not None:
-            if not interrupted:
-                for state in states.values():
-                    if state.run_name is not None:
-                        batcher.close_run(state.run_name, state.n_slots)
-            batcher.flush()
+            batcher.flush(close=not interrupted)
 
     progress_summary = progress.finish() if progress is not None else None
 

@@ -442,6 +442,7 @@ class ResultStore:
     def run_outcomes(self, name: str) -> list:
         """Every stored :class:`~repro.measurement.outcome.VisitOutcome`
         of a named run, in visit order."""
+        from repro.measurement.consecutive import WALK_FORMAT
         from repro.measurement.outcome import VisitOutcome
 
         outcomes = []
@@ -451,6 +452,10 @@ class ResultStore:
                 raise StoreError(
                     f"run {name!r} references missing entry {key} "
                     "(gc'd or never finished?)"
+                )
+            if isinstance(payload, dict) and payload.get("format") == WALK_FORMAT:
+                raise StoreError(
+                    f"run {name!r} holds consecutive walks, not paired visits"
                 )
             outcomes.append(VisitOutcome.from_payload(payload))
         return outcomes

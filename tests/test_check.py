@@ -365,7 +365,8 @@ class TestStrictCampaign:
 
     def test_strict_consecutive_runner(self, universe):
         h2_run, h3_run = execute(ConsecutivePlan(
-            universe, pages=universe.pages[:3], seed=5, strict=True
+            universe, pages=universe.pages[:3],
+            sim=CampaignConfig(seed=5, strict=True),
         ))
         assert len(h2_run.visits) == len(h3_run.visits) == 3
 

@@ -141,7 +141,9 @@ def test_keys_are_pinned(universe, name):
 
 
 def test_walk_keys_are_pinned(universe):
-    plan = ConsecutivePlan(universe, pages=tuple(universe.pages[:3]), seed=SEED)
+    plan = ConsecutivePlan(
+        universe, pages=tuple(universe.pages[:3]), sim=CampaignConfig(seed=SEED)
+    )
     assert (_walk_key(plan, "h2-only"), _walk_key(plan, "h3-enabled")) == (
         "37e05402f44f7c35aec933f1fe868836",
         "b420d9a66b859578d253f30023d030ba",

@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.measurement import derive_seed
+from repro.measurement import CampaignConfig, derive_seed
 from repro.measurement.consecutive import ConsecutivePlan, _walk_key
 from repro.measurement.farm import ProbeNetProfile
 from repro.measurement.vantage import default_vantage_points
@@ -98,11 +98,11 @@ def dict_walk_key(plan, mode) -> str:
             if plan.net_profile is not None
             else None
         ),
-        "seed": plan.seed,
+        "seed": plan.config.seed,
         "transport": None,
-        "use_session_tickets": plan.use_session_tickets,
+        "use_session_tickets": plan.config.use_session_tickets,
         "warm_edges_first": True,
-        "strict": plan.strict,
+        "strict": plan.config.strict,
     }
     material = {
         "schema": _schema_for(config),
@@ -150,9 +150,9 @@ def test_campaign_hash_reuses_the_visit_part(name):
 @pytest.mark.parametrize(
     "plan_kwargs",
     [
-        {"seed": 3},
-        {"seed": 4, "use_session_tickets": False, "strict": True},
-        {"seed": 5, "net_profile": ProbeNetProfile(loss_rate=0.01)},
+        {"sim": CampaignConfig(seed=3)},
+        {"sim": CampaignConfig(seed=4, use_session_tickets=False, strict=True)},
+        {"sim": CampaignConfig(seed=5), "net_profile": ProbeNetProfile(loss_rate=0.01)},
     ],
     ids=["default", "no-tickets-strict", "lossy-profile"],
 )

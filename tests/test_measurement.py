@@ -160,7 +160,8 @@ class TestCampaign:
 class TestConsecutiveVisits:
     def test_resumption_accumulates_across_pages(self, universe):
         run = execute(ConsecutivePlan(
-            universe, pages=universe.pages, modes=(H3_ENABLED,), seed=5
+            universe, pages=universe.pages, modes=(H3_ENABLED,),
+            sim=CampaignConfig(seed=5),
         ))
         resumed = run.resumed_connections()
         # The first page can resume nothing; later pages share giant
@@ -170,14 +171,14 @@ class TestConsecutiveVisits:
 
     def test_tickets_disabled_kills_resumption(self, universe):
         run = execute(ConsecutivePlan(
-            universe, pages=universe.pages[:4], modes=(H3_ENABLED,), seed=5,
-            use_session_tickets=False,
+            universe, pages=universe.pages[:4], modes=(H3_ENABLED,),
+            sim=CampaignConfig(seed=5, use_session_tickets=False),
         ))
         assert sum(run.resumed_connections()) == 0
 
     def test_both_modes_by_default(self, universe):
         h2_run, h3_run = execute(ConsecutivePlan(
-            universe, pages=universe.pages[:3], seed=5
+            universe, pages=universe.pages[:3], sim=CampaignConfig(seed=5)
         ))
         assert h2_run.mode == H2_ONLY
         assert h3_run.mode == H3_ENABLED
@@ -185,7 +186,8 @@ class TestConsecutiveVisits:
 
     def test_unknown_mode_rejected(self, universe):
         plan = ConsecutivePlan(
-            universe, pages=universe.pages[:2], modes=("h9",), seed=5
+            universe, pages=universe.pages[:2], modes=("h9",),
+            sim=CampaignConfig(seed=5),
         )
         with pytest.raises(ValueError):
             execute(plan)
@@ -195,7 +197,7 @@ class TestConsecutiveVisits:
         after the first, H3's 0-RTT resumption should produce a PLT
         advantage over H2's 1-RTT resumption."""
         h2_run, h3_run = execute(ConsecutivePlan(
-            universe, pages=universe.pages[:6], seed=5
+            universe, pages=universe.pages[:6], sim=CampaignConfig(seed=5)
         ))
         later_reductions = [
             h2.plt_ms - h3.plt_ms

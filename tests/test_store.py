@@ -30,6 +30,7 @@ from repro.measurement import (
     derive_seed,
     execute,
 )
+from repro.measurement.consecutive import _walk_key
 from repro.measurement.outcome import VisitOutcome
 from repro.measurement.report import campaign_report
 from repro.store import (
@@ -123,7 +124,8 @@ class TestKeys:
                 run_name="paired",
             ))
             execute(ConsecutivePlan(
-                universe, pages=pages, seed=2, store=store, run_name="walk"
+                universe, pages=pages, sim=CampaignConfig(seed=2), store=store,
+                run_name="walk",
             ))
             assert store.run_keys("paired")[0] == "93288f9e90e57a7999222cc12d561dee"
             assert store.journal_keys("walk") == [
@@ -704,7 +706,8 @@ class TestSpillStore:
     def test_walk_replays(self, root):
         universe = cached_universe(self.UNIVERSE, seed=21)
         plan = ConsecutivePlan(
-            universe, pages=universe.pages[:2], modes=("h2-only",), seed=2,
+            universe, pages=universe.pages[:2], modes=("h2-only",),
+            sim=CampaignConfig(seed=2),
         )
         fresh = execute(plan)
         with ResultStore(root) as store:
@@ -739,7 +742,9 @@ class TestConsecutiveReplay:
         universe = small_universe()
         pages = universe.pages[:3]
         with ResultStore(str(tmp_path / "st")) as store:
-            plan = ConsecutivePlan(universe, pages=pages, seed=2, store=store)
+            plan = ConsecutivePlan(
+                universe, pages=pages, sim=CampaignConfig(seed=2), store=store
+            )
             fresh_h2, fresh_h3 = execute(plan)
             warm_h2, warm_h3 = execute(plan)
         assert fresh_h2.source == "fresh" and warm_h2.source == "replay"
@@ -759,10 +764,77 @@ class TestConsecutiveReplay:
         with ResultStore(str(tmp_path / "st")) as store:
             for seed in (2, 3):
                 execute(ConsecutivePlan(
-                    universe, pages=pages, modes=("h2-only",), seed=seed,
+                    universe, pages=pages, modes=("h2-only",),
+                    sim=CampaignConfig(seed=seed),
                     store=store,
                 ))
             assert store.stats_summary()["entries"] == 2
+
+    def walk_plan(self, store, **kwargs):
+        universe = small_universe()
+        return ConsecutivePlan(
+            universe, pages=universe.pages[:2], sim=CampaignConfig(seed=2),
+            store=store, run_name="walk", **kwargs,
+        )
+
+    def test_named_walk_run_is_complete(self, tmp_path):
+        with ResultStore(str(tmp_path / "st")) as store:
+            plan = self.walk_plan(store)
+            execute(plan)
+            info = store.run_info("walk")
+            assert info is not None and info.complete and info.n_visits == 2
+            assert info.config_hash == campaign_config_hash(plan.config)
+            assert store.run_names() == ["walk"]
+            assert store.run_keys("walk") == [
+                _walk_key(plan, "h2-only"), _walk_key(plan, "h3-enabled")
+            ]
+
+    def test_interrupted_walk_keeps_the_finished_one(self, tmp_path, monkeypatch):
+        from repro.measurement.probe import Probe
+
+        visit_once = Probe.visit_once
+
+        def killed_in_h3(probe, page, mode):
+            if mode == "h3-enabled":
+                raise KeyboardInterrupt("simulated kill")
+            return visit_once(probe, page, mode)
+
+        with ResultStore(str(tmp_path / "st")) as store:
+            plan = self.walk_plan(store)
+            h2_key, h3_key = (
+                _walk_key(plan, "h2-only"), _walk_key(plan, "h3-enabled")
+            )
+            monkeypatch.setattr(Probe, "visit_once", killed_in_h3)
+            with pytest.raises(KeyboardInterrupt):
+                execute(plan)
+            assert store.contains(h2_key) and not store.contains(h3_key)
+            assert not store.run_info("walk").complete
+            assert store.journal_keys("walk") == [h2_key]
+
+            monkeypatch.setattr(Probe, "visit_once", visit_once)
+            h2_run, h3_run = execute(plan)
+            assert (h2_run.source, h3_run.source) == ("replay", "fresh")
+            assert store.run_info("walk").complete
+            assert store.run_keys("walk") == [h2_key, h3_key]
+            assert store.journal_keys("walk") == [h3_key]
+
+    def test_unknown_mode_stores_nothing(self, tmp_path):
+        with ResultStore(str(tmp_path / "st")) as store:
+            with pytest.raises(ValueError, match="unknown mode"):
+                execute(self.walk_plan(store, modes=("h2-only", "h9")))
+            assert store.run_names() == []
+            assert store.stats_summary()["entries"] == 0
+
+    def test_walk_run_has_no_outcomes(self, tmp_path, capsys):
+        from repro.store.cli import main as store_main
+
+        root = str(tmp_path / "st")
+        with ResultStore(root) as store:
+            execute(self.walk_plan(store))
+            with pytest.raises(StoreError, match="'walk' holds consecutive walks"):
+                store.run_outcomes("walk")
+        assert store_main(["diff", root, "walk", "walk"]) == 2
+        assert "holds consecutive walks" in capsys.readouterr().err
 
 
 class TestStudyIntegration:
@@ -795,6 +867,33 @@ class TestStudyIntegration:
             names = store.run_names()
         assert "t/campaign" in names and "t/consecutive" in names
 
+    def test_consecutive_stage_commits_once(self, tmp_path):
+        """Cold or warm, the walks' entries, run rows and close share
+        one transaction."""
+        from repro.core.study import H3CdnStudy, StudyConfig
+
+        with ResultStore(str(tmp_path / "st")) as store:
+            for source in ("fresh", "replay"):
+                study = H3CdnStudy(
+                    StudyConfig(
+                        n_sites=6,
+                        seed=4,
+                        generator_config=SMALL,
+                        max_consecutive_pages=2,
+                        store=store,
+                        run_name="t",
+                    )
+                )
+                statements = []
+                store._db.set_trace_callback(statements.append)
+                runs = study.consecutive_runs
+                store._db.set_trace_callback(None)
+                assert [run.source for run in runs] == [source, source]
+                assert [s for s in statements if s.startswith("COMMIT")] == [
+                    "COMMIT"
+                ]
+                assert store.run_info("t/consecutive").complete
+
     def test_loss_sweep_too_small_to_fit_stores_nothing(self, tmp_path):
         from repro.core.study import H3CdnStudy, StudyConfig
 
@@ -824,7 +923,9 @@ class TestStudyIntegration:
 
         expected_runs = [
             ("t/campaign", "236bee6174ac2965f75b9159eb697dc7", 2),
-            ("t/consecutive", "236bee6174ac2965f75b9159eb697dc7", 2),
+            # The walks run at the study seed (4), so their run hashes the
+            # campaign config at that seed, as t/fig9/0.0-0 does.
+            ("t/consecutive", "f364034f86b081d5dca4098dd9b590e4", 2),
             ("t/fig-amplification/ratio-0", "492737d07f721b4a396ee6623b76c266", 2),
             ("t/fig-amplification/ratio-0.5", "eef832a659f76e82fc09859bf1485823", 2),
             ("t/fig-amplification/ratio-1", "cc8716e94d5ea8f63a69d98ed5ef1f82", 2),
