@@ -1,12 +1,12 @@
 """Shared fixtures for the benchmark harness.
 
-One session-scoped :class:`H3CdnStudy` backs all per-figure benches so
-the expensive stages (universe generation, the paired campaign, the
-consecutive walk, the loss sweep) run exactly once.  The scale — 60
-sites, 40-page loss sweep with 2 repetitions — is chosen so the full
-bench suite finishes in minutes while every paper *shape* is resolvable
-above simulation noise.  EXPERIMENTS.md records the full-scale (325
-site) numbers produced by ``repro-h3cdn --scale full``.
+One session-scoped :class:`H3CdnStudy` backs the paper-shape gate
+(``bench_shapes.py``) so the expensive stages (universe generation, the
+paired campaign, the consecutive walk, the loss sweep) run once.  At
+this scale (60 sites, 40-page loss sweep with 2 repetitions) the gated
+shapes hold at ``BENCH_SEED``, not at every seed: EXPERIMENTS.md lists
+the seeds each fails at, and the full-scale (325 site) numbers of
+``repro-h3cdn --scale full``.
 """
 
 import pytest
@@ -27,18 +27,6 @@ def study():
             loss_sweep_repetitions=2,
         )
     )
-
-
-@pytest.fixture(scope="session")
-def campaign(study):
-    """Force the paired campaign to run (cached on the study)."""
-    return study.campaign_result
-
-
-@pytest.fixture(scope="session")
-def consecutive(study):
-    """Force the consecutive walk to run (cached on the study)."""
-    return study.consecutive_runs
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -13,6 +13,7 @@ from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     format_table,
 )
 from repro.experiments.registry import (
@@ -27,6 +28,7 @@ __all__ = [
     "ExperimentContext",
     "ExperimentResult",
     "ExperimentSpec",
+    "Shape",
     "format_table",
     "get_spec",
     "run_all",

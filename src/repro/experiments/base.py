@@ -1,10 +1,10 @@
-"""The unified experiment API: spec, context, result, rendering.
+"""The unified experiment API: spec, context, result, shapes, rendering.
 
 Every table/figure driver is described by one :class:`ExperimentSpec`
-(name, title, default params, ``run`` callable).  A driver's ``run``
-takes an :class:`ExperimentContext` — the study plus the merged
-parameter mapping — and returns an :class:`ExperimentResult`.  The
-registry holds specs, and the CLI dispatches exclusively through
+(name, title, default params, ``run`` callable, paper shapes).  A
+driver's ``run`` takes an :class:`ExperimentContext` — the study plus
+the merged parameter mapping — and returns an :class:`ExperimentResult`.
+The registry holds specs, and the CLI dispatches exclusively through
 :meth:`ExperimentSpec.execute`.
 """
 
@@ -53,6 +53,21 @@ class ExperimentContext:
 
 
 @dataclass(frozen=True)
+class Shape:
+    """One paper shape: a predicate over ``data`` named ``<panel>.<claim>``.
+
+    ``paper`` states the claim and the threshold checked.
+    ``benchmarks/bench_shapes.py`` asserts the gated shapes; ungated
+    ones, the paper's stricter forms, are only reported (EXPERIMENTS.md).
+    """
+
+    name: str
+    paper: str
+    holds: Callable[[Mapping[str, Any]], bool]
+    gated: bool = True
+
+
+@dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment, fully described: the registry's unit of record."""
 
@@ -61,6 +76,8 @@ class ExperimentSpec:
     run: Callable[[ExperimentContext], ExperimentResult]
     #: Default parameters, overridable per invocation via ``execute``.
     params: Mapping[str, Any] = field(default_factory=dict)
+    #: The paper shapes this experiment's ``data`` should show.
+    shapes: tuple[Shape, ...] = ()
 
     def execute(self, study: "H3CdnStudy", **overrides: Any) -> ExperimentResult:
         """Run this experiment against ``study``.

@@ -7,6 +7,7 @@ from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     format_table,
     pct,
 )
@@ -51,4 +52,20 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+def _h3_share(data, provider: str) -> float:
+    return data["h3_share_by_provider"].get(provider, 0.0)
+
+
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("fig2.google_leads_h3", "Fig. 2: Google ~50% of H3 CDN requests (> 35%)",
+              lambda d: _h3_share(d, "google") > 0.35),
+        Shape("fig2.google_cloudflare_dominate_h3", "Fig. 2: Google + Cloudflare > 70% of H3",
+              lambda d: _h3_share(d, "google") + _h3_share(d, "cloudflare") > 0.70),
+        Shape("fig2.google_almost_fully_h3", "Fig. 2: Google's own traffic ~all H3 (> 85%)",
+              lambda d: d["own_h3_fraction"]["google"] > 0.85),
+        Shape("fig2.amazon_mostly_h2", "Fig. 2: Amazon serves little H3 (< 35% of requests)",
+              lambda d: d["own_h3_fraction"].get("amazon", 0.0) < 0.35),
+    ),
+)

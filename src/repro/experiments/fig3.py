@@ -6,6 +6,7 @@ from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     format_table,
     pct,
 )
@@ -38,4 +39,10 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("fig3.most_pages_cdn_heavy", "Fig. 3: 75% of pages are > 50% CDN (60-90%)",
+              lambda d: 0.60 <= d["ccdf_at_half"] <= 0.90),
+    ),
+)

@@ -11,6 +11,7 @@ from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     format_table,
     pct,
 )
@@ -51,4 +52,17 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+def _top4_appear_widely(data) -> bool:
+    top = sorted(data["appearance_probability"].values(), reverse=True)
+    return top[0] > 0.5 and top[2] > 0.45 and top[3] > 0.35
+
+
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("fig4a.top4_appear_widely", "Fig. 4(a): the top-4 providers each appear "
+              "on > 50% of pages (1st > 50%, 3rd > 45%, 4th > 35%)", _top4_appear_widely),
+        Shape("fig4b.multi_provider_pages", "Fig. 4(b): 94.8% of pages use >= 2 providers "
+              "(>= 90%)", lambda d: d["share_2plus"] >= 0.90),
+    ),
+)

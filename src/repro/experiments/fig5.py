@@ -6,6 +6,7 @@ from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     format_table,
     pct,
 )
@@ -48,4 +49,18 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+def _over_10(data, provider: str) -> float:
+    return data["ccdf_over_10"][provider]
+
+
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("fig5.cloudflare_google_over_10", "Fig. 5: ~50% of pages using Cloudflare/"
+              "Google carry > 10 of its resources (> 40% each)",
+              lambda d: min(_over_10(d, "cloudflare"), _over_10(d, "google")) > 0.40),
+        Shape("fig5.fastly_below_cloudflare", "Fig. 5: small-share providers host fewer "
+              "resources per page (Fastly <= Cloudflare)",
+              lambda d: _over_10(d, "fastly") <= _over_10(d, "cloudflare")),
+    ),
+)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from repro.core.groups import GROUP_LABELS
 from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     fmt,
     format_table,
 )
@@ -57,4 +59,25 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+def _groups(data) -> list[float]:
+    return [data["group_reductions"][label] for label in GROUP_LABELS]
+
+
+def _phase_median_signs(data) -> bool:
+    medians = data["phase_medians"]
+    return medians["connection"] > 0.0 > medians["wait"] and abs(medians["receive"]) < 5.0
+
+
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("fig6a.groups_benefit", "Fig. 6(a): all groups gain (each > -10 ms, mean > 0)",
+              lambda d: min(_groups(d)) > -10.0 and sum(_groups(d)) > 0.0),
+        Shape("fig6a.all_groups_positive", "Fig. 6(a): every group's mean reduction > 0",
+              lambda d: min(_groups(d)) > 0.0, gated=False),
+        Shape("fig6a.interior_maximum", "Fig. 6(a): turning point (a Medium group peaks)",
+              lambda d: max(_groups(d)[1:3]) > max(_groups(d)[0], _groups(d)[3]), gated=False),
+        Shape("fig6b.phase_median_signs", "Fig. 6(b): median reductions connection > 0, "
+              "wait < 0, receive ~ 0 (|median| < 5 ms)", _phase_median_signs),
+    ),
+)

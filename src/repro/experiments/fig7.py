@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from repro.core.groups import GROUP_LABELS
 from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     fmt,
     format_table,
 )
@@ -55,4 +57,29 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+def _difference_grows(data) -> bool:
+    diffs = [data["difference_by_group"][label] for label in GROUP_LABELS]
+    return all(a < b for a, b in zip(diffs, diffs[1:]))
+
+
+def _reduction_shrinks(data) -> bool:
+    bins = data["reduction_by_difference"]
+    return len(bins) >= 2 and bins[0][1] > bins[-1][1]
+
+
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("fig7a.reuse_grows_with_group", "Fig. 7(a): H2 reuse grows, High > Low",
+              lambda d: d["reuse_by_group"]["High"][0] > d["reuse_by_group"]["Low"][0]),
+        Shape("fig7a.h2_reuses_more", "Fig. 7(a): H2 reuses >= H3 in every group",
+              lambda d: all(d["reuse_by_group"][g][0] >= d["reuse_by_group"][g][1]
+                            for g in GROUP_LABELS)),
+        Shape("fig7b.difference_positive", "Fig. 7(b): reuse difference H2 - H3 > 0 (sum)",
+              lambda d: sum(d["difference_by_group"].values()) > 0),
+        Shape("fig7b.difference_grows", "Fig. 7(b): the reuse difference grows strictly "
+              "with group level", _difference_grows, gated=False),
+        Shape("fig7c.reduction_shrinks", "Fig. 7(c): PLT reduction shrinks as the reuse "
+              "difference grows (first bin > last bin)", _reduction_shrinks),
+    ),
+)

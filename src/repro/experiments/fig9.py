@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from repro.core.congestion import slopes_are_ordered
 from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     fmt,
     format_table,
 )
@@ -31,8 +33,7 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         ("loss rate", "points", "slope (ms/res)", "intercept", "binned-median slope"),
         rows,
     )
-    ordered = sorted(series, key=lambda s: s.loss_rate)
-    verdict = all(a.slope < b.slope for a, b in zip(ordered, ordered[1:]))
+    verdict = slopes_are_ordered(series)
     lines.append(
         f"  slopes strictly ordered by loss rate: {verdict} "
         "(paper: 0.80 < 1.42 < 2.15)"
@@ -49,4 +50,15 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("fig9.lossy_slopes_exceed_lossless", "Fig. 9: reduction grows faster under "
+              "loss (0.5% and 1% slopes > 0% slope + 0.5 ms/resource)",
+              lambda d: min(d["slopes"][0.005], d["slopes"][0.01]) > d["slopes"][0.0] + 0.5),
+        Shape("fig9.lossless_slope_small", "Fig. 9: 0% slope small (paper 0.80; |s| < 1)",
+              lambda d: abs(d["slopes"][0.0]) < 1.0),
+        Shape("fig9.slopes_strictly_ordered", "Fig. 9: slopes strictly ordered by loss "
+              "rate (0.80 < 1.42 < 2.15)", lambda d: d["ordered"], gated=False),
+    ),
+)

@@ -7,6 +7,7 @@ from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     fmt,
     format_table,
 )
@@ -52,4 +53,14 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("table2.cdn_share", "Table II: CDNs serve 67.0% of requests (55-75%)",
+              lambda d: 0.55 <= d["cdn_share"] <= 0.75),
+        Shape("table2.h3_share", "Table II: H3 carries 32.6% of requests (25-42%)",
+              lambda d: 0.25 <= d["h3_share"] <= 0.42),
+        Shape("table2.h3_mostly_cdn", "Table II: 78.8% of H3 requests are CDN (> 65%)",
+              lambda d: d["h3_cdn_share_of_h3"] > 0.65),
+    ),
+)

@@ -6,6 +6,7 @@ from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     fmt,
     format_table,
 )
@@ -54,4 +55,25 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+def _gap(key: str, factor: float = 1.0, offset: float = 0.0):
+    """Whether C_H's ``key`` exceeds ``factor * C_L + offset``."""
+    return lambda data: data["high"][key] > factor * data["low"][key] + offset
+
+
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("table3.shared_providers_ordering", "Table III: C_H uses more shared "
+              "providers than C_L (4.16 vs 2.58)", _gap("avg_shared_providers")),
+        Shape("table3.resumed_within_slack", "Table III: C_H resumes more connections "
+              "(101.64 vs 73.74); C_H > 0.7x C_L", _gap("avg_resumed_connections", 0.7)),
+        Shape("table3.reduction_within_slack", "Table III: C_H gains more (109.3 vs "
+              "54.35 ms); C_H > C_L - 20 ms", _gap("plt_reduction_ms", offset=-20.0)),
+        Shape("table3.resumed_ordering", "Table III: C_H resumes more connections than "
+              "C_L (101.64 vs 73.74)", _gap("avg_resumed_connections"), gated=False),
+        Shape("table3.reduction_ordering", "Table III: C_H's PLT reduction exceeds C_L's "
+              "(109.3 vs 54.35 ms)", _gap("plt_reduction_ms"), gated=False),
+        Shape("table3.reduction_gap_2x", "Table III: C_H's PLT reduction ~2x C_L's "
+              "(109.3 vs 54.35 ms; > 2x)", _gap("plt_reduction_ms", 2.0), gated=False),
+    ),
+)

@@ -222,8 +222,8 @@ class TestFig9:
         """Robust physics at any scale: 1 % loss slows pages down for
         both protocols (Mathis-capped congestion windows).  The paper's
         headline — H3's *reduction slope* growing with loss — is far
-        too noisy at 8 pages, so it is asserted at scale by
-        benchmarks/bench_fig9.py instead."""
+        too noisy at 8 pages, so it is asserted at bench scale by the
+        ``fig9.lossy_slopes_exceed_lossless`` shape instead."""
         from repro.measurement import CampaignConfig, CampaignPlan, execute
 
         pages = study.universe.pages[:4]

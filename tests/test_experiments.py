@@ -1,5 +1,9 @@
 """Tests for the experiment drivers, registry, and CLI."""
 
+import importlib
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.core import H3CdnStudy, StudyConfig
@@ -30,10 +34,33 @@ class TestRegistry:
         ]
 
     def test_specs_are_well_formed(self):
+        shape_names = []
         for experiment_id, spec in EXPERIMENTS.items():
             assert spec.name == experiment_id
             assert spec.title
             assert callable(spec.run)
+            for shape in spec.shapes:
+                assert shape.name.split(".")[0].startswith(experiment_id), shape.name
+                assert shape.paper.strip(), shape.name
+                shape_names.append(shape.name)
+        assert len(shape_names) == len(set(shape_names))
+
+    def test_reproduction_summary_names_the_shapes(self):
+        """EXPERIMENTS.md's summary names only real predicates, and every
+        gated paper shape backs one of its rows."""
+        text = (Path(__file__).parents[1] / "EXPERIMENTS.md").read_text()
+        summary = text.split("## Reproduction summary", 1)[1]
+        rows = [line for line in summary.splitlines() if line.startswith("|")]
+        named = set(re.findall(r"`([\w.-]+)`", "\n".join(rows)))
+        shapes = {s.name: s for spec in EXPERIMENTS.values() for s in spec.shapes}
+        for name in named:
+            if name.startswith("repro."):
+                module, attr = name.rsplit(".", 1)
+                assert callable(getattr(importlib.import_module(module), attr)), name
+            elif re.fullmatch(r"(fig|table)\w*\.\w+", name):
+                assert name in shapes, f"EXPERIMENTS.md names unknown shape {name}"
+        gated = {name for name, shape in shapes.items() if shape.gated}
+        assert gated <= named, sorted(gated - named)
 
     def test_unknown_experiment_rejected(self, study):
         with pytest.raises(KeyError, match="unknown experiment"):
@@ -51,9 +78,11 @@ class TestRegistry:
 
 class TestDriverData:
     def test_table1_release_years(self, study):
-        result = run_experiment("table1", study)
-        assert result.data["release_years"]["cloudflare"] == 2019
-        assert result.data["release_years"]["akamai"] == 2023
+        # Paper Table I release years, verbatim.
+        paper = {"cloudflare": 2019, "google": 2021, "fastly": 2021, "quic_cloud": 2021,
+                 "amazon": 2022, "meta": 2022, "akamai": 2023}
+        years = run_experiment("table1", study).data["release_years"]
+        assert {name: years[name] for name in paper} == paper
 
     def test_table2_shares(self, study):
         result = run_experiment("table2", study)
