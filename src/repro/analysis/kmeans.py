@@ -9,7 +9,6 @@ under a caller-provided seed.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -135,38 +134,3 @@ def _kmeans_once(
         inertia=inertia,
         iterations=iterations,
     )
-
-
-def silhouette_hint(vectors: Sequence[Vector], result: KMeansResult) -> float:
-    """Cheap clustering-quality signal in [-1, 1] (mean silhouette).
-
-    Not used by the reproduction itself; exposed for the examples and
-    for sanity checks in tests.
-    """
-    vectors = [tuple(float(x) for x in v) for v in vectors]
-    n = len(vectors)
-    if n <= result.k:
-        return 0.0
-    scores = []
-    for i, vector in enumerate(vectors):
-        own = result.labels[i]
-        same = [v for v, l in zip(vectors, result.labels) if l == own]
-        if len(same) <= 1:
-            scores.append(0.0)
-            continue
-        a = sum(math.sqrt(_distance_sq(vector, v)) for v in same if v is not vector)
-        a /= len(same) - 1
-        b = math.inf
-        for other_label in range(result.k):
-            if other_label == own:
-                continue
-            others = [v for v, l in zip(vectors, result.labels) if l == other_label]
-            if not others:
-                continue
-            d = sum(math.sqrt(_distance_sq(vector, v)) for v in others) / len(others)
-            b = min(b, d)
-        if not math.isfinite(b) or max(a, b) == 0.0:
-            scores.append(0.0)
-        else:
-            scores.append((b - a) / max(a, b))
-    return sum(scores) / n

@@ -253,7 +253,8 @@ def amplification_exceeds_unity(points: Sequence[EconomicsPoint]) -> bool:
 def amplification_monotone(points: Sequence[EconomicsPoint]) -> bool:
     """The amplification factor never decreases as the identity-demand
     ratio grows (nested accept sets make this exact, not statistical)."""
-    factors = [p.amplification for p in points]
+    ordered = sorted(points, key=lambda p: float(p.label.split("-", 1)[1]))
+    factors = [p.amplification for p in ordered]
     return len(factors) >= 2 and all(
         a <= b + 1e-9 for a, b in zip(factors, factors[1:])
     )

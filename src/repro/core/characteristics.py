@@ -26,7 +26,7 @@ def cdn_fraction_ccdf(pages: Sequence[Webpage]) -> EmpiricalDistribution:
 
 
 def provider_page_probability(pages: Sequence[Webpage]) -> dict[str, float]:
-    """P(provider appears on a page), descending (Fig. 4a)."""
+    """P(provider appears on a page), descending, ties by name (Fig. 4a)."""
     if not pages:
         raise ValueError("no pages")
     appearance: Counter[str] = Counter()
@@ -34,7 +34,7 @@ def provider_page_probability(pages: Sequence[Webpage]) -> dict[str, float]:
         for provider in page.providers:
             appearance[provider] += 1
     probabilities = {name: count / len(pages) for name, count in appearance.items()}
-    return dict(sorted(probabilities.items(), key=lambda kv: kv[1], reverse=True))
+    return dict(sorted(probabilities.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def pages_by_provider_count(pages: Sequence[Webpage]) -> dict[int, int]:

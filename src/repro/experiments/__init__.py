@@ -18,6 +18,7 @@ from repro.experiments.base import (
 )
 from repro.experiments.registry import (
     EXPERIMENTS,
+    find_shape,
     get_spec,
     run_all,
     run_experiment,
@@ -29,6 +30,7 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "Shape",
+    "find_shape",
     "format_table",
     "get_spec",
     "run_all",

@@ -54,17 +54,24 @@ class ExperimentContext:
 
 @dataclass(frozen=True)
 class Shape:
-    """One paper shape: a predicate over ``data`` named ``<panel>.<claim>``.
+    """One shape: a predicate over ``data`` named ``<panel>.<claim>``.
 
-    ``paper`` states the claim and the threshold checked.
-    ``benchmarks/bench_shapes.py`` asserts the gated shapes; ungated
-    ones, the paper's stricter forms, are only reported (EXPERIMENTS.md).
+    ``paper`` states the claim (the paper's, or an extension's) and the
+    threshold checked.  ``benchmarks/bench_shapes.py`` asserts the gated
+    shapes and smoke rows (:mod:`repro.smoke`) assert the ones they name;
+    ungated ones, the paper's stricter forms, are only reported
+    (EXPERIMENTS.md).
     """
 
     name: str
     paper: str
     holds: Callable[[Mapping[str, Any]], bool]
     gated: bool = True
+
+
+def verdict(key: str) -> Callable[[Mapping[str, Any]], bool]:
+    """A predicate reading the boolean verdict a driver stored at ``key``."""
+    return lambda data: data[key] is True
 
 
 @dataclass(frozen=True)

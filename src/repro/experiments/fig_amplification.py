@@ -21,9 +21,11 @@ from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     fmt,
     format_table,
     pct,
+    verdict,
 )
 
 EXPERIMENT_ID = "fig-amplification"
@@ -94,4 +96,14 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("fig-amplification.amplification_exceeds_unity", "Extension: every "
+              "cell with identity-demanding clients egresses more than the origin "
+              "ingressed (factor > 1)", verdict("amplification_exceeds_unity")),
+        Shape("fig-amplification.amplification_monotone", "Extension: the "
+              "amplification factor never falls as the identity-demand ratio rises",
+              verdict("amplification_monotone")),
+    ),
+)

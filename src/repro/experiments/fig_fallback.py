@@ -15,9 +15,11 @@ from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     fmt,
     format_table,
     pct,
+    verdict,
 )
 
 EXPERIMENT_ID = "fig-fallback"
@@ -71,4 +73,11 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("fig-fallback.monotone_fallback", "Extension: the H3->H2 fallback rate "
+              "never falls as more hosts are UDP-blackholed",
+              verdict("monotone_fallback")),
+    ),
+)

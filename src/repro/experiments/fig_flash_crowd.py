@@ -16,9 +16,11 @@ from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     fmt,
     format_table,
     pct,
+    verdict,
 )
 
 EXPERIMENT_ID = "fig-flash-crowd"
@@ -79,4 +81,11 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("fig-flash-crowd.hierarchy_absorbs_flash_crowd", "Extension: a regional "
+              "tier cuts origin bytes and both modes' PLT, with regional hits",
+              verdict("hierarchy_absorbs_flash_crowd")),
+    ),
+)

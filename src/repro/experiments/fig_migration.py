@@ -19,9 +19,11 @@ from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     fmt,
     format_table,
     pct,
+    verdict,
 )
 
 EXPERIMENT_ID = "fig-migration"
@@ -94,4 +96,14 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("fig-migration.tunnel_erases_migration_edge", "Extension: under a "
+              "migration fault a CONNECT tunnel records no QUIC migration, a MASQUE "
+              "relay at least one", verdict("tunnel_erases_migration_edge")),
+        Shape("fig-migration.tunnel_downgrades_h3", "Extension: every CONNECT-tunnel "
+              "cell serves no H3 and records H3 downgrades",
+              verdict("tunnel_downgrades_h3")),
+    ),
+)

@@ -19,9 +19,11 @@ from repro.experiments.base import (
     ExperimentContext,
     ExperimentResult,
     ExperimentSpec,
+    Shape,
     fmt,
     format_table,
     pct,
+    verdict,
 )
 
 EXPERIMENT_ID = "fig-miss-storm"
@@ -87,4 +89,14 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
-SPEC = ExperimentSpec(name=EXPERIMENT_ID, title=TITLE, run=run)
+SPEC = ExperimentSpec(
+    name=EXPERIMENT_ID, title=TITLE, run=run,
+    shapes=(
+        Shape("fig-miss-storm.offload_collapses", "Extension: origin offload never "
+              "improves as tiers are squeezed, and the starved chain is below warm",
+              verdict("offload_collapses")),
+        Shape("fig-miss-storm.plt_degrades_tier_by_tier", "Extension: mean H2 and H3 "
+              "PLT rise strictly with each squeezed tier",
+              verdict("plt_degrades_tier_by_tier")),
+    ),
+)

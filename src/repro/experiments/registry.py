@@ -21,7 +21,7 @@ from repro.experiments import (
     table2,
     table3,
 )
-from repro.experiments.base import ExperimentResult, ExperimentSpec
+from repro.experiments.base import ExperimentResult, ExperimentSpec, Shape
 
 #: Experiment id → :class:`ExperimentSpec`.  Iteration order follows the
 #: paper's presentation order; the fallback extension comes last.
@@ -43,6 +43,15 @@ def get_spec(experiment_id: str) -> ExperimentSpec:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {', '.join(EXPERIMENTS)}"
         ) from None
+
+
+def find_shape(name: str) -> tuple[str, Shape]:
+    """The experiment id and :class:`Shape` registered under ``name``."""
+    for spec in EXPERIMENTS.values():
+        for shape in spec.shapes:
+            if shape.name == name:
+                return spec.name, shape
+    raise KeyError(f"unknown shape {name!r}")
 
 
 def run_experiment(

@@ -170,13 +170,12 @@ def _execute_consecutive(plan: ConsecutivePlan):
     if store is None:
         runs = tuple(run_walk(plan, mode) for mode in plan.modes)
         return runs[0] if len(runs) == 1 else runs
+    from repro.store.keys import campaign_config_hash
+
+    config_hash = campaign_config_hash(plan.config)
     batcher = _StoreBatcher(store)
     if run_name is not None:
-        from repro.store.keys import campaign_config_hash
-
-        batcher.open_run(
-            run_name, campaign_config_hash(plan.config), False, len(plan.modes)
-        )
+        batcher.open_run(run_name, config_hash, False, len(plan.modes))
     runs = []
     clean = False
     try:
@@ -189,7 +188,7 @@ def _execute_consecutive(plan: ConsecutivePlan):
                     walk_key,
                     run.to_dict(),
                     kind="consecutive",
-                    config_hash="",
+                    config_hash=config_hash,
                     page_url=plan.pages[0].url if plan.pages else None,
                     probe=f"consecutive-{mode}",
                     run_name=run_name,

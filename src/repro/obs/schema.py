@@ -2,7 +2,7 @@
 
 The CLI's ``--trace-dir`` export writes one JSON object per line; this
 module is the single source of truth for what a valid line looks like,
-used by ``make trace-smoke`` / ``make obs-smoke``, the tests, and any
+used by every row of ``python -m repro.smoke``, the tests, and any
 downstream consumer::
 
     PYTHONPATH=src python -m repro.obs.schema trace.jsonl metrics.jsonl spans.jsonl

@@ -16,7 +16,6 @@ from repro.analysis import (
     quantile,
     quartile_groups,
 )
-from repro.analysis.kmeans import silhouette_hint
 
 
 class TestBasicStats:
@@ -219,11 +218,6 @@ class TestKMeans:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             kmeans([], k=1)
-
-    def test_silhouette_positive_for_separated_clusters(self):
-        vectors = [(0.0, 0.0)] * 5 + [(10.0, 10.0)] * 5
-        result = kmeans(vectors, k=2, seed=0)
-        assert silhouette_hint(vectors, result) > 0.8
 
     @given(seed=st.integers(min_value=0, max_value=500))
     @settings(max_examples=20, deadline=None)

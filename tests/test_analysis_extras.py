@@ -1,6 +1,5 @@
-"""Tests for bootstrap CIs, text plotting, BBR, and universe serialization."""
+"""Tests for bootstrap CIs, text plotting and BBR."""
 
-import json
 import random
 
 import pytest
@@ -10,13 +9,6 @@ from hypothesis import strategies as st
 from repro.analysis.bootstrap import bootstrap_ci, difference_significant
 from repro.analysis.textplot import bar_chart, line_chart
 from repro.transport import BbrLikeController, make_congestion_controller
-from repro.web import GeneratorConfig, TopSitesGenerator
-from repro.web.serialize import (
-    load_universe,
-    save_universe,
-    universe_from_dict,
-    universe_to_dict,
-)
 
 
 class TestBootstrap:
@@ -156,59 +148,3 @@ class TestBbr:
         stream = conn.request(400, 200_000)
         loop.run_until(lambda: stream.complete)
         assert stream.received == 200_000
-
-
-class TestUniverseSerialization:
-    @pytest.fixture(scope="class")
-    def universe(self):
-        return TopSitesGenerator(GeneratorConfig(n_sites=8)).generate(seed=23)
-
-    def test_round_trip_preserves_structure(self, universe):
-        restored = universe_from_dict(universe_to_dict(universe))
-        assert len(restored.websites) == len(universe.websites)
-        assert set(restored.hosts) == set(universe.hosts)
-        assert restored.seed == universe.seed
-
-    def test_round_trip_preserves_pages(self, universe):
-        restored = universe_from_dict(universe_to_dict(universe))
-        for original, parsed in zip(universe.pages, restored.pages):
-            assert parsed.url == original.url
-            assert parsed.total_requests == original.total_requests
-            assert parsed.providers == original.providers
-            assert parsed.cdn_fraction == original.cdn_fraction
-
-    def test_round_trip_preserves_host_capabilities(self, universe):
-        restored = universe_from_dict(universe_to_dict(universe))
-        for hostname, spec in universe.hosts.items():
-            parsed = restored.hosts[hostname]
-            assert parsed.supports_h3 == spec.supports_h3
-            assert parsed.supports_h2 == spec.supports_h2
-            assert parsed.tls_version == spec.tls_version
-            assert parsed.base_rtt_ms == spec.base_rtt_ms
-
-    def test_json_serializable(self, universe):
-        json.dumps(universe_to_dict(universe))
-
-    def test_file_round_trip(self, universe, tmp_path):
-        path = tmp_path / "universe.json"
-        save_universe(universe, str(path))
-        restored = load_universe(str(path))
-        assert restored.summary() == universe.summary()
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError, match="unrecognized universe format"):
-            universe_from_dict({"format": "something-else"})
-
-    def test_restored_universe_supports_measurement(self, universe):
-        """A deserialized universe must drive a full page visit."""
-        from repro.browser import Browser, BrowserConfig
-        from repro.events import EventLoop
-        from repro.measurement import ProbeNetProfile, ServerFarm
-
-        restored = universe_from_dict(universe_to_dict(universe))
-        loop = EventLoop()
-        farm = ServerFarm(loop, restored.hosts, ProbeNetProfile(),
-                          rng=random.Random(1))
-        browser = Browser(loop, farm, BrowserConfig(), rng=random.Random(2))
-        visit = browser.visit(restored.pages[0])
-        assert len(visit.entries) == restored.pages[0].total_requests

@@ -23,6 +23,7 @@ from repro.core.advisor import advise
 from repro.core.characteristics import cdn_fraction_ccdf_from_entries, multi_provider_share
 from repro.core.congestion import slopes_are_ordered
 from repro.core.metrics import paired_entry_reductions
+from repro.experiments import find_shape, run_experiment
 from repro.measurement.farm import ProbeNetProfile
 
 
@@ -199,11 +200,9 @@ class TestFig8AndTable3:
         assert all(set(v) <= {0, 1} for v in vectors)
 
     def test_case_study_high_shares_more(self, study):
-        result = study.table3()
-        # Paper Table III: C_H has more providers, more resumed
-        # connections, and a larger PLT reduction than C_L.
-        assert result.high.avg_shared_providers > result.low.avg_shared_providers
-        assert result.high.avg_resumed_connections > result.low.avg_resumed_connections
+        data = run_experiment("table3", study).data
+        for name in ("table3.shared_providers_ordering", "table3.resumed_ordering"):
+            assert find_shape(name)[1].holds(data), name
 
     def test_case_study_too_few_pages_rejected(self, study):
         with pytest.raises(ValueError):

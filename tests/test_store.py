@@ -982,6 +982,10 @@ class TestStudyIntegration:
             assert digest.hexdigest() == (
                 "37ac7f5bc556a50c4e75914f3295b7b6967a9c56125943b057e08b9d8260cc13"
             )
+            walk_hashes = store._db.execute(
+                "SELECT DISTINCT config_hash FROM entries WHERE kind = 'consecutive'"
+            ).fetchall()
+            assert walk_hashes == [(store.run_info("t/consecutive").config_hash,)]
             entries = store.stats_summary()["entries"]
             assert entries == 46
 
