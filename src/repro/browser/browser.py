@@ -30,7 +30,7 @@ from repro.events import EventLoop
 from repro.faults.inject import FaultInjector
 from repro.http.alt_svc import AltSvcCache
 from repro.http.messages import HarEntry, HttpProtocol
-from repro.http.pool import ConnectionPool, PoolStats
+from repro.http.pool import ConnectionPool, Fetch, PoolStats
 from repro.netsim.path import NetworkPath
 from repro.tls.session_cache import SessionTicketCache
 from repro.transport.config import TransportConfig
@@ -54,36 +54,16 @@ class Farm(TypingProtocol):
 H2_ONLY = "h2-only"
 H3_ENABLED = "h3-enabled"
 
-#: Chrome-like priority weights per resource type (opt-in).
-RESOURCE_WEIGHTS = {
-    ResourceType.HTML: 4,
-    ResourceType.CSS: 3,
-    ResourceType.JS: 3,
-    ResourceType.FONT: 3,
-    ResourceType.XHR: 2,
-    ResourceType.IMAGE: 1,
-    ResourceType.MEDIA: 1,
-}
-
-
 @dataclass
 class BrowserConfig:
     """Browser-instance settings (one instance per protocol per probe)."""
 
     protocol_mode: str = H3_ENABLED
-    #: If True, H3 is only used after an Alt-Svc advertisement has been
-    #: seen for the host (standards path).  The paper's probes force
-    #: QUIC, so the default is direct H3.
-    use_alt_svc: bool = False
     #: Disables TLS session tickets entirely (Fig. 8 ablation).
     use_session_tickets: bool = True
     transport_config: TransportConfig = field(default_factory=TransportConfig)
     #: Stub-resolver behaviour (None disables DNS latency entirely).
     dns_config: DnsConfig | None = field(default_factory=DnsConfig)
-    #: Weight render-blocking resources (CSS/JS) over images on
-    #: multiplexed connections, as browsers do.  Off by default so the
-    #: paper-calibrated scheduling stays plain round-robin.
-    use_resource_priorities: bool = False
     #: Compression-negotiation campaign config
     #: (:class:`repro.cdn.compression.CompressionConfig`).  ``None``
     #: keeps requests Accept-Encoding-free and the legacy serve path.
@@ -190,25 +170,28 @@ class PageVisit:
         )
 
 
-class _Request:
-    """One resource, from its DNS lookup to its HAR entry.
+class _Request(Fetch):
+    """One resource, from its DNS lookup to its HAR entry: the pool's
+    fetch of it too.
 
     The resolver's callbacks, the retry timer's and the pool's
-    ``on_complete`` are bound methods of this slotted object, so a
+    :meth:`complete` are bound methods of this slotted object, so a
     request creates no function or cell.  Faults or not, the lookup is
     the same; only an injector's SERVFAIL windows call :meth:`failed`,
     which retries after the policy's backoff and, once the retries are
     spent, records a failed entry.  One lookup is outstanding at a time.
     """
 
-    __slots__ = ("load", "resource", "requested_at", "dns_ms", "attempt")
+    __slots__ = ("load", "resource", "requested_at", "dns_ms")
 
     def __init__(self, load: "_PageLoad", resource: Resource) -> None:
         self.load = load
         self.resource = resource
         self.requested_at = load.browser.loop.now
         self.dns_ms = 0.0
-        self.attempt = 0
+        #: DNS retries until the name resolves; the pool then counts
+        #: its own request retries here.
+        self.attempts = 0
 
     def resolve(self) -> None:
         dns = self.load.browser.dns
@@ -218,12 +201,12 @@ class _Request:
             dns.resolve(self.resource.host, self.resolved, on_fail=self.failed)
 
     def resolved(self, dns_ms: float) -> None:
-        """The name resolved: hand the request to the pool."""
+        """The name resolved: fill the request fields, join the pool."""
         browser = self.load.browser
         loop = browser.loop
         resource = self.resource
         host = resource.host
-        if self.attempt:
+        if self.attempts:
             # The resolver reports only the final attempt's latency; the
             # entry's dns phase must cover the whole span since the
             # request was made (failed attempts and backoff included) or
@@ -240,33 +223,26 @@ class _Request:
                 parent=spans.current_visit,
             )
         farm = browser.farm
-        server = farm.server(host)
-        protocol = browser._pick_protocol(server)
-        config = browser.config
-        compression = config.compression
-        if compression is not None:
+        server = self.server = farm.server(host)
+        self.protocol = browser._pick_protocol(server)
+        self.path = farm.path(host)
+        url = self.url = resource.url
+        self.request_bytes = resource.request_bytes
+        self.response_bytes = resource.size_bytes
+        compression = browser.config.compression
+        if compression is None:
+            self.accept_encoding = self.rtype = None
+        else:
             from repro.cdn.compression import client_accept_encoding
 
-            rtype_val = resource.rtype._value_
-            accept = client_accept_encoding(resource.url, rtype_val, compression)
-        else:
-            accept = None
-            rtype_val = None
-        self.load.pool.fetch(
-            server, farm.path(host), protocol, resource.url,
-            resource.request_bytes, resource.size_bytes, self.complete,
-            weight=(
-                RESOURCE_WEIGHTS[resource.rtype]
-                if config.use_resource_priorities else 1
-            ),
-            accept_encoding=accept,
-            rtype=rtype_val,
-        )
+            rtype = self.rtype = resource.rtype._value_
+            self.accept_encoding = client_accept_encoding(url, rtype, compression)
+        self.load.pool.fetch(self)
 
     def failed(self) -> None:
         """The lookup SERVFAILed: retry, or record a failed entry."""
         browser = self.load.browser
-        attempt = self.attempt
+        attempt = self.attempts
         faults = browser.faults
         resource = self.resource
         host = resource.host
@@ -274,7 +250,7 @@ class _Request:
         policy = faults.retry
         if attempt < policy.max_retries:
             faults.record_recovery("dns_retry", host, attempt=attempt + 1)
-            self.attempt = attempt + 1
+            self.attempts = attempt + 1
             browser.loop.call_later(policy.backoff_ms(attempt), self.resolve)
             return
         # Resolution never succeeded: record a failed entry so the
@@ -291,9 +267,9 @@ class _Request:
         )
 
     def complete(self, entry: HarEntry) -> None:
-        """The pool's ``on_complete``, called as the entry ends: fill what
-        only the browser knows, file the entry, count the page load
-        down and dispatch what the entry unblocks."""
+        """Called as the entry ends: fill what only the browser knows,
+        file the entry, count the page load down and dispatch what the
+        entry unblocks."""
         load = self.load
         browser = load.browser
         resource = self.resource
@@ -313,9 +289,6 @@ class _Request:
             load.done.append(True)
         if resource.url in load.blocking0:
             load.blocking_remaining -= 1
-        if entry.headers and browser.config.use_alt_svc:
-            # Positive Alt-Svc knowledge is read only under use_alt_svc.
-            browser.alt_svc.observe(entry.host, entry.headers, browser.loop.now)
         if resource.rtype is ResourceType.HTML:
             load.fetch(load.wave0)
         # With no render-blocking wave-0 resource this dispatches wave 1
@@ -495,7 +468,7 @@ class Browser:
         return visit
 
     def clear_session_state(self) -> None:
-        """Forget tickets, Alt-Svc knowledge and DNS answers
+        """Forget tickets, QUIC-broken hosts and DNS answers
         (a pristine profile)."""
         self.session_cache.clear()
         self.alt_svc.clear()
@@ -508,20 +481,16 @@ class Browser:
         """Choose the protocol lane for one request.
 
         In ``h3-enabled`` mode an H3-capable server is reached over H3
-        (directly, or after Alt-Svc discovery when ``use_alt_svc`` is
-        set).  Servers without H2 fall back to HTTP/1.1 — the paper's
-        Table II "Others" row.
+        directly (the paper's probes force QUIC), unless a QUIC failure
+        demoted its host.  Servers without H2 fall back to HTTP/1.1 —
+        the paper's Table II "Others" row.
         """
-        mode = self.config.protocol_mode
         if (
-            mode == H3_ENABLED
+            self.config.protocol_mode == H3_ENABLED
             and server.supports_h3
             and not self.alt_svc.h3_broken(server.hostname, self.loop.now)
         ):
-            if not self.config.use_alt_svc:
-                return HttpProtocol.H3
-            if self.alt_svc.knows_h3(server.hostname, self.loop.now):
-                return HttpProtocol.H3
+            return HttpProtocol.H3
         if server.supports_h2:
             return HttpProtocol.H2
         return HttpProtocol.H1

@@ -74,6 +74,13 @@ def verdict(key: str) -> Callable[[Mapping[str, Any]], bool]:
     return lambda data: data[key] is True
 
 
+def by_number(series: Mapping[Any, Any]) -> dict[float, Any]:
+    """``series`` keyed by number, whether its keys are numbers or the
+    strings a JSON round trip makes of them (``10`` and ``"10"`` both
+    read as ``10.0``, which looks up, sorts and compares as ``10``)."""
+    return {float(key): value for key, value in series.items()}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment, fully described: the registry's unit of record."""

@@ -7,6 +7,7 @@ from repro.experiments.base import (
     ExperimentResult,
     ExperimentSpec,
     Shape,
+    by_number,
     fmt,
     format_table,
 )
@@ -43,6 +44,7 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
 
 def _with_providers(series) -> list[float]:
     """The series over pages that use at least one provider, by count."""
+    series = by_number(series)
     return [series[k] for k in sorted(series) if k >= 1]
 
 
@@ -52,7 +54,7 @@ def _top_bucket_resumes_more(data) -> bool:
 
 
 def _resumption_mostly_rises(data) -> bool:
-    resumed = data["resumed_by_providers"]
+    resumed = by_number(data["resumed_by_providers"])
     values = [resumed[k] for k in sorted(resumed)]
     increases = sum(1 for a, b in zip(values, values[1:]) if b >= a)
     return increases >= (len(values) - 1) / 2

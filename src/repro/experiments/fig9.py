@@ -8,6 +8,7 @@ from repro.experiments.base import (
     ExperimentResult,
     ExperimentSpec,
     Shape,
+    by_number,
     fmt,
     format_table,
 )
@@ -50,14 +51,19 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
+def _lossy_slopes_exceed_lossless(data) -> bool:
+    slopes = by_number(data["slopes"])
+    return min(slopes[0.005], slopes[0.01]) > slopes[0.0] + 0.5
+
+
 SPEC = ExperimentSpec(
     name=EXPERIMENT_ID, title=TITLE, run=run,
     shapes=(
         Shape("fig9.lossy_slopes_exceed_lossless", "Fig. 9: reduction grows faster under "
               "loss (0.5% and 1% slopes > 0% slope + 0.5 ms/resource)",
-              lambda d: min(d["slopes"][0.005], d["slopes"][0.01]) > d["slopes"][0.0] + 0.5),
+              _lossy_slopes_exceed_lossless),
         Shape("fig9.lossless_slope_small", "Fig. 9: 0% slope small (paper 0.80; |s| < 1)",
-              lambda d: abs(d["slopes"][0.0]) < 1.0),
+              lambda d: abs(by_number(d["slopes"])[0.0]) < 1.0),
         Shape("fig9.slopes_strictly_ordered", "Fig. 9: slopes strictly ordered by loss "
               "rate (0.80 < 1.42 < 2.15)", lambda d: d["ordered"], gated=False),
     ),

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable, Iterator, Protocol
+from typing import TYPE_CHECKING, Iterator, Protocol
 
 from repro.check.context import EPSILON_MS, NULL_CHECK
 from repro.events import EventLoop, ScheduledEvent
@@ -130,43 +130,38 @@ _ALWAYS_SERIALIZED = 5
 _WIRE_NAMES = {f.name: _camel_case(f.name) for f in fields(PoolStats)}
 
 
-@dataclass(eq=False, slots=True)
-class _PendingFetch:
-    """One request, from ``pool.fetch`` to its HAR entry.
+class Fetch:
+    """One request, from :meth:`ConnectionPool.fetch` to its HAR entry.
 
-    It waits for, then rides, a connection and carries its stream's
-    state; the transport's stream callbacks are its bound methods, so
-    issuing a request creates no function or cell.  Compared by
-    identity: the pool finds a fetch in its lists with ``in`` and
-    ``remove``, and two fetches with equal fields are two requests.
+    The caller's own per-request object: it sets the request fields
+    (``url`` through ``rtype``), hands itself to ``ConnectionPool.fetch``
+    and implements :meth:`complete`.  The pool keeps the fetch's place
+    in line, its fault-recovery state and its stream here.  The
+    transport's stream callbacks are its bound methods, so issuing a
+    request creates no function or cell.  Compared by identity: the
+    pool finds a fetch in its lists with ``in`` and ``remove``.
     """
 
-    url: str
-    request_bytes: int
-    response_bytes: int
-    server: Server
-    protocol: HttpProtocol
-    queued_at: float
-    on_complete: Callable[[HarEntry], None]
-    weight: int = 1
-    #: The network path the fetch was dispatched over; kept so fault
-    #: recovery can re-dispatch the fetch on a fresh connection.
-    path: NetworkPath | None = None
-    #: Recovery retries consumed so far (fault injection only).
-    attempts: int = 0
-    #: Request deadline, pending while the fetch is in flight.
-    timer: ScheduledEvent | None = None
-    #: Client Accept-Encoding preference (compression campaigns only).
-    accept_encoding: tuple[str, ...] | None = None
-    #: Resource type ("html", "js", …) for encoding decisions.
-    rtype: str | None = None
-    # -- the stream, set by each ``_issue`` (fault recovery may re-issue)
-    pooled: _PooledConnection | None = None
-    entry: HarEntry | None = None
-    issued_at: float = 0.0
-    #: ``phase:request`` and ``transfer`` span ids (spans only).
-    request_span: int | None = None
-    transfer_span: int | None = None
+    __slots__ = (
+        # -- the request, set by the caller.  ``path`` is what fault
+        # recovery re-dispatches over, ``protocol`` the lane H3 fallback
+        # moves to TCP; ``accept_encoding`` and ``rtype`` drive
+        # compression negotiation (``None`` keeps the legacy serve path).
+        "url", "request_bytes", "response_bytes", "server", "path",
+        "protocol", "accept_encoding", "rtype",
+        # -- set by ``ConnectionPool.fetch``: when the fetch joined the
+        # pool, the recovery retries it consumed (fault injection only)
+        # and its request deadline, pending while it is in flight.
+        "queued_at", "attempts", "timer",
+        # -- the stream, set by each issue (fault recovery may re-issue);
+        # the span ids are set only when spans are recorded.
+        "pooled", "entry", "issued_at", "request_span", "transfer_span",
+    )
+
+    def complete(self, entry: HarEntry) -> None:
+        """Receive the fetch's entry, once, at the instant the response
+        completes (or the fetch gives up): ``loop.now`` is its end."""
+        raise NotImplementedError
 
     def on_first_byte(self, t: float) -> None:
         if self.pooled.failed:
@@ -230,9 +225,9 @@ class _PendingFetch:
         if self.timer is not None:
             self.timer.cancel()
             self.timer = None
-        self.on_complete(entry)
+        self.complete(entry)
         if pooled.protocol is _H1:
-            pool._drain_h1(pooled)
+            pooled.drain_h1()
 
 
 class _PooledConnection:
@@ -248,7 +243,7 @@ class _PooledConnection:
         conn: BaseConnection,
         lane_key: tuple[str, str],
         resumed: bool,
-        opener: _PendingFetch,
+        opener: Fetch,
     ) -> None:
         self.pool = pool
         self.conn = conn
@@ -259,10 +254,10 @@ class _PooledConnection:
         self.established = False
         self.resumed = resumed
         #: Fetches currently issued on this connection.
-        self.inflight: list[_PendingFetch] = []
+        self.inflight: list[Fetch] = []
         #: The opener until the handshake completes, then (multiplexed
         #: only) the fetches that waited for it.
-        self.pending: deque[_PendingFetch] = deque((opener,))
+        self.pending: deque[Fetch] = deque((opener,))
         #: Whether this connection holds a handshake-throttle slot.
         self.handshake_counted = False
         #: When the handshake actually started (post-queue).
@@ -356,10 +351,108 @@ class _PooledConnection:
             and pool.transport_config.issue_session_tickets
         ):
             pool.session_cache.store(self.host, loop.now)
-        pool._issue(self, opener, ssl_ms)
+        self.issue(opener, ssl_ms)
         # Only multiplexed connections hold waiting fetches.
         while self.pending:
-            pool._issue(self, self.pending.popleft())
+            self.issue(self.pending.popleft())
+
+    def issue(self, fetch: Fetch, ssl_ms: float | None = None) -> None:
+        """Issue one fetch: ``ssl_ms``, the handshake's TLS share, marks
+        the connection's opener; every other fetch reuses the connection."""
+        pool = self.pool
+        now = pool.loop.now
+        server = fetch.server
+        if pool.check:
+            pool.check.require(
+                not self.failed and not self.conn.closed,
+                "pool:issue_on_dead_connection",
+                "fetch issued on a torn-down connection",
+                time_ms=now,
+                url=fetch.url,
+                host=self.host,
+            )
+            pool.check.require(
+                self.established or self.conn.zero_rtt,
+                "pool:issue_before_established",
+                "fetch issued before the connection was usable",
+                time_ms=now,
+                url=fetch.url,
+                host=self.host,
+            )
+        faults = pool.faults
+        if faults is not None and faults.edge_outage(server.hostname):
+            # The edge refuses the request; the refusal arrives one RTT
+            # later and the fetch retries with backoff (the outage
+            # window may have lifted by then).
+            faults.record_fault("edge_outage", server.hostname)
+            pool.loop.call_later(
+                self.conn.path.rtt_ms, pool._retry_or_fail, [fetch], "edge_outage"
+            )
+            return
+        decision = pool._serve(fetch)
+        #: Bytes actually on the wire: compression campaigns egress the
+        #: negotiated encoding's size, everything else the nominal size.
+        body_bytes = decision.body_bytes
+        if body_bytes is None:
+            body_bytes = fetch.response_bytes
+        think_ms = decision.think_ms
+        timing = EntryTiming()
+        if ssl_ms is None:
+            timing.blocked = now - fetch.queued_at
+        else:
+            # Connection-opening request: the server pays the TLS setup
+            # CPU (certificate crypto on full handshakes, much less on
+            # resumed ones) before processing the request.
+            if self.resumed:
+                think_ms += server.resumed_setup_cpu_ms
+            else:
+                think_ms += server.tls_setup_cpu_ms
+            # Time spent waiting for a handshake slot is "blocked"; the
+            # handshake itself is "connect".
+            timing.blocked = self.connect_started_at - fetch.queued_at
+            timing.connect = self.conn.handshake.connect_ms
+            timing.ssl = ssl_ms
+        fetch.entry = HarEntry(
+            url=fetch.url,
+            # The request's own hostname (a coalesced connection serves
+            # several hosts; HAR entries keep the per-request host).
+            host=server.hostname,
+            protocol=fetch.protocol._value_,
+            timings=timing,
+            response_bytes=body_bytes,
+            request_bytes=fetch.request_bytes,
+            headers=dict(decision.headers),
+            reused=ssl_ms is None,
+            resumed=self.resumed,
+            cache_hit=decision.cache_hit,
+        )
+        self.inflight.append(fetch)
+        fetch.pooled = self
+        fetch.issued_at = now
+        spans = pool._spans
+        fetch.request_span = None if spans is None else spans.begin(
+            "phase", f"request:{fetch.url}", now, parent=spans.current_visit
+        )
+        fetch.transfer_span = None
+        if faults is not None:
+            fetch.timer = pool.loop.call_later(
+                faults.retry.request_timeout_ms, self.on_request_timeout, fetch
+            )
+        self.conn.request(
+            fetch.request_bytes,
+            body_bytes,
+            think_ms=think_ms,
+            on_first_byte=fetch.on_first_byte,
+            on_complete=fetch.on_stream_complete,
+        )
+
+    def drain_h1(self) -> None:
+        """Issue the next fetch queued at this idle H1 connection's host."""
+        if self.inflight:
+            return
+        queue = self.pool._h1_queues.get(self.host)
+        if queue:
+            self.issue(queue.popleft())
 
     # -- fault recovery ------------------------------------------------
 
@@ -432,7 +525,7 @@ class _PooledConnection:
         )
         self.fail("transport_error")
 
-    def on_request_timeout(self, fetch: _PendingFetch) -> None:
+    def on_request_timeout(self, fetch: Fetch) -> None:
         """A single request sat in flight past the request deadline.
 
         The whole connection is treated as dead (a stuck stream means
@@ -555,7 +648,7 @@ class ConnectionPool:
         #: ``(host, "http/1.1")`` with up to ``H1_MAX_PER_HOST``.
         self._lanes: dict[tuple[str, str], list[_PooledConnection]] = {}
         #: H1 fetches waiting for one of their host's connections.
-        self._h1_queues: dict[str, deque[_PendingFetch]] = {}
+        self._h1_queues: dict[str, deque[Fetch]] = {}
         # Handshake throttling: browsers bound concurrent connection
         # setups; extra connections queue here (0-RTT bypasses the queue).
         self._active_handshakes = 0
@@ -571,49 +664,18 @@ class ConnectionPool:
 
     # ------------------------------------------------------------------
 
-    def fetch(
-        self,
-        server: Server,
-        path: NetworkPath,
-        protocol: HttpProtocol,
-        url: str,
-        request_bytes: int,
-        response_bytes: int,
-        on_complete: Callable[[HarEntry], None],
-        weight: int = 1,
-        accept_encoding: tuple[str, ...] | None = None,
-        rtype: str | None = None,
-    ) -> None:
-        """Fetch one resource; ``on_complete`` receives its HAR entry.
-
-        The pool calls ``on_complete`` at the instant the response
-        completes (or the fetch gives up), so ``loop.now`` is the
-        entry's end.
-
-        ``weight`` is the stream priority on multiplexed connections.
-        ``accept_encoding``/``rtype`` drive server-side compression
-        negotiation; ``None`` (the default) keeps the legacy serve path.
-        """
+    def fetch(self, fetch: Fetch) -> None:
+        """Dispatch one request; the pool calls ``fetch.complete`` with
+        its HAR entry when the response lands or the fetch gives up."""
         if self._closed:
             raise RuntimeError("pool is closed")
         self.stats.requests += 1
-        self._dispatch(
-            _PendingFetch(
-                url=url,
-                request_bytes=request_bytes,
-                response_bytes=response_bytes,
-                server=server,
-                protocol=protocol,
-                queued_at=self.loop.now,
-                on_complete=on_complete,
-                weight=weight,
-                path=path,
-                accept_encoding=accept_encoding,
-                rtype=rtype,
-            )
-        )
+        fetch.queued_at = self.loop.now
+        fetch.attempts = 0
+        fetch.timer = None
+        self._dispatch(fetch)
 
-    def _dispatch(self, fetch: _PendingFetch) -> None:
+    def _dispatch(self, fetch: Fetch) -> None:
         """Settle a fetch's protocol, then issue, open or park it in its lane.
 
         H3 falls back to TCP when a CONNECT tunnel on the path cannot
@@ -648,7 +710,7 @@ class ConnectionPool:
         for pooled in lane:
             # An H1.1 connection serves one request at a time.
             if pooled.established and (multiplexes or not pooled.inflight):
-                self._issue(pooled, fetch)
+                pooled.issue(fetch)
                 return
         if len(lane) < (1 if multiplexes else self.H1_MAX_PER_HOST):
             lane.append(self._open_connection(fetch, key))
@@ -662,7 +724,7 @@ class ConnectionPool:
         """Where an H3 fetch falls back to: H2, or H1 without h2."""
         return HttpProtocol.H2 if server.supports_h2 else HttpProtocol.H1
 
-    def _proxy_downgrade_h3(self, fetch: _PendingFetch) -> None:
+    def _proxy_downgrade_h3(self, fetch: Fetch) -> None:
         """Reroute one H3 fetch to TCP at a non-UDP-capable proxy."""
         fetch.protocol = self._tcp_protocol(fetch.server)
         key = fetch.server.coalesce_key
@@ -686,7 +748,7 @@ class ConnectionPool:
     # ------------------------------------------------------------------
 
     def _open_connection(
-        self, opener: _PendingFetch, lane_key: tuple[str, str]
+        self, opener: Fetch, lane_key: tuple[str, str]
     ) -> _PooledConnection:
         host = opener.server.hostname
         path = opener.path
@@ -797,7 +859,7 @@ class ConnectionPool:
 
     def _retry_or_fail(
         self,
-        fetches: list[_PendingFetch],
+        fetches: list[Fetch],
         reason: str,
         kind: str = "request_retry",
     ) -> None:
@@ -816,7 +878,7 @@ class ConnectionPool:
             else:
                 self._fail_fetch(fetch, reason)
 
-    def _fail_fetch(self, fetch: _PendingFetch, reason: str) -> None:
+    def _fail_fetch(self, fetch: Fetch, reason: str) -> None:
         """Out of retries: complete the fetch with a structured failure.
 
         The browser still receives an entry (``failed=True``), so the
@@ -842,9 +904,9 @@ class ConnectionPool:
             # lane of busy connections queues them again in order.
             for queued in self._h1_queues.pop(fetch.server.hostname, ()):
                 self._dispatch(queued)
-        fetch.on_complete(entry)
+        fetch.complete(entry)
 
-    def _serve(self, fetch: _PendingFetch):
+    def _serve(self, fetch: Fetch):
         """Answer one fetch: proxy cache first, then the server.
 
         A TCP-terminating CONNECT tunnel sees plaintext-sized responses
@@ -852,7 +914,7 @@ class ConnectionPool:
         edge; a MASQUE relay never can (end-to-end QUIC is opaque), so
         caching is gated on the path's proxy model, not just on having
         a cache.  Economics deltas and cache-tier traces are folded in
-        here so `_issue` stays shape-identical for legacy campaigns.
+        here so ``issue`` stays shape-identical for legacy campaigns.
         """
         cacheable = (
             self._proxy_cache is not None
@@ -916,112 +978,6 @@ class ConnectionPool:
                             bytes=economics.origin_bytes,
                         )
         return decision
-
-    def _issue(
-        self,
-        pooled: _PooledConnection,
-        fetch: _PendingFetch,
-        ssl_ms: float | None = None,
-    ) -> None:
-        """Issue one fetch: ``ssl_ms``, the handshake's TLS share, marks
-        the connection's opener; every other fetch reuses the connection."""
-        now = self.loop.now
-        if self.check:
-            self.check.require(
-                not pooled.failed and not pooled.conn.closed,
-                "pool:issue_on_dead_connection",
-                "fetch issued on a torn-down connection",
-                time_ms=now,
-                url=fetch.url,
-                host=pooled.host,
-            )
-            self.check.require(
-                pooled.established or pooled.conn.zero_rtt,
-                "pool:issue_before_established",
-                "fetch issued before the connection was usable",
-                time_ms=now,
-                url=fetch.url,
-                host=pooled.host,
-            )
-        if self.faults is not None and self.faults.edge_outage(
-            fetch.server.hostname
-        ):
-            # The edge refuses the request; the refusal arrives one RTT
-            # later and the fetch retries with backoff (the outage
-            # window may have lifted by then).
-            self.faults.record_fault("edge_outage", fetch.server.hostname)
-            self.loop.call_later(
-                pooled.conn.path.rtt_ms,
-                self._retry_or_fail,
-                [fetch],
-                "edge_outage",
-            )
-            return
-        decision = self._serve(fetch)
-        #: Bytes actually on the wire: compression campaigns egress the
-        #: negotiated encoding's size, everything else the nominal size.
-        body_bytes = decision.body_bytes
-        if body_bytes is None:
-            body_bytes = fetch.response_bytes
-        think_ms = decision.think_ms
-        timing = EntryTiming()
-        if ssl_ms is None:
-            timing.blocked = now - fetch.queued_at
-        else:
-            # Connection-opening request: the server pays the TLS setup
-            # CPU (certificate crypto on full handshakes, much less on
-            # resumed ones) before processing the request.
-            if pooled.resumed:
-                think_ms += fetch.server.resumed_setup_cpu_ms
-            else:
-                think_ms += fetch.server.tls_setup_cpu_ms
-            # Time spent waiting for a handshake slot is "blocked"; the
-            # handshake itself is "connect".
-            timing.blocked = pooled.connect_started_at - fetch.queued_at
-            timing.connect = pooled.conn.handshake.connect_ms
-            timing.ssl = ssl_ms
-        fetch.entry = HarEntry(
-            url=fetch.url,
-            # The request's own hostname (a coalesced connection serves
-            # several hosts; HAR entries keep the per-request host).
-            host=fetch.server.hostname,
-            protocol=fetch.protocol._value_,
-            timings=timing,
-            response_bytes=body_bytes,
-            request_bytes=fetch.request_bytes,
-            headers=dict(decision.headers),
-            reused=ssl_ms is None,
-            resumed=pooled.resumed,
-            cache_hit=decision.cache_hit,
-        )
-        pooled.inflight.append(fetch)
-        fetch.pooled = pooled
-        fetch.issued_at = now
-        spans = self._spans
-        fetch.request_span = None if spans is None else spans.begin(
-            "phase", f"request:{fetch.url}", now, parent=spans.current_visit
-        )
-        fetch.transfer_span = None
-        if self.faults is not None:
-            fetch.timer = self.loop.call_later(
-                self.faults.retry.request_timeout_ms, pooled.on_request_timeout, fetch
-            )
-        pooled.conn.request(
-            fetch.request_bytes,
-            body_bytes,
-            think_ms=think_ms,
-            on_first_byte=fetch.on_first_byte,
-            on_complete=fetch.on_stream_complete,
-            weight=fetch.weight,
-        )
-
-    def _drain_h1(self, pooled: _PooledConnection) -> None:
-        """Issue the next fetch queued at an H1 connection's host."""
-        if pooled.inflight:
-            return
-        queue = self._h1_queues.get(pooled.host)
-        if queue:
-            self._issue(pooled, queue.popleft())
 
     # ------------------------------------------------------------------
 

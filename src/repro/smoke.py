@@ -111,11 +111,13 @@ def _execute(run: Run, root: Path) -> None:
         print(f"shape {name} holds")
 
 
-def _bench(out: str, *flags: str) -> dict:
-    """Run ``benchmarks/bench_campaign.py`` and return its artifact."""
-    argv = [sys.executable, "benchmarks/bench_campaign.py", *flags, "--out", out]
+def _bench(root: Path, *flags: str) -> dict:
+    """Run ``benchmarks/bench_campaign.py`` and return its artifact,
+    written to the row's own ``bench.json``."""
+    out = root / "bench.json"
+    argv = [sys.executable, "benchmarks/bench_campaign.py", *flags, "--out", str(out)]
     _require(subprocess.run(argv).returncode == 0, f"{' '.join(argv)} failed")
-    return _load(Path(out))
+    return _load(out)
 
 
 def _json_output(main: Callable[[list[str]], int], argv: list[str]) -> dict:
@@ -195,7 +197,7 @@ def _obs_check(root: Path) -> None:
     # off-vs-off canary runs identical code on both sides, so whatever
     # it reads is host noise, and its 2% bound doubles as the
     # disabled-path overhead this host can certify.
-    b = _bench("BENCH_campaign_obs.json", "--pages", "6", "--sites", "8",
+    b = _bench(root, "--pages", "6", "--sites", "8",
                "--repeats", "5", "--sections", "metrics")["metrics_sampler"]
     on = min(b["overhead_cpu_pct"], b["overhead_cpu_pct_paired"])
     _require(on < 15.0, f"sampler-on CPU overhead {on:.1f}% breaches the 15% ceiling")
@@ -208,7 +210,7 @@ def _obs_check(root: Path) -> None:
 def _stream_check(root: Path) -> None:
     # Peak RSS of a 2048-page summary-only campaign against a 256-page
     # one, each in its own subprocess (ru_maxrss is a lifetime maximum).
-    m = _bench("BENCH_campaign_stream.json", "--pages", "4", "--sites", "6",
+    m = _bench(root, "--pages", "4", "--sites", "6",
                "--sections", "memory")["streaming_memory"]
     ratio = m["rss_growth_ratio"]
     _require(ratio < 1.15, f"peak RSS grew {ratio:.3f}x between page counts")
@@ -222,7 +224,7 @@ def _bench_check(root: Path) -> None:
     # the paired within-round estimators, as the sampler gate does; its
     # 35% ceiling is wider than the <20% reference-scale bar because ~1 s
     # runs on shared hosts carry tens of percent of CPU-time noise.
-    b = _bench("BENCH_campaign_smoke.json", "--pages", "8", "--sites", "8",
+    b = _bench(root, "--pages", "8", "--sites", "8",
                "--workers", "2", "--repeats", "5",
                "--sections", "parallel,tracing,fastpath,store,substrate")
     kern = b["substrate"]["kernel_events_per_sec"]

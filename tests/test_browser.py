@@ -1,4 +1,4 @@
-"""Tests for the browser, HAR capture, and Alt-Svc discovery."""
+"""Tests for the browser, HAR capture, and the QUIC-broken host memory."""
 
 import random
 
@@ -8,6 +8,7 @@ from repro.browser import Browser, BrowserConfig
 from repro.browser.browser import H2_ONLY, H3_ENABLED
 from repro.events import EventLoop
 from repro.http import AltSvcCache
+from repro.http.alt_svc import BROKEN_TTL_MS
 from repro.measurement import ProbeNetProfile, ServerFarm
 from repro.web import GeneratorConfig, TopSitesGenerator
 
@@ -141,47 +142,21 @@ class TestSessionPersistence:
 
 
 class TestAltSvc:
-    def test_parse_and_expiry(self):
-        cache = AltSvcCache()
-        cache.observe("x.example", {"alt-svc": 'h3=":443"; ma=60'}, now_ms=0.0)
-        assert cache.knows_h3("x.example", now_ms=59_000.0)
-        assert not cache.knows_h3("x.example", now_ms=60_000.0)
-
-    def test_header_without_h3_ignored(self):
-        cache = AltSvcCache()
-        cache.observe("x.example", {"alt-svc": 'h2=":443"'}, now_ms=0.0)
-        assert not cache.knows_h3("x.example", now_ms=1.0)
-
-    def test_malformed_max_age_uses_default(self):
-        cache = AltSvcCache(default_max_age_ms=1000.0)
-        cache.observe("x.example", {"alt-svc": 'h3=":443"; ma=banana'}, now_ms=0.0)
-        assert cache.knows_h3("x.example", now_ms=999.0)
-        assert not cache.knows_h3("x.example", now_ms=1001.0)
-
-    @pytest.mark.parametrize(
-        "header_name", ["alt-svc", "Alt-Svc", "ALT-SVC", "aLt-SvC"]
-    )
-    def test_header_lookup_is_case_insensitive(self, header_name):
-        cache = AltSvcCache()
-        cache.observe("x.example", {header_name: 'h3=":443"; ma=60'}, now_ms=0.0)
-        assert cache.knows_h3("x.example", now_ms=1.0)
-
     def test_expiry_boundary_is_exclusive(self):
-        """An advertisement with ma=60 is honoured strictly before the
-        60 s mark and not at it (expiry is start + ma, exclusive)."""
+        """A host marked at t is demoted strictly before t + TTL and not
+        at it; an expired mark is dropped, not just hidden."""
         cache = AltSvcCache()
-        cache.observe("x.example", {"alt-svc": 'h3=":443"; ma=60'}, now_ms=500.0)
-        assert cache.knows_h3("x.example", now_ms=60_499.999)
-        assert not cache.knows_h3("x.example", now_ms=60_500.0)
-        # Expired entries are dropped, not just hidden.
-        assert not cache.knows_h3("x.example", now_ms=60_499.0)
+        cache.mark_h3_broken("x.example", now_ms=500.0)
+        assert cache.h3_broken("x.example", now_ms=500.0 + BROKEN_TTL_MS - 0.001)
+        assert not cache.h3_broken("x.example", now_ms=500.0 + BROKEN_TTL_MS)
+        assert "x.example" not in cache._broken_until
 
     def test_mark_h3_broken_expires(self):
-        cache = AltSvcCache(broken_ttl_ms=1000.0)
-        cache.observe("x.example", {"alt-svc": 'h3=":443"; ma=600'}, now_ms=0.0)
+        cache = AltSvcCache()
         cache.mark_h3_broken("x.example", now_ms=10.0)
-        assert cache.h3_broken("x.example", now_ms=1009.0)
-        assert not cache.h3_broken("x.example", now_ms=1010.0)
+        assert BROKEN_TTL_MS == 60_000.0
+        assert cache.h3_broken("x.example", now_ms=60_009.0)
+        assert not cache.h3_broken("x.example", now_ms=60_010.0)
         assert not cache.h3_broken("other.example", now_ms=11.0)
 
     def test_clear_forgets_broken_marks(self):
@@ -190,30 +165,16 @@ class TestAltSvc:
         cache.clear()
         assert not cache.h3_broken("x.example", now_ms=1.0)
 
-    def test_alt_svc_mode_upgrades_after_discovery(self, universe):
-        """With use_alt_svc, the first contact with a host goes over H2
-        (no advertisement seen yet); once the Alt-Svc header arrives,
-        later requests — same visit or next — upgrade to H3."""
-        browser = make_browser(universe, use_alt_svc=True)
+    def test_broken_host_goes_over_tcp(self, universe):
+        """A host marked broken is reached over H2 until the mark expires;
+        the other H3-capable hosts stay on H3."""
         page = universe.pages[0]  # youtube: all hosts H3-capable
-        first = browser.visit(page)
-        first_html = first.entries[0]
-        assert first_html.protocol == "h2"  # nothing discovered yet
-        second = browser.visit(page)
-        second_html = second.entries[0]
-        assert second_html.protocol == "h3"  # discovered on visit one
-        assert len(second.har.entries_by_protocol("h3")) >= len(
-            first.har.entries_by_protocol("h3")
-        )
-
-    @pytest.mark.parametrize("use_alt_svc", [False, True])
-    def test_advertisements_are_recorded_only_when_read(self, universe, use_alt_svc):
-        """Positive Alt-Svc knowledge feeds only ``use_alt_svc``'s
-        protocol choice: without it, a visit records none."""
-        browser = make_browser(universe, use_alt_svc=use_alt_svc)
-        visit = browser.visit(universe.pages[0])
-        assert any("alt-svc" in entry.headers for entry in visit.entries)
-        assert bool(browser.alt_svc._until) is use_alt_svc
+        browser = make_browser(universe)
+        html_host = page.html.host
+        browser.alt_svc.mark_h3_broken(html_host, browser.loop.now)
+        visit = browser.visit(page)
+        assert {e.protocol for e in visit.entries if e.host == html_host} == {"h2"}
+        assert {e.protocol for e in visit.entries if e.host != html_host} == {"h3"}
 
 
 class TestHarRendering:

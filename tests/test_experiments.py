@@ -1,6 +1,7 @@
 """Tests for the experiment drivers, registry, and CLI."""
 
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -17,7 +18,7 @@ from repro.experiments import (
     run_all,
     run_experiment,
 )
-from repro.experiments.cli import SCALES, build_parser, main, make_study
+from repro.experiments.cli import SCALES, _jsonable, build_parser, main, make_study
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,45 @@ class TestDriverData:
     def test_table3_structure(self, study):
         data = run_experiment("table3", study).data
         assert find_shape("table3.shared_providers_ordering")[1].holds(data)
+
+
+#: Driver data for the Fig. 8/9 shapes, keyed by provider bucket and by
+#: loss rate: one series that rises, and one whose order as strings
+#: ("0" < "1" < "10" < "2") differs from its order as numbers.
+FIG8_DATA = (
+    {
+        "plt_reduction_by_providers": {0: -5.0, 1: 10.0, 2: 20.0, 10: 30.0},
+        "resumed_by_providers": {0: 0.0, 1: 1.0, 2: 2.0, 10: 4.0},
+    },
+    {
+        "plt_reduction_by_providers": {0: 1.0, 1: 2.0, 2: 5.0, 10: 3.0},
+        "resumed_by_providers": {0: 5.0, 1: 1.0, 2: 2.0, 10: 3.0},
+    },
+)
+FIG9_DATA = (
+    {"slopes": {0.0: 0.8, 0.005: 1.42, 0.01: 2.15}, "ordered": True},
+    {"slopes": {0.0: 1.5, 0.005: 1.0, 0.01: 3.0}, "ordered": False},
+)
+
+
+class TestShapesSurviveTheCliJson:
+    """The CLI writes experiment data through ``_jsonable`` and JSON,
+    which turn every dict key into a string: a shape gives the same
+    verdict on the data it reads back."""
+
+    @pytest.mark.parametrize(
+        "shape, data",
+        [
+            (shape, data)
+            for name, datasets in (("fig8", FIG8_DATA), ("fig9", FIG9_DATA))
+            for shape in EXPERIMENTS[name].shapes
+            for data in datasets
+        ],
+        ids=lambda value: getattr(value, "name", ""),
+    )
+    def test_same_verdict_after_the_round_trip(self, shape, data):
+        read_back = json.loads(json.dumps(_jsonable(data)))
+        assert shape.holds(read_back) is shape.holds(data)
 
 
 class TestFormatting:

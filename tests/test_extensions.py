@@ -21,6 +21,7 @@ from repro.measurement import (
 from repro.netsim import NetemProfile, NetworkPath
 from repro.transport import QuicConnection, TcpConnection, TlsVersion, TransportConfig
 from repro.web import GeneratorConfig, TopSitesGenerator
+from tests.test_http_pool import fetch_one
 
 
 @pytest.fixture(scope="module")
@@ -153,8 +154,8 @@ class TestHandshakeThrottle:
                 loop, NetemProfile(delay_ms=15.0, rate_mbps=None),
                 rng=random.Random(index),
             )
-            pool.fetch(server, path, HttpProtocol.H2,
-                       f"https://host{index}.example/", 400, 1000, records.append)
+            fetch_one(pool, server, path, HttpProtocol.H2,
+                      f"https://host{index}.example/", 400, 1000, records.append)
         loop.run_until(lambda: len(records) == 3)
         blocked = sorted(r.timings.blocked for r in records)
         assert blocked[0] == 0.0
@@ -189,10 +190,10 @@ class TestHandshakeThrottle:
         records = []
         # Occupy the single handshake slot with a full H3 handshake,
         # then issue a 0-RTT fetch: it must not wait.
-        pool.fetch(server_slow, path(1), HttpProtocol.H3,
-                   "https://slow.gstatic.com/a", 400, 1000, records.append)
-        pool.fetch(server_fast, path(2), HttpProtocol.H3,
-                   "https://fonts.gstatic.com/b", 400, 1000, records.append)
+        fetch_one(pool, server_slow, path(1), HttpProtocol.H3,
+                  "https://slow.gstatic.com/a", 400, 1000, records.append)
+        fetch_one(pool, server_fast, path(2), HttpProtocol.H3,
+                  "https://fonts.gstatic.com/b", 400, 1000, records.append)
         loop.run_until(lambda: len(records) == 2)
         zero_rtt = [r for r in records if r.host == "fonts.gstatic.com"][0]
         assert zero_rtt.resumed

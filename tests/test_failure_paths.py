@@ -9,6 +9,7 @@ from repro.events import EventLoop
 from repro.http import ConnectionPool, HttpProtocol
 from repro.netsim import NetemProfile, NetworkPath, PacketKind
 from repro.transport import QuicConnection, TcpConnection, TransportConfig, TransportError
+from tests.test_http_pool import fetch_one
 
 RTT = 30.0
 
@@ -113,8 +114,8 @@ class TestPoolUnderLoss:
         path = make_path(loop, loss=0.05, seed=9)
         records = []
         for i in range(10):
-            pool.fetch(origin, path, HttpProtocol.H1,
-                       f"https://legacy.example/r{i}", 400, 3000, records.append)
+            fetch_one(pool, origin, path, HttpProtocol.H1,
+                      f"https://legacy.example/r{i}", 400, 3000, records.append)
         loop.run_until(lambda: len(records) == 10)
         assert all(r.response_bytes == 3000 for r in records)
 
@@ -128,9 +129,9 @@ class TestPoolUnderLoss:
         path = make_path(loop, loss=0.15, seed=10)
         records = []
         for i in range(8):
-            pool.fetch(edge, path, HttpProtocol.H3,
-                       f"https://assets.fastly.net/r{i}", 400, 8000,
-                       records.append)
+            fetch_one(pool, edge, path, HttpProtocol.H3,
+                      f"https://assets.fastly.net/r{i}", 400, 8000,
+                      records.append)
         loop.run_until(lambda: len(records) == 8)
         assert len({r.url for r in records}) == 8
 
@@ -162,8 +163,8 @@ class TestH1QueueWhenTheHostFails:
         path = make_path(loop)
         records = []
         for i in range(10):
-            pool.fetch(origin, path, HttpProtocol.H1,
-                       f"https://h1.example/r{i}", 400, 5000, records.append)
+            fetch_one(pool, origin, path, HttpProtocol.H1,
+                      f"https://h1.example/r{i}", 400, 5000, records.append)
         loop.run()
         return pool, records
 

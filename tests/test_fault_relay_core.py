@@ -19,7 +19,7 @@ Four mechanisms, each checked against the code it replaced:
 * **Cancel releases.**  A cancelled event holds neither its callback
   nor its arguments.
 
-Plus the two allocation fixes that ride along: ``_PendingFetch``
+Plus the two allocation fixes that ride along: a pool ``Fetch``
 compares by identity, and DNS retries under faults form no cycle of
 closures or request objects.
 """
@@ -42,7 +42,7 @@ from repro.faults import FaultInjector
 from repro.faults.inject import FaultedPath
 from repro.faults.profile import FaultEvent, FaultProfile, RetryPolicy
 from repro.http import ConnectionPool, HttpProtocol
-from repro.http.pool import _PendingFetch, _PooledConnection
+from repro.http.pool import _PooledConnection
 from repro.measurement import ProbeNetProfile, ServerFarm
 from repro.netsim import (
     BernoulliLoss,
@@ -56,6 +56,7 @@ from repro.netsim import (
 from repro.netsim.link import Link, _PyLinkCore
 import repro.netsim.proxy as proxy_module
 from repro.web import GeneratorConfig, TopSitesGenerator
+from tests.test_http_pool import CallbackFetch, fetch_one, make_edge, make_path
 
 LOOPS = [pytest.param(HeapEventLoop, id="heap")]
 if CEventLoop is not None:
@@ -504,15 +505,10 @@ class TestCancelReleases:
 
 
 def pending_fetch(on_complete):
-    return _PendingFetch(
-        url="https://a.example/x",
-        request_bytes=400,
-        response_bytes=5000,
-        server=None,
-        protocol=HttpProtocol.H2,
-        queued_at=0.0,
-        on_complete=on_complete,
-    )
+    fetch = CallbackFetch()
+    fetch.url, fetch.request_bytes, fetch.response_bytes = "https://a.example/x", 400, 5000
+    fetch.protocol, fetch.on_complete = HttpProtocol.H2, on_complete
+    return fetch
 
 
 class TestPendingFetchIdentity:
@@ -526,8 +522,6 @@ class TestPendingFetchIdentity:
         assert len(inflight) == 1 and inflight[0] is first
 
     def test_pool_removes_the_fetch_that_completed(self):
-        from tests.test_http_pool import make_edge, make_path
-
         loop = HeapEventLoop()
         pool = ConnectionPool(loop, faults=FaultInjector(FaultProfile(), loop))
         server, path = make_edge(), make_path(loop)
@@ -541,9 +535,8 @@ class TestPendingFetchIdentity:
             snapshots.append([fetch.timer is not None for fetch in pooled.inflight])
 
         for _ in range(2):
-            pool.fetch(server=server, path=path, protocol=HttpProtocol.H2,
-                       url="https://a.example/x", request_bytes=400,
-                       response_bytes=5000, on_complete=on_complete)
+            fetch_one(pool, server, path, HttpProtocol.H2, "https://a.example/x",
+                      400, 5000, on_complete)
         loop.run()
         assert snapshots == [[True], []]
 
@@ -555,7 +548,7 @@ def universe():
 
 def test_dns_retries_leave_no_closure_cycles(universe):
     """A dropped faulted visit with DNS retries leaves no cell, function,
-    request object (``_PendingFetch``, ``_Request``, ``_PageLoad``),
+    request object (``_Request``, ``_PageLoad``),
     ``_PooledConnection`` or ``HarEntry`` for the cycle collector."""
     loop = CEventLoop() if CEventLoop is not None else HeapEventLoop()
     farm = ServerFarm(loop, universe.hosts, ProbeNetProfile(), rng=random.Random(3))
@@ -590,7 +583,7 @@ def test_dns_retries_leave_no_closure_cycles(universe):
         leaked = {
             name: kinds[name]
             for name in (
-                "cell", "function", _PendingFetch.__name__, _Request.__name__,
+                "cell", "function", _Request.__name__,
                 _PageLoad.__name__, _PooledConnection.__name__, HarEntry.__name__,
             )
             if kinds[name]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.cdn import EdgeServer, OriginServer, get_provider
 from repro.events import EventLoop
 from repro.http import ConnectionPool, HttpProtocol, PoolStats
+from repro.http.pool import Fetch
 from repro.netsim import NetemProfile, NetworkPath
 from repro.tls import SessionTicketCache
 
@@ -35,18 +36,32 @@ def make_edge(hostname="cdnjs.cloudflare.com", **kwargs):
     return EdgeServer(hostname, get_provider("cloudflare"), **kwargs)
 
 
+class CallbackFetch(Fetch):
+    """A bare request: its entry goes to ``on_complete``."""
+
+    __slots__ = ("on_complete",)
+
+    def complete(self, entry):
+        self.on_complete(entry)
+
+
+def fetch_one(pool, server, path, protocol, url, request_bytes, response_bytes,
+              on_complete):
+    """Hand ``pool`` one request; ``on_complete`` receives its entry."""
+    fetch = CallbackFetch()
+    fetch.server, fetch.path, fetch.protocol, fetch.url = server, path, protocol, url
+    fetch.request_bytes, fetch.response_bytes = request_bytes, response_bytes
+    fetch.accept_encoding = fetch.rtype = None
+    fetch.on_complete = on_complete
+    pool.fetch(fetch)
+    return fetch
+
+
 def fetch_all(pool, loop, server, path, protocol, n, response_bytes=5000):
     records = []
     for i in range(n):
-        pool.fetch(
-            server=server,
-            path=path,
-            protocol=protocol,
-            url=f"https://{server.hostname}/r{i}",
-            request_bytes=400,
-            response_bytes=response_bytes,
-            on_complete=records.append,
-        )
+        fetch_one(pool, server, path, protocol, f"https://{server.hostname}/r{i}",
+                  400, response_bytes, records.append)
     loop.run_until(lambda: len(records) == n)
     return records
 
@@ -95,8 +110,8 @@ class TestMultiplexedReuse:
         server, path = make_edge(), make_path(loop)
         records = []
         for i in range(3):
-            pool.fetch(server, path, HttpProtocol.H2, f"https://x/r{i}", 400, 2000,
-                       records.append)
+            fetch_one(pool, server, path, HttpProtocol.H2, f"https://x/r{i}", 400,
+                      2000, records.append)
         loop.run_until(lambda: len(records) == 3)
         followers = [r for r in records if r.reused]
         assert len(followers) == 2
@@ -217,8 +232,8 @@ class TestPoolLifecycle:
         pool = ConnectionPool(loop)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool.fetch(make_edge(), make_path(loop), HttpProtocol.H2,
-                       "https://x/", 400, 100, lambda r: None)
+            fetch_one(pool, make_edge(), make_path(loop), HttpProtocol.H2,
+                      "https://x/", 400, 100, lambda r: None)
 
     def test_stats_merge(self, loop):
         from repro.http import PoolStats

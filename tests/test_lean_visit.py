@@ -12,10 +12,12 @@ Two things a visit must not do, both deterministic:
   ``Link.transmit`` and from the event loop straight to the receiver;
 * create a closure or lambda per request, or make more than a dozen
   or so Python calls per request in ``repro.http`` and
-  ``repro.browser``: one request object carries each resource from its
-  DNS answer to its HAR entry;
-* build more than one record per request: the pool fills the
-  request's ``HarEntry`` and the browser files that same object;
+  ``repro.browser`` (or other than the pinned count there and in
+  ``repro.cdn``);
+* build more than one request object and one record per request: the
+  browser's request is the pool's fetch from its DNS lookup to its HAR
+  entry, and the pool fills the request's ``HarEntry`` and the browser
+  files that same object;
 * run the transport loop or the request exchange in Python when the C
   kernel is built: none of the methods of ``_PyTransportCore`` is
   called, and the only packets built through ``Packet.__init__`` are
@@ -31,7 +33,9 @@ from the C transport core), so the packet counts come from the links'
 own counters.
 """
 
+import collections
 import cProfile
+import enum
 import gc
 import inspect
 import os
@@ -43,9 +47,15 @@ import pytest
 
 import repro.browser.browser as browser_module
 import repro.browser
+import repro.browser.har
+import repro.cdn
+import repro.cdn.classifier as classifier
 import repro.check
 import repro.faults.inject
 import repro.http
+import repro.http.alt_svc
+import repro.http.messages
+import repro.http.pool
 import repro.netsim.link
 import repro.netsim.loss
 import repro.netsim.path
@@ -54,7 +64,7 @@ import repro.obs
 from repro.browser import Browser, BrowserConfig
 from repro.events import EventLoop
 from repro.http import AltSvcCache, HarEntry
-from repro.http.pool import ConnectionPool, _PendingFetch
+from repro.http.pool import ConnectionPool, Fetch, _PooledConnection
 from repro.browser.browser import H3_ENABLED
 from repro.measurement import ProbeNetProfile, ServerFarm
 from repro.measurement.probe import Probe
@@ -209,10 +219,16 @@ def test_dormant_visit_calls_no_hooks_or_trampolines(universe):
 
 
 #: Python calls into ``repro.http`` and ``repro.browser`` over the
-#: 96-request dormant visit below: six per request in the pool, five in
-#: the browser, ``AltSvcCache.h3_broken`` for H3-capable hosts, and a
-#: few per connection and per visit.
+#: 96-request dormant visit below: six per request in the pool and on
+#: the connection, five in the browser, ``AltSvcCache.h3_broken`` for
+#: H3-capable hosts, and a few per connection and per visit.
 HTTP_BROWSER_CALLS = 1150
+#: Python calls into ``repro.cdn`` over the same visit, the classifier
+#: starting cold: ``classify_response`` for every entry (and its header
+#: scan for each response it has not seen), the edge or origin
+#: ``serve`` and the edge's tier lookup for every request, and a few
+#: cache inserts and per-visit calls.
+CDN_CALLS = 388
 
 
 def named_functions(*owners):
@@ -228,15 +244,19 @@ def named_functions(*owners):
     return keys
 
 
+def calls_into(calls, *packages):
+    """Profiler counts of the functions defined in ``packages``."""
+    layers = tuple(
+        os.path.dirname(package.__file__) + os.sep for package in packages
+    )
+    return {key: n for key, n in calls.items() if key[0].startswith(layers)}
+
+
 def test_dormant_visit_makes_a_dozen_calls_per_request(universe):
     page = universe.pages[4]
     calls, packets = profiled_visit(make_browser(universe), page)
     assert packets > 100
-    layers = tuple(
-        os.path.dirname(package.__file__) + os.sep
-        for package in (repro.http, repro.browser)
-    )
-    ours = {key: n for key, n in calls.items() if key[0].startswith(layers)}
+    ours = calls_into(calls, repro.http, repro.browser)
     assert page.total_requests == 96
     assert sum(ours.values()) == HTTP_BROWSER_CALLS
     assert sum(ours.values()) / page.total_requests <= 14
@@ -244,9 +264,54 @@ def test_dormant_visit_makes_a_dozen_calls_per_request(universe):
     per_request = {key for key, n in ours.items() if n >= page.total_requests}
     assert per_request <= named_functions(
         browser_module._Request, browser_module._PageLoad, browser_module.Browser,
-        _PendingFetch, ConnectionPool, AltSvcCache,
+        Fetch, _PooledConnection, ConnectionPool, AltSvcCache,
     )
     assert len(per_request) == 11
+
+
+def test_dormant_visit_makes_the_pinned_cdn_calls(universe):
+    # The classifier memoises its verdicts across visits: start it cold.
+    classifier._classify_sent.cache_clear()
+    classifier._classify_default.cache_clear()
+    page = universe.pages[4]
+    calls, packets = profiled_visit(make_browser(universe), page)
+    assert packets > 100
+    assert page.total_requests == 96
+    assert sum(calls_into(calls, repro.cdn).values()) == CDN_CALLS
+
+
+def test_each_request_is_one_object(universe, monkeypatch):
+    """Per request, the visit builds the browser's request, which is
+    also the pool's fetch, and the ``HarEntry`` with its timings:
+    nothing else from ``repro.http`` or ``repro.browser``."""
+    built = collections.Counter()
+
+    def counting(cls, init):
+        def __init__(self, *args, **kwargs):
+            if type(self) is cls:
+                built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        return __init__
+
+    for module in (
+        repro.http.pool, repro.http.messages, repro.http.alt_svc,
+        browser_module, repro.browser.har,
+    ):
+        for cls in vars(module).values():
+            if (
+                isinstance(cls, type)
+                and cls.__module__ == module.__name__
+                and not issubclass(cls, enum.Enum)
+                and not getattr(cls, "_is_protocol", False)
+            ):
+                monkeypatch.setattr(cls, "__init__", counting(cls, cls.__init__))
+    page = universe.pages[4]
+    visit = make_browser(universe).visit(page)
+    assert len(visit.entries) == page.total_requests == 96
+    assert issubclass(browser_module._Request, Fetch)
+    per_request = {name: n for name, n in built.items() if n >= 96}
+    assert per_request == {"_Request": 96, "HarEntry": 96, "EntryTiming": 96}
 
 
 def test_each_request_builds_one_record(universe, monkeypatch):

@@ -22,7 +22,7 @@ from repro.netsim.proxy import SegmentedPath
 from repro.obs import ObsContext
 from repro.tls import SessionTicketCache
 from repro.transport import TransportConfig
-from tests.test_http_pool import make_edge, make_path
+from tests.test_http_pool import fetch_one, make_edge, make_path
 
 
 def snapshot(pool):
@@ -63,15 +63,8 @@ def snapshot(pool):
 
 
 def fetch(pool, server, path, protocol, name, records):
-    pool.fetch(
-        server=server,
-        path=path,
-        protocol=protocol,
-        url=f"https://{server.hostname}/{name}",
-        request_bytes=400,
-        response_bytes=5000,
-        on_complete=records.append,
-    )
+    fetch_one(pool, server, path, protocol, f"https://{server.hostname}/{name}",
+              400, 5000, records.append)
 
 
 def completed(records):

@@ -2,16 +2,9 @@
 
 import random
 
-import pytest
-
-from repro.browser import Browser, BrowserConfig
-from repro.browser.browser import RESOURCE_WEIGHTS
 from repro.events import EventLoop
-from repro.measurement import ProbeNetProfile, ServerFarm
 from repro.netsim import NetemProfile, NetworkPath
 from repro.transport import QuicConnection
-from repro.web import GeneratorConfig, TopSitesGenerator
-from repro.web.resource import ResourceType
 
 RTT = 30.0
 
@@ -58,50 +51,3 @@ class TestWeightedScheduling:
         streams = [conn.request(400, 30_000, weight=w) for w in (1, 3, 5)]
         loop.run_until(lambda: all(s.complete for s in streams))
         assert all(s.received == 30_000 for s in streams)
-
-
-class TestBrowserPriorities:
-    def test_weight_table_covers_all_types(self):
-        assert set(RESOURCE_WEIGHTS) == set(ResourceType)
-        assert RESOURCE_WEIGHTS[ResourceType.CSS] > RESOURCE_WEIGHTS[ResourceType.IMAGE]
-
-    @pytest.mark.parametrize("prioritized", [False, True])
-    def test_page_loads_in_both_modes(self, prioritized):
-        universe = TopSitesGenerator(GeneratorConfig(n_sites=5)).generate(seed=29)
-        loop = EventLoop()
-        farm = ServerFarm(loop, universe.hosts, ProbeNetProfile(),
-                          rng=random.Random(1))
-        farm.warm_caches(universe.pages)
-        browser = Browser(
-            loop, farm,
-            BrowserConfig(use_resource_priorities=prioritized),
-            rng=random.Random(2),
-        )
-        visit = browser.visit(universe.pages[4])
-        assert len(visit.entries) == universe.pages[4].total_requests
-
-    def test_priorities_speed_up_blocking_resources(self):
-        """With priorities on, CSS/JS entries complete earlier on
-        average relative to images sharing their connections."""
-        universe = TopSitesGenerator(GeneratorConfig(n_sites=5)).generate(seed=29)
-        page = universe.pages[4]
-
-        def mean_css_js_end(prioritized):
-            loop = EventLoop()
-            farm = ServerFarm(loop, universe.hosts, ProbeNetProfile(),
-                              rng=random.Random(1))
-            farm.warm_caches([page])
-            browser = Browser(
-                loop, farm,
-                BrowserConfig(use_resource_priorities=prioritized),
-                rng=random.Random(2),
-            )
-            visit = browser.visit(page)
-            ends = [
-                e.started_at_ms + e.time_ms
-                for e in visit.entries
-                if e.resource_type in ("css", "js")
-            ]
-            return sum(ends) / len(ends)
-
-        assert mean_css_js_end(True) <= mean_css_js_end(False) + 1.0
