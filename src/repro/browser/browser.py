@@ -17,13 +17,13 @@ Mirrors the paper's instrumented Chrome:
 
 from __future__ import annotations
 
-import gc
 import random
 from dataclasses import dataclass, field
 from typing import Protocol as TypingProtocol
 
 from repro.browser.har import HarLog
 from repro.cdn.classifier import classify_response
+from repro.cdn.compression import client_accept_encoding
 from repro.check.visit import check_visit
 from repro.dns import DnsConfig, DnsResolver
 from repro.events import EventLoop
@@ -39,7 +39,8 @@ from repro.web.resource import Resource, ResourceType
 
 
 class Farm(TypingProtocol):
-    """What the browser needs from the measurement-layer server farm."""
+    """What the browser needs from the measurement-layer server farm
+    (it asks for each host's server and path once, and keeps them)."""
 
     proxy_cache: object | None  # the proxy's ``LruCache``, or None
 
@@ -53,6 +54,8 @@ class Farm(TypingProtocol):
 #: Protocol modes the measurement harness uses.
 H2_ONLY = "h2-only"
 H3_ENABLED = "h3-enabled"
+_H3 = HttpProtocol.H3
+
 
 @dataclass
 class BrowserConfig:
@@ -177,9 +180,10 @@ class _Request(Fetch):
     The resolver's callbacks, the retry timer's and the pool's
     :meth:`complete` are bound methods of this slotted object, so a
     request creates no function or cell.  Faults or not, the lookup is
-    the same; only an injector's SERVFAIL windows call :meth:`failed`,
-    which retries after the policy's backoff and, once the retries are
-    spent, records a failed entry.  One lookup is outstanding at a time.
+    the same (:meth:`_PageLoad.fetch` starts it); only an injector's
+    SERVFAIL windows call :meth:`failed`, which retries after the
+    policy's backoff and, once the retries are spent, records a failed
+    entry.  One lookup is outstanding at a time.
     """
 
     __slots__ = ("load", "resource", "requested_at", "dns_ms")
@@ -192,13 +196,6 @@ class _Request(Fetch):
         #: DNS retries until the name resolves; the pool then counts
         #: its own request retries here.
         self.attempts = 0
-
-    def resolve(self) -> None:
-        dns = self.load.browser.dns
-        if dns is None:
-            self.resolved(0.0)
-        else:
-            dns.resolve(self.resource.host, self.resolved, on_fail=self.failed)
 
     def resolved(self, dns_ms: float) -> None:
         """The name resolved: fill the request fields, join the pool."""
@@ -222,10 +219,11 @@ class _Request(Fetch):
                 "phase", f"dns:{host}", loop.now - dns_ms, loop.now,
                 parent=spans.current_visit,
             )
-        farm = browser.farm
-        server = self.server = farm.server(host)
-        self.protocol = browser._pick_protocol(server)
-        self.path = farm.path(host)
+        server, self.path, protocol = browser.routes.get(host) or browser._route(host)
+        self.server = server
+        if protocol is _H3 and browser.alt_svc.broken_until:
+            protocol = browser._pick_protocol(server)
+        self.protocol = protocol
         url = self.url = resource.url
         self.request_bytes = resource.request_bytes
         self.response_bytes = resource.size_bytes
@@ -233,8 +231,6 @@ class _Request(Fetch):
         if compression is None:
             self.accept_encoding = self.rtype = None
         else:
-            from repro.cdn.compression import client_accept_encoding
-
             rtype = self.rtype = resource.rtype._value_
             self.accept_encoding = client_accept_encoding(url, rtype, compression)
         self.load.pool.fetch(self)
@@ -251,7 +247,10 @@ class _Request(Fetch):
         if attempt < policy.max_retries:
             faults.record_recovery("dns_retry", host, attempt=attempt + 1)
             self.attempts = attempt + 1
-            browser.loop.call_later(policy.backoff_ms(attempt), self.resolve)
+            browser.loop.call_later(
+                policy.backoff_ms(attempt), browser.dns.resolve, host,
+                self.resolved, self.failed,
+            )
             return
         # Resolution never succeeded: record a failed entry so the
         # page load still terminates (graceful degradation).
@@ -330,8 +329,14 @@ class _PageLoad:
         self.done: list[bool] = []
 
     def fetch(self, resources) -> None:
+        """Request ``resources``: each one's DNS lookup starts now."""
+        dns = self.browser.dns
         for resource in resources:
-            _Request(self, resource).resolve()
+            request = _Request(self, resource)
+            if dns is None:
+                request.resolved(0.0)
+            else:
+                dns.resolve(resource.host, request.resolved, request.failed)
 
 
 class Browser:
@@ -367,6 +372,8 @@ class Browser:
             self.session_cache.attach_counters(obs.counters)
         self.rng = rng or random.Random(0)
         self.alt_svc = AltSvcCache()
+        #: host -> ``(server, path, protocol)``, filled by :meth:`_route`.
+        self.routes: dict[str, tuple] = {}
         self.dns = (
             DnsResolver(
                 loop,
@@ -413,18 +420,9 @@ class Browser:
             visit_span = spans.begin("visit", page.url, start)
             spans.current_visit = visit_span
 
-        # The cyclic collector stays off while the page loads: a visit
-        # makes no reference cycles (tests/test_lean_visit.py holds
-        # both cores to that), so a pass would only walk live objects.
-        gc_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            load = _PageLoad(self, pool, page, har)
-            load.fetch((page.html,))
-            self.loop.run_until(load.done.__len__)
-        finally:
-            if gc_enabled:
-                gc.enable()
+        load = _PageLoad(self, pool, page, har)
+        load.fetch((page.html,))
+        self.loop.run_until(load.done.__len__)
         har.on_load_ms = self.loop.now - start
         if visit_span is not None:
             spans.end(visit_span, self.loop.now)
@@ -477,20 +475,28 @@ class Browser:
 
     # ------------------------------------------------------------------
 
-    def _pick_protocol(self, server) -> HttpProtocol:
+    def _route(self, host: str) -> tuple:
+        """Remember ``host``'s server, path and lane (before any Alt-Svc
+        demotion) in :attr:`routes`: the farm builds the server, then
+        draws the path's seed, in the order it always has."""
+        server = self.farm.server(host)
+        route = self.routes[host] = (
+            server, self.farm.path(host), self._pick_protocol(server, demote=False)
+        )
+        return route
+
+    def _pick_protocol(self, server, demote: bool = True) -> HttpProtocol:
         """Choose the protocol lane for one request.
 
         In ``h3-enabled`` mode an H3-capable server is reached over H3
         directly (the paper's probes force QUIC), unless a QUIC failure
-        demoted its host.  Servers without H2 fall back to HTTP/1.1 —
-        the paper's Table II "Others" row.
+        demoted its host (``demote``).  Servers without H2 fall back to
+        HTTP/1.1 — the paper's Table II "Others" row.
         """
         if (
             self.config.protocol_mode == H3_ENABLED
             and server.supports_h3
-            and not self.alt_svc.h3_broken(server.hostname, self.loop.now)
+            and not (demote and self.alt_svc.h3_broken(server.hostname, self.loop.now))
         ):
-            return HttpProtocol.H3
-        if server.supports_h2:
-            return HttpProtocol.H2
-        return HttpProtocol.H1
+            return _H3
+        return ConnectionPool._tcp_protocol(server)

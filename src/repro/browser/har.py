@@ -30,9 +30,6 @@ class HarLog:
         """Page Load Time: start of load → onLoad (paper Section III-C)."""
         return self.on_load_ms
 
-    def entries_by_protocol(self, protocol: str) -> list[HarEntry]:
-        return [e for e in self.entries if e.protocol == protocol]
-
     def cdn_entries(self) -> list[HarEntry]:
         return [e for e in self.entries if e.is_cdn]
 

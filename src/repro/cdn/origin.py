@@ -8,6 +8,7 @@ process, and with patchier protocol support (the Table II "Others" row
 
 from __future__ import annotations
 
+from repro.cdn.edge import ServeDecision
 from repro.cdn.provider import CdnProvider
 from repro.transport.tcp import TlsVersion
 
@@ -69,8 +70,6 @@ class OriginServer:
         with :meth:`EdgeServer.serve` and ignored: non-CDN origins in
         this model serve identity bodies straight off disk.
         """
-        from repro.cdn.edge import ServeDecision  # local import avoids a cycle
-
         if protocol == "h3" and not self.supports_h3:
             raise ValueError(f"{self.hostname} does not support H3")
         if protocol == "h2" and not self.supports_h2:

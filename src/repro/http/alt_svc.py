@@ -24,21 +24,23 @@ class AltSvcCache:
     """
 
     def __init__(self) -> None:
-        self._broken_until: dict[str, float] = {}
+        #: host -> when its demotion ends; the browser asks
+        #: :meth:`h3_broken` only while this is not empty.
+        self.broken_until: dict[str, float] = {}
 
     def mark_h3_broken(self, host: str, now_ms: float) -> None:
         """Note that QUIC to ``host`` just failed; demote it for a while."""
-        self._broken_until[host] = now_ms + BROKEN_TTL_MS
+        self.broken_until[host] = now_ms + BROKEN_TTL_MS
 
     def h3_broken(self, host: str, now_ms: float) -> bool:
         """Whether ``host`` is currently demoted to TCP."""
-        deadline = self._broken_until.get(host)
+        deadline = self.broken_until.get(host)
         if deadline is None:
             return False
         if now_ms >= deadline:
-            del self._broken_until[host]
+            del self.broken_until[host]
             return False
         return True
 
     def clear(self) -> None:
-        self._broken_until.clear()
+        self.broken_until.clear()

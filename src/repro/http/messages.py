@@ -28,7 +28,7 @@ class HttpProtocol(enum.Enum):
         return self is not HttpProtocol.H1
 
 
-@dataclass
+@dataclass(slots=True)
 class EntryTiming:
     """Chrome-HAR-style timing breakdown for one request (all in ms).
 
@@ -63,7 +63,7 @@ class EntryTiming:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class HarEntry:
     """One request/response exchange, as the paper's analyses see it.
 
@@ -71,6 +71,8 @@ class HarEntry:
     the flags when it issues the request (or gives up on it); the
     browser adds the DNS phase, the request's start and total time, its
     resource type and its CDN classification when the entry lands.
+    Slotted, like :class:`EntryTiming`: a visit builds one of each per
+    request, and the hot paths build them positionally.
     """
 
     url: str
@@ -110,15 +112,8 @@ class HarEntry:
     ) -> "HarEntry":
         """A fetch that gave up at ``now_ms``: blocked throughout, no response."""
         return cls(
-            url=url,
-            host=host,
-            protocol=protocol,
-            timings=EntryTiming(blocked=now_ms - started_at_ms),
-            response_bytes=0,
-            request_bytes=request_bytes,
-            started_at_ms=started_at_ms,
-            status=0,
-            failed=True,
+            url, host, protocol, EntryTiming(now_ms - started_at_ms), 0,
+            request_bytes, {}, started_at_ms, 0.0, "other", 0, failed=True,
         )
 
     @property

@@ -23,6 +23,8 @@ from collections import deque
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterator, Protocol
 
+from repro.cdn.economics import EconomicsLedger
+from repro.cdn.edge import ServeDecision
 from repro.check.context import EPSILON_MS, NULL_CHECK
 from repro.events import EventLoop, ScheduledEvent
 from repro.http.messages import EntryTiming, HarEntry, HttpProtocol
@@ -249,7 +251,7 @@ class _PooledConnection:
         self.conn = conn
         self.protocol = opener.protocol
         self.host = opener.server.hostname
-        #: The pool lane the connection belongs to (see ``_dispatch``).
+        #: The pool lane the connection belongs to (see ``ConnectionPool.fetch``).
         self.lane_key = lane_key
         self.established = False
         self.resumed = resumed
@@ -389,16 +391,24 @@ class _PooledConnection:
                 self.conn.path.rtt_ms, pool._retry_or_fail, [fetch], "edge_outage"
             )
             return
-        decision = pool._serve(fetch)
+        protocol = fetch.protocol._value_
+        if pool._proxy_cache is None:
+            decision = server.serve(
+                fetch.url, fetch.response_bytes, protocol,
+                fetch.accept_encoding, fetch.rtype,
+            )
+        else:
+            decision = pool._serve_via_proxy(fetch)
+        if decision.economics is not None:
+            pool._book_economics(decision, server.hostname)
         #: Bytes actually on the wire: compression campaigns egress the
         #: negotiated encoding's size, everything else the nominal size.
         body_bytes = decision.body_bytes
         if body_bytes is None:
             body_bytes = fetch.response_bytes
         think_ms = decision.think_ms
-        timing = EntryTiming()
         if ssl_ms is None:
-            timing.blocked = now - fetch.queued_at
+            timing = EntryTiming(now - fetch.queued_at)
         else:
             # Connection-opening request: the server pays the TLS setup
             # CPU (certificate crypto on full handshakes, much less on
@@ -409,22 +419,17 @@ class _PooledConnection:
                 think_ms += server.tls_setup_cpu_ms
             # Time spent waiting for a handshake slot is "blocked"; the
             # handshake itself is "connect".
-            timing.blocked = self.connect_started_at - fetch.queued_at
-            timing.connect = self.conn.handshake.connect_ms
-            timing.ssl = ssl_ms
+            timing = EntryTiming(
+                self.connect_started_at - fetch.queued_at, 0.0,
+                self.conn.handshake.connect_ms, ssl_ms,
+            )
+        # The request's own hostname (a coalesced connection serves
+        # several hosts; HAR entries keep the per-request host), and the
+        # defaults the browser fills in when the entry lands.
         fetch.entry = HarEntry(
-            url=fetch.url,
-            # The request's own hostname (a coalesced connection serves
-            # several hosts; HAR entries keep the per-request host).
-            host=server.hostname,
-            protocol=fetch.protocol._value_,
-            timings=timing,
-            response_bytes=body_bytes,
-            request_bytes=fetch.request_bytes,
-            headers=dict(decision.headers),
-            reused=ssl_ms is None,
-            resumed=self.resumed,
-            cache_hit=decision.cache_hit,
+            fetch.url, server.hostname, protocol, timing, body_bytes,
+            fetch.request_bytes, dict(decision.headers), 0.0, 0.0, "other",
+            200, ssl_ms is None, self.resumed, decision.cache_hit,
         )
         self.inflight.append(fetch)
         fetch.pooled = self
@@ -571,7 +576,7 @@ class _PooledConnection:
             )
             for fetch in orphans:
                 fetch.protocol = pool._tcp_protocol(fetch.server)
-                pool._dispatch(fetch)
+                pool.fetch(fetch, True)
         else:
             pool._retry_or_fail(orphans, reason, kind)
 
@@ -664,31 +669,29 @@ class ConnectionPool:
 
     # ------------------------------------------------------------------
 
-    def fetch(self, fetch: Fetch) -> None:
+    def fetch(self, fetch: Fetch, retry: bool = False) -> None:
         """Dispatch one request; the pool calls ``fetch.complete`` with
-        its HAR entry when the response lands or the fetch gives up."""
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        self.stats.requests += 1
-        fetch.queued_at = self.loop.now
-        fetch.attempts = 0
-        fetch.timer = None
-        self._dispatch(fetch)
+        its HAR entry when the response lands or the fetch gives up.
 
-    def _dispatch(self, fetch: Fetch) -> None:
-        """Settle a fetch's protocol, then issue, open or park it in its lane.
-
-        H3 falls back to TCP when a CONNECT tunnel on the path cannot
-        carry QUIC, or when the coalesce group's QUIC lane already
-        failed.  An idle established connection takes the fetch as a
-        reused request; a lane below its limit (one H2/H3 connection,
-        six H1) opens one with the fetch as its opener.  Otherwise an
-        H2/H3 fetch waits on the handshaking connection and an H1 fetch
-        queues at its host; both ride it as reused requests.  Fault
-        recovery re-enters here after retries and H3 demotion.
+        The fetch's protocol is settled first: H3 falls back to TCP
+        when a CONNECT tunnel on the path cannot carry QUIC, or when the
+        coalesce group's QUIC lane already failed.  An idle established
+        connection takes the fetch as a reused request; a lane below its
+        limit (one H2/H3 connection, six H1) opens one with the fetch as
+        its opener.  Otherwise an H2/H3 fetch waits on the handshaking
+        connection and an H1 fetch queues at its host; both ride it as
+        reused requests.  Fault recovery re-dispatches here with
+        ``retry`` set: a request is counted, and queued, only once.
         """
         if self._closed:
-            return
+            if retry:
+                return
+            raise RuntimeError("pool is closed")
+        if not retry:
+            self.stats.requests += 1
+            fetch.queued_at = self.loop.now
+            fetch.attempts = 0
+            fetch.timer = None
         server = fetch.server
         if fetch.protocol is _H3:
             if not fetch.path.h3_passthrough:
@@ -753,7 +756,9 @@ class ConnectionPool:
         host = opener.server.hostname
         path = opener.path
         quic = opener.protocol is _H3
-        conn_rng = random.Random(self.rng.getrandbits(64))
+        # One draw per connection keeps the pool's stream in step; a
+        # generator is seeded from it only to test a presented ticket.
+        ticket_seed = self.rng.getrandbits(64)
         conn_name = f"h3-{host}" if quic else f"tcp-{host}"
         tracer = (
             self.obs.connection_tracer(conn_name, opener.protocol.value)
@@ -767,7 +772,10 @@ class ConnectionPool:
                 # The server may reject the ticket (key rotation, a
                 # different machine behind the load balancer): the
                 # connection then falls back to a full handshake.
-                has_ticket = conn_rng.random() < opener.server.resumption_rate
+                has_ticket = (
+                    random.Random(ticket_seed).random()
+                    < opener.server.resumption_rate
+                )
             if (
                 has_ticket
                 and self.faults is not None
@@ -812,13 +820,13 @@ class ConnectionPool:
                 tracer.event(self.loop.now, "security:zero_rtt_accepted", host=host)
             conn: BaseConnection = QuicConnection(
                 self.loop, path, config=self.transport_config,
-                rng=conn_rng, resumed=has_ticket, name=conn_name,
+                resumed=has_ticket, name=conn_name,
                 tracer=tracer, check=self.check or None, sampler=sampler,
             )
         else:
             conn = TcpConnection(
                 self.loop, path, config=self.transport_config,
-                rng=conn_rng, resumed=has_ticket,
+                resumed=has_ticket,
                 tls_version=opener.server.tls_version, name=conn_name,
                 tracer=tracer, check=self.check or None, sampler=sampler,
             )
@@ -874,7 +882,7 @@ class ConnectionPool:
                 self.faults.record_recovery(
                     kind, host, attempt=fetch.attempts, delay_ms=delay
                 )
-                self.loop.call_later(delay, self._dispatch, fetch)
+                self.loop.call_later(delay, self.fetch, fetch, True)
             else:
                 self._fail_fetch(fetch, reason)
 
@@ -903,87 +911,72 @@ class ConnectionPool:
             # dispatch them again, each on its own retry budget.  A full
             # lane of busy connections queues them again in order.
             for queued in self._h1_queues.pop(fetch.server.hostname, ()):
-                self._dispatch(queued)
+                self.fetch(queued, True)
         fetch.complete(entry)
 
-    def _serve(self, fetch: Fetch):
-        """Answer one fetch: proxy cache first, then the server.
+    def _serve_via_proxy(self, fetch: Fetch) -> ServeDecision:
+        """Answer one fetch from the proxy's cache, or else the server.
 
         A TCP-terminating CONNECT tunnel sees plaintext-sized responses
         it already forwarded and can replay them without touching the
         edge; a MASQUE relay never can (end-to-end QUIC is opaque), so
         caching is gated on the path's proxy model, not just on having
-        a cache.  Economics deltas and cache-tier traces are folded in
-        here so ``issue`` stays shape-identical for legacy campaigns.
+        a cache.
         """
-        cacheable = (
-            self._proxy_cache is not None
-            and fetch.path.proxy_model == "connect-tunnel"
-        )
+        protocol = fetch.protocol._value_
+        cacheable = fetch.path.proxy_model == "connect-tunnel"
         if cacheable and self._proxy_cache.lookup(fetch.url):
-            from repro.cdn.edge import ServeDecision
-
             self.stats.proxy_cache_hits += 1
             return ServeDecision(
                 cache_hit=True,
                 think_ms=0.0,
-                protocol=fetch.protocol._value_,
+                protocol=protocol,
                 headers=_PROXY_HIT_HEADERS,
             )
         decision = fetch.server.serve(
-            fetch.url,
-            fetch.response_bytes,
-            fetch.protocol._value_,
-            fetch.accept_encoding,
-            fetch.rtype,
+            fetch.url, fetch.response_bytes, protocol,
+            fetch.accept_encoding, fetch.rtype,
         )
         if cacheable:
             body = decision.body_bytes
             self._proxy_cache.insert(
                 fetch.url, fetch.response_bytes if body is None else body
             )
-        economics = decision.economics
-        if economics is not None:
-            if self._economics is None:
-                from repro.cdn.economics import EconomicsLedger
-
-                self._economics = EconomicsLedger()
-            self._economics.add(economics, decision.hit_tier)
-            if self.obs is not None and decision.hit_tier is not None:
-                tracer = self.obs.cdn_tracer()
-                if tracer:
-                    now = self.loop.now
-                    host = fetch.server.hostname
-                    if decision.hit_tier == "origin":
-                        tracer.event(now, "cache:miss", host=host)
-                    else:
-                        tracer.event(
-                            now, "cache:hit", host=host, tier=decision.hit_tier
-                        )
-                    tracer.event(
-                        now,
-                        "economics:egress",
-                        host=host,
-                        bytes=economics.egress_bytes,
-                        encoding=decision.headers.get(
-                            "content-encoding", "identity"
-                        ),
-                        source="cache" if economics.cache_served_bytes else "fetch",
-                    )
-                    if economics.origin_bytes:
-                        tracer.event(
-                            now,
-                            "economics:origin_fetch",
-                            host=host,
-                            bytes=economics.origin_bytes,
-                        )
         return decision
 
-    # ------------------------------------------------------------------
+    def _book_economics(self, decision: ServeDecision, host: str) -> None:
+        """Fold one response's economics delta into the visit's ledger
+        (created on the first such response, so legacy campaigns never
+        touch it), and trace its cache tier."""
+        economics = decision.economics
+        if self._economics is None:
+            self._economics = EconomicsLedger()
+        self._economics.add(economics, decision.hit_tier)
+        if self.obs is None or decision.hit_tier is None:
+            return
+        tracer = self.obs.cdn_tracer()
+        if not tracer:
+            return
+        now = self.loop.now
+        if decision.hit_tier == "origin":
+            tracer.event(now, "cache:miss", host=host)
+        else:
+            tracer.event(now, "cache:hit", host=host, tier=decision.hit_tier)
+        tracer.event(
+            now,
+            "economics:egress",
+            host=host,
+            bytes=economics.egress_bytes,
+            encoding=decision.headers.get("content-encoding", "identity"),
+            source="cache" if economics.cache_served_bytes else "fetch",
+        )
+        if economics.origin_bytes:
+            tracer.event(
+                now, "economics:origin_fetch", host=host,
+                bytes=economics.origin_bytes,
+            )
 
-    def connection_count(self) -> int:
-        """Live connections (diagnostics)."""
-        return sum(len(lane) for lane in self._lanes.values())
+    # ------------------------------------------------------------------
 
     def close(self) -> None:
         """Terminate every connection (between page visits).

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.browser.browser import H2_ONLY, H3_ENABLED, PageVisit
 from repro.measurement.campaign import PlanConfig
 from repro.measurement.farm import ProbeNetProfile
-from repro.measurement.probe import Probe
+from repro.measurement.probe import Probe, collector_paused
 from repro.web.page import Webpage
 
 #: Serialization format of a stored consecutive walk.
@@ -122,16 +122,17 @@ def run_walk(plan: ConsecutivePlan, mode: str) -> ConsecutiveRun:
         from repro.check import CheckContext
 
         check = CheckContext()
-    probe = Probe(
-        name=f"consecutive-{mode}",
-        universe=plan.universe,
-        net_profile=plan.net_profile,
-        seed=config.seed,
-        use_session_tickets=config.use_session_tickets,
-        check=check,
-    )
-    probe.warm_edges(plan.pages)
-    probe.clear_session_state()
-    return ConsecutiveRun(
-        mode=mode, visits=[probe.visit_once(page, mode) for page in plan.pages]
-    )
+    with collector_paused():
+        probe = Probe(
+            name=f"consecutive-{mode}",
+            universe=plan.universe,
+            net_profile=plan.net_profile,
+            seed=config.seed,
+            use_session_tickets=config.use_session_tickets,
+            check=check,
+        )
+        probe.warm_edges(plan.pages)
+        probe.clear_session_state()
+        return ConsecutiveRun(
+            mode=mode, visits=[probe.visit_once(page, mode) for page in plan.pages]
+        )

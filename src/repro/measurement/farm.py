@@ -154,7 +154,12 @@ class ServerFarm:
                     )
 
     def clear_caches(self) -> None:
-        """Drop every edge cache (fresh-cache experiment variants)."""
+        """Drop every edge cache (fresh-cache experiment variants).
+
+        Each edge is rebuilt, so call this before a browser's first
+        visit: a browser keeps the server it first got for each host
+        (``Browser.routes``).
+        """
         for hostname, server in self._servers.items():
             if isinstance(server, EdgeServer):
                 spec = self.specs[hostname]

@@ -35,7 +35,7 @@ from repro.browser.browser import H2_ONLY, H3_ENABLED
 from repro.check.context import InvariantViolation
 from repro.measurement.campaign import CampaignConfig, PairedVisit
 from repro.measurement.outcome import VisitOutcome
-from repro.measurement.probe import Probe
+from repro.measurement.probe import Probe, collector_paused
 from repro.measurement.vantage import VantagePoint
 from repro.web.page import Webpage
 from repro.web.topsites import WebUniverse
@@ -97,28 +97,29 @@ def measure_paired_visit(
         from repro.check import CheckContext
 
         check = CheckContext()
-    probe = Probe(
-        name=f"{vantage.name}-{probe_index}",
-        universe=universe,
-        net_profile=vantage.net_profile(
-            loss_rate=config.loss_rate, rate_mbps=config.rate_mbps
-        ),
-        seed=derive_seed(config.seed, vp_index, probe_index, page_index),
-        transport_config=config.transport_config,
-        use_session_tickets=config.use_session_tickets,
-        obs=obs,
-        fault_profile=config.fault_profile,
-        check=check,
-        proxy=config.proxy,
-        cache_hierarchy=config.cache_hierarchy,
-        compression=config.compression,
-    )
-    if config.warm_popular:
-        probe.warm_edges((page,))
-    h2 = probe.measure_page(page, H2_ONLY, visits=config.visits_per_page)
-    h3 = probe.measure_page(page, H3_ENABLED, visits=config.visits_per_page)
-    loop_profile = probe.loop.profile_stats() if config.profile_loop else None
-    probe.close()
+    with collector_paused():
+        probe = Probe(
+            name=f"{vantage.name}-{probe_index}",
+            universe=universe,
+            net_profile=vantage.net_profile(
+                loss_rate=config.loss_rate, rate_mbps=config.rate_mbps
+            ),
+            seed=derive_seed(config.seed, vp_index, probe_index, page_index),
+            transport_config=config.transport_config,
+            use_session_tickets=config.use_session_tickets,
+            obs=obs,
+            fault_profile=config.fault_profile,
+            check=check,
+            proxy=config.proxy,
+            cache_hierarchy=config.cache_hierarchy,
+            compression=config.compression,
+        )
+        if config.warm_popular:
+            probe.warm_edges((page,))
+        h2 = probe.measure_page(page, H2_ONLY, visits=config.visits_per_page)
+        h3 = probe.measure_page(page, H3_ENABLED, visits=config.visits_per_page)
+        loop_profile = probe.loop.profile_stats() if config.profile_loop else None
+        probe.close()
     return PairedVisit(
         page=page, probe_name=probe.name, h2=h2, h3=h3,
         loop_profile=loop_profile,

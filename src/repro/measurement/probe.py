@@ -9,7 +9,9 @@ H3 state apart).
 
 from __future__ import annotations
 
+import gc
 import random
+from contextlib import contextmanager
 
 from repro.browser.browser import (
     H2_ONLY,
@@ -25,6 +27,26 @@ from repro.netsim.proxy import ProxyConfig
 from repro.transport.config import TransportConfig
 from repro.web.page import Webpage
 from repro.web.topsites import WebUniverse
+
+
+@contextmanager
+def collector_paused():
+    """Run a probe's whole life (built, visits, closed) with the cyclic
+    collector off, then restore the caller's setting, also on raise.
+
+    Neither a probe nor its visits make reference cycles
+    (tests/test_lean_visit.py holds both cores to that), so a pass
+    inside would only walk live objects.  Once per paired visit or
+    consecutive walk, the one pass that re-enabling triggers takes the
+    place of one per page load.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class Probe:

@@ -48,7 +48,6 @@ called.  The handshake flights stay Python on both.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -906,7 +905,6 @@ class BaseConnection(_TransportCore):
         path: NetworkPath,
         config: TransportConfig | None = None,
         cc: CongestionController | None = None,
-        rng: random.Random | None = None,
         server_think_ms: float = 0.0,
         name: str = "",
         tracer=None,
@@ -938,7 +936,6 @@ class BaseConnection(_TransportCore):
         #: The controller's delivery-rate input (BBR), or None; resolved
         #: once here rather than per ACK.
         self._rate_sampler = getattr(self.cc, "on_rate_sample", None)
-        self.rng = rng or random.Random(0)
         self.server_think_ms = server_think_ms
         self.name = name
         self.stats = ConnectionStats()

@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.cdn.compression import encoded_size, is_compressible, origin_encoding
+
 
 class ResourceType(enum.Enum):
     """MIME-level resource categories the paper's PLT definition covers
@@ -29,7 +31,9 @@ class Resource:
     CSS/JS file has loaded (fonts from stylesheets, XHRs from scripts).
     ``popular`` marks objects that long-lived edge caches already hold
     (the paper notes its pages are popular enough that first and second
-    visits do not differ).
+    visits do not differ).  ``request_bytes``, the approximate size of
+    the HTTP request, is derived from the URL once, at construction: a
+    campaign requests each resource many times.
     """
 
     url: str
@@ -45,16 +49,12 @@ class Resource:
             raise ValueError(f"{self.url}: size_bytes must be positive")
         if self.wave not in (0, 1):
             raise ValueError(f"{self.url}: wave must be 0 or 1")
+        object.__setattr__(self, "request_bytes", 400 + len(self.url))
 
     @property
     def is_cdn(self) -> bool:
         """Whether this resource is served from a CDN edge."""
         return self.provider_name is not None
-
-    @property
-    def request_bytes(self) -> int:
-        """Approximate size of the HTTP request for this resource."""
-        return 400 + len(self.url)
 
     @property
     def compressible(self) -> bool:
@@ -63,15 +63,11 @@ class Resource:
         Images and media ship pre-compressed; recompressing them buys
         nothing, so compression campaigns leave them identity-encoded.
         """
-        from repro.cdn.compression import is_compressible
-
         return is_compressible(self.rtype.value)
 
     @property
     def stored_encoding(self) -> str:
         """The content encoding origins keep this resource in."""
-        from repro.cdn.compression import origin_encoding
-
         return origin_encoding(self.rtype.value)
 
     def encoded_bytes(self, encoding: str) -> int:
@@ -81,8 +77,6 @@ class Resource:
         page generation, store keys, legacy campaigns — and the
         compression model derives the on-the-wire size from it.
         """
-        from repro.cdn.compression import encoded_size
-
         if not self.compressible:
             return self.size_bytes
         return encoded_size(self.size_bytes, encoding)

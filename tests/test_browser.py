@@ -149,7 +149,7 @@ class TestAltSvc:
         cache.mark_h3_broken("x.example", now_ms=500.0)
         assert cache.h3_broken("x.example", now_ms=500.0 + BROKEN_TTL_MS - 0.001)
         assert not cache.h3_broken("x.example", now_ms=500.0 + BROKEN_TTL_MS)
-        assert "x.example" not in cache._broken_until
+        assert "x.example" not in cache.broken_until
 
     def test_mark_h3_broken_expires(self):
         cache = AltSvcCache()

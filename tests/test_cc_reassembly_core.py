@@ -137,7 +137,6 @@ def transfer(conn_cls, loop_cls, *, controller, profile=None, segments=None,
     conn = conn_cls(
         loop, path,
         cc=cc_cls(MSS) if cc_cls is not None else None,
-        rng=random.Random(seed + 1),
         server_think_ms=1.5,
         name="conn",
         **hooks,

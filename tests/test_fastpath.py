@@ -61,7 +61,7 @@ def run_transfer(
         path = wrap(path)
     conn = conn_cls(
         loop, path, config=TransportConfig(fast_path=fast),
-        rng=random.Random(7), tracer=tracer, check=check,
+        tracer=tracer, check=check,
     )
     first = {}
     done = {}
@@ -231,7 +231,6 @@ class TestLifecycle:
         path = make_path(loop)
         conn = conn_cls(
             loop, path, config=TransportConfig(fast_path=True),
-            rng=random.Random(7),
         )
         conn.connect(lambda _hs: conn.request(300, 500_000))
         # Run partway into the transfer, then tear down.
@@ -252,7 +251,7 @@ class TestLifecycle:
             loop = EventLoop()
             conn = conn_cls(
                 loop, make_path(loop),
-                config=TransportConfig(fast_path=fast), rng=random.Random(7),
+                config=TransportConfig(fast_path=fast),
             )
             done = []
             conn.connect(
@@ -295,7 +294,6 @@ class TestAccounting:
         path = make_path(loop)
         conn = conn_cls(
             loop, path, config=TransportConfig(fast_path=True),
-            rng=random.Random(7),
         )
         conn.connect(lambda _hs: conn.request(300, 500_000))
         loop.run(until_ms=RTT * 3)

@@ -1,19 +1,22 @@
 """Structural properties of a page visit on the packet path.
 
-Two things a visit must not do, both deterministic:
+Things a visit must not do, all deterministic:
 
 * keep itself alive: once its result is dropped, a finished visit's
-  :class:`ConnectionPool` and :class:`HarLog` are freed by reference
-  counting alone, without the cyclic garbage collector (which is why a
-  visit may run with the collector paused);
+  :class:`ConnectionPool` and :class:`HarLog`, and a finished paired
+  visit's probe, faults or not, are freed by reference counting alone,
+  without the cyclic garbage collector (which is why a paired visit
+  runs with the collector paused, and starts at most one pass);
 * call dormant hooks or trampolines per packet: with tracing, strict
   checking and sampling off, nothing in ``repro.obs`` or
   ``repro.check`` runs, and packets go from the transport straight to
   ``Link.transmit`` and from the event loop straight to the receiver;
-* create a closure or lambda per request, or make more than a dozen
-  or so Python calls per request in ``repro.http`` and
-  ``repro.browser`` (or other than the pinned count there and in
-  ``repro.cdn``);
+* create a closure or lambda per request, or make more than eight
+  Python calls per request in ``repro.http`` and ``repro.browser``
+  (or other than the pinned counts there, in ``repro.cdn`` and across
+  all of ``repro``);
+* seed a random generator for a connection that presents no session
+  ticket;
 * build more than one request object and one record per request: the
   browser's request is the pool's fetch from its DNS lookup to its HAR
   entry, and the pool fills the request's ``HarEntry`` and the browser
@@ -41,16 +44,19 @@ import inspect
 import os
 import pstats
 import random
+import types
 import weakref
 
 import pytest
 
+import repro
 import repro.browser.browser as browser_module
 import repro.browser
 import repro.browser.har
 import repro.cdn
 import repro.cdn.classifier as classifier
 import repro.check
+import repro.dns.resolver
 import repro.faults.inject
 import repro.http
 import repro.http.alt_svc
@@ -61,6 +67,7 @@ import repro.netsim.loss
 import repro.netsim.path
 import repro.netsim.proxy
 import repro.obs
+import repro.tls.session_cache
 from repro.browser import Browser, BrowserConfig
 from repro.events import EventLoop
 from repro.http import AltSvcCache, HarEntry
@@ -68,8 +75,10 @@ from repro.http.pool import ConnectionPool, Fetch, _PooledConnection
 from repro.browser.browser import H3_ENABLED
 from repro.measurement import ProbeNetProfile, ServerFarm
 from repro.measurement.probe import Probe
-from repro.measurement import CampaignPlan, execute
-from repro.events.loop import _ckernel
+from repro.measurement import CampaignPlan, default_vantage_points, execute
+from repro.measurement.consecutive import ConsecutivePlan, run_walk
+from repro.measurement.parallel import measure_paired_visit, measure_visit_outcome
+from repro.events.loop import CEventLoop, _ckernel
 from repro.faults import FaultInjector
 from repro.netsim import BernoulliLoss, NoLoss, Packet, SegmentedPath
 from repro.scenario import preset
@@ -77,6 +86,7 @@ from repro.transport.base import BaseConnection, _PyTransportCore
 from repro.transport.congestion import NewRenoController
 from repro.transport.rtt import RttEstimator
 from repro.web import GeneratorConfig, TopSitesGenerator
+from repro.web.topsites import cached_universe
 
 
 @pytest.fixture(scope="module")
@@ -118,34 +128,101 @@ def test_finished_visit_frees_itself_without_the_cycle_collector(
         gc.enable()
 
 
+def paired_visit_args(universe, faults=None, page_index=1):
+    """``measure_paired_visit``'s arguments for one page of ``universe``."""
+    config = preset("paper-default").with_faults(faults).campaign_config(seed=11)
+    vantage = default_vantage_points()[0]
+    return (universe, vantage, 0, 0, config, universe.pages[page_index], page_index)
+
+
 @pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("faulted", [False, True], ids=["ok", "raises"])
 def test_visit_pauses_the_cycle_collector_and_restores_the_callers_state(
-    universe, caller_enabled, faulted
+    universe, monkeypatch, caller_enabled, faulted
 ):
-    """A visit makes no cycles (above), so it runs with the collector off;
-    afterwards the caller's setting is back, also when the visit raises."""
-    browser = make_browser(universe)
+    """A paired visit makes no cycles (below), so it runs with the
+    collector off, from the probe's build to its close; afterwards the
+    caller's setting is back, also when the paired visit raises under a
+    fault profile (and becomes a failed outcome)."""
     seen = []
+    measure_page = Probe.measure_page
 
-    def probe():
+    def spied(probe, page, mode, visits=2):
         seen.append(gc.isenabled())
-        if faulted:
-            raise RuntimeError("fault inside the visit")
+        if faulted and mode == H3_ENABLED:
+            raise RuntimeError("fault inside the paired visit")
+        return measure_page(probe, page, mode, visits)
 
+    monkeypatch.setattr(Probe, "measure_page", spied)
+    args = paired_visit_args(universe, "reset-storm" if faulted else None)
     was_enabled = gc.isenabled()
     try:
         gc.enable() if caller_enabled else gc.disable()
-        browser.loop.call_later(0.0, probe)
-        if faulted:
-            with pytest.raises(RuntimeError, match="fault inside the visit"):
-                browser.visit(universe.pages[1])
-        else:
-            browser.visit(universe.pages[1])
-        assert seen == [False]
+        outcome = measure_visit_outcome(*args)
+        assert seen == [False, False]
         assert gc.isenabled() is caller_enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
+    assert (outcome.status == "failed") is faulted
+
+
+def test_consecutive_walk_pauses_the_cycle_collector(universe, monkeypatch):
+    seen = []
+    visit_once = Probe.visit_once
+
+    def spied(probe, page, mode):
+        seen.append(gc.isenabled())
+        return visit_once(probe, page, mode)
+
+    monkeypatch.setattr(Probe, "visit_once", spied)
+    assert gc.isenabled()
+    run_walk(ConsecutivePlan(universe, pages=tuple(universe.pages[:3])), H3_ENABLED)
+    assert seen == [False, False, False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize(
+    "faults", [None, "udp-blocked", "dns-flaky", "reset-storm", "nat-rebind"]
+)
+def test_dropped_paired_visit_leaves_nothing_for_the_cycle_collector(
+    universe, faults
+):
+    """Probe, browsers, farm, fault injector and both protocols' visits:
+    everything a paired visit builds goes with reference counting."""
+    args = paired_visit_args(universe, faults, page_index=4)
+    measure_paired_visit(*args)  # warm-up: first-use state
+    gc.collect()
+    gc.disable()
+    try:
+        paired = measure_paired_visit(*args)
+        assert paired.h2.entries and paired.h3.entries
+        del paired
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_collector_starts_at_most_one_pass_per_paired_visit():
+    """Paused across each paired visit, the collector runs (at most)
+    once after it, rather than after each of its four page loads."""
+    universe = cached_universe(GeneratorConfig(n_sites=16), 11)
+    sim = preset("paper-default").campaign_config(seed=11).sim
+    execute(CampaignPlan(universe=universe, sim=sim, pages=universe.pages[:4]))
+    plan = CampaignPlan(universe=universe, sim=sim, pages=universe.pages[:16])
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        result = execute(plan)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(result.paired_visits) == 16 and not result.failures
+    assert len(passes) <= 16
 
 
 def test_dropped_campaign_leaves_nothing_for_the_cycle_collector(universe):
@@ -219,16 +296,28 @@ def test_dormant_visit_calls_no_hooks_or_trampolines(universe):
 
 
 #: Python calls into ``repro.http`` and ``repro.browser`` over the
-#: 96-request dormant visit below: six per request in the pool and on
-#: the connection, five in the browser, ``AltSvcCache.h3_broken`` for
-#: H3-capable hosts, and a few per connection and per visit.
-HTTP_BROWSER_CALLS = 1150
+#: 96-request dormant visit below: four per request in the pool and on
+#: the connection (``fetch``, ``issue``, ``on_first_byte``,
+#: ``on_stream_complete``), three in the browser (the request's
+#: ``__init__``, ``resolved`` and ``complete``), a route lookup per
+#: host, and a few per connection and per visit.
+HTTP_BROWSER_CALLS = 760
 #: Python calls into ``repro.cdn`` over the same visit, the classifier
 #: starting cold: ``classify_response`` for every entry (and its header
 #: scan for each response it has not seen), the edge or origin
 #: ``serve`` and the edge's tier lookup for every request, and a few
 #: cache inserts and per-visit calls.
 CDN_CALLS = 388
+#: The same with the classifier's memos warm, as after the harness
+#: ledger's warm-up: the header scans are gone.
+CDN_CALLS_WARM = 274
+#: Python calls into all of ``repro`` over the same visit, the
+#: process-wide memos starting cold: the two counts above, plus the DNS
+#: lookup per request (and the recursion cost per host), and per host
+#: or per connection in ``repro.measurement`` (the farm),
+#: ``repro.transport``, ``repro.netsim``, ``repro.web`` and
+#: ``repro.tls``.
+REPRO_CALLS = 1601
 
 
 def named_functions(*owners):
@@ -252,32 +341,90 @@ def calls_into(calls, *packages):
     return {key: n for key, n in calls.items() if key[0].startswith(layers)}
 
 
-def test_dormant_visit_makes_a_dozen_calls_per_request(universe):
+def cold_profiled_visit(universe):
+    """``profiled_visit`` of the dormant visit, with the process-wide
+    memos (the classifier's verdicts, the resolver's recursion costs)
+    cleared first: its counts do not depend on what ran before in the
+    process."""
+    classifier._classify_sent.cache_clear()
+    classifier._classify_default.cache_clear()
+    repro.dns.resolver._recursion_ms.cache_clear()
     page = universe.pages[4]
     calls, packets = profiled_visit(make_browser(universe), page)
     assert packets > 100
-    ours = calls_into(calls, repro.http, repro.browser)
     assert page.total_requests == 96
+    return calls
+
+
+def test_dormant_visit_makes_eight_calls_per_request(universe):
+    calls = cold_profiled_visit(universe)
+    ours = calls_into(calls, repro.http, repro.browser)
     assert sum(ours.values()) == HTTP_BROWSER_CALLS
-    assert sum(ours.values()) / page.total_requests <= 14
+    assert sum(ours.values()) / 96 <= 8
     # Whatever runs per request is a named method or function.
-    per_request = {key for key, n in ours.items() if n >= page.total_requests}
+    per_request = {key for key, n in ours.items() if n >= 96}
     assert per_request <= named_functions(
         browser_module._Request, browser_module._PageLoad, browser_module.Browser,
         Fetch, _PooledConnection, ConnectionPool, AltSvcCache,
     )
-    assert len(per_request) == 11
+    assert len(per_request) == 7
 
 
 def test_dormant_visit_makes_the_pinned_cdn_calls(universe):
-    # The classifier memoises its verdicts across visits: start it cold.
-    classifier._classify_sent.cache_clear()
-    classifier._classify_default.cache_clear()
-    page = universe.pages[4]
-    calls, packets = profiled_visit(make_browser(universe), page)
-    assert packets > 100
-    assert page.total_requests == 96
-    assert sum(calls_into(calls, repro.cdn).values()) == CDN_CALLS
+    assert sum(calls_into(cold_profiled_visit(universe), repro.cdn).values()) == (
+        CDN_CALLS
+    )
+    # Warm, the classifier scans no headers it has seen before.
+    calls, _ = profiled_visit(make_browser(universe), universe.pages[4])
+    assert sum(calls_into(calls, repro.cdn).values()) == CDN_CALLS_WARM
+
+
+@pytest.mark.skipif(
+    EventLoop is not CEventLoop,
+    reason="pinned for the C scheduler and transport core, which run no Python per event",
+)
+def test_dormant_visit_makes_the_pinned_calls_across_repro(universe):
+    """Work moved out of ``repro.http`` and ``repro.browser`` into
+    another layer (the farm, DNS, the web model) shows here."""
+    calls = cold_profiled_visit(universe)
+    assert sum(calls_into(calls, repro).values()) == REPRO_CALLS
+
+
+def test_no_random_generator_for_a_connection_without_a_ticket(
+    universe, monkeypatch
+):
+    """The pool draws one seed per connection from its own stream, but
+    seeds a generator only to test a presented session ticket."""
+    seeded = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed=None):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    lookups = []
+    lookup = repro.tls.session_cache.SessionTicketCache.lookup
+
+    def spied_lookup(cache, host, now_ms):
+        ticket = lookup(cache, host, now_ms)
+        lookups.append(ticket is not None)
+        return ticket
+
+    monkeypatch.setattr(
+        repro.tls.session_cache.SessionTicketCache, "lookup", spied_lookup
+    )
+    browser = make_browser(universe)
+    monkeypatch.setattr(
+        repro.http.pool, "random", types.SimpleNamespace(Random=CountingRandom)
+    )
+    first = browser.visit(universe.pages[4])
+    assert first.pool_stats.connections_created > 0
+    assert seeded == [] and not any(lookups)
+    # The next visit presents the tickets the first one stored.
+    lookups.clear()
+    second = browser.visit(universe.pages[4])
+    assert second.pool_stats.connections_created == len(lookups)
+    assert len(seeded) == sum(lookups) > 0
 
 
 def test_each_request_is_one_object(universe, monkeypatch):

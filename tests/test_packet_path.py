@@ -120,7 +120,7 @@ def lossy_transfer(conn_cls, loss=0.02, seed=1):
         )
 
     path.downlink.drop_filter = drop_first_fin
-    conn = conn_cls(loop, path, rng=random.Random(seed))
+    conn = conn_cls(loop, path)
     done = []
     conn.connect(done.append)
     loop.run_until(lambda: bool(done))

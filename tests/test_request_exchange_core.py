@@ -191,7 +191,6 @@ def exchange(
         loop,
         path,
         config=TransportConfig(max_request_retries=3) if drop_requests else None,
-        rng=random.Random(seed + 1),
         server_think_ms=2.0,
         name="conn",
         **hooks,

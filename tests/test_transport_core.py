@@ -257,7 +257,6 @@ def transfer(
         conn_path,
         config=config,
         cc=cc(1460) if cc is not None else None,
-        rng=random.Random(seed + 1),
         server_think_ms=2.0,
         name="conn",
         **hooks,
@@ -297,7 +296,7 @@ def transfer(
             [(chunk, start) for chunk, start in conn._retx_queue],
             list(conn._ack_pending),
         ),
-        "rng": [conn.rng.getstate()] + [link.rng.getstate() for link in links],
+        "rng": [link.rng.getstate() for link in links],
         "links": [repr(dataclasses.astuple(link.stats)) for link in links],
         "streams": [
             (repr(s.t_first_byte), repr(s.t_complete), s.received) for s in handles
