@@ -93,6 +93,11 @@ def _compile(cc: str, out_path: str) -> bool:
     return True
 
 
+def compiler() -> str | None:
+    """The host C compiler the kernel is built with, or ``None``."""
+    return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+
+
 def load():
     """Compile (if needed) and import the C kernel, or return ``None``."""
     if os.environ.get("REPRO_NO_CKERNEL"):
@@ -103,7 +108,7 @@ def load():
     except OSError:
         _debug("C source missing")
         return None
-    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+    cc = compiler()
     if cc is None:
         _debug("no C compiler on PATH")
         return None

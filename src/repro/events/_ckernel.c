@@ -105,6 +105,7 @@ cevent_release(CEventObject *self)
 }
 
 static void heap_remove(LoopCoreObject *loop, Py_ssize_t i);
+static void packet_freelist_clear(void);
 
 /* Cancelling takes a pending event out of its loop's heap at once and
  * lets go of the callback and its arguments, pending or not. */
@@ -734,6 +735,10 @@ static PyObject *
 core_close(LoopCoreObject *self, PyObject *Py_UNUSED(ignored))
 {
     core_release_queue(self, 1);
+    /* The simulation is over: the packets it freed for reuse go back to
+     * the allocator, as every freed packet did before the freelist, so
+     * they pin no memory the next one would lay out differently. */
+    packet_freelist_clear();
     Py_RETURN_NONE;
 }
 
@@ -804,7 +809,8 @@ static PyMethodDef core_methods[] = {
     {"step", (PyCFunction)core_step, METH_NOARGS,
      "Execute the next pending event; False when the queue is empty."},
     {"close", (PyCFunction)core_close, METH_NOARGS,
-     "Cancel every pending event and empty the queue."},
+     "Cancel every pending event and empty the queue; packets kept for "
+     "reuse go back to the allocator."},
     {"next_event_time", (PyCFunction)core_next_event_time, METH_NOARGS,
      "Time of the earliest pending live event, or None when empty."},
     {"set_check", (PyCFunction)core_set_check, METH_O,
@@ -847,6 +853,363 @@ static PyTypeObject LoopCoreType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Packet: repro.netsim.packet.Packet                                  */
+/* ------------------------------------------------------------------ */
+
+/* The dataclass repro.netsim.packet.Packet as a C type, which that
+ * module names Packet whenever the kernel is built.  The numbers are
+ * held unboxed (the int fields as long long, the float ones as double,
+ * retransmission as a bool); kind, chunks and sack are objects.  The
+ * constructor takes the dataclass's arguments with its defaults, draws
+ * uid from the same counter when none is passed (_packet_ids, which is
+ * PacketIds here), and does __post_init__'s arithmetic: payload_bytes
+ * sums the chunks' sizes, and a size_bytes <= 0 becomes HEADER_BYTES
+ * plus that.  dataclasses.fields and dataclasses.replace work as on the
+ * dataclass, whose field table _install_packet copies, and equality and
+ * repr are the dataclass's own methods.  The dataclass stays the packet
+ * type without the kernel and the oracle the differential tests hold
+ * this one to.  Freed packets go to a bounded freelist, so the send
+ * burst after a burst of ACKs allocates none; LoopCore.close() empties
+ * it. */
+
+static PyTypeObject *ChunkType = NULL;  /* StreamChunk, a tuple subclass */
+static PyObject *KindData = NULL, *KindAck = NULL;
+static long long HeaderBytes = 0;
+/* StreamChunk's tuple items. */
+enum { CH_STREAM_ID, CH_OFFSET, CH_SIZE, CH_FIN };
+
+static PyObject *str_size;
+static PyObject *int_zero, *int_one, *int_minus_one, *float_zero,
+    *empty_tuple;
+
+static int
+as_ll(PyObject *obj, long long *out)
+{
+    *out = PyLong_AsLongLong(obj);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+as_double(PyObject *obj, double *out)
+{
+    *out = PyFloat_AsDouble(obj);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* chunk.<item> (new reference). */
+static PyObject *
+chunk_get(PyObject *chunk, int index, PyObject *name)
+{
+    if (Py_IS_TYPE(chunk, ChunkType)) {
+        PyObject *value = PyTuple_GET_ITEM(chunk, index);
+        Py_INCREF(value);
+        return value;
+    }
+    return PyObject_GetAttr(chunk, name);
+}
+
+typedef struct {
+    PyObject_HEAD
+    /* Strong; NULL only once deleted or cleared by the collector. */
+    PyObject *kind, *chunks, *sack;
+    long long seq, ack_seq, size_bytes, uid, conn_start, payload_bytes;
+    double ack_delay_ms, sent_at;
+    char retransmission;
+} PacketObject;
+
+static PyTypeObject PacketType;
+#define PKT(obj) ((PacketObject *)(obj))
+
+#define PKT_FREELIST_MAX 1024
+static PacketObject *pkt_freelist[PKT_FREELIST_MAX];
+static int pkt_free_count = 0;
+/* Packets built, and how many of them came off the freelist. */
+static long long pkt_built = 0, pkt_reused = 0;
+/* The next uid: one counter for every packet, however built. */
+static long long pkt_next_uid = 1;
+
+/* Hand every packet on the freelist back to the allocator. */
+static void
+packet_freelist_clear(void)
+{
+    while (pkt_free_count > 0)
+        PyObject_GC_Del(pkt_freelist[--pkt_free_count]);
+}
+
+/* A packet's object field (borrowed), AttributeError once deleted. */
+static PyObject *
+pkt_object(PyObject *value, const char *name)
+{
+    if (value == NULL)
+        PyErr_Format(PyExc_AttributeError,
+                     "'Packet' object has no attribute '%s'", name);
+    return value;
+}
+
+/* obj is a Packet: 0, else -1 with TypeError. */
+static int
+require_packet(PyObject *obj)
+{
+    if (Py_IS_TYPE(obj, &PacketType))
+        return 0;
+    PyErr_Format(PyExc_TypeError, "expected a Packet, got '%.100s'",
+                 Py_TYPE(obj)->tp_name);
+    return -1;
+}
+
+/* __post_init__'s `payload += chunk.size` over chunks. */
+static int
+chunks_payload(PyObject *chunks, long long *out)
+{
+    PyObject *seq = PySequence_Fast(chunks, "chunks must be iterable");
+    if (seq == NULL)
+        return -1;
+    long long payload = 0;
+    int rc = 0;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq) && rc == 0; i++) {
+        PyObject *chunk = PySequence_Fast_GET_ITEM(seq, i);
+        PyObject *size = chunk_get(chunk, CH_SIZE, str_size);
+        long long size_v;
+        rc = size == NULL ? -1 : as_ll(size, &size_v);
+        Py_XDECREF(size);
+        if (rc == 0 && __builtin_add_overflow(payload, size_v, &payload)) {
+            PyErr_SetString(PyExc_OverflowError, "packet payload too large");
+            rc = -1;
+        }
+    }
+    Py_DECREF(seq);
+    *out = payload;
+    return rc;
+}
+
+/* Packet(kind, seq, chunks, ...) from C values (objects borrowed); uid
+ * NULL draws the next one. */
+static PyObject *
+packet_build(PyObject *kind, long long seq, PyObject *chunks,
+             long long ack_seq, PyObject *sack, double ack_delay_ms,
+             long long size_bytes, const long long *uid, double sent_at,
+             int retransmission, long long conn_start)
+{
+    long long uid_v = uid != NULL ? *uid : pkt_next_uid++;
+    long long payload;
+    if (chunks_payload(chunks, &payload) < 0)
+        return NULL;
+    PacketObject *pkt;
+    if (pkt_free_count > 0) {
+        pkt = pkt_freelist[--pkt_free_count];
+        PyObject_Init((PyObject *)pkt, &PacketType);
+        pkt_reused++;
+    }
+    else if ((pkt = PyObject_GC_New(PacketObject, &PacketType)) == NULL) {
+        return NULL;
+    }
+    pkt_built++;
+    pkt->kind = Py_NewRef(kind);
+    pkt->chunks = Py_NewRef(chunks);
+    pkt->sack = Py_NewRef(sack);
+    pkt->seq = seq;
+    pkt->ack_seq = ack_seq;
+    pkt->ack_delay_ms = ack_delay_ms;
+    pkt->uid = uid_v;
+    pkt->sent_at = sent_at;
+    pkt->retransmission = (char)(retransmission != 0);
+    pkt->conn_start = conn_start;
+    pkt->payload_bytes = payload;
+    pkt->size_bytes = size_bytes > 0 ? size_bytes : HeaderBytes + payload;
+    PyObject_GC_Track((PyObject *)pkt);
+    return (PyObject *)pkt;
+}
+
+/* The dataclass's __init__ parameters, in order. */
+enum { PI_KIND, PI_SEQ, PI_CHUNKS, PI_ACK_SEQ, PI_SACK, PI_ACK_DELAY, PI_SIZE,
+       PI_UID, PI_SENT_AT, PI_RETX, PI_CONN_START, PI_COUNT };
+static const char *const packet_params[PI_COUNT] = {
+    "kind", "seq", "chunks", "ack_seq", "sack", "ack_delay_ms", "size_bytes",
+    "uid", "sent_at", "retransmission", "conn_start"};
+static PyObject *packet_param_names[PI_COUNT];  /* interned at module init */
+
+static int
+packet_param(PyObject *name)
+{
+    for (int i = 0; i < PI_COUNT; i++)
+        if (name == packet_param_names[i])
+            return i;
+    for (int i = 0; i < PI_COUNT; i++) {
+        int eq = PyObject_RichCompareBool(name, packet_param_names[i], Py_EQ);
+        if (eq != 0)
+            return eq < 0 ? -2 : i;
+    }
+    return -1;
+}
+
+/* Packet(...), called as the dataclass is. */
+static PyObject *
+packet_vectorcall(PyObject *type, PyObject *const *args, size_t nargsf,
+                  PyObject *kwnames)
+{
+    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
+    PyObject *values[PI_COUNT] = {NULL};
+    if (ChunkType == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "Packet needs _install_packet first");
+        return NULL;
+    }
+    if (nargs > PI_COUNT) {
+        PyErr_Format(PyExc_TypeError,
+                     "Packet.__init__() takes from 2 to %d positional arguments "
+                     "but %zd were given", PI_COUNT + 1, nargs + 1);
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < nargs; i++)
+        values[i] = args[i];
+    Py_ssize_t nkw = kwnames == NULL ? 0 : PyTuple_GET_SIZE(kwnames);
+    for (Py_ssize_t k = 0; k < nkw; k++) {
+        PyObject *name = PyTuple_GET_ITEM(kwnames, k);
+        int param = packet_param(name);
+        if (param == -2)
+            return NULL;
+        if (param < 0 || values[param] != NULL) {
+            PyErr_Format(PyExc_TypeError, param < 0
+                         ? "Packet.__init__() got an unexpected keyword argument '%S'"
+                         : "Packet.__init__() got multiple values for argument '%S'",
+                         name);
+            return NULL;
+        }
+        values[param] = args[nargs + k];
+    }
+    if (values[PI_KIND] == NULL) {
+        PyErr_SetString(PyExc_TypeError, "Packet.__init__() missing 1 required "
+                        "positional argument: 'kind'");
+        return NULL;
+    }
+    long long seq = -1, ack_seq = -1, size = 0, uid = 0, conn_start = -1;
+    double ack_delay = 0.0, sent_at = -1.0;
+    int retx = 0;
+    if ((values[PI_SEQ] && as_ll(values[PI_SEQ], &seq) < 0)
+        || (values[PI_ACK_SEQ] && as_ll(values[PI_ACK_SEQ], &ack_seq) < 0)
+        || (values[PI_ACK_DELAY] && as_double(values[PI_ACK_DELAY], &ack_delay) < 0)
+        || (values[PI_SIZE] && as_ll(values[PI_SIZE], &size) < 0)
+        || (values[PI_UID] && as_ll(values[PI_UID], &uid) < 0)
+        || (values[PI_SENT_AT] && as_double(values[PI_SENT_AT], &sent_at) < 0)
+        || (values[PI_RETX] && (retx = PyObject_IsTrue(values[PI_RETX])) < 0)
+        || (values[PI_CONN_START] && as_ll(values[PI_CONN_START], &conn_start) < 0))
+        return NULL;
+    return packet_build(
+        values[PI_KIND], seq, values[PI_CHUNKS] ? values[PI_CHUNKS] : empty_tuple,
+        ack_seq, values[PI_SACK] ? values[PI_SACK] : empty_tuple, ack_delay,
+        size, values[PI_UID] ? &uid : NULL, sent_at, retx, conn_start);
+}
+
+static PyObject *
+packet_tp_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    return PyVectorcall_Call((PyObject *)type, args, kwds);
+}
+
+static int
+packet_traverse(PacketObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->kind);
+    Py_VISIT(self->chunks);
+    Py_VISIT(self->sack);
+    return 0;
+}
+
+static int
+packet_clear(PacketObject *self)
+{
+    Py_CLEAR(self->kind);
+    Py_CLEAR(self->chunks);
+    Py_CLEAR(self->sack);
+    return 0;
+}
+
+static void
+packet_dealloc(PacketObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    packet_clear(self);
+    if (pkt_free_count < PKT_FREELIST_MAX)
+        pkt_freelist[pkt_free_count++] = self;
+    else
+        PyObject_GC_Del(self);
+}
+
+/* Equality and repr are the dataclass's own __eq__ and __repr__,
+ * which read the fields by name: the same answers, by construction. */
+static PyObject *PacketEq = NULL, *PacketRepr = NULL;
+
+static PyObject *
+packet_richcompare(PyObject *a, PyObject *b, int op)
+{
+    if (op != Py_EQ && op != Py_NE)
+        Py_RETURN_NOTIMPLEMENTED;
+    PyObject *eq = PyObject_CallFunctionObjArgs(PacketEq, a, b, NULL);
+    if (eq == NULL || eq == Py_NotImplemented || op == Py_EQ)
+        return eq;
+    int truth = PyObject_IsTrue(eq);
+    Py_DECREF(eq);
+    return truth < 0 ? NULL : PyBool_FromLong(!truth);
+}
+
+static PyObject *
+packet_repr(PyObject *self)
+{
+    return PyObject_CallOneArg(PacketRepr, self);
+}
+
+#define PKT_MEMBER(name, type) \
+    {#name, type, offsetof(PacketObject, name), 0, NULL}
+
+static PyMemberDef packet_members[] = {
+    PKT_MEMBER(kind, T_OBJECT_EX),
+    PKT_MEMBER(seq, T_LONGLONG),
+    PKT_MEMBER(chunks, T_OBJECT_EX),
+    PKT_MEMBER(ack_seq, T_LONGLONG),
+    PKT_MEMBER(sack, T_OBJECT_EX),
+    PKT_MEMBER(ack_delay_ms, T_DOUBLE),
+    PKT_MEMBER(size_bytes, T_LONGLONG),
+    PKT_MEMBER(uid, T_LONGLONG),
+    PKT_MEMBER(sent_at, T_DOUBLE),
+    PKT_MEMBER(retransmission, T_BOOL),
+    PKT_MEMBER(conn_start, T_LONGLONG),
+    PKT_MEMBER(payload_bytes, T_LONGLONG),
+    {NULL}
+};
+
+static PyTypeObject PacketType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.netsim.packet.Packet",
+    .tp_basicsize = sizeof(PacketObject),
+    .tp_dealloc = (destructor)packet_dealloc,
+    .tp_repr = packet_repr,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "A simulated packet (C-accelerated; see repro.netsim.packet).",
+    .tp_traverse = (traverseproc)packet_traverse,
+    .tp_clear = (inquiry)packet_clear,
+    .tp_richcompare = packet_richcompare,
+    .tp_members = packet_members,
+    .tp_new = packet_tp_new,
+    .tp_vectorcall = packet_vectorcall,
+};
+
+/* PacketIds: next() draws a uid from the packets' counter. */
+static PyObject *
+packet_ids_next(PyObject *self)
+{
+    return PyLong_FromLongLong(pkt_next_uid++);
+}
+
+static PyTypeObject PacketIdsType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.events._ckernel.PacketIds",
+    .tp_basicsize = sizeof(PyObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "The counter Packet.uid draws from (an iterator).",
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = packet_ids_next,
+};
+
+/* ------------------------------------------------------------------ */
 /* LinkCore: the per-packet half of repro.netsim.link.Link             */
 /* ------------------------------------------------------------------ */
 
@@ -869,7 +1232,6 @@ static PyObject *str_now, *str_size_bytes, *str_should_drop, *str_uniform,
 static PyObject *str_sent_packets, *str_dropped_packets,
     *str_delivered_packets, *str_sent_bytes, *str_delivered_bytes,
     *str_busy_time_ms;
-static PyObject *float_zero;
 
 /* One accepted-but-not-yet-due delivery. */
 typedef struct { double at; long long size; } Pending;
@@ -1071,13 +1433,18 @@ link_transmit(LinkCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     if (self->len && self->ring[self->head].at <= now)
         link_settle_to(self, now);
-    PyObject *size_obj = PyObject_GetAttr(packet, str_size_bytes);
-    if (size_obj == NULL)
-        return NULL;
-    long long size = PyLong_AsLongLong(size_obj);
-    if (size == -1 && PyErr_Occurred()) {
-        Py_DECREF(size_obj);
-        return NULL;
+    /* packet.size_bytes: read in place on a Packet. */
+    long long size;
+    PyObject *size_obj = NULL;
+    if (Py_IS_TYPE(packet, &PacketType)) {
+        size = PKT(packet)->size_bytes;
+    }
+    else {
+        size_obj = PyObject_GetAttr(packet, str_size_bytes);
+        if (size_obj == NULL || as_ll(size_obj, &size) < 0) {
+            Py_XDECREF(size_obj);
+            return NULL;
+        }
     }
     self->sent_packets++;
     self->sent_bytes += size;
@@ -1085,6 +1452,8 @@ link_transmit(LinkCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
 
     PyObject *sampler = self->sampler;
     if (sampler != NULL && sampler != Py_None) {
+        if (size_obj == NULL && (size_obj = PyLong_FromLongLong(size)) == NULL)
+            return NULL;
         PyObject *now_f = PyFloat_FromDouble(now);
         PyObject *done_f = PyFloat_FromDouble(tx_done);
         PyObject *res = NULL;
@@ -1100,7 +1469,7 @@ link_transmit(LinkCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
         }
         Py_DECREF(res);
     }
-    Py_DECREF(size_obj);
+    Py_XDECREF(size_obj);
 
     /* The loss draw, then the drop filter (called even when the draw
      * already dropped the packet, so a filtered run keeps the RNG
@@ -1734,19 +2103,15 @@ static PyTypeObject WindowedSendType = {
  * stream), whose state the struct holds.  Any other controller, and a
  * connection class that overrides a reassembly hook, is called.
  *
- * Data and ACK packets are Packet instances filled slot by slot, as
- * the dataclass's generated __init__ and __post_init__ fill them, and
- * response chunks are StreamChunk tuples.  The PTO and delayed-ACK
+ * Data, request and ACK packets are native Packets whose fields are
+ * read and written in place, and response chunks are StreamChunk
+ * tuples.  The PTO and delayed-ACK
  * deadlines are event handles held here: started, stopped and fired
  * as repro.events.Timer does, but with no Timer and no bound method,
  * so a connection whose deadlines are stopped holds no reference
  * cycle through them. */
 
 /* Installed by repro.transport.base through _install_transport. */
-static PyTypeObject *ChunkType = NULL;
-static PyObject *KindData = NULL, *KindAck = NULL;
-static PyObject *PacketIds = NULL;      /* the counter Packet.uid draws from */
-static PyObject *PacketGlobals = NULL;  /* repro.netsim.packet's namespace */
 static PyObject *FastpathModule = NULL;
 static PyObject *PyDeliverChunk = NULL; /* _PyTransportCore._deliver_chunk */
 static PyObject *TransportError = NULL; /* repro.transport.base's */
@@ -1766,7 +2131,7 @@ static PyObject *DescrDeliver = NULL, *DescrTcpReceive = NULL,
 /* A slotted Python class whose fields C reads and writes in place: an
  * instance of exactly that class by slot offset (resolved once from
  * its member descriptors), anything else through getattr/setattr. */
-#define MAX_SLOTS 12
+#define MAX_SLOTS 9
 typedef struct {
     PyTypeObject *type;
     int count;
@@ -1774,13 +2139,6 @@ typedef struct {
     PyObject *names[MAX_SLOTS];
     Py_ssize_t offsets[MAX_SLOTS];
 } SlotClass;
-
-enum { PK_KIND, PK_SEQ, PK_CHUNKS, PK_ACK_SEQ, PK_SACK, PK_ACK_DELAY,
-       PK_SIZE, PK_UID, PK_SENT_AT, PK_RETX, PK_CONN_START, PK_PAYLOAD };
-static SlotClass Packet = {NULL, 12, {
-    "kind", "seq", "chunks", "ack_seq", "sack", "ack_delay_ms",
-    "size_bytes", "uid", "sent_at", "retransmission", "conn_start",
-    "payload_bytes"}};
 
 /* ConnectionStats: the counters the loop, the reassembly and the
  * request exchange bump. */
@@ -1826,11 +2184,8 @@ static SlotClass ClientStream = {NULL, 9, {
 enum { PR_PACKET, PR_TIMEOUT, PR_TRIES };
 static SlotClass PendingRequest = {NULL, 3, {"packet", "timeout", "tries"}};
 
-/* StreamChunk's tuple items. */
-enum { CH_STREAM_ID, CH_OFFSET, CH_SIZE, CH_FIN };
-
 static PyObject *str_cancel, *str_popleft, *str_append,
-    *str_rotate, *str_remove, *str_get, *str_advance, *str_header_bytes,
+    *str_rotate, *str_remove, *str_get, *str_advance,
     *str_send_to_client, *str_send_to_server, *str_client_on_packet,
     *str_server_on_packet, *str_on_data_packet_received,
     *str_absorb_request_chunk, *str_on_request_ack, *str_trace_metrics,
@@ -1842,7 +2197,7 @@ static PyObject *str_cancel, *str_popleft, *str_append,
     *str_release_packet, *str_receive_stream_chunk,
     *str_on_handshake_timeout, *str_hol_started, *str_hol_ended,
     *str_alpha, *str_beta, *str_c,
-    *str_size, *str_mss, *str_ack_frequency, *str_max_ack_delay_ms,
+    *str_mss, *str_ack_frequency, *str_max_ack_delay_ms,
     *str_send_request_packet, *str_on_request_timeout,
     *str_enqueue_response, *str_can_send_requests, *str_closed,
     *str_established, *str_zero_rtt, *str_stream_opened, *str_c2s,
@@ -1854,8 +2209,6 @@ static PyObject *str_cancel, *str_popleft, *str_append,
 static PyObject *kw_force, *kw_backoff, *kw_stream_closed, *kw_blocked_from,
     *kw_duration, *kw_stream_blocked_from, *kw_stream_duration,
     *kw_stream_opened;
-static PyObject *int_zero, *int_one, *int_minus_one, *float_minus_one,
-    *empty_tuple;
 
 #define SLOT(obj, offset) (*(PyObject **)((char *)(obj) + (offset)))
 
@@ -1943,20 +2296,6 @@ ack_pending_list(TransportCoreObject *self)
         return pending;
     PyErr_SetString(PyExc_TypeError, "_ack_pending must be a list");
     return NULL;
-}
-
-static int
-as_ll(PyObject *obj, long long *out)
-{
-    *out = PyLong_AsLongLong(obj);
-    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
-}
-
-static int
-as_double(PyObject *obj, double *out)
-{
-    *out = PyFloat_AsDouble(obj);
-    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
 }
 
 /* getattr(obj, name) as a long long. */
@@ -2190,57 +2529,7 @@ slotted_new(SlotClass *cls, PyObject *const *values)
     return obj;
 }
 
-/* -- Packet and StreamChunk ------------------------------------------ */
-
-/* Packet(kind, seq=..., ...): the generated __init__ draws uid from
- * its default factory, then __post_init__ sums the payload and, the
- * size being unset, charges HEADER_BYTES (looked up in the packet
- * module, as the method does) on top.  payload is that sum. */
-static PyObject *
-packet_new(PyObject *kind, PyObject *seq, PyObject *chunks,
-           PyObject *ack_seq, PyObject *sack, PyObject *ack_delay,
-           PyObject *sent_at, PyObject *retransmission,
-           PyObject *conn_start, PyObject *payload)
-{
-    PyObject *uid = Py_TYPE(PacketIds)->tp_iternext(PacketIds);
-    if (uid == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_StopIteration);
-        return NULL;
-    }
-    PyObject *header = PyDict_GetItemWithError(PacketGlobals, str_header_bytes);
-    if (header == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_NameError,
-                            "name 'HEADER_BYTES' is not defined");
-        Py_DECREF(uid);
-        return NULL;
-    }
-    PyObject *size = PyNumber_Add(header, payload);
-    if (size == NULL) {
-        Py_DECREF(uid);
-        return NULL;
-    }
-    PyObject *values[] = {
-        kind, seq, chunks, ack_seq, sack, ack_delay, size, uid, sent_at,
-        retransmission, conn_start, payload};
-    PyObject *pkt = slotted_new(&Packet, values);
-    Py_DECREF(uid);
-    Py_DECREF(size);
-    return pkt;
-}
-
-/* chunk.<item> (new reference). */
-static PyObject *
-chunk_get(PyObject *chunk, int index, PyObject *name)
-{
-    if (Py_IS_TYPE(chunk, ChunkType)) {
-        PyObject *value = PyTuple_GET_ITEM(chunk, index);
-        Py_INCREF(value);
-        return value;
-    }
-    return PyObject_GetAttr(chunk, name);
-}
+/* -- StreamChunk and packet fields ----------------------------------- */
 
 /* The StreamChunk tuple of four items (borrowed), past __new__'s checks. */
 static PyObject *
@@ -2308,22 +2597,45 @@ chunk_from(PyObject *stream_id, PyObject *offset, PyObject *size,
 static PyObject *
 retx_entry(PyObject *sent)
 {
-    PyObject *chunks = slot_get(&Packet, sent, PK_CHUNKS);
-    if (chunks == NULL)
+    if (require_packet(sent) < 0
+        || pkt_object(PKT(sent)->chunks, "chunks") == NULL)
         return NULL;
-    PyObject *chunk = PySequence_GetItem(chunks, 0);
-    Py_DECREF(chunks);
-    if (chunk == NULL)
-        return NULL;
-    PyObject *conn_start = slot_get(&Packet, sent, PK_CONN_START);
-    if (conn_start == NULL) {
-        Py_DECREF(chunk);
-        return NULL;
-    }
-    PyObject *entry = PyTuple_Pack(2, chunk, conn_start);
-    Py_DECREF(chunk);
-    Py_DECREF(conn_start);
+    PyObject *chunk = PySequence_GetItem(PKT(sent)->chunks, 0);
+    PyObject *conn_start = chunk == NULL ? NULL
+        : PyLong_FromLongLong(PKT(sent)->conn_start);
+    PyObject *entry = conn_start == NULL ? NULL
+        : PyTuple_Pack(2, chunk, conn_start);
+    Py_XDECREF(chunk);
+    Py_XDECREF(conn_start);
     return entry;
+}
+
+/* PySequence_Fast(pkt.chunks) (new reference), pkt a Packet. */
+static PyObject *
+packet_chunks(PyObject *pkt)
+{
+    if (require_packet(pkt) < 0 || pkt_object(PKT(pkt)->chunks, "chunks") == NULL)
+        return NULL;
+    return PySequence_Fast(PKT(pkt)->chunks, "chunks must be iterable");
+}
+
+/* obj + delta (new reference), as Python adds an int to obj: in C on
+ * an exact int, through the number protocol otherwise. */
+static PyObject *
+add_ll(PyObject *obj, long long delta)
+{
+    if (PyLong_CheckExact(obj)) {
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(obj, &overflow), sum;
+        if (v == -1 && PyErr_Occurred())
+            return NULL;
+        if (!overflow && !__builtin_add_overflow(v, delta, &sum))
+            return PyLong_FromLongLong(sum);
+    }
+    PyObject *d = PyLong_FromLongLong(delta);
+    PyObject *total = d == NULL ? NULL : PyNumber_InPlaceAdd(obj, d);
+    Py_XDECREF(d);
+    return total;
 }
 
 /* stats.<counter> += delta. */
@@ -2539,17 +2851,17 @@ reno_increase(Num cwnd, Num mss, Num acked, double *out)
  * CubicController, in place: 1 when done, 0 when the caller must call
  * the method, -1 on error. */
 static int
-cc_ack_native(PyObject *cc, PyObject *acked_obj, double now)
+cc_ack_native(PyObject *cc, long long acked_bytes, double now)
 {
     SlotClass *cls = native_cc(cc);
-    if (cls == NULL)
+    if (cls == NULL || acked_bytes > EXACT_INT_LIMIT
+        || acked_bytes < -EXACT_INT_LIMIT)
         return 0;
     PyObject *cwnd_obj = CC_FIELD(cls, cc, CC_CWND);
-    Num cwnd, ssthresh, mss, acked;
+    Num cwnd, ssthresh, mss, acked = {(double)acked_bytes, acked_bytes, 1};
     if (plain_number(cwnd_obj, &cwnd)
         || plain_number(CC_FIELD(cls, cc, CC_SSTHRESH), &ssthresh)
-        || plain_number(CC_FIELD(cls, cc, CC_MSS), &mss)
-        || plain_number(acked_obj, &acked))
+        || plain_number(CC_FIELD(cls, cc, CC_MSS), &mss))
         return 0;
     PyObject *value;
     double v;
@@ -2599,13 +2911,18 @@ cc_ack_native(PyObject *cc, PyObject *acked_obj, double now)
 
 /* cc.on_ack(acked, now). */
 static int
-cc_on_ack(PyObject *cc, PyObject *acked, double now, PyObject *now_obj)
+cc_on_ack(PyObject *cc, long long acked, double now, PyObject *now_obj)
 {
     int done = cc_ack_native(cc, acked, now);
     if (done != 0)
         return done < 0 ? -1 : 0;
-    PyObject *args[3] = {cc, acked, now_obj};
-    return call_method(str_on_ack, args, 3, NULL);
+    PyObject *acked_obj = PyLong_FromLongLong(acked);
+    if (acked_obj == NULL)
+        return -1;
+    PyObject *args[3] = {cc, acked_obj, now_obj};
+    int rc = call_method(str_on_ack, args, 3, NULL);
+    Py_DECREF(acked_obj);
+    return rc;
 }
 
 /* cc.cwnd_bytes as a double: int(cc._cwnd) read in place for an exact
@@ -2787,20 +3104,38 @@ tc_arm_pto(TransportCoreObject *self)
     return deadline_start(self, &self->pto_event, timeout, FirePto);
 }
 
+/* `if self.tracer: self.tracer.packet_sent(now, seq, size, direction,
+ * retransmission)`. */
+static int
+trace_packet_sent(TransportCoreObject *self, double now, PyObject *seq,
+                  long long size, PyObject *direction, int retransmission)
+{
+    int tracing = hook_on(self->tracer, "tracer");
+    if (tracing <= 0)
+        return tracing;
+    PyObject *now_obj = PyFloat_FromDouble(now);
+    PyObject *size_obj = now_obj == NULL ? NULL : PyLong_FromLongLong(size);
+    int rc = -1;
+    if (size_obj != NULL) {
+        PyObject *args[6] = {self->tracer, now_obj, seq, size_obj, direction,
+                             retransmission ? Py_True : Py_False};
+        rc = call_method(str_packet_sent, args, 6, NULL);
+    }
+    Py_XDECREF(now_obj);
+    Py_XDECREF(size_obj);
+    return rc;
+}
+
 static int
 tc_send_data_packet(TransportCoreObject *self, PyObject *chunk,
-                    PyObject *conn_start, PyObject *retransmission)
+                    long long conn_start, int retx)
 {
     double now;
-    long long size_v;
+    long long seq_v;
     if (tc_now(self, &now) < 0
         || tc_require(self->next_pkt_seq, "_next_pkt_seq") < 0)
         return -1;
-    int retx = PyObject_IsTrue(retransmission);
-    if (retx < 0)
-        return -1;
-    PyObject *seq = NULL, *payload = NULL, *chunks = NULL, *sent_at = NULL,
-        *pkt = NULL, *size = NULL;
+    PyObject *seq = NULL, *chunks = NULL, *pkt = NULL;
     int rc = -1;
     seq = PyIter_Next(self->next_pkt_seq);
     if (seq == NULL) {
@@ -2808,49 +3143,37 @@ tc_send_data_packet(TransportCoreObject *self, PyObject *chunk,
             PyErr_SetNone(PyExc_StopIteration);
         goto done;
     }
-    payload = chunk_get(chunk, CH_SIZE, str_size);
-    chunks = PyTuple_Pack(1, chunk);
-    sent_at = PyFloat_FromDouble(now);
-    if (payload == NULL || chunks == NULL || sent_at == NULL)
+    if (as_ll(seq, &seq_v) < 0 || (chunks = PyTuple_Pack(1, chunk)) == NULL)
         goto done;
-    pkt = packet_new(KindData, seq, chunks, int_minus_one, empty_tuple,
-                     float_zero, sent_at, retransmission, conn_start, payload);
-    size = pkt == NULL ? NULL : slot_get(&Packet, pkt, PK_SIZE);
-    if (size == NULL || as_ll(size, &size_v) < 0)
+    pkt = packet_build(KindData, seq_v, chunks, -1, empty_tuple, 0.0, 0, NULL,
+                       now, retx, conn_start);
+    if (pkt == NULL)
         goto done;
     Py_INCREF(seq);
     Py_XSETREF(self->largest_sent, seq);
     if (tc_require(self->first_data_sent_at, "_first_data_sent_at") < 0)
         goto done;
     if (self->first_data_sent_at == Py_None) {
-        Py_INCREF(sent_at);
+        PyObject *sent_at = PyFloat_FromDouble(now);
+        if (sent_at == NULL)
+            goto done;
         Py_SETREF(self->first_data_sent_at, sent_at);
     }
     /* The only place _inflight gains entries: its keys ascend. */
     if (tc_require(self->inflight, "_inflight") < 0
         || PyObject_SetItem(self->inflight, seq, pkt) < 0)
         goto done;
-    self->bytes_in_flight += size_v;
+    self->bytes_in_flight += PKT(pkt)->size_bytes;
     if (stats_add(self->stats, ST_SENT, 1) < 0
-        || (retx && stats_add(self->stats, ST_RETX, 1) < 0))
+        || (retx && stats_add(self->stats, ST_RETX, 1) < 0)
+        || trace_packet_sent(self, now, seq, PKT(pkt)->size_bytes, str_s2c,
+                             retx) < 0)
         goto done;
-    int tracing = hook_on(self->tracer, "tracer");
-    if (tracing < 0)
-        goto done;
-    if (tracing) {
-        PyObject *args[6] = {self->tracer, sent_at, seq, size, str_s2c,
-                             retransmission};
-        if (call_method(str_packet_sent, args, 6, NULL) < 0)
-            goto done;
-    }
     rc = path_send(self, 1, pkt);
 done:
     Py_XDECREF(seq);
-    Py_XDECREF(payload);
     Py_XDECREF(chunks);
-    Py_XDECREF(sent_at);
     Py_XDECREF(pkt);
-    Py_XDECREF(size);
     return rc;
 }
 
@@ -2902,25 +3225,22 @@ send_turn(TransportCoreObject *self, PyObject *send_queue, PyObject *streams,
         PyObject *chunk = chunk_new(stream_id, offset, size, fin);
         if (chunk == NULL)
             goto error;
-        PyObject *conn_start = self->conn_send_offset;
-        long long conn_start_v;
-        if (tc_require(conn_start, "_conn_send_offset") < 0
-            || as_ll(conn_start, &conn_start_v) < 0) {
+        long long conn_start;
+        if (tc_require(self->conn_send_offset, "_conn_send_offset") < 0
+            || as_ll(self->conn_send_offset, &conn_start) < 0) {
             Py_DECREF(chunk);
             goto error;
         }
-        Py_INCREF(conn_start);
-        PyObject *conn_end = PyLong_FromLongLong(conn_start_v + size);
+        PyObject *conn_end = PyLong_FromLongLong(conn_start + size);
         PyObject *next_obj = PyLong_FromLongLong(offset + size);
         int r = -1;
         if (conn_end != NULL && next_obj != NULL) {
             Py_SETREF(self->conn_send_offset, conn_end);
             conn_end = NULL;
             if (slot_set(&ServerStream, sstream, SS_NEXT_OFFSET, next_obj) == 0)
-                r = tc_send_data_packet(self, chunk, conn_start, Py_False);
+                r = tc_send_data_packet(self, chunk, conn_start, 0);
         }
         Py_DECREF(chunk);
-        Py_DECREF(conn_start);
         Py_XDECREF(conn_end);
         Py_XDECREF(next_obj);
         if (r < 0)
@@ -2984,10 +3304,13 @@ send_retransmissions(TransportCoreObject *self)
     while ((more = PyObject_IsTrue(queue)) > 0) {
         PyObject *args[1] = {queue};
         PyObject *entry = PyObject_VectorcallMethod(str_popleft, args, 1, NULL);
-        PyObject *chunk, *conn_start;
+        PyObject *chunk, *conn_start_obj;
+        long long conn_start;
         int r = -1;
-        if (entry != NULL && PyArg_ParseTuple(entry, "OO", &chunk, &conn_start))
-            r = tc_send_data_packet(self, chunk, conn_start, Py_True);
+        if (entry != NULL
+            && PyArg_ParseTuple(entry, "OO", &chunk, &conn_start_obj)
+            && as_ll(conn_start_obj, &conn_start) == 0)
+            r = tc_send_data_packet(self, chunk, conn_start, 1);
         Py_XDECREF(entry);
         if (r < 0) {
             more = -1;
@@ -3058,12 +3381,11 @@ pop_lost(TransportCoreObject *self, PyObject *inflight, PyObject *seq,
          PyObject *now_obj, PyObject *trigger)
 {
     PyObject *sent = dict_pop(inflight, seq, NULL);
-    long long size;
     if (sent == NULL)
         return NULL;
-    if (slot_get_ll(&Packet, sent, PK_SIZE, &size) < 0)
+    if (require_packet(sent) < 0)
         goto error;
-    self->bytes_in_flight -= size;
+    self->bytes_in_flight -= PKT(sent)->size_bytes;
     if (stats_add(self->stats, ST_LOST, 1) < 0)
         goto error;
     int tracing = hook_on(self->tracer, "tracer");
@@ -3178,21 +3500,10 @@ ack_samples(TransportCoreObject *self, PyObject *largest, PyObject *pkt,
     PyObject *rtt = tc_get(self->rtt, "rtt");
     if (rtt == NULL)
         return -1;
-    PyObject *retx = NULL, *sent_at = NULL, *ack_delay = NULL,
-        *rate_sampler = NULL, *srtt = NULL;
+    PyObject *rate_sampler = NULL, *srtt = NULL;
     int rc = -1;
-    retx = slot_get(&Packet, largest, PK_RETX);
-    int was_retx = retx == NULL ? -1 : PyObject_IsTrue(retx);
-    if (was_retx < 0)
-        goto done;
-    if (!was_retx) {
-        double sent_at_v, ack_delay_v;
-        sent_at = slot_get(&Packet, largest, PK_SENT_AT);
-        ack_delay = sent_at == NULL ? NULL : slot_get(&Packet, pkt, PK_ACK_DELAY);
-        if (ack_delay == NULL || as_double(sent_at, &sent_at_v) < 0
-            || as_double(ack_delay, &ack_delay_v) < 0)
-            goto done;
-        double sample = now - sent_at_v - ack_delay_v;
+    if (!PKT(largest)->retransmission) {
+        double sample = now - PKT(largest)->sent_at - PKT(pkt)->ack_delay_ms;
         if (sample >= 0) {
             PyObject *sample_obj = PyFloat_FromDouble(sample);
             int r = sample_obj == NULL ? -1
@@ -3238,9 +3549,6 @@ ack_samples(TransportCoreObject *self, PyObject *largest, PyObject *pkt,
     rc = 0;
 done:
     Py_DECREF(rtt);
-    Py_XDECREF(retx);
-    Py_XDECREF(sent_at);
-    Py_XDECREF(ack_delay);
     Py_XDECREF(rate_sampler);
     Py_XDECREF(srtt);
     return rc;
@@ -3256,14 +3564,17 @@ tc_server_on_ack(TransportCoreObject *self, PyObject *pkt)
     long long largest_seq = 0, ack_seq;
     double now;
     int rc = -1;
-    acked = slot_get(&Packet, pkt, PK_SACK);
-    int has_sack = acked == NULL ? -1 : PyObject_IsTrue(acked);
+    if (require_packet(pkt) < 0
+        || (acked = pkt_object(PKT(pkt)->sack, "sack")) == NULL)
+        return -1;
+    Py_INCREF(acked);
+    int has_sack = PyObject_IsTrue(acked);
     if (has_sack < 0)
         goto done;
     if (!has_sack) {
-        Py_DECREF(acked);
-        PyObject *largest_acked = slot_get(&Packet, pkt, PK_ACK_SEQ);
-        acked = largest_acked == NULL ? NULL : PyTuple_Pack(1, largest_acked);
+        PyObject *largest_acked = PyLong_FromLongLong(PKT(pkt)->ack_seq);
+        Py_SETREF(acked, largest_acked == NULL ? NULL
+                         : PyTuple_Pack(1, largest_acked));
         Py_XDECREF(largest_acked);
         if (acked == NULL)
             goto done;
@@ -3290,35 +3601,30 @@ tc_server_on_ack(TransportCoreObject *self, PyObject *pkt)
             Py_DECREF(sent);
             continue;  /* duplicate or already declared lost */
         }
-        PyObject *size = NULL;
-        long long size_v, seq_v;
-        int r = 0;
-        if (tracing) {
+        long long size, seq_v;
+        int r = require_packet(sent);
+        if (r == 0 && tracing) {
             PyObject *args[3] = {tracer, now_obj, seq};
             r = call_method(str_packet_acked, args, 3, NULL);
         }
-        if (r == 0)
-            size = slot_get(&Packet, sent, PK_SIZE);
-        if (size == NULL || as_ll(size, &size_v) < 0 || as_ll(seq, &seq_v) < 0) {
-            Py_XDECREF(size);
+        if (r < 0 || as_ll(seq, &seq_v) < 0) {
             Py_DECREF(sent);
             goto done;
         }
-        self->bytes_in_flight -= size_v;
+        size = PKT(sent)->size_bytes;
+        self->bytes_in_flight -= size;
         r = cc_on_ack(cc, size, now, now_obj);
         if (r == 0) {
             PyObject *delivered = tc_get(self->delivered_bytes, "_delivered_bytes");
-            PyObject *total = delivered == NULL ? NULL
-                : PyNumber_InPlaceAdd(delivered, size);
+            PyObject *total = delivered == NULL ? NULL : add_ll(delivered, size);
             Py_XDECREF(delivered);
             if (total == NULL)
                 r = -1;
             else
                 Py_XSETREF(self->delivered_bytes, total);
         }
-        Py_DECREF(size);
         if (r == 0 && (largest == NULL || seq_v > largest_seq)) {
-            r = slot_get_ll(&Packet, sent, PK_SEQ, &largest_seq);
+            largest_seq = PKT(sent)->seq;
             Py_XSETREF(largest, sent);
         }
         else {
@@ -3331,9 +3637,9 @@ tc_server_on_ack(TransportCoreObject *self, PyObject *pkt)
         rc = 0;
         goto done;
     }
-    if (ack_samples(self, largest, pkt, now) < 0
-        || slot_get_ll(&Packet, pkt, PK_ACK_SEQ, &ack_seq) < 0)
+    if (ack_samples(self, largest, pkt, now) < 0)
         goto done;
+    ack_seq = PKT(pkt)->ack_seq;
     if (ack_seq > self->largest_acked)
         self->largest_acked = ack_seq;
     self->pto_backoff = 1;
@@ -3447,16 +3753,13 @@ done:
     return rc;
 }
 
-/* pkt.kind is PacketKind.ACK: 1, 0 or -1. */
+/* pkt is a Packet whose kind is PacketKind.ACK: 1, 0 or -1. */
 static int
 is_ack(PyObject *pkt)
 {
-    PyObject *kind = slot_get(&Packet, pkt, PK_KIND);
-    if (kind == NULL)
+    if (require_packet(pkt) < 0 || pkt_object(PKT(pkt)->kind, "kind") == NULL)
         return -1;
-    int ack = kind == KindAck;
-    Py_DECREF(kind);
-    return ack;
+    return PKT(pkt)->kind == KindAck;
 }
 
 static PyObject *
@@ -3476,24 +3779,14 @@ tcm_server_on_packet(TransportCoreObject *self, PyObject *pkt)
     if (ack)
         return tcm_server_on_ack(self, pkt);
     /* A request data packet: ack it, then absorb new chunks. */
-    PyObject *seq = slot_get(&Packet, pkt, PK_SEQ);
-    if (seq == NULL)
-        return NULL;
-    PyObject *reply = packet_new(KindAck, int_minus_one, empty_tuple, seq,
-                                 empty_tuple, float_zero, float_minus_one,
-                                 Py_False, int_minus_one, int_zero);
-    Py_DECREF(seq);
+    PyObject *reply = packet_build(KindAck, -1, empty_tuple, PKT(pkt)->seq,
+                                   empty_tuple, 0.0, 0, NULL, -1.0, 0, -1);
     if (reply == NULL)
         return NULL;
     int rc = path_send(self, 1, reply);
     Py_DECREF(reply);
-    if (rc < 0)
-        return NULL;
-    PyObject *chunks = slot_get(&Packet, pkt, PK_CHUNKS);
-    if (chunks == NULL)
-        return NULL;
-    PyObject *iter = PyObject_GetIter(chunks);
-    Py_DECREF(chunks);
+    PyObject *chunks = rc < 0 ? NULL : pkt_object(PKT(pkt)->chunks, "chunks");
+    PyObject *iter = chunks == NULL ? NULL : PyObject_GetIter(chunks);
     if (iter == NULL)
         return NULL;
     PyObject *chunk;
@@ -3535,7 +3828,11 @@ tcm_send_data_packet(TransportCoreObject *self, PyObject *const *args,
                         "_send_data_packet(chunk, conn_start, retransmission)");
         return NULL;
     }
-    if (tc_send_data_packet(self, args[0], args[1], args[2]) < 0)
+    long long conn_start;
+    int retx;
+    if (as_ll(args[1], &conn_start) < 0
+        || (retx = PyObject_IsTrue(args[2])) < 0
+        || tc_send_data_packet(self, args[0], conn_start, retx) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -3570,27 +3867,27 @@ tcm_client_on_packet(TransportCoreObject *self, PyObject *pkt)
     /* Receipt, not delivery, drives acking; ACKs are batched (see
      * _PyTransportCore._client_on_packet_from_server). */
     double now;
-    long long seq_v;
-    PyObject *seq = slot_get(&Packet, pkt, PK_SEQ);
+    long long seq_v = PKT(pkt)->seq;
+    PyObject *seq = PyLong_FromLongLong(seq_v);
     if (seq == NULL)
         return NULL;
-    PyObject *now_obj = NULL, *retx = NULL;
-    if (as_ll(seq, &seq_v) < 0 || tc_now(self, &now) < 0)
+    PyObject *now_obj = NULL;
+    if (tc_now(self, &now) < 0)
         goto error;
     int tracing = hook_on(self->tracer, "tracer");
     if (tracing < 0)
         goto error;
     if (tracing) {
         now_obj = PyFloat_FromDouble(now);
-        PyObject *size = now_obj == NULL ? NULL : slot_get(&Packet, pkt, PK_SIZE);
-        retx = size == NULL ? NULL : slot_get(&Packet, pkt, PK_RETX);
+        PyObject *size = now_obj == NULL ? NULL
+            : PyLong_FromLongLong(PKT(pkt)->size_bytes);
         int r = -1;
-        if (retx != NULL) {
-            PyObject *args[5] = {self->tracer, now_obj, seq, size, retx};
+        if (size != NULL) {
+            PyObject *args[5] = {self->tracer, now_obj, seq, size,
+                                 PKT(pkt)->retransmission ? Py_True : Py_False};
             r = call_method(str_packet_received, args, 5, NULL);
         }
         Py_XDECREF(size);
-        Py_CLEAR(retx);
         if (r < 0)
             goto error;
     }
@@ -3602,13 +3899,7 @@ tcm_client_on_packet(TransportCoreObject *self, PyObject *pkt)
     if (ack_pending == NULL || PyList_Append(ack_pending, seq) < 0)
         goto error;
     self->ack_last_recv_at = now;
-    int flush = out_of_order;
-    if (!flush) {
-        retx = slot_get(&Packet, pkt, PK_RETX);
-        flush = retx == NULL ? -1 : PyObject_IsTrue(retx);
-        if (flush < 0)
-            goto error;
-    }
+    int flush = out_of_order || PKT(pkt)->retransmission;
     if (!flush) {
         if (tc_config(self) < 0)
             goto error;
@@ -3630,12 +3921,10 @@ tcm_client_on_packet(TransportCoreObject *self, PyObject *pkt)
         goto error;
     Py_DECREF(seq);
     Py_XDECREF(now_obj);
-    Py_XDECREF(retx);
     Py_RETURN_NONE;
 error:
     Py_DECREF(seq);
     Py_XDECREF(now_obj);
-    Py_XDECREF(retx);
     return NULL;
 }
 
@@ -3661,30 +3950,24 @@ tc_flush_acks(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
     Py_DECREF(sorted);
     if (pending == NULL)
         return NULL;
-    PyObject *reply = NULL, *delay = NULL;
+    PyObject *reply = NULL;
     PyObject *result = NULL;
     double now;
+    long long largest;
     ack_pending = ack_pending_list(self);
     if (ack_pending == NULL
         || PyList_SetSlice(ack_pending, 0, PyList_GET_SIZE(ack_pending), NULL) < 0
-        || tc_now(self, &now) < 0)
+        || tc_now(self, &now) < 0
+        || as_ll(PyTuple_GET_ITEM(pending, PyTuple_GET_SIZE(pending) - 1),
+                 &largest) < 0)
         goto done;
-    delay = PyFloat_FromDouble(now - self->ack_last_recv_at);
-    if (delay == NULL)
+    reply = packet_build(KindAck, -1, empty_tuple, largest, pending,
+                         now - self->ack_last_recv_at, 0, NULL, -1.0, 0, -1);
+    if (reply == NULL || path_send(self, 0, reply) < 0)
         goto done;
-    reply = packet_new(KindAck, int_minus_one, empty_tuple,
-                       PyTuple_GET_ITEM(pending, PyTuple_GET_SIZE(pending) - 1),
-                       pending, delay, float_minus_one, Py_False,
-                       int_minus_one, int_zero);
-    if (reply == NULL)
-        goto done;
-    if (path_send(self, 0, reply) < 0)
-        goto done;
-    result = Py_None;
-    Py_INCREF(result);
+    result = Py_NewRef(Py_None);
 done:
     Py_DECREF(pending);
-    Py_XDECREF(delay);
     Py_XDECREF(reply);
     return result;
 }
@@ -3959,21 +4242,16 @@ stall_ended(TransportCoreObject *self, PyObject *started, PyObject *stream_id)
 static int
 tcp_release(TransportCoreObject *self, PyObject *pkt)
 {
-    PyObject *payload = slot_get(&Packet, pkt, PK_PAYLOAD);
-    if (payload == NULL)
+    if (require_packet(pkt) < 0)
         return -1;
     PyObject *rcv_next = tc_get(self->rcv_next, "_rcv_next");
     PyObject *total = rcv_next == NULL ? NULL
-        : PyNumber_InPlaceAdd(rcv_next, payload);
-    Py_DECREF(payload);
+        : add_ll(rcv_next, PKT(pkt)->payload_bytes);
     Py_XDECREF(rcv_next);
     if (total == NULL)
         return -1;
     Py_XSETREF(self->rcv_next, total);
-    PyObject *chunks = slot_get(&Packet, pkt, PK_CHUNKS);
-    PyObject *seq = chunks == NULL ? NULL
-        : PySequence_Fast(chunks, "chunks must be iterable");
-    Py_XDECREF(chunks);
+    PyObject *seq = packet_chunks(pkt);
     if (seq == NULL)
         return -1;
     int rc = 0;
@@ -4009,24 +4287,26 @@ release_packet(TransportCoreObject *self, PyObject *pkt)
 static int
 tcp_receive(TransportCoreObject *self, PyObject *pkt)
 {
-    PyObject *start = NULL, *rcv_next = NULL, *buffer = NULL, *key = NULL;
-    int rc = -1, cmp;
-    start = slot_get(&Packet, pkt, PK_CONN_START);
-    rcv_next = start == NULL ? NULL : tc_get(self->rcv_next, "_rcv_next");
-    if (rcv_next == NULL)
+    PyObject *rcv_next = NULL, *buffer = NULL, *key = NULL;
+    long long start, next_v;
+    int rc = -1;
+    if (require_packet(pkt) < 0)
+        return -1;
+    start = PKT(pkt)->conn_start;
+    rcv_next = tc_get(self->rcv_next, "_rcv_next");
+    if (rcv_next == NULL || as_ll(rcv_next, &next_v) < 0)
         goto done;
-    cmp = PyObject_RichCompareBool(start, rcv_next, Py_LT);
-    if (cmp != 0) {  /* duplicate of already-delivered data */
-        rc = cmp < 0 ? -1 : 0;
+    if (start < next_v) {  /* duplicate of already-delivered data */
+        rc = 0;
         goto done;
     }
     buffer = tc_get(self->reorder_buffer, "_reorder_buffer");
-    if (buffer == NULL
-        || (cmp = PyObject_RichCompareBool(start, rcv_next, Py_GT)) < 0)
+    if (buffer == NULL)
         goto done;
-    if (cmp) {
+    if (start > next_v) {
         /* Gap: everything in the buffer, any stream, is HoL-blocked. */
-        int held = PySequence_Contains(buffer, start);
+        key = PyLong_FromLongLong(start);
+        int held = key == NULL ? -1 : PySequence_Contains(buffer, key);
         if (held != 0) {
             rc = held < 0 ? -1 : 0;
             goto done;
@@ -4043,11 +4323,10 @@ tcp_receive(TransportCoreObject *self, PyObject *pkt)
                             NULL) < 0)
                 goto done;
         }
-        if (PyObject_SetItem(buffer, start, pkt) < 0)
+        if (PyObject_SetItem(buffer, key, pkt) < 0)
             goto done;
-        PyObject *chunks = slot_get(&Packet, pkt, PK_CHUNKS);
+        PyObject *chunks = pkt_object(PKT(pkt)->chunks, "chunks");
         Py_ssize_t n = chunks == NULL ? -1 : PyObject_Length(chunks);
-        Py_XDECREF(chunks);
         if (n < 0 || stats_add(self->stats, ST_HOL_CHUNKS, n) < 0)
             goto done;
         rc = 0;
@@ -4091,7 +4370,6 @@ tcp_receive(TransportCoreObject *self, PyObject *pkt)
     }
     rc = 0;
 done:
-    Py_XDECREF(start);
     Py_XDECREF(rcv_next);
     Py_XDECREF(buffer);
     Py_XDECREF(key);
@@ -4250,10 +4528,7 @@ tcm_quic_chunk(TransportCoreObject *self, PyObject *chunk)
 static int
 quic_receive(TransportCoreObject *self, PyObject *pkt)
 {
-    PyObject *chunks = slot_get(&Packet, pkt, PK_CHUNKS);
-    PyObject *seq = chunks == NULL ? NULL
-        : PySequence_Fast(chunks, "chunks must be iterable");
-    Py_XDECREF(chunks);
+    PyObject *seq = packet_chunks(pkt);
     if (seq == NULL)
         return -1;
     int rc = 0;
@@ -4370,8 +4645,9 @@ ckernel_fire_handshake(PyObject *module, PyObject *conn)
  * the client opens a stream and sends its request packets, each with
  * its retransmission timeout; the server acks each, reassembles the
  * request and, after the stream's think time, queues the response for
- * the send burst.  The streams, chunks, packets and pending entries
- * are the Python classes' instances, filled slot by slot; the timeout
+ * the send burst.  The streams, chunks and pending entries are the
+ * Python classes' instances, filled slot by slot, and the packets are
+ * native Packets; the timeout
  * and think-time events are the same call_later events, scheduled in
  * the same order, with module functions as their callbacks. */
 
@@ -4601,38 +4877,21 @@ static int
 tc_send_request(TransportCoreObject *self, PyObject *chunk, PyObject *tries)
 {
     double now, rto;
-    long long tries_v;
-    PyObject *seq = NULL, *sent_at = NULL, *size = NULL, *payload = NULL,
-        *chunks = NULL, *retx = NULL, *pkt = NULL, *rto_obj = NULL,
-        *timeout = NULL, *pending = NULL, *packet_size = NULL;
-    int rc = -1;
+    long long seq_v, tries_v;
+    PyObject *seq = NULL, *chunks = NULL, *pkt = NULL, *rto_obj = NULL,
+        *timeout = NULL, *pending = NULL;
+    int rc = -1, retx;
     seq = next_of(self->req_seq, "_req_seq");
-    if (seq == NULL || tc_now(self, &now) < 0
-        || (sent_at = PyFloat_FromDouble(now)) == NULL)
+    if (seq == NULL || as_ll(seq, &seq_v) < 0 || tc_now(self, &now) < 0
+        || (chunks = PyTuple_Pack(1, chunk)) == NULL
+        || (retx = PyObject_RichCompareBool(tries, int_zero, Py_GT)) < 0)
         goto done;
-    /* Packet.__post_init__'s payload sum, from 0. */
-    size = chunk_get(chunk, CH_SIZE, str_size);
-    payload = size == NULL ? NULL : PyNumber_Add(int_zero, size);
-    chunks = payload == NULL ? NULL : PyTuple_Pack(1, chunk);
-    retx = chunks == NULL ? NULL : PyObject_RichCompare(tries, int_zero, Py_GT);
-    if (retx == NULL)
+    pkt = packet_build(KindData, seq_v, chunks, -1, empty_tuple, 0.0, 0, NULL,
+                       now, retx, -1);
+    if (pkt == NULL
+        || trace_packet_sent(self, now, seq, PKT(pkt)->size_bytes, str_c2s,
+                             retx) < 0)
         goto done;
-    pkt = packet_new(KindData, seq, chunks, int_minus_one, empty_tuple,
-                     float_zero, sent_at, retx, int_minus_one, payload);
-    if (pkt == NULL)
-        goto done;
-    int tracing = hook_on(self->tracer, "tracer");
-    if (tracing < 0)
-        goto done;
-    if (tracing) {
-        packet_size = slot_get(&Packet, pkt, PK_SIZE);
-        if (packet_size == NULL)
-            goto done;
-        PyObject *args[6] = {self->tracer, sent_at, seq, packet_size, str_c2s,
-                             retx};
-        if (call_method(str_packet_sent, args, 6, NULL) < 0)
-            goto done;
-    }
     if (tc_require(self->rtt, "rtt") < 0
         || (rto_obj = slot_get(&Rtt, self->rtt, RT_RTO)) == NULL
         || as_double(rto_obj, &rto) < 0 || as_ll(tries, &tries_v) < 0)
@@ -4652,16 +4911,11 @@ tc_send_request(TransportCoreObject *self, PyObject *chunk, PyObject *tries)
     rc = path_send(self, 0, pkt);
 done:
     Py_XDECREF(seq);
-    Py_XDECREF(sent_at);
-    Py_XDECREF(size);
-    Py_XDECREF(payload);
     Py_XDECREF(chunks);
-    Py_XDECREF(retx);
     Py_XDECREF(pkt);
     Py_XDECREF(rto_obj);
     Py_XDECREF(timeout);
     Py_XDECREF(pending);
-    Py_XDECREF(packet_size);
     return rc;
 }
 
@@ -4752,7 +5006,7 @@ tc_request_timeout(TransportCoreObject *self, PyObject *seq)
         goto done;
     }
     packet = slot_get(&PendingRequest, pending, PR_PACKET);
-    chunks = packet == NULL ? NULL : slot_get(&Packet, packet, PK_CHUNKS);
+    chunks = packet == NULL ? NULL : packet_chunks(packet);
     chunk = chunks == NULL ? NULL : PySequence_GetItem(chunks, 0);
     if (chunk == NULL)
         goto done;
@@ -4781,12 +5035,12 @@ tcm_request_timeout(TransportCoreObject *self, PyObject *seq)
 static int
 tc_request_ack(TransportCoreObject *self, PyObject *pkt)
 {
-    PyObject *ack_seq = slot_get(&Packet, pkt, PK_ACK_SEQ);
-    if (ack_seq == NULL
-        || tc_require(self->pending_requests, "_pending_requests") < 0) {
-        Py_XDECREF(ack_seq);
+    if (require_packet(pkt) < 0
+        || tc_require(self->pending_requests, "_pending_requests") < 0)
         return -1;
-    }
+    PyObject *ack_seq = PyLong_FromLongLong(PKT(pkt)->ack_seq);
+    if (ack_seq == NULL)
+        return -1;
     PyObject *pending = map_pop(self->pending_requests, ack_seq, Py_None);
     Py_DECREF(ack_seq);
     if (pending == NULL)
@@ -4795,24 +5049,22 @@ tc_request_ack(TransportCoreObject *self, PyObject *pkt)
         Py_DECREF(pending);
         return 0;
     }
-    PyObject *timeout = NULL, *packet = NULL, *retx = NULL, *rtt = NULL,
-        *now_obj = NULL, *sent_at = NULL, *sample = NULL;
+    PyObject *timeout = NULL, *packet = NULL, *rtt = NULL, *sample = NULL;
+    double now;
     int rc = -1;
     timeout = slot_get(&PendingRequest, pending, PR_TIMEOUT);
     if (timeout == NULL || cancel_event(timeout) < 0)
         goto done;
     packet = slot_get(&PendingRequest, pending, PR_PACKET);
-    retx = packet == NULL ? NULL : slot_get(&Packet, packet, PK_RETX);
-    int was_retx = retx == NULL ? -1 : PyObject_IsTrue(retx);
-    if (was_retx != 0) {
-        rc = was_retx < 0 ? -1 : 0;
+    if (packet == NULL || require_packet(packet) < 0)
+        goto done;
+    if (PKT(packet)->retransmission) {
+        rc = 0;
         goto done;
     }
     rtt = tc_get(self->rtt, "rtt");
-    now_obj = rtt == NULL ? NULL : now_object(self);
-    sent_at = now_obj == NULL ? NULL : slot_get(&Packet, packet, PK_SENT_AT);
-    sample = sent_at == NULL ? NULL : PyNumber_Subtract(now_obj, sent_at);
-    if (sample == NULL)
+    if (rtt == NULL || tc_now(self, &now) < 0
+        || (sample = PyFloat_FromDouble(now - PKT(packet)->sent_at)) == NULL)
         goto done;
     rc = rtt_sample_native(rtt, sample);
     if (rc == 0)
@@ -4823,10 +5075,7 @@ done:
     Py_DECREF(pending);
     Py_XDECREF(timeout);
     Py_XDECREF(packet);
-    Py_XDECREF(retx);
     Py_XDECREF(rtt);
-    Py_XDECREF(now_obj);
-    Py_XDECREF(sent_at);
     Py_XDECREF(sample);
     return rc;
 }
@@ -5038,7 +5287,7 @@ ckernel_native_model(PyObject *module, PyObject *obj)
 static PyObject *
 tc_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    if (Packet.type == NULL) {
+    if (PendingRequest.type == NULL) {
         PyErr_SetString(PyExc_RuntimeError,
                         "TransportCore needs _install_transport first");
         return NULL;
@@ -5219,52 +5468,115 @@ static PyObject *
 ckernel_install_transport(PyObject *module, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {
-        "Packet", "StreamChunk", "ConnectionStats", "ServerStream",
-        "ClientStream", "DATA", "ACK", "packet_ids", "packet_globals",
-        "fastpath", "deliver_chunk", "RttEstimator", "NewRenoController",
+        "ConnectionStats", "ServerStream", "ClientStream", "fastpath",
+        "deliver_chunk", "RttEstimator", "NewRenoController",
         "CubicController", "PendingRequest", "TransportError", NULL};
-    PyObject *packet, *chunk, *stats, *server_stream, *client_stream, *data,
-        *ack, *ids, *globals, *fastpath, *deliver, *rtt, *newreno, *cubic,
-        *pending, *error;
+    PyObject *stats, *server_stream, *client_stream, *fastpath, *deliver, *rtt,
+        *newreno, *cubic, *pending, *error;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "$OOOOOOOOO!OOOOOOO:_install_transport", kwlist,
-            &packet, &chunk, &stats, &server_stream, &client_stream, &data,
-            &ack, &ids, &PyDict_Type, &globals, &fastpath, &deliver, &rtt,
+            args, kwds, "$OOOOOOOOOO:_install_transport", kwlist,
+            &stats, &server_stream, &client_stream, &fastpath, &deliver, &rtt,
             &newreno, &cubic, &pending, &error))
         return NULL;
-    if (!PyType_Check(chunk)
-        || !PyType_IsSubtype((PyTypeObject *)chunk, &PyTuple_Type)) {
-        PyErr_SetString(PyExc_TypeError, "StreamChunk must be a tuple type");
-        return NULL;
-    }
-    if (!PyIter_Check(ids)) {
-        PyErr_SetString(PyExc_TypeError, "packet_ids must be an iterator");
+    if (ChunkType == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "TransportCore needs _install_packet first");
         return NULL;
     }
     if (!PyExceptionClass_Check(error)) {
         PyErr_SetString(PyExc_TypeError, "TransportError must be an exception class");
         return NULL;
     }
-    /* Packet last: TransportCore instances need it (tc_new). */
+    /* PendingRequest last: TransportCore instances need it (tc_new). */
     if (resolve_slots(&Stats, stats) < 0
         || resolve_all_slots(&ServerStream, server_stream) < 0
         || resolve_all_slots(&ClientStream, client_stream) < 0
-        || resolve_all_slots(&PendingRequest, pending) < 0
         || resolve_slots(&Rtt, rtt) < 0
         || resolve_slots(&NewReno, newreno) < 0
         || resolve_slots(&Cubic, cubic) < 0
-        || resolve_all_slots(&Packet, packet) < 0)
+        || resolve_all_slots(&PendingRequest, pending) < 0)
         return NULL;
-    PyObject *objects[] = {chunk, data, ack, ids, globals, fastpath, deliver,
-                           error};
-    PyObject **targets[] = {(PyObject **)&ChunkType, &KindData, &KindAck,
-                            &PacketIds, &PacketGlobals, &FastpathModule,
-                            &PyDeliverChunk, &TransportError};
+    PyObject *objects[] = {fastpath, deliver, error};
+    PyObject **targets[] = {&FastpathModule, &PyDeliverChunk, &TransportError};
     for (size_t i = 0; i < sizeof(objects) / sizeof(objects[0]); i++) {
         Py_INCREF(objects[i]);
         Py_XSETREF(*targets[i], objects[i]);
     }
     Py_RETURN_NONE;
+}
+
+/* The dataclass Packet stands for: its field table goes on the native
+ * type, so dataclasses.fields and dataclasses.replace work on it, its
+ * __eq__ and __repr__ are the native type's, and StreamChunk,
+ * PacketKind and HEADER_BYTES are what it builds with. */
+static PyObject *
+ckernel_install_packet(PyObject *module, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"Packet", "StreamChunk", "PacketKind",
+                             "header_bytes", NULL};
+    PyObject *dataclass, *chunk, *kinds;
+    long long header_bytes;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "$OOOL:_install_packet", kwlist,
+                                     &dataclass, &chunk, &kinds, &header_bytes))
+        return NULL;
+    if (!PyType_Check(chunk)
+        || !PyType_IsSubtype((PyTypeObject *)chunk, &PyTuple_Type)) {
+        PyErr_SetString(PyExc_TypeError, "StreamChunk must be a tuple type");
+        return NULL;
+    }
+    PyObject *data = PyObject_GetAttrString(kinds, "DATA");
+    PyObject *ack = data == NULL ? NULL : PyObject_GetAttrString(kinds, "ACK");
+    PyObject *eq = ack == NULL ? NULL : PyObject_GetAttrString(dataclass, "__eq__");
+    PyObject *repr = eq == NULL ? NULL : PyObject_GetAttrString(dataclass, "__repr__");
+    if (repr == NULL) {
+        Py_XDECREF(data);
+        Py_XDECREF(ack);
+        Py_XDECREF(eq);
+        return NULL;
+    }
+    static const char *copied[] = {"__dataclass_fields__", "__dataclass_params__",
+                                   "__match_args__"};
+    for (size_t i = 0; i < sizeof(copied) / sizeof(copied[0]); i++) {
+        PyObject *value = PyObject_GetAttrString(dataclass, copied[i]);
+        int rc = value == NULL ? -1
+            : PyDict_SetItemString(PacketType.tp_dict, copied[i], value);
+        Py_XDECREF(value);
+        if (rc < 0) {
+            Py_DECREF(data);
+            Py_DECREF(ack);
+            Py_DECREF(eq);
+            Py_DECREF(repr);
+            return NULL;
+        }
+    }
+    PyType_Modified(&PacketType);
+    Py_XSETREF(KindData, data);
+    Py_XSETREF(KindAck, ack);
+    Py_XSETREF(PacketEq, eq);
+    Py_XSETREF(PacketRepr, repr);
+    HeaderBytes = header_bytes;
+    Py_INCREF(chunk);
+    Py_XSETREF(ChunkType, (PyTypeObject *)chunk);
+    Py_RETURN_NONE;
+}
+
+/* (built, reused): packets built since the last reset, and how many of
+ * them came off the freelist.  reset=True empties the freelist and
+ * starts both counts again. */
+static PyObject *
+ckernel_packet_stats(PyObject *module, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"reset", NULL};
+    int reset = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|$p:_packet_stats", kwlist,
+                                     &reset))
+        return NULL;
+    PyObject *counts = Py_BuildValue("(LL)", pkt_built, pkt_reused);
+    if (counts != NULL && reset) {
+        packet_freelist_clear();
+        pkt_built = pkt_reused = 0;
+    }
+    return counts;
 }
 
 /* ------------------------------------------------------------------ */
@@ -5304,6 +5616,14 @@ static PyMethodDef module_methods[] = {
     {"_install_transport", (PyCFunction)(void (*)(void))ckernel_install_transport,
      METH_VARARGS | METH_KEYWORDS,
      "Install the classes and objects TransportCore builds and calls."},
+    {"_install_packet", (PyCFunction)(void (*)(void))ckernel_install_packet,
+     METH_VARARGS | METH_KEYWORDS,
+     "Install the Packet dataclass's field table, StreamChunk, PacketKind "
+     "and HEADER_BYTES for the native Packet."},
+    {"_packet_stats", (PyCFunction)(void (*)(void))ckernel_packet_stats,
+     METH_VARARGS | METH_KEYWORDS,
+     "(built, reused): packets built, and taken from the freelist, since "
+     "the last _packet_stats(reset=True)."},
     {"_fire_pto", ckernel_fire_pto, METH_O,
      "The PTO deadline's event callback."},
     {"_fire_ack", ckernel_fire_ack, METH_O,
@@ -5350,7 +5670,6 @@ intern_names(void)
         {&str_remove, "remove"},
         {&str_get, "get"},
         {&str_advance, "advance"},
-        {&str_header_bytes, "HEADER_BYTES"},
         {&str_send_to_client, "send_to_client"},
         {&str_send_to_server, "send_to_server"},
         {&str_client_on_packet, "_client_on_packet_from_server"},
@@ -5415,8 +5734,12 @@ intern_names(void)
         if (*names[i].slot == NULL)
             return -1;
     }
+    for (int i = 0; i < PI_COUNT; i++) {
+        packet_param_names[i] = PyUnicode_InternFromString(packet_params[i]);
+        if (packet_param_names[i] == NULL)
+            return -1;
+    }
     float_zero = PyFloat_FromDouble(0.0);
-    float_minus_one = PyFloat_FromDouble(-1.0);
     int_zero = PyLong_FromLong(0);
     int_one = PyLong_FromLong(1);
     int_minus_one = PyLong_FromLong(-1);
@@ -5431,7 +5754,7 @@ intern_names(void)
     kw_stream_duration = Py_BuildValue("(ss)", "stream_id", "duration_ms");
     kw_stream_opened = Py_BuildValue("(sss)", "stream_id", "request_bytes",
                                      "response_bytes");
-    if (float_zero == NULL || float_minus_one == NULL || int_zero == NULL
+    if (float_zero == NULL || int_zero == NULL
         || int_one == NULL || int_minus_one == NULL || empty_tuple == NULL
         || kw_force == NULL || kw_backoff == NULL || kw_stream_closed == NULL
         || kw_blocked_from == NULL || kw_duration == NULL
@@ -5461,6 +5784,8 @@ PyInit__ckernel(void)
     if (PyType_Ready(&TransportCoreType) < 0)
         return NULL;
     if (PyType_Ready(&WindowedSendType) < 0)
+        return NULL;
+    if (PyType_Ready(&PacketType) < 0 || PyType_Ready(&PacketIdsType) < 0)
         return NULL;
     if (intern_names() < 0)
         return NULL;
@@ -5494,6 +5819,18 @@ PyInit__ckernel(void)
     Py_INCREF(&WindowedSendType);
     if (PyModule_AddObject(m, "WindowedSend", (PyObject *)&WindowedSendType) < 0) {
         Py_DECREF(&WindowedSendType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    Py_INCREF(&PacketType);
+    if (PyModule_AddObject(m, "Packet", (PyObject *)&PacketType) < 0) {
+        Py_DECREF(&PacketType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    PyObject *ids = PyType_GenericAlloc(&PacketIdsType, 0);
+    if (ids == NULL || PyModule_AddObject(m, "packet_ids", ids) < 0) {
+        Py_XDECREF(ids);
         Py_DECREF(m);
         return NULL;
     }

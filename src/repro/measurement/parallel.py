@@ -114,12 +114,18 @@ def measure_paired_visit(
             cache_hierarchy=config.cache_hierarchy,
             compression=config.compression,
         )
-        if config.warm_popular:
-            probe.warm_edges((page,))
-        h2 = probe.measure_page(page, H2_ONLY, visits=config.visits_per_page)
-        h3 = probe.measure_page(page, H3_ENABLED, visits=config.visits_per_page)
-        loop_profile = probe.loop.profile_stats() if config.profile_loop else None
-        probe.close()
+        try:
+            if config.warm_popular:
+                probe.warm_edges((page,))
+            h2 = probe.measure_page(page, H2_ONLY, visits=config.visits_per_page)
+            h3 = probe.measure_page(page, H3_ENABLED, visits=config.visits_per_page)
+            loop_profile = (
+                probe.loop.profile_stats() if config.profile_loop else None
+            )
+        finally:
+            # Also when a visit raises (a failed outcome under faults):
+            # what is still scheduled goes now, not with the traceback.
+            probe.close()
     return PairedVisit(
         page=page, probe_name=probe.name, h2=h2, h3=h3,
         loop_profile=loop_profile,

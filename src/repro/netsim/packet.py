@@ -5,6 +5,16 @@ Its payload is a list of :class:`StreamChunk` records describing which
 application streams' bytes it carries.  TCP and QUIC differ in how the
 *receiver* releases those chunks (in byte-stream order vs per stream) —
 the packet format itself is shared.
+
+When the C kernel is built (the default whenever a C compiler is on the
+path), ``Packet`` is ``repro.events._ckernel.Packet``: the dataclass
+below as a C type, its numbers held unboxed, with the same constructor,
+defaults, ``__post_init__`` arithmetic, equality, ``repr`` and
+``dataclasses.fields``/``replace`` behaviour, drawing ``uid`` from the
+same counter, and reusing freed packets from a bounded freelist; the
+C link and transport cores read and write its fields in place.
+Otherwise (no compiler, or ``REPRO_NO_CKERNEL=1``) it is the dataclass,
+which the differential tests hold the C type to.
 """
 
 from __future__ import annotations
@@ -14,13 +24,17 @@ import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field
 
+from repro.events.loop import _ckernel
+
 #: Conventional Ethernet-ish maximum segment size used by both transports.
 DEFAULT_MSS = 1460
 
 #: Size in bytes we charge for a packet with no payload (headers only).
 HEADER_BYTES = 40
 
-_packet_ids = itertools.count(1)
+#: ``Packet.uid``'s source: one counter for every packet, whichever
+#: type built it (the C type's own counter when the kernel is built).
+_packet_ids = itertools.count(1) if _ckernel is None else _ckernel.packet_ids
 
 
 class PacketKind(enum.Enum):
@@ -109,9 +123,23 @@ class Packet:
         if self.size_bytes <= 0:
             self.size_bytes = HEADER_BYTES + payload
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         chunks = ",".join(
             f"s{c.stream_id}[{c.offset}:{c.end}{'F' if c.fin else ''}]"
             for c in self.chunks
         )
         return f"<Packet {self.kind.value} seq={self.seq} {chunks}>"
+
+
+#: The dataclass, also when the C type stands in for it.
+_PyPacket = Packet
+
+# The C type when the kernel is built, the dataclass otherwise.
+if _ckernel is not None:
+    _ckernel._install_packet(
+        Packet=_PyPacket,
+        StreamChunk=StreamChunk,
+        PacketKind=PacketKind,
+        header_bytes=HEADER_BYTES,
+    )
+    Packet = _ckernel.Packet

@@ -56,7 +56,6 @@ from repro.check.context import NULL_CHECK
 from repro.check.controller import CheckedController
 from repro.events import EventLoop
 from repro.events.loop import _ckernel
-from repro.netsim import packet as packet_module
 from repro.netsim.packet import Packet, PacketKind, StreamChunk
 from repro.netsim.path import NetworkPath
 from repro.obs.metrics import NULL_SAMPLER
@@ -861,17 +860,9 @@ class _PyTransportCore:
 # The C core when the kernel is built, the pure-Python one otherwise.
 if _ckernel is not None:
     _ckernel._install_transport(
-        Packet=Packet,
-        StreamChunk=StreamChunk,
         ConnectionStats=ConnectionStats,
         ServerStream=_ServerStream,
         ClientStream=ClientStream,
-        DATA=_DATA,
-        ACK=_ACK,
-        # Packet.uid's default factory draws from this counter, and
-        # __post_init__ reads HEADER_BYTES from the module namespace.
-        packet_ids=packet_module._packet_ids,
-        packet_globals=vars(packet_module),
         # _try_send calls fastpath.advance; _deliver_chunk runs the
         # Python method itself whenever strict checking is on.
         fastpath=fastpath,

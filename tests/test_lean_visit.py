@@ -23,8 +23,11 @@ Things a visit must not do, all deterministic:
   files that same object;
 * run the transport loop or the request exchange in Python when the C
   kernel is built: none of the methods of ``_PyTransportCore`` is
-  called, and the only packets built through ``Packet.__init__`` are
-  the handshake flights and their replies;
+  called, and the only packets Python builds are the handshake flights
+  and their replies;
+* build packets other than the pinned count, or allocate one where the
+  freelist has one to reuse, when the C kernel is built: every packet
+  built goes onto a link once;
 * run congestion control, RTT estimation or reassembly in Python per
   ACK or per data packet when the C kernel is built;
 * run Python per packet on a faulted, relayed, lossy path when the C
@@ -68,6 +71,7 @@ import repro.netsim.path
 import repro.netsim.proxy
 import repro.obs
 import repro.tls.session_cache
+import repro.transport.base
 from repro.browser import Browser, BrowserConfig
 from repro.events import EventLoop
 from repro.http import AltSvcCache, HarEntry
@@ -80,7 +84,7 @@ from repro.measurement.consecutive import ConsecutivePlan, run_walk
 from repro.measurement.parallel import measure_paired_visit, measure_visit_outcome
 from repro.events.loop import CEventLoop, _ckernel
 from repro.faults import FaultInjector
-from repro.netsim import BernoulliLoss, NoLoss, Packet, SegmentedPath
+from repro.netsim import BernoulliLoss, NoLoss, Packet, PacketKind, SegmentedPath
 from repro.scenario import preset
 from repro.transport.base import BaseConnection, _PyTransportCore
 from repro.transport.congestion import NewRenoController
@@ -164,6 +168,27 @@ def test_visit_pauses_the_cycle_collector_and_restores_the_callers_state(
     finally:
         gc.enable() if was_enabled else gc.disable()
     assert (outcome.status == "failed") is faulted
+
+
+def test_failed_paired_visit_closes_its_probe(universe, monkeypatch):
+    """A paired visit that raises under a fault profile becomes a failed
+    outcome, and its probe's loop is closed all the same: nothing it
+    had scheduled (packets in flight, armed deadlines) waits for the
+    traceback that holds it to go."""
+    probes = []
+    measure_page = Probe.measure_page
+
+    def spied(probe, page, mode, visits=2):
+        probes.append(probe)
+        if mode == H3_ENABLED:
+            raise RuntimeError("fault inside the paired visit")
+        return measure_page(probe, page, mode, visits)
+
+    monkeypatch.setattr(Probe, "measure_page", spied)
+    outcome = measure_visit_outcome(*paired_visit_args(universe, "reset-storm", 4))
+    assert outcome.status == "failed"
+    (probe,) = set(probes)
+    assert len(probe.loop) == 0
 
 
 def test_consecutive_walk_pauses_the_cycle_collector(universe, monkeypatch):
@@ -316,8 +341,10 @@ CDN_CALLS_WARM = 274
 #: lookup per request (and the recursion cost per host), and per host
 #: or per connection in ``repro.measurement`` (the farm),
 #: ``repro.transport``, ``repro.netsim``, ``repro.web`` and
-#: ``repro.tls``.
-REPRO_CALLS = 1601
+#: ``repro.tls``.  (1,601 while ``Packet`` was a dataclass everywhere:
+#: its ``__post_init__`` ran in Python for each of the 26 handshake
+#: packets, which the C type's constructor now builds.)
+REPRO_CALLS = 1575
 
 
 def named_functions(*owners):
@@ -484,7 +511,15 @@ def test_each_request_builds_one_record(universe, monkeypatch):
 
 
 @pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")
-def test_dormant_visit_runs_the_transport_loop_in_c(universe):
+def test_dormant_visit_runs_the_transport_loop_in_c(universe, monkeypatch):
+    python_built_kinds = []
+
+    def counted_packet(*args, **kwargs):
+        packet = Packet(*args, **kwargs)
+        python_built_kinds.append(packet.kind)
+        return packet
+
+    monkeypatch.setattr(repro.transport.base, "Packet", counted_packet)
     browser = make_browser(universe)
     calls, packets = profiled_visit(browser, universe.pages[4])
     assert packets > 100
@@ -506,7 +541,32 @@ def test_dormant_visit_runs_the_transport_loop_in_c(universe):
         for name in ("_send_handshake_flight", "_server_on_handshake")
     )
     assert python_built > 0
-    assert calls_to(calls, Packet.__post_init__) == python_built
+    assert len(python_built_kinds) == python_built
+    assert set(python_built_kinds) == {PacketKind.HANDSHAKE}
+
+
+#: Packets the 96-request dormant visit builds (its handshake, request,
+#: data and ACK packets), and how many of them are freed packets taken
+#: from the freelist, which starts empty: about one in five is a fresh
+#: allocation, the rest reuse what earlier ACKs and deliveries freed.
+PACKETS_BUILT = 1725
+PACKETS_REUSED = 1412
+
+
+@pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")
+def test_dormant_visit_packet_life_cycle(universe):
+    browser = make_browser(universe)
+    before = sent_packets(browser)
+    gc.collect()
+    gc.disable()
+    try:
+        _ckernel._packet_stats(reset=True)
+        browser.visit(universe.pages[4])
+        built, reused = _ckernel._packet_stats(reset=True)
+    finally:
+        gc.enable()
+    assert (built, reused) == (PACKETS_BUILT, PACKETS_REUSED)
+    assert sent_packets(browser) - before == built
 
 
 @pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")
