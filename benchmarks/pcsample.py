@@ -15,8 +15,11 @@ when a Python frame comes first.  The kernel owners are grouped into
 the event heap, the link core, the transport core, packet construction
 and packet free.  Independently, the frames from the leaf up to the
 owner say what the sample was doing: allocating, freeing, looking a
-name up, or running the cyclic collector.  Run from the repository
-root::
+name up, or running the cyclic collector.  A last table counts each
+kernel function once per sample in which it sits anywhere on the
+kernel frames below the first Python frame (inclusive samples: its own
+and its callees'), so a function's whole cost reads before and after a
+change.  Run from the repository root::
 
     python3 benchmarks/pcsample.py --workload paper-packet --campaigns 40
 
@@ -138,7 +141,7 @@ GROUPS = {
         "can_send_requests", "next_of", "attr_", "add_ll", "as_",
         "ack_pending_list", "require_", "fired_connection", "result_status",
         "sample_loss", "class_float", "py_max", "native_cc", "chunk_get",
-        "resolve_",
+        "resolve_", "inflight_", "shadowed", "instance_dict_version",
     ),
 }
 GROUP_ORDER = ("event heap", "link core", "transport core",
@@ -334,10 +337,12 @@ def strip_handler(stacks, symbols: Symbols, handler_path: str):
     return out
 
 
-def report(classified, campaigns: int, period_us: int) -> tuple[dict, dict]:
-    """Rows, and the 15 commonest owning kernel functions, each as
-    (CPU ms per campaign, % of samples): a sample stands for one timer
-    period of this process's CPU."""
+def report(classified, campaigns: int, period_us: int) -> tuple[dict, dict, dict]:
+    """Rows, the 15 commonest owning kernel functions, and the 30 kernel
+    functions found most often anywhere on a sample's kernel frames
+    (inclusive: counted once per sample, callees included), each as (CPU
+    ms per campaign, % of samples): a sample stands for one timer period
+    of this process's CPU."""
     total = len(classified)
 
     def row(n: int) -> tuple[float, float]:
@@ -364,7 +369,14 @@ def report(classified, campaigns: int, period_us: int) -> tuple[dict, dict]:
         "slot_get": row(sum(1 for owner, _, _ in under_kernel if owner == "slot_get")),
     }
     top = Counter(owner for owner, _, _ in under_kernel).most_common(15)
-    return table, {name: row(n) for name, n in top}
+    inclusive = Counter(
+        name for _, _, kernel in under_kernel for name in set(kernel)
+    ).most_common(30)
+    return (
+        table,
+        {name: row(n) for name, n in top},
+        {name: row(n) for name, n in inclusive},
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -393,20 +405,28 @@ def main(argv: list[str] | None = None) -> int:
         )
         symbols = Symbols()
         stacks = strip_handler(stacks, symbols, lib._name)
-        rows, top = report(
+        rows, top, inclusive = report(
             classify(stacks, _ckernel.__file__, symbols),
             args.campaigns, args.period_us,
         )
-    width = max(len(key) for key in (*rows, *top)) + 2
+    width = max(len(key) for key in (*rows, *top, *inclusive)) + 2
     print(f"pcsample: {args.workload}, seed {args.seed}, {args.campaigns} "
           f"campaigns, {args.period_us} us period, {dropped} samples dropped")
-    for title, table in (("", rows), ("innermost kernel function", top)):
+    for title, table in (
+        ("", rows),
+        ("innermost kernel function", top),
+        ("kernel function, inclusive", inclusive),
+    ):
         print(f"  {title:<{width}} {'ms/campaign':>12} {'%':>7}")
         for key, (ms, pct) in table.items():
             print(f"  {key:<{width}} {ms:12.2f} {pct:7.2f}")
     if args.json:
         with open(args.json, "w") as handle:
-            json.dump({"dropped": dropped, "rows": rows, "top": top}, handle, indent=2)
+            json.dump(
+                {"dropped": dropped, "rows": rows, "top": top,
+                 "inclusive": inclusive},
+                handle, indent=2,
+            )
     return 0
 
 

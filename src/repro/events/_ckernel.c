@@ -305,6 +305,23 @@ heap_remove(LoopCoreObject *self, Py_ssize_t i)
         sift_down(h, n, i, last);
 }
 
+/* Give pending event ev the key (t, the next seq), as cancelling it
+ * and scheduling the same callback at t would, and move it to its place
+ * in one sift. */
+static void
+heap_rekey(LoopCoreObject *self, CEventObject *ev, double t)
+{
+    ev->time = t;
+    ev->seq = ++self->seq;
+    HeapEntry e = {t, ev->seq, ev};
+    HeapEntry *h = self->heap;
+    Py_ssize_t i = ev->index;
+    if (i > 0 && entry_less(e, h[(i - 1) >> 1]))
+        sift_up(h, i, e);
+    else
+        sift_down(h, self->heap_len, i, e);
+}
+
 /* Pop the root.  Caller owns the returned entry's ev reference. */
 static HeapEntry
 heap_pop(LoopCoreObject *self)
@@ -2109,7 +2126,379 @@ static PyTypeObject WindowedSendType = {
  * deadlines are event handles held here: started, stopped and fired
  * as repro.events.Timer does, but with no Timer and no bound method,
  * so a connection whose deadlines are stopped holds no reference
- * cycle through them. */
+ * cycle through them.  Re-arming a pending deadline on a LoopCore moves
+ * its event in the heap instead of cancelling it and scheduling a new
+ * one (see heap_rekey).
+ *
+ * What the loop does per packet is resolved once per connection: the
+ * packets in flight are a ring, not a dict (Inflight below); the path's
+ * send_to_client/send_to_server callables are cached next to the bound
+ * packet receivers (see path_send); and whether a hook is the core's own
+ * method is cached by the class's version tag (see own_method). */
+
+/* -- The in-flight ring --------------------------------------------- */
+
+/* A connection's data packets awaiting their ACK, by packet number: the
+ * dict {seq: packet} of _PyTransportCore, kept as a growable ring
+ * indexed by seq - base.  Packet numbers come from one counter, so a
+ * sent packet is appended at the tail; an ACK empties its packet's slot,
+ * leaving a hole when packets are acked out of order, and the head moves
+ * past holes, so it is always the oldest packet in flight.  The loss
+ * scan and the PTO read the head; no packet number is hashed or boxed.
+ *
+ * From Python the ring reads as that dict: len() and truth are O(1) and
+ * allocate nothing, iteration yields the numbers in ascending order, and
+ * [], in, pop, keys and items work (the Python core runs on it in the
+ * differential tests).  Storing a packet under a number above every
+ * number held appends it (any other new number is a ValueError: the
+ * ring holds ascending numbers only).  The buffer grows on demand and
+ * is freed when the ring is empty at close(). */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject **slots;   /* cap entries: strong Packets, NULL for holes */
+    Py_ssize_t cap;     /* 0, or a power of two */
+    Py_ssize_t head;    /* the slot of base */
+    Py_ssize_t span;    /* numbers base .. base + span - 1 are covered */
+    Py_ssize_t count;   /* packets held; span and head are 0 without */
+    long long base;     /* the oldest number held */
+} InflightObject;
+
+static PyTypeObject InflightType;
+#define INFLIGHT_MIN_CAP 16
+
+/* Whether seq is covered: base <= seq < base + span. */
+static inline int
+inflight_covers(InflightObject *ring, long long seq)
+{
+    return ring->count > 0 && seq >= ring->base
+        && (unsigned long long)seq - (unsigned long long)ring->base
+           < (unsigned long long)ring->span;
+}
+
+static inline PyObject **
+inflight_slot(InflightObject *ring, long long seq)
+{
+    Py_ssize_t offset = (Py_ssize_t)((unsigned long long)seq
+                                     - (unsigned long long)ring->base);
+    return &ring->slots[(ring->head + offset) & (ring->cap - 1)];
+}
+
+/* The packet numbered seq (borrowed), or NULL. */
+static PyObject *
+inflight_get(InflightObject *ring, long long seq)
+{
+    return inflight_covers(ring, seq) ? *inflight_slot(ring, seq) : NULL;
+}
+
+/* Append pkt (borrowed) as number seq, above every number held. */
+static int
+inflight_append(InflightObject *ring, long long seq, PyObject *pkt)
+{
+    if (ring->count == 0)
+        ring->base = seq;
+    else if (seq < ring->base
+             || (unsigned long long)seq - (unsigned long long)ring->base
+                < (unsigned long long)ring->span) {
+        PyErr_Format(PyExc_ValueError,
+                     "packet %lld is not above every packet in flight", seq);
+        return -1;
+    }
+    unsigned long long offset = (unsigned long long)seq
+                                - (unsigned long long)ring->base;
+    if (offset >= (unsigned long long)ring->cap) {
+        if (offset >= (unsigned long long)(PY_SSIZE_T_MAX / sizeof(PyObject *) / 2)) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        Py_ssize_t cap = ring->cap ? ring->cap : INFLIGHT_MIN_CAP;
+        while ((unsigned long long)cap <= offset)
+            cap *= 2;
+        PyObject **slots = PyMem_Calloc(cap, sizeof(PyObject *));
+        if (slots == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (Py_ssize_t i = 0; i < ring->span; i++)
+            slots[i] = ring->slots[(ring->head + i) & (ring->cap - 1)];
+        PyMem_Free(ring->slots);
+        ring->slots = slots;
+        ring->cap = cap;
+        ring->head = 0;
+    }
+    ring->span = (Py_ssize_t)offset + 1;
+    ring->count++;
+    *inflight_slot(ring, seq) = Py_NewRef(pkt);
+    return 0;
+}
+
+/* Take packet seq out (new reference), or NULL when it is not held; no
+ * exception either way. */
+static PyObject *
+inflight_pop(InflightObject *ring, long long seq)
+{
+    if (!inflight_covers(ring, seq))
+        return NULL;
+    PyObject **slot = inflight_slot(ring, seq);
+    PyObject *pkt = *slot;
+    if (pkt == NULL)
+        return NULL;
+    *slot = NULL;
+    if (--ring->count == 0)
+        ring->head = ring->span = 0;
+    else if (seq == ring->base) {
+        do {
+            ring->head = (ring->head + 1) & (ring->cap - 1);
+            ring->base++;
+            ring->span--;
+        } while (ring->slots[ring->head] == NULL);
+    }
+    return pkt;
+}
+
+/* Drop every packet, and the buffer with them. */
+static void
+inflight_clear(InflightObject *ring)
+{
+    PyObject **slots = ring->slots;
+    Py_ssize_t cap = ring->cap;
+    ring->slots = NULL;
+    ring->cap = ring->head = ring->span = ring->count = 0;
+    for (Py_ssize_t i = 0; i < cap; i++)
+        Py_XDECREF(slots[i]);
+    PyMem_Free(slots);
+}
+
+/* A Python key as a packet number: 1 with *seq set, 0 when it cannot
+ * be one held (not an int, or out of range), -1 on error. */
+static int
+inflight_key(PyObject *key, long long *seq)
+{
+    if (!PyLong_Check(key))
+        return 0;
+    int overflow;
+    *seq = PyLong_AsLongLongAndOverflow(key, &overflow);
+    if (*seq == -1 && PyErr_Occurred())
+        return -1;
+    return !overflow;
+}
+
+static int
+inflight_traverse(InflightObject *ring, visitproc visit, void *arg)
+{
+    for (Py_ssize_t i = 0; i < ring->span; i++)
+        Py_VISIT(ring->slots[(ring->head + i) & (ring->cap - 1)]);
+    return 0;
+}
+
+static int
+inflight_tp_clear(InflightObject *ring)
+{
+    inflight_clear(ring);
+    return 0;
+}
+
+static void
+inflight_dealloc(InflightObject *ring)
+{
+    PyObject_GC_UnTrack(ring);
+    inflight_clear(ring);
+    Py_TYPE(ring)->tp_free((PyObject *)ring);
+}
+
+static Py_ssize_t
+inflight_length(InflightObject *ring)
+{
+    return ring->count;
+}
+
+/* The packet numbers held, ascending, as a list; with items set, the
+ * (number, packet) pairs. */
+static PyObject *
+inflight_list(InflightObject *ring, int items)
+{
+    PyObject *out = PyList_New(0);
+    if (out == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < ring->span; i++) {
+        PyObject *pkt = ring->slots[(ring->head + i) & (ring->cap - 1)];
+        if (pkt == NULL)
+            continue;
+        PyObject *item = PyLong_FromLongLong(ring->base + (long long)i);
+        if (items && item != NULL)
+            Py_SETREF(item, PyTuple_Pack(2, item, pkt));
+        if (item == NULL || PyList_Append(out, item) < 0) {
+            Py_XDECREF(item);
+            Py_DECREF(out);
+            return NULL;
+        }
+        Py_DECREF(item);
+    }
+    return out;
+}
+
+static PyObject *
+inflight_iter(InflightObject *ring)
+{
+    PyObject *keys = inflight_list(ring, 0);
+    if (keys == NULL)
+        return NULL;
+    PyObject *it = PyObject_GetIter(keys);
+    Py_DECREF(keys);
+    return it;
+}
+
+static PyObject *
+inflight_keys(InflightObject *ring, PyObject *Py_UNUSED(ignored))
+{
+    return inflight_list(ring, 0);
+}
+
+static PyObject *
+inflight_items(InflightObject *ring, PyObject *Py_UNUSED(ignored))
+{
+    return inflight_list(ring, 1);
+}
+
+/* The packet under key (borrowed), or NULL: with an exception only on
+ * error. */
+static PyObject *
+inflight_lookup(InflightObject *ring, PyObject *key)
+{
+    long long seq;
+    int valid = inflight_key(key, &seq);
+    return valid > 0 ? inflight_get(ring, seq) : NULL;
+}
+
+static PyObject *
+inflight_subscript(InflightObject *ring, PyObject *key)
+{
+    PyObject *pkt = inflight_lookup(ring, key);
+    if (pkt == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_KeyError, key);
+        return NULL;
+    }
+    return Py_NewRef(pkt);
+}
+
+static int
+inflight_contains(InflightObject *ring, PyObject *key)
+{
+    PyObject *pkt = inflight_lookup(ring, key);
+    return pkt != NULL ? 1 : PyErr_Occurred() ? -1 : 0;
+}
+
+/* ring.pop(key[, default]): the packet taken out, the default, or
+ * KeyError. */
+static PyObject *
+inflight_pop_method(InflightObject *ring, PyObject *const *args,
+                    Py_ssize_t nargs)
+{
+    if (nargs < 1 || nargs > 2) {
+        PyErr_SetString(PyExc_TypeError, "pop(key[, default])");
+        return NULL;
+    }
+    long long seq;
+    int valid = inflight_key(args[0], &seq);
+    if (valid < 0)
+        return NULL;
+    PyObject *pkt = valid ? inflight_pop(ring, seq) : NULL;
+    if (pkt != NULL)
+        return pkt;
+    if (nargs == 2)
+        return Py_NewRef(args[1]);
+    PyErr_SetObject(PyExc_KeyError, args[0]);
+    return NULL;
+}
+
+/* ring[key] = packet: appended, or replacing the one held. */
+static int
+inflight_ass_subscript(InflightObject *ring, PyObject *key, PyObject *value)
+{
+    if (value == NULL) {
+        PyErr_SetString(PyExc_TypeError, "take packets out with pop()");
+        return -1;
+    }
+    long long seq;
+    int valid = inflight_key(key, &seq);
+    if (valid < 0 || require_packet(value) < 0)
+        return -1;
+    if (!valid) {
+        PyErr_Format(PyExc_TypeError, "packet numbers are 64-bit ints, got %R",
+                     key);
+        return -1;
+    }
+    PyObject *held = inflight_get(ring, seq);
+    if (held != NULL) {
+        PyObject **slot = inflight_slot(ring, seq);
+        *slot = Py_NewRef(value);
+        Py_DECREF(held);
+        return 0;
+    }
+    return inflight_append(ring, seq, value);
+}
+
+/* Replace every packet with the items of mapping, in its order. */
+static int
+inflight_load(InflightObject *ring, PyObject *mapping)
+{
+    if ((PyObject *)ring == mapping)
+        return 0;
+    PyObject *items = PyMapping_Items(mapping);
+    if (items == NULL)
+        return -1;
+    inflight_clear(ring);
+    int rc = 0;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(items) && rc == 0; i++) {
+        PyObject *item = PyList_GET_ITEM(items, i);
+        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 2) {
+            PyErr_SetString(PyExc_TypeError, "expected (key, value) items");
+            rc = -1;
+        }
+        else
+            rc = inflight_ass_subscript(ring, PyTuple_GET_ITEM(item, 0),
+                                        PyTuple_GET_ITEM(item, 1));
+    }
+    Py_DECREF(items);
+    return rc;
+}
+
+static PyMappingMethods inflight_as_mapping = {
+    .mp_length = (lenfunc)inflight_length,
+    .mp_subscript = (binaryfunc)inflight_subscript,
+    .mp_ass_subscript = (objobjargproc)inflight_ass_subscript,
+};
+
+static PySequenceMethods inflight_as_sequence = {
+    .sq_contains = (objobjproc)inflight_contains,
+};
+
+static PyMethodDef inflight_methods[] = {
+    {"pop", (PyCFunction)(void (*)(void))inflight_pop_method, METH_FASTCALL,
+     "Take the packet numbered key out; default or KeyError when absent."},
+    {"keys", (PyCFunction)inflight_keys, METH_NOARGS,
+     "The packet numbers held, ascending, as a list."},
+    {"items", (PyCFunction)inflight_items, METH_NOARGS,
+     "(number, packet) pairs, ascending, as a list."},
+    {NULL}
+};
+
+static PyTypeObject InflightType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.events._ckernel.Inflight",
+    .tp_basicsize = sizeof(InflightObject),
+    .tp_dealloc = (destructor)inflight_dealloc,
+    .tp_as_sequence = &inflight_as_sequence,
+    .tp_as_mapping = &inflight_as_mapping,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "A connection's data packets in flight, by ascending packet "
+              "number (a ring; reads as a dict).",
+    .tp_traverse = (traverseproc)inflight_traverse,
+    .tp_clear = (inquiry)inflight_tp_clear,
+    .tp_iter = (getiterfunc)inflight_iter,
+    .tp_methods = inflight_methods,
+};
 
 /* Installed by repro.transport.base through _install_transport. */
 static PyObject *FastpathModule = NULL;
@@ -2217,9 +2606,11 @@ typedef struct {
     /* Collaborators, as BaseConnection assigns them. */
     PyObject *loop, *path, *config, *cc, *rtt, *stats, *tracer, *check,
         *sampler, *rate_sampler, *streams, *fast_path_enabled;
-    /* Containers: the Python objects the rest of the code sees. */
-    PyObject *inflight, *send_queue, *retx_queue, *server_streams,
-        *ack_pending, *next_pkt_seq;
+    /* The data packets in flight (see Inflight; never replaced, only
+     * reloaded), then the containers the rest of the code sees. */
+    InflightObject *inflight;
+    PyObject *send_queue, *retx_queue, *server_streams, *ack_pending,
+        *next_pkt_seq;
     /* Hot state.  What the analytic fast path (Python) also updates
      * per packet is held as objects, which the interpreter's attribute
      * specialization reads and writes as directly as C does; the rest
@@ -2245,11 +2636,20 @@ typedef struct {
     /* The request exchange: stream and request-packet numbering, the
      * request packets awaiting their ACK, the default think time. */
     PyObject *next_stream_id, *req_seq, *pending_requests, *server_think_ms;
-    /* The bound packet receivers path_send hands the path, resolved on
-     * first use; close() drops them and sets closed, after which they
-     * are resolved per packet (each refers back to self). */
-    PyObject *client_receiver, *server_receiver;
+    /* What path_send calls: the bound packet receivers it hands the
+     * path (each refers back to self) and send_path's send_to_client /
+     * send_to_server, all resolved on first use; the send callables are
+     * resolved again once path is another object than send_path.
+     * close() drops all five and sets closed, after which they are
+     * resolved per packet. */
+    PyObject *client_receiver, *server_receiver, *send_path, *send_client,
+        *send_server;
     char closed;
+    /* own_method's answers, a bit per Hook, valid while the class's
+     * version tag is own_type_tag (and, where dicts carry a version,
+     * the instance dict's is own_dict_version). */
+    unsigned int own_type_tag, own_bits;
+    uint64_t own_dict_version;
 } TransportCoreObject;
 
 static PyTypeObject TransportCoreType;
@@ -2275,14 +2675,13 @@ tc_get(PyObject *value, const char *name)
     return value;
 }
 
-/* The in-flight map is walked with the dict API. */
-static int
-require_dict(PyObject *inflight)
+/* self._inflight (borrowed); NULL only once the collector cleared it. */
+static InflightObject *
+tc_inflight(TransportCoreObject *self)
 {
-    if (PyDict_Check(inflight))
-        return 0;
-    PyErr_SetString(PyExc_TypeError, "_inflight must be a dict");
-    return -1;
+    if (tc_require((PyObject *)self->inflight, "_inflight") < 0)
+        return NULL;
+    return self->inflight;
 }
 
 /* self._ack_pending (borrowed), which the list API appends to. */
@@ -2359,6 +2758,16 @@ tc_config(TransportCoreObject *self)
     self->max_ack_delay_ms = max_ack_delay;
     Py_INCREF(config);
     Py_XSETREF(self->cached_config, config);
+    return 0;
+}
+
+/* 0 for a result (dropped), -1 for NULL (an exception). */
+static int
+result_status(PyObject *res)
+{
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
     return 0;
 }
 
@@ -3009,11 +3418,21 @@ loop_call_later(TransportCoreObject *self, double delay, PyObject *fire,
 }
 
 /* Timer.start: cancel the pending event, then schedule fire(self) at
- * now + delay. */
+ * now + delay.  A fire(self) event still pending on the connection's
+ * own LoopCore is re-keyed in place instead (heap_rekey): it gets the
+ * (time, seq) the new event would have had, so the pop order and the
+ * loop's counts are the same, with no event freed and none built. */
 static int
 deadline_start(TransportCoreObject *self, PyObject **slot, double delay,
                PyObject *fire)
 {
+    CEventObject *ev = (CEventObject *)*slot;
+    if (ev != NULL && Py_IS_TYPE(ev, &CEventType) && ev->loop != NULL
+        && (PyObject *)ev->loop == self->loop && ev->callback == fire
+        && ev->nargs == 1 && ev->argv[0] == (PyObject *)self && delay >= 0) {
+        heap_rekey(ev->loop, ev, ev->loop->now + delay);
+        return 0;
+    }
     if (deadline_stop(slot) < 0)
         return -1;
     PyObject *event = loop_call_later(self, delay, fire, NULL);
@@ -3052,38 +3471,55 @@ trace_metrics(TransportCoreObject *self, int force)
 }
 
 /* path.send_to_client(pkt, self._client_on_packet_from_server) and
- * the uplink twin: the bound receiver is looked up on self (so a
- * subclass override receives the packet, as in Python) once, and
- * cached until close(). */
+ * the uplink twin.  The callables are looked up once and cached: the
+ * receivers on self (so a subclass override receives the packet, as in
+ * Python), the send callables on the path.  The contract: the path's
+ * send_to_client/send_to_server as they are at the connection's first
+ * send are what it sends through, until path is assigned another object
+ * (a migration to a new path) or the connection is closed; after
+ * close() every callable is looked up per packet. */
 static int
 path_send(TransportCoreObject *self, int to_client, PyObject *pkt)
 {
-    PyObject **cached = to_client ? &self->client_receiver
-                                  : &self->server_receiver;
-    PyObject *callback = *cached;
-    if (callback != NULL)
-        Py_INCREF(callback);
+    PyObject *path = self->path;
+    if (tc_require(path, "path") < 0)
+        return -1;
+    if (path != self->send_path) {
+        Py_CLEAR(self->send_client);
+        Py_CLEAR(self->send_server);
+        Py_CLEAR(self->send_path);
+    }
+    PyObject **receiver_slot = to_client ? &self->client_receiver
+                                         : &self->server_receiver;
+    PyObject **send_slot = to_client ? &self->send_client : &self->send_server;
+    PyObject *send = *send_slot, *receiver = *receiver_slot;
+    if (send != NULL && receiver != NULL) {
+        Py_INCREF(send);
+        Py_INCREF(receiver);
+    }
     else {
-        callback = PyObject_GetAttr(
+        send = PyObject_GetAttr(
+            path, to_client ? str_send_to_client : str_send_to_server);
+        receiver = send == NULL ? NULL : PyObject_GetAttr(
             (PyObject *)self,
             to_client ? str_client_on_packet : str_server_on_packet);
-        if (callback == NULL)
+        if (receiver == NULL) {
+            Py_XDECREF(send);
             return -1;
-        if (!self->closed)
-            *cached = Py_NewRef(callback);
+        }
+        if (!self->closed) {
+            Py_XSETREF(self->send_path, Py_NewRef(path));
+            Py_XSETREF(*send_slot, Py_NewRef(send));
+            Py_XSETREF(*receiver_slot, Py_NewRef(receiver));
+        }
     }
-    PyObject *path = self->path;
-    if (tc_require(path, "path") < 0) {
-        Py_DECREF(callback);
-        return -1;
-    }
-    Py_INCREF(path);
-    PyObject *args[3] = {path, pkt, callback};
-    int rc = call_method(to_client ? str_send_to_client : str_send_to_server,
-                         args, 3, NULL);
-    Py_DECREF(path);
-    Py_DECREF(callback);
-    return rc;
+    /* The slot before the arguments is free for a bound method's self. */
+    PyObject *args[3] = {NULL, pkt, receiver};
+    PyObject *res = PyObject_Vectorcall(
+        send, args + 1, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+    Py_DECREF(send);
+    Py_DECREF(receiver);
+    return result_status(res);
 }
 
 static int
@@ -3160,8 +3596,8 @@ tc_send_data_packet(TransportCoreObject *self, PyObject *chunk,
         Py_SETREF(self->first_data_sent_at, sent_at);
     }
     /* The only place _inflight gains entries: its keys ascend. */
-    if (tc_require(self->inflight, "_inflight") < 0
-        || PyObject_SetItem(self->inflight, seq, pkt) < 0)
+    if (tc_inflight(self) == NULL
+        || inflight_append(self->inflight, seq_v, pkt) < 0)
         goto done;
     self->bytes_in_flight += PKT(pkt)->size_bytes;
     if (stats_add(self->stats, ST_SENT, 1) < 0
@@ -3374,17 +3810,15 @@ tc_try_send(TransportCoreObject *self)
     return sent_any;
 }
 
-/* Declare in-flight packet seq lost: pop it, release its bytes, count
- * it and trace it with its trigger.  Returns the packet. */
+/* Declare the oldest packet in flight lost: pop it, release its bytes,
+ * count it and trace it with its trigger (its number boxed only then).
+ * Returns the packet; the ring must not be empty. */
 static PyObject *
-pop_lost(TransportCoreObject *self, PyObject *inflight, PyObject *seq,
-         PyObject *now_obj, PyObject *trigger)
+pop_lost(TransportCoreObject *self, InflightObject *ring, PyObject *now_obj,
+         PyObject *trigger)
 {
-    PyObject *sent = dict_pop(inflight, seq, NULL);
-    if (sent == NULL)
-        return NULL;
-    if (require_packet(sent) < 0)
-        goto error;
+    long long seq = ring->base;
+    PyObject *sent = inflight_pop(ring, seq);
     self->bytes_in_flight -= PKT(sent)->size_bytes;
     if (stats_add(self->stats, ST_LOST, 1) < 0)
         goto error;
@@ -3392,8 +3826,13 @@ pop_lost(TransportCoreObject *self, PyObject *inflight, PyObject *seq,
     if (tracing < 0)
         goto error;
     if (tracing) {
-        PyObject *args[4] = {self->tracer, now_obj, seq, trigger};
-        if (call_method(str_packet_lost, args, 4, NULL) < 0)
+        PyObject *seq_obj = PyLong_FromLongLong(seq);
+        if (seq_obj == NULL)
+            goto error;
+        PyObject *args[4] = {self->tracer, now_obj, seq_obj, trigger};
+        int rc = call_method(str_packet_lost, args, 4, NULL);
+        Py_DECREF(seq_obj);
+        if (rc < 0)
             goto error;
     }
     return sent;
@@ -3424,49 +3863,31 @@ sample_loss(TransportCoreObject *self)
 static int
 tc_detect_losses(TransportCoreObject *self)
 {
-    if (tc_config(self) < 0)
+    InflightObject *ring = tc_inflight(self);
+    if (ring == NULL || tc_config(self) < 0)
         return -1;
     long long cutoff = self->largest_acked - self->packet_threshold;
-    PyObject *inflight = tc_get(self->inflight, "_inflight");
-    if (inflight == NULL)
-        return -1;
-    PyObject *lost = NULL, *now_obj = NULL;
+    /* Numbers ascend, so the lost packets are the ring's head run (see
+     * _PyTransportCore._detect_losses): none when the oldest is above
+     * the cutoff. */
+    if (ring->count == 0 || ring->base > cutoff)
+        return 0;
     double now;
-    int rc = -1;
-    if (require_dict(inflight) < 0 || (lost = PyList_New(0)) == NULL)
-        goto done;
-    /* Keys ascend, so the lost packets are a prefix (see
-     * _PyTransportCore._detect_losses). */
-    Py_ssize_t pos = 0;
-    PyObject *key, *value;
-    while (PyDict_Next(inflight, &pos, &key, &value)) {
-        long long seq;
-        if (as_ll(key, &seq) < 0)
-            goto done;
-        if (seq > cutoff)
-            break;
-        if (PyList_Append(lost, key) < 0)
-            goto done;
-    }
-    if (PyList_GET_SIZE(lost) == 0) {
-        rc = 0;
-        goto done;
-    }
-    if (tc_now(self, &now) < 0 || (now_obj = PyFloat_FromDouble(now)) == NULL)
-        goto done;
-    int newly_entered_recovery = 0;
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(lost); i++) {
-        PyObject *seq = PyList_GET_ITEM(lost, i);
-        long long seq_v;
-        if (as_ll(seq, &seq_v) < 0)
-            goto done;
-        PyObject *sent = pop_lost(self, inflight, seq, now_obj,
-                                  str_packet_threshold);
+    if (tc_now(self, &now) < 0)
+        return -1;
+    PyObject *now_obj = PyFloat_FromDouble(now);
+    if (now_obj == NULL)
+        return -1;
+    Py_INCREF(ring);
+    int rc = -1, newly_entered_recovery = 0;
+    while (ring->count > 0 && ring->base <= cutoff) {
+        long long seq = ring->base;
+        PyObject *sent = pop_lost(self, ring, now_obj, str_packet_threshold);
         int r = sent == NULL ? -1 : queue_retransmission(self, sent);
         Py_XDECREF(sent);
         if (r < 0)
             goto done;
-        if (seq_v > self->recovery_until_seq)
+        if (seq > self->recovery_until_seq)
             newly_entered_recovery = 1;
     }
     if (newly_entered_recovery) {
@@ -3484,9 +3905,8 @@ tc_detect_losses(TransportCoreObject *self)
     }
     rc = 0;
 done:
-    Py_DECREF(inflight);
-    Py_XDECREF(lost);
-    Py_XDECREF(now_obj);
+    Py_DECREF(ring);
+    Py_DECREF(now_obj);
     return rc;
 }
 
@@ -3559,8 +3979,9 @@ tc_server_on_ack(TransportCoreObject *self, PyObject *pkt)
 {
     /* One ACK may cover several data packets: sack lists every newly
      * received packet number, ack_seq is the largest. */
-    PyObject *acked = NULL, *seqs = NULL, *inflight = NULL, *cc = NULL,
-        *tracer = NULL, *now_obj = NULL, *largest = NULL;
+    PyObject *acked = NULL, *seqs = NULL, *cc = NULL, *tracer = NULL,
+        *now_obj = NULL, *largest = NULL;
+    InflightObject *ring = NULL;
     long long largest_seq = 0, ack_seq;
     double now;
     int rc = -1;
@@ -3579,10 +4000,10 @@ tc_server_on_ack(TransportCoreObject *self, PyObject *pkt)
         if (acked == NULL)
             goto done;
     }
-    inflight = tc_get(self->inflight, "_inflight");
-    cc = inflight == NULL ? NULL : tc_get(self->cc, "cc");
+    ring = (InflightObject *)Py_XNewRef(tc_inflight(self));
+    cc = ring == NULL ? NULL : tc_get(self->cc, "cc");
     tracer = cc == NULL ? NULL : tc_get(self->tracer, "tracer");
-    if (tracer == NULL || require_dict(inflight) < 0 || tc_now(self, &now) < 0)
+    if (tracer == NULL || tc_now(self, &now) < 0)
         goto done;
     now_obj = PyFloat_FromDouble(now);
     seqs = now_obj == NULL ? NULL : PySequence_Fast(acked, "sack must be iterable");
@@ -3594,24 +4015,23 @@ tc_server_on_ack(TransportCoreObject *self, PyObject *pkt)
         goto done;
     for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seqs); i++) {
         PyObject *seq = PySequence_Fast_GET_ITEM(seqs, i);
-        PyObject *sent = dict_pop(inflight, seq, Py_None);
-        if (sent == NULL)
+        long long seq_v;
+        int valid = inflight_key(seq, &seq_v);
+        if (valid < 0)
             goto done;
-        if (sent == Py_None) {
-            Py_DECREF(sent);
+        PyObject *sent = valid ? inflight_pop(ring, seq_v) : NULL;
+        if (sent == NULL)
             continue;  /* duplicate or already declared lost */
-        }
-        long long size, seq_v;
-        int r = require_packet(sent);
-        if (r == 0 && tracing) {
+        int r = 0;
+        if (tracing) {
             PyObject *args[3] = {tracer, now_obj, seq};
             r = call_method(str_packet_acked, args, 3, NULL);
         }
-        if (r < 0 || as_ll(seq, &seq_v) < 0) {
+        if (r < 0) {
             Py_DECREF(sent);
             goto done;
         }
-        size = PKT(sent)->size_bytes;
+        long long size = PKT(sent)->size_bytes;
         self->bytes_in_flight -= size;
         r = cc_on_ack(cc, size, now, now_obj);
         if (r == 0) {
@@ -3655,18 +4075,18 @@ tc_server_on_ack(TransportCoreObject *self, PyObject *pkt)
     /* The timer is stopped before the send attempt: an analytic walk
      * started by _try_send looks at the next pending event.  A burst
      * re-arms it; an idle attempt leaves the (re-)arm to us. */
-    if (PyDict_GET_SIZE(inflight) == 0 && deadline_stop(&self->pto_event) < 0)
+    if (ring->count == 0 && deadline_stop(&self->pto_event) < 0)
         goto done;
     int sent = tc_try_send(self);
     if (sent < 0)
         goto done;
-    if (!sent && PyDict_GET_SIZE(inflight) && tc_arm_pto(self) < 0)
+    if (!sent && ring->count > 0 && tc_arm_pto(self) < 0)
         goto done;
     rc = 0;
 done:
     Py_XDECREF(acked);
     Py_XDECREF(seqs);
-    Py_XDECREF(inflight);
+    Py_XDECREF(ring);
     Py_XDECREF(cc);
     Py_XDECREF(tracer);
     Py_XDECREF(now_obj);
@@ -3677,10 +4097,10 @@ done:
 static int
 tc_on_pto(TransportCoreObject *self)
 {
-    if (tc_require(self->inflight, "_inflight") < 0
-        || require_dict(self->inflight) < 0)
+    InflightObject *ring = tc_inflight(self);
+    if (ring == NULL)
         return -1;
-    if (PyDict_GET_SIZE(self->inflight) == 0)
+    if (ring->count == 0)
         return 0;
     double now;
     if (tc_now(self, &now) < 0 || stats_add(self->stats, ST_RTO, 1) < 0)
@@ -3688,9 +4108,10 @@ tc_on_pto(TransportCoreObject *self)
     PyObject *now_obj = PyFloat_FromDouble(now);
     if (now_obj == NULL)
         return -1;
-    PyObject *inflight = NULL, *oldest = NULL, *sent = NULL;
-    long long oldest_v;
+    PyObject *sent = NULL;
+    long long oldest;
     int rc = -1;
+    Py_INCREF(ring);
     int tracing = hook_on(self->tracer, "tracer");
     if (tracing < 0)
         goto done;
@@ -3710,45 +4131,32 @@ tc_on_pto(TransportCoreObject *self)
         && (tc_require(self->cc, "cc") < 0
             || call_method1(self->cc, str_on_rto, now_obj, 0) < 0))
         goto done;
-    /* Keys ascend: the first is the oldest. */
-    inflight = tc_get(self->inflight, "_inflight");
-    if (inflight == NULL || require_dict(inflight) < 0)
-        goto done;
-    Py_ssize_t pos = 0;
-    PyObject *value;
-    if (!PyDict_Next(inflight, &pos, &oldest, &value)) {
-        oldest = NULL;
+    /* Numbers ascend: the head is the oldest. */
+    if (ring->count == 0) {
         PyErr_SetNone(PyExc_StopIteration);
         goto done;
     }
-    Py_INCREF(oldest);
-    if (as_ll(oldest, &oldest_v) < 0)
-        goto done;
-    sent = pop_lost(self, inflight, oldest, now_obj, str_pto);
+    oldest = ring->base;
+    sent = pop_lost(self, ring, now_obj, str_pto);
     if (sent == NULL)
         goto done;
     tracing = hook_on(self->tracer, "tracer");
     if (tracing < 0 || (tracing && trace_metrics(self, 1) < 0)
         || sample_loss(self) < 0 || queue_retransmission(self, sent) < 0)
         goto done;
-    if (oldest_v > self->recovery_until_seq)
+    if (oldest > self->recovery_until_seq)
         if (tc_require(self->largest_sent, "_largest_sent") < 0
             || as_ll(self->largest_sent, &self->recovery_until_seq) < 0)
             goto done;
     int sent_any = tc_try_send(self);
     if (sent_any < 0)
         goto done;
-    if (!sent_any) {
-        int pending = tc_require(self->inflight, "_inflight") < 0 ? -1
-            : PyObject_IsTrue(self->inflight);
-        if (pending < 0 || (pending && tc_arm_pto(self) < 0))
-            goto done;
-    }
+    if (!sent_any && ring->count > 0 && tc_arm_pto(self) < 0)
+        goto done;
     rc = 0;
 done:
     Py_DECREF(now_obj);
-    Py_XDECREF(inflight);
-    Py_XDECREF(oldest);
+    Py_DECREF(ring);
     Py_XDECREF(sent);
     return rc;
 }
@@ -3931,7 +4339,9 @@ error:
 static PyObject *
 tc_flush_acks(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
 {
-    /* Send one ACK covering every pending data-packet number. */
+    /* Send one ACK covering every pending data-packet number: the list
+     * is sorted in place and emptied, as `tuple(sorted(pending))` then
+     * `pending.clear()` leave it. */
     PyObject *ack_pending = ack_pending_list(self);
     if (ack_pending == NULL)
         return NULL;
@@ -3939,25 +4349,15 @@ tc_flush_acks(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
         Py_RETURN_NONE;
     if (deadline_stop(&self->ack_event) < 0)
         return NULL;
-    PyObject *sorted = PyList_GetSlice(ack_pending, 0, PyList_GET_SIZE(ack_pending));
-    if (sorted == NULL)
-        return NULL;
-    if (PyList_Sort(sorted) < 0) {
-        Py_DECREF(sorted);
-        return NULL;
-    }
-    PyObject *pending = PyList_AsTuple(sorted);
-    Py_DECREF(sorted);
-    if (pending == NULL)
-        return NULL;
-    PyObject *reply = NULL;
-    PyObject *result = NULL;
+    PyObject *pending = NULL, *reply = NULL, *result = NULL;
     double now;
     long long largest;
-    ack_pending = ack_pending_list(self);
-    if (ack_pending == NULL
-        || PyList_SetSlice(ack_pending, 0, PyList_GET_SIZE(ack_pending), NULL) < 0
-        || tc_now(self, &now) < 0
+    Py_INCREF(ack_pending);
+    if (PyList_Sort(ack_pending) < 0
+        || (pending = PyList_AsTuple(ack_pending)) == NULL
+        || PyList_SetSlice(ack_pending, 0, PyList_GET_SIZE(ack_pending), NULL) < 0)
+        goto done;
+    if (tc_now(self, &now) < 0
         || as_ll(PyTuple_GET_ITEM(pending, PyTuple_GET_SIZE(pending) - 1),
                  &largest) < 0)
         goto done;
@@ -3967,7 +4367,8 @@ tc_flush_acks(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
         goto done;
     result = Py_NewRef(Py_None);
 done:
-    Py_DECREF(pending);
+    Py_DECREF(ack_pending);
+    Py_XDECREF(pending);
     Py_XDECREF(reply);
     return result;
 }
@@ -4125,17 +4526,87 @@ done:
 
 /* -- Reassembly -------------------------------------------------------- */
 
-/* Whether self.<name> is the core's own method descr: no class
- * between overrides it and no instance attribute shadows it.  Then C
- * runs the method itself. */
+/* The hooks C runs itself while they are the core's own methods, each
+ * with its name and the core's method descr. */
+enum { HOOK_DELIVER, HOOK_TCP_RELEASE, HOOK_QUIC_CHUNK, HOOK_TCP_RECEIVE,
+       HOOK_QUIC_RECEIVE, HOOK_SEND_REQUEST, HOOK_REQUEST_TIMEOUT,
+       HOOK_REQUEST_ACK, HOOK_ABSORB, HOOK_ENQUEUE, HOOK_COUNT };
+static const struct { PyObject **name, **descr; } Hooks[HOOK_COUNT] = {
+    [HOOK_DELIVER] = {&str_deliver_chunk, &DescrDeliver},
+    [HOOK_TCP_RELEASE] = {&str_release_packet, &DescrTcpRelease},
+    [HOOK_QUIC_CHUNK] = {&str_receive_stream_chunk, &DescrQuicChunk},
+    [HOOK_TCP_RECEIVE] = {&str_on_data_packet_received, &DescrTcpReceive},
+    [HOOK_QUIC_RECEIVE] = {&str_on_data_packet_received, &DescrQuicReceive},
+    [HOOK_SEND_REQUEST] = {&str_send_request_packet, &DescrSendRequest},
+    [HOOK_REQUEST_TIMEOUT] = {&str_on_request_timeout, &DescrRequestTimeout},
+    [HOOK_REQUEST_ACK] = {&str_on_request_ack, &DescrRequestAck},
+    [HOOK_ABSORB] = {&str_absorb_request_chunk, &DescrAbsorb},
+    [HOOK_ENQUEUE] = {&str_enqueue_response, &DescrEnqueue},
+};
+
+/* Whether an instance attribute shadows the class's name. */
 static int
-own_method(TransportCoreObject *self, PyObject *name, PyObject *descr)
+shadowed(TransportCoreObject *self, PyObject *name)
 {
-    if (_PyType_Lookup(Py_TYPE(self), name) != descr)
-        return 0;
     PyObject **dict = _PyObject_GetDictPtr((PyObject *)self);
-    return dict == NULL || *dict == NULL
-        || PyDict_GetItemWithError(*dict, name) == NULL;
+    if (dict == NULL || *dict == NULL)
+        return 0;
+    PyObject *value = PyDict_GetItemWithError(*dict, name);
+    if (value == NULL && PyErr_Occurred())
+        PyErr_Clear();
+    return value != NULL;
+}
+
+/* Before 3.12 a dict's version tag changes with every change to it and
+ * is unique across dicts, so an unchanged tag means no instance
+ * attribute came or went.  Later dicts carry no such tag, and the
+ * instance dict is probed per call. */
+#if PY_VERSION_HEX < 0x030C0000
+#define OWN_DICT_VERSIONED 1
+static uint64_t
+instance_dict_version(TransportCoreObject *self)
+{
+    PyObject **dict = _PyObject_GetDictPtr((PyObject *)self);
+    return dict == NULL || *dict == NULL ? 0
+        : ((PyDictObject *)*dict)->ma_version_tag;
+}
+#else
+#define OWN_DICT_VERSIONED 0
+#endif
+
+/* Whether self.<hook> is the core's own method descr: no class between
+ * overrides it and no instance attribute shadows it.  Then C runs the
+ * method itself.  The answers for all hooks are worked out together and
+ * kept while the class's version tag (which assigning to the class or a
+ * base changes) and the instance dict's version stay the same. */
+static int
+own_method(TransportCoreObject *self, int hook)
+{
+    PyTypeObject *type = Py_TYPE(self);
+    int fresh = self->own_type_tag != 0
+        && (type->tp_flags & Py_TPFLAGS_VALID_VERSION_TAG)
+        && type->tp_version_tag == self->own_type_tag;
+#if OWN_DICT_VERSIONED
+    uint64_t version = instance_dict_version(self);
+    fresh = fresh && version == self->own_dict_version;
+#endif
+    if (!fresh) {
+        unsigned int bits = 0;
+        for (int i = 0; i < HOOK_COUNT; i++)
+            if (_PyType_Lookup(type, *Hooks[i].name) == *Hooks[i].descr
+                && !(OWN_DICT_VERSIONED && shadowed(self, *Hooks[i].name)))
+                bits |= 1u << i;
+        self->own_bits = bits;
+        self->own_type_tag = (type->tp_flags & Py_TPFLAGS_VALID_VERSION_TAG)
+            ? type->tp_version_tag : 0;
+#if OWN_DICT_VERSIONED
+        self->own_dict_version = version;
+#endif
+    }
+    int own = (self->own_bits >> hook) & 1;
+    if (!OWN_DICT_VERSIONED && own)
+        own = !shadowed(self, *Hooks[hook].name);
+    return own;
 }
 
 /* self.<name>(arg), result dropped. */
@@ -4145,20 +4616,11 @@ call_self(TransportCoreObject *self, PyObject *name, PyObject *arg)
     return call_method1((PyObject *)self, name, arg, 0);
 }
 
-static int
-result_status(PyObject *res)
-{
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    return 0;
-}
-
 /* self._deliver_chunk(chunk). */
 static int
 deliver(TransportCoreObject *self, PyObject *chunk)
 {
-    if (own_method(self, str_deliver_chunk, DescrDeliver))
+    if (own_method(self, HOOK_DELIVER))
         return result_status(tcm_deliver_chunk(self, chunk));
     return call_self(self, str_deliver_chunk, chunk);
 }
@@ -4277,7 +4739,7 @@ tcm_tcp_release(TransportCoreObject *self, PyObject *pkt)
 static int
 release_packet(TransportCoreObject *self, PyObject *pkt)
 {
-    if (own_method(self, str_release_packet, DescrTcpRelease))
+    if (own_method(self, HOOK_TCP_RELEASE))
         return result_status(tcm_tcp_release(self, pkt));
     return call_self(self, str_release_packet, pkt);
 }
@@ -4534,7 +4996,7 @@ quic_receive(TransportCoreObject *self, PyObject *pkt)
     int rc = 0;
     for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq) && rc == 0; i++) {
         PyObject *chunk = PySequence_Fast_GET_ITEM(seq, i);
-        rc = own_method(self, str_receive_stream_chunk, DescrQuicChunk)
+        rc = own_method(self, HOOK_QUIC_CHUNK)
             ? result_status(tcm_quic_chunk(self, chunk))
             : call_self(self, str_receive_stream_chunk, chunk);
     }
@@ -4556,9 +5018,9 @@ static int
 data_packet_received(TransportCoreObject *self, PyObject *pkt)
 {
     PyObject *name = str_on_data_packet_received;
-    if (own_method(self, name, DescrTcpReceive))
+    if (own_method(self, HOOK_TCP_RECEIVE))
         return result_status(tcm_tcp_receive(self, pkt));
-    if (own_method(self, name, DescrQuicReceive))
+    if (own_method(self, HOOK_QUIC_RECEIVE))
         return result_status(tcm_quic_receive(self, pkt));
     return call_self(self, name, pkt);
 }
@@ -4571,6 +5033,13 @@ tcm_stop_deadlines(TransportCoreObject *self, PyObject *Py_UNUSED(ignored))
     self->closed = 1;
     Py_CLEAR(self->client_receiver);
     Py_CLEAR(self->server_receiver);
+    Py_CLEAR(self->send_path);
+    Py_CLEAR(self->send_client);
+    Py_CLEAR(self->send_server);
+    /* An empty ring lets go of its buffer; a closed connection whose
+     * packets are still in flight keeps processing their ACKs. */
+    if (self->inflight != NULL && self->inflight->count == 0)
+        inflight_clear(self->inflight);
     if (deadline_stop(&self->pto_event) < 0
         || deadline_stop(&self->ack_event) < 0
         || deadline_stop(&self->hs_event) < 0)
@@ -4716,15 +5185,15 @@ can_send_requests(TransportCoreObject *self)
     return truth;
 }
 
-/* self.<name>(arg): own(self, arg) when that is the core's own method
- * descr (see own_method), the method otherwise. */
+/* self.<hook>(arg): own(self, arg) while that is the core's own method
+ * (see own_method), the method otherwise. */
 static int
-dispatch(TransportCoreObject *self, PyObject *name, PyObject *descr,
+dispatch(TransportCoreObject *self, int hook,
          int (*own)(TransportCoreObject *, PyObject *), PyObject *arg)
 {
-    if (own_method(self, name, descr))
+    if (own_method(self, hook))
         return own(self, arg);
-    return call_self(self, name, arg);
+    return call_self(self, *Hooks[hook].name, arg);
 }
 
 static int tc_send_request(TransportCoreObject *self, PyObject *chunk,
@@ -4734,7 +5203,7 @@ static int tc_send_request(TransportCoreObject *self, PyObject *chunk,
 static int
 send_request(TransportCoreObject *self, PyObject *chunk, PyObject *tries)
 {
-    if (own_method(self, str_send_request_packet, DescrSendRequest))
+    if (own_method(self, HOOK_SEND_REQUEST))
         return tc_send_request(self, chunk, tries);
     PyObject *args[3] = {(PyObject *)self, chunk, tries};
     return call_method(str_send_request_packet, args, 3, NULL);
@@ -5091,7 +5560,7 @@ tcm_request_ack(TransportCoreObject *self, PyObject *pkt)
 static int
 request_ack(TransportCoreObject *self, PyObject *pkt)
 {
-    return dispatch(self, str_on_request_ack, DescrRequestAck, tc_request_ack, pkt);
+    return dispatch(self, HOOK_REQUEST_ACK, tc_request_ack, pkt);
 }
 
 static int
@@ -5122,7 +5591,7 @@ tcm_enqueue(TransportCoreObject *self, PyObject *sstream)
 static int
 enqueue_response(TransportCoreObject *self, PyObject *sstream)
 {
-    return dispatch(self, str_enqueue_response, DescrEnqueue, tc_enqueue, sstream);
+    return dispatch(self, HOOK_ENQUEUE, tc_enqueue, sstream);
 }
 
 /* sstream.request_complete: in place on an exact _ServerStream. */
@@ -5243,7 +5712,7 @@ tcm_absorb(TransportCoreObject *self, PyObject *chunk)
 static int
 absorb_request_chunk(TransportCoreObject *self, PyObject *chunk)
 {
-    return dispatch(self, str_absorb_request_chunk, DescrAbsorb, tc_absorb, chunk);
+    return dispatch(self, HOOK_ABSORB, tc_absorb, chunk);
 }
 
 /* The request timeout's and the think time's event callbacks. */
@@ -5257,8 +5726,7 @@ ckernel_fire_request_timeout(PyObject *module, PyObject *const *args,
             PyErr_SetString(PyExc_TypeError, "_fire_request_timeout(conn, seq)");
         return NULL;
     }
-    if (dispatch(self, str_on_request_timeout, DescrRequestTimeout,
-                 tc_request_timeout, args[1]) < 0)
+    if (dispatch(self, HOOK_REQUEST_TIMEOUT, tc_request_timeout, args[1]) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -5293,7 +5761,15 @@ tc_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         return NULL;
     }
     /* tp_alloc zero-fills: no objects, zero scalars, no deadlines. */
-    return type->tp_alloc(type, 0);
+    TransportCoreObject *self = (TransportCoreObject *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        return NULL;
+    self->inflight = (InflightObject *)InflightType.tp_alloc(&InflightType, 0);
+    if (self->inflight == NULL) {
+        Py_DECREF(self);
+        return NULL;
+    }
+    return (PyObject *)self;
 }
 
 #define TC_OBJECTS(X) \
@@ -5305,7 +5781,8 @@ tc_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     X(rcv_next) X(reorder_buffer) X(stall_started_at) X(stream_rcv_next) \
     X(stream_buffers) X(stream_stall_started) X(pto_event) X(ack_event) \
     X(hs_event) X(next_stream_id) X(req_seq) X(pending_requests) \
-    X(server_think_ms) X(client_receiver) X(server_receiver)
+    X(server_think_ms) X(client_receiver) X(server_receiver) \
+    X(send_path) X(send_client) X(send_server)
 
 static int
 tc_traverse(TransportCoreObject *self, visitproc visit, void *arg)
@@ -5392,9 +5869,31 @@ static PyMethodDef tc_methods[] = {
     {NULL}
 };
 
+static PyObject *
+tc_get_inflight(TransportCoreObject *self, void *Py_UNUSED(closure))
+{
+    return Py_XNewRef((PyObject *)tc_inflight(self));
+}
+
+/* `conn._inflight = mapping` reloads the ring from mapping. */
+static int
+tc_set_inflight(TransportCoreObject *self, PyObject *value,
+                void *Py_UNUSED(closure))
+{
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete _inflight");
+        return -1;
+    }
+    InflightObject *ring = tc_inflight(self);
+    return ring == NULL ? -1 : inflight_load(ring, value);
+}
+
 static PyGetSetDef tc_getset[] = {
     {"can_send_requests", (getter)tc_get_can_send, NULL,
      "Requests may flow once established (or immediately for 0-RTT).", NULL},
+    {"_inflight", (getter)tc_get_inflight, (setter)tc_set_inflight,
+     "Data packets awaiting their ACK, by packet number (an Inflight "
+     "ring); assigning a mapping reloads it.", NULL},
     {NULL}
 };
 
@@ -5416,7 +5915,6 @@ static PyMemberDef tc_members[] = {
     TC_OBJECT("_rate_sampler", rate_sampler),
     TC_OBJECT("streams", streams),
     TC_OBJECT("_fast_path_enabled", fast_path_enabled),
-    TC_OBJECT("_inflight", inflight),
     TC_OBJECT("_send_queue", send_queue),
     TC_OBJECT("_retx_queue", retx_queue),
     TC_OBJECT("_server_streams", server_streams),
@@ -5781,7 +6279,7 @@ PyInit__ckernel(void)
         return NULL;
     if (PyType_Ready(&LinkCoreType) < 0)
         return NULL;
-    if (PyType_Ready(&TransportCoreType) < 0)
+    if (PyType_Ready(&TransportCoreType) < 0 || PyType_Ready(&InflightType) < 0)
         return NULL;
     if (PyType_Ready(&WindowedSendType) < 0)
         return NULL;
@@ -5807,6 +6305,12 @@ PyInit__ckernel(void)
     Py_INCREF(&TransportCoreType);
     if (PyModule_AddObject(m, "TransportCore", (PyObject *)&TransportCoreType) < 0) {
         Py_DECREF(&TransportCoreType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    Py_INCREF(&InflightType);
+    if (PyModule_AddObject(m, "Inflight", (PyObject *)&InflightType) < 0) {
+        Py_DECREF(&InflightType);
         Py_DECREF(m);
         return NULL;
     }

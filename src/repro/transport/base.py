@@ -975,6 +975,9 @@ class BaseConnection(_TransportCore):
         #: Data packets awaiting acknowledgement, by packet number: the
         #: sent :class:`Packet` itself (its one chunk, ``conn_start``,
         #: size, send time and retransmission flag are all it needs).
+        #: The C core keeps them in a ring by packet number
+        #: (``_ckernel.Inflight``) that reads as this dict; assigning a
+        #: mapping loads the ring.
         self._inflight: dict[int, Packet] = {}
         self._bytes_in_flight = 0
         self._recovery_until_seq = 0

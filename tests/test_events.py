@@ -523,6 +523,117 @@ def test_c_loop_matches_heap_loop_on_random_operations(seed):
 
 
 # ---------------------------------------------------------------------
+# Transport deadlines re-armed in place.
+# ---------------------------------------------------------------------
+
+
+def _deadline_connection(loop, fired, rearms):
+    """A bare transport core on ``loop`` whose handshake deadline logs
+    its firings into ``fired`` and re-arms itself, from inside its own
+    callback, with each delay ``rearms`` still holds."""
+    import repro.transport.base  # noqa: F401  (installs the transport core)
+    from repro.events.loop import _ckernel
+
+    class Deadline(_ckernel.TransportCore):
+        def _on_handshake_timeout(self):
+            fired.append(("deadline", loop.now))
+            if rearms:
+                self._start_handshake_deadline(rearms.pop(0))
+
+    conn = Deadline()
+    conn.loop = loop
+    return conn
+
+
+def _deadline_script(loop_cls):
+    """Arm one deadline among plain events, re-arm it earlier, later and
+    onto the time of pending events, from outside the loop, from another
+    event and from its own callback, and again after it fired; return
+    the firing order and what the loop reports along the way."""
+    loop = loop_cls()
+    fired = []
+    trace = []
+    conn = _deadline_connection(loop, fired, rearms=[5.0, 30.0])
+
+    def mark(label):
+        fired.append((label, loop.now))
+
+    def observe(step):
+        trace.append((step, len(loop), loop.scheduled_events,
+                      loop.processed_events, loop.next_event_time()))
+
+    # Armed before the events it will tie with: re-armed, it must
+    # still fire after them.
+    conn._start_handshake_deadline(50.0)
+    for t in (10.0, 30.0, 40.0, 60.0, 90.0):
+        loop.call_at(t, mark, f"t{t:g}")
+    observe("armed")
+    conn._start_handshake_deadline(20.0)  # earlier, between t10 and t30
+    observe("earlier")
+    conn._start_handshake_deadline(70.0)  # later, between t60 and t90
+    observe("later")
+    conn._start_handshake_deadline(40.0)  # onto t40, scheduled first
+    loop.call_at(40.0, mark, "t40-after")  # the same time, scheduled after
+    observe("tie")
+    # Fired at 40, it re-arms itself to 45; at 42 another event moves it
+    # onto t60, and fired there it re-arms itself onto t90.
+    loop.call_at(42.0, conn._start_handshake_deadline, 18.0)
+    loop.run()
+    observe("drained")
+    conn._start_handshake_deadline(0.0)  # after it fired
+    conn._start_handshake_deadline(1.0)
+    loop.call_at(loop.now + 1.0, mark, "after-rearm")
+    loop.run()
+    observe("done")
+    conn._start_handshake_deadline(3.0)
+    conn._stop_handshake_deadline()
+    loop.run()
+    observe("stopped")
+    return fired, trace
+
+
+@pytest.mark.skipif(CEventLoop is None, reason="C kernel not built on this host")
+def test_rekeyed_deadline_matches_cancel_and_schedule():
+    """On the C loop a pending deadline is re-keyed in place; on the
+    Python loop it is cancelled and scheduled anew.  Both fire the same
+    sequence and report the same length, counts and next event time."""
+    expected = _deadline_script(HeapEventLoop)
+    fired, _ = expected
+    assert fired == [
+        ("t10", 10.0), ("t30", 30.0), ("t40", 40.0), ("deadline", 40.0),
+        ("t40-after", 40.0), ("t60", 60.0), ("deadline", 60.0),
+        ("t90", 90.0), ("deadline", 90.0), ("deadline", 91.0),
+        ("after-rearm", 91.0),
+    ]
+    assert _deadline_script(CEventLoop) == expected
+
+
+@pytest.mark.skipif(CEventLoop is None, reason="C kernel not built on this host")
+def test_pending_deadline_keeps_its_event_on_the_c_loop():
+    import gc
+
+    from repro.events.loop import ScheduledEvent, _ckernel
+
+    def handle(conn):
+        (event,) = [
+            ref for ref in gc.get_referents(conn)
+            if isinstance(ref, (ScheduledEvent, _ckernel.ScheduledEvent))
+        ]
+        return event
+
+    for loop_cls, kept in ((CEventLoop, True), (HeapEventLoop, False)):
+        loop = loop_cls()
+        conn = _deadline_connection(loop, [], [])
+        conn._start_handshake_deadline(5.0)
+        first = handle(conn)
+        conn._start_handshake_deadline(2.0)
+        assert (handle(conn) is first) is kept
+        assert (handle(conn).time, first.cancelled) == (2.0, not kept)
+        loop.run()
+        assert loop.processed_events == 1
+
+
+# ---------------------------------------------------------------------
 # The C kernel's build cache.
 # ---------------------------------------------------------------------
 

@@ -84,8 +84,12 @@ from repro.measurement.consecutive import ConsecutivePlan, run_walk
 from repro.measurement.parallel import measure_paired_visit, measure_visit_outcome
 from repro.events.loop import CEventLoop, _ckernel
 from repro.faults import FaultInjector
-from repro.netsim import BernoulliLoss, NoLoss, Packet, PacketKind, SegmentedPath
+from repro.netsim import (
+    BernoulliLoss, NetemProfile, NetworkPath, NoLoss, Packet, PacketKind,
+    SegmentedPath,
+)
 from repro.scenario import preset
+from repro.transport import QuicConnection, TcpConnection
 from repro.transport.base import BaseConnection, _PyTransportCore
 from repro.transport.congestion import NewRenoController
 from repro.transport.rtt import RttEstimator
@@ -567,6 +571,78 @@ def test_dormant_visit_packet_life_cycle(universe):
         gc.enable()
     assert (built, reused) == (PACKETS_BUILT, PACKETS_REUSED)
     assert sent_packets(browser) - before == built
+
+
+#: Events the 96-request dormant visit schedules and dispatches, on
+#: either scheduler and either transport core.  A deadline re-armed while
+#: pending counts as one schedule, whether its event is re-keyed in place
+#: (the C scheduler) or cancelled and scheduled anew.
+EVENTS_SCHEDULED = 2982
+EVENTS_DISPATCHED = 1855
+
+
+def test_dormant_visit_schedules_and_dispatches_the_pinned_events(universe):
+    browser = make_browser(universe)
+    loop = browser.loop
+    scheduled, dispatched = loop.scheduled_events, loop.processed_events
+    browser.visit(universe.pages[4])
+    assert (
+        loop.scheduled_events - scheduled, loop.processed_events - dispatched
+    ) == (EVENTS_SCHEDULED, EVENTS_DISPATCHED)
+
+
+def started_transfer(conn_cls, response_bytes=60_000):
+    """A connection whose response has delivered its first bytes."""
+    loop = EventLoop()
+    path = NetworkPath(loop, NetemProfile(delay_ms=10.0, rate_mbps=20.0))
+    conn = conn_cls(loop, path)
+    established = []
+    conn.connect(established.append)
+    loop.run_until(lambda: bool(established))
+    stream = conn.request(400, response_bytes)
+    loop.run_until(lambda: stream.received > 0)
+    return loop, conn, stream
+
+
+@pytest.mark.parametrize("conn_cls", [TcpConnection, QuicConnection])
+def test_deliver_override_set_mid_transfer_receives_the_next_chunk(conn_cls):
+    """Whether ``_deliver_chunk`` is the core's own is cached per
+    connection, yet an instance attribute set after the first data
+    packet takes the very next chunk, and deleting it hands the rest
+    back to the core."""
+    loop, conn, stream = started_transfer(conn_cls)
+    first = stream.received
+    offsets = []
+    deliver = conn._deliver_chunk
+
+    def recorded(chunk):
+        offsets.append(chunk.offset)
+        deliver(chunk)
+
+    conn._deliver_chunk = recorded
+    loop.run_until(lambda: stream.received >= 3 * first)
+    assert offsets and offsets[0] == first
+    del conn._deliver_chunk
+    seen = len(offsets)
+    loop.run_until(lambda: stream.complete)
+    assert len(offsets) == seen
+    assert stream.received == 60_000
+
+
+@pytest.mark.parametrize("conn_cls", [TcpConnection, QuicConnection])
+def test_migrated_connection_sends_on_its_new_path(conn_cls):
+    """The path's send callables are cached per connection; assigning
+    the connection another path moves every later packet onto it."""
+    loop, conn, stream = started_transfer(conn_cls, response_bytes=200_000)
+    old = conn.path
+    new = NetworkPath(loop, NetemProfile(delay_ms=10.0, rate_mbps=20.0))
+    conn.path = new
+    conn.on_path_migration()
+    old_sent = (old.uplink.stats.sent_packets, old.downlink.stats.sent_packets)
+    loop.run_until(lambda: stream.complete)
+    assert (old.uplink.stats.sent_packets, old.downlink.stats.sent_packets) == old_sent
+    assert new.uplink.stats.sent_packets > 0
+    assert new.downlink.stats.sent_packets > 0
 
 
 @pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")

@@ -16,15 +16,22 @@ existed: the simulated behaviour must not have moved.
 The audits override the loop's methods in a subclass, which only the
 Python transport core dispatches through (the C core calls its own
 methods directly), so the audited classes run on ``_PyTransportCore``;
-the pinned counts are checked on both cores.
+the pinned counts are checked on both cores.  The C core keeps its
+packets in flight in a ring (``_ckernel.Inflight``) instead of a dict;
+its audits override the packet receivers, which the C core looks up on
+the connection, and hold the ring to the same invariants on a lossy and
+on a reordering path.
 """
 
 import dataclasses
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from repro.events import EventLoop
+from repro.events.loop import _ckernel
 from repro.netsim import NetemProfile, NetworkPath, PacketKind
 from repro.netsim.packet import HEADER_BYTES, Packet, StreamChunk
 from repro.transport import QuicConnection, TcpConnection
@@ -153,6 +160,213 @@ class TestInflightOrdering:
     def test_invariants_hold_under_heavier_loss(self, conn_cls, seed):
         _, conn = lossy_transfer(conn_cls, loss=0.05, seed=seed)
         assert conn.declared_lost
+
+
+class _RingAudited:
+    """The C core's audits.  Its loop calls none of the methods
+    ``_Audited`` overrides, but it hands every packet to the receivers
+    it looks up on the connection, so overriding those sees each
+    delivery.  After each, the in-flight ring must read as the ascending
+    dict it replaced and hold nothing a full loss scan would declare
+    lost; after each ACK, the packets it let go must be the acked ones
+    plus exactly the full scan's, and the burst that followed must have
+    retransmitted those, in order."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.audits = 0
+        self.declared_lost: list[int] = []
+        self.holes_seen = 0
+
+    def _audit(self) -> None:
+        ring = self._inflight
+        keys = list(ring)
+        assert all(a < b for a, b in zip(keys, keys[1:])), keys
+        assert (len(ring), bool(ring)) == (len(keys), bool(keys))
+        assert ring.keys() == keys == [seq for seq, _ in ring.items()]
+        assert all(pkt.seq == seq and ring[seq] is pkt for seq, pkt in ring.items())
+        assert self._bytes_in_flight == sum(pkt.size_bytes for _, pkt in ring.items())
+        cutoff = self._largest_acked - self.config.packet_threshold
+        assert all(seq > cutoff for seq in keys)
+        if keys and keys[-1] - keys[0] + 1 > len(keys):
+            self.holes_seen += 1
+        self.audits += 1
+
+    def _server_on_packet(self, pkt):
+        before = dict(self._inflight.items())
+        lost = self.stats.data_packets_lost
+        super()._server_on_packet(pkt)
+        if pkt.kind is PacketKind.ACK:
+            acked = set(pkt.sack or (pkt.ack_seq,)) & set(before)
+            cutoff = self._largest_acked - self.config.packet_threshold
+            full_scan = sorted(
+                seq for seq in before if seq not in acked and seq <= cutoff
+            )
+            let_go = [seq for seq in before if seq not in self._inflight]
+            assert let_go == sorted(acked | set(full_scan))
+            assert self.stats.data_packets_lost - lost == len(full_scan)
+            newest = max(before, default=0)
+            resent = [
+                (sent.chunks[0], sent.conn_start)
+                for seq, sent in self._inflight.items()
+                if seq > newest and sent.retransmission
+            ]
+            assert resent == [
+                (before[seq].chunks[0], before[seq].conn_start) for seq in full_scan
+            ]
+            self.declared_lost.extend(full_scan)
+        self._audit()
+
+    def _client_on_packet_from_server(self, pkt):
+        super()._client_on_packet_from_server(pkt)
+        self._audit()
+
+
+class RingAuditedTcp(_RingAudited, TcpConnection):
+    pass
+
+
+class RingAuditedQuic(_RingAudited, QuicConnection):
+    pass
+
+
+def hold_back_every(path, every=7, hold_ms=4.0):
+    """Reorder the path: every ``every``-th first transmission of data
+    waits ``hold_ms`` before it goes onto the downlink, so the packets
+    sent after it overtake it."""
+    loop = path.downlink.loop
+    send_to_client = path.send_to_client
+    count = [0]
+
+    def send(pkt, on_deliver):
+        if pkt.kind is PacketKind.DATA and not pkt.retransmission:
+            count[0] += 1
+            if count[0] % every == 0:
+                loop.call_later(hold_ms, send_to_client, pkt, on_deliver)
+                return
+        send_to_client(pkt, on_deliver)
+
+    path.send_to_client = send
+
+
+def reordering_transfer(conn_cls, seed=1):
+    """The 250 KB response over a 1%-loss path that reorders data."""
+    loop = EventLoop()
+    profile = NetemProfile(delay_ms=15.0, loss_rate=0.01, rate_mbps=20.0)
+    path = NetworkPath(loop, profile, rng=random.Random(seed))
+    hold_back_every(path)
+    conn = conn_cls(loop, path)
+    done = []
+    conn.connect(done.append)
+    loop.run_until(lambda: bool(done))
+    stream = conn.request(400, RESPONSE_BYTES)
+    loop.run_until(lambda: stream.complete)
+    assert stream.received == RESPONSE_BYTES
+    return loop, conn
+
+
+def traced_growth(step, times=10_000):
+    """(peak, retained, snapshot) growth of traced memory over ``times``
+    calls of ``step``, tracemalloc running.  Everything the loop itself
+    needs exists before the peak is reset, so a step that allocates even
+    a block it frees at once raises the peak."""
+    calls = itertools.repeat(None, times)
+    before = tracemalloc.take_snapshot()
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    for _ in calls:
+        step()
+    current, peak = tracemalloc.get_traced_memory()
+    after = tracemalloc.take_snapshot()
+    here = [tracemalloc.Filter(True, __file__)]
+    grown = [
+        (stat.traceback[0].lineno, stat.size_diff, stat.count_diff)
+        for stat in after.filter_traces(here).compare_to(
+            before.filter_traces(here), "lineno"
+        )
+        if stat.size_diff or stat.count_diff
+    ]
+    return peak - start, current - start, grown
+
+
+@pytest.mark.skipif(_ckernel is None, reason="C kernel not built on this host")
+class TestInflightRing:
+    """The C core keeps its packets in flight in a ring indexed by packet
+    number; the Python core (the oracle) in a dict."""
+
+    TRANSFERS = {"lossy": lossy_transfer, "reordering": reordering_transfer}
+
+    @pytest.mark.parametrize("transfer", sorted(TRANSFERS))
+    @pytest.mark.parametrize("conn_cls", [RingAuditedTcp, RingAuditedQuic])
+    def test_ring_reads_as_the_ascending_dict(self, conn_cls, transfer):
+        loop, conn = self.TRANSFERS[transfer](conn_cls)
+        assert type(conn._inflight) is _ckernel.Inflight
+        # The transfer exercised threshold losses (and on the lossy path
+        # the PTO), with holes (packets acked out of order) in the ring.
+        assert conn.declared_lost and conn.holes_seen
+        assert conn.stats.rto_events >= (transfer == "lossy")
+        assert conn.audits > conn.stats.data_packets_sent
+        assert len(conn.declared_lost) + conn.stats.rto_events == (
+            conn.stats.data_packets_lost
+        )
+        # And it ran exactly as the Python core's does on a dict.
+        plain = conn_cls.__bases__[1]
+        oracle_loop, oracle = self.TRANSFERS[transfer](python_core(plain))
+        assert (loop.processed_events, loop.scheduled_events, repr(loop.now)) == (
+            oracle_loop.processed_events, oracle_loop.scheduled_events,
+            repr(oracle_loop.now),
+        )
+        assert dataclasses.astuple(conn.stats) == dataclasses.astuple(oracle.stats)
+
+    def test_truth_test_allocates_nothing(self):
+        # Mid-transfer: packets in flight, so the ring is non-empty.
+        loop = EventLoop()
+        path = NetworkPath(loop, NetemProfile(delay_ms=10.0, rate_mbps=20.0))
+        conn = TcpConnection(loop, path)
+        done = []
+        conn.connect(done.append)
+        loop.run_until(lambda: bool(done))
+        conn.request(400, 200_000)
+        loop.run(until_ms=loop.now + 35.0)
+        assert conn._inflight
+        truth = bool
+        tracemalloc.start()
+        try:
+            # 10,000 truth tests, between two runs of an empty step that
+            # show the measurement's own objects (the first also warms
+            # tracemalloc's caches).
+            traced_growth(lambda: None)
+            tested = traced_growth(lambda: truth(conn._inflight))
+            idle = traced_growth(lambda: None)
+        finally:
+            tracemalloc.stop()
+        assert tested == idle
+
+    def test_python_writes_append_and_reload(self):
+        loop = EventLoop()
+        conn = TcpConnection(loop, NetworkPath(loop, NetemProfile(delay_ms=5.0)))
+        ring = conn._inflight
+        packets = {seq: Packet(PacketKind.DATA, seq=seq) for seq in (3, 5, 9)}
+        conn._inflight = packets
+        assert conn._inflight is ring
+        assert dict(ring.items()) == packets and list(ring) == [3, 5, 9]
+        assert (5 in ring, 4 in ring, "5" in ring, ring[5]) == (
+            True, False, False, packets[5]
+        )
+        with pytest.raises(ValueError):
+            ring[7] = Packet(PacketKind.DATA, seq=7)  # not above 9
+        with pytest.raises(TypeError):
+            ring[10] = "not a packet"
+        ring[12] = packets[9]
+        assert ring.pop(3) is packets[3] and list(ring) == [5, 9, 12]
+        assert ring.pop(9) is packets[9] and ring.pop(9, None) is None
+        assert list(ring) == [5, 12]
+        with pytest.raises(KeyError):
+            ring[9]
+        with pytest.raises(KeyError):
+            ring.pop(9)
+        conn._inflight = {}
+        assert not ring and len(ring) == 0 and list(ring) == []
 
 
 class TestOnePtoArmPerBurst:
